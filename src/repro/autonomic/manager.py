@@ -374,9 +374,9 @@ class AutonomicManager:
             if kind == "node":
                 network.node(name).reserved_cpu -= amount
             else:
-                self._link(name).reserved_mbps -= amount
+                network.link_named(name).reserved_mbps -= amount
         self._reserved.clear()
-        network.touch()
+        network.touch_reservations()
 
     def on_binding_planned(self, binding: Any, plan: Any) -> None:
         """Reserve the planned chain's demand so later bindings in the
@@ -395,9 +395,9 @@ class AutonomicManager:
         for link_name, mbps in report.link_mbps.items():
             if mbps <= 0:
                 continue
-            self._link(link_name).reserved_mbps += mbps
+            network.link_named(link_name).reserved_mbps += mbps
             self._reserved.append(("link", link_name, mbps))
-        network.touch()
+        network.touch_reservations()
 
     def drain_instance(self, instance: Any) -> Generator[Any, Any, None]:
         """Bounded wait for an instance's in-flight requests to finish.
@@ -465,12 +465,6 @@ class AutonomicManager:
         if count > self.views_peak:
             self.views_peak = count
         return count
-
-    def _link(self, name: str) -> Any:
-        for link in self.runtime.network.links():
-            if link.name == name:
-                return link
-        raise KeyError(name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -169,7 +169,7 @@ def _signature(
     transport = runtime.transport
     payload = {
         "now": runtime.sim.now,
-        "events": runtime.sim._seq,
+        "events": runtime.sim.events_scheduled,
         "latencies": [
             (r.user, list(r.send_latency.samples), list(r.receive_latency.samples))
             for r in results

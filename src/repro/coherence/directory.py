@@ -411,7 +411,14 @@ class CoherenceDirectory:
         queue to return to: the batch enters the lost ledger directly —
         and, under versioned coherence, the anti-entropy stash — exactly
         as if :meth:`report_lost` had drained it.
+
+        ``replica_id`` must be the id the batch was drained under; a
+        caller that re-reads it from an instance after yielding can see
+        ``None`` (retirement clears it), which would strand the batch
+        under no family and make the stash keys unsortable.
         """
+        if replica_id is None:
+            raise ValueError("requeue needs the replica id the batch was drained under")
         if not batch:
             return
         entry = self._replicas.get(replica_id)

@@ -127,7 +127,7 @@ def _cell_signature(runtime: Any, result: LoadResult, proxies: Sequence[Any]) ->
     overload = runtime.overload
     payload = {
         "now": runtime.sim.now,
-        "events": runtime.sim._seq,
+        "events": runtime.sim.events_scheduled,
         "counts": [
             result.offered, result.completed, result.ok, result.timely,
             result.failed, result.unfinished,
@@ -329,7 +329,7 @@ def run_load_cell(
             p99_ms=result.p(99),
             p999_ms=result.p(99.9),
             sim_ms=runtime.sim.now,
-            events=runtime.sim._seq,
+            events=runtime.sim.events_scheduled,
             retries=sum(p.retries for p in proxies),
             timeouts=sum(p.timeouts for p in proxies),
             throttled=sum(p.throttled for p in proxies),

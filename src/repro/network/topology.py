@@ -164,9 +164,13 @@ class Network:
     def __init__(self) -> None:
         self._nodes: Dict[str, NodeInfo] = {}
         self._links: Dict[Tuple[str, str], LinkInfo] = {}
+        self._links_by_name: Dict[str, LinkInfo] = {}
         self._adj: Dict[str, List[str]] = {}
+        #: per source, the predecessor map of its shortest-path tree
+        self._route_trees: Dict[str, Dict[str, str]] = {}
         self._path_cache: Dict[Tuple[str, str], PathInfo] = {}
         self._version = 0
+        self._structure_version = 0
         self._fingerprint: Optional[int] = None
 
     # -- construction ----------------------------------------------------
@@ -206,6 +210,7 @@ class Network:
             raise NetworkError(f"duplicate link {a!r}<->{b!r}")
         info = LinkInfo(a, b, latency_ms, bandwidth_mbps, secure, dict(credentials or {}))
         self._links[key] = info
+        self._links_by_name[info.name] = info
         self._adj[a].append(b)
         self._adj[b].append(a)
         self._invalidate()
@@ -216,13 +221,15 @@ class Network:
         key = _link_key(a, b)
         if key not in self._links:
             raise NetworkError(f"no link {a!r}<->{b!r}")
-        del self._links[key]
+        del self._links_by_name[self._links.pop(key).name]
         self._adj[a].remove(b)
         self._adj[b].remove(a)
         self._invalidate()
 
     def _invalidate(self) -> None:
+        self._route_trees.clear()
         self._path_cache.clear()
+        self._structure_version += 1
         self._version += 1
         self._fingerprint = None
 
@@ -230,6 +237,17 @@ class Network:
     def version(self) -> int:
         """Bumped on every topology/attribute mutation via this API."""
         return self._version
+
+    @property
+    def structure_version(self) -> int:
+        """Bumped by every mutation *except* capacity reservations.
+
+        Routes, node/path environments and installability are functions
+        of the graph, liveness, link attributes and credentials — never
+        of ``reserved_cpu`` / ``reserved_mbps`` — so caches of those key
+        on this counter and survive :meth:`touch_reservations`.
+        """
+        return self._structure_version
 
     def state_fingerprint(self) -> int:
         """Stable hash of all planning-relevant network state.
@@ -277,6 +295,17 @@ class Network:
         """Record an external attribute mutation (e.g. by a monitor)."""
         self._invalidate()
 
+    def touch_reservations(self) -> None:
+        """Record a change to ``reserved_cpu`` / ``reserved_mbps`` only.
+
+        Moves :attr:`version` and :meth:`state_fingerprint` (condition 3
+        reads reservations, so plan-cache epochs must change) but keeps
+        the routes and :attr:`structure_version`.  Any other attribute
+        edit must use :meth:`touch`.
+        """
+        self._version += 1
+        self._fingerprint = None
+
     # -- liveness (fault tolerance layer) ---------------------------------
     def set_link_up(self, a: str, b: str, up: bool) -> LinkInfo:
         """Partition/heal a link; routing reacts immediately."""
@@ -306,6 +335,13 @@ class Network:
             return self._links[_link_key(a, b)]
         except KeyError:
             raise NetworkError(f"no link {a!r}<->{b!r}") from None
+
+    def link_named(self, name: str) -> LinkInfo:
+        """The link whose :attr:`LinkInfo.name` is ``name``."""
+        try:
+            return self._links_by_name[name]
+        except KeyError:
+            raise NetworkError(f"no link named {name!r}") from None
 
     def has_node(self, name: str) -> bool:
         return name in self._nodes
@@ -343,39 +379,24 @@ class Network:
         liveness-checked: a message may be routed toward a crashed host
         (and fail there) exactly as IP would carry it.  Raises
         :class:`NetworkError` if disconnected.
+
+        Routes are read off one shortest-path tree per source.  The
+        first request for a pair fixes the route in *both* directions
+        (the reverse entry is the reversed forward path), so equal-
+        latency ties resolve the same way whichever end asks later.
         """
+        cached = self._path_cache.get((src, dst))
+        if cached is not None:
+            return cached
         if src not in self._nodes:
             raise NetworkError(f"unknown node {src!r}")
         if dst not in self._nodes:
             raise NetworkError(f"unknown node {dst!r}")
         if src == dst:
-            return PathInfo(src, dst, ())
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            return cached
-
-        dist: Dict[str, float] = {src: 0.0}
-        prev: Dict[str, str] = {}
-        heap: List[Tuple[float, str]] = [(0.0, src)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u == dst:
-                break
-            if d > dist.get(u, float("inf")):
-                continue
-            if u != src and not self._nodes[u].up:
-                continue  # dead routers forward nothing
-            for v in self._adj[u]:
-                link = self._links[_link_key(u, v)]
-                if not link.up:
-                    continue
-                nd = d + link.latency_ms
-                if nd < dist.get(v, float("inf")):
-                    dist[v] = nd
-                    prev[v] = u
-                    heapq.heappush(heap, (nd, v))
-        if dst not in dist:
+            info = self._path_cache[(src, src)] = PathInfo(src, src, ())
+            return info
+        prev = self._route_tree(src)
+        if dst not in prev:
             raise NetworkError(f"no path {src!r} -> {dst!r}")
 
         hops: List[LinkInfo] = []
@@ -386,9 +407,36 @@ class Network:
             cur = p
         hops.reverse()
         info = PathInfo(src, dst, tuple(hops))
-        self._path_cache[key] = info
+        self._path_cache[(src, dst)] = info
         self._path_cache[(dst, src)] = PathInfo(dst, src, tuple(reversed(hops)))
         return info
+
+    def _route_tree(self, src: str) -> Dict[str, str]:
+        """Predecessor of every node reachable from ``src`` (Dijkstra)."""
+        prev = self._route_trees.get(src)
+        if prev is not None:
+            return prev
+        dist: Dict[str, float] = {src: 0.0}
+        prev = {}
+        heap: List[Tuple[float, str]] = [(0.0, src)]
+        inf = float("inf")
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist.get(u, inf):
+                continue
+            if u != src and not self._nodes[u].up:
+                continue  # dead routers forward nothing
+            for v in self._adj[u]:
+                link = self._links[_link_key(u, v)]
+                if not link.up:
+                    continue
+                nd = d + link.latency_ms
+                if nd < dist.get(v, inf):
+                    dist[v] = nd
+                    prev[v] = u
+                    heapq.heappush(heap, (nd, v))
+        self._route_trees[src] = prev
+        return prev
 
     def connected(self, src: str, dst: str) -> bool:
         try:
@@ -405,8 +453,9 @@ class Network:
             other._nodes[n.name] = n.copy()
             other._adj[n.name] = list(self._adj[n.name])
         for k, l in self._links.items():
-            other._links[k] = l.copy()
+            other._links_by_name[l.name] = other._links[k] = l.copy()
         other._version = self._version
+        other._structure_version = self._structure_version
         return other
 
     # -- materialization ----------------------------------------------------

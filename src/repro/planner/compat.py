@@ -18,16 +18,27 @@ It also *memoizes* the two hot validity checks themselves (the planner
 fast path, shared by all three search algorithms):
 
 - condition 2 — :meth:`PlanningContext.properties_compatible`, keyed by
-  the frozen (required, implemented, path-environment) property bags;
+  the interned ids of the (required, implemented, path-environment)
+  property bags.  A search that checks many pairs interns each bag once
+  (:meth:`PlanningContext.bag_id`, :meth:`PlanningContext.link_envs_from`)
+  and calls :meth:`PlanningContext.compatible_interned`, so a memo
+  lookup hashes three small ints instead of re-sorting three dicts;
 - condition 1 — :meth:`PlanningContext.installable`, keyed by
   (component, node, request context), i.e. the node's credentials after
   translation.
 
-Both memos (like the environment caches) are invalidated wholesale when
-``Network.version`` moves — every topology, liveness, credential or
-capacity-reservation change bumps it — so a memoized verdict can never
-outlive the network state it was computed against.  Hit/miss counts land
-in :class:`ContextCacheStats`, which the :class:`~repro.planner.planner.
+What each table reads decides what flushes it.  Environments, routes
+(:meth:`PlanningContext.link_envs_from`), analytic round-trip times and
+both memos are functions of the graph, liveness, link attributes and
+credentials, so they are flushed wholesale when
+``Network.structure_version`` moves — every topology, liveness or
+attribute/credential change (``Network.touch()``) bumps it, so a
+memoized verdict can never outlive the network state it was computed
+against.  Capacity *reservations* (``Network.touch_reservations()``,
+what ``Planner.commit`` records) change none of them and flush nothing:
+condition 3 reads ``free_cpu`` / ``free_mbps`` live in
+:func:`~repro.planner.load.check_loads`.  Hit/miss counts land in
+:class:`ContextCacheStats`, which the :class:`~repro.planner.planner.
 Planner` facade exports through the metrics registry.  Pass
 ``memoize=False`` to evaluate every check directly (the results are
 identical either way; the memo is a pure cache).
@@ -38,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..network import CredentialTranslator, Environment, Network, PathInfo
+from ..network import CredentialTranslator, Environment, Network, NetworkError, PathInfo
 from ..obs import Observability, resolve_obs
 from ..spec import (
     ANY,
@@ -64,7 +75,7 @@ class ContextCacheStats:
     ``uncacheable`` counts evaluations whose property values were not
     hashable (the memo silently steps aside for those);
     ``invalidations`` counts wholesale flushes caused by a network
-    version change.
+    structure change (reservations flush nothing).
     """
 
     compat_hits: int = 0
@@ -80,6 +91,29 @@ def _freeze_bag(props: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
     frozen = tuple(sorted(props.items()))
     hash(frozen)
     return frozen
+
+
+class _LinkRow(dict):
+    """One source's row of :meth:`PlanningContext.link_envs_from`."""
+
+    def __init__(self, ctx: "PlanningContext", src: str) -> None:
+        super().__init__()
+        self._ctx = ctx
+        self._src = src
+
+    def __missing__(self, dst: str) -> Optional[Tuple[Dict[str, Any], Optional[int]]]:
+        ctx = self._ctx
+        try:
+            path = ctx.network.path(self._src, dst)
+        except NetworkError:
+            entry = None
+        else:
+            env = dict(ctx.translator.path_environment(path).values)
+            entry = (env, ctx.bag_id(env))
+        # The environment is the pair's, whichever end asks first.
+        self[dst] = entry
+        ctx.link_envs_from(dst)[self._src] = entry
+        return entry
 
 
 @dataclass
@@ -98,25 +132,29 @@ class PlanningContext:
     def __post_init__(self) -> None:
         self.obs = resolve_obs(self.obs)
         self._node_env_cache: Dict[str, Dict[str, Any]] = {}
-        self._path_env_cache: Dict[Tuple[str, str], Dict[str, Any]] = {}
+        self._link_rows: Dict[str, _LinkRow] = {}
+        self._round_trip_cache: Dict[Tuple[str, str, int, int], float] = {}
         self._implements_cache: Dict[Tuple[str, str], Dict[str, Dict[str, Any]]] = {}
         self._requires_cache: Dict[Tuple[str, str], List[Tuple[str, Dict[str, Any]]]] = {}
-        self._compat_cache: Dict[Tuple, bool] = {}
+        self._bag_ids: Dict[Tuple[Tuple[str, Any], ...], int] = {}
+        self._compat_cache: Dict[Tuple[int, int, int], bool] = {}
         self._install_cache: Dict[Tuple, bool] = {}
         self.cache_stats = ContextCacheStats()
-        self._net_version = self.network.version
+        self._net_version = self.network.structure_version
 
     # -- environments -------------------------------------------------------
     def _check_version(self) -> None:
-        if self.network.version != self._net_version:
+        if self.network.structure_version != self._net_version:
             self._node_env_cache.clear()
-            self._path_env_cache.clear()
+            self._link_rows.clear()
+            self._round_trip_cache.clear()
             self._implements_cache.clear()
             self._requires_cache.clear()
+            self._bag_ids.clear()
             self._compat_cache.clear()
             self._install_cache.clear()
             self.cache_stats.invalidations += 1
-            self._net_version = self.network.version
+            self._net_version = self.network.structure_version
 
     def node_env(self, node: str, context: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
         """Service properties of a node (credential-translated), merged
@@ -132,17 +170,31 @@ class PlanningContext:
         merged.update(context)
         return merged
 
+    def link_envs_from(self, src: str) -> "_LinkRow":
+        """``row[dst]`` is ``(path environment, its bag id)`` for a
+        routable pair and ``None`` across a partition — reachability and
+        condition 2's environment in one dict lookup.  Planners must
+        skip pairs that yield ``None``.  Entries are resolved on first
+        lookup (which also fixes the pair's route, see
+        :meth:`Network.path`); do not hold a row across network changes."""
+        self._check_version()
+        row = self._link_rows.get(src)
+        if row is None:
+            row = self._link_rows[src] = _LinkRow(self, src)
+        return row
+
+    def link_env(
+        self, src: str, dst: str
+    ) -> Optional[Tuple[Dict[str, Any], Optional[int]]]:
+        """One entry of :meth:`link_envs_from`."""
+        return self.link_envs_from(src)[dst]
+
     def path_env(self, src: str, dst: str) -> Dict[str, Any]:
         """Service properties of the path between two nodes."""
-        self._check_version()
-        key = (src, dst)
-        env = self._path_env_cache.get(key)
-        if env is None:
-            path = self.network.path(src, dst)
-            env = dict(self.translator.path_environment(path).values)
-            self._path_env_cache[key] = env
-            self._path_env_cache[(dst, src)] = env
-        return env
+        entry = self.link_env(src, dst)
+        if entry is None:
+            raise NetworkError(f"no path {src!r} -> {dst!r}")
+        return entry[0]
 
     def path(self, src: str, dst: str) -> PathInfo:
         return self.network.path(src, dst)
@@ -150,7 +202,22 @@ class PlanningContext:
     def reachable(self, src: str, dst: str) -> bool:
         """Is there any route between the nodes?  Planners must skip
         candidate pairs that a partition separates."""
-        return self.network.connected(src, dst)
+        return self.link_env(src, dst) is not None
+
+    def round_trip_ms(
+        self, src: str, dst: str, request_bytes: int, response_bytes: int
+    ) -> float:
+        """Analytic request/response round trip along the pair's route."""
+        self._check_version()
+        key = (src, dst, request_bytes, response_bytes)
+        ms = self._round_trip_cache.get(key)
+        if ms is None:
+            path = self.network.path(src, dst)
+            ms = self._round_trip_cache[key] = (
+                path.transfer_time_ms(request_bytes)
+                + path.transfer_time_ms(response_bytes)
+            )
+        return ms
 
     # -- condition 1: installability -------------------------------------------
     def installable(
@@ -270,21 +337,61 @@ class PlanningContext:
         environment-transformed value must satisfy the requirement under
         the property's match mode.
 
-        Memoized by the frozen (required, implemented, env) bags — the
+        Memoized by the interned (required, implemented, env) bags — the
         same triple recurs constantly across search branches because the
         planner revisits identical (interface properties, path
         environment) pairs from different partial deployments.  The memo
-        is flushed with the environment caches on any network change.
+        is flushed with the environment caches on any network structure
+        change.
         """
         if not self.memoize:
             return self._compatible_eval(required, implemented, env)
-        self._check_version()
-        stats = self.cache_stats
+        return self.compatible_interned(
+            required, self.bag_id(required),
+            implemented, self.bag_id(implemented),
+            env, self.bag_id(env),
+        )
+
+    def bag_id(self, props: Mapping[str, Any]) -> Optional[int]:
+        """Small-int identity of a property bag's content, for
+        :meth:`compatible_interned`; ``None`` when a value is unhashable.
+        Ids are only comparable until the next structure flush."""
         try:
-            key = (_freeze_bag(required), _freeze_bag(implemented), _freeze_bag(env))
+            frozen = _freeze_bag(props)
         except TypeError:
+            return None
+        return self.frozen_bag_id(frozen)
+
+    def frozen_bag_id(self, frozen: Tuple[Tuple[str, Any], ...]) -> int:
+        """:meth:`bag_id` of a bag already in sorted-items form (how
+        :class:`~repro.planner.plan.Placement` stores ``implemented``)."""
+        self._check_version()
+        ids = self._bag_ids
+        bag = ids.get(frozen)
+        if bag is None:
+            bag = ids[frozen] = len(ids)
+        return bag
+
+    def compatible_interned(
+        self,
+        required: Mapping[str, Any],
+        required_id: Optional[int],
+        implemented: Mapping[str, Any],
+        implemented_id: Optional[int],
+        env: Mapping[str, Any],
+        env_id: Optional[int],
+    ) -> bool:
+        """:meth:`properties_compatible` for bags the caller interned
+        once (:meth:`bag_id`) and checks many times.  The ids must come
+        from this context since its last flush — i.e. from the same
+        planning call."""
+        if not self.memoize:
+            return self._compatible_eval(required, implemented, env)
+        stats = self.cache_stats
+        if required_id is None or implemented_id is None or env_id is None:
             stats.uncacheable += 1
             return self._compatible_eval(required, implemented, env)
+        key = (required_id, implemented_id, env_id)
         verdict = self._compat_cache.get(key)
         if verdict is not None:
             stats.compat_hits += 1

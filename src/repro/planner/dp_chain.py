@@ -2,11 +2,21 @@
 
 "For the case where all component graphs are chains, an efficient
 dynamic programming algorithm is described and evaluated in [13]"
-(CANS).  This module reimplements that idea: for each valid linkage
-*chain* (from :mod:`repro.planner.linkage`), a DP over
-``(chain position, node)`` states finds the minimum-cost placement in
-``O(len(chain) * |nodes|^2)`` instead of the exhaustive planner's
-exponential search.
+(CANS).  This module reimplements that idea: the valid linkage *chains*
+(from :mod:`repro.planner.linkage`) form a trie of unit prefixes, and a
+DP over ``(chain prefix, node)`` states finds each prefix's minimum-cost
+placements once — a cell depends only on its prefix, so the 20
+``ClientInterface`` chains of the mail service share 48 cells instead of
+computing 94 — where the exhaustive planner searches exponentially.
+
+Cost: per distinct prefix, ``|open states| x (|candidate nodes| +
+|installed providers|)`` pair checks, i.e. ``O(prefixes * nodes^2)``
+per request; each check is one dict lookup for the pair's path
+environment (:meth:`PlanningContext.link_envs_from`) plus one memo
+lookup on interned ids (:meth:`PlanningContext.compatible_interned`).
+Everything that does not depend on the pair — a candidate's implemented
+bag, its id, its key and placement cost, a state's required bag — is
+computed once per position, outside the pair loop.
 
 Scope and honesty notes:
 
@@ -23,11 +33,16 @@ Scope and honesty notes:
 - An installed placement implementing the interface required at any
   position may terminate the chain early (deployment reuse), mirroring
   the exhaustive planner's case (b).
+- Each chain scores its cheapest few completions exactly, in the order
+  a stable sort over (reused roots, early completions per position,
+  fresh terminals) yields — dict insertion order of the cells decides
+  ties, so sharing cells across chains leaves the chosen plan unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..spec import ComponentDef
@@ -91,6 +106,54 @@ def _finish_plan(
     return plan
 
 
+@dataclass
+class _Cell:
+    """The DP states of one chain *prefix*, shared by every chain that
+    starts with it (a node of the prefix trie)."""
+
+    #: placement of the prefix's last unit -> (lower-bound primary cost
+    #: of the cheapest way to reach it, its predecessor in ``parent``)
+    places: Dict[Placement, Tuple[float, Optional[Placement]]]
+    parent: Optional["_Cell"] = None
+    #: (next unit, interface) -> the prefix one unit longer
+    children: Dict[Tuple[str, str], "_Cell"] = field(default_factory=dict)
+    #: interface -> the cheapest completions that end at an *installed*
+    #: provider of it: (cost, this cell, state placement, provider)
+    early: Dict[str, List["_Completion"]] = field(default_factory=dict)
+
+    def backtrace(self, placement: Placement) -> List[Placement]:
+        """Root-first placements of the cheapest way to ``placement``."""
+        chain = [placement]
+        cell = self
+        while cell.parent is not None:
+            placement = cell.places[placement][1]  # type: ignore[assignment]
+            chain.append(placement)
+            cell = cell.parent
+        chain.reverse()
+        return chain
+
+
+#: (lower-bound cost, cell, placement in it, installed provider ending
+#: the chain below that placement or None) — backtraced only if scored
+_Completion = Tuple[float, _Cell, Placement, Optional[Placement]]
+
+#: completions per chain whose exact score is computed
+_SCORED_PER_CHAIN = 5
+
+
+_completion_cost = itemgetter(0)
+
+
+def _offer(
+    ctx: PlanningContext, placement: Placement, iface: str
+) -> Optional[Tuple[Dict[str, Any], int]]:
+    """``(implemented bag, its bag id)`` of ``placement`` for ``iface``."""
+    for name, frozen in placement.implemented:
+        if name == iface:
+            return dict(frozen), ctx.frozen_bag_id(frozen)
+    return None
+
+
 def plan_dp_chain(
     ctx: PlanningContext,
     request: PlanRequest,
@@ -100,7 +163,7 @@ def plan_dp_chain(
     max_units: Optional[int] = None,
     max_repeat: int = 2,
 ) -> Optional[DeploymentPlan]:
-    """Best chain-shaped deployment found by per-chain DP."""
+    """Best chain-shaped deployment found by DP over the chain-prefix trie."""
     objective = objective or ExpectedLatency()
     state = state or DeploymentState()
     stats = stats if stats is not None else DPStats()
@@ -119,12 +182,11 @@ def plan_dp_chain(
         impl = placement.implemented_props(request.interface)
         if impl is None:
             return False
-        if not ctx.reachable(request.client_node, placement.node):
-            return False
-        env = ctx.path_env(request.client_node, placement.node)
-        return ctx.properties_compatible(request.required_properties, impl, env)
+        link = ctx.link_env(request.client_node, placement.node)
+        return link is not None and ctx.properties_compatible(
+            request.required_properties, impl, link[0]
+        )
 
-    best: Optional[DeploymentPlan] = None
     chains = [
         g
         for g in enumerate_linkage_graphs(
@@ -132,132 +194,173 @@ def plan_dp_chain(
         )
         if g.is_chain
     ]
-    root_nodes = (
-        [request.client_node]
-        if request.root_on_client
-        else [n.name for n in ctx.network.nodes()]
-    )
     all_nodes = [n.name for n in ctx.network.nodes()]
+    root_nodes = [request.client_node] if request.root_on_client else all_nodes
+
+    def root_cell(unit_name: str) -> _Cell:
+        unit = spec.unit(unit_name)
+        extra = objective.root_view_penalty if unit.is_view else 0.0
+        places: Dict[Placement, Tuple[float, Optional[Placement]]] = {}
+        for node in root_nodes:
+            p = _instantiate(ctx, unit, node, request.context)
+            if p is None or p.implemented_props(request.interface) is None:
+                continue
+            if not root_acceptable(p):
+                continue
+            places[p] = (extra + objective.placement_cost(ctx, unit, node, False), None)
+        for installed in state.implementers_of(request.interface):
+            if installed.node in root_nodes and root_acceptable(installed):
+                places[installed] = (extra, None)
+        return _Cell(places)
+
+    # Everything below depends on the request but not on the chain, so
+    # each table is filled once per call: fresh candidates per (unit,
+    # interface) with their implemented bag, bag id and placement cost;
+    # installed providers per interface.
+    fresh: Dict[Tuple[str, str], List[Tuple]] = {}
+    installed_by_iface: Dict[str, List[Tuple[Placement, Dict[str, Any], int]]] = {}
+
+    def fresh_candidates(unit_name: str, iface: str):
+        found = fresh.get((unit_name, iface))
+        if found is None:
+            unit = spec.unit(unit_name)
+            found = fresh[(unit_name, iface)] = []
+            for node in all_nodes:
+                p = _instantiate(ctx, unit, node, request.context)
+                offer = _offer(ctx, p, iface) if p is not None else None
+                if offer is not None:
+                    cost = objective.placement_cost(ctx, unit, node, False)
+                    found.append((p, p.key, node, *offer, cost))
+        return found
+
+    def installed_candidates(iface: str):
+        found = installed_by_iface.get(iface)
+        if found is None:
+            found = installed_by_iface[iface] = [
+                (p, *_offer(ctx, p, iface))  # type: ignore[misc]
+                for p in state.implementers_of(iface)
+            ]
+        return found
+
+    def extend(cell: _Cell, unit_name: str, iface: str, prob: float) -> _Cell:
+        """The cell of ``cell``'s prefix plus ``unit_name``.
+
+        The first extension of ``cell`` over ``iface`` also collects
+        ``cell.early[iface]`` — installed providers (of any unit)
+        terminate the chain there — inside the same sweep over the open
+        states, so pair routes are first resolved in a fixed order.
+        """
+        candidates = fresh_candidates(unit_name, iface)
+        early = None
+        if iface not in cell.early:
+            early = cell.early[iface] = []
+            installed = installed_candidates(iface)
+        # Best (cost, parent) per candidate index; ``order`` keeps the
+        # candidates in first-reached order, which is the new cell's
+        # dict order and so decides ties between equal-cost completions.
+        best: List[Optional[Tuple[float, Placement]]] = [None] * len(candidates)
+        order: List[int] = []
+        edge_cost = objective.edge_cost
+        compatible = ctx.compatible_interned
+        for place, (cost, _parent) in cell.places.items():
+            if place.reused:
+                continue  # reused placements are already complete
+            node = place.node
+            prev_unit = spec.unit(place.unit)
+            required = _required_props(ctx, prev_unit, node, iface)
+            if required is None:
+                continue
+            required_id = ctx.bag_id(required)
+            key = place.key
+            links = ctx.link_envs_from(node)
+
+            stats.states_evaluated += len(candidates)
+            for j, (cand, cand_key, cand_node, impl, impl_id, cand_cost) in enumerate(
+                candidates
+            ):
+                if cand_key == key:
+                    continue
+                link = links[cand_node]
+                if link is None or not compatible(
+                    required, required_id, impl, impl_id, link[0], link[1]
+                ):
+                    continue
+                total = cost + edge_cost(ctx, prev_unit, node, cand_node, prob) + cand_cost
+                old = best[j]
+                if old is None:
+                    order.append(j)
+                    best[j] = (total, place)
+                elif total < old[0]:
+                    best[j] = (total, place)
+
+            if early is None:
+                continue
+            stats.states_evaluated += len(installed)
+            for cand, impl, impl_id in installed:
+                link = links[cand.node]
+                if link is None or not compatible(
+                    required, required_id, impl, impl_id, link[0], link[1]
+                ):
+                    continue
+                early.append(
+                    (cost + edge_cost(ctx, prev_unit, node, cand.node, prob), cell, place, cand)
+                )
+        if early is not None:
+            # A chain scores its cheapest few completions, and the sort
+            # that picks them is stable, so no later entry of this list
+            # can ever be picked: keep only its own cheapest few.
+            early.sort(key=_completion_cost)
+            del early[_SCORED_PER_CHAIN:]
+        return _Cell({candidates[j][0]: best[j] for j in order}, parent=cell)  # type: ignore[misc]
+
+    best: Optional[DeploymentPlan] = None
+    root_cells: Dict[str, _Cell] = {}
 
     for graph in chains:
         stats.chains_considered += 1
         units = graph.chain_units()
         ifaces = [iface for _c, _s, iface in sorted(graph.edges, key=lambda e: e[0])]
         probs = _chain_probs(ctx, units)
-        root_unit = spec.unit(units[0])
-        root_extra = objective.root_view_penalty if root_unit.is_view else 0.0
 
-        # DP cells: per position, {placement: (cost, parent_placement)}.
-        # A cell's cost is a lower-bound primary (edge + placement costs).
-        cells: List[Dict[Placement, Tuple[float, Optional[Placement]]]] = []
-
-        cell0: Dict[Placement, Tuple[float, Optional[Placement]]] = {}
-        for node in root_nodes:
-            p = _instantiate(ctx, root_unit, node, request.context)
-            if p is None or p.implemented_props(request.interface) is None:
-                continue
-            if not root_acceptable(p):
-                continue
-            cost = root_extra + objective.placement_cost(ctx, root_unit, node, False)
-            cell0[p] = (cost, None)
-        for installed in state.implementers_of(request.interface):
-            if installed.node in root_nodes and root_acceptable(installed):
-                cell0[installed] = (root_extra, None)
-        if not cell0:
+        cell = root_cells.get(units[0])
+        if cell is None:
+            cell = root_cells[units[0]] = root_cell(units[0])
+        if not cell.places:
             continue
-        cells.append(cell0)
-
-        completions: List[Tuple[float, List[Placement]]] = []
-
-        def backtrace(cell_idx: int, placement: Placement) -> List[Placement]:
-            chain: List[Placement] = [placement]
-            i = cell_idx
-            cur = placement
-            while i > 0:
-                cur = cells[i][cur][1]  # type: ignore[index]
-                assert cur is not None
-                chain.append(cur)
-                i -= 1
-            chain.reverse()
-            return chain
 
         # Reused roots complete immediately (already wired upstream).
-        for placement, (cost, _parent) in cell0.items():
-            if placement.reused:
-                completions.append((cost, [placement]))
-
+        completions: List[_Completion] = [
+            (cost, cell, placement, None)
+            for placement, (cost, _parent) in cell.places.items()
+            if placement.reused
+        ]
         for i in range(1, len(units)):
-            unit = spec.unit(units[i])
             iface = ifaces[i - 1]
             prob = probs[i - 1]
-            cell: Dict[Placement, Tuple[float, Optional[Placement]]] = {}
-
-            # Fresh candidates for this position.
-            candidates: List[Placement] = []
-            for node in all_nodes:
-                p = _instantiate(ctx, unit, node, request.context)
-                if p is not None and p.implemented_props(iface) is not None:
-                    candidates.append(p)
-            # Installed candidates (any unit) terminate the chain here.
-            installed_candidates = state.implementers_of(iface)
-
-            for prev_place, (prev_cost, _) in cells[i - 1].items():
-                if prev_place.reused:
-                    continue  # reused placements are already complete
-                prev_unit = spec.unit(prev_place.unit)
-                required = _required_props(ctx, prev_unit, prev_place.node, iface)
-                if required is None:
-                    continue
-
-                def compatible(target: Placement) -> bool:
-                    impl = target.implemented_props(iface)
-                    if impl is None:
-                        return False
-                    if not ctx.reachable(prev_place.node, target.node):
-                        return False
-                    env = ctx.path_env(prev_place.node, target.node)
-                    return ctx.properties_compatible(required, impl, env)
-
-                for cand in candidates:
-                    stats.states_evaluated += 1
-                    if cand.key == prev_place.key or not compatible(cand):
-                        continue
-                    cost = (
-                        prev_cost
-                        + objective.edge_cost(
-                            ctx, prev_unit, prev_place.node, cand.node, prob
-                        )
-                        + objective.placement_cost(ctx, unit, cand.node, False)
-                    )
-                    old = cell.get(cand)
-                    if old is None or cost < old[0]:
-                        cell[cand] = (cost, prev_place)
-
-                for cand in installed_candidates:
-                    stats.states_evaluated += 1
-                    if not compatible(cand):
-                        continue
-                    cost = prev_cost + objective.edge_cost(
-                        ctx, prev_unit, prev_place.node, cand.node, prob
-                    )
-                    completions.append(
-                        (cost, backtrace(i - 1, prev_place) + [cand])
-                    )
-
-            cells.append(cell)
-            if not cell:
+            child = cell.children.get((units[i], iface))
+            if child is None:
+                child = cell.children[(units[i], iface)] = extend(
+                    cell, units[i], iface, prob
+                )
+            completions += cell.early[iface]
+            cell = child
+            if not cell.places:
                 break
-
-        # Fresh terminal completions: the chain's last unit requires nothing.
-        if len(cells) == len(units):
-            for placement, (cost, _) in cells[-1].items():
-                if not placement.reused:
-                    completions.append((cost, backtrace(len(units) - 1, placement)))
+        else:
+            # Fresh terminal completions: the chain's last unit requires nothing.
+            completions += [
+                (cost, cell, placement, None)
+                for placement, (cost, _parent) in cell.places.items()
+                if not placement.reused
+            ]
 
         # Score the cheapest few completions exactly (DP cost is a proxy).
-        completions.sort(key=lambda c: c[0])
-        for _cost, chain_places in completions[:5]:
+        completions.sort(key=_completion_cost)
+        for _cost, end_cell, placement, provider in completions[:_SCORED_PER_CHAIN]:
             stats.plans_scored += 1
+            chain_places = end_cell.backtrace(placement)
+            if provider is not None:
+                chain_places.append(provider)
             linkages = [
                 PlannedLinkage(j, j + 1, ifaces[j]) for j in range(len(chain_places) - 1)
             ]

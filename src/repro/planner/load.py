@@ -179,9 +179,8 @@ def check_loads(
             )
 
     # Link bandwidth.
-    by_name = {l.name: l for l in ctx.network.links()}
     for link_name, mbps in report.link_mbps.items():
-        link = by_name[link_name]
+        link = ctx.network.link_named(link_name)
         if mbps > link.free_mbps:
             report.violations.append(
                 f"link {link_name} over bandwidth: {mbps:.2f} > {link.free_mbps:.2f} Mb/s"

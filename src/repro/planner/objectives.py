@@ -107,11 +107,9 @@ def round_trip_ms(
     ctx: PlanningContext, client_unit: ComponentDef, client_node: str, server_node: str
 ) -> float:
     """Analytic request/response round trip for one linkage."""
-    path = ctx.path(client_node, server_node)
     b = client_unit.behaviors
-    return (
-        path.transfer_time_ms(b.bytes_per_request)
-        + path.transfer_time_ms(b.bytes_per_response)
+    return ctx.round_trip_ms(
+        client_node, server_node, b.bytes_per_request, b.bytes_per_response
     )
 
 
@@ -253,11 +251,12 @@ class MaxCapacity(Objective):
             per_req = demand / probe
             if per_req > 0:
                 headroom = min(headroom, ctx.network.node(node_name).free_cpu / per_req)
-        by_name = {l.name: l for l in ctx.network.links()}
         for link_name, mbps in report.link_mbps.items():
             per_req = mbps / probe
             if per_req > 0:
-                headroom = min(headroom, by_name[link_name].free_mbps / per_req)
+                headroom = min(
+                    headroom, ctx.network.link_named(link_name).free_mbps / per_req
+                )
         if headroom == float("inf"):
             headroom = 1e18
         plan.metrics["capacity_req_s"] = headroom

@@ -308,10 +308,9 @@ class Planner:
 
         for node_name, demand in report.node_cpu.items():
             self.network.node(node_name).reserved_cpu += demand
-        by_name = {l.name: l for l in self.network.links()}
         for link_name, mbps in report.link_mbps.items():
-            by_name[link_name].reserved_mbps += mbps
-        self.network.touch()
+            self.network.link_named(link_name).reserved_mbps += mbps
+        self.network.touch_reservations()
 
         self.state.absorb(plan, report.inbound)
         self.obs.metrics.inc("planner.commits")

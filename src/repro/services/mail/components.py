@@ -450,9 +450,14 @@ class ViewMailServerComponent(_StoreBase):
         trip to the upstream directory entry, then the batch transfer
         with the commit acknowledgement.
         """
-        assert self.replica_id is not None
+        # Captured before the first yield: a replanning round may retire
+        # this instance mid-flush, which clears ``self.replica_id`` — the
+        # batch must still be requeued under the id it was drained from
+        # (the directory keeps a family tombstone for exactly that).
+        replica_id = self.replica_id
+        assert replica_id is not None
         directory = self.coherence
-        batch, units = directory.drain(self.replica_id)
+        batch, units = directory.drain(replica_id)
         if not batch:
             return
         prepare = ServiceRequest(
@@ -462,7 +467,7 @@ class ViewMailServerComponent(_StoreBase):
         )
         prep_resp = yield from self._call_upstream(prepare)
         if not prep_resp.ok:
-            directory.requeue(self.replica_id, batch)
+            directory.requeue(replica_id, batch)
             return
         messages = [u.attributes["message"] for u in batch if "message" in u.attributes]
         size = sum(u.size_bytes for u in batch) + 512
@@ -478,10 +483,10 @@ class ViewMailServerComponent(_StoreBase):
         )
         resp = yield from self._call_upstream(req)
         if resp.ok:
-            directory.record_flush(self.replica_id, self.sim.now, batch)
+            directory.record_flush(replica_id, self.sim.now, batch)
             self.syncs_performed += 1
         else:
-            directory.requeue(self.replica_id, batch)
+            directory.requeue(replica_id, batch)
 
     @staticmethod
     def _strip_message(update: Update) -> Update:

@@ -117,6 +117,12 @@ class Simulator:
         """Current simulated time in milliseconds."""
         return self._now
 
+    @property
+    def events_scheduled(self) -> int:
+        """How many events this simulator has scheduled so far — with
+        :attr:`now`, the run-length half of a determinism signature."""
+        return self._seq
+
     # -- event construction -------------------------------------------------
     def event(self) -> Event:
         """A fresh pending event, triggered manually by the caller."""

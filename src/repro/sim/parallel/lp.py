@@ -249,7 +249,7 @@ class LogicalProcess:
         so the driver can detect quiescence.
         """
         bound = self.horizon()
-        before = (self.sim.now, self.sim._seq, len(self._ingress))
+        before = (self.sim.now, self.sim.events_scheduled, len(self._ingress))
         while self._ingress and self._ingress[0][0] < bound:
             when, origin, seq, msg = heapq.heappop(self._ingress)
             ev = Injected(self.sim, msg)
@@ -257,7 +257,7 @@ class LogicalProcess:
             self.sim.schedule_external(when, origin, seq, ev)
         if bound > self.sim.now or self.sim.peek() < bound:
             self.sim.run(until=bound)
-        return (self.sim.now, self.sim._seq, len(self._ingress)) != before
+        return (self.sim.now, self.sim.events_scheduled, len(self._ingress)) != before
 
     def _deliver(self, ev: Event) -> None:
         self.ctx._dispatch(ev.payload)
@@ -288,7 +288,7 @@ class LogicalProcess:
             "partition": self.plan.partitions[self.rank].name,
             "rank": self.rank,
             "clock_ms": self.sim.now,
-            "events": self.sim._seq,
+            "events": self.sim.events_scheduled,
             "messages_out": self._msg_seq,
             "messages_in": self._msgs_in,
             **self.ctx.stats_snapshot(),

@@ -20,10 +20,10 @@ repeats the same (src, dst) pairs millions of times, so the transport
 now *compiles* each pair once into a flat hop schedule
 (:class:`CompiledRoute`: transmit resource, serialization divisor,
 latency, arrival node per hop) and replays it with zero lookups and a
-single generator frame.  Compiled routes are invalidated with the
-topology's route cache — any :meth:`Network.version` bump (link
-add/remove, liveness flip, ``touch()``) drops them, exactly the events
-that can change ``Network.path``.  The walk yields the same events in
+single generator frame.  Compiled routes are dropped on any
+:meth:`Network.version` bump (link add/remove, liveness flip,
+``touch()``, a capacity reservation) — a superset of the events that
+can change ``Network.path``.  The walk yields the same events in
 the same order with the same timestamps as the uncompiled loop, and
 keeps the same per-link stats; ``compile_routes=False`` restores the
 original per-hop resolution path byte for byte.
@@ -173,9 +173,8 @@ class RuntimeTransport:
         return route
 
     def route(self, src: str, dst: str) -> CompiledRoute:
-        """The compiled hop schedule for (src, dst), rebuilt on topology
-        epoch changes (compiled caching piggybacks on the same
-        ``Network.version`` counter that guards the path cache)."""
+        """The compiled hop schedule for (src, dst), rebuilt whenever
+        ``Network.version`` moves."""
         if self._routes_version != self.network.version:
             self._routes.clear()
             self._routes_version = self.network.version

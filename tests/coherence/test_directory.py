@@ -209,6 +209,20 @@ def test_requeue_after_purge_unversioned_accounts_without_stash():
     assert not directory.has_lost_buffers
 
 
+def test_requeue_rejects_none_replica_id(directory):
+    """Retirement clears ``instance.replica_id``; a flush that re-read it
+    after yielding used to strand its batch under id None and family
+    "?", and reconcile's ``sorted()`` of the stash keys then raised."""
+    directory.register_replica("MailServer", cfg(3), FakeHost(), NeverPolicy())
+    stamped(directory, 0, 2)
+    batch, _ = directory.drain(0)
+    directory.unregister_replica(0)
+    with pytest.raises(ValueError):
+        directory.requeue(None, batch)
+    assert not directory.has_lost_buffers
+    assert directory.stats.lost_updates == 0
+
+
 def test_requeue_empty_batch_is_noop(directory):
     directory.register_replica("MailServer", cfg(3), FakeHost(), NeverPolicy())
     directory.requeue(0, [])
@@ -280,6 +294,26 @@ def test_reconcile_replays_lost_buffer_at_primary(directory):
     assert len(primary.replayed) == 3
     assert directory.stats.recovered_updates == 3
     assert directory.stats.lost_updates == 0  # replays un-lose the ledger
+    assert not directory.has_lost_buffers
+
+
+def test_reconcile_replays_tombstoned_and_crashed_stashes_in_id_order(directory):
+    primary = FakePrimary()
+    directory.register_primary("MailServer", primary)
+    directory.register_replica("MailServer", cfg(3), FakeHost(), NeverPolicy())
+    directory.register_replica("MailServer", cfg(2), FakeHost(), NeverPolicy())
+    stamped(directory, 0, 2)
+    stamped(directory, 1, 3)
+    batch, _ = directory.drain(1)  # replica 1's flush is in flight...
+    directory.unregister_replica(1)  # ...when a replan round retires it
+    directory.requeue(1, batch)  # the failed flush comes back under its own id
+    directory.report_lost(0)  # and replica 0's host crashed dirty
+    reports = directory.reconcile(now_ms=100.0)
+    assert [(r.replica_id, r.family, r.replayed) for r in reports] == [
+        (0, "MailServer", 2),
+        (1, "MailServer", 3),
+    ]
+    assert directory.stats.lost_updates == 0
     assert not directory.has_lost_buffers
 
 

@@ -97,6 +97,33 @@ def test_touch_bumps_version_and_clears_cache():
     assert p2.latency_ms == 400  # direct link now wins
 
 
+def test_touch_reservations_moves_the_epoch_but_keeps_routes():
+    net = triangle()
+    route = net.path("a", "c")
+    version, epoch, structure = net.version, net.state_fingerprint(), net.structure_version
+    net.link("a", "b").reserved_mbps += 5
+    net.touch_reservations()
+    assert net.version == version + 1
+    assert net.state_fingerprint() != epoch
+    assert net.structure_version == structure
+    assert net.path("a", "c") is route
+    net.touch()
+    assert net.structure_version == structure + 1
+    assert net.path("a", "c") is not route
+
+
+def test_link_named_follows_adds_removals_and_snapshots():
+    net = triangle()
+    assert net.link_named("a<->b") is net.link("b", "a")
+    snap = net.snapshot()
+    assert snap.link_named("a<->b") is snap.link("a", "b")
+    assert snap.link_named("a<->b") is not net.link("a", "b")
+    net.remove_link("a", "b")
+    with pytest.raises(NetworkError):
+        net.link_named("a<->b")
+    assert net.link_named("a<->c").name == "a<->c"
+
+
 def test_secure_path_requires_all_hops_secure():
     net = Network()
     for n in "abc":

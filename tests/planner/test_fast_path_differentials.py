@@ -1,0 +1,231 @@
+"""Hypothesis differentials: every planner fast path vs its reference.
+
+- the interned condition-2 entry point vs ``_compatible_eval`` on
+  generated property bags (unhashable values must step aside as
+  ``uncacheable`` and still get the right verdict);
+- ``Network.path`` (one shortest-path tree per source) vs a per-pair
+  early-exit Dijkstra on generated BRITE topologies with equal-latency
+  ties, partitioned links and dead routers — the very same hops, in both
+  directions, whichever end asks first;
+- ``plan_dp_chain`` (cells shared across chains with a common prefix,
+  memoized checks) vs the same search with ``memoize=False``, and its
+  objective vs the complete ``plan_exhaustive`` reference.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Dict, Optional, Tuple
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.network import BriteConfig, Network, generate_waxman
+from repro.planner import ExpectedLatency, Planner, PlanningContext, PlanRequest
+from repro.services.mail import build_mail_spec, mail_translator
+from repro.spec import ANY
+
+SPEC = build_mail_spec()
+
+# -- condition 2: interned entry point vs direct evaluation ------------------------
+
+#: Confidentiality has a modification rule, TrustLevel is ordered
+#: (at_least), Tags is undeclared (exact, passes through) and is the
+#: only property given unhashable values
+BAGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "Confidentiality": st.sampled_from([True, False, ANY]),
+        "TrustLevel": st.one_of(st.integers(1, 5), st.just(ANY)),
+        "Tags": st.one_of(st.text(max_size=2), st.lists(st.integers(0, 2), max_size=2)),
+    },
+)
+
+
+def _hashable(bag) -> bool:
+    return not any(isinstance(v, list) for v in bag.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(BAGS, BAGS, BAGS), min_size=1, max_size=8))
+def test_interned_condition2_matches_direct_evaluation(triples):
+    net = Network()
+    net.add_node("a")
+    ctx = PlanningContext(SPEC, net, mail_translator())
+    stats = ctx.cache_stats
+    for required, implemented, env in triples * 2:  # second pass: all hits
+        expected = ctx._compatible_eval(required, implemented, env)
+        before = (stats.compat_hits + stats.compat_misses, stats.uncacheable)
+        got = ctx.compatible_interned(
+            required, ctx.bag_id(required),
+            implemented, ctx.bag_id(implemented),
+            env, ctx.bag_id(env),
+        )
+        assert got == expected
+        assert ctx.properties_compatible(required, implemented, env) == expected
+        memoized = stats.compat_hits + stats.compat_misses - before[0]
+        stepped_aside = stats.uncacheable - before[1]
+        if all(map(_hashable, (required, implemented, env))):
+            assert (memoized, stepped_aside) == (2, 0)
+        else:
+            assert (memoized, stepped_aside) == (0, 2)
+    assert stats.compat_misses <= len(triples)  # one evaluation per distinct triple
+
+
+# -- routing: per-source tree vs per-pair Dijkstra -------------------------------
+
+
+class PairwiseRoutes:
+    """The routing ``Network.path`` replaced, kept as the reference: one
+    early-exit Dijkstra per node pair, the reverse entry cached as the
+    reversed forward path."""
+
+    def __init__(self, net: Network) -> None:
+        self.net = net
+        self.cache: Dict[Tuple[str, str], Optional[tuple]] = {}
+
+    def hops(self, src: str, dst: str) -> Optional[tuple]:
+        if (src, dst) in self.cache:
+            return self.cache[(src, dst)]
+        net = self.net
+        dist = {src: 0.0}
+        prev: Dict[str, str] = {}
+        heap = [(0.0, src)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if u == dst:
+                break
+            if d > dist.get(u, float("inf")):
+                continue
+            if u != src and not net.node(u).up:
+                continue
+            for v in net.neighbors(u):
+                link = net.link(u, v)
+                if not link.up:
+                    continue
+                nd = d + link.latency_ms
+                if nd < dist.get(v, float("inf")):
+                    dist[v] = nd
+                    prev[v] = u
+                    heapq.heappush(heap, (nd, v))
+        if dst not in dist:
+            self.cache[(src, dst)] = self.cache[(dst, src)] = None
+            return None
+        hops = []
+        cur = dst
+        while cur != src:
+            hops.append(net.link(prev[cur], cur))
+            cur = prev[cur]
+        hops.reverse()
+        self.cache[(src, dst)] = tuple(hops)
+        self.cache[(dst, src)] = tuple(reversed(hops))
+        return self.cache[(src, dst)]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(4, 14),
+    m=st.integers(1, 3),
+    data=st.data(),
+)
+def test_route_trees_choose_the_per_pair_routes(seed, n, m, data):
+    net = generate_waxman(BriteConfig(n_nodes=n, m_edges=min(m, n - 1), seed=seed))
+    names = net.node_names()
+    links = list(net.links())
+    # Latencies from a two-value set make equal-latency routes the norm.
+    for link in links:
+        link.latency_ms = float(data.draw(st.sampled_from([1.0, 2.0])))
+    net.touch()
+    for link in data.draw(st.lists(st.sampled_from(links), max_size=3, unique_by=id)):
+        net.set_link_up(link.a, link.b, False)
+    for name in data.draw(st.lists(st.sampled_from(names), max_size=2, unique=True)):
+        net.set_node_up(name, False)
+
+    reference = PairwiseRoutes(net)
+    pairs = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+                lambda p: p[0] != p[1]
+            ),
+            min_size=1,
+            max_size=3 * n,
+        )
+    )
+    for src, dst in pairs:
+        want = reference.hops(src, dst)
+        assert net.connected(src, dst) == (want is not None)
+        if want is None:
+            continue
+        got = net.path(src, dst).hops
+        assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+        back = net.path(dst, src).hops
+        assert all(b is w for b, w in zip(back, reversed(want)))
+
+
+# -- dp_chain: shared prefixes + memos vs memoize=False vs exhaustive --------------
+
+
+class _Unpruned(ExpectedLatency):
+    """The exhaustive search is only a *complete* reference with its
+    branch-and-bound off: ``placement_cost`` charges a placement its
+    full CPU service time while the exact score weights it by visit
+    probability, so the bound is not admissible below a caching view
+    and pruning can cut the optimum (seed 47, n=7: VMC -> VMS[2] ->
+    VMS[3] -> installed Encryptor is pruned away)."""
+
+    supports_pruning = False
+
+
+def _world(seed: int, n: int, algorithm: str, memoize: bool) -> Planner:
+    net = generate_waxman(
+        BriteConfig(n_nodes=n, seed=seed, insecure_fraction=0.4, trust_level_range=(1, 4))
+    )
+    names = net.node_names()
+    net.node(names[0]).credentials["trust_level"] = 5  # a home for the MailServer
+    net.node(names[-1]).credentials["trust_level"] = 4  # one full-client site
+    net.touch()
+    planner = Planner(
+        SPEC, net, mail_translator(), objective=_Unpruned(),
+        algorithm=algorithm, memoize=memoize, plan_cache=False,
+    )
+    planner.preinstall("MailServer", names[0])
+    return planner
+
+
+def _shape(plan):
+    if plan is None:
+        return None
+    return (
+        tuple((p.label(), p.reused) for p in plan.placements),
+        tuple((l.client, l.server, l.interface) for l in plan.linkages),
+        plan.score,
+    )
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), n=st.integers(4, 7), data=st.data())
+def test_dp_chain_matches_unmemoized_and_is_bounded_by_exhaustive(seed, n, data):
+    fast = _world(seed, n, "dp_chain", memoize=True)
+    slow = _world(seed, n, "dp_chain", memoize=False)
+    complete = _world(seed, n, "exhaustive", memoize=True)
+    names = fast.network.node_names()
+    clients = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))
+    for client in clients:
+        # Later requests see what earlier ones installed and reserved,
+        # so early completions at installed providers are exercised.
+        request = PlanRequest(
+            "ClientInterface", client, context={"User": "Alice"}, max_units=4
+        )
+        plan, _ = fast.run_search(request)
+        reference, _ = slow.run_search(request)
+        assert _shape(plan) == _shape(reference)
+        optimum, _ = complete.run_search(request)
+        if plan is None:
+            continue
+        # Unpruned exhaustive is complete over a superset of the chain space.
+        assert optimum is not None
+        assert optimum.score[0] <= plan.score[0] + 1e-9
+        for planner in (fast, slow, complete):
+            planner.commit(plan)
+    assert slow.ctx.cache_stats.compat_hits == 0  # memoize=False bypasses the memo

@@ -26,6 +26,18 @@ def test_timeout_advances_clock():
     assert sim.now == 5.0
 
 
+def test_events_scheduled_counts_every_scheduled_event():
+    sim = Simulator()
+    assert sim.events_scheduled == 0
+    sim.call_after(1.0, lambda: None)
+    sim.call_after(2.0, lambda: None)
+    assert sim.events_scheduled == 2  # counted when scheduled, not when run
+    sim.run()
+    assert sim.events_scheduled == 2
+    with pytest.raises(AttributeError):
+        sim.events_scheduled = 0
+
+
 def iter_timeout(sim, delay, log):
     yield sim.timeout(delay)
     log.append(sim.now)
