@@ -80,9 +80,11 @@ def _failover_world(fastpath: bool):
         flush_policy="count:500",
         algorithm="exhaustive",
         plan_cache=None if fastpath else False,
-        memoize=fastpath,
     )
     rt = tb.runtime
+    # the runtime has no memoize option; the reference switch lives on
+    # the planner's PlanningContext
+    rt.planner.ctx.memoize = fastpath
     monitor = NetworkMonitor(rt.sim, rt.network, poll_interval_ms=1000.0)
     manager = ReplanManager(rt, monitor, incremental=fastpath)
     for node, user in (("sandiego-client1", "Bob"), ("seattle-client1", "Carol")):

@@ -1,9 +1,9 @@
 """Host-throughput benchmark for the runtime hot path.
 
 Not a paper figure: this file measures how fast the *host* machine
-chews through simulated work, guarding the hot-path overhaul (kernel
-fast dispatch, route-compiled transport, proxy fast path, batched
-coherence, crypto memo caches).  Three workloads:
+chews through simulated work, guarding the hot path (kernel tight
+loop, route-compiled transport, proxy fast path, batched coherence,
+crypto caches).  Four workloads:
 
 - **bare kernel** — a single ticker process scheduling 100k timeouts:
   pure event-dispatch overhead, no framework above the simulator.
@@ -22,10 +22,9 @@ it runs more than ``REGRESSION_FACTOR``x slower than the committed
 "current" numbers (a generous guard — CI machines vary, order-of-
 magnitude regressions don't).  Refresh the file on a quiet machine with
 ``REPRO_WRITE_BENCH_BASELINE=1 pytest benchmarks/bench_throughput.py``.
-
-``test_fast_path_speedup`` is machine-independent: it runs the same
-chain workload with every hot-path knob on vs off *in the same process*
-and asserts the ratio, pinning the overhaul's ≥3x claim.
+The ``pre_overhaul`` block is history: the code it timed is gone, and
+the hot path's speed is now recorded per commit by ``perf/run.py``
+(``chain_steady``, ``coherence_storm``).
 """
 
 from __future__ import annotations
@@ -38,20 +37,12 @@ import time
 from repro.coherence import AttributeConflictMap, CoherenceDirectory, Update
 from repro.experiments import run_scenario
 from repro.obs import NULL_OBS
-from repro.services.mail import crypto
 from repro.sim import Simulator
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_throughput.json"
 #: fail when a workload runs this much slower than the committed number
 REGRESSION_FACTOR = 2.0
 _WRITE = os.environ.get("REPRO_WRITE_BENCH_BASELINE", "0") == "1"
-
-KNOBS_OFF = {
-    "fast_path": False,
-    "compile_routes": False,
-    "proxy_fast_path": False,
-    "batch_coherence": False,
-}
 
 
 def _baseline() -> dict:
@@ -94,10 +85,10 @@ def _run_bare_kernel(n_events: int = 100_000) -> dict:
     }
 
 
-def _run_deployed_chain(n_sends: int = 10_000, **kwargs) -> dict:
+def _run_deployed_chain(n_sends: int = 10_000) -> dict:
     t0 = time.perf_counter()
     result = run_scenario(
-        "DS0", 1, n_sends=n_sends, n_receives=0, obs=NULL_OBS, **kwargs
+        "DS0", 1, n_sends=n_sends, n_receives=0, obs=NULL_OBS
     )
     wall = time.perf_counter() - t0
     assert not result.errors
@@ -155,7 +146,7 @@ def _run_broadcast_fanout(
     }
 
 
-def _run_parallel_traffic(workers: int) -> dict:
+def _run_site_traffic(workers: int) -> dict:
     """Figure 5 site traffic (~534k events) on the conservative kernel."""
     from repro.experiments.topology_fig5 import build_fig5_network
     from repro.sim.parallel import TrafficConfig, run_parallel, site_traffic_program
@@ -232,8 +223,8 @@ def test_parallel_traffic_throughput(benchmark, report_lines):
     """
 
     def compare():
-        seq = _run_parallel_traffic(workers=1)
-        par = _run_parallel_traffic(workers=4)
+        seq = _run_site_traffic(workers=1)
+        par = _run_site_traffic(workers=4)
         assert par["signature"] == seq["signature"], (
             "parallel run diverged from sequential: "
             f"{par['signature']} != {seq['signature']}"
@@ -260,36 +251,3 @@ def test_parallel_traffic_throughput(benchmark, report_lines):
         f"for {measured['seq']['events']:,} events, signatures identical)"
     )
 
-
-def test_fast_path_speedup(benchmark, report_lines):
-    """All knobs on vs all knobs off, same process, same workload: ≥3x.
-
-    The off-configuration also disables the crypto memo caches, so the
-    comparison spans every layer of the overhaul.  2k sends keeps the
-    slow arm affordable while staying deep in the steady state.
-    """
-
-    def compare():
-        crypto.configure_cache(False)
-        try:
-            slow = _run_deployed_chain(n_sends=2000, **KNOBS_OFF)
-        finally:
-            crypto.configure_cache(True)
-        fast = _run_deployed_chain(n_sends=2000)
-        # Same simulated result either way — only the host time moves.
-        assert fast["mean_send_ms"] == slow["mean_send_ms"]
-        return {"fast": fast, "slow": slow,
-                "speedup": round(slow["wall_s"] / fast["wall_s"], 2)}
-
-    measured = benchmark.pedantic(compare, rounds=1, iterations=1)
-    benchmark.extra_info.update(measured)
-    assert measured["speedup"] >= 3.0, (
-        f"hot-path overhaul promises >=3x; measured {measured['speedup']}x "
-        f"(fast {measured['fast']['wall_s']:.2f}s vs "
-        f"slow {measured['slow']['wall_s']:.2f}s)"
-    )
-    report_lines.append(
-        f"Throughput: hot path on vs off -> {measured['speedup']:.1f}x "
-        f"({measured['fast']['wall_s']:.2f}s vs {measured['slow']['wall_s']:.2f}s "
-        f"for 2k sends)"
-    )

@@ -131,7 +131,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     planner = Planner(
         build_mail_spec(), topo.network, mail_translator(), algorithm=args.algorithm,
         plan_cache=False if args.no_plan_cache else None,
-        memoize=not args.no_memo,
     )
     planner.preinstall("MailServer", topo.server_node)
     node = topo.clients[args.site][0]
@@ -156,10 +155,7 @@ def cmd_mail(args: argparse.Namespace) -> int:
     """
     from .experiments import build_mail_testbed
     from .services.mail import DEFAULT_USERS, WorkloadConfig, mail_workload
-    from .services.mail import crypto
 
-    fast = not args.no_fast_path
-    crypto.configure_cache(fast)
     # --slo / --flight need the sampler; default its interval on demand
     # (--autonomic defaults it inside the runtime itself).
     telemetry_interval = args.telemetry_interval
@@ -175,11 +171,6 @@ def cmd_mail(args: argparse.Namespace) -> int:
         flush_policy=args.flush_policy,
         algorithm=args.algorithm,
         plan_cache=False if args.no_plan_cache else None,
-        memoize=not args.no_memo,
-        fast_path=fast,
-        compile_routes=fast,
-        proxy_fast_path=fast,
-        batch_coherence=fast,
         versioned_coherence=not args.no_versioned_coherence,
         telemetry_interval_ms=telemetry_interval,
         flight=flight,
@@ -737,17 +728,10 @@ def main(argv=None) -> int:
     )
     fp.add_argument("--no-plan-cache", action="store_true",
                     help="disable the deployment-plan cache")
-    fp.add_argument("--no-memo", action="store_true",
-                    help="disable memoized validity-condition checks")
     fp.add_argument("--no-incremental-replan", action="store_true",
                     help="make fault-triggered replans search from scratch "
                          "instead of seeding from the previous plan's "
                          "surviving placements")
-    fp.add_argument("--no-fast-path", action="store_true",
-                    help="disable every runtime hot-path variant (kernel "
-                         "tight loop, compiled routes, proxy fast path, "
-                         "batched coherence fan-out, crypto memo caches); "
-                         "simulated results are identical either way")
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",

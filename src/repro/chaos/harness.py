@@ -101,13 +101,6 @@ class ChaosCaseConfig:
     #: directory-recovery invariants.  ``False`` (default) keeps every
     #: case byte-identical to the control-plane-less harness.
     crash_control_plane: bool = False
-    #: control-plane runtime knobs, passed through when set explicitly;
-    #: ``crash_control_plane`` raises/overrides them with its own
-    #: replicated placement (it needs a surviving replica to fail over
-    #: to and a journal to recover from)
-    lookup_replicas: int = 1
-    lookup_leases: Any = False
-    directory_journal: bool = False
 
 
 @dataclass
@@ -293,10 +286,8 @@ def run_chaos_case(
 
         flight = FlightRecorder(capacity=config.flight_capacity)
     cp_mode = bool(config.crash_control_plane)
-    lookup_replicas = config.lookup_replicas
-    lookup_leases = config.lookup_leases
-    directory_journal = config.directory_journal
     lookup_hosts = None
+    lookup_leases: Any = False
     directory_host = None
     if cp_mode:
         from ..smock import LeaseConfig
@@ -306,11 +297,8 @@ def run_chaos_case(
         # all crashable without touching newyork-ms, which the
         # durability invariants require to stay up.
         lookup_hosts = ["sandiego-gw", "seattle-gw"]
+        lookup_leases = LeaseConfig(duration_ms=15_000.0)
         directory_host = "seattle-gw"
-        lookup_replicas = max(2, lookup_replicas)
-        directory_journal = True
-        if not lookup_leases:
-            lookup_leases = LeaseConfig(duration_ms=15_000.0)
     with use_obs(obs):
         testbed = build_mail_testbed(
             clients_per_site=config.clients_per_site,
@@ -320,10 +308,9 @@ def run_chaos_case(
             flight=flight,
             overload_protection=config.overload_protection,
             autonomic=config.autonomic,
-            lookup_replicas=lookup_replicas,
             lookup_hosts=lookup_hosts,
             lookup_leases=lookup_leases,
-            directory_journal=directory_journal,
+            directory_journal=cp_mode,
             directory_host=directory_host,
         )
         runtime = testbed.runtime

@@ -99,7 +99,6 @@ class CoherenceDirectory:
         self,
         conflict_map: Optional[ConflictMap] = None,
         obs: Optional[Observability] = None,
-        batch_propagation: bool = True,
         versioned: bool = True,
         reconcile_policy: Optional[ReconcilePolicy] = None,
         journal: Optional[Any] = None,
@@ -111,11 +110,6 @@ class CoherenceDirectory:
         self._next_id = 0
         self.stats = CoherenceStats()
         self.obs = resolve_obs(obs)
-        #: knob: batched fan-out scans the drained batch once per distinct
-        #: replica *config* instead of once per replica (the predicate
-        #: depends only on (update, config), so replicas sharing a config
-        #: receive the identical conflicting sub-batch either way).
-        self.batch_propagation = batch_propagation
         #: knob: partition tolerance.  When on, buffered updates carry
         #: ``(origin, seq, ts_ms)`` version stamps, applying stores keep
         #: a :class:`VersionVector` frontier (duplicated/reordered/
@@ -458,56 +452,39 @@ class CoherenceDirectory:
         re-fetches on demand); the fetch traffic then flows over planned
         linkages like any other miss.
         """
+        # One conflict-map scan per distinct config (the predicate
+        # depends only on (update, config)); the resulting sub-batch is
+        # shared by every replica with that config — hosts only read it.
         delivered = 0
-        if self.batch_propagation:
-            # Fast path: one conflict-map scan per distinct config, the
-            # resulting sub-batch shared by every replica with that
-            # config (hosts only read the list).  Same deliveries, same
-            # counters, same metric increments as the per-replica loop.
-            conflicts = self.conflict_map.conflicts
-            stats = self.stats
-            by_config: Dict[ViewConfig, List[Update]] = {}
-            for entry in self.replicas_of(family):
-                config = entry.config
-                if origin_config is not None and config == origin_config:
-                    continue
-                conflicting = by_config.get(config)
-                if conflicting is None:
-                    conflicting = by_config[config] = [
-                        u for u in batch if conflicts(u, config)
-                    ]
-                if not conflicting:
-                    continue
-                entry.host.on_invalidate(conflicting)
-                delivered += 1
-                n = len(conflicting)
-                stats.invalidations += n
-                stats.conflict_map_hits += n
-                if self._m_local_updates is not None:
-                    handles = self._inval_counters.get(family)
-                    if handles is None:
-                        m = self.obs.metrics
-                        handles = self._inval_counters[family] = (
-                            m.counter("coherence.invalidations", family=family),
-                            m.counter("coherence.conflict_map_hits"),
-                        )
-                    handles[0].inc(n)
-                    handles[1].inc(n)
-            return delivered
+        conflicts = self.conflict_map.conflicts
+        stats = self.stats
+        by_config: Dict[ViewConfig, List[Update]] = {}
         for entry in self.replicas_of(family):
-            if origin_config is not None and entry.config == origin_config:
+            config = entry.config
+            if origin_config is not None and config == origin_config:
                 continue
-            conflicting = [u for u in batch if self.conflict_map.conflicts(u, entry.config)]
+            conflicting = by_config.get(config)
+            if conflicting is None:
+                conflicting = by_config[config] = [
+                    u for u in batch if conflicts(u, config)
+                ]
             if not conflicting:
                 continue
             entry.host.on_invalidate(conflicting)
             delivered += 1
-            self.stats.invalidations += len(conflicting)
-            self.stats.conflict_map_hits += len(conflicting)
-            m = self.obs.metrics
-            if m.enabled:
-                m.inc("coherence.invalidations", len(conflicting), family=family)
-                m.inc("coherence.conflict_map_hits", len(conflicting))
+            n = len(conflicting)
+            stats.invalidations += n
+            stats.conflict_map_hits += n
+            if self._m_local_updates is not None:
+                handles = self._inval_counters.get(family)
+                if handles is None:
+                    m = self.obs.metrics
+                    handles = self._inval_counters[family] = (
+                        m.counter("coherence.invalidations", family=family),
+                        m.counter("coherence.conflict_map_hits"),
+                    )
+                handles[0].inc(n)
+                handles[1].inc(n)
         return delivered
 
     def note_stale_read(self, family: Optional[str] = None) -> None:

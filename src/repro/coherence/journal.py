@@ -125,7 +125,6 @@ def recover_directory(journal: DirectoryJournal, source: Any, now_ms: float):
     new = CoherenceDirectory(
         source.conflict_map,
         obs=source.obs,
-        batch_propagation=source.batch_propagation,
         versioned=source.versioned,
         reconcile_policy=source.reconcile_policy,
         journal=journal,

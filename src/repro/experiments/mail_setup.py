@@ -47,24 +47,7 @@ def build_mail_testbed(
     algorithm: str = "dp_chain",
     planning_work: float = 2000.0,
     users=DEFAULT_USERS,
-    plan_cache=None,
-    memoize: bool = True,
-    fast_path: bool = True,
-    compile_routes: bool = True,
-    proxy_fast_path: bool = True,
-    batch_coherence: bool = True,
-    versioned_coherence: bool = True,
-    telemetry_interval_ms: Optional[float] = None,
-    flight=None,
-    obs=None,
-    overload_protection: Any = False,
-    autonomic: Any = False,
-    parallel: Any = False,
-    lookup_replicas: int = 1,
-    lookup_hosts=None,
-    lookup_leases: Any = False,
-    directory_journal: bool = False,
-    directory_host: Optional[str] = None,
+    **runtime_kwargs: Any,
 ) -> MailTestbed:
     """The standard case-study testbed.
 
@@ -77,44 +60,11 @@ def build_mail_testbed(
     the exhaustive planner in ~1% of the time (see the planner-scaling
     benchmark), which keeps the 45-cell Figure 7 sweep tractable.
 
-    ``plan_cache`` / ``memoize`` pass through to
-    :class:`~repro.planner.Planner` (``plan_cache=False`` disables plan
-    caching; ``memoize=False`` disables validity-check memoization).
-
-    ``fast_path`` / ``compile_routes`` / ``proxy_fast_path`` /
-    ``batch_coherence`` / ``versioned_coherence`` pass through to
-    :class:`SmockRuntime` — the
-    runtime hot-path knobs (see ARCHITECTURE.md), used by the
-    determinism tests to pin fast-on vs fast-off equivalence.
-
-    ``telemetry_interval_ms`` / ``flight`` pass through to
-    :class:`SmockRuntime`'s continuous-telemetry knobs (``None`` = no
-    sampler at all, ``0`` = constructed but disabled, ``> 0`` = sample
-    every that-many simulated ms into ``runtime.sampler``).
-
-    ``overload_protection`` passes through to :class:`SmockRuntime`:
-    ``False`` (default) constructs nothing, ``True`` enables admission
-    control / throttling / circuit breaking with default
-    :class:`~repro.smock.OverloadConfig`, or pass a config instance.
-
-    ``autonomic`` passes through to :class:`SmockRuntime`: ``False``
-    (default) constructs nothing, ``True`` closes the telemetry →
-    replanning loop (see :mod:`repro.autonomic`) with default
-    :class:`~repro.autonomic.AutonomicConfig` — defaulting the sampler
-    to 500 ms when ``telemetry_interval_ms`` is unset — or pass a
-    config instance / kwargs dict.
-
-    ``parallel`` passes through to :class:`SmockRuntime`: ``False``
-    (default) constructs nothing — byte-identical runs — while an int N
-    enables ``runtime.run_parallel_traffic`` on N conservative worker
-    processes (see :mod:`repro.sim.parallel`).
-
-    ``lookup_replicas`` / ``lookup_hosts`` / ``lookup_leases`` /
-    ``directory_journal`` / ``directory_host`` pass through to
-    :class:`SmockRuntime`'s control-plane availability knobs (see
-    ARCHITECTURE.md "control-plane availability"): the defaults keep
-    the singleton lookup on ``newyork-ms`` with immortal registrations
-    and an unjournaled directory, byte-identical to before the feature.
+    Every other keyword (``obs``, ``plan_cache``, ``versioned_coherence``,
+    ``telemetry_interval_ms``, ``overload_protection``, ``autonomic``,
+    ``lookup_replicas``, ...) is forwarded unchanged to
+    :class:`SmockRuntime`, the one place runtime options are declared
+    and documented; a misspelt one raises ``TypeError`` there.
     """
     spec = build_mail_spec()
     if node_cpu is None:
@@ -138,24 +88,7 @@ def build_mail_testbed(
         planning_work=planning_work,
         conflict_map=AttributeConflictMap("sensitivity", "TrustLevel", "le"),
         view_policy=view_policy,
-        plan_cache=plan_cache,
-        memoize=memoize,
-        fast_path=fast_path,
-        compile_routes=compile_routes,
-        proxy_fast_path=proxy_fast_path,
-        batch_coherence=batch_coherence,
-        versioned_coherence=versioned_coherence,
-        telemetry_interval_ms=telemetry_interval_ms,
-        flight=flight,
-        obs=obs,
-        overload_protection=overload_protection,
-        autonomic=autonomic,
-        parallel=parallel,
-        lookup_replicas=lookup_replicas,
-        lookup_hosts=lookup_hosts,
-        lookup_leases=lookup_leases,
-        directory_journal=directory_journal,
-        directory_host=directory_host,
+        **runtime_kwargs,
     )
     runtime.service_state["mail_users"] = tuple(users)
     for name, cls in MAIL_COMPONENT_CLASSES.items():

@@ -12,11 +12,10 @@ encryption code paths are real (ciphertexts round-trip, wrong keys fail,
 sizes grow by a header) while staying fast inside the simulator.
 
 Both the block cipher and the whole-message transforms are pure
-functions of (key, input), so their results are memoized: a bounded LRU
+functions of (key, input), so their results are cached: a bounded LRU
 over full messages absorbs the experiments' repeated send bodies, and a
 block-level cache under it absorbs ECB's repeated blocks even for fresh
-messages.  ``configure_cache(False)`` restores the uncached paths
-(used by the throughput benchmark to measure honest before/after).
+messages.  A cache hit is byte-identical to recomputation.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "KeyRing",
     "CryptoError",
     "CIPHER_OVERHEAD_BYTES",
-    "configure_cache",
 ]
 
 _DELTA = 0x9E3779B9
@@ -57,6 +55,10 @@ def derive_key(*parts: str) -> Tuple[int, int, int, int]:
     return struct.unpack(">4I", digest[:16])
 
 
+# The block transforms are cached — XTEA is a pure permutation per key,
+# and ECB makes hits common (identical plaintext blocks recur within and
+# across messages).
+@lru_cache(maxsize=1 << 16)
 def _encipher_block(v0: int, v1: int, key: Tuple[int, int, int, int]) -> Tuple[int, int]:
     total = 0
     for _ in range(_ROUNDS):
@@ -66,6 +68,7 @@ def _encipher_block(v0: int, v1: int, key: Tuple[int, int, int, int]) -> Tuple[i
     return v0, v1
 
 
+@lru_cache(maxsize=1 << 16)
 def _decipher_block(v0: int, v1: int, key: Tuple[int, int, int, int]) -> Tuple[int, int]:
     total = (_DELTA * _ROUNDS) & _MASK
     for _ in range(_ROUNDS):
@@ -80,43 +83,20 @@ def _key_check(key: Tuple[int, int, int, int]) -> bytes:
     return hashlib.sha256(struct.pack(">4I", *key)).digest()[:4]
 
 
-#: memoized block transforms — XTEA is a pure permutation per key, so a
-#: cache hit is byte-identical to recomputation; ECB makes hits common
-#: (identical plaintext blocks recur within and across messages).
-_cached_encipher_block = lru_cache(maxsize=1 << 16)(_encipher_block)
-_cached_decipher_block = lru_cache(maxsize=1 << 16)(_decipher_block)
-
-#: whether the memoized fast paths are active (see configure_cache)
-_cache_enabled = True
-
-
-def configure_cache(enabled: bool) -> None:
-    """Enable/disable the crypto memo caches (benchmark knob).
-
-    Disabling also clears them, so a subsequent re-enable starts cold —
-    the state an honest before/after measurement needs.
-    """
-    global _cache_enabled
-    _cache_enabled = enabled
-    if not enabled:
-        _cached_encipher_block.cache_clear()
-        _cached_decipher_block.cache_clear()
-        _encrypt_cached.cache_clear()
-        _decrypt_cached.cache_clear()
-
-
-def _encrypt_raw(key: Tuple[int, int, int, int], plaintext: bytes, block) -> bytes:
+@lru_cache(maxsize=4096)
+def _encrypt_cached(key: Tuple[int, int, int, int], plaintext: bytes) -> bytes:
     header = _key_check(key) + struct.pack(">Q", len(plaintext))
     padded = plaintext + b"\x00" * (-len(plaintext) % 8)
     out = bytearray(header)
     for i in range(0, len(padded), 8):
         v0, v1 = struct.unpack(">2I", padded[i : i + 8])
-        e0, e1 = block(v0, v1, key)
+        e0, e1 = _encipher_block(v0, v1, key)
         out += struct.pack(">2I", e0, e1)
     return bytes(out)
 
 
-def _decrypt_raw(key: Tuple[int, int, int, int], ciphertext: bytes, block) -> bytes:
+@lru_cache(maxsize=4096)
+def _decrypt_cached(key: Tuple[int, int, int, int], ciphertext: bytes) -> bytes:
     if len(ciphertext) < CIPHER_OVERHEAD_BYTES:
         raise CryptoError("ciphertext too short")
     if ciphertext[:4] != _key_check(key):
@@ -128,19 +108,9 @@ def _decrypt_raw(key: Tuple[int, int, int, int], ciphertext: bytes, block) -> by
     out = bytearray()
     for i in range(0, len(body), 8):
         v0, v1 = struct.unpack(">2I", body[i : i + 8])
-        d0, d1 = block(v0, v1, key)
+        d0, d1 = _decipher_block(v0, v1, key)
         out += struct.pack(">2I", d0, d1)
     return bytes(out[:length])
-
-
-@lru_cache(maxsize=4096)
-def _encrypt_cached(key: Tuple[int, int, int, int], plaintext: bytes) -> bytes:
-    return _encrypt_raw(key, plaintext, _cached_encipher_block)
-
-
-@lru_cache(maxsize=4096)
-def _decrypt_cached(key: Tuple[int, int, int, int], ciphertext: bytes) -> bytes:
-    return _decrypt_raw(key, ciphertext, _cached_decipher_block)
 
 
 def encrypt(key: Tuple[int, int, int, int], plaintext: bytes) -> bytes:
@@ -148,17 +118,13 @@ def encrypt(key: Tuple[int, int, int, int], plaintext: bytes) -> bytes:
 
     ECB is fine for a simulator stand-in; see module docstring.
     """
-    if _cache_enabled:
-        return _encrypt_cached(key, plaintext)
-    return _encrypt_raw(key, plaintext, _encipher_block)
+    return _encrypt_cached(key, plaintext)
 
 
 def decrypt(key: Tuple[int, int, int, int], ciphertext: bytes) -> bytes:
     """Inverse of :func:`encrypt`; raises :class:`CryptoError` on a wrong
     key or malformed input."""
-    if _cache_enabled:
-        return _decrypt_cached(key, ciphertext)
-    return _decrypt_raw(key, ciphertext, _decipher_block)
+    return _decrypt_cached(key, ciphertext)
 
 
 class KeyRing:

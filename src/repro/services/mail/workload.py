@@ -141,7 +141,7 @@ def open_loop_mail_ops(
     arriving user is the sender/reader, the recipient is drawn uniformly
     from the roster (hot-*user* skew already comes from the driver's
     Zipf draw over arriving users).  The body is constant so the
-    memoized crypto path behaves as in steady state; the simulated CPU
+    cached crypto path behaves as in steady state; the simulated CPU
     charge per request is unaffected.
     """
     if not 0.0 <= send_fraction <= 1.0:

@@ -12,8 +12,7 @@ router) with a deterministic, seeded simulator.  Public surface:
 The conservative parallel kernel lives in :mod:`repro.sim.parallel`
 (imported on demand — it depends on :mod:`repro.network`, which in turn
 imports this package, so an eager import here would be circular).  Its
-front doors are ``Simulator.run_parallel`` and
-``repro.sim.parallel.run_parallel``.
+entry point is ``repro.sim.parallel.run_parallel``.
 """
 
 from .arrivals import (

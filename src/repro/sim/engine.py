@@ -21,7 +21,7 @@ reproducible.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from ..obs import Observability, resolve_obs
 from .events import AllOf, AnyOf, Event, SimulationError, Timeout
@@ -43,16 +43,19 @@ class Simulator:
     tracer, so every span opened while this simulator exists records a
     simulated duration alongside its wall-clock one.  With
     ``obs.capture_sim_events`` set, each dispatched event additionally
-    emits a ``sim.dispatch`` point event through the tracer — the
-    successor of the legacy ``trace`` list, which remains supported as
-    a shim (assign a list to :attr:`trace` and dispatches are mirrored
-    into it as ``(time, repr(event))`` tuples).
+    emits a ``sim.dispatch`` point event (``event=repr(event)``) through
+    the tracer.
+
+    :meth:`run` and :meth:`run_until_complete` pick their dispatch loop
+    from that observability state: a tight inlined loop when nothing
+    watches individual events, the instrumented :meth:`step` loop when
+    the event counter (metrics on) or ``sim.dispatch`` capture needs a
+    hook per event.  Both dispatch the same events in the same order.
     """
 
     def __init__(
         self,
         obs: Optional[Observability] = None,
-        fast_path: bool = True,
         origin: int = 0,
     ) -> None:
         self._now = 0.0
@@ -64,7 +67,6 @@ class Simulator:
         #: different origins have a total, arrival-independent order.
         self._origin = int(origin)
         self._running = False
-        self._trace: Optional[List[Tuple[float, str]]] = None
         self.obs = resolve_obs(obs)
         if self.obs.tracer.enabled:
             self.obs.tracer.bind_sim_clock(lambda: self._now)
@@ -78,38 +80,9 @@ class Simulator:
         self._capture_events = (
             self.obs.capture_sim_events and self.obs.tracer.enabled
         )
-        #: constructor knob: False pins run()/run_until_complete() to the
-        #: fully instrumented step() loop even when nothing observes it.
-        self._fast_path_allowed = fast_path
-        self._refresh_fast_path()
-
-    def _refresh_fast_path(self) -> None:
-        """Select the dispatch loop once, the way __init__ resolves
-        metric handles: the tight loop is only legal when no per-event
-        observer (legacy trace list, event counter, sim.dispatch
-        capture) needs a hook inside it."""
-        self._fast = (
-            self._fast_path_allowed
-            and self._trace is None
-            and self._evt_counter is None
-            and not self._capture_events
-        )
-
-    # -- legacy trace shim -------------------------------------------------
-    @property
-    def trace(self) -> Optional[List[Tuple[float, str]]]:
-        """Legacy dispatch log: ``(time, repr(event))`` per step.
-
-        Superseded by the tracer (see class docstring); assigning a
-        list here still works and mirrors exactly what the tracer's
-        ``sim.dispatch`` events carry.
-        """
-        return self._trace
-
-    @trace.setter
-    def trace(self, value: Optional[List[Tuple[float, str]]]) -> None:
-        self._trace = value
-        self._refresh_fast_path()
+        #: the tight loop is only legal when no per-event observer
+        #: (event counter, sim.dispatch capture) needs a hook inside it.
+        self._fast = self._evt_counter is None and not self._capture_events
 
     # -- clock ------------------------------------------------------------
     @property
@@ -199,12 +172,8 @@ class Simulator:
         if when < self._now:
             raise SimulationError("event list corrupted: time went backwards")
         self._now = when
-        if self._trace is not None or self._capture_events:
-            label = repr(event)
-            if self._trace is not None:
-                self._trace.append((when, label))
-            if self._capture_events:
-                self.obs.tracer.event("sim.dispatch", event=label)
+        if self._capture_events:
+            self.obs.tracer.event("sim.dispatch", event=repr(event))
         if self._evt_counter is not None:
             self._evt_counter.inc()
         self._dispatch(event)
@@ -215,7 +184,9 @@ class Simulator:
 
         Returns the final simulated time.  ``until`` is exclusive: an
         event stamped exactly at ``until`` does not run, and the clock is
-        left at ``until``.
+        left at ``until`` — unless ``until`` is already in the past, in
+        which case nothing runs and the clock stays where it is (it never
+        moves backwards).
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -228,10 +199,7 @@ class Simulator:
                 # constructor established nobody is watching.
                 heap = self._heap
                 pop = heapq.heappop
-                while heap:
-                    if until is not None and heap[0][0] >= until:
-                        self._now = until
-                        break
+                while heap and (until is None or heap[0][0] < until):
                     when, _origin, _seq, event = pop(heap)
                     if when < self._now:
                         raise SimulationError(
@@ -243,18 +211,11 @@ class Simulator:
                     if callbacks:
                         for fn in callbacks:
                             fn(event)
-                else:
-                    if until is not None and until > self._now:
-                        self._now = until
-                return self._now
-            while self._heap:
-                if until is not None and self._heap[0][0] >= until:
-                    self._now = until
-                    break
-                self.step()
             else:
-                if until is not None and until > self._now:
-                    self._now = until
+                while self._heap and (until is None or self._heap[0][0] < until):
+                    self.step()
+            if until is not None and until > self._now:
+                self._now = until
         finally:
             self._running = False
         return self._now
@@ -312,46 +273,6 @@ class Simulator:
     def peek(self) -> float:
         """Timestamp of the next event, or +inf if the list is empty."""
         return self._heap[0][0] if self._heap else float("inf")
-
-    # -- parallel execution -------------------------------------------------
-    @classmethod
-    def run_parallel(
-        cls,
-        network: Any,
-        program: Callable[..., None],
-        config: Any = None,
-        *,
-        workers: int = 1,
-        until: float,
-        plan: Any = None,
-        credential: str = "site",
-        deadlock_timeout_s: Optional[float] = None,
-    ) -> Any:
-        """Run ``program`` over ``network`` on the conservative parallel
-        kernel (:mod:`repro.sim.parallel`): one logical process per
-        topology partition, each hosting an ordinary :class:`Simulator`,
-        synchronized by null-message lookahead.  ``workers=1`` runs every
-        partition in this process (no multiprocessing) but through the
-        same partitioned protocol, so results are identical for any
-        worker count.  ``deadlock_timeout_s`` tunes the per-worker
-        no-progress tripwire (default 60 wall seconds).  Returns a
-        :class:`repro.sim.parallel.ParallelRunResult`.
-        """
-        from .parallel import run_parallel as _run_parallel
-
-        kwargs: Dict[str, Any] = {}
-        if deadlock_timeout_s is not None:
-            kwargs["deadlock_timeout_s"] = deadlock_timeout_s
-        return _run_parallel(
-            network,
-            program,
-            config,
-            workers=workers,
-            until=until,
-            plan=plan,
-            credential=credential,
-            **kwargs,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self._now} pending={len(self._heap)}>"

@@ -12,10 +12,9 @@ shape to break the sequential kernel's single-core ceiling:
 - :mod:`.worker` hosts logical processes on persistent worker processes
   (``multiprocessing``, warm-started via fork) and runs the
   null-message drive loop.
-- :mod:`.runner` is the public entry point,
-  :func:`~repro.sim.parallel.run_parallel`, also reachable as
-  ``Simulator.run_parallel`` / ``SmockRuntime(parallel=N)`` / the
-  ``parallel-sim`` CLI command.
+- :mod:`.runner` is the one entry point,
+  :func:`~repro.sim.parallel.run_parallel` (the ``parallel-sim`` CLI
+  command calls it).
 - :mod:`.traffic` ships a reusable deterministic site-traffic workload.
 
 Worker count is pure placement: results (and their signatures) are

@@ -153,8 +153,7 @@ class ServiceProxy:
         # re-checked per request (tests swap it in place).
         obs = runtime.obs
         self._fast = (
-            getattr(runtime, "proxy_fast_path", True)
-            and not obs.tracer.enabled
+            not obs.tracer.enabled
             and not obs.metrics.enabled
             and overload is None
         )

@@ -73,18 +73,11 @@ class SmockRuntime:
         view_policy: Optional[Callable[[ViewDef, Any], FlushPolicy]] = None,
         obs: Optional[Observability] = None,
         plan_cache: Any = None,
-        memoize: bool = True,
-        fast_path: bool = True,
-        compile_routes: bool = True,
-        proxy_fast_path: bool = True,
-        batch_coherence: bool = True,
         versioned_coherence: bool = True,
         telemetry_interval_ms: Optional[float] = None,
-        telemetry_capacity: int = 720,
         flight: Any = None,
         overload_protection: Any = False,
         autonomic: Any = False,
-        parallel: Any = False,
         lookup_replicas: int = 1,
         lookup_hosts: Optional[List[str]] = None,
         lookup_leases: Any = False,
@@ -93,21 +86,15 @@ class SmockRuntime:
     ) -> None:
         self.network = network
         self.obs = resolve_obs(obs)
-        #: planner fast-path settings inherited by every service bundle
-        #: (see :class:`repro.planner.Planner`: ``None`` = private cache,
-        #: ``False`` = caching off; ``memoize`` toggles validity-check memos)
+        #: plan-cache setting inherited by every service bundle (see
+        #: :class:`repro.planner.Planner`: ``None`` = private cache,
+        #: ``False`` = caching off)
         self._plan_cache_setting = plan_cache
-        self._memoize = memoize
-        #: runtime hot-path knobs (see ARCHITECTURE.md "hot path"): each
-        #: layer's fast variant is behaviourally identical to the slow
-        #: one — the knobs exist for benchmarking and bisection.
-        self.proxy_fast_path = proxy_fast_path
-        self.batch_coherence = batch_coherence
         #: partition-tolerance master knob (see CoherenceDirectory): off
         #: restores the fail-stop protocol byte for byte — no version
         #: stamps, no frontier dedup, no degraded mode, no anti-entropy.
         self.versioned_coherence = versioned_coherence
-        self.sim = sim or Simulator(obs=self.obs, fast_path=fast_path)
+        self.sim = sim or Simulator(obs=self.obs)
         #: overload protection (see smock.overload): ``False``/``None``
         #: constructs nothing — every hot path guards on
         #: ``runtime.overload is None`` and stays byte-identical to a
@@ -126,24 +113,12 @@ class SmockRuntime:
             self.overload = OverloadManager(
                 self.sim, config, metrics=self.obs.metrics
             )
-        #: parallel-kernel knob (see repro.sim.parallel): ``False``/``None``
-        #: constructs nothing — the runtime drives the sequential kernel
-        #: byte for byte as before; an int N enables
-        #: :meth:`run_parallel_traffic`, which executes site-partitioned
-        #: workloads on N conservative worker processes.  The runtime's
-        #: own request path stays sequential either way (its state is
-        #: globally shared; only partition-local workloads parallelize).
-        self.parallel: Optional[int] = None
-        if parallel:
-            self.parallel = max(1, int(parallel))
         if self.obs.tracer.enabled:
             # An externally-supplied simulator may carry a different (or
             # null) obs; bind our tracer to whichever clock we ended up
             # with so spans always get simulated durations.
             self.obs.tracer.bind_sim_clock(lambda: self.sim.now)
-        self.transport = RuntimeTransport(
-            self.sim, network, compile_routes=compile_routes
-        )
+        self.transport = RuntimeTransport(self.sim, network)
         first_node = next(iter(network.nodes())).name
         self.lookup_node = lookup_node or first_node
         if lookup_hosts:
@@ -236,7 +211,6 @@ class SmockRuntime:
                 self.sim,
                 metrics=self.obs.metrics,
                 interval_ms=telemetry_interval_ms,
-                capacity=telemetry_capacity,
                 flight=flight,
             )
             if self.sampler.enabled:
@@ -274,7 +248,7 @@ class SmockRuntime:
     ) -> ServiceBundle:
         planner = Planner(
             spec, self.network, translator, objective, algorithm, obs=self.obs,
-            plan_cache=self._plan_cache_setting, memoize=self._memoize,
+            plan_cache=self._plan_cache_setting,
         )
         bundle = ServiceBundle(
             name=name,
@@ -283,7 +257,6 @@ class SmockRuntime:
             server=None,  # type: ignore[arg-type]  (set right below)
             coherence=CoherenceDirectory(
                 conflict_map, obs=self.obs,
-                batch_propagation=self.batch_coherence,
                 versioned=self.versioned_coherence,
                 journal=self._make_journal(),
             ),
@@ -504,7 +477,9 @@ class SmockRuntime:
         """
         tracer = self.obs.tracer
         t0 = self.sim.now
-        name = service or next(iter(self._bundles))
+        name = service or next(iter(self._bundles), None)
+        if name is None:
+            raise DeploymentError("no service registered")
         span = tracer.start_span(
             "client_connect", client_node=client_node, service=name
         )
@@ -632,42 +607,6 @@ class SmockRuntime:
         """Run one process generator to completion on the simulator."""
         proc = self.sim.process(generator, name=name)
         return self.sim.run_until_complete(proc)
-
-    def run_parallel_traffic(
-        self,
-        config: Any = None,
-        *,
-        until: float,
-        program: Any = None,
-        credential: str = "site",
-    ) -> Any:
-        """Run a site-partitioned workload over this runtime's topology
-        on the conservative parallel kernel (requires the ``parallel``
-        constructor knob).
-
-        ``program`` defaults to
-        :func:`repro.sim.parallel.site_traffic_program` and ``config``
-        to its :class:`~repro.sim.parallel.TrafficConfig`.  The workload
-        runs on a *fresh* set of simulators partitioned from
-        ``self.network`` — the runtime's own simulator and state are
-        untouched, so a knobs-off runtime stays byte-identical.  Returns
-        a :class:`~repro.sim.parallel.ParallelRunResult`.
-        """
-        if self.parallel is None:
-            raise RuntimeError(
-                "construct the runtime with SmockRuntime(..., parallel=N) "
-                "to enable run_parallel_traffic"
-            )
-        from ..sim.parallel import run_parallel, site_traffic_program
-
-        return run_parallel(
-            self.network,
-            program or site_traffic_program,
-            config,
-            workers=self.parallel,
-            until=until,
-            credential=credential,
-        )
 
     def instance_of(
         self, unit_name: str, node: Optional[str] = None, service: Optional[str] = None

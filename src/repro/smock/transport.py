@@ -24,9 +24,9 @@ single generator frame.  Compiled routes are dropped on any
 :meth:`Network.version` bump (link add/remove, liveness flip,
 ``touch()``, a capacity reservation) — a superset of the events that
 can change ``Network.path``.  The walk yields the same events in
-the same order with the same timestamps as the uncompiled loop, and
-keeps the same per-link stats; ``compile_routes=False`` restores the
-original per-hop resolution path byte for byte.
+the same order with the same timestamps as the per-hop resolution loop,
+and keeps the same per-link stats.  That loop still runs whenever a
+:class:`FaultHook` is installed, because a hook decides hop by hop.
 """
 
 from __future__ import annotations
@@ -90,9 +90,7 @@ class CompiledRoute:
 class RuntimeTransport:
     """Owns the live SimNodes/SimLinks mirroring a :class:`Network`."""
 
-    def __init__(
-        self, sim: Simulator, network: Network, compile_routes: bool = True
-    ) -> None:
+    def __init__(self, sim: Simulator, network: Network) -> None:
         self.sim = sim
         self.network = network
         self.nodes, self.links = network.materialize(sim)
@@ -106,9 +104,6 @@ class RuntimeTransport:
         self.messages_duplicated = 0
         self.messages_corrupted = 0
         self.messages_reordered = 0
-        #: knob: False disables route compilation entirely (the per-hop
-        #: resolution path below is then the only delivery loop).
-        self.compile_routes = compile_routes
         self._routes: Dict[Tuple[str, str], CompiledRoute] = {}
         #: network.version the compiled cache was built against; any
         #: topology mutation bumps it and strands this epoch.
@@ -141,16 +136,6 @@ class RuntimeTransport:
 
     def link(self, a: str, b: str) -> SimLink:
         return self.links[_key(a, b)]
-
-    def partition_plan(self, credential: str = "site"):
-        """How the parallel kernel would split this topology: a
-        :class:`~repro.sim.parallel.PartitionPlan` (site-credential
-        grouping with the latency min-cut fallback).  Purely advisory —
-        computing it mutates nothing — and handy for sizing ``workers=``
-        before a :meth:`SmockRuntime.run_parallel_traffic` run."""
-        from ..sim.parallel import partition_network
-
-        return partition_network(self.network, credential=credential)
 
     # -- route compilation -------------------------------------------------
     def _compile(self, src: str, dst: str) -> CompiledRoute:
@@ -199,9 +184,9 @@ class RuntimeTransport:
         if src == dst:
             return
         hook = self.fault_hook
-        if hook is None and self.compile_routes and not self._telemetry:
-            # Fast path: replay the compiled walk.  Mirrors the slow
-            # path below plus the inlined body of SimLink.transfer —
+        if hook is None and not self._telemetry:
+            # Fast path: replay the compiled walk.  Mirrors the hook
+            # walk below plus the inlined body of SimLink.transfer —
             # identical checks, events, timestamps, and stats.
             sim = self.sim
             start = sim.now
@@ -233,7 +218,7 @@ class RuntimeTransport:
             self.bytes_sent += size_bytes
             self.stats.observe(sim.now - start)
             return
-        if hook is None and self.compile_routes:
+        if hook is None:
             # Telemetry walk: the compiled walk above, verbatim, plus
             # in-flight byte accounting per hop.  The accounting is
             # plain dict arithmetic between the same yields, so the
@@ -277,20 +262,21 @@ class RuntimeTransport:
             self.bytes_sent += size_bytes
             self.stats.observe(sim.now - start)
             return
+        # Hook walk: a fault hook rules on every hop, so resolve and
+        # transfer hop by hop.
         telemetry = self._telemetry
         inflight = self.link_inflight
         start = self.sim.now
         path = self.network.path(src, dst)
         cur = src
         for hop in path.hops:
-            if hook is not None:
-                verdict = hook.on_hop(src, dst, hop.a, hop.b, size_bytes)
-                if verdict == "drop":
-                    self.messages_dropped += 1
-                    yield self.sim.event()  # never triggers: message lost
-                    return  # pragma: no cover - unreachable
-                if verdict:
-                    yield self.sim.timeout(float(verdict))
+            verdict = hook.on_hop(src, dst, hop.a, hop.b, size_bytes)
+            if verdict == "drop":
+                self.messages_dropped += 1
+                yield self.sim.event()  # never triggers: message lost
+                return  # pragma: no cover - unreachable
+            if verdict:
+                yield self.sim.timeout(float(verdict))
             link = self.link(hop.a, hop.b)
             if telemetry:
                 lname = link.name

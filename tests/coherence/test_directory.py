@@ -363,13 +363,11 @@ def test_reconcile_noop_when_unversioned_or_empty(directory):
     assert unversioned.reconcile(now_ms=0.0) == []
 
 
-@pytest.mark.parametrize("batched", [True, False])
-def test_reconcile_invalidation_fanout_matches_batch_knob(batched):
+def test_reconcile_invalidation_fanout_uses_conflict_map():
     """Anti-entropy fan-out goes through the same conflict-map path as a
-    normal flush, whichever propagation mode the directory runs in."""
+    normal flush."""
     directory = CoherenceDirectory(
-        AttributeConflictMap("sensitivity", "TrustLevel", "le"),
-        batch_propagation=batched,
+        AttributeConflictMap("sensitivity", "TrustLevel", "le")
     )
     primary = FakePrimary()
     directory.register_primary("MailServer", primary)

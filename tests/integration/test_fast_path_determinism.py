@@ -1,15 +1,27 @@
-"""Fast-path-on vs fast-path-off runs must be indistinguishable.
+"""Every dispatch path the runtime can select produces one signature.
 
-The runtime hot-path overhaul (kernel fast dispatch, route-compiled
-transport, proxy/server fast paths, batched coherence fan-out, crypto
-memo caches) exists purely to cut host wall-clock: every knob promises
-*bit-identical simulated results*.  These tests pin that promise on the
-full mail scenario — same event schedule length, same simulated clock,
-same per-send latencies to the last ulp, same coherence counters — for
-each knob individually, all knobs together, and under a chaos schedule.
+The kernel, the proxy and the transport each pick between a tight path
+and an instrumented one from state they can observe — metrics or
+tracing enabled, ``capture_sim_events`` set, a fault hook installed —
+and promise *bit-identical simulated results* either way.  These tests
+pin that promise on the full mail scenario (DS500, 3 clients x 120
+sends): same event schedule length, same simulated clock, same per-send
+latencies to the last ulp, same transport, per-link and coherence
+counters.
+
+``golden/ds500_signature.json`` was recorded at the last commit that
+still had a constructor knob per hot path (kernel, transport, proxy,
+coherence fan-out) and a crypto-cache toggle, with **all of them off**
+(and checked equal to all of them on) — so it is the output of the
+original slow paths, including the ones since deleted.  Regenerate
+(only when a simulated result is *meant* to change) with
+``PYTHONPATH=src python tests/integration/test_fast_path_determinism.py``.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -17,23 +29,26 @@ from repro.experiments.mail_setup import build_mail_testbed
 from repro.experiments.scenarios_fig7 import _bind_clients, SCENARIOS
 from repro.experiments.topology_fig5 import SITE_TRUST
 from repro.faults import FaultInjector, FaultPlan
+from repro.obs import Observability
 from repro.services.mail import WorkloadConfig, mail_workload
-from repro.services.mail import crypto
 
-#: every hot-path knob, each flipped to its "off" (slow-path) setting
-KNOBS = {
-    "fast_path": False,          # sim kernel tight loop
-    "compile_routes": False,     # route-compiled transport
-    "proxy_fast_path": False,    # bind-time-resolved proxy path
-    "batch_coherence": False,    # per-config coherence fan-out
-}
+GOLDEN = Path(__file__).parent / "golden" / "ds500_signature.json"
 
 N_CLIENTS = 3
 N_SENDS = 120  # x cluster_size 10 = 3600 units: crosses the count:500 policy
 
+#: a chaos schedule over the San Diego leg: delay windows during the
+#: steady state (drops would hang workload sends forever — the scenario
+#: runs without a retry policy — so delays exercise the fault hook while
+#: keeping the run comparable).
+CHAOS = [
+    "delay:sandiego-gw/newyork-gw:40@3000-20000",
+    "delay:sandiego-client1/sandiego-gw:15@5000-25000",
+]
 
-def _run_mail(scenario_name: str, fault_specs=None, **testbed_kwargs):
-    """One DS-style scenario run, returning a full determinism signature."""
+
+def _run(scenario_name: str, fault_specs=None, **testbed_kwargs):
+    """One DS-style scenario run; returns ``(runtime, proxies, procs)``."""
     scenario = SCENARIOS[scenario_name]
     testbed = build_mail_testbed(
         flush_policy=scenario.flush_policy, **testbed_kwargs
@@ -60,6 +75,12 @@ def _run_mail(scenario_name: str, fault_specs=None, **testbed_kwargs):
     runtime.sim.run()
     for proc in procs:
         assert not proc.failed, proc.value
+    return runtime, proxies, procs
+
+
+def _run_mail(scenario_name: str, fault_specs=None, **testbed_kwargs):
+    """One DS-style scenario run, returning a full determinism signature."""
+    runtime, _proxies, procs = _run(scenario_name, fault_specs, **testbed_kwargs)
     return _signature(runtime, procs)
 
 
@@ -70,7 +91,7 @@ def _signature(runtime, procs):
     st = runtime.coherence.stats
     return {
         "now": sim.now,
-        "events_scheduled": sim._seq,
+        "events_scheduled": sim.events_scheduled,
         "send_latencies": tuple(
             tuple(p.value.send_latency.samples) for p in procs
         ),
@@ -93,41 +114,59 @@ def _signature(runtime, procs):
     }
 
 
-@pytest.fixture()
-def reference():
-    """The all-fast-paths-on run every variant is compared against."""
-    return _run_mail("DS500")
+def _as_json(signature):
+    """Tuples become lists; floats survive ``repr`` round-trips exactly."""
+    return json.loads(json.dumps(signature))
 
 
-@pytest.mark.parametrize("knob", sorted(KNOBS))
-def test_each_knob_off_is_identical(knob, reference):
-    assert _run_mail("DS500", **{knob: KNOBS[knob]}) == reference
+def _golden(key: str):
+    return json.loads(GOLDEN.read_text())[key]
 
 
-def test_all_knobs_off_is_identical(reference):
-    assert _run_mail("DS500", **KNOBS) == reference
+#: what selects each surviving path -> the Observability that does it
+CONDITIONS = {
+    # nothing observes: kernel tight loop, proxy fast path
+    "default": None,
+    # event counter + per-op histograms: step() loop, instrumented proxy
+    "metrics": dict(tracing=False, metrics=True),
+    # sim.dispatch capture + spans: step() loop, instrumented proxy
+    "tracing": dict(tracing=True, metrics=False, capture_sim_events=True),
+}
 
 
-def test_crypto_cache_off_is_identical(reference):
-    crypto.configure_cache(False)
-    try:
-        uncached = _run_mail("DS500")
-    finally:
-        crypto.configure_cache(True)
-    assert uncached == reference
+@pytest.mark.parametrize("condition", sorted(CONDITIONS))
+def test_selected_paths_match_golden(condition):
+    obs_kwargs = CONDITIONS[condition]
+    obs = Observability(**obs_kwargs) if obs_kwargs else None
+    tight = obs is None
+    runtime, proxies, procs = _run("DS500", obs=obs)
+    assert runtime.sim._fast is tight
+    assert all(p._fast is tight for p in proxies)
+    assert runtime.transport.fault_hook is None  # compiled walk
+    if condition == "tracing":
+        assert obs.recorder.events("sim.dispatch")
+    assert _as_json(_signature(runtime, procs)) == _golden("plain")
 
 
-#: a chaos schedule over the San Diego leg: delay windows during the
-#: steady state (drops would hang workload sends forever — the scenario
-#: runs without a retry policy — so delays exercise the fault hook while
-#: keeping the run comparable).
-CHAOS = [
-    "delay:sandiego-gw/newyork-gw:40@3000-20000",
-    "delay:sandiego-client1/sandiego-gw:15@5000-25000",
-]
+def test_chaos_run_matches_golden():
+    """An installed fault hook moves every delivery onto the per-hop
+    hook walk; the delays change the run, so it has its own golden."""
+    runtime, _proxies, procs = _run("DS500", fault_specs=CHAOS)
+    assert runtime.transport.fault_hook is not None
+    signature = _as_json(_signature(runtime, procs))
+    assert signature == _golden("chaos")
+    assert signature != _golden("plain")
 
 
-def test_chaos_run_fast_vs_slow_identical():
-    fast = _run_mail("DS500", fault_specs=CHAOS)
-    slow = _run_mail("DS500", fault_specs=CHAOS, **KNOBS)
-    assert fast == slow
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps(
+            {
+                "plain": _run_mail("DS500"),
+                "chaos": _run_mail("DS500", fault_specs=CHAOS),
+            },
+            indent=1,
+        )
+        + "\n"
+    )
+    print(f"wrote {GOLDEN}")

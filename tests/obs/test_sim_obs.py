@@ -1,4 +1,4 @@
-"""Simulator observability: clock binding, dispatch events, trace shim."""
+"""Simulator observability: clock binding, dispatch events."""
 
 from repro.obs import Observability
 from repro.sim import Simulator
@@ -45,30 +45,12 @@ def test_capture_sim_events_emits_dispatch_events():
     sim.run()
     events = obs.recorder.events("sim.dispatch")
     assert events, "expected one event per dispatched simulator event"
-    assert all("event" in e["attrs"] for e in events)
-    assert events[0]["sim_ms"] == 0.0  # process start dispatches at t=0
-
-
-def test_legacy_trace_shim_mirrors_dispatches():
-    sim = Simulator()  # NULL_OBS: tracing off, shim still works
-    sim.trace = []
-    sim.process(_two_step_process(sim))
-    sim.run()
-    assert sim.trace, "legacy trace list must still be populated"
-    times = [t for t, _label in sim.trace]
+    assert len(events) >= 3  # process start + two timeouts
+    assert all(isinstance(e["attrs"]["event"], str) for e in events)
+    times = [e["sim_ms"] for e in events]
     assert times == sorted(times)
-    assert all(isinstance(label, str) for _t, label in sim.trace)
-
-
-def test_shim_and_tracer_agree():
-    obs = Observability(capture_sim_events=True)
-    sim = Simulator(obs=obs)
-    sim.trace = []
-    sim.process(_two_step_process(sim))
-    sim.run()
-    shim_labels = [label for _t, label in sim.trace]
-    tracer_labels = [e["attrs"]["event"] for e in obs.recorder.events("sim.dispatch")]
-    assert shim_labels == tracer_labels
+    assert times[0] == 0.0  # process start dispatches at t=0
+    assert times[-1] == 15.0
 
 
 def test_default_simulator_has_no_observability_overhead_paths():

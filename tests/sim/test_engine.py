@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import Observability
 from repro.sim import (
     AllOf,
     AnyOf,
@@ -142,6 +143,19 @@ def test_run_until_is_exclusive():
     assert log == []  # the event stamped exactly at `until` does not run
     sim.run()
     assert log == [10.0]
+
+
+@pytest.mark.parametrize("metrics", [False, True], ids=["plain", "metrics"])
+def test_run_until_in_the_past_leaves_the_clock(metrics):
+    """Tight loop (no obs) and step() loop (event counter on) alike."""
+    obs = Observability(tracing=False, metrics=True) if metrics else None
+    sim = Simulator(obs=obs)
+    assert sim._fast is not metrics
+    sim.timeout(200)  # still pending throughout
+    sim.run(until=150)
+    assert sim.run(until=50) == 150.0
+    assert sim.now == 150.0
+    assert sim.peek() == 200.0  # nothing ran
 
 
 def test_negative_timeout_rejected():

@@ -1,24 +1,8 @@
-"""Simulator trace support and remaining kernel edge cases."""
+"""Remaining kernel edge cases."""
 
 import pytest
 
 from repro.sim import AnyOf, Event, SimulationError, Simulator
-
-
-def test_trace_records_dispatched_events():
-    sim = Simulator()
-    sim.trace = []
-
-    def proc():
-        yield sim.timeout(5)
-        yield sim.timeout(3)
-
-    sim.process(proc())
-    sim.run()
-    times = [t for t, _ in sim.trace]
-    assert times == sorted(times)
-    assert times[-1] == 8.0
-    assert len(sim.trace) >= 3  # boot + two timeouts
 
 
 def test_run_is_not_reentrant():

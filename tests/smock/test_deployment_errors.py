@@ -53,6 +53,17 @@ def test_unknown_service_bundle_rejected(runtime):
         runtime.bundle_for("ghost")
 
 
+def test_client_connect_without_registered_service_rejected():
+    from repro.experiments.topology_fig5 import build_fig5_network
+    from repro.services.mail import build_mail_spec, mail_translator
+    from repro.smock import SmockRuntime
+
+    topo = build_fig5_network(clients_per_site=1)
+    bare = SmockRuntime(build_mail_spec(), topo.network, mail_translator())
+    with pytest.raises(DeploymentError, match="no service registered"):
+        bare.run(bare.client_connect(topo.clients["newyork"][0], {"User": "Bob"}))
+
+
 def test_register_component_validates_unit(runtime):
     from repro.smock import RuntimeComponent
     from repro.spec import SpecError

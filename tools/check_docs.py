@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checker: links resolve, snippets run, examples run.
 
-Four phases, each selectable (all run by default):
+Five phases, each selectable (all run by default):
 
 - ``--links``: every relative markdown link in the repo's ``*.md`` files
   must point at an existing file/directory (anchors and external URLs
@@ -19,6 +19,12 @@ Four phases, each selectable (all run by default):
   real subcommand, and every ``--flag`` it passes must appear in that
   subcommand's ``--help``.  Catches docs drifting from the argparse
   surface.
+- ``--kwargs``: every ``SmockRuntime(name=...)``,
+  ``build_mail_testbed(name=...)``, ``Simulator(name=...)`` or
+  ``RuntimeTransport(name=...)`` call quoted in the user-facing docs
+  must only pass keywords the real signature has.  Catches docs
+  drifting from the constructor surface.  CHANGES.md is history and is
+  not scanned.
 
 Stdlib only; exit status is the number of failing checks.
 """
@@ -239,14 +245,86 @@ def check_cli_flags() -> List[str]:
     return failures
 
 
+KWARGS_FILES = (
+    "README.md",
+    "ARCHITECTURE.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "benchmarks/README.md",
+)
+#: callable -> (module, where its ``**kwargs`` are forwarded, if anywhere)
+KWARGS_CALLABLES = {
+    "SmockRuntime": ("repro.smock", None),
+    "build_mail_testbed": ("repro.experiments", "SmockRuntime"),
+    "Simulator": ("repro.sim", None),
+    "RuntimeTransport": ("repro.smock.transport", None),
+}
+CALL_RE = re.compile(r"(?<![\w.])(%s)\(" % "|".join(KWARGS_CALLABLES))
+KWARG_RE = re.compile(r"\s*([A-Za-z_]\w*)\s*=(?!=)")
+
+
+def _accepted_keywords(name: str) -> set:
+    import importlib
+    import inspect
+
+    module, forwards_to = KWARGS_CALLABLES[name]
+    params = inspect.signature(getattr(importlib.import_module(module), name)).parameters
+    accepted = {
+        p.name for p in params.values()
+        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+    }
+    if forwards_to and any(p.kind is p.VAR_KEYWORD for p in params.values()):
+        accepted |= _accepted_keywords(forwards_to)
+    return accepted
+
+
+def _top_level_args(text: str, start: int) -> List[str]:
+    """The comma-separated arguments of the call whose ``(`` ends at
+    ``start``; empty when the parenthesis never closes."""
+    args, depth, begin = [], 1, start
+    for i in range(start, len(text)):
+        ch = text[i]
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+            if depth == 0:
+                return args + [text[begin:i]]
+        elif ch == "," and depth == 1:
+            args.append(text[begin:i])
+            begin = i + 1
+    return []
+
+
+def check_kwargs() -> List[str]:
+    failures = []
+    accepted = {name: _accepted_keywords(name) for name in KWARGS_CALLABLES}
+    for rel in KWARGS_FILES:
+        text = (REPO / rel).read_text(encoding="utf-8")
+        for match in CALL_RE.finditer(text):
+            name = match.group(1)
+            line = text[: match.start()].count("\n") + 1
+            for arg in _top_level_args(text, match.end()):
+                keyword = KWARG_RE.match(arg)
+                if keyword and keyword.group(1) not in accepted[name]:
+                    failures.append(
+                        f"{rel}:{line}: {name}() has no keyword "
+                        f"'{keyword.group(1)}'"
+                    )
+    return failures
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--links", action="store_true")
     parser.add_argument("--snippets", action="store_true")
     parser.add_argument("--examples", action="store_true")
     parser.add_argument("--cli-flags", action="store_true")
+    parser.add_argument("--kwargs", action="store_true")
     args = parser.parse_args(argv)
-    run_all = not (args.links or args.snippets or args.examples or args.cli_flags)
+    run_all = not (
+        args.links or args.snippets or args.examples or args.cli_flags or args.kwargs
+    )
 
     sys.path.insert(0, str(REPO / "src"))
     failures: List[str] = []
@@ -258,6 +336,8 @@ def main(argv: List[str]) -> int:
         failures += check_examples()
     if run_all or args.cli_flags:
         failures += check_cli_flags()
+    if run_all or args.kwargs:
+        failures += check_kwargs()
 
     for failure in failures:
         print(f"FAIL {failure}")
