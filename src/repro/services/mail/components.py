@@ -30,7 +30,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from ...coherence import Update
 from ...smock import RuntimeComponent, ServiceRequest, ServiceResponse
 from .crypto import CIPHER_OVERHEAD_BYTES, CryptoError, KeyRing, decrypt, derive_key, encrypt
-from .mailstore import MailStore, StoredMessage
+from .mailstore import ENVELOPE_BYTES, MailStore, StoredMessage, total_size_bytes
 
 __all__ = [
     "MailServerComponent",
@@ -48,8 +48,6 @@ _SESSION_KEY = derive_key("smock-session", "mail")
 #: upper bound on one coherence sync RPC when message faults are active
 #: (a dropped sync message would otherwise hang the flush forever)
 SYNC_TIMEOUT_MS = 30_000.0
-
-_MSG_ENVELOPE_BYTES = 96
 
 #: rosters up to this size get the historical full contact graph; the
 #: open-loop load harness provisions 10k–100k generated accounts, where
@@ -143,9 +141,9 @@ class _StoreBase(RuntimeComponent):
 
     @staticmethod
     def _messages_response(messages: List[StoredMessage]) -> ServiceResponse:
-        size = sum(m.size_bytes for m in messages) + 256
         return ServiceResponse(
-            payload={"messages": messages, "count": len(messages)}, size_bytes=size
+            payload={"messages": messages, "count": len(messages)},
+            size_bytes=total_size_bytes(messages) + 256,
         )
 
     def op_sync_prepare(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
@@ -279,8 +277,7 @@ class MailServerComponent(_StoreBase):
             if key is not None and key in self._applied:
                 self.duplicates_suppressed += 1
                 return "duplicate"
-            inbox = self.store.ensure_account(msg.recipient).inbox
-            if any(m.msg_id == msg.msg_id for m in inbox):
+            if self.store.holds(msg.recipient, msg.msg_id):
                 return "duplicate"  # a client retry re-applied it directly
             self.store.store(msg)
             if key is not None:
@@ -557,12 +554,13 @@ class ViewMailServerComponent(_StoreBase):
         self.upstream_forwards += 1
         resp = yield from self.call("ServerInterface", req)
         if resp.ok:
-            for msg in resp.payload.get("messages", ()):
-                if self.store.accepts(msg.sensitivity) and msg.msg_id not in {
-                    m.msg_id for m in self.store.ensure_account(user).inbox
-                }:
-                    self.store.ensure_account(user).inbox.append(msg)
-            self.stale_users.discard(user)
+            self.store.absorb(user, resp.payload.get("messages", ()))
+            # Only a fetch that covered everything this view may hold
+            # re-validates the user; a bounded one (``since_id``, or a
+            # sensitivity cap below our trust level) leaves the rest of
+            # the local copy as stale as it was.
+            if since_id == 0 and (max_s is None or max_s >= self.trust_level):
+                self.stale_users.discard(user)
         elif resp.retryable and self.coherence.versioned:
             # Degraded mode: the upstream is unreachable (partition), so
             # serve the local — possibly stale — copy per our flush
@@ -795,7 +793,7 @@ class MailClientComponent(RuntimeComponent):
                 "body": body,
                 "multiplicity": req.payload.get("multiplicity", 1),
             },
-            size_bytes=len(body) + _MSG_ENVELOPE_BYTES,
+            size_bytes=len(body) + ENVELOPE_BYTES,
         )
         resp = yield from self.call("ServerInterface", downstream)
         return resp
@@ -816,15 +814,17 @@ class MailClientComponent(RuntimeComponent):
         resp = yield from self.call("ServerInterface", downstream)
         if not resp.ok:
             return resp
-        ring = self._ring(user)
-        bodies = []
-        for msg in resp.payload.get("messages", ()):
+        messages = resp.payload.get("messages", [])
+        keys = self._ring(user).level_keys()  # once per fetch, not per message
+        bodies: List[Optional[bytes]] = []
+        for msg in messages:
+            key = keys.get(msg.sensitivity)
             try:
-                bodies.append(decrypt(ring.key_for(msg.sensitivity), msg.body))
+                bodies.append(None if key is None else decrypt(key, msg.body))
             except CryptoError:
-                bodies.append(None)  # key not held at this level
+                bodies.append(None)  # not encrypted under this user's key
         return ServiceResponse(
-            payload={"messages": resp.payload.get("messages", []), "bodies": bodies},
+            payload={"messages": messages, "bodies": bodies},
             size_bytes=resp.size_bytes,
         )
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "derive_key",
@@ -83,16 +83,19 @@ def _key_check(key: Tuple[int, int, int, int]) -> bytes:
     return hashlib.sha256(struct.pack(">4I", *key)).digest()[:4]
 
 
+# Whole-message transforms unpack and pack every 32-bit word in one
+# struct call and walk word pairs; the block cache sees the same
+# (v0, v1, key) lookups a per-block unpack would make.
 @lru_cache(maxsize=4096)
 def _encrypt_cached(key: Tuple[int, int, int, int], plaintext: bytes) -> bytes:
     header = _key_check(key) + struct.pack(">Q", len(plaintext))
     padded = plaintext + b"\x00" * (-len(plaintext) % 8)
-    out = bytearray(header)
-    for i in range(0, len(padded), 8):
-        v0, v1 = struct.unpack(">2I", padded[i : i + 8])
-        e0, e1 = _encipher_block(v0, v1, key)
-        out += struct.pack(">2I", e0, e1)
-    return bytes(out)
+    n_words = len(padded) // 4
+    words = iter(struct.unpack(f">{n_words}I", padded))
+    out: List[int] = []
+    for v0, v1 in zip(words, words):
+        out += _encipher_block(v0, v1, key)
+    return header + struct.pack(f">{n_words}I", *out)
 
 
 @lru_cache(maxsize=4096)
@@ -105,12 +108,12 @@ def _decrypt_cached(key: Tuple[int, int, int, int], ciphertext: bytes) -> bytes:
     body = ciphertext[12:]
     if len(body) % 8 != 0 or length > len(body):
         raise CryptoError("corrupted ciphertext")
-    out = bytearray()
-    for i in range(0, len(body), 8):
-        v0, v1 = struct.unpack(">2I", body[i : i + 8])
-        d0, d1 = _decipher_block(v0, v1, key)
-        out += struct.pack(">2I", d0, d1)
-    return bytes(out[:length])
+    n_words = len(body) // 4
+    words = iter(struct.unpack(f">{n_words}I", body))
+    out: List[int] = []
+    for v0, v1 in zip(words, words):
+        out += _decipher_block(v0, v1, key)
+    return struct.pack(f">{n_words}I", *out)[:length]
 
 
 def encrypt(key: Tuple[int, int, int, int], plaintext: bytes) -> bytes:
@@ -150,6 +153,11 @@ class KeyRing:
 
     def levels(self) -> Tuple[int, ...]:
         return tuple(sorted(self._keys))
+
+    def level_keys(self) -> Dict[int, Tuple[int, int, int, int]]:
+        """Every held ``level -> key`` at once, for a caller about to
+        decrypt a whole fetch (a level not held is simply absent)."""
+        return dict(self._keys)
 
     def subset(self, max_level: int) -> "KeyRing":
         """The keys a node trusted to ``max_level`` may hold."""

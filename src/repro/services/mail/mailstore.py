@@ -15,9 +15,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["StoredMessage", "Mailbox", "MailStore", "MailStoreError"]
+__all__ = [
+    "StoredMessage",
+    "Mailbox",
+    "MailStore",
+    "MailStoreError",
+    "ENVELOPE_BYTES",
+    "total_size_bytes",
+]
+
+#: headers/envelope estimate added to a body's length for transfer sizes
+ENVELOPE_BYTES = 96
 
 _message_ids = itertools.count(1)
 
@@ -40,9 +50,26 @@ class StoredMessage:
         if not 1 <= self.sensitivity <= 5:
             raise MailStoreError(f"sensitivity out of range: {self.sensitivity}")
 
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Constructor + field tuple: pickle stays in C (the slotted-
+        # dataclass default walks ``dataclasses.fields()`` per object in
+        # each direction), ``__post_init__`` validates on arrival, and
+        # the id passed through means loading never draws a fresh one.
+        return (
+            self.__class__,
+            (self.sender, self.recipient, self.sensitivity, self.body, self.msg_id),
+        )
+
     @property
     def size_bytes(self) -> int:
-        return len(self.body) + 96  # headers/envelope estimate
+        return len(self.body) + ENVELOPE_BYTES
+
+
+def total_size_bytes(messages: Sequence[StoredMessage]) -> int:
+    """``sum(m.size_bytes for m in messages)`` without a generator
+    resume and a property call per message (fetch responses are sized
+    on every receive)."""
+    return sum([len(m.body) for m in messages]) + ENVELOPE_BYTES * len(messages)
 
 
 @dataclass
@@ -52,12 +79,26 @@ class Mailbox:
     ``inbox`` and ``sent`` always exist; users may add custom folders
     and move messages between them ("traditional mail functionality —
     user accounts, folders, contact lists", §2).
+
+    ``ids`` indexes the whole mailbox: a message is in some folder iff
+    its id is in ``ids``.  Messages enter through :meth:`file` only and
+    never leave (a move changes the folder, not the mailbox), so the
+    invariant needs no other upkeep.
     """
 
     folders: Dict[str, List[StoredMessage]] = field(
         default_factory=lambda: {"inbox": [], "sent": []}
     )
     contacts: List[str] = field(default_factory=list)
+    ids: Set[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.ids = {msg.msg_id for folder in self.folders.values() for msg in folder}
+
+    def file(self, folder: str, message: StoredMessage) -> None:
+        """Append ``message`` to ``folder`` and index it."""
+        self.folders[folder].append(message)
+        self.ids.add(message.msg_id)
 
     @property
     def inbox(self) -> List[StoredMessage]:
@@ -144,7 +185,7 @@ class MailStore:
                     if folder is target:
                         return msg
                     folder.pop(i)
-                    target.append(msg)
+                    target.append(msg)  # same mailbox: ``ids`` is unaffected
                     return msg
         raise MailStoreError(f"{user!r} has no message {msg_id}")
 
@@ -159,10 +200,34 @@ class MailStore:
                 f"message sensitivity {message.sensitivity} exceeds store bound "
                 f"{self.max_sensitivity}"
             )
-        self.ensure_account(message.recipient).inbox.append(message)
+        self.ensure_account(message.recipient).file("inbox", message)
         if self.has_account(message.sender):
-            self.mailbox(message.sender).sent.append(message)
+            self.mailbox(message.sender).file("sent", message)
         self.messages_stored += 1
+
+    def holds(self, user: str, msg_id: int) -> bool:
+        """Is ``msg_id`` in any of ``user``'s folders?"""
+        box = self._accounts.get(user)
+        return box is not None and msg_id in box.ids
+
+    def absorb(self, user: str, messages: Iterable[StoredMessage]) -> None:
+        """Merge messages fetched from upstream into ``user``'s inbox.
+
+        A view's miss path: messages above this store's bound are
+        skipped, and so is any message the mailbox already holds *in any
+        folder* — one the user moved out of the inbox must not come back.
+        One set probe per message; not counted in ``messages_stored``
+        (nothing new entered the service).
+        """
+        bound = self.max_sensitivity
+        box: Optional[Mailbox] = None
+        for message in messages:
+            if bound is not None and message.sensitivity > bound:
+                continue
+            if box is None:
+                box = self.ensure_account(user)
+            if message.msg_id not in box.ids:
+                box.file("inbox", message)
 
     def fetch(
         self,

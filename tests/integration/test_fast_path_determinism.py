@@ -16,6 +16,14 @@ coherence fan-out) and a crypto-cache toggle, with **all of them off**
 original slow paths, including the ones since deleted.  Regenerate
 (only when a simulated result is *meant* to change) with
 ``PYTHONPATH=src python tests/integration/test_fast_path_determinism.py``.
+
+``golden/ds500_reads_signature.json`` pins the *read* path the same way
+(3 clients x 60 sends + 60 receives, the workload's default 20% remote
+probes, so view hits, miss-path merges of messages the primary really
+holds, and relayed fetch responses all run).
+It was recorded at commit ``a4770c4``, before the mailbox id index and
+the wire types' ``__reduce__`` replaced the per-message id-set rebuild
+and reflective pickling.
 """
 
 from __future__ import annotations
@@ -33,9 +41,14 @@ from repro.obs import Observability
 from repro.services.mail import WorkloadConfig, mail_workload
 
 GOLDEN = Path(__file__).parent / "golden" / "ds500_signature.json"
+READS_GOLDEN = Path(__file__).parent / "golden" / "ds500_reads_signature.json"
 
 N_CLIENTS = 3
 N_SENDS = 120  # x cluster_size 10 = 3600 units: crosses the count:500 policy
+#: the read-heavy shape.  60 sends, not fewer: a replica must cross
+#: count:500 (at its 50th send) or the primary stays empty and every
+#: miss-path merge merges nothing.
+READS = dict(n_sends=60, n_receives=60)
 
 #: a chaos schedule over the San Diego leg: delay windows during the
 #: steady state (drops would hang workload sends forever — the scenario
@@ -47,7 +60,13 @@ CHAOS = [
 ]
 
 
-def _run(scenario_name: str, fault_specs=None, **testbed_kwargs):
+def _run(
+    scenario_name: str,
+    fault_specs=None,
+    n_sends: int = N_SENDS,
+    n_receives: int = 5,
+    **testbed_kwargs,
+):
     """One DS-style scenario run; returns ``(runtime, proxies, procs)``."""
     scenario = SCENARIOS[scenario_name]
     testbed = build_mail_testbed(
@@ -64,8 +83,8 @@ def _run(scenario_name: str, fault_specs=None, **testbed_kwargs):
         cfg = WorkloadConfig(
             user=users[i],
             peers=[u for u in users if u != users[i]] or [users[i]],
-            n_sends=N_SENDS,
-            n_receives=5,
+            n_sends=n_sends,
+            n_receives=n_receives,
             max_sensitivity=site_trust,
             seed=i,
         )
@@ -78,9 +97,9 @@ def _run(scenario_name: str, fault_specs=None, **testbed_kwargs):
     return runtime, proxies, procs
 
 
-def _run_mail(scenario_name: str, fault_specs=None, **testbed_kwargs):
+def _run_mail(scenario_name: str, fault_specs=None, **run_kwargs):
     """One DS-style scenario run, returning a full determinism signature."""
-    runtime, _proxies, procs = _run(scenario_name, fault_specs, **testbed_kwargs)
+    runtime, _proxies, procs = _run(scenario_name, fault_specs, **run_kwargs)
     return _signature(runtime, procs)
 
 
@@ -119,8 +138,8 @@ def _as_json(signature):
     return json.loads(json.dumps(signature))
 
 
-def _golden(key: str):
-    return json.loads(GOLDEN.read_text())[key]
+def _golden(key: str, path: Path = GOLDEN):
+    return json.loads(path.read_text())[key]
 
 
 #: what selects each surviving path -> the Observability that does it
@@ -158,15 +177,25 @@ def test_chaos_run_matches_golden():
     assert signature != _golden("plain")
 
 
+@pytest.mark.parametrize("arm, fault_specs", [("plain", None), ("chaos", CHAOS)])
+def test_read_path_matches_golden(arm, fault_specs):
+    """60 receives per client: view hits, miss-path merges into the
+    view's store, and fetch responses pickled across the relay."""
+    signature = _as_json(_run_mail("DS500", fault_specs=fault_specs, **READS))
+    assert all(len(r) == READS["n_receives"] for r in signature["receive_latencies"])
+    assert signature == _golden(arm, READS_GOLDEN)
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps(
-            {
-                "plain": _run_mail("DS500"),
-                "chaos": _run_mail("DS500", fault_specs=CHAOS),
-            },
-            indent=1,
+    for path, run_kwargs in ((GOLDEN, {}), (READS_GOLDEN, READS)):
+        path.write_text(
+            json.dumps(
+                {
+                    "plain": _run_mail("DS500", **run_kwargs),
+                    "chaos": _run_mail("DS500", fault_specs=CHAOS, **run_kwargs),
+                },
+                indent=1,
+            )
+            + "\n"
         )
-        + "\n"
-    )
-    print(f"wrote {GOLDEN}")
+        print(f"wrote {path}")

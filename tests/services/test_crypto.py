@@ -1,5 +1,7 @@
 """Tests for the toy XTEA crypto and keyrings."""
 
+import hashlib
+
 import pytest
 
 from repro.services.mail import (
@@ -16,6 +18,31 @@ def test_roundtrip():
     key = derive_key("k")
     for plaintext in (b"", b"x", b"hello world", b"a" * 1000, bytes(range(256))):
         assert decrypt(key, encrypt(key, plaintext)) == plaintext
+
+
+#: ciphertexts of ``bytes(i % 251 for i in range(n))`` under
+#: ``derive_key("vector", "k")``, recorded at commit a4770c4 (one
+#: struct call per 8-byte block) — hex below 10 bytes, sha256 above.
+#: 0/1/7/8/9 straddle the padding boundary; 1200 is many blocks.
+RECORDED_VECTORS = {
+    0: "ab7d98bc0000000000000000",
+    1: "ab7d98bc00000000000000013b0ab3bff979a432",
+    7: "ab7d98bc0000000000000007b2b29372e854ed69",
+    8: "ab7d98bc0000000000000008470e213e8ad69678",
+    9: "ab7d98bc0000000000000009470e213e8ad696786797e160896208c2",
+    1200: "7a907b6bac11f7835686d2774fa93799e2c5c17268c1f22439f85524c12a553c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(RECORDED_VECTORS))
+def test_recorded_vectors(n):
+    key = derive_key("vector", "k")
+    plaintext = bytes(i % 251 for i in range(n))
+    ct = encrypt(key, plaintext)
+    assert len(ct) == n + (-n % 8) + CIPHER_OVERHEAD_BYTES
+    digest = ct.hex() if n < 10 else hashlib.sha256(ct).hexdigest()
+    assert digest == RECORDED_VECTORS[n]
+    assert decrypt(key, ct) == plaintext
 
 
 def test_ciphertext_differs_from_plaintext():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.services.mail import MailStore, MailStoreError, StoredMessage
+from repro.services.mail.mailstore import total_size_bytes
 
 
 def msg(sender="Alice", recipient="Bob", sensitivity=2, body=b"x"):
@@ -18,6 +19,12 @@ def test_store_and_fetch():
     assert store.fetch("Bob") == [m]
     assert store.mailbox("Alice").sent == [m]
     assert store.inbox_size("Bob") == 1
+
+
+def test_total_size_is_the_sum_of_message_sizes():
+    batch = [msg(body=b"x" * n) for n in (0, 1, 264, 1200)]
+    assert total_size_bytes(batch) == sum(m.size_bytes for m in batch)
+    assert total_size_bytes([]) == 0
 
 
 def test_store_creates_recipient_account_lazily():
