@@ -668,6 +668,7 @@ def cmd_parallel_sim(args: argparse.Namespace) -> int:
         f"events={result.total_events} wall={result.wall_s:.3f}s "
         f"({result.events_per_sec:,.0f} events/s)"
     )
+    log.info(f"parallel-sim: sync {result.sync_summary()}")
     log.info(f"parallel-sim: counters={counters}")
     log.info(f"parallel-sim: signature={result.signature()[:16]}")
 

@@ -46,11 +46,12 @@ class Simulator:
     emits a ``sim.dispatch`` point event (``event=repr(event)``) through
     the tracer.
 
-    :meth:`run` and :meth:`run_until_complete` pick their dispatch loop
-    from that observability state: a tight inlined loop when nothing
-    watches individual events, the instrumented :meth:`step` loop when
-    the event counter (metrics on) or ``sim.dispatch`` capture needs a
-    hook per event.  Both dispatch the same events in the same order.
+    :meth:`run` and :meth:`run_until_complete` dispatch through a tight
+    inlined loop unless ``sim.dispatch`` capture needs a hook per event,
+    in which case they go through :meth:`step`.  Both dispatch the same
+    events in the same order; the tight loop counts its dispatches in a
+    local and adds them to ``sim.events_dispatched`` once, on the way
+    out (also when a callback raises).
     """
 
     def __init__(
@@ -70,8 +71,6 @@ class Simulator:
         self.obs = resolve_obs(obs)
         if self.obs.tracer.enabled:
             self.obs.tracer.bind_sim_clock(lambda: self._now)
-        # Dispatch-loop metric handles, resolved once: the step() loop
-        # is the hottest path in the repository.
         self._evt_counter = (
             self.obs.metrics.counter("sim.events_dispatched")
             if self.obs.metrics.enabled
@@ -80,9 +79,6 @@ class Simulator:
         self._capture_events = (
             self.obs.capture_sim_events and self.obs.tracer.enabled
         )
-        #: the tight loop is only legal when no per-event observer
-        #: (event counter, sim.dispatch capture) needs a hook inside it.
-        self._fast = self._evt_counter is None and not self._capture_events
 
     # -- clock ------------------------------------------------------------
     @property
@@ -191,12 +187,16 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
+        dispatched = 0
         try:
-            if self._fast:
-                # Tight-loop variant of the while-step() below: same pop,
-                # same monotonicity check, same dispatch — minus the
-                # per-event method call and observer branches, which the
-                # constructor established nobody is watching.
+            if self._capture_events:
+                while self._heap and (until is None or self._heap[0][0] < until):
+                    self.step()
+            else:
+                # Tight-loop variant of the while-step() above: same pop,
+                # same monotonicity check, same dispatch, minus the
+                # per-event method calls; the event counter is settled
+                # once, in the finally below.
                 heap = self._heap
                 pop = heapq.heappop
                 while heap and (until is None or heap[0][0] < until):
@@ -206,18 +206,18 @@ class Simulator:
                             "event list corrupted: time went backwards"
                         )
                     self._now = when
+                    dispatched += 1
                     callbacks = event.callbacks
                     event.callbacks = None
                     if callbacks:
                         for fn in callbacks:
                             fn(event)
-            else:
-                while self._heap and (until is None or self._heap[0][0] < until):
-                    self.step()
             if until is not None and until > self._now:
                 self._now = until
         finally:
             self._running = False
+            if dispatched and self._evt_counter is not None:
+                self._evt_counter.inc(dispatched)
         return self._now
 
     def run_until_complete(self, proc: Process, limit: float = float("inf")) -> Any:
@@ -228,10 +228,12 @@ class Simulator:
         this, a chaos-test stack trace says *what* broke but not *who*
         or *when* on the virtual clock.
         """
-        if self._fast:
-            heap = self._heap
-            pop = heapq.heappop
-            while not proc.triggered:
+        heap = self._heap
+        pop = heapq.heappop
+        capture = self._capture_events
+        dispatched = 0
+        try:
+            while not proc._triggered:
                 if not heap:
                     raise SimulationError(
                         f"deadlock: event list empty but {proc!r} not finished"
@@ -240,25 +242,24 @@ class Simulator:
                     raise SimulationError(
                         f"time limit {limit} exceeded waiting on {proc!r}"
                     )
+                if capture:
+                    self.step()
+                    continue
                 when, _origin, _seq, event = pop(heap)
                 if when < self._now:
                     raise SimulationError(
                         "event list corrupted: time went backwards"
                     )
                 self._now = when
+                dispatched += 1
                 callbacks = event.callbacks
                 event.callbacks = None
                 if callbacks:
                     for fn in callbacks:
                         fn(event)
-        while not proc.triggered:
-            if not self._heap:
-                raise SimulationError(
-                    f"deadlock: event list empty but {proc!r} not finished"
-                )
-            if self._heap[0][0] > limit:
-                raise SimulationError(f"time limit {limit} exceeded waiting on {proc!r}")
-            self.step()
+        finally:
+            if dispatched and self._evt_counter is not None:
+                self._evt_counter.inc(dispatched)
         if proc.failed:
             exc = proc.value
             failed_in = getattr(exc, "failed_process", proc.name)

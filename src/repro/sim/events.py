@@ -12,6 +12,7 @@ avoid any per-event allocation beyond the callback list.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, List, Optional
 
 __all__ = [
@@ -88,7 +89,11 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._triggered = True
         self._value = value
-        self.sim._queue_event(self)
+        # Simulator._queue_event inlined: succeed runs once per resource
+        # grant and per finished process.
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim._now, sim._origin, seq, self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -126,11 +131,16 @@ class Timeout(Event):
     def __init__(self, sim: Any, delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        self._triggered = True  # scheduled immediately, fires later
+        # Event.__init__ and Simulator._schedule inlined: a timeout is
+        # built for every service time, serialization and link latency.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule(sim.now + delay, self)
+        self._triggered = True  # scheduled immediately, fires later
+        self._failed = False
+        self.delay = delay
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim._now + delay, sim._origin, seq, self))
 
 
 class Injected(Event):

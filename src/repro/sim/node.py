@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Optional
 
 from .engine import Simulator
-from .events import Event, NodeDownError
+from .events import Event, NodeDownError, Timeout
 from .resources import Monitor, Resource
 
 __all__ = ["SimNode"]
@@ -92,15 +92,16 @@ class SimNode:
         """
         if not self.up:
             raise NodeDownError(f"node {self.name} is down")
-        start = self.sim.now
+        sim = self.sim
+        start = sim._now
         yield self.cpu.request()
         try:
-            yield self.sim.timeout(self.service_time_ms(cpu_work))
+            yield Timeout(sim, self.service_time_ms(cpu_work))
         finally:
             self.cpu.release()
         if not self.up:
             raise NodeDownError(f"node {self.name} crashed during execution")
-        self.stats.observe(self.sim.now - start)
+        self.stats.observe(sim._now - start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimNode {self.name} cap={self.cpu_capacity} installed={len(self.installed)}>"

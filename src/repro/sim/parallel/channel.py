@@ -11,9 +11,9 @@ kinds of items per directed partition pair:
   below ``clock``", from which the receiver derives the channel
   guarantee ``clock + lookahead``.
 
-Both are plain named tuples so they cross ``multiprocessing`` queue
-boundaries with minimal pickling cost, and the in-process (workers=1)
-router can hand them over without any translation.
+Both are plain named tuples so they cross process boundaries with
+minimal pickling cost, and the in-process (workers=1) router can hand
+them over without any translation.
 """
 
 from __future__ import annotations

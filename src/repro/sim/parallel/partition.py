@@ -154,6 +154,63 @@ class PartitionPlan:
                 )
         return sub
 
+    def placement(self, n_workers: int) -> List[List[int]]:
+        """Which ranks share a worker process, as sorted rank lists
+        ordered by their lowest rank.
+
+        Worker count never changes a result, only which channels cross
+        a process boundary — and a cross-process channel costs wall time
+        in proportion to how often its ends must hear from each other,
+        i.e. inversely to its lookahead.  So the tightest channels are
+        kept in-process: repeatedly co-locate the two groups joined by
+        the smallest lookahead (ties: fewer nodes in the merged group,
+        then lowest ranks), never letting a group outgrow round-robin's
+        ``ceil(P / W)`` or the groups stop fitting on ``W`` workers.
+        Whatever is still separate when no channel can be merged is
+        packed largest group first onto the least-loaded worker, so no
+        worker is left empty.  A function of the plan alone.
+        """
+        n_workers = max(1, min(n_workers, len(self)))
+        cap = -(-len(self) // n_workers)
+
+        def pack(groups: List[List[int]]) -> List[List[int]]:
+            workers: List[List[int]] = [[] for _ in range(n_workers)]
+            for group in sorted(groups, key=lambda g: (-len(g), g)):
+                min(workers, key=len).extend(group)
+            return sorted(sorted(ranks) for ranks in workers)
+
+        def lookahead(a: List[int], b: List[int]) -> float:
+            return min(
+                self.lookahead_ms.get(pair, float("inf"))
+                for x in a
+                for y in b
+                for pair in ((x, y), (y, x))
+            )
+
+        def weight(group: List[int]) -> int:
+            return sum(len(self.partitions[rank].nodes) for rank in group)
+
+        groups = [[rank] for rank in range(len(self))]
+        packed = pack(groups)
+        while len(groups) > n_workers:
+            joined = sorted(
+                (look, weight(a + b), sorted(a + b), i, j)
+                for i, a in enumerate(groups)
+                for j, b in enumerate(groups[:i])
+                if len(a) + len(b) <= cap
+                and (look := lookahead(a, b)) < float("inf")
+            )
+            for _look, _weight, merged, i, j in joined:
+                trial = [g for k, g in enumerate(groups) if k not in (i, j)]
+                trial.append(merged)
+                workers = pack(trial)
+                if max(map(len, workers)) <= cap:
+                    groups, packed = trial, workers
+                    break
+            else:
+                break
+        return packed
+
     def describe(self) -> List[str]:
         """Human-readable plan summary, one line per partition."""
         lines = [f"method={self.method} min_lookahead={self.min_lookahead_ms}ms"]

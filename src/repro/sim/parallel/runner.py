@@ -14,9 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import socket
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..events import SimulationError
 from .lp import LogicalProcess, PartitionContext
@@ -47,6 +48,17 @@ class ParallelRunResult:
     min_lookahead_ms: float
     partitions: Dict[str, Dict[str, Any]]
     wall_s: float = 0.0
+    #: which ranks shared a worker process, one sorted list per worker.
+    placement: List[List[int]] = field(default_factory=list)
+    #: the tightest channel that crossed a process boundary (None when
+    #: none did) — what the workers' blocking waits are paced by.
+    min_cross_worker_lookahead_ms: Optional[float] = None
+    #: one row of synchronization counters per worker, in worker order:
+    #: hosted ranks, drive rounds, blocking waits and the wall seconds
+    #: spent in them, adverts, batches and bytes sent, and the worker's
+    #: thread count when its drive loop returned.  Wall-side facts, so
+    #: never part of the signature.
+    sync: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def total_events(self) -> int:
@@ -94,8 +106,26 @@ class ParallelRunResult:
             "events_per_sec": round(self.events_per_sec, 1),
             "wall_s": round(self.wall_s, 4),
             "signature": self.signature(),
+            "placement": self.placement,
+            "min_cross_worker_lookahead_ms": self.min_cross_worker_lookahead_ms,
+            "sync": self.sync,
             "partitions": self.partitions,
         }
+
+    def sync_summary(self) -> str:
+        """The ``sync`` block on one line."""
+        workers = "; ".join(
+            f"ranks {row['ranks']}: {row['rounds']} rounds, "
+            f"{row['blocking_waits']} waits ({row['blocked_s']:.3f}s), "
+            f"{row['batches_sent']} batches ({row['bytes_sent']} B), "
+            f"{row['threads_at_exit']} thread(s)"
+            for row in self.sync
+        )
+        look = self.min_cross_worker_lookahead_ms
+        crossing = "nothing crosses workers" if look is None else (
+            f"cross-worker lookahead={look}ms"
+        )
+        return f"placement={self.placement} {crossing} | {workers}"
 
 
 def _mp_context():
@@ -135,32 +165,57 @@ def run_parallel(
         raise SimulationError(f"workers must be >= 1, got {workers}")
     if plan is None:
         plan = partition_network(network, credential=credential)
-    n_parts = len(plan)
-    n_workers = max(1, min(workers, n_parts))
+    return _run_placed(
+        plan, network, program, config, until, plan.placement(workers),
+        workers_requested=workers, deadlock_timeout_s=deadlock_timeout_s,
+    )
 
+
+def _run_placed(
+    plan: PartitionPlan,
+    network: Any,
+    program: Callable,
+    config: Any,
+    until: float,
+    placement: List[List[int]],
+    workers_requested: Optional[int] = None,
+    deadlock_timeout_s: float = DEADLOCK_TIMEOUT_S,
+) -> ParallelRunResult:
+    """Run with partition rank ``r`` hosted by worker ``w`` for every
+    ``r in placement[w]``.  Placement is invisible to results — it only
+    decides which channel traffic crosses a process boundary versus
+    staying in-process — so tests pass their own here to pin that."""
     start = time.perf_counter()
-    if n_workers == 1:
+    if len(placement) == 1:
         lps = {
             rank: LogicalProcess(plan, rank, network, program, config, until)
-            for rank in range(n_parts)
+            for rank in placement[0]
         }
-        drive(lps, InlineRouter(lps), deadlock_timeout_s)
+        sync = [drive(lps, InlineRouter(lps), deadlock_timeout_s)]
         results = {rank: lp.result() for rank, lp in lps.items()}
     else:
-        results = _run_multiprocess(
-            plan, network, program, config, until, n_workers,
-            deadlock_timeout_s=deadlock_timeout_s,
+        results, sync = _run_multiprocess(
+            plan, network, program, config, until, placement, deadlock_timeout_s
         )
     wall = time.perf_counter() - start
 
+    worker_of = {rank: w for w, ranks in enumerate(placement) for rank in ranks}
+    crossing = [
+        look
+        for (src, dst), look in plan.lookahead_ms.items()
+        if worker_of[src] != worker_of[dst]
+    ]
     return ParallelRunResult(
-        workers_requested=workers,
-        workers_used=n_workers,
+        workers_requested=workers_requested or len(placement),
+        workers_used=len(placement),
         until_ms=float(until),
         method=plan.method,
         min_lookahead_ms=plan.min_lookahead_ms,
         partitions={r["partition"]: r for r in results.values()},
         wall_s=wall,
+        placement=placement,
+        min_cross_worker_lookahead_ms=min(crossing, default=None),
+        sync=sync,
     )
 
 
@@ -170,54 +225,101 @@ def _run_multiprocess(
     program: Callable,
     config: Any,
     until: float,
-    n_workers: int,
-    deadlock_timeout_s: float = DEADLOCK_TIMEOUT_S,
-) -> Dict[int, Dict[str, Any]]:
-    ctx = _mp_context()
-    # Round-robin placement: partition rank r lives on worker r % N.
-    # Placement is invisible to results — it only decides which channel
-    # traffic crosses a process boundary versus staying in-process.
-    worker_of = {rank: rank % n_workers for rank in range(len(plan))}
-    ranks_of: Dict[int, List[int]] = {w: [] for w in range(n_workers)}
-    for rank, w in worker_of.items():
-        ranks_of[w].append(rank)
+    placement: List[List[int]],
+    deadlock_timeout_s: float,
+) -> Tuple[Dict[int, Dict[str, Any]], List[Dict[str, Any]]]:
+    # Imported here, as multiprocessing itself does for Pipe(): only a
+    # multi-process run pays for loading it.
+    from multiprocessing.connection import wait
 
-    inboxes = {w: ctx.Queue() for w in range(n_workers)}
-    result_queue = ctx.Queue()
-    procs = []
+    ctx = _mp_context()
+    n_workers = len(placement)
+    # One duplex socket per pair of workers, one result pipe per worker.
+    sockets: Dict[int, Dict[int, socket.socket]] = {w: {} for w in range(n_workers)}
+    for a in range(n_workers):
+        for b in range(a + 1, n_workers):
+            sockets[a][b], sockets[b][a] = socket.socketpair()
+    readers, writers = {}, {}
     for w in range(n_workers):
-        peer_inboxes = {pw: q for pw, q in inboxes.items() if pw != w}
-        proc = ctx.Process(
+        readers[w], writers[w] = ctx.Pipe(duplex=False)
+    procs = {
+        w: ctx.Process(
             target=worker_main,
             args=(
-                w, ranks_of[w], plan, network, program, config, until,
-                worker_of, inboxes[w], peer_inboxes, result_queue,
-                deadlock_timeout_s,
+                w, plan, network, program, config, until, placement,
+                sockets, writers, deadlock_timeout_s,
             ),
             name=f"pdes-worker-{w}",
             daemon=True,
         )
-        proc.start()
-        procs.append(proc)
-
+        for w in range(n_workers)
+    }
     results: Dict[int, Dict[str, Any]] = {}
-    failure: Optional[str] = None
+    sync: Dict[int, Dict[str, Any]] = {}
+    died: List[str] = []
+    failed: List[str] = []
+    waiting = set(range(n_workers))
+    timeout = RESULT_TIMEOUT_S
     try:
-        for _ in range(n_workers):
-            worker_id, status, payload = result_queue.get(timeout=RESULT_TIMEOUT_S)
-            if status == "error":
-                failure = f"worker {worker_id} failed:\n{payload}"
+        try:
+            for proc in procs.values():
+                proc.start()
+        finally:
+            # The workers hold their ends now; ours would only mask an EOF.
+            for ends in sockets.values():
+                for sock in ends.values():
+                    sock.close()
+            for pipe in writers.values():
+                pipe.close()
+        while waiting and not died:
+            # A result, or the death of a worker that has posted none:
+            # whichever comes first.
+            ready = wait(
+                [readers[w] for w in waiting]
+                + [procs[w].sentinel for w in waiting],
+                timeout=timeout,
+            )
+            if not ready:
                 break
-            results.update(payload)
-    except Exception as exc:  # queue.Empty or a dead coordinator pipe
-        failure = f"coordinator timed out collecting results: {exc!r}"
+            for w in sorted(waiting):
+                if readers[w] not in ready and procs[w].sentinel not in ready:
+                    continue
+                waiting.discard(w)
+                try:
+                    # a dead worker's pipe reads EOF, unless it posted
+                    # its result on the way out
+                    status, payload = readers[w].recv()
+                except (EOFError, OSError):
+                    procs[w].join(timeout=5.0)
+                    died.append(
+                        f"worker {w} (ranks {placement[w]}) died with exit "
+                        f"code {procs[w].exitcode} before posting a result"
+                    )
+                    continue
+                if status == "error":
+                    failed.append(f"worker {w} failed:\n{payload}")
+                    # It may have failed because a peer died under it:
+                    # give that peer's sentinel a moment to say so.
+                    timeout = 1.0
+                else:
+                    results.update(payload[0])
+                    sync[w] = payload[1]
+        failure = "\n".join(died + failed)
+        if waiting and not failure:
+            failure = (
+                f"coordinator timed out after {RESULT_TIMEOUT_S:.0f}s "
+                f"waiting on workers {sorted(waiting)}"
+            )
     finally:
-        if failure is not None:
-            for proc in procs:
+        started = [proc for proc in procs.values() if proc.pid is not None]
+        if waiting or died or failed:
+            for proc in started:
                 if proc.is_alive():
                     proc.terminate()
-        for proc in procs:
+        for proc in started:
             proc.join(timeout=30.0)
-    if failure is not None:
+        for pipe in readers.values():
+            pipe.close()
+    if failure:
         raise SimulationError(failure)
-    return results
+    return results, [sync[w] for w in range(n_workers)]

@@ -74,10 +74,12 @@ class Process(Event):
 
     # -- kernel plumbing --------------------------------------------------
     def _resume(self, by: Event) -> None:
-        if self.triggered:
+        # Slot reads, not the triggered/failed/value properties: this
+        # runs once per dispatched event.
+        if self._triggered:
             return
-        if by.failed:
-            self._throw(by.value)
+        if by._failed:
+            self._throw(by._value)
             return
         # Inlined _step(lambda: generator.send(...)): _resume runs once
         # per dispatched event, and the closure allocation plus the extra
@@ -85,7 +87,7 @@ class Process(Event):
         # exception paths in lockstep with _step below.
         self._waiting_on = None
         try:
-            target = self.generator.send(by.value)
+            target = self.generator.send(by._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -103,7 +105,12 @@ class Process(Event):
                 f"process {self.name!r} yielded {target!r}; processes must yield Events"
             )
         self._waiting_on = target
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is None:
+            # Already dispatched: add_callback schedules the wake-up.
+            target.add_callback(self._resume)
+        else:
+            callbacks.append(self._resume)
 
     def _throw(self, exc: BaseException) -> None:
         if self.triggered:

@@ -76,10 +76,16 @@ class Resource:
 
     def request(self) -> Event:
         """Event that triggers when a slot is granted to the caller."""
-        ev = self.sim.event()
-        if self._in_use < self.capacity:
-            self._account()
-            self._in_use += 1
+        sim = self.sim
+        ev = Event(sim)
+        in_use = self._in_use
+        if in_use < self.capacity:
+            # _account() inlined, here and in release(): a slot changes
+            # hands twice per CPU job and per link hop.
+            now = sim._now
+            self._busy_area += in_use * (now - self._last_change)
+            self._last_change = now
+            self._in_use = in_use + 1
             ev.succeed(self)
         else:
             self._waiters.append(ev)
@@ -87,14 +93,17 @@ class Resource:
 
     def release(self) -> None:
         """Return a slot; wakes the head-of-line waiter if any."""
-        if self._in_use <= 0:
+        in_use = self._in_use
+        if in_use <= 0:
             raise RuntimeError("release() without matching request()")
         if self._waiters:
             # Hand the slot straight to the next waiter (in_use unchanged).
             self._waiters.popleft().succeed(self)
         else:
-            self._account()
-            self._in_use -= 1
+            now = self.sim._now
+            self._busy_area += in_use * (now - self._last_change)
+            self._last_change = now
+            self._in_use = in_use - 1
 
     def acquire(self) -> Generator[Event, Any, None]:
         """Generator helper: ``yield from resource.acquire()``."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional, Tuple
 
 from .engine import Simulator
-from .events import Event, LinkDownError
+from .events import Event, LinkDownError, Timeout
 from .resources import Monitor, Resource
 
 __all__ = ["SimLink", "SimHalfLink", "transfer_time_ms", "LOCALHOST_LINK_ID"]
@@ -112,17 +112,18 @@ class SimLink:
         if not self.up:
             raise LinkDownError(f"link {self.name} is partitioned")
         tx = self._tx[src if src in self._tx else self.a]
-        start = self.sim.now
+        sim = self.sim
+        start = sim._now
         yield tx.request()
         try:
-            yield self.sim.timeout(self.serialization_ms(size_bytes))
+            yield Timeout(sim, self.serialization_ms(size_bytes))
         finally:
             tx.release()
         if not self.up:
             raise LinkDownError(f"link {self.name} partitioned mid-transfer")
-        yield self.sim.timeout(self.latency_ms)
+        yield Timeout(sim, self.latency_ms)
         self.bytes_carried += size_bytes
-        self.stats.observe(self.sim.now - start)
+        self.stats.observe(sim._now - start)
         return payload
 
     def transfer_process(self, src: str, size_bytes: int, payload: Any = None):
@@ -186,7 +187,7 @@ class SimHalfLink:
         ``sim.now + latency_ms``."""
         yield self._tx.request()
         try:
-            yield self.sim.timeout(self.serialization_ms(size_bytes))
+            yield Timeout(self.sim, self.serialization_ms(size_bytes))
         finally:
             self._tx.release()
         self.bytes_carried += size_bytes

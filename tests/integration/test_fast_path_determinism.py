@@ -146,7 +146,7 @@ def _golden(key: str, path: Path = GOLDEN):
 CONDITIONS = {
     # nothing observes: kernel tight loop, proxy fast path
     "default": None,
-    # event counter + per-op histograms: step() loop, instrumented proxy
+    # event counter + per-op histograms: tight loop, instrumented proxy
     "metrics": dict(tracing=False, metrics=True),
     # sim.dispatch capture + spans: step() loop, instrumented proxy
     "tracing": dict(tracing=True, metrics=False, capture_sim_events=True),
@@ -159,7 +159,7 @@ def test_selected_paths_match_golden(condition):
     obs = Observability(**obs_kwargs) if obs_kwargs else None
     tight = obs is None
     runtime, proxies, procs = _run("DS500", obs=obs)
-    assert runtime.sim._fast is tight
+    assert runtime.sim._capture_events is (condition == "tracing")
     assert all(p._fast is tight for p in proxies)
     assert runtime.transport.fault_hook is None  # compiled walk
     if condition == "tracing":

@@ -1,5 +1,7 @@
 """Simulator observability: clock binding, dispatch events."""
 
+import pytest
+
 from repro.obs import Observability
 from repro.sim import Simulator
 
@@ -28,6 +30,61 @@ def test_events_dispatched_counter():
     sim.run()
     count = obs.metrics.counter("sim.events_dispatched").value
     assert count > 0
+
+
+def _dispatches_seen_by_capture(build, drive):
+    """Reference count: the step() loop emits one sim.dispatch per event."""
+    obs = Observability(capture_sim_events=True)
+    sim = Simulator(obs=obs)
+    return _drive(sim, build(sim), drive), len(obs.recorder.events("sim.dispatch"))
+
+
+def _drive(sim, target, drive):
+    try:
+        drive(sim, target)
+    except ZeroDivisionError:
+        return "raised"
+    return "returned"
+
+
+def _boom():
+    1 / 0
+
+
+def _build_two_steps(sim):
+    return sim.process(_two_step_process(sim))
+
+
+def _build_with_raising_callback(sim):
+    proc = sim.process(_two_step_process(sim))
+    sim.call_at(12.0, _boom)  # raises out of the dispatch loop mid-run
+    return proc
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [
+        lambda sim, proc: sim.run(),
+        lambda sim, proc: sim.run(until=12.0),
+        lambda sim, proc: (sim.run(until=4.0), sim.run()),
+        lambda sim, proc: sim.run_until_complete(proc),
+    ],
+    ids=["run", "run-until", "two-runs", "run_until_complete"],
+)
+@pytest.mark.parametrize(
+    "build", [_build_two_steps, _build_with_raising_callback], ids=["clean", "raising"]
+)
+def test_events_dispatched_counter_equals_events_dispatched(build, drive):
+    """The tight loop counts in a local and settles the counter on the
+    way out — also when a callback raises, which still counts the event
+    whose callback raised."""
+    outcome, expected = _dispatches_seen_by_capture(build, drive)
+    obs = Observability(tracing=False, metrics=True)
+    sim = Simulator(obs=obs)
+    assert not sim._capture_events  # the tight loop, not step()
+    assert _drive(sim, build(sim), drive) == outcome
+    assert expected > 0
+    assert obs.metrics.counter("sim.events_dispatched").value == expected
 
 
 def test_capture_sim_events_off_by_default():

@@ -147,10 +147,11 @@ def test_run_until_is_exclusive():
 
 @pytest.mark.parametrize("metrics", [False, True], ids=["plain", "metrics"])
 def test_run_until_in_the_past_leaves_the_clock(metrics):
-    """Tight loop (no obs) and step() loop (event counter on) alike."""
+    """With and without the event counter (both run the tight loop)."""
     obs = Observability(tracing=False, metrics=True) if metrics else None
     sim = Simulator(obs=obs)
-    assert sim._fast is not metrics
+    assert (sim._evt_counter is not None) is metrics
+    assert not sim._capture_events
     sim.timeout(200)  # still pending throughout
     sim.run(until=150)
     assert sim.run(until=50) == 150.0
@@ -295,3 +296,102 @@ def test_deadlock_detection_in_run_until_complete():
     p = sim.process(stuck())
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run_until_complete(p)
+
+
+# -- checks the inlined hot paths must still make -----------------------------
+
+
+def test_timeout_constructed_directly_rejects_negative_delay():
+    """SimNode.execute and SimLink.transfer build Timeout(sim, ...)
+    without going through sim.timeout()."""
+    sim = Simulator()
+    with pytest.raises(ValueError, match="negative timeout delay"):
+        Timeout(sim, -0.5)
+    assert sim.events_scheduled == 0  # rejected before it was scheduled
+
+
+@pytest.mark.parametrize("first", ["succeed", "fail"])
+@pytest.mark.parametrize("second", ["succeed", "fail"])
+def test_every_double_trigger_combination_rejected(first, second):
+    sim = Simulator()
+    ev = sim.event()
+    arg = {"succeed": 1, "fail": RuntimeError("x")}
+    getattr(ev, first)(arg[first])
+    with pytest.raises(SimulationError, match="already triggered"):
+        getattr(ev, second)(arg[second])
+    assert sim.events_scheduled == 1
+
+
+def test_timeout_and_succeed_push_the_kernel_heap_key():
+    """(when, origin, seq, event), seq counting every scheduled event —
+    the key the parallel kernel's merge order is built on."""
+    sim = Simulator(origin=3)
+    sim.run(until=5.0)
+    timeout = sim.timeout(2.5, value="v")
+    manual = sim.event().succeed("w")
+    direct = Timeout(sim, 0.0)
+    assert sorted(sim._heap) == [
+        (5.0, 3, 2, manual),
+        (5.0, 3, 3, direct),
+        (7.5, 3, 1, timeout),
+    ]
+    assert sim.events_scheduled == 3
+    assert timeout.delay == 2.5 and timeout.triggered and not timeout.failed
+    assert timeout.value == "v" and manual.value == "w"
+
+
+@pytest.mark.parametrize("metrics", [False, True], ids=["plain", "metrics"])
+@pytest.mark.parametrize("entry", ["run", "run_until_complete"])
+def test_time_going_backwards_is_detected(entry, metrics):
+    obs = Observability(tracing=False, metrics=True) if metrics else None
+    sim = Simulator(obs=obs)
+
+    def sleeper():
+        yield sim.timeout(10.0)
+        yield sim.timeout(10.0)
+
+    proc = sim.process(sleeper())
+    sim.run(until=15.0)
+    sim._heap.insert(0, (1.0, 0, 99, sim.event()))  # corrupt the event list
+    with pytest.raises(SimulationError, match="time went backwards"):
+        if entry == "run":
+            sim.run()
+        else:
+            sim.run_until_complete(proc)
+    assert sim.now == 15.0
+
+
+def test_yielding_an_already_dispatched_event_resumes_on_the_next_step():
+    """The callbacks list of a dispatched event is None; the process
+    must be woken by a fresh kernel event, not dropped."""
+    sim = Simulator()
+    done = sim.timeout(1.0, value="late")
+    log = []
+
+    def latecomer():
+        yield sim.timeout(5.0)
+        assert done.callbacks is None  # dispatched long ago
+        before = sim.events_scheduled
+        value = yield done
+        log.append((sim.now, value, sim.events_scheduled - before))
+
+    sim.process(latecomer())
+    sim.run()
+    assert log == [(5.0, "late", 1)]  # same instant, one wake-up event
+
+
+def test_failed_event_is_thrown_into_the_waiter():
+    sim = Simulator()
+    ev = sim.event()
+    caught = []
+
+    def waiter():
+        try:
+            yield ev
+        except KeyError as exc:
+            caught.append(exc.args)
+
+    sim.process(waiter())
+    sim.call_at(3.0, lambda: ev.fail(KeyError("gone")))
+    sim.run()
+    assert caught == [("gone",)]

@@ -13,6 +13,12 @@ Three layers of assurance:
    paper (think + serialization + latency per hop).
 """
 
+import multiprocessing
+import os
+import random
+import socket
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -20,8 +26,16 @@ import pytest
 from repro.experiments.topology_fig5 import build_fig5_network
 from repro.network import Network
 from repro.sim import Injected, SimulationError, Simulator
-from repro.sim.parallel import TrafficConfig, run_parallel, site_traffic_program
-from repro.sim.parallel.worker import InlineRouter, drive
+from repro.sim.parallel import (
+    Advert,
+    RemoteMessage,
+    TrafficConfig,
+    partition_network,
+    run_parallel,
+    site_traffic_program,
+)
+from repro.sim.parallel.runner import _run_placed
+from repro.sim.parallel.worker import InlineRouter, SocketRouter, drive
 
 
 # -- engine tiebreaker ----------------------------------------------------
@@ -258,3 +272,244 @@ def test_run_parallel_forwards_deadlock_timeout():
         workers=1, until=2_000.0, deadlock_timeout_s=5.0,
     )
     assert [name for name, _t in arrivals] == ["C"]
+
+
+# -- placement is invisible to results --------------------------------------------
+
+
+def test_every_placement_and_worker_count_yields_one_signature():
+    topo = build_fig5_network(clients_per_site=2)
+    cfg = TrafficConfig(
+        seed=3, messages_per_client=20, remote_fraction=0.3, think_mean_ms=20.0
+    )
+    plan = partition_network(topo.network)
+
+    def run(placement):
+        return _run_placed(
+            plan, topo.network, site_traffic_program, cfg, 8_000.0, placement
+        )
+
+    by_count = {w: run(plan.placement(w)) for w in (1, 2, 3, 4)}
+    pairs = {
+        str(placement): run(placement)
+        for placement in ([[0], [1, 2]], [[0, 2], [1]], [[0, 1], [2]])
+    }
+    signatures = {r.signature() for r in (*by_count.values(), *pairs.values())}
+    assert len(signatures) == 1
+    assert by_count[1].merged_counters()["remote_delivered"] > 0
+    assert by_count[4].workers_used == 3
+    # ... and is reported: which channels crossed, and what that cost
+    assert pairs["[[0, 2], [1]]"].min_cross_worker_lookahead_ms == 100.0
+    assert pairs["[[0], [1, 2]]"].min_cross_worker_lookahead_ms == 200.0
+    assert by_count[1].min_cross_worker_lookahead_ms is None
+    assert by_count[2].placement == [[0], [1, 2]]
+
+
+def test_sync_block_reports_each_worker_and_stays_out_of_the_signature():
+    result = _fig5_run(2, seed=0)
+    assert [row["ranks"] for row in result.sync] == result.placement == [[0], [1, 2]]
+    for row in result.sync:
+        assert row["rounds"] > 0 and row["adverts_sent"] > 0
+        assert row["batches_sent"] > 0 and row["bytes_sent"] > row["batches_sent"]
+        assert row["blocking_waits"] >= 0 and row["blocked_s"] >= 0.0
+        assert row["threads_at_exit"] == 1  # no feeder thread
+    out = result.as_dict()
+    assert out["sync"] == result.sync and out["placement"] == [[0], [1, 2]]
+    assert out["min_cross_worker_lookahead_ms"] == 200.0
+    assert "rounds" in result.sync_summary()
+    signature = result.signature()
+    result.sync[0]["rounds"] += 1
+    result.placement = [[0, 2], [1]]
+    assert result.signature() == signature
+    inline = _fig5_run(1, seed=0)
+    assert [row["ranks"] for row in inline.sync] == [[0, 1, 2]]
+    assert inline.sync[0]["batches_sent"] == inline.sync[0]["blocking_waits"] == 0
+
+
+# -- channels ------------------------------------------------------------------------
+
+BIG = 4 << 20
+
+
+def _pair_network() -> Network:
+    net = Network()
+    net.add_node("a-node", credentials={"site": "A"})
+    net.add_node("b-node", credentials={"site": "B"})
+    net.add_link("a-node", "b-node", latency_ms=10.0, bandwidth_mbps=100.0)
+    return net
+
+
+def _big_exchange_program(ctx, config):
+    """Each side posts one 4 MiB payload to the other at the same
+    simulated instant, so both workers flush it in the same round."""
+    here, there = ("a-node", "b-node") if ctx.is_local("a-node") else ("b-node", "a-node")
+
+    def on_blob(c, msg):
+        c.count("bytes_received", len(msg.payload))
+
+    def sender():
+        yield ctx.sim.timeout(1.0)
+        yield from ctx.send_remote(here, there, 100, "blob", bytes(BIG))
+
+    ctx.on_message("blob", on_blob)
+    ctx.process(sender())
+
+
+def test_two_workers_flushing_big_batches_at_each_other_do_not_deadlock():
+    """4 MiB each way is far beyond a socket buffer: a worker that just
+    waited for room to write would wait for ever, its peer doing the same."""
+    tripwire_s = 20.0
+    started = time.perf_counter()
+    result = run_parallel(
+        _pair_network(), _big_exchange_program, None,
+        workers=2, until=100.0, deadlock_timeout_s=tripwire_s,
+    )
+    assert time.perf_counter() - started < tripwire_s
+    assert result.workers_used == 2
+    for part in result.partitions.values():
+        assert part["counters"] == {"bytes_received": BIG}
+    assert all(row["bytes_sent"] > BIG for row in result.sync)
+
+
+class _RecordingLP:
+    def __init__(self):
+        self.seen = []
+
+    def observe_message(self, msg):
+        self.seen.append(("m", msg.seq, len(msg.payload)))
+
+    def observe_advert(self, advert):
+        self.seen.append(("a", advert.clock))
+
+
+@pytest.fixture
+def router_pair():
+    """Factory: workers 0 and 1, hosting ranks 0 and 1, joined by one
+    socket — ``(router0, lp0, router1, lp1)``."""
+    ends = []
+
+    def make(timeout_s=20.0):
+        end0, end1 = socket.socketpair()
+        ends.extend((end0, end1))
+        placement = [[0], [1]]
+        lp0, lp1 = _RecordingLP(), _RecordingLP()
+        return (
+            SocketRouter({0: lp0}, placement, {1: end0}, timeout_s), lp0,
+            SocketRouter({1: lp1}, placement, {0: end1}, timeout_s), lp1,
+        )
+
+    yield make
+    for sock in ends:
+        sock.close()
+
+
+def _message(seq, payload):
+    return RemoteMessage(float(seq), 0, seq, "n", "n", "k", payload, float(seq), 1)
+
+
+def test_channel_is_fifo_under_interleaved_message_and_advert_batches(router_pair):
+    """Batches of every size — adverts only, messages only, mixed, some
+    larger than the socket buffer so both ends see partial frames —
+    arrive whole, once, in the order written."""
+    sender, _, receiver, sink = router_pair()
+    rng = random.Random(11)
+    sent = []
+    rounds = 120
+    for seq in range(1, rounds + 1):
+        for _ in range(rng.randrange(3)):
+            sent.append(("a", float(seq)))
+        size = rng.choice([0, 10, 1_000, 50_000, 700_000])
+        sent.append(("m", seq, size))
+        if rng.random() < 0.5:
+            sent.append(("a", seq + 0.5))
+    done = ("a", float("inf"))
+    sent.append(done)
+
+    def receive():
+        deadline = time.monotonic() + 30.0
+        while (not sink.seen or sink.seen[-1] != done) and time.monotonic() < deadline:
+            receiver.poll(block=True)
+
+    reader = threading.Thread(target=receive, daemon=True)
+    reader.start()
+    flushed_at = {rng.randrange(len(sent)) for _ in range(rounds)}
+    for i, item in enumerate(sent):
+        if item[0] == "a":
+            sender.send_advert(1, Advert(0, item[1]))
+        else:
+            sender.send_message(1, _message(item[1], bytes(item[2])))
+        if i in flushed_at:
+            sender.flush_round()
+    sender.flush_round()
+    reader.join(timeout=30.0)
+    assert not reader.is_alive()
+    assert sink.seen == sent
+    assert 1 < sender.batches_sent <= len(flushed_at) + 1
+    assert sender.bytes_sent > 700_000
+
+
+def test_routers_shut_down_together_and_discard_late_traffic(router_pair):
+    """close() says bye, then drains until the peer has said it too —
+    whichever finishes first — so nobody writes to a closed socket."""
+    early, _, late, late_lp = router_pair()
+    closer = threading.Thread(target=early.close, daemon=True)
+    closer.start()
+    for seq in range(1, 50):  # the late worker is still sending
+        late.send_message(0, _message(seq, b"x" * 10_000))
+        late.flush_round()
+        late.poll(block=False)
+    assert closer.is_alive()  # still draining: the late worker has not said bye
+    late.close()
+    closer.join(timeout=10.0)
+    assert not closer.is_alive()
+    assert late_lp.seen == []
+
+
+@pytest.mark.parametrize("action", ["poll", "flush"])
+def test_router_reports_a_peer_that_vanished_mid_run(router_pair, action):
+    router, _, peer, _ = router_pair()
+    peer._peers[0].close()  # no bye frame: the peer died
+    with pytest.raises(SimulationError, match=r"worker 1 \(ranks \[1\]\) closed"):
+        if action == "poll":
+            router.poll(block=True)
+        else:
+            for seq in range(1, 4):  # the first write may still be buffered
+                router.send_message(1, _message(seq, bytes(1 << 20)))
+                router.flush_round()
+
+
+def test_blocked_write_trips_the_deadlock_tripwire(router_pair):
+    """A live peer that never reads: the write gives up after the same
+    no-progress interval as a blocking poll."""
+    router, _, _peer, _ = router_pair(timeout_s=2.0)
+    router.send_message(1, _message(1, bytes(8 << 20)))
+    started = time.perf_counter()
+    with pytest.raises(SimulationError, match="parallel deadlock"):
+        router.flush_round()
+    assert 1.5 < time.perf_counter() - started < 10.0
+
+
+# -- a worker that dies ----------------------------------------------------------------
+
+
+def _dying_program(ctx, config):
+    site_traffic_program(ctx, config)
+    if ctx.rank == 1:
+
+        def die():
+            yield ctx.sim.timeout(500.0)
+            os._exit(3)  # no exception, no result, no goodbye: like a SIGKILL
+
+        ctx.process(die())
+
+
+def test_a_dead_worker_fails_the_run_at_once():
+    topo = build_fig5_network(clients_per_site=2)
+    cfg = TrafficConfig(seed=1, messages_per_client=50, think_mean_ms=20.0)
+    started = time.perf_counter()
+    with pytest.raises(SimulationError) as excinfo:
+        run_parallel(topo.network, _dying_program, cfg, workers=2, until=8_000.0)
+    assert time.perf_counter() - started < 5.0
+    message = str(excinfo.value)
+    assert "worker 1 (ranks [1, 2]) died with exit code 3" in message
+    assert not multiprocessing.active_children()

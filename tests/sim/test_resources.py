@@ -171,3 +171,35 @@ def test_monitor_percentile_bounds():
     m.observe(1.0)
     with pytest.raises(ValueError):
         m.percentile(101)
+
+
+def test_release_after_balanced_use_is_still_rejected():
+    sim = Simulator()
+    r = Resource(sim, capacity=2)
+    r.request()
+    r.release()
+    assert r.in_use == 0
+    with pytest.raises(RuntimeError, match="without matching request"):
+        r.release()
+    assert r.in_use == 0
+
+
+def test_busy_area_integrates_across_grants_handoffs_and_releases():
+    """request()/release() settle the busy integral themselves; a slot
+    handed straight to a waiter stays busy throughout."""
+    sim = Simulator()
+    r = Resource(sim, capacity=1)
+
+    def job(start, hold):
+        yield sim.timeout(start)
+        yield r.request()
+        yield sim.timeout(hold)
+        r.release()
+
+    sim.process(job(10.0, 20.0))  # holds 10..30
+    sim.process(job(15.0, 5.0))   # waits, holds 30..35 (hand-off)
+    sim.process(job(50.0, 10.0))  # holds 50..60 after an idle gap
+    sim.run(until=100.0)
+    assert r.busy_area() == pytest.approx(35.0)
+    assert r.utilization() == pytest.approx(0.35)
+    assert r.in_use == 0 and r.queue_length == 0

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.sim import SimLink, SimNode, Simulator, transfer_time_ms
+from repro.sim import (
+    LinkDownError,
+    NodeDownError,
+    SimLink,
+    SimNode,
+    Simulator,
+    transfer_time_ms,
+)
 
 
 def test_transfer_time_formula():
@@ -134,3 +141,62 @@ def test_node_multicore_parallelism():
 def test_node_bad_capacity():
     with pytest.raises(ValueError):
         SimNode(Simulator(), "n", cpu_capacity=0)
+
+
+# -- liveness checks on the transfer / execute paths --------------------------
+
+
+def _outcome(sim, generator):
+    proc = sim.process(generator)
+    sim.run()
+    return proc
+
+
+def test_partitioned_link_refuses_a_new_transfer():
+    sim = Simulator()
+    link = SimLink(sim, "a", "b", latency_ms=5.0, bandwidth_mbps=8.0)
+    link.fail()
+    proc = _outcome(sim, link.transfer("a", 1_000))
+    assert proc.failed and isinstance(proc.value, LinkDownError)
+    assert "is partitioned" in str(proc.value)
+    assert sim.now == 0.0 and link.bytes_carried == 0
+
+
+def test_link_partitioned_mid_serialization_loses_the_transfer():
+    sim = Simulator()
+    link = SimLink(sim, "a", "b", latency_ms=5.0, bandwidth_mbps=8.0)
+    sim.call_at(0.5, link.fail)  # 1000 B at 8 Mb/s serializes in 1 ms
+    proc = _outcome(sim, link.transfer("a", 1_000))
+    assert proc.failed and isinstance(proc.value, LinkDownError)
+    assert "mid-transfer" in str(proc.value)
+    assert sim.now == 1.0  # failed after serialization, before latency
+    assert link.bytes_carried == 0 and link.stats.count == 0
+    assert link._tx["a"].in_use == 0  # the transmit slot was released
+
+
+def test_crashed_node_refuses_work():
+    sim = Simulator()
+    node = SimNode(sim, "n", cpu_capacity=1000.0)
+    node.crash()
+    proc = _outcome(sim, node.execute(10.0))
+    assert proc.failed and isinstance(proc.value, NodeDownError)
+    assert "is down" in str(proc.value)
+
+
+def test_node_crashing_mid_execution_kills_the_job():
+    sim = Simulator()
+    node = SimNode(sim, "n", cpu_capacity=1000.0)
+    sim.call_at(4.0, node.crash)  # 10 units at 1000/s take 10 ms
+    proc = _outcome(sim, node.execute(10.0))
+    assert proc.failed and isinstance(proc.value, NodeDownError)
+    assert "crashed during execution" in str(proc.value)
+    assert sim.now == 10.0 and node.stats.count == 0
+    assert node.cpu.in_use == 0
+
+
+def test_negative_cpu_work_rejected_before_anything_is_scheduled():
+    sim = Simulator()
+    node = SimNode(sim, "n")
+    proc = _outcome(sim, node.execute(-1.0))
+    assert proc.failed and isinstance(proc.value, ValueError)
+    assert node.cpu.in_use == 0
