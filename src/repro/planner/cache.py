@@ -21,6 +21,15 @@ that returns to a previously seen state — a crashed node restarting, a
 flapping link — revalidates the plans solved there, so recurring fault
 patterns replan in O(1).  Stale epochs age out of the LRU naturally.
 
+This is the only planner table keyed on that epoch.  Below it a commit
+flushes nothing: routes, environments, the condition-1/2 memos and the
+DP planner's chain shapes, candidate tables and pair rows
+(:class:`~repro.planner.compat.ChainTables`) are keyed on
+``Network.structure_version``, which a reservation does not move —
+while whatever reads a reservation (condition 3, the exact score, the
+completions one ``plan_dp_chain`` call has already scored) is
+recomputed by every search.
+
 The cache returns *copies* of stored plans (placements are frozen and
 shared; the mutable plan shell — lists, metrics dict, score — is fresh
 per hit) so callers may annotate a hit without corrupting the cache.

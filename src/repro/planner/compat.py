@@ -28,13 +28,14 @@ fast path, shared by all three search algorithms):
   translation.
 
 What each table reads decides what flushes it.  Environments, routes
-(:meth:`PlanningContext.link_envs_from`), analytic round-trip times and
-both memos are functions of the graph, liveness, link attributes and
-credentials, so they are flushed wholesale when
-``Network.structure_version`` moves — every topology, liveness or
-attribute/credential change (``Network.touch()``) bumps it, so a
-memoized verdict can never outlive the network state it was computed
-against.  Capacity *reservations* (``Network.touch_reservations()``,
+(:meth:`PlanningContext.link_envs_from`), analytic round-trip times,
+both memos and the DP planner's :class:`ChainTables` (chain shapes,
+fresh-candidate tables and the pair rows built from them) are functions
+of the graph, liveness, link attributes and credentials, so they are
+flushed wholesale when ``Network.structure_version`` moves — every
+topology, liveness or attribute/credential change (``Network.touch()``)
+bumps it, so a memoized verdict can never outlive the network state it
+was computed against.  Capacity *reservations* (``Network.touch_reservations()``,
 what ``Planner.commit`` records) change none of them and flush nothing:
 condition 3 reads ``free_cpu`` / ``free_mbps`` live in
 :func:`~repro.planner.load.check_loads`.  Hit/miss counts land in
@@ -61,7 +62,7 @@ from ..spec import (
     satisfies,
 )
 
-__all__ = ["PlanningContext", "CompatError", "ContextCacheStats"]
+__all__ = ["PlanningContext", "CompatError", "ContextCacheStats", "ChainTables"]
 
 
 class CompatError(ValueError):
@@ -72,6 +73,12 @@ class CompatError(ValueError):
 class ContextCacheStats:
     """Hit/miss accounting for the memoized validity checks.
 
+    ``compat_hits + compat_misses`` counts the condition-2 checks that
+    reached the memo.  ``plan_dp_chain`` checks a (state, candidate)
+    pair when it builds the state's pair row and not again while the
+    row stands, so for that planner the sum grows with row builds (and
+    the per-call pairs against installed providers), not with the pairs
+    a plan considers — ``DPStats.states_evaluated`` counts those.
     ``uncacheable`` counts evaluations whose property values were not
     hashable (the memo silently steps aside for those);
     ``invalidations`` counts wholesale flushes caused by a network
@@ -84,6 +91,26 @@ class ContextCacheStats:
     install_misses: int = 0
     uncacheable: int = 0
     invalidations: int = 0
+
+
+@dataclass
+class ChainTables:
+    """What :func:`~repro.planner.dp_chain.plan_dp_chain` keeps from one
+    call to the next (the module describes the values).  Everything in
+    here is a function of the spec and of what
+    ``Network.structure_version`` guards — conditions 1 and 2 and route
+    costs — and of nothing a reservation or the deployment state moves.
+    """
+
+    #: (interface, max units, max repeat) -> chain shapes
+    shapes: Dict[Tuple[str, int, int], List[Any]] = field(default_factory=dict)
+    #: (unit, interface, frozen request context, objective key) -> the
+    #: fresh candidates, each table with the pair rows built from it
+    candidates: Dict[Tuple, Any] = field(default_factory=dict)
+
+    def clear(self) -> None:
+        self.shapes.clear()
+        self.candidates.clear()
 
 
 def _freeze_bag(props: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
@@ -139,6 +166,7 @@ class PlanningContext:
         self._bag_ids: Dict[Tuple[Tuple[str, Any], ...], int] = {}
         self._compat_cache: Dict[Tuple[int, int, int], bool] = {}
         self._install_cache: Dict[Tuple, bool] = {}
+        self._chain_tables = ChainTables()
         self.cache_stats = ContextCacheStats()
         self._net_version = self.network.structure_version
 
@@ -153,6 +181,7 @@ class PlanningContext:
             self._bag_ids.clear()
             self._compat_cache.clear()
             self._install_cache.clear()
+            self._chain_tables.clear()
             self.cache_stats.invalidations += 1
             self._net_version = self.network.structure_version
 
@@ -169,6 +198,16 @@ class PlanningContext:
         merged = dict(base)
         merged.update(context)
         return merged
+
+    def chain_tables(self) -> Optional[ChainTables]:
+        """The DP planner's tables for the network as it stands, or
+        ``None`` with ``memoize`` off (the planner then builds what it
+        needs and keeps nothing).  Ask once per planning call; do not
+        hold the result across network changes."""
+        if not self.memoize:
+            return None
+        self._check_version()
+        return self._chain_tables
 
     def link_envs_from(self, src: str) -> "_LinkRow":
         """``row[dst]`` is ``(path environment, its bag id)`` for a

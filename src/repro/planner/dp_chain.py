@@ -10,13 +10,33 @@ placements once — a cell depends only on its prefix, so the 20
 computing 94 — where the exhaustive planner searches exponentially.
 
 Cost: per distinct prefix, ``|open states| x (|candidate nodes| +
-|installed providers|)`` pair checks, i.e. ``O(prefixes * nodes^2)``
-per request; each check is one dict lookup for the pair's path
-environment (:meth:`PlanningContext.link_envs_from`) plus one memo
-lookup on interned ids (:meth:`PlanningContext.compatible_interned`).
-Everything that does not depend on the pair — a candidate's implemented
-bag, its id, its key and placement cost, a state's required bag — is
-computed once per position, outside the pair loop.
+|installed providers|)`` pairs, i.e. ``O(prefixes * nodes^2)`` per
+request — but a pair against a *fresh* candidate is checked once per
+structure epoch, not once per plan.  An open state's **pair row** lists,
+for one candidate table, the candidates it may link to with the
+probability-free edge weight and the placement cost of each; the row is
+built by the exact sequence of checks (reachability and the path
+environment from :meth:`PlanningContext.link_envs_from`, condition 2
+through :meth:`PlanningContext.compatible_interned`, then the route
+cost from :meth:`Objective.edge_weight`), and the DP's inner loop only
+adds ``cost + prob * weight + placement cost`` along it.
+
+Three lifetimes, by what each table reads:
+
+- *per structure epoch* (:class:`~repro.planner.compat.ChainTables` on
+  the context, flushed with the routes when
+  ``Network.structure_version`` moves, kept across ``Planner.commit``):
+  the chain shapes of an interface, the fresh candidates of a (unit,
+  interface, request context, objective), and their pair rows —
+  conditions 1 and 2 and route costs read nothing a reservation or the
+  deployment state moves.  With ``memoize=False`` the same code builds
+  them where they are needed and keeps none;
+- *per call*: the DP cells, the installed providers of an interface and
+  the ``early`` completions that end at them (they read the
+  :class:`DeploymentState`), condition 3 and the exact score (they read
+  the reservations), and the set of completions already scored;
+- *per plan-cache epoch*: the finished plan, in
+  :class:`~repro.planner.cache.PlanCache`.
 
 Scope and honesty notes:
 
@@ -37,18 +57,21 @@ Scope and honesty notes:
   a stable sort over (reused roots, early completions per position,
   fresh terminals) yields — dict insertion order of the cells decides
   ties, so sharing cells across chains leaves the chosen plan unchanged.
+  Chains through one cell offer the same completions again; a
+  completion is load-checked and scored the first time only (a repeat
+  could never replace the incumbent, which needs a strictly lower
+  score).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..spec import ComponentDef
-from .compat import PlanningContext
+from .compat import ChainTables, PlanningContext, _freeze_bag
 from .exhaustive import _instantiate, _required_props
-from .linkage import LinkageGraph, enumerate_linkage_graphs
+from .linkage import enumerate_linkage_graphs
 from .load import check_loads
 from .objectives import ExpectedLatency, Objective
 from .plan import (
@@ -67,7 +90,9 @@ class DPStats:
     """Instrumentation for the planner-scaling benchmarks."""
 
     chains_considered: int = 0
+    #: (open state, candidate) pairs the DP considered
     states_evaluated: int = 0
+    #: distinct completions load-checked and scored exactly
     plans_scored: int = 0
 
 
@@ -83,6 +108,35 @@ def _chain_probs(ctx: PlanningContext, units: List[str]) -> List[float]:
             seen.add(name)
         probs.append(p)
     return probs
+
+
+#: one chain of an interface: (units, interface of each edge,
+#: :func:`_chain_probs` of the units)
+_Shape = Tuple[List[str], List[str], List[float]]
+
+
+def _chain_shapes(
+    ctx: PlanningContext,
+    tables: Optional[ChainTables],
+    interface: str,
+    max_units: int,
+    max_repeat: int,
+) -> List[_Shape]:
+    """The chain-shaped linkage graphs of ``interface``, in enumeration order."""
+    key = (interface, max_units, max_repeat)
+    shapes = tables.shapes.get(key) if tables is not None else None
+    if shapes is None:
+        shapes = []
+        for graph in enumerate_linkage_graphs(
+            ctx.spec, interface, max_units, max_repeat, obs=ctx.obs
+        ):
+            if graph.is_chain:
+                units = graph.chain_units()
+                ifaces = [iface for _c, _s, iface in sorted(graph.edges, key=lambda e: e[0])]
+                shapes.append((units, ifaces, _chain_probs(ctx, units)))
+        if tables is not None:
+            tables.shapes[key] = shapes
+    return shapes
 
 
 def _finish_plan(
@@ -154,6 +208,59 @@ def _offer(
     return None
 
 
+#: ``(required bag, its bag id, [(candidate index, edge weight,
+#: candidate placement cost), ...])`` of one open state against one
+#: candidate table, compatible candidates only, in table order
+_PairRow = Tuple[Optional[Dict[str, Any]], Optional[int], Sequence[Tuple[int, float, float]]]
+
+#: the row of a state whose unit does not require the interface
+_NOT_REQUIRED: _PairRow = (None, None, ())
+
+
+@dataclass
+class _CandidateTable:
+    """Where one unit can be freshly placed to offer one interface."""
+
+    #: per node the unit installs on: (placement, its key, node,
+    #: implemented bag, its bag id, placement cost)
+    candidates: List[Tuple]
+    #: key of an open state's placement -> its row over ``candidates``
+    rows: Dict[Tuple, _PairRow] = field(default_factory=dict)
+
+
+def _pair_row(
+    ctx: PlanningContext,
+    objective: Objective,
+    place: Placement,
+    iface: str,
+    candidates: List[Tuple],
+) -> _PairRow:
+    """Check ``place`` against every candidate: reachability, then
+    condition 2, then the route cost — in candidate order, so pair
+    routes are first resolved in a fixed order."""
+    node = place.node
+    prev_unit = ctx.spec.unit(place.unit)
+    required = _required_props(ctx, prev_unit, node, iface)
+    if required is None:
+        return _NOT_REQUIRED
+    required_id = ctx.bag_id(required)
+    key = place.key
+    links = ctx.link_envs_from(node)
+    compatible = ctx.compatible_interned
+    edge_weight = objective.edge_weight
+    pairs = []
+    for j, (_cand, cand_key, cand_node, impl, impl_id, cand_cost) in enumerate(candidates):
+        if cand_key == key:
+            continue
+        link = links[cand_node]
+        if link is None or not compatible(
+            required, required_id, impl, impl_id, link[0], link[1]
+        ):
+            continue
+        pairs.append((j, edge_weight(ctx, prev_unit, node, cand_node), cand_cost))
+    return required, required_id, pairs
+
+
 def plan_dp_chain(
     ctx: PlanningContext,
     request: PlanRequest,
@@ -187,13 +294,18 @@ def plan_dp_chain(
             request.required_properties, impl, link[0]
         )
 
-    chains = [
-        g
-        for g in enumerate_linkage_graphs(
-            spec, request.interface, limit, max_repeat, obs=ctx.obs
-        )
-        if g.is_chain
-    ]
+    tables = ctx.chain_tables()
+    # Candidate tables outlive the call when the context memoizes and
+    # the request context is hashable, so it can be part of their key.
+    kept: Optional[Dict[Tuple, _CandidateTable]] = None
+    scope: Tuple = ()
+    if tables is not None:
+        try:
+            scope = (_freeze_bag(request.context), objective.cache_key)
+            kept = tables.candidates
+        except TypeError:
+            pass
+
     all_nodes = [n.name for n in ctx.network.nodes()]
     root_nodes = [request.client_node] if request.root_on_client else all_nodes
 
@@ -213,25 +325,25 @@ def plan_dp_chain(
                 places[installed] = (extra, None)
         return _Cell(places)
 
-    # Everything below depends on the request but not on the chain, so
-    # each table is filled once per call: fresh candidates per (unit,
-    # interface) with their implemented bag, bag id and placement cost;
-    # installed providers per interface.
-    fresh: Dict[Tuple[str, str], List[Tuple]] = {}
-    installed_by_iface: Dict[str, List[Tuple[Placement, Dict[str, Any], int]]] = {}
-
-    def fresh_candidates(unit_name: str, iface: str):
-        found = fresh.get((unit_name, iface))
-        if found is None:
+    def candidate_table(unit_name: str, iface: str) -> _CandidateTable:
+        key = (unit_name, iface, scope)
+        table = kept.get(key) if kept is not None else None
+        if table is None:
             unit = spec.unit(unit_name)
-            found = fresh[(unit_name, iface)] = []
+            found = []
             for node in all_nodes:
                 p = _instantiate(ctx, unit, node, request.context)
                 offer = _offer(ctx, p, iface) if p is not None else None
                 if offer is not None:
                     cost = objective.placement_cost(ctx, unit, node, False)
                     found.append((p, p.key, node, *offer, cost))
-        return found
+            table = _CandidateTable(found)
+            if kept is not None:
+                kept[key] = table
+        return table
+
+    # Installed providers per interface read the deployment state: per call.
+    installed_by_iface: Dict[str, List[Tuple[Placement, Dict[str, Any], int]]] = {}
 
     def installed_candidates(iface: str):
         found = installed_by_iface.get(iface)
@@ -250,7 +362,8 @@ def plan_dp_chain(
         terminate the chain there — inside the same sweep over the open
         states, so pair routes are first resolved in a fixed order.
         """
-        candidates = fresh_candidates(unit_name, iface)
+        table = candidate_table(unit_name, iface)
+        candidates, rows = table.candidates, table.rows
         early = None
         if iface not in cell.early:
             early = cell.early[iface] = []
@@ -260,32 +373,22 @@ def plan_dp_chain(
         # dict order and so decides ties between equal-cost completions.
         best: List[Optional[Tuple[float, Placement]]] = [None] * len(candidates)
         order: List[int] = []
-        edge_cost = objective.edge_cost
         compatible = ctx.compatible_interned
+        edge_weight = objective.edge_weight
         for place, (cost, _parent) in cell.places.items():
             if place.reused:
                 continue  # reused placements are already complete
-            node = place.node
-            prev_unit = spec.unit(place.unit)
-            required = _required_props(ctx, prev_unit, node, iface)
+            key = place.key
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = _pair_row(ctx, objective, place, iface, candidates)
+            required, required_id, pairs = row
             if required is None:
                 continue
-            required_id = ctx.bag_id(required)
-            key = place.key
-            links = ctx.link_envs_from(node)
 
             stats.states_evaluated += len(candidates)
-            for j, (cand, cand_key, cand_node, impl, impl_id, cand_cost) in enumerate(
-                candidates
-            ):
-                if cand_key == key:
-                    continue
-                link = links[cand_node]
-                if link is None or not compatible(
-                    required, required_id, impl, impl_id, link[0], link[1]
-                ):
-                    continue
-                total = cost + edge_cost(ctx, prev_unit, node, cand_node, prob) + cand_cost
+            for j, weight, cand_cost in pairs:
+                total = cost + prob * weight + cand_cost
                 old = best[j]
                 if old is None:
                     order.append(j)
@@ -296,15 +399,17 @@ def plan_dp_chain(
             if early is None:
                 continue
             stats.states_evaluated += len(installed)
+            node = place.node
+            prev_unit = spec.unit(place.unit)
+            links = ctx.link_envs_from(node)
             for cand, impl, impl_id in installed:
                 link = links[cand.node]
                 if link is None or not compatible(
                     required, required_id, impl, impl_id, link[0], link[1]
                 ):
                     continue
-                early.append(
-                    (cost + edge_cost(ctx, prev_unit, node, cand.node, prob), cell, place, cand)
-                )
+                weight = edge_weight(ctx, prev_unit, node, cand.node)
+                early.append((cost + prob * weight, cell, place, cand))
         if early is not None:
             # A chain scores its cheapest few completions, and the sort
             # that picks them is stable, so no later entry of this list
@@ -315,12 +420,13 @@ def plan_dp_chain(
 
     best: Optional[DeploymentPlan] = None
     root_cells: Dict[str, _Cell] = {}
+    #: (placements, interface of each linkage) of the completions scored
+    scored: Set[Tuple] = set()
 
-    for graph in chains:
+    for units, ifaces, probs in _chain_shapes(
+        ctx, tables, request.interface, limit, max_repeat
+    ):
         stats.chains_considered += 1
-        units = graph.chain_units()
-        ifaces = [iface for _c, _s, iface in sorted(graph.edges, key=lambda e: e[0])]
-        probs = _chain_probs(ctx, units)
 
         cell = root_cells.get(units[0])
         if cell is None:
@@ -357,13 +463,16 @@ def plan_dp_chain(
         # Score the cheapest few completions exactly (DP cost is a proxy).
         completions.sort(key=_completion_cost)
         for _cost, end_cell, placement, provider in completions[:_SCORED_PER_CHAIN]:
-            stats.plans_scored += 1
             chain_places = end_cell.backtrace(placement)
             if provider is not None:
                 chain_places.append(provider)
-            linkages = [
-                PlannedLinkage(j, j + 1, ifaces[j]) for j in range(len(chain_places) - 1)
-            ]
+            links = tuple(ifaces[: len(chain_places) - 1])
+            completion = (tuple(chain_places), links)
+            if completion in scored:
+                continue
+            scored.add(completion)
+            stats.plans_scored += 1
+            linkages = [PlannedLinkage(j, j + 1, iface) for j, iface in enumerate(links)]
             plan = _finish_plan(ctx, request, rate, objective, chain_places, linkages)
             if plan is not None and (best is None or plan.score < best.score):
                 best = plan

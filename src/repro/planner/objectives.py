@@ -85,6 +85,19 @@ class Objective:
         raise NotImplementedError
 
     # -- optional incremental costs for branch-and-bound -------------------
+    def edge_weight(
+        self,
+        ctx: PlanningContext,
+        client_unit: ComponentDef,
+        client_node: str,
+        server_node: str,
+    ) -> float:
+        """What one traversal of a linkage adds to the primary score
+        (>= 0).  The hook subclasses override: it reads only the two
+        ends and the route between them, so ``dp_chain`` keeps it in its
+        pair rows for as long as the network's structure stands."""
+        return 0.0
+
     def edge_cost(
         self,
         ctx: PlanningContext,
@@ -93,8 +106,12 @@ class Objective:
         server_node: str,
         traversal_prob: float,
     ) -> float:
-        """Additive lower-bound contribution of one linkage (>= 0)."""
-        return 0.0
+        """Additive lower-bound contribution of one linkage (>= 0):
+        :meth:`edge_weight` times the probability that a request
+        traverses it.  Defined here once, for every objective."""
+        return traversal_prob * self.edge_weight(
+            ctx, client_unit, client_node, server_node
+        )
 
     def placement_cost(
         self, ctx: PlanningContext, unit: ComponentDef, node: str, reused: bool
@@ -126,15 +143,14 @@ class ExpectedLatency(Objective):
     name = "expected_latency"
     supports_pruning = True
 
-    def edge_cost(
+    def edge_weight(
         self,
         ctx: PlanningContext,
         client_unit: ComponentDef,
         client_node: str,
         server_node: str,
-        traversal_prob: float,
     ) -> float:
-        return traversal_prob * round_trip_ms(ctx, client_unit, client_node, server_node)
+        return round_trip_ms(ctx, client_unit, client_node, server_node)
 
     def placement_cost(
         self, ctx: PlanningContext, unit: ComponentDef, node: str, reused: bool

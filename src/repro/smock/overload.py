@@ -287,6 +287,9 @@ class OverloadManager:
         self._buckets: Dict[str, TokenBucket] = {}
         self._breakers: list = []
         self._metrics = metrics if metrics is not None and metrics.enabled else None
+        #: (metric name, node) -> counter handle, resolved on first use
+        #: (the engine.Simulator pattern): these fire once per attempt
+        self._counters: Dict[Tuple[str, str], Any] = {}
 
     # -- factories (called at proxy bind time) -------------------------------
     def bucket(self, client_node: str) -> Optional[TokenBucket]:
@@ -323,22 +326,30 @@ class OverloadManager:
         if node.cpu.queue_length < self.config.max_queue:
             return None
         self.stats.shed += 1
-        if self._metrics is not None:
-            self._metrics.inc("overload.shed", node=node.name)
+        self._count("overload.shed", "node", node.name)
         return self.config.shed_retry_after_ms
+
+    def _count(self, name: str, label: str, node: str) -> None:
+        """Increment ``name{label=node}`` when metrics are on."""
+        if self._metrics is None:
+            return
+        counter = self._counters.get((name, node))
+        if counter is None:
+            counter = self._counters[(name, node)] = self._metrics.counter(
+                name, **{label: node}
+            )
+        counter.inc()
 
     # -- client-side accounting ----------------------------------------------
     def note_throttled(self, client_node: str) -> None:
         """Count one client-side rate-limiter delay (caller still sends)."""
         self.stats.throttled += 1
-        if self._metrics is not None:
-            self._metrics.inc("overload.throttled", client_node=client_node)
+        self._count("overload.throttled", "client_node", client_node)
 
     def note_fast_fail(self, client_node: str) -> None:
         """Count one request rejected locally by an open circuit breaker."""
         self.stats.breaker_fast_fails += 1
-        if self._metrics is not None:
-            self._metrics.inc("overload.breaker_fast_fails", client_node=client_node)
+        self._count("overload.breaker_fast_fails", "client_node", client_node)
 
     @property
     def breaker_trips(self) -> int:

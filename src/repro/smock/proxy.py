@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..sim.resources import Monitor
 from .component import RuntimeComponent, ServerStub
@@ -160,6 +160,8 @@ class ServiceProxy:
         #: per-op histogram handles, resolved on first use (the
         #: engine.Simulator pattern) — only populated when metrics are on.
         self._op_hist: Dict[str, Any] = {}
+        #: likewise the retry path's counters, by (name, op, outcome)
+        self._op_counters: Dict[Tuple[str, str, Optional[str]], Any] = {}
 
     def rebind(self, root: RuntimeComponent) -> None:
         """Point this proxy at a new root instance (failover replanning).
@@ -311,7 +313,6 @@ class ServiceProxy:
         """
         policy = self.retry_policy
         sim = self.runtime.sim
-        metrics = self.runtime.obs.metrics
         req.idempotency_key = f"{self.client_node}:{next(_key_counter)}"
         attempts = policy.max_retries + 1
         resp: ServiceResponse = ServiceResponse.failure("unattempted")
@@ -346,14 +347,14 @@ class ServiceProxy:
                     self._record_outcome(resp)
                     if resp.ok or not resp.retryable:
                         if attempt > 1:
-                            metrics.inc(
-                                "smock.retries", attempt - 1, op=req.op,
-                                outcome="ok" if resp.ok else "failed",
+                            self._count(
+                                "smock.retries", attempt - 1, req.op,
+                                "ok" if resp.ok else "failed",
                             )
                         return resp
                 else:
                     self.timeouts += 1
-                    metrics.inc("smock.request_timeouts", op=req.op)
+                    self._count("smock.request_timeouts", 1, req.op)
                     if self._breaker is not None:
                         self._breaker.record(sim.now, False)
                     resp = ServiceResponse.failure(
@@ -364,10 +365,20 @@ class ServiceProxy:
                 yield sim.timeout(
                     policy.retry_delay_ms(attempt, resp.retry_after_ms)
                 )
-        metrics.inc(
-            "smock.retries", attempts - 1, op=req.op, outcome="exhausted"
-        )
+        self._count("smock.retries", attempts - 1, req.op, "exhausted")
         return resp
+
+    def _count(self, name: str, n: int, op: str, outcome: Optional[str] = None) -> None:
+        """Add ``n`` to ``name{op[,outcome]}`` when metrics are on."""
+        metrics = self.runtime.obs.metrics
+        if not metrics.enabled:
+            return
+        key = (name, op, outcome)
+        counter = self._op_counters.get(key)
+        if counter is None:
+            labels = {"op": op} if outcome is None else {"op": op, "outcome": outcome}
+            counter = self._op_counters[key] = metrics.counter(name, **labels)
+        counter.inc(n)
 
 
 class GenericProxy:

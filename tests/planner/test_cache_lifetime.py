@@ -1,20 +1,41 @@
 """What survives a commit, and what flushes the planner's tables.
 
 A committed plan only *reserves capacity*: routes, path environments,
-install verdicts and condition-2 verdicts are functions of the graph,
-liveness, link attributes and credentials, so they must survive it
+install verdicts, condition-2 verdicts and the DP planner's candidate
+tables and pair rows are functions of the graph, liveness, link
+attributes and credentials, so they must survive it
 (``Network.touch_reservations``) — while the plan-cache epoch
 (``version`` / ``state_fingerprint``) must still move, because
-condition 3 reads the reservations.  Every other kind of change must
-flush all of them, exactly as before.
+condition 3 reads the reservations, and nothing that read them (a
+load check, an exact score) may be kept from one plan to the next.
+Every other kind of change must flush all of them, exactly as before.
 """
 
 import pytest
 
-from repro.network import NetworkError
-from repro.planner import Planner, PlanRequest
+from repro.network import FunctionTranslator, Network, NetworkError
+from repro.planner import (
+    DeploymentCost,
+    DeploymentState,
+    ExpectedLatency,
+    Planner,
+    PlanningContext,
+    PlanRequest,
+    check_loads,
+    plan_dp_chain,
+)
 from repro.services.mail import mail_translator
-from repro.spec import ANY
+from repro.spec import (
+    ANY,
+    Behaviors,
+    ComponentDef,
+    Condition,
+    InterfaceBinding,
+    InterfaceDef,
+    PropertyDef,
+    ServiceSpec,
+    StringDomain,
+)
 
 CLIENT, GATEWAY, SERVER = "sandiego-client1", "sandiego-gw", "newyork-ms"
 
@@ -43,10 +64,20 @@ def _warm(planner):
     return plan, route, planner.ctx.cache_stats.compat_misses
 
 
+def _dp_tables(planner):
+    """The candidate tables and, per table, the pair rows built so far."""
+    tables = planner.ctx.chain_tables()
+    return dict(tables.candidates), {
+        key: dict(table.rows) for key, table in tables.candidates.items()
+    }
+
+
 def test_commit_keeps_routes_and_verdicts_but_moves_the_plan_cache_epoch(planner):
     net, stats = planner.network, planner.ctx.cache_stats
     plan, route, misses = _warm(planner)
     version, epoch, structure = net.version, net.state_fingerprint(), net.structure_version
+    candidates, rows = _dp_tables(planner)
+    assert candidates and any(rows.values()) and planner.ctx.chain_tables().shapes
 
     planner.commit(plan)
 
@@ -60,6 +91,13 @@ def test_commit_keeps_routes_and_verdicts_but_moves_the_plan_cache_epoch(planner
     planner.plan(_request())
     assert planner.plan_cache.stats.hits == 0
     assert stats.invalidations == 0
+    # ... and that search rebuilt no table and no row: the very objects
+    # the first plan built are still the ones in use.
+    candidates_now, rows_now = _dp_tables(planner)
+    for key, table in candidates.items():
+        assert candidates_now[key] is table
+        for state, row in rows[key].items():
+            assert rows_now[key][state] is row
     # Condition 3 still sees the reservation the commit made.
     assert net.node(CLIENT).reserved_cpu > 0
 
@@ -97,6 +135,8 @@ def test_structure_changes_flush_routes_and_verdicts(planner, change):
     planner.ctx.properties_compatible(*PROBE)
     assert stats.invalidations == 1
     assert stats.compat_misses == misses + 1  # the verdict was dropped, not kept
+    tables = planner.ctx.chain_tables()
+    assert not tables.candidates and not tables.shapes  # rows go with their tables
 
 
 def test_dead_node_never_serves_a_stale_install_verdict(planner, mail_spec):
@@ -110,3 +150,86 @@ def test_dead_node_never_serves_a_stale_install_verdict(planner, mail_spec):
     assert not ctx.installable(vms, GATEWAY)
     net.set_node_up(GATEWAY, True)
     assert ctx.installable(vms, GATEWAY)
+
+
+def test_a_reservation_is_honoured_by_the_next_plan(planner, mail_spec, fig5):
+    """Condition 3 and the exact score read the reservations, so no
+    scored completion may be remembered from one call to the next."""
+    net, stats = planner.network, planner.ctx.cache_stats
+    first = planner.plan(_request())
+    assert "ViewMailServer" in {p.unit for p in first.placements if p.node == CLIENT}
+    candidates, _rows = _dp_tables(planner)
+
+    # Leave the client node room for the MailClient but not for the
+    # view beside it: the completion that just won now breaks condition 3.
+    net.node(CLIENT).reserved_cpu = net.node(CLIENT).cpu_capacity - 12.0
+    net.touch_reservations()
+
+    second = planner.plan(_request())
+    rate = mail_spec.unit("MailClient").behaviors.request_rate
+    assert check_loads(planner.ctx, second, rate).ok
+    assert not check_loads(planner.ctx, first, rate).ok
+    assert "ViewMailServer" not in {p.unit for p in second.placements}
+    assert stats.invalidations == 0 and _dp_tables(planner)[0] == candidates
+    # A planner that never saw the first plan agrees.
+    newcomer = Planner(mail_spec, net, mail_translator(), algorithm="dp_chain")
+    newcomer.preinstall("MailServer", fig5.server_node)
+    assert newcomer.plan(_request()).describe() == second.describe()
+
+
+def _tiered_world(n_backs=8):
+    """``Front`` at the client needs a ``Back``; a Back installs only for
+    gold-tier requests, on any of ``n_backs`` servers that are farther
+    (and so slower) the nearer they are to ``home``, where the code
+    lives — more candidates than a chain scores exactly."""
+    spec = ServiceSpec("tiered")
+    spec.add_property(PropertyDef("Tier", StringDomain()))
+    spec.add_interface(InterfaceDef("FrontInterface"))
+    spec.add_interface(InterfaceDef("BackInterface"))
+    spec.add_component(
+        ComponentDef(
+            "Front",
+            implements=(InterfaceBinding("FrontInterface"),),
+            requires=(InterfaceBinding("BackInterface"),),
+            behaviors=Behaviors(request_rate=1.0),
+        )
+    )
+    spec.add_component(
+        ComponentDef(
+            "Back",
+            implements=(InterfaceBinding("BackInterface"),),
+            conditions=(Condition("Tier", "gold"),),
+        )
+    )
+    net = Network()
+    net.add_node("client")
+    net.add_node("home")
+    for i in range(n_backs):
+        net.add_node(f"s{i}")
+        net.add_link("client", f"s{i}", latency_ms=1.0 + i)
+        net.add_link(f"s{i}", "home", latency_ms=float(n_backs - i), bandwidth_mbps=10.0)
+    return PlanningContext(spec.validate(), net, FunctionTranslator())
+
+
+def _back_node(plan):
+    return plan.placements[-1].node
+
+
+def test_tables_are_not_shared_between_request_contexts_or_objectives():
+    ctx = _tiered_world()
+    gold = PlanRequest("FrontInterface", "client", context={"Tier": "gold"})
+    free = PlanRequest("FrontInterface", "client", context={"Tier": "free"})
+    by_cost = DeploymentCost(home_node="home")
+
+    fastest = plan_dp_chain(ctx, gold, DeploymentState(), ExpectedLatency())
+    assert _back_node(fastest) == "client"  # beside the Front
+    # Same context object, other request context: gold's candidates must not serve it.
+    assert plan_dp_chain(ctx, free, DeploymentState(), ExpectedLatency()) is None
+    # Same context object, other objective: latency's weights and
+    # placement costs would rank the cheapest server last, below the
+    # completions a chain scores.
+    cheapest = plan_dp_chain(ctx, gold, DeploymentState(), by_cost)
+    assert _back_node(cheapest) == "home"
+    reference = plan_dp_chain(_tiered_world(), gold, DeploymentState(), by_cost)
+    assert cheapest.describe() == reference.describe()
+    assert len(ctx.chain_tables().candidates) == 3 and ctx.cache_stats.invalidations == 0

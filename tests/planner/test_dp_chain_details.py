@@ -74,3 +74,39 @@ def test_root_on_client_false_allows_remote_roots(ctx, state_with_ms):
     )
     plan = plan_dp_chain(ctx, request, state_with_ms, ExpectedLatency())
     assert plan is not None
+
+
+def test_each_distinct_completion_is_scored_once(ctx, state_with_ms, monkeypatch):
+    """The 20 ClientInterface chains share 48 cells, so they offer the
+    same completions again and again; each is load-checked and scored
+    the first time only, and the plan chosen is still the one scoring
+    every offer would choose (a repeat ties with its first occurrence,
+    and only a strictly lower score replaces the incumbent)."""
+    from repro.planner import dp_chain
+
+    scored, plans = [], []
+    finish = dp_chain._finish_plan
+
+    def spy(ctx_, request_, rate, objective, placements, linkages):
+        scored.append((tuple(placements), tuple(linkages)))
+        plans.append(finish(ctx_, request_, rate, objective, placements, linkages))
+        return plans[-1]
+
+    monkeypatch.setattr(dp_chain, "_finish_plan", spy)
+    offers = []  # one backtrace per completion a chain offers
+    backtrace = dp_chain._Cell.backtrace
+    monkeypatch.setattr(
+        dp_chain._Cell, "backtrace",
+        lambda cell, placement: offers.append(placement) or backtrace(cell, placement),
+    )
+    for node, user in [("sandiego-client1", "Bob"), ("sandiego-client2", "Alice")]:
+        # the second bind also completes early, at what the first installed
+        del scored[:], plans[:], offers[:]
+        stats = DPStats()
+        request = PlanRequest("ClientInterface", node, context={"User": user})
+        chosen = plan_dp_chain(ctx, request, state_with_ms, ExpectedLatency(), stats)
+        assert len(scored) == len(set(scored)) == stats.plans_scored
+        assert len(offers) > stats.plans_scored  # some offers were repeats
+        valid = [plan for plan in plans if plan is not None]
+        assert chosen is min(valid, key=lambda plan: plan.score)  # min keeps the first
+        state_with_ms.absorb(chosen)

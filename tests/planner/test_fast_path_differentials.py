@@ -8,8 +8,10 @@
   ties, partitioned links and dead routers — the very same hops, in both
   directions, whichever end asks first;
 - ``plan_dp_chain`` (cells shared across chains with a common prefix,
-  memoized checks) vs the same search with ``memoize=False``, and its
-  objective vs the complete ``plan_exhaustive`` reference.
+  pair rows and candidate tables kept on a long-lived context) vs the
+  same search with ``memoize=False`` and vs a brand-new context per
+  request, through commits and structure changes, and its objective vs
+  the complete ``plan_exhaustive`` reference.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.network import BriteConfig, Network, generate_waxman
-from repro.planner import ExpectedLatency, Planner, PlanningContext, PlanRequest
+from repro.planner import (
+    DeploymentCost,
+    ExpectedLatency,
+    Planner,
+    PlanningContext,
+    PlanRequest,
+)
 from repro.services.mail import build_mail_spec, mail_translator
 from repro.spec import ANY
 
@@ -203,29 +211,106 @@ def _shape(plan):
     )
 
 
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def _crash(name):
+    return lambda net: net.set_node_up(name, False)
+
+
+def _restart(name):
+    return lambda net: net.set_node_up(name, True)
+
+
+def _perturb_link(index, latency_ms, flip_secure):
+    def change(net):
+        link = list(net.links())[index]
+        link.latency_ms = latency_ms
+        if flip_secure:
+            link.secure = not link.secure
+        net.touch()
+
+    return change
+
+
+def _recredential(name, trust_level):
+    def change(net):
+        net.node(name).credentials["trust_level"] = trust_level
+        net.touch()
+
+    return change
+
+
+@st.composite
+def _changes(draw, names, n_links):
+    """One step between two requests: ``"commit"``, nothing, or a
+    structure change (a function of the network)."""
+    kind = draw(st.sampled_from(["commit", "crash", "restart", "link", "credential", None]))
+    if kind in ("commit", None):
+        return kind
+    if kind == "link":
+        return _perturb_link(
+            draw(st.integers(0, n_links - 1)),
+            float(draw(st.sampled_from([1.0, 5.0, 40.0]))),
+            draw(st.booleans()),
+        )
+    # names[0] hosts the primary MailServer: without it nothing plans
+    name = draw(st.sampled_from(names[1:]))
+    if kind == "credential":
+        return _recredential(name, draw(st.integers(1, 5)))
+    return _crash(name) if kind == "crash" else _restart(name)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 10_000), n=st.integers(4, 7), data=st.data())
 def test_dp_chain_matches_unmemoized_and_is_bounded_by_exhaustive(seed, n, data):
+    """One long-lived memoized context, through commits and structure
+    changes, across users, client requirements and objectives, must plan
+    exactly what direct evaluation and a brand-new context plan: a pair
+    row or candidate table that outlived a structure change, or was
+    shared between request contexts or objectives, shows as a diff."""
     fast = _world(seed, n, "dp_chain", memoize=True)
     slow = _world(seed, n, "dp_chain", memoize=False)
+    renewed = _world(seed, n, "dp_chain", memoize=True)  # new context per request
     complete = _world(seed, n, "exhaustive", memoize=True)
+    worlds = (fast, slow, renewed, complete)
     names = fast.network.node_names()
-    clients = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))
-    for client in clients:
+    by_cost = DeploymentCost(home_node=names[0])
+    # Few clients, asked again after each change: a stale row only
+    # shows when the same states are planned from twice.
+    clients = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=2))
+    steps = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(clients),
+                st.sampled_from(["Alice", "Bob", "Mallory"]),  # Mallory: no account
+                st.sampled_from([None, 1, 4]),
+                st.booleans(),
+                _changes(names, fast.network.n_links),
+            ),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    for client, user, trust, cheapest, change in steps:
         # Later requests see what earlier ones installed and reserved,
         # so early completions at installed providers are exercised.
         request = PlanRequest(
-            "ClientInterface", client, context={"User": "Alice"}, max_units=4
+            "ClientInterface", client, context={"User": user}, max_units=4,
+            required_properties={} if trust is None else {"TrustLevel": trust},
         )
-        plan, _ = fast.run_search(request)
-        reference, _ = slow.run_search(request)
-        assert _shape(plan) == _shape(reference)
-        optimum, _ = complete.run_search(request)
-        if plan is None:
-            continue
-        # Unpruned exhaustive is complete over a superset of the chain space.
-        assert optimum is not None
-        assert optimum.score[0] <= plan.score[0] + 1e-9
-        for planner in (fast, slow, complete):
-            planner.commit(plan)
+        objective = by_cost if cheapest else None  # None: the planner's _Unpruned
+        renewed.ctx = PlanningContext(SPEC, renewed.network, mail_translator())
+        plan, _ = fast.run_search(request, objective=objective)
+        for other in (slow, renewed):
+            reference, _ = other.run_search(request, objective=objective)
+            assert _shape(plan) == _shape(reference)
+        if plan is not None and not cheapest:
+            # Unpruned exhaustive is complete over a superset of the chain space.
+            optimum, _ = complete.run_search(request)
+            assert optimum is not None
+            assert optimum.score[0] <= plan.score[0] + 1e-9
+        for planner in worlds:
+            if change == "commit":
+                if plan is not None:
+                    planner.commit(plan)
+            elif change is not None:
+                change(planner.network)
     assert slow.ctx.cache_stats.compat_hits == 0  # memoize=False bypasses the memo

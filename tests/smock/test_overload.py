@@ -1,13 +1,20 @@
-"""Unit tests for the overload-protection primitives (sim-clock only)."""
+"""Unit tests for the overload-protection primitives (sim-clock only),
+and the pin of the counters a protected load cell exports."""
 
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from repro.load import LoadConfig, run_load_cell, sweep
+from repro.obs import Observability
+from repro.sim import FlashCrowdProcess
 from repro.smock import (
     CircuitBreaker,
     OverloadConfig,
     OverloadManager,
+    RetryPolicy,
     TokenBucket,
 )
 from repro.smock.overload import BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN
@@ -217,3 +224,45 @@ class TestOverloadManager:
             "breaker_fast_fails": 1,
             "breaker_trips": 0,
         }
+
+
+def test_protected_cell_counters_match_the_recorded_snapshot(monkeypatch):
+    """The per-attempt counters go through handles resolved once; every
+    name, label and value must stay what the registry lookups produced
+    (``golden/protected_cell_counters.json``, recorded at commit 0ef33b7
+    from this very cell: sheds, throttles, breaker fast-fails, timeouts
+    and retries that succeeded or ran out all fire).  The planner's own counters are
+    pinned by ``tests/planner`` and left out."""
+    created = []
+
+    class Capturing(Observability):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(sweep, "Observability", Capturing)
+    run_load_cell(
+        FlashCrowdProcess(
+            40.0, 400.0, at_ms=1000.0, ramp_ms=500.0, hold_ms=2000.0,
+            decay_ms=500.0, seed=37,
+        ),
+        config=LoadConfig(seed=37, duration_ms=4000.0, drain_ms=10000.0, n_users=200),
+        n_proxies=3,
+        protection=OverloadConfig(
+            max_queue=48, breaker_min_requests=5, breaker_failure_threshold=0.05
+        ),
+        retry_policy=RetryPolicy(timeout_ms=400.0, max_retries=2),
+    )
+    (obs,) = created
+    counters = {
+        name: value
+        for name, value in obs.metrics.snapshot()["counters"].items()
+        if not name.startswith("planner.")
+    }
+    golden = Path(__file__).parent / "golden" / "protected_cell_counters.json"
+    assert counters == json.loads(golden.read_text())
+    for family in (
+        "overload.shed", "overload.throttled", "overload.breaker_fast_fails",
+        "smock.request_timeouts", "smock.retries",
+    ):
+        assert any(name.startswith(family) for name in counters), family
