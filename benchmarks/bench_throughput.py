@@ -3,7 +3,7 @@
 Not a paper figure: this file measures how fast the *host* machine
 chews through simulated work, guarding the hot path (kernel tight
 loop, route-compiled transport, proxy fast path, batched coherence,
-crypto caches).  Four workloads:
+the whole-message cipher kernel).  Four workloads:
 
 - **bare kernel** — a single ticker process scheduling 100k timeouts:
   pure event-dispatch overhead, no framework above the simulator.

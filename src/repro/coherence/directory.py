@@ -18,7 +18,7 @@ configurations conflict with the propagated updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Protocol, Tuple
 
 from ..obs import Observability, resolve_obs
@@ -217,9 +217,12 @@ class CoherenceDirectory:
             # Stamp at first buffering only: updates arriving through a
             # downstream sync batch keep their original identity so the
             # frontier dedups them end to end across replica chains.
+            # Positional, like ``Update.__reduce__``: ``replace`` walks
+            # ``dataclasses.fields()`` once per buffered send.
             entry.next_seq += 1
-            update = replace(
-                update, origin=replica_id, seq=entry.next_seq, ts_ms=now_ms
+            update = Update(
+                update.op, update.attributes, update.size_bytes,
+                update.multiplicity, replica_id, entry.next_seq, now_ms,
             )
         entry.pending.append(update)
         entry.pending_units += update.multiplicity

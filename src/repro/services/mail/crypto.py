@@ -11,11 +11,19 @@ This is **not** security-grade cryptography — it exists so the
 encryption code paths are real (ciphertexts round-trip, wrong keys fail,
 sizes grow by a header) while staying fast inside the simulator.
 
-Both the block cipher and the whole-message transforms are pure
-functions of (key, input), so their results are cached: a bounded LRU
-over full messages absorbs the experiments' repeated send bodies, and a
-block-level cache under it absorbs ECB's repeated blocks even for fresh
-messages.  A cache hit is byte-identical to recomputation.
+The whole-message transforms are pure functions of (key, input), so a
+bounded LRU over full messages absorbs the experiments' repeated send
+bodies; a hit is byte-identical to recomputation.  There is no block
+cache: a fresh message (every coherence flush is one) runs the 8 rounds
+once, over all its blocks at the same time, on two Python big ints.
+
+A *lane* is the 64 bits one 8-byte block occupies in ``int.from_bytes(
+padded, "big")``: ``V0`` / ``V1`` hold every block's first / second word
+in the low half of its lane, and a round is lane-wise ``<< >> ^ + &``.
+No lane reaches its neighbour: an intermediate stays below 2^38 until
+``& M`` cuts it to 32 bits, ``>> 5`` is masked so a neighbour's low bits
+never enter, and decipher adds 2^38 (a multiple of 2^32) to every lane
+before it subtracts, so none borrows.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 __all__ = [
     "derive_key",
@@ -55,47 +63,64 @@ def derive_key(*parts: str) -> Tuple[int, int, int, int]:
     return struct.unpack(">4I", digest[:16])
 
 
-# The block transforms are cached — XTEA is a pure permutation per key,
-# and ECB makes hits common (identical plaintext blocks recur within and
-# across messages).
-@lru_cache(maxsize=1 << 16)
-def _encipher_block(v0: int, v1: int, key: Tuple[int, int, int, int]) -> Tuple[int, int]:
-    total = 0
-    for _ in range(_ROUNDS):
-        v0 = (v0 + ((((v1 << 4) ^ (v1 >> 5)) + v1) ^ (total + key[total & 3]))) & _MASK
-        total = (total + _DELTA) & _MASK
-        v1 = (v1 + ((((v0 << 4) ^ (v0 >> 5)) + v0) ^ (total + key[(total >> 11) & 3]))) & _MASK
-    return v0, v1
-
-
-@lru_cache(maxsize=1 << 16)
-def _decipher_block(v0: int, v1: int, key: Tuple[int, int, int, int]) -> Tuple[int, int]:
-    total = (_DELTA * _ROUNDS) & _MASK
-    for _ in range(_ROUNDS):
-        v1 = (v1 - ((((v0 << 4) ^ (v0 >> 5)) + v0) ^ (total + key[(total >> 11) & 3]))) & _MASK
-        total = (total - _DELTA) & _MASK
-        v0 = (v0 - ((((v1 << 4) ^ (v1 >> 5)) + v1) ^ (total + key[total & 3]))) & _MASK
-    return v0, v1
-
-
 @lru_cache(maxsize=1024)
 def _key_check(key: Tuple[int, int, int, int]) -> bytes:
     return hashlib.sha256(struct.pack(">4I", *key)).digest()[:4]
 
 
-# Whole-message transforms unpack and pack every 32-bit word in one
-# struct call and walk word pairs; the block cache sees the same
-# (v0, v1, key) lookups a per-block unpack would make.
+@lru_cache(maxsize=1024)
+def _schedule(key: Tuple[int, int, int, int]) -> Tuple[int, ...]:
+    """The 16 round subkeys ``total + key[...]`` in encipher order (XTEA
+    does not mask the sum, so a subkey may reach 2^33 - 2)."""
+    subkeys = []
+    total = 0
+    for _ in range(_ROUNDS):
+        subkeys.append(total + key[total & 3])
+        total = (total + _DELTA) & _MASK
+        subkeys.append(total + key[(total >> 11) & 3])
+    return tuple(subkeys)
+
+
+def _lanes(n_blocks: int) -> Tuple[int, int]:
+    """``(M, ONES)``: ``0xFFFFFFFF`` and ``1`` in each of ``n_blocks`` lanes."""
+    return (
+        int.from_bytes(b"\x00\x00\x00\x00\xff\xff\xff\xff" * n_blocks, "big"),
+        int.from_bytes(b"\x00\x00\x00\x00\x00\x00\x00\x01" * n_blocks, "big"),
+    )
+
+
+def _encipher(key: Tuple[int, int, int, int], data: bytes) -> bytes:
+    """XTEA-ECB over every 8-byte block of ``data`` at once."""
+    m, ones = _lanes(len(data) >> 3)
+    packed = int.from_bytes(data, "big")
+    v0 = (packed >> 32) & m
+    v1 = packed & m
+    subkeys = iter(_schedule(key))
+    for k0, k1 in zip(subkeys, subkeys):
+        v0 = (v0 + ((((v1 << 4) ^ ((v1 >> 5) & m)) + v1) ^ (k0 * ones))) & m
+        v1 = (v1 + ((((v0 << 4) ^ ((v0 >> 5) & m)) + v0) ^ (k1 * ones))) & m
+    return ((v0 << 32) | v1).to_bytes(len(data), "big")
+
+
+def _decipher(key: Tuple[int, int, int, int], data: bytes) -> bytes:
+    """Inverse of :func:`_encipher`."""
+    m, ones = _lanes(len(data) >> 3)
+    bias = ones << 38
+    packed = int.from_bytes(data, "big")
+    v0 = (packed >> 32) & m
+    v1 = packed & m
+    subkeys = iter(_schedule(key)[::-1])
+    for k1, k0 in zip(subkeys, subkeys):
+        v1 = (v1 + bias - ((((v0 << 4) ^ ((v0 >> 5) & m)) + v0) ^ (k1 * ones))) & m
+        v0 = (v0 + bias - ((((v1 << 4) ^ ((v1 >> 5) & m)) + v1) ^ (k0 * ones))) & m
+    return ((v0 << 32) | v1).to_bytes(len(data), "big")
+
+
 @lru_cache(maxsize=4096)
 def _encrypt_cached(key: Tuple[int, int, int, int], plaintext: bytes) -> bytes:
     header = _key_check(key) + struct.pack(">Q", len(plaintext))
     padded = plaintext + b"\x00" * (-len(plaintext) % 8)
-    n_words = len(padded) // 4
-    words = iter(struct.unpack(f">{n_words}I", padded))
-    out: List[int] = []
-    for v0, v1 in zip(words, words):
-        out += _encipher_block(v0, v1, key)
-    return header + struct.pack(f">{n_words}I", *out)
+    return header + _encipher(key, padded)
 
 
 @lru_cache(maxsize=4096)
@@ -106,14 +131,11 @@ def _decrypt_cached(key: Tuple[int, int, int, int], ciphertext: bytes) -> bytes:
         raise CryptoError("key mismatch")
     (length,) = struct.unpack(">Q", ciphertext[4:12])
     body = ciphertext[12:]
-    if len(body) % 8 != 0 or length > len(body):
+    # A legitimate body is the plaintext padded to the next block: a
+    # shorter claimed length would silently decrypt to a prefix.
+    if len(body) % 8 != 0 or not 0 <= len(body) - length < 8:
         raise CryptoError("corrupted ciphertext")
-    n_words = len(body) // 4
-    words = iter(struct.unpack(f">{n_words}I", body))
-    out: List[int] = []
-    for v0, v1 in zip(words, words):
-        out += _decipher_block(v0, v1, key)
-    return struct.pack(f">{n_words}I", *out)[:length]
+    return _decipher(key, body)[:length]
 
 
 def encrypt(key: Tuple[int, int, int, int], plaintext: bytes) -> bytes:

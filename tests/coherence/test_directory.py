@@ -1,5 +1,6 @@
 """Tests for the coherence directory."""
 
+import dataclasses
 from typing import List
 
 import pytest
@@ -90,6 +91,30 @@ def test_requeue_unversioned_keeps_objects(directory):
     unversioned.on_local_update(0, u2, 0.0)
     batch, _ = unversioned.drain(0)
     assert batch == [u1, u2]  # no stamping: the exact objects round-trip
+
+
+def test_first_buffering_stamps_without_dataclasses_replace(directory, monkeypatch):
+    """The stamp is built positionally (``dataclasses.replace`` walks
+    ``fields()`` once per buffered send) and equals the ``replace`` result."""
+    directory.register_replica("MailServer", cfg(3), FakeHost(), NeverPolicy())
+    update = Update("store", {"sensitivity": 2, "i": 0}, size_bytes=321, multiplicity=4)
+    expected = dataclasses.replace(update, origin=0, seq=1, ts_ms=12.5)
+    relayed = Update("store", {"i": 1}, size_bytes=7, origin=9, seq=41, ts_ms=3.0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dataclasses.replace on the buffering path")
+
+    monkeypatch.setattr(dataclasses, "replace", forbidden)
+    # ... and under the name a ``from dataclasses import replace`` binds
+    monkeypatch.setattr("repro.coherence.directory.replace", forbidden, raising=False)
+    directory.on_local_update(0, update, 12.5)
+    directory.on_local_update(0, relayed, 20.0)
+    batch, units = directory.drain(0)
+    for f in dataclasses.fields(Update):
+        assert getattr(batch[0], f.name) == getattr(expected, f.name), f.name
+    assert batch[0].attributes is update.attributes
+    assert batch[1] is relayed  # already stamped: passed through by identity
+    assert units == 5
 
 
 def test_broadcast_invalidations_respects_conflict_map(directory):

@@ -1,17 +1,76 @@
 """Tests for the toy XTEA crypto and keyrings."""
 
 import hashlib
+import random
+import struct
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.services.mail import (
     CIPHER_OVERHEAD_BYTES,
     CryptoError,
     KeyRing,
+    crypto,
     decrypt,
     derive_key,
     encrypt,
 )
+
+# -- the per-block reference ----------------------------------------------------
+# The cipher as ``crypto.py`` ran it up to commit bd54f10: one 8-byte
+# block at a time, on two masked 32-bit words.  The whole-message kernel
+# must produce these bytes and raise these errors.
+_DELTA, _MASK, _ROUNDS = 0x9E3779B9, 0xFFFFFFFF, 8
+
+
+def _encipher_block(v0, v1, key):
+    total = 0
+    for _ in range(_ROUNDS):
+        v0 = (v0 + ((((v1 << 4) ^ (v1 >> 5)) + v1) ^ (total + key[total & 3]))) & _MASK
+        total = (total + _DELTA) & _MASK
+        v1 = (v1 + ((((v0 << 4) ^ (v0 >> 5)) + v0) ^ (total + key[(total >> 11) & 3]))) & _MASK
+    return v0, v1
+
+
+def _decipher_block(v0, v1, key):
+    total = (_DELTA * _ROUNDS) & _MASK
+    for _ in range(_ROUNDS):
+        v1 = (v1 - ((((v0 << 4) ^ (v0 >> 5)) + v0) ^ (total + key[(total >> 11) & 3]))) & _MASK
+        total = (total - _DELTA) & _MASK
+        v0 = (v0 - ((((v1 << 4) ^ (v1 >> 5)) + v1) ^ (total + key[total & 3]))) & _MASK
+    return v0, v1
+
+
+def _walk(block_fn, key, data):
+    out = bytearray()
+    for off in range(0, len(data), 8):
+        out += struct.pack(">2I", *block_fn(*struct.unpack_from(">2I", data, off), key))
+    return bytes(out)
+
+
+def _key_check(key):
+    return hashlib.sha256(struct.pack(">4I", *key)).digest()[:4]
+
+
+def _reference_encrypt(key, plaintext):
+    padded = plaintext + b"\x00" * (-len(plaintext) % 8)
+    header = _key_check(key) + struct.pack(">Q", len(plaintext))
+    return header + _walk(_encipher_block, key, padded)
+
+
+def _reference_decrypt(key, ciphertext):
+    if len(ciphertext) < CIPHER_OVERHEAD_BYTES:
+        raise CryptoError("ciphertext too short")
+    if ciphertext[:4] != _key_check(key):
+        raise CryptoError("key mismatch")
+    (length,) = struct.unpack(">Q", ciphertext[4:12])
+    body = ciphertext[12:]
+    if len(body) % 8 != 0 or not 0 <= len(body) - length < 8:
+        raise CryptoError("corrupted ciphertext")
+    return _walk(_decipher_block, key, body)[:length]
 
 
 def test_roundtrip():
@@ -45,6 +104,32 @@ def test_recorded_vectors(n):
     assert decrypt(key, ct) == plaintext
 
 
+#: two more under the same key, recorded at commit bd54f10 (the last
+#: with a per-block loop), sha256 of the ciphertext: every lane all-ones
+#: (each add carries, each subtract borrows), and a message the size of
+#: ``flash_autonomic``'s largest relay blob.
+RECORDED_BULK_VECTORS = {
+    "ff-4096": (
+        lambda: b"\xff" * 4096,
+        "e17d180af350009ac1dacfa8fde109473936d82434ebeb78736b9aa4db42cc1b",
+    ),
+    "random7-138588": (
+        lambda: random.Random(7).randbytes(138_588),
+        "082bf7fd4300cac0dd03f34c31c302a566347900330c7b512ba1f6769b1a736d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_BULK_VECTORS))
+def test_recorded_bulk_vectors(name):
+    make, digest = RECORDED_BULK_VECTORS[name]
+    key = derive_key("vector", "k")
+    plaintext = make()
+    ct = encrypt(key, plaintext)
+    assert hashlib.sha256(ct).hexdigest() == digest
+    assert decrypt(key, ct) == plaintext
+
+
 def test_ciphertext_differs_from_plaintext():
     key = derive_key("k")
     pt = b"secret message!!"
@@ -71,6 +156,126 @@ def test_truncated_ciphertext_rejected():
         decrypt(key, ct[:8])
     with pytest.raises(CryptoError):
         decrypt(key, ct[:-3])  # broken block alignment
+
+
+def test_every_short_length_round_trips():
+    key = derive_key("k")
+    for n in range(25):
+        plaintext = bytes(range(1, n + 1))
+        assert decrypt(key, encrypt(key, plaintext)) == plaintext
+
+
+@pytest.mark.parametrize("forged", ["length - 8", "0"])
+def test_forged_shorter_length_rejected(forged):
+    """A legitimate header satisfies ``0 <= len(body) - length < 8``; a
+    smaller one used to decrypt silently to a prefix of the plaintext."""
+    key = derive_key("k")
+    plaintext = bytes(range(20))
+    ct = encrypt(key, plaintext)
+    length = {"length - 8": len(plaintext) - 8, "0": 0}[forged]
+    bad = ct[:4] + struct.pack(">Q", length) + ct[12:]
+    with pytest.raises(CryptoError, match="corrupted ciphertext"):
+        decrypt(key, bad)
+
+
+def test_malformed_inputs_raise_the_reference_errors():
+    key = derive_key("k")
+    ct = encrypt(key, b"payload!" * 3)
+    over_long = ct[:4] + struct.pack(">Q", 25) + ct[12:]
+    cases = [
+        (derive_key("other"), ct, "key mismatch"),
+        (key, ct[:11], "ciphertext too short"),
+        (key, b"", "ciphertext too short"),
+        (key, ct[:-3], "corrupted ciphertext"),
+        (key, over_long, "corrupted ciphertext"),
+        # the key check comes first: a wrong key never reads the length
+        (derive_key("other"), over_long, "key mismatch"),
+    ]
+    for k, bad, message in cases:
+        for transform in (decrypt, _reference_decrypt, decrypt):  # never cached
+            with pytest.raises(CryptoError, match=f"^{message}$"):
+                transform(k, bad)
+
+
+# -- whole-message kernel vs the per-block reference ------------------------------
+#: words that carry out of / borrow into / shift across a 32-bit half lane
+_EDGE_WORDS = (0, 0xFFFFFFFF, 0x80000000, 0x7FFFFFFF, 0x0000001F, 0xF8000000, 1)
+_words = st.one_of(st.sampled_from(_EDGE_WORDS), st.integers(0, _MASK))
+_keys = st.tuples(
+    *[st.one_of(st.sampled_from((0, 0xFFFFFFFF, 0x80000000)), st.integers(0, _MASK))] * 4
+)
+
+
+def _seeded_body(seed, length, edge_share):
+    rng = random.Random(seed)
+    words = [
+        rng.choice(_EDGE_WORDS) if rng.random() < edge_share else rng.getrandbits(32)
+        for _ in range(-(-length // 4))
+    ]
+    return struct.pack(f">{len(words)}I", *words)[:length]
+
+
+#: edge words in random lane positions: short bodies drawn (and shrunk)
+#: word by word, long ones built from a seed so lengths reach 4 096
+_bodies = st.one_of(
+    st.builds(
+        lambda words, cut: struct.pack(f">{len(words)}I", *words)[: max(0, 4 * len(words) - cut)],
+        st.lists(_words, max_size=48),
+        st.integers(0, 3),
+    ),
+    st.builds(
+        _seeded_body,
+        st.integers(0, 2**32),
+        st.integers(0, 4096),
+        st.sampled_from((0.0, 0.5, 0.9, 1.0)),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_keys, _bodies)
+def test_kernel_matches_per_block_reference(key, body):
+    ct = encrypt(key, body)
+    assert ct == _reference_encrypt(key, body)
+    assert decrypt(key, ct) == _reference_decrypt(key, ct) == body
+    # decipher on bytes no encipher produced: the body itself, block-aligned
+    aligned = body[: len(body) & ~7]
+    forged = _key_check(key) + struct.pack(">Q", len(aligned)) + aligned
+    assert decrypt(key, forged) == _reference_decrypt(key, forged)
+
+
+def _python_calls(fn, *args):
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_cipher_cost_is_per_message_not_per_block():
+    """One cold ``encrypt`` makes the same handful of Python-level calls
+    whatever the length: no per-block function is back in the loop."""
+    small = _python_calls(encrypt, derive_key("cold", "512"), random.Random(1).randbytes(512))
+    large = _python_calls(encrypt, derive_key("cold", "64k"), random.Random(2).randbytes(65_536))
+    assert small == large <= 16
+
+
+def test_no_cache_beyond_the_message_lru():
+    caches = {
+        name: obj.cache_parameters()["maxsize"]
+        for name, obj in vars(crypto).items()
+        if hasattr(obj, "cache_parameters")
+    }
+    assert caches["_encrypt_cached"] == caches["_decrypt_cached"] == 4096
+    assert all(size is not None and size <= 4096 for size in caches.values()), caches
+    assert not hasattr(crypto, "_encipher_block") and not hasattr(crypto, "_decipher_block")
 
 
 def test_key_derivation_deterministic_and_distinct():
