@@ -69,34 +69,32 @@ def _key_check(key: Tuple[int, int, int, int]) -> bytes:
 
 
 @lru_cache(maxsize=1024)
-def _schedule(key: Tuple[int, int, int, int]) -> Tuple[int, ...]:
-    """The 16 round subkeys ``total + key[...]`` in encipher order (XTEA
-    does not mask the sum, so a subkey may reach 2^33 - 2)."""
-    subkeys = []
+def _schedule(key: Tuple[int, int, int, int]) -> Tuple[Tuple[int, int], ...]:
+    """Each round's two subkeys ``total + key[...]``, in encipher order
+    (XTEA does not mask the sum, so a subkey may reach 2^33 - 2)."""
+    rounds = []
     total = 0
     for _ in range(_ROUNDS):
-        subkeys.append(total + key[total & 3])
+        k0 = total + key[total & 3]
         total = (total + _DELTA) & _MASK
-        subkeys.append(total + key[(total >> 11) & 3])
-    return tuple(subkeys)
+        rounds.append((k0, total + key[(total >> 11) & 3]))
+    return tuple(rounds)
 
 
-def _lanes(n_blocks: int) -> Tuple[int, int]:
-    """``(M, ONES)``: ``0xFFFFFFFF`` and ``1`` in each of ``n_blocks`` lanes."""
-    return (
-        int.from_bytes(b"\x00\x00\x00\x00\xff\xff\xff\xff" * n_blocks, "big"),
-        int.from_bytes(b"\x00\x00\x00\x00\x00\x00\x00\x01" * n_blocks, "big"),
-    )
+def _lanes(data: bytes) -> Tuple[int, int, int, int]:
+    """``(M, ONES, V0, V1)`` for block-aligned ``data``: ``0xFFFFFFFF``
+    and ``1`` in every lane, then each block's first and second word."""
+    n_blocks = len(data) >> 3
+    m = int.from_bytes(b"\x00\x00\x00\x00\xff\xff\xff\xff" * n_blocks, "big")
+    ones = int.from_bytes(b"\x00\x00\x00\x00\x00\x00\x00\x01" * n_blocks, "big")
+    packed = int.from_bytes(data, "big")
+    return m, ones, (packed >> 32) & m, packed & m
 
 
 def _encipher(key: Tuple[int, int, int, int], data: bytes) -> bytes:
     """XTEA-ECB over every 8-byte block of ``data`` at once."""
-    m, ones = _lanes(len(data) >> 3)
-    packed = int.from_bytes(data, "big")
-    v0 = (packed >> 32) & m
-    v1 = packed & m
-    subkeys = iter(_schedule(key))
-    for k0, k1 in zip(subkeys, subkeys):
+    m, ones, v0, v1 = _lanes(data)
+    for k0, k1 in _schedule(key):
         v0 = (v0 + ((((v1 << 4) ^ ((v1 >> 5) & m)) + v1) ^ (k0 * ones))) & m
         v1 = (v1 + ((((v0 << 4) ^ ((v0 >> 5) & m)) + v0) ^ (k1 * ones))) & m
     return ((v0 << 32) | v1).to_bytes(len(data), "big")
@@ -104,13 +102,9 @@ def _encipher(key: Tuple[int, int, int, int], data: bytes) -> bytes:
 
 def _decipher(key: Tuple[int, int, int, int], data: bytes) -> bytes:
     """Inverse of :func:`_encipher`."""
-    m, ones = _lanes(len(data) >> 3)
+    m, ones, v0, v1 = _lanes(data)
     bias = ones << 38
-    packed = int.from_bytes(data, "big")
-    v0 = (packed >> 32) & m
-    v1 = packed & m
-    subkeys = iter(_schedule(key)[::-1])
-    for k1, k0 in zip(subkeys, subkeys):
+    for k0, k1 in reversed(_schedule(key)):
         v1 = (v1 + bias - ((((v0 << 4) ^ ((v0 >> 5) & m)) + v0) ^ (k1 * ones))) & m
         v0 = (v0 + bias - ((((v1 << 4) ^ ((v1 >> 5) & m)) + v1) ^ (k0 * ones))) & m
     return ((v0 << 32) | v1).to_bytes(len(data), "big")

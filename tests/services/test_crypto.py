@@ -75,7 +75,8 @@ def _reference_decrypt(key, ciphertext):
 
 def test_roundtrip():
     key = derive_key("k")
-    for plaintext in (b"", b"x", b"hello world", b"a" * 1000, bytes(range(256))):
+    every_short_length = [bytes(range(1, n + 1)) for n in range(25)]
+    for plaintext in (b"", b"x", b"hello world", b"a" * 1000, bytes(range(256)), *every_short_length):
         assert decrypt(key, encrypt(key, plaintext)) == plaintext
 
 
@@ -158,21 +159,12 @@ def test_truncated_ciphertext_rejected():
         decrypt(key, ct[:-3])  # broken block alignment
 
 
-def test_every_short_length_round_trips():
-    key = derive_key("k")
-    for n in range(25):
-        plaintext = bytes(range(1, n + 1))
-        assert decrypt(key, encrypt(key, plaintext)) == plaintext
-
-
-@pytest.mark.parametrize("forged", ["length - 8", "0"])
-def test_forged_shorter_length_rejected(forged):
+@pytest.mark.parametrize("length", [20 - 8, 0])
+def test_forged_shorter_length_rejected(length):
     """A legitimate header satisfies ``0 <= len(body) - length < 8``; a
     smaller one used to decrypt silently to a prefix of the plaintext."""
     key = derive_key("k")
-    plaintext = bytes(range(20))
-    ct = encrypt(key, plaintext)
-    length = {"length - 8": len(plaintext) - 8, "0": 0}[forged]
+    ct = encrypt(key, bytes(range(20)))
     bad = ct[:4] + struct.pack(">Q", length) + ct[12:]
     with pytest.raises(CryptoError, match="corrupted ciphertext"):
         decrypt(key, bad)
