@@ -19,7 +19,7 @@ scaled-down Figure 5 testbed as ``bench_load.py`` (``node_cpu=100``,
   peak replica count with zero lost acked updates.
 
 ``BENCH_autonomic.json`` (checked in next to this file) records wall
-times; the test fails if it runs more than ``REGRESSION_FACTOR``x
+times; the test fails if it runs more than ``conftest.REGRESSION_FACTOR``x
 slower.  Refresh on a quiet machine with
 ``REPRO_WRITE_BENCH_BASELINE=1 pytest benchmarks/bench_autonomic.py``.
 The physics assertions (scale-out fired, goodput above protected-only,
@@ -30,43 +30,20 @@ and always enforced.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
 
+from conftest import check_or_record
 from repro.load import LoadConfig, run_flash_crowd_pair
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_autonomic.json"
 LOAD_BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_load.json"
-#: fail when a cell runs this much slower than the committed number
-REGRESSION_FACTOR = 2.0
-_WRITE = os.environ.get("REPRO_WRITE_BENCH_BASELINE", "0") == "1"
 
 #: one seed for every cell: load benchmarks are determinism-pinned
 SEED = 7
 #: p99 must fall back under the SLO bound within this many telemetry
 #: windows of the first scale-out install (500 ms windows)
 RECOVERY_WINDOW_BOUND = 8
-
-
-def _baseline() -> dict:
-    return json.loads(BASELINE_PATH.read_text())
-
-
-def _check_or_record(key: str, measured: dict) -> None:
-    """Regression-guard ``measured['wall_s']`` against the committed
-    numbers, or refresh them when REPRO_WRITE_BENCH_BASELINE=1."""
-    data = _baseline()
-    if _WRITE:
-        data.setdefault("current", {})[key] = measured
-        BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
-        return
-    committed = data["current"][key]["wall_s"]
-    assert measured["wall_s"] < committed * REGRESSION_FACTOR, (
-        f"{key}: {measured['wall_s']:.3f}s is more than "
-        f"{REGRESSION_FACTOR}x slower than the committed {committed:.3f}s "
-        f"baseline — autonomic-path regression?"
-    )
 
 
 def _pinned_load_signatures() -> dict:
@@ -162,7 +139,7 @@ def test_autonomic_flash_crowd_headline(benchmark, report_lines):
 
     measured = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info.update(measured)
-    _check_or_record("autonomic_flash_crowd", measured)
+    check_or_record(BASELINE_PATH, "autonomic_flash_crowd", measured)
     report_lines.append(
         f"Autonomic: flash crowd -> scale-out at "
         f"{measured['scale_out_at_ms']:.0f} ms, goodput "

@@ -16,13 +16,12 @@ is regression-guarded.  Refresh with
 ``REPRO_WRITE_BENCH_BASELINE=1 pytest benchmarks/bench_failover.py``.
 """
 
-import json
-import os
 import pathlib
 import time
 
 import pytest
 
+from conftest import check_or_record
 from repro.experiments import build_mail_testbed
 from repro.faults import FaultInjector, FaultPlan
 from repro.network import NetworkError
@@ -34,35 +33,6 @@ from repro.smock import LookupError, LookupService, RetryPolicy
 OUTAGE_MS = 19_000.0  # crash at +1 s, restart at +20 s
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_failover.json"
-REGRESSION_FACTOR = 2.0
-_WRITE = os.environ.get("REPRO_WRITE_BENCH_BASELINE", "0") == "1"
-
-
-def _check_or_record(key: str, measured: dict) -> None:
-    """Pin the deterministic sim numbers exactly and regression-guard
-    ``wall_s``, or refresh both when REPRO_WRITE_BENCH_BASELINE=1."""
-    if _WRITE:
-        data = (
-            json.loads(BASELINE_PATH.read_text())
-            if BASELINE_PATH.exists() else {"current": {}}
-        )
-        data.setdefault("current", {})[key] = measured
-        BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
-        return
-    committed = json.loads(BASELINE_PATH.read_text())["current"][key]
-    for name, value in measured.items():
-        if name == "wall_s":
-            assert value < committed["wall_s"] * REGRESSION_FACTOR, (
-                f"{key}: {value:.3f}s is more than {REGRESSION_FACTOR}x "
-                f"slower than the committed {committed['wall_s']:.3f}s"
-            )
-        else:
-            assert value == committed[name], (
-                f"{key}.{name}: measured {value!r} != committed "
-                f"{committed[name]!r} — control-plane recovery physics "
-                f"changed; refresh with REPRO_WRITE_BENCH_BASELINE=1 if "
-                f"intended"
-            )
 
 
 def run_chaos(with_faults=True, n_sends=60, n_receives=5, versioned=True,
@@ -76,14 +46,12 @@ def run_chaos(with_faults=True, n_sends=60, n_receives=5, versioned=True,
                             telemetry_interval_ms=500.0,
                             **testbed_kwargs)
     rt = tb.runtime
+    retry = None
     if with_faults:
-        replanner = rt.enable_self_healing(heartbeat_interval_ms=250.0,
-                                           miss_threshold=3)
-    proxy = rt.run(rt.client_connect("sandiego-client1", {"User": "Bob"}))
+        rt.enable_self_healing(heartbeat_interval_ms=250.0, miss_threshold=3)
+        retry = RetryPolicy(timeout_ms=3000.0, max_retries=15, seed=1)
+    proxy = tb.connect("sandiego-client1", "Bob", retry)
     if with_faults:
-        proxy.retry_policy = RetryPolicy(timeout_ms=3000.0, max_retries=15,
-                                         seed=1)
-        replanner.track_access(proxy, rt.generic_server.accesses[-1])
         t0 = rt.sim.now
         injector = FaultInjector(rt, FaultPlan.parse(
             [f"crash:sandiego-gw@{t0 + 1000.0}",
@@ -173,11 +141,11 @@ def run_partition(n_sends=60, n_receives=5):
     tb = build_mail_testbed(clients_per_site=2, flush_policy="count:500",
                             algorithm="dp_chain")
     rt = tb.runtime
-    replanner = rt.enable_self_healing(heartbeat_interval_ms=250.0,
-                                       miss_threshold=3)
-    proxy = rt.run(rt.client_connect("sandiego-client1", {"User": "Bob"}))
-    proxy.retry_policy = RetryPolicy(timeout_ms=3000.0, max_retries=15, seed=1)
-    replanner.track_access(proxy, rt.generic_server.accesses[-1])
+    rt.enable_self_healing(heartbeat_interval_ms=250.0, miss_threshold=3)
+    proxy = tb.connect(
+        "sandiego-client1", "Bob",
+        RetryPolicy(timeout_ms=3000.0, max_retries=15, seed=1),
+    )
     t0 = rt.sim.now
     specs = []
     for peer in ("newyork-gw", "seattle-gw"):
@@ -371,7 +339,7 @@ def test_lookup_failover_window_and_directory_mttr(benchmark, report_lines):
     assert measured["replicated_unavailable_ms"] < 3_000.0
     assert measured["directory_mttr_ms"] < 10_000.0
     assert measured["directory_new_host"] != "seattle-gw"
-    _check_or_record("control_plane", measured)
+    check_or_record(BASELINE_PATH, "control_plane", measured, exact=True)
     benchmark.extra_info.update(measured)
     report_lines.append(
         f"control plane: lookup dark window {OUTAGE_MS / 1000:.0f} s outage "
@@ -385,14 +353,13 @@ def test_lookup_failover_window_and_directory_mttr(benchmark, report_lines):
 
 def test_control_plane_knobs_zero_overhead_when_default(benchmark,
                                                         report_lines):
-    """Explicit default knobs (`lookup_replicas=1`, leases off, journal
-    off) are byte-identical to omitting them, and resolve to the plain
-    singleton ``LookupService`` — the structural zero-overhead pin."""
+    """Explicit default knobs (leases off, journal off) are
+    byte-identical to omitting them, and resolve to the plain singleton
+    ``LookupService`` — the structural zero-overhead pin."""
     def run_pair():
         bare = run_chaos(with_faults=False, n_sends=30, n_receives=3)
         knobbed = run_chaos(with_faults=False, n_sends=30, n_receives=3,
-                            lookup_replicas=1, lookup_leases=False,
-                            directory_journal=False)
+                            lookup_leases=False, directory_journal=False)
         return bare, knobbed
 
     (bare, knobbed) = benchmark.pedantic(run_pair, rounds=1, iterations=1)

@@ -17,7 +17,7 @@ req/s capacity knee on the default mail mix).  Three cells:
   reference with bounded p99).
 
 ``BENCH_load.json`` (checked in next to this file) records the wall
-times; each test fails if it runs more than ``REGRESSION_FACTOR``x
+times; each test fails if it runs more than ``conftest.REGRESSION_FACTOR``x
 slower.  Refresh on a quiet machine with
 ``REPRO_WRITE_BENCH_BASELINE=1 pytest benchmarks/bench_load.py``.
 The physics assertions (retention, collapse, bounded p99) are
@@ -26,41 +26,17 @@ machine-independent and always enforced.
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
 import time
 
+from conftest import check_or_record
 from repro.load import LoadConfig, run_flash_crowd_pair, run_load_cell, run_load_sweep
 from repro.sim import PoissonProcess
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_load.json"
-#: fail when a cell runs this much slower than the committed number
-REGRESSION_FACTOR = 2.0
-_WRITE = os.environ.get("REPRO_WRITE_BENCH_BASELINE", "0") == "1"
 
 #: one seed for every cell: load benchmarks are determinism-pinned
 SEED = 7
-
-
-def _baseline() -> dict:
-    return json.loads(BASELINE_PATH.read_text())
-
-
-def _check_or_record(key: str, measured: dict) -> None:
-    """Regression-guard ``measured['wall_s']`` against the committed
-    numbers, or refresh them when REPRO_WRITE_BENCH_BASELINE=1."""
-    data = _baseline()
-    if _WRITE:
-        data.setdefault("current", {})[key] = measured
-        BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
-        return
-    committed = data["current"][key]["wall_s"]
-    assert measured["wall_s"] < committed * REGRESSION_FACTOR, (
-        f"{key}: {measured['wall_s']:.3f}s is more than "
-        f"{REGRESSION_FACTOR}x slower than the committed {committed:.3f}s "
-        f"baseline — load-path regression?"
-    )
 
 
 def _config(duration_ms: float = 10_000.0, drain_ms: float = 30_000.0) -> LoadConfig:
@@ -90,7 +66,7 @@ def test_pre_knee_peak(benchmark, report_lines):
 
     measured = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info.update(measured)
-    _check_or_record("pre_knee_peak", measured)
+    check_or_record(BASELINE_PATH, "pre_knee_peak", measured)
     report_lines.append(
         f"Load: pre-knee cell 100/s offered -> "
         f"{measured['goodput_per_s']} good/s, p99 {measured['p99_ms']:.0f} ms"
@@ -119,7 +95,7 @@ def test_knee_sweep(benchmark, report_lines):
 
     measured = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info.update(measured)
-    _check_or_record("knee_sweep", measured)
+    check_or_record(BASELINE_PATH, "knee_sweep", measured)
     report_lines.append(
         f"Load: capacity knee at {measured['knee_per_s']:.0f}/s "
         f"(goodput {measured['goodput']})"
@@ -159,7 +135,7 @@ def test_flash_crowd_headline(benchmark, report_lines):
 
     measured = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info.update(measured)
-    _check_or_record("flash_crowd_pair", measured)
+    check_or_record(BASELINE_PATH, "flash_crowd_pair", measured)
     report_lines.append(
         f"Load: flash crowd -> protected holds "
         f"{measured['protected_retention']:.0%} of peak goodput "

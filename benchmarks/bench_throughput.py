@@ -18,7 +18,7 @@ the whole-message cipher kernel).  Four workloads:
 
 ``BENCH_throughput.json`` (checked in next to this file) records the
 pre-overhaul baseline and the post-overhaul numbers; each test fails if
-it runs more than ``REGRESSION_FACTOR``x slower than the committed
+it runs more than ``conftest.REGRESSION_FACTOR``x slower than the committed
 "current" numbers (a generous guard — CI machines vary, order-of-
 magnitude regressions don't).  Refresh the file on a quiet machine with
 ``REPRO_WRITE_BENCH_BASELINE=1 pytest benchmarks/bench_throughput.py``.
@@ -29,40 +29,17 @@ the hot path's speed is now recorded per commit by ``perf/run.py``
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
 
+from conftest import check_or_record
 from repro.coherence import AttributeConflictMap, CoherenceDirectory, Update
 from repro.experiments import run_scenario
 from repro.obs import NULL_OBS
 from repro.sim import Simulator
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_throughput.json"
-#: fail when a workload runs this much slower than the committed number
-REGRESSION_FACTOR = 2.0
-_WRITE = os.environ.get("REPRO_WRITE_BENCH_BASELINE", "0") == "1"
-
-
-def _baseline() -> dict:
-    return json.loads(BASELINE_PATH.read_text())
-
-
-def _check_or_record(key: str, measured: dict) -> None:
-    """Regression-guard ``measured['wall_s']`` against the committed
-    numbers, or refresh them when REPRO_WRITE_BENCH_BASELINE=1."""
-    data = _baseline()
-    if _WRITE:
-        data.setdefault("current", {})[key] = measured
-        BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
-        return
-    committed = data["current"][key]["wall_s"]
-    assert measured["wall_s"] < committed * REGRESSION_FACTOR, (
-        f"{key}: {measured['wall_s']:.3f}s is more than "
-        f"{REGRESSION_FACTOR}x slower than the committed {committed:.3f}s "
-        f"baseline — hot-path regression?"
-    )
 
 
 # -- workloads ---------------------------------------------------------------
@@ -174,7 +151,7 @@ def _run_site_traffic(workers: int) -> dict:
 def test_bare_kernel_events(benchmark, report_lines):
     measured = benchmark.pedantic(_run_bare_kernel, rounds=1, iterations=1)
     benchmark.extra_info.update(measured)
-    _check_or_record("bare_kernel", measured)
+    check_or_record(BASELINE_PATH, "bare_kernel", measured)
     report_lines.append(
         f"Throughput: bare kernel {measured['events_per_s']:,} events/s "
         f"({measured['events']} events in {measured['wall_s']:.2f} s)"
@@ -184,7 +161,7 @@ def test_bare_kernel_events(benchmark, report_lines):
 def test_deployed_chain_throughput(benchmark, report_lines):
     measured = benchmark.pedantic(_run_deployed_chain, rounds=1, iterations=1)
     benchmark.extra_info.update(measured)
-    _check_or_record("deployed_chain_10k", measured)
+    check_or_record(BASELINE_PATH, "deployed_chain_10k", measured)
     report_lines.append(
         f"Throughput: deployed chain {measured['msgs_per_s']:,} sends/s "
         f"(10k sends in {measured['wall_s']:.2f} s)"
@@ -194,7 +171,7 @@ def test_deployed_chain_throughput(benchmark, report_lines):
 def test_coherence_flush_throughput(benchmark, report_lines):
     measured = benchmark.pedantic(_run_coherence_flush, rounds=1, iterations=1)
     benchmark.extra_info.update(measured)
-    _check_or_record("coherence_flush", measured)
+    check_or_record(BASELINE_PATH, "coherence_flush", measured)
     report_lines.append(
         f"Throughput: DS500 flush workload in {measured['wall_s']:.2f} s "
         f"({measured['syncs']} syncs)"
@@ -204,7 +181,7 @@ def test_coherence_flush_throughput(benchmark, report_lines):
 def test_broadcast_fanout_throughput(benchmark, report_lines):
     measured = benchmark.pedantic(_run_broadcast_fanout, rounds=1, iterations=1)
     benchmark.extra_info.update(measured)
-    _check_or_record("broadcast_fanout", measured)
+    check_or_record(BASELINE_PATH, "broadcast_fanout", measured)
     report_lines.append(
         f"Throughput: 64-replica invalidation broadcast "
         f"{measured['deliveries_per_s']:,} deliveries/s"
@@ -235,8 +212,8 @@ def test_parallel_traffic_throughput(benchmark, report_lines):
 
     measured = benchmark.pedantic(compare, rounds=1, iterations=1)
     benchmark.extra_info.update(measured)
-    _check_or_record("parallel_traffic_seq", measured["seq"])
-    _check_or_record("parallel_traffic_3w", measured["par"])
+    check_or_record(BASELINE_PATH, "parallel_traffic_seq", measured["seq"])
+    check_or_record(BASELINE_PATH, "parallel_traffic_3w", measured["par"])
     cores = os.cpu_count() or 1
     if cores >= 3:
         assert measured["speedup"] >= 2.0, (

@@ -25,6 +25,37 @@ from repro.obs import Observability, set_default_obs
 _SNAPSHOT_ENABLED = os.environ.get("REPRO_METRICS_SNAPSHOT", "1") != "0"
 _snapshots = {}
 
+#: fail when a cell runs this much slower than its committed ``wall_s``
+REGRESSION_FACTOR = 2.0
+_WRITE = os.environ.get("REPRO_WRITE_BENCH_BASELINE", "0") == "1"
+
+
+def check_or_record(path, key, measured, exact=False):
+    """Guard ``measured`` against ``path``'s committed ``current[key]``
+    cell, or refresh that cell when ``REPRO_WRITE_BENCH_BASELINE=1``.
+
+    ``wall_s`` may not run ``REGRESSION_FACTOR``x slower than committed;
+    with ``exact`` every other field (deterministic simulated numbers)
+    must equal its committed value.
+    """
+    if _WRITE:
+        data = json.loads(path.read_text()) if path.exists() else {}
+        data.setdefault("current", {})[key] = measured
+        path.write_text(json.dumps(data, indent=2) + "\n")
+        return
+    committed = json.loads(path.read_text())["current"][key]
+    assert measured["wall_s"] < committed["wall_s"] * REGRESSION_FACTOR, (
+        f"{key}: {measured['wall_s']:.3f}s is more than {REGRESSION_FACTOR}x "
+        f"slower than the committed {committed['wall_s']:.3f}s baseline"
+    )
+    if exact:
+        for name, value in measured.items():
+            assert name == "wall_s" or value == committed[name], (
+                f"{key}.{name}: measured {value!r} != committed "
+                f"{committed[name]!r} — simulated physics changed; refresh "
+                f"with REPRO_WRITE_BENCH_BASELINE=1 if intended"
+            )
+
 
 def pytest_configure(config):
     # Benchmarks are standalone; make `pytest benchmarks/` discover them

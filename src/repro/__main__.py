@@ -26,9 +26,12 @@ output to structured JSON log lines.
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 
 from .obs import (
+    FlightRecorder,
     Observability,
     configure_logging,
     get_logger,
@@ -36,6 +39,15 @@ from .obs import (
 )
 
 log = get_logger("cli")
+
+
+def _write_json(path: str, payload) -> None:
+    """Write ``payload`` as indented JSON, creating parent directories."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
 
 
 def cmd_fig5(args: argparse.Namespace) -> int:
@@ -154,18 +166,15 @@ def cmd_mail(args: argparse.Namespace) -> int:
     makes it the natural target of ``--trace``/``--metrics``.
     """
     from .experiments import build_mail_testbed
-    from .services.mail import DEFAULT_USERS, WorkloadConfig, mail_workload
+    from .services.mail import DEFAULT_USERS, WorkloadConfig
+    from .smock import RetryPolicy
 
     # --slo / --flight need the sampler; default its interval on demand
     # (--autonomic defaults it inside the runtime itself).
     telemetry_interval = args.telemetry_interval
     if telemetry_interval is None and (args.slo or args.flight):
         telemetry_interval = 500.0
-    flight = None
-    if args.flight:
-        from .obs import FlightRecorder
-
-        flight = FlightRecorder()
+    flight = FlightRecorder() if args.flight else None
     testbed = build_mail_testbed(
         clients_per_site=max(1, args.clients_per_site),
         flush_policy=args.flush_policy,
@@ -178,7 +187,7 @@ def cmd_mail(args: argparse.Namespace) -> int:
     )
     runtime = testbed.runtime
     sites = args.sites
-    users = list(DEFAULT_USERS)
+    users = [DEFAULT_USERS[i % len(DEFAULT_USERS)] for i in range(len(sites))]
 
     replanner = None
     if args.chaos:
@@ -189,12 +198,11 @@ def cmd_mail(args: argparse.Namespace) -> int:
         )
 
     proxies = []
-    for i, site in enumerate(sites):
-        node = testbed.client_nodes(site)[0]
-        user = users[i % len(users)]
-        proxy = runtime.run(
-            runtime.client_connect(node, {"User": user}), f"connect:{user}"
-        )
+    for site, user in zip(sites, users):
+        retry = RetryPolicy(
+            timeout_ms=args.retry_timeout, max_retries=args.max_retries, seed=args.seed
+        ) if args.chaos else None
+        proxies.append(testbed.connect(testbed.client_nodes(site)[0], user, retry))
         record = runtime.bind_records[-1]
         plan = runtime.generic_server.accesses[-1].plan
         chain = " -> ".join(
@@ -206,45 +214,29 @@ def cmd_mail(args: argparse.Namespace) -> int:
             f"(lookup {record.lookup_ms:.1f}, planning {record.planning_ms:.1f}, "
             f"deployment {record.deployment_ms:.1f})"
         )
-        if replanner is not None:
-            from .smock import RetryPolicy
 
-            proxy.retry_policy = RetryPolicy(
-                timeout_ms=args.retry_timeout,
-                max_retries=args.max_retries,
+    procs = testbed.start_workloads(
+        proxies,
+        [
+            WorkloadConfig(
+                user=user,
+                peers=[u for u in users if u != user] or [user],
+                n_sends=args.sends,
+                n_receives=args.receives,
                 seed=args.seed,
             )
-            replanner.track_access(proxy, runtime.generic_server.accesses[-1])
-        elif runtime.autonomic is not None:
-            # Scale rounds need the binding registered; the chaos path
-            # above already did so via the shared replanner.
-            runtime.autonomic.track_access(
-                proxy, runtime.generic_server.accesses[-1]
-            )
-        proxies.append((site, user, proxy))
+            for user in users
+        ],
+        "workload:",
+    )
 
-    peers = [user for _s, user, _p in proxies]
-    procs = []
-    for site, user, proxy in proxies:
-        config = WorkloadConfig(
-            user=user,
-            peers=[u for u in peers if u != user] or [user],
-            n_sends=args.sends,
-            n_receives=args.receives,
-            seed=args.seed,
-        )
-        procs.append(
-            (site, user, runtime.sim.process(mail_workload(proxy, config),
-                                             name=f"workload:{user}"))
-        )
-
-    if replanner is None:
+    if not args.chaos:
         runtime.sim.run()
     else:
         # Chaos run: fault times are relative to workload start.
         import dataclasses
 
-        from .faults import FaultInjector, FaultPlan
+        from .faults import FaultPlan
 
         t0 = runtime.sim.now
         plan = FaultPlan(seed=args.chaos_seed)
@@ -257,18 +249,14 @@ def cmd_mail(args: argparse.Namespace) -> int:
             ))
         for line in plan.describe():
             log.info(f"chaos: {line}")
-        injector = FaultInjector(runtime, plan)
-        injector.schedule()
-        # The detector/monitor loops never drain the event list, so run
-        # in slices until every workload finishes (or gives up).
-        deadline = t0 + args.chaos_horizon
-        while (not all(p.triggered for _s, _u, p in procs)
-               and runtime.sim.now < deadline):
-            runtime.sim.run(until=min(runtime.sim.now + 5_000.0, deadline))
-        runtime.failure_detector.stop()
-        runtime.monitor.stop()
+        testbed.inject(plan)
+        # Run until every workload finishes (or gives up at the horizon).
+        testbed.drive(
+            lambda: all(p.triggered for p in procs),
+            deadline=t0 + args.chaos_horizon,
+        )
 
-    for site, user, proc in procs:
+    for site, user, proc in zip(sites, users, procs):
         if not proc.triggered:
             log.error(f"{site}: {user} workload did not finish")
             continue
@@ -311,8 +299,8 @@ def cmd_mail(args: argparse.Namespace) -> int:
         detector = runtime.failure_detector
         rounds = [e for e in replanner.events if not e.deferred]
         rebinds = sum(len(e.rebound) for e in rounds)
-        retries = sum(p.retries for _s, _u, p in proxies)
-        timeouts = sum(p.timeouts for _s, _u, p in proxies)
+        retries = sum(p.retries for p in proxies)
+        timeouts = sum(p.timeouts for p in proxies)
         log.info(
             f"failover: {detector.failures_detected} failures detected, "
             f"{detector.recoveries_detected} recoveries, {len(rounds)} replan "
@@ -329,23 +317,11 @@ def cmd_mail(args: argparse.Namespace) -> int:
             f"{stats.degraded_writes} degraded writes"
         )
     if args.slo:
-        from .obs.slo import evaluate_slo, load_slo_spec
-
-        report = evaluate_slo(
-            load_slo_spec(args.slo), runtime.obs.metrics,
-            coherence_stats=stats,
-        )
+        report = testbed.slo_report(args.slo)
         for line in report.render().splitlines():
             log.info(line)
         if args.slo_report:
-            import json as _json
-            import os as _os
-
-            parent = _os.path.dirname(args.slo_report)
-            if parent:
-                _os.makedirs(parent, exist_ok=True)
-            with open(args.slo_report, "w") as fh:
-                _json.dump(report.to_dict(), fh, indent=2)
+            _write_json(args.slo_report, report.to_dict())
             log.info(f"[slo] report -> {args.slo_report}")
     if flight is not None:
         written = flight.dump_jsonl(args.flight)
@@ -360,9 +336,6 @@ def cmd_chaos_sweep(args: argparse.Namespace) -> int:
     scenario under it, and check the post-quiescence invariants
     (durability of acked sends, replica convergence, client re-binding,
     and — with ``--check-determinism`` — same-seed reproducibility)."""
-    import json as _json
-    import os
-
     from .chaos import ChaosCaseConfig, run_chaos_case
 
     # Artifacts want a flight recording, which needs the sampler;
@@ -449,25 +422,21 @@ def cmd_chaos_sweep(args: argparse.Namespace) -> int:
             f"chaos-sweep: SLO violated on seed(s) {slo_failures} "
             f"(--fail-on-slo)"
         )
-    if args.artifacts and (failures or crashed or slo_reports):
-        os.makedirs(args.artifacts, exist_ok=True)
+    if args.artifacts:
         for result in failures:
-            path = os.path.join(args.artifacts, f"seed-{result.seed}.json")
-            with open(path, "w") as fh:
-                _json.dump(
-                    {
-                        "seed": result.seed,
-                        "plan": result.plan,
-                        "violations": result.violations,
-                        "signature": result.signature,
-                        "stats": result.stats,
-                        "workload_errors": result.workload_errors,
-                        "flight_dropped": result.flight_dropped,
-                        "control_plane": result.control_plane,
-                    },
-                    fh,
-                    indent=2,
-                )
+            _write_json(
+                os.path.join(args.artifacts, f"seed-{result.seed}.json"),
+                {
+                    "seed": result.seed,
+                    "plan": result.plan,
+                    "violations": result.violations,
+                    "signature": result.signature,
+                    "stats": result.stats,
+                    "workload_errors": result.workload_errors,
+                    "flight_dropped": result.flight_dropped,
+                    "control_plane": result.control_plane,
+                },
+            )
             if result.flight is not None:
                 from .obs.flight import dump_records_jsonl
 
@@ -478,13 +447,14 @@ def cmd_chaos_sweep(args: argparse.Namespace) -> int:
                     result.flight, flight_path, dropped=result.flight_dropped
                 )
         if slo_reports:
-            with open(os.path.join(args.artifacts, "slo-reports.json"), "w") as fh:
-                _json.dump(slo_reports, fh, indent=2)
+            _write_json(
+                os.path.join(args.artifacts, "slo-reports.json"), slo_reports
+            )
         if crashed:
-            with open(os.path.join(args.artifacts, "crashed-seeds.json"), "w") as fh:
-                _json.dump(
-                    [{"seed": s, "error": e} for s, e in crashed], fh, indent=2
-                )
+            _write_json(
+                os.path.join(args.artifacts, "crashed-seeds.json"),
+                [{"seed": s, "error": e} for s, e in crashed],
+            )
         if failures:
             log.info(f"chaos-sweep: wrote {len(failures)} failure artifacts "
                      f"(+ flight recordings) to {args.artifacts}")
@@ -503,8 +473,6 @@ def cmd_load_sweep(args: argparse.Namespace) -> int:
     ``--autonomic`` the pair gains a fourth cell running the closed
     telemetry -> replanning loop; ``--fail-on-slo`` then gates on that
     cell's SLO report instead of the protected one's."""
-    import json as _json
-
     from .load import LoadConfig, run_flash_crowd_pair, run_load_sweep
     from .smock import RetryPolicy
 
@@ -516,11 +484,7 @@ def cmd_load_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     retry = RetryPolicy(timeout_ms=2000.0, max_retries=args.max_retries)
-    flight = None
-    if args.flight and not args.rates:
-        from .obs import FlightRecorder
-
-        flight = FlightRecorder()
+    flight = FlightRecorder() if args.flight else None
 
     if args.rates:
         modes = {"off": (False,), "on": (True,), "both": (False, True)}[args.modes]
@@ -594,31 +558,17 @@ def cmd_load_sweep(args: argparse.Namespace) -> int:
         gate_cell = pair.autonomic if pair.autonomic is not None else pair.protected
         slo_ok = gate_cell.slo_passed is True
 
-    import os
-
     if args.output:
-        parent = os.path.dirname(args.output)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(args.output, "w") as fh:
-            _json.dump(artifact, fh, indent=2)
+        _write_json(args.output, artifact)
         log.info(f"load-sweep: wrote goodput artifact to {args.output}")
-    if args.slo_report and not args.rates:
-        parent = os.path.dirname(args.slo_report)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        reports = {
+    if args.slo_report:
+        _write_json(args.slo_report, {
             name: cell.slo_report
             for name, cell in cells
             if cell is not None and cell.slo_report is not None
-        }
-        with open(args.slo_report, "w") as fh:
-            _json.dump(reports, fh, indent=2)
+        })
         log.info(f"load-sweep: wrote SLO report(s) to {args.slo_report}")
-    if flight is not None and args.flight:
-        parent = os.path.dirname(args.flight)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
+    if flight is not None:
         written = flight.dump_jsonl(args.flight)
         dropped = f" (+{flight.dropped} dropped)" if flight.dropped else ""
         log.info(f"load-sweep: {written} flight records{dropped} -> {args.flight}")
@@ -635,9 +585,6 @@ def cmd_parallel_sim(args: argparse.Namespace) -> int:
     on ``--workers`` processes.  ``--check-determinism`` re-runs the
     identical workload single-process and asserts equal run signatures
     — worker count is placement, never physics."""
-    import json as _json
-    import os
-
     from .experiments.topology_fig5 import build_fig5_network
     from .sim.parallel import (
         TrafficConfig,
@@ -699,11 +646,7 @@ def cmd_parallel_sim(args: argparse.Namespace) -> int:
             )
             rc = 1
     if args.json:
-        parent = os.path.dirname(args.json)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(args.json, "w") as fh:
-            _json.dump(artifact, fh, indent=2)
+        _write_json(args.json, artifact)
         log.info(f"parallel-sim: wrote artifact to {args.json}")
     return rc
 
@@ -1022,6 +965,16 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_parallel_sim)
 
     args = parser.parse_args(argv)
+    # Flags that would otherwise be silently dropped are usage errors.
+    if args.command == "mail" and args.slo_report and not args.slo:
+        sub.choices["mail"].error("--slo-report needs --slo")
+    if args.command == "load-sweep" and args.rates and (
+        args.flight or args.slo_report
+    ):
+        sub.choices["load-sweep"].error(
+            "--flight and --slo-report apply to the flash-crowd pair only; "
+            "drop --rates"
+        )
     configure_logging(level=args.log_level, json_output=args.log_json)
 
     obs = None

@@ -124,9 +124,8 @@ class AutonomicManager:
 
     Construction is cheap and side-effect-free; :meth:`attach` (called
     by ``SmockRuntime`` when the ``autonomic`` knob is truthy) registers
-    the sampler hooks.  Bindings arrive via :meth:`track` /
-    :meth:`track_access` — the same call shape the replanner uses, and
-    the manager forwards to it.
+    the sampler hooks.  Bindings are registered on ``runtime.replanner``
+    (which :meth:`attach` guarantees exists), the one place they live.
     """
 
     def __init__(self, runtime: Any, config: Optional[AutonomicConfig] = None) -> None:
@@ -187,15 +186,6 @@ class AutonomicManager:
         self.runtime.monitor = monitor
         self.runtime.replanner = replanner
         return replanner
-
-    # -- binding registration -------------------------------------------------
-    def track(self, proxy: Any, request: Any, plan: Any) -> None:
-        """Register an active binding (forwards to the replanner)."""
-        self.replanner.track(proxy, request, plan)
-
-    def track_access(self, proxy: Any, access: Any) -> None:
-        """Register a binding from a GenericServer access record."""
-        self.replanner.track_access(proxy, access)
 
     # -- offered-rate sampling ------------------------------------------------
     def _rate_scan(self, now: float) -> None:

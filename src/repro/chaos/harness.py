@@ -9,6 +9,11 @@ quiescence, perform a final anti-entropy sweep, and evaluate the
 seed, so the same seed reproduces the same run exactly — pinned by the
 run *signature*, a hash over every externally observable outcome.
 
+The lifecycle steps themselves are
+:class:`~repro.experiments.mail_setup.MailTestbed` methods shared with
+the other harnesses; this module owns what is chaos-specific, one named
+phase per function.
+
 :func:`run_chaos_sweep` maps the harness over many seeds;
 :func:`check_determinism` runs one seed twice and compares signatures.
 """
@@ -18,14 +23,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..experiments.mail_setup import build_mail_testbed
+from ..experiments.mail_setup import MailTestbed, build_mail_testbed
 from ..experiments.topology_fig5 import SITE_TRUST, SITES
-from ..faults import FaultInjector, FaultKind
+from ..faults import FaultKind, FaultPlan
 from ..network import NetworkError
-from ..obs import Observability, use_obs
-from ..services.mail import DEFAULT_USERS, WorkloadConfig, mail_workload
+from ..obs import FlightRecorder, Observability, use_obs
+from ..services.mail import DEFAULT_USERS, WorkloadConfig
 from ..sim import FaultError
 from ..smock import LookupError, RetryPolicy
 from .invariants import check_all, check_directory_recovery, check_lookup_failover
@@ -46,25 +51,15 @@ class ChaosCaseConfig:
 
     n_sends: int = 30
     n_receives: int = 5
-    cluster_size: int = 10
     n_faults: int = 3
     horizon_ms: float = 60_000.0
-    #: quiet time after the horizon for detection/replanning to finish
-    grace_ms: float = 120_000.0
-    flush_policy: str = "count:200"
-    clients_per_site: int = 2
     versioned_coherence: bool = True
     kinds: Optional[Sequence[str]] = None
-    retry_timeout_ms: float = 3000.0
-    max_retries: int = 15
-    heartbeat_interval_ms: float = 250.0
-    miss_threshold: int = 3
     #: continuous-telemetry knob (None = no sampler; the sampler's tick
     #: events change the event count, so the signature is only
     #: comparable between runs with the same interval — which the
     #: sweep/determinism harness guarantees by sharing one config)
     telemetry_interval_ms: Optional[float] = None
-    flight_capacity: int = 512
     #: SLO spec evaluated after the run: "default", a spec-file path,
     #: or an inline mapping (see repro.obs.slo); None skips evaluation
     slo: Optional[Any] = None
@@ -193,39 +188,6 @@ def _signature(
     return hashlib.sha256(blob).hexdigest()
 
 
-def _final_sweep(runtime: Any) -> None:
-    """Force convergence once the schedule is over: flush every dirty
-    live replica upstream, then reconcile any lost buffers.
-
-    Replicas can chain (a view syncing into another view), so one flush
-    can re-dirty an upstream replica already swept this round — iterate
-    until a full pass leaves nothing dirty (chains are acyclic, so this
-    terminates in chain-depth passes; the cap is a hang guard for a
-    replica whose flush keeps failing)."""
-    directory = runtime.coherence
-    for _ in range(8):
-        dirty = False
-        for instance in list(runtime.instances.values()):
-            if getattr(instance, "replica_id", None) is None:
-                continue
-            if getattr(instance, "failed", False):
-                continue
-            entry = directory._replicas.get(instance.replica_id)
-            if entry is None or not entry.dirty:
-                continue
-            dirty = True
-            try:
-                runtime.run(
-                    instance._sync(), name=f"chaos-sweep:{instance.label}"
-                )
-            except (NetworkError, FaultError):
-                pass
-        if not dirty:
-            break
-    if directory.versioned and directory.has_lost_buffers:
-        directory.reconcile(runtime.sim.now)
-
-
 def _reconnect_probe(
     runtime: Any,
     node: str,
@@ -274,189 +236,274 @@ def _reconnect_probe(
         yield sim.timeout(500.0)
 
 
+#: quiet time after the horizon for detection/replanning to finish
+GRACE_MS = 120_000.0
+#: crash_control_plane moves the brain off the mail primary's host: lookup
+#: replicas on the San Diego and Seattle gateways, directory on Seattle —
+#: all crashable without touching newyork-ms, which the durability
+#: invariants require to stay up
+LOOKUP_HOSTS = ["sandiego-gw", "seattle-gw"]
+DIRECTORY_HOST = "seattle-gw"
+
+
+def _control_plane_placement() -> Dict[str, Any]:
+    """Control-plane placement: the runtime options of a
+    ``crash_control_plane`` case."""
+    from ..smock import LeaseConfig
+
+    return dict(
+        lookup_hosts=LOOKUP_HOSTS,
+        lookup_leases=LeaseConfig(duration_ms=15_000.0),
+        directory_journal=True,
+        directory_host=DIRECTORY_HOST,
+    )
+
+
+def _bind_clients(
+    testbed: MailTestbed, seed: int, config: ChaosCaseConfig
+) -> Tuple[List[Any], List[WorkloadConfig]]:
+    """Bind: one scripted client per site, each retrying its way through
+    outages; returns the proxies and their workload configs."""
+    users = [DEFAULT_USERS[i % len(DEFAULT_USERS)] for i in range(len(SITES))]
+    proxies, configs = [], []
+    for site, user in zip(SITES, users):
+        proxies.append(testbed.connect(
+            testbed.client_nodes(site)[0], user,
+            RetryPolicy(timeout_ms=3000.0, max_retries=15, seed=seed),
+        ))
+        configs.append(WorkloadConfig(
+            user=user,
+            peers=[u for u in users if u != user],
+            n_sends=config.n_sends,
+            n_receives=config.n_receives,
+            cluster_size=10,
+            max_sensitivity=SITE_TRUST[site],
+            seed=seed,
+        ))
+    return proxies, configs
+
+
+def _schedule_faults(
+    testbed: MailTestbed, seed: int, config: ChaosCaseConfig
+) -> Tuple[FaultPlan, List[Dict[str, Any]], Dict[str, Any], List[Any]]:
+    """Schedule faults + probes: generate the seed's plan from *now*
+    (binding is over) and inject it.
+
+    Control-plane chaos also records each scripted crash window and
+    launches one re-lookup probe per site shortly after the lookup
+    primary dies — proving clients rebind through the survivor.  Returns
+    ``(plan, reconnect records, outage windows, probe processes)``, the
+    last three empty for a plain case.
+    """
+    runtime = testbed.runtime
+    cp_hosts = (
+        [LOOKUP_HOSTS[0], DIRECTORY_HOST] if config.crash_control_plane else []
+    )
+    plan = generate_fault_plan(
+        seed,
+        testbed.topology,
+        t0=runtime.sim.now,
+        horizon_ms=config.horizon_ms,
+        n_faults=config.n_faults,
+        kinds=config.kinds,
+        control_plane_hosts=cp_hosts or None,
+    )
+    testbed.inject(plan)
+    reconnects: List[Dict[str, Any]] = []
+    outages: Dict[str, Any] = {}
+    probes: List[Any] = []
+    for host in cp_hosts:
+        outages[host] = tuple(
+            next(
+                a.at_ms for a in plan.sorted_actions()
+                if a.kind == kind and a.node == host
+            )
+            for kind in (FaultKind.CRASH, FaultKind.RESTART)
+        )
+    if cp_hosts:
+        probe_at = outages[LOOKUP_HOSTS[0]][0] + 1_500.0
+        for site in SITES:
+            node = testbed.client_nodes(site)[0]
+            record: Dict[str, Any] = {"site": site, "node": node}
+            reconnects.append(record)
+            probes.append(runtime.sim.process(
+                _reconnect_probe(
+                    runtime, node, probe_at, probe_at + 30_000.0, record
+                ),
+                name=f"cp-probe:{site}",
+            ))
+    return plan, reconnects, outages, probes
+
+
+def _start_background_load(
+    config: ChaosCaseConfig, seed: int, proxies: List[Any], t0: float
+) -> Any:
+    """Background load (load x fault composite): pump seeded open-loop
+    load over the scripted clients' proxies for the whole fault horizon.
+    Off (``None``) unless ``load_rate_per_s`` is set, so plain chaos
+    cases stay byte-identical."""
+    if config.load_rate_per_s is None:
+        return None
+    from ..load import LoadConfig, OpenLoopDriver
+    from ..services.mail.workload import open_loop_mail_ops
+    from ..sim.arrivals import FlashCrowdProcess, PoissonProcess
+
+    rate = config.load_rate_per_s
+    if config.load_arrival == "flash":
+        arrival = FlashCrowdProcess(
+            rate, 4.0 * rate,
+            at_ms=t0 + config.horizon_ms / 3.0,
+            ramp_ms=2_000.0,
+            hold_ms=config.horizon_ms / 6.0,
+            decay_ms=3_000.0,
+            seed=seed,
+        )
+    elif config.load_arrival == "poisson":
+        arrival = PoissonProcess(rate, seed=seed)
+    else:
+        raise ValueError(f"unknown load_arrival {config.load_arrival!r}")
+    driver = OpenLoopDriver(
+        proxies,
+        arrival,
+        LoadConfig(
+            duration_ms=config.horizon_ms,
+            drain_ms=GRACE_MS,
+            n_users=config.load_users,
+            seed=seed,
+        ),
+        open_loop_mail_ops(),
+    )
+    driver.start()
+    return driver
+
+
+def _grade(
+    runtime: Any,
+    procs: List[Any],
+    acked: int,
+    attempted: int,
+    reconnects: List[Dict[str, Any]],
+    outages: Dict[str, Any],
+) -> List[str]:
+    """Grade: the invariants of a run whose workloads all finished (plus
+    the two control-plane ones when ``outages`` were scripted), or why
+    it did not get that far."""
+    if all(p.triggered and not p.failed for p in procs):
+        violations = check_all(runtime, runtime.replanner, acked, attempted)
+        if outages:
+            violations += check_lookup_failover(runtime, reconnects, outages)
+            violations += check_directory_recovery(runtime, DIRECTORY_HOST)
+        return violations
+    violations = []
+    for p in procs:
+        if not p.triggered:
+            violations.append(f"workload {p.name} never finished")
+        elif p.failed:
+            violations.append(f"workload {p.name} crashed: {p.value!r}")
+    return violations
+
+
+def _control_plane_summary(
+    runtime: Any, reconnects: List[Dict[str, Any]]
+) -> Dict[str, Any]:
+    journal = runtime.coherence.journal
+    return {
+        "lookups": runtime.lookup.lookups,
+        "failovers": runtime.lookup.failovers,
+        "reregistrations": runtime.lookup.reregistrations,
+        "reconnects": [
+            [
+                r["site"], r["node"], bool(r.get("ok")),
+                r.get("at_ms"), r.get("attempts"),
+            ]
+            for r in reconnects
+        ],
+        "takeovers": [
+            [
+                t["time_ms"], t["crashed_host"], t["new_host"],
+                t["report"].frontiers_rebuilt,
+                len(t["report"].frontier_mismatches),
+            ]
+            for t in runtime.directory_takeovers
+        ],
+        "journal_records": len(journal) if journal is not None else 0,
+        "journal_recoveries": journal.recoveries if journal is not None else 0,
+    }
+
+
+def _load_summary(load_driver: Any) -> Dict[str, Any]:
+    lr = load_driver.result
+    return {
+        "offered": lr.offered,
+        "completed": lr.completed,
+        "ok": lr.ok,
+        "timely": lr.timely,
+        "failed": lr.failed,
+        "unfinished": load_driver._inflight,
+        "errors": dict(sorted(lr.errors.items())),
+        "goodput_per_s": lr.goodput_per_s,
+        "availability": lr.availability,
+    }
+
+
+def _stats(runtime: Any, proxies: List[Any]) -> Dict[str, Any]:
+    st = runtime.coherence.stats
+    stats = {
+        "syncs": st.syncs,
+        "lost_updates": st.lost_updates,
+        "recovered_updates": st.recovered_updates,
+        "duplicates_rejected": st.duplicates_rejected,
+        "degraded_reads": st.degraded_reads,
+        "degraded_writes": st.degraded_writes,
+        "reconcile_conflicts": st.reconcile_conflicts,
+        "retries": sum(p.retries for p in proxies),
+    }
+    if runtime.autonomic is not None:
+        events = runtime.autonomic.events
+        stats["autonomic_actions"] = len(events)
+        stats["autonomic_installed"] = sum(len(e.installed) for e in events)
+        stats["autonomic_retired"] = sum(len(e.retired) for e in events)
+    return stats
+
+
 def run_chaos_case(
     seed: int, config: Optional[ChaosCaseConfig] = None
 ) -> ChaosCaseResult:
     """Run one seeded chaos experiment end to end."""
     config = config or ChaosCaseConfig()
     obs = Observability(tracing=False, metrics=True)
-    flight = None
-    if config.telemetry_interval_ms:
-        from ..obs.flight import FlightRecorder
-
-        flight = FlightRecorder(capacity=config.flight_capacity)
-    cp_mode = bool(config.crash_control_plane)
-    lookup_hosts = None
-    lookup_leases: Any = False
-    directory_host = None
-    if cp_mode:
-        from ..smock import LeaseConfig
-
-        # The brain moves off the mail primary's host: lookup replicas
-        # on the San Diego and Seattle gateways, directory on Seattle —
-        # all crashable without touching newyork-ms, which the
-        # durability invariants require to stay up.
-        lookup_hosts = ["sandiego-gw", "seattle-gw"]
-        lookup_leases = LeaseConfig(duration_ms=15_000.0)
-        directory_host = "seattle-gw"
+    flight = FlightRecorder() if config.telemetry_interval_ms else None
     with use_obs(obs):
         testbed = build_mail_testbed(
-            clients_per_site=config.clients_per_site,
-            flush_policy=config.flush_policy,
+            clients_per_site=2,
+            flush_policy="count:200",
             versioned_coherence=config.versioned_coherence,
             telemetry_interval_ms=config.telemetry_interval_ms,
             flight=flight,
             overload_protection=config.overload_protection,
             autonomic=config.autonomic,
-            lookup_hosts=lookup_hosts,
-            lookup_leases=lookup_leases,
-            directory_journal=cp_mode,
-            directory_host=directory_host,
+            **(_control_plane_placement() if config.crash_control_plane else {}),
         )
         runtime = testbed.runtime
-        replanner = runtime.enable_self_healing(
-            heartbeat_interval_ms=config.heartbeat_interval_ms,
-            miss_threshold=config.miss_threshold,
-        )
-
-        proxies = []
-        for i, site in enumerate(SITES):
-            node = testbed.client_nodes(site)[0]
-            user = DEFAULT_USERS[i % len(DEFAULT_USERS)]
-            proxy = runtime.run(
-                runtime.client_connect(node, {"User": user}), f"connect:{user}"
-            )
-            proxy.retry_policy = RetryPolicy(
-                timeout_ms=config.retry_timeout_ms,
-                max_retries=config.max_retries,
-                seed=seed,
-            )
-            replanner.track_access(proxy, runtime.generic_server.accesses[-1])
-            proxies.append((site, user, proxy))
-
+        runtime.enable_self_healing()  # before the first bind: connect tracks
+        proxies, workloads = _bind_clients(testbed, seed, config)
         t0 = runtime.sim.now
-        plan = generate_fault_plan(
-            seed,
-            testbed.topology,
-            t0=t0,
-            horizon_ms=config.horizon_ms,
-            n_faults=config.n_faults,
-            kinds=config.kinds,
-            control_plane_hosts=(
-                [lookup_hosts[0], directory_host] if cp_mode else None
-            ),
+        plan, cp_reconnects, cp_outages, cp_probes = _schedule_faults(
+            testbed, seed, config
         )
-        FaultInjector(runtime, plan).schedule()
-        if flight is not None:
-            for line in plan.describe():
-                flight.event("fault_scheduled", t0, spec=line)
+        procs = testbed.start_workloads(proxies, workloads, "chaos-wl:")
+        load_driver = _start_background_load(config, seed, proxies, t0)
 
-        # Control-plane chaos: record each scripted crash window and
-        # launch one re-lookup probe per site shortly after the lookup
-        # primary dies — proving clients rebind through the survivor.
-        cp_reconnects: List[Dict[str, Any]] = []
-        cp_outages: Dict[str, Any] = {}
-        cp_probes: List[Any] = []
-        if cp_mode:
-            for host in (lookup_hosts[0], directory_host):
-                crash = next(
-                    a for a in plan.sorted_actions()
-                    if a.kind == FaultKind.CRASH and a.node == host
-                )
-                restart = next(
-                    a for a in plan.sorted_actions()
-                    if a.kind == FaultKind.RESTART and a.node == host
-                )
-                cp_outages[host] = (crash.at_ms, restart.at_ms)
-            probe_at = cp_outages[lookup_hosts[0]][0] + 1_500.0
-            probe_deadline = probe_at + 30_000.0
-            for site in SITES:
-                node = testbed.client_nodes(site)[0]
-                record: Dict[str, Any] = {"site": site, "node": node}
-                cp_reconnects.append(record)
-                cp_probes.append(runtime.sim.process(
-                    _reconnect_probe(
-                        runtime, node, probe_at, probe_deadline, record
-                    ),
-                    name=f"cp-probe:{site}",
-                ))
-
-        users = [user for _s, user, _p in proxies]
-        procs = []
-        for site, user, proxy in proxies:
-            cfg = WorkloadConfig(
-                user=user,
-                peers=[u for u in users if u != user],
-                n_sends=config.n_sends,
-                n_receives=config.n_receives,
-                cluster_size=config.cluster_size,
-                max_sensitivity=SITE_TRUST[site],
-                seed=seed,
-            )
-            procs.append(runtime.sim.process(
-                mail_workload(proxy, cfg), name=f"chaos-wl:{user}"
-            ))
-
-        # Load x fault composite: pump seeded open-loop background load
-        # over the same proxies for the whole fault horizon.  Off by
-        # default (None), so plain chaos cases stay byte-identical.
-        load_driver = None
-        if config.load_rate_per_s is not None:
-            from ..load import LoadConfig, OpenLoopDriver
-            from ..services.mail.workload import open_loop_mail_ops
-            from ..sim.arrivals import FlashCrowdProcess, PoissonProcess
-
-            rate = config.load_rate_per_s
-            if config.load_arrival == "flash":
-                arrival = FlashCrowdProcess(
-                    rate, 4.0 * rate,
-                    at_ms=t0 + config.horizon_ms / 3.0,
-                    ramp_ms=2_000.0,
-                    hold_ms=config.horizon_ms / 6.0,
-                    decay_ms=3_000.0,
-                    seed=seed,
-                )
-            elif config.load_arrival == "poisson":
-                arrival = PoissonProcess(rate, seed=seed)
-            else:
-                raise ValueError(
-                    f"unknown load_arrival {config.load_arrival!r}"
-                )
-            load_driver = OpenLoopDriver(
-                [proxy for _s, _u, proxy in proxies],
-                arrival,
-                LoadConfig(
-                    duration_ms=config.horizon_ms,
-                    drain_ms=config.grace_ms,
-                    n_users=config.load_users,
-                    seed=seed,
-                ),
-                open_loop_mail_ops(),
-            )
-            load_driver.start()
-
-        # The detector/monitor loops never drain the event list: run in
-        # slices.  Always advance past the whole fault horizon plus a
-        # settle period (every heal/restart fires, detection and the
-        # recovery replans run), then keep going up to the grace
-        # deadline if a workload is still retrying its way out.
-        quiesce_at = t0 + config.horizon_ms + 30_000.0
-        deadline = t0 + config.horizon_ms + config.grace_ms
-        while runtime.sim.now < deadline:
-            if runtime.sim.now >= quiesce_at and all(
-                p.triggered for p in procs
-            ) and all(
-                p.triggered for p in cp_probes
-            ) and (load_driver is None or load_driver.drained):
-                break
-            runtime.sim.run(until=min(runtime.sim.now + 5_000.0, deadline))
-        runtime.failure_detector.stop()
-        runtime.monitor.stop()
-        if hasattr(runtime.lookup, "stop"):
-            # The lease-renewal loop is perpetual; stop it so the final
-            # sweep's bounded runs see a quiescing event list.
-            runtime.lookup.stop()
-        _final_sweep(runtime)
+        # Drive: always advance past the whole fault horizon plus a 30 s
+        # settle period, then keep going up to the grace deadline if a
+        # workload is still retrying its way out.
+        testbed.drive(
+            lambda: all(p.triggered for p in procs + cp_probes)
+            and (load_driver is None or load_driver.drained),
+            deadline=t0 + config.horizon_ms + GRACE_MS,
+            settle_until=t0 + config.horizon_ms + 30_000.0,
+        )
+        testbed.converge()
 
         finished = all(p.triggered and not p.failed for p in procs)
         results = [p.value for p in procs if p.triggered and not p.failed]
@@ -465,7 +512,6 @@ def run_chaos_case(
         acked = attempted - sum(
             1 for e in errors if e.startswith("send[")
         ) - config.n_sends * (len(procs) - len(results))
-
         # Background-load sends also land in the primary store: widen
         # the durability bounds by what the load offered (upper) and
         # what it got acked (lower).
@@ -473,82 +519,20 @@ def run_chaos_case(
             lr = load_driver.result
             attempted += lr.ops_offered.get("send_mail", 0)
             acked += lr.ops_ok.get("send_mail", 0)
-
-        violations = [] if not finished else check_all(
-            runtime, replanner, acked, attempted
+        violations = _grade(
+            runtime, procs, acked, attempted, cp_reconnects, cp_outages
         )
-        if finished and cp_mode:
-            violations += check_lookup_failover(
-                runtime, cp_reconnects, cp_outages
-            )
-            violations += check_directory_recovery(runtime, directory_host)
-        if not finished:
-            for p in procs:
-                if not p.triggered:
-                    violations.append(f"workload {p.name} never finished")
-                elif p.failed:
-                    violations.append(f"workload {p.name} crashed: {p.value!r}")
-
         if flight is not None:
             for violation in violations:
                 flight.event("violation", runtime.sim.now, detail=violation)
-
         slo_report = None
         if config.slo is not None:
-            from ..obs.slo import SLOSpec, evaluate_slo, load_slo_spec
-
-            spec = (
-                load_slo_spec(config.slo)
-                if isinstance(config.slo, str)
-                else SLOSpec.from_dict(config.slo)
-            )
-            slo_report = evaluate_slo(
-                spec, obs.metrics, coherence_stats=runtime.coherence.stats
-            ).to_dict()
+            slo_report = testbed.slo_report(config.slo).to_dict()
 
         cp_summary = None
-        if cp_mode:
-            journal = runtime.coherence.journal
-            cp_summary = {
-                "lookups": runtime.lookup.lookups,
-                "failovers": runtime.lookup.failovers,
-                "reregistrations": runtime.lookup.reregistrations,
-                "reconnects": [
-                    [
-                        r["site"], r["node"], bool(r.get("ok")),
-                        r.get("at_ms"), r.get("attempts"),
-                    ]
-                    for r in cp_reconnects
-                ],
-                "takeovers": [
-                    [
-                        t["time_ms"], t["crashed_host"], t["new_host"],
-                        t["report"].frontiers_rebuilt,
-                        len(t["report"].frontier_mismatches),
-                    ]
-                    for t in runtime.directory_takeovers
-                ],
-                "journal_records": len(journal) if journal is not None else 0,
-                "journal_recoveries": (
-                    journal.recoveries if journal is not None else 0
-                ),
-            }
-
-        st = runtime.coherence.stats
-        load_summary = None
-        if load_driver is not None:
-            lr = load_driver.result
-            load_summary = {
-                "offered": lr.offered,
-                "completed": lr.completed,
-                "ok": lr.ok,
-                "timely": lr.timely,
-                "failed": lr.failed,
-                "unfinished": load_driver._inflight,
-                "errors": dict(sorted(lr.errors.items())),
-                "goodput_per_s": lr.goodput_per_s,
-                "availability": lr.availability,
-            }
+        if config.crash_control_plane:
+            cp_summary = _control_plane_summary(runtime, cp_reconnects)
+        load_summary = None if load_driver is None else _load_summary(load_driver)
         return ChaosCaseResult(
             seed=seed,
             plan=plan.describe(),
@@ -561,29 +545,7 @@ def run_chaos_case(
             acked_sends=acked,
             attempted_sends=attempted,
             finished=finished,
-            stats={
-                "syncs": st.syncs,
-                "lost_updates": st.lost_updates,
-                "recovered_updates": st.recovered_updates,
-                "duplicates_rejected": st.duplicates_rejected,
-                "degraded_reads": st.degraded_reads,
-                "degraded_writes": st.degraded_writes,
-                "reconcile_conflicts": st.reconcile_conflicts,
-                "retries": sum(p.retries for _s, _u, p in proxies),
-                **(
-                    {
-                        "autonomic_actions": len(runtime.autonomic.events),
-                        "autonomic_installed": sum(
-                            len(e.installed) for e in runtime.autonomic.events
-                        ),
-                        "autonomic_retired": sum(
-                            len(e.retired) for e in runtime.autonomic.events
-                        ),
-                    }
-                    if runtime.autonomic is not None
-                    else {}
-                ),
-            },
+            stats=_stats(runtime, proxies),
             flight=flight.records() if flight is not None else None,
             flight_dropped=flight.dropped if flight is not None else 0,
             slo_report=slo_report,

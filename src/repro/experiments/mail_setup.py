@@ -1,24 +1,30 @@
-"""Shared setup for the mail-service case study experiments.
+"""Shared setup and lifecycle for the mail-service case study experiments.
 
 Builds a ready :class:`SmockRuntime` over the Figure 5 topology with the
 primary MailServer pre-installed in New York, component classes
 registered, the service registered in the lookup namespace, and the
 account roster provisioned — the state of the world just before the
-paper's measurements begin.
+paper's measurements begin.  The :class:`MailTestbed` it returns carries
+the lifecycle every harness (chaos, load, Figure 7, the ``mail``
+command) walks from there: ``connect`` → ``start_workloads`` →
+``inject`` → ``drive`` → ``converge`` → ``slo_report``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..coherence import AttributeConflictMap, FlushPolicy, NeverPolicy, policy_from_name
+from ..network import NetworkError
+from ..sim import FaultError
 from ..smock import SmockRuntime
 from ..services.mail import (
     DEFAULT_USERS,
     MAIL_COMPONENT_CLASSES,
     build_mail_spec,
     mail_translator,
+    mail_workload,
 )
 from .topology_fig5 import Fig5Topology, build_fig5_network
 
@@ -27,7 +33,7 @@ __all__ = ["MailTestbed", "build_mail_testbed"]
 
 @dataclass
 class MailTestbed:
-    """A fully provisioned case-study runtime."""
+    """A fully provisioned case-study runtime and its experiment lifecycle."""
 
     runtime: SmockRuntime
     topology: Fig5Topology
@@ -38,6 +44,107 @@ class MailTestbed:
 
     def client_nodes(self, site: str):
         return self.topology.clients[site]
+
+    # -- experiment lifecycle ---------------------------------------------------
+    def connect(self, node: str, user: str, retry: Any = None):
+        """Bind ``user`` from ``node`` and return the proxy, with the
+        ``retry`` policy installed when given.  The binding is registered
+        with ``runtime.replanner`` iff one exists (``enable_self_healing()``
+        or the autonomic manager created it), so rounds can rebind it."""
+        runtime = self.runtime
+        proxy = runtime.run(
+            runtime.client_connect(node, {"User": user}), f"connect:{user}"
+        )
+        if retry is not None:
+            proxy.retry_policy = retry
+        replanner = getattr(runtime, "replanner", None)
+        if replanner is not None:
+            replanner.track_access(proxy, runtime.generic_server.accesses[-1])
+        return proxy
+
+    def start_workloads(
+        self, proxies: Sequence[Any], configs: Sequence[Any], prefix: str
+    ) -> List[Any]:
+        """Start one scripted mail workload per ``(proxy, config)`` pair,
+        named ``prefix + user`` (the name shows up in violation strings)."""
+        return [
+            self.sim.process(mail_workload(proxy, cfg), name=f"{prefix}{cfg.user}")
+            for proxy, cfg in zip(proxies, configs)
+        ]
+
+    def inject(self, plan: Any) -> None:
+        """Schedule a :class:`~repro.faults.FaultPlan` (absolute times) and
+        note each action in the flight ring when one is recording."""
+        from ..faults import FaultInjector
+
+        FaultInjector(self.runtime, plan).schedule()
+        flight = self.runtime.flight
+        if flight is not None:
+            for line in plan.describe():
+                flight.event("fault_scheduled", self.sim.now, spec=line)
+
+    def drive(
+        self, done: Callable[[], bool], deadline: float, settle_until: float = 0.0
+    ) -> None:
+        """Run a self-healing testbed until ``done()`` or ``deadline``.
+
+        The detector/monitor loops never drain the event list, so the
+        run advances in 5 s slices; ``done`` is not consulted before
+        ``settle_until``.  Afterwards those loops — and a leased
+        lookup's renewals — are stopped, so later bounded runs see a
+        quiescing event list.
+        """
+        runtime, sim = self.runtime, self.sim
+        while sim.now < deadline and not (sim.now >= settle_until and done()):
+            sim.run(until=min(sim.now + 5_000.0, deadline))
+        runtime.failure_detector.stop()
+        runtime.monitor.stop()
+        if hasattr(runtime.lookup, "stop"):
+            runtime.lookup.stop()
+
+    def converge(self) -> None:
+        """Force convergence once the schedule is over: flush every dirty
+        live replica upstream, then reconcile any lost buffers.
+
+        Replicas can chain (a view syncing into another view), so one flush
+        can re-dirty an upstream replica already swept this round — iterate
+        until a full pass leaves nothing dirty (chains are acyclic, so this
+        terminates in chain-depth passes; the cap is a hang guard for a
+        replica whose flush keeps failing)."""
+        runtime = self.runtime
+        directory = runtime.coherence
+        for _ in range(8):
+            dirty = False
+            for instance in list(runtime.instances.values()):
+                if getattr(instance, "replica_id", None) is None:
+                    continue
+                if getattr(instance, "failed", False):
+                    continue
+                entry = directory._replicas.get(instance.replica_id)
+                if entry is None or not entry.dirty:
+                    continue
+                dirty = True
+                try:
+                    runtime.run(
+                        instance._sync(), name=f"chaos-sweep:{instance.label}"
+                    )
+                except (NetworkError, FaultError):
+                    pass
+            if not dirty:
+                break
+        if directory.versioned and directory.has_lost_buffers:
+            directory.reconcile(runtime.sim.now)
+
+    def slo_report(self, spec: Any):
+        """Grade the run's metrics against ``spec``: ``"default"``, a
+        spec-file path, inline JSON, or a mapping (:mod:`repro.obs.slo`)."""
+        from ..obs.slo import SLOSpec, evaluate_slo, load_slo_spec
+
+        runtime = self.runtime
+        spec = load_slo_spec(spec) if isinstance(spec, str) else SLOSpec.from_dict(spec)
+        return evaluate_slo(
+            spec, runtime.obs.metrics, coherence_stats=runtime.coherence.stats
+        )
 
 
 def build_mail_testbed(
@@ -62,7 +169,7 @@ def build_mail_testbed(
 
     Every other keyword (``obs``, ``plan_cache``, ``versioned_coherence``,
     ``telemetry_interval_ms``, ``overload_protection``, ``autonomic``,
-    ``lookup_replicas``, ...) is forwarded unchanged to
+    ``lookup_hosts``, ...) is forwarded unchanged to
     :class:`SmockRuntime`, the one place runtime options are declared
     and documented; a misspelt one raises ``TypeError`` there.
     """

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..load.roster import generate_roster
 from ..planner import DeploymentPlan, Placement, PlannedLinkage
-from ..services.mail import DEFAULT_USERS, WorkloadConfig, mail_workload
+from ..services.mail import DEFAULT_USERS, WorkloadConfig
 from ..smock import ServiceProxy
 from .mail_setup import MailTestbed, build_mail_testbed
 from .topology_fig5 import SITE_TRUST
@@ -152,21 +152,15 @@ def _bind_clients(
             f"site {scenario.site} has only {len(nodes)} client nodes"
         )
     users = list(users) if users is not None else _workload_users(n_clients)
-    proxies: List[ServiceProxy] = []
-
     if scenario.dynamic:
-        for node, user in zip(nodes, users):
-            proxy = runtime.run(
-                runtime.client_connect(node, {"User": user}), f"connect:{user}"
-            )
-            proxies.append(proxy)
-    else:
-        for node, user in zip(nodes, users):
-            plan = _static_plan_for_client(testbed, node, scenario)
-            record = runtime.deploy_manual(plan)
-            proxies.append(
-                ServiceProxy(runtime, node, "ClientInterface", record.root_instance, user)
-            )
+        return [testbed.connect(node, user) for node, user in zip(nodes, users)]
+    proxies: List[ServiceProxy] = []
+    for node, user in zip(nodes, users):
+        plan = _static_plan_for_client(testbed, node, scenario)
+        record = runtime.deploy_manual(plan)
+        proxies.append(
+            ServiceProxy(runtime, node, "ClientInterface", record.root_instance, user)
+        )
     return proxies
 
 
@@ -220,10 +214,7 @@ def run_scenario(
         )
         for i, user in enumerate(users)
     ]
-    procs = [
-        runtime.sim.process(mail_workload(proxy, cfg), name=f"wl:{cfg.user}")
-        for proxy, cfg in zip(proxies, configs)
-    ]
+    procs = testbed.start_workloads(proxies, configs, "wl:")
     runtime.sim.run()
 
     sends: List[float] = []

@@ -10,10 +10,13 @@ the capacity knee; :func:`run_flash_crowd_pair` is the headline
 experiment — the same flash-crowd trace with overload protection off
 (goodput collapses past saturation) and on (goodput holds).
 
-The default cell shrinks node CPU by 10x (``node_cpu=100``), which puts
-the measured capacity knee near 110 req/s on the default mail mix —
+Every cell shrinks node CPU by 10x (``LOAD_NODE_CPU``), which puts the
+measured capacity knee near 110 req/s on the default mail mix —
 saturation physics at ~1/10th the event count, keeping sweeps and CI
-smoke runs fast.
+smoke runs fast.  Binding, the post-run convergence sweep and SLO
+grading are the shared :class:`~repro.experiments.mail_setup.MailTestbed`
+lifecycle (``connect`` / ``converge`` / ``slo_report``); this module
+owns the open-loop part and the cell signature.
 
 Cells can also run with the autonomic loop closed (``autonomic=True``):
 the runtime samples telemetry, detects sustained saturation, and scales
@@ -25,6 +28,7 @@ capacity grows instead of merely shedding the excess.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -88,36 +92,7 @@ class LoadCellResult:
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready form of one cell (nested in sweep/pair artifacts)."""
-        return {
-            "offered_rate_per_s": self.offered_rate_per_s,
-            "protection": self.protection,
-            "arrival": self.arrival,
-            "seed": self.seed,
-            "duration_ms": self.duration_ms,
-            "offered": self.offered,
-            "completed": self.completed,
-            "ok": self.ok,
-            "timely": self.timely,
-            "failed": self.failed,
-            "unfinished": self.unfinished,
-            "errors": dict(self.errors),
-            "goodput_per_s": self.goodput_per_s,
-            "timely_goodput_per_s": self.timely_goodput_per_s,
-            "availability": self.availability,
-            "p50_ms": self.p50_ms,
-            "p99_ms": self.p99_ms,
-            "p999_ms": self.p999_ms,
-            "sim_ms": self.sim_ms,
-            "events": self.events,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "throttled": self.throttled,
-            "overload": self.overload,
-            "slo_passed": self.slo_passed,
-            "slo_report": self.slo_report,
-            "signature": self.signature,
-            "autonomic": self.autonomic,
-        }
+        return dataclasses.asdict(self)
 
 
 def _cell_signature(runtime: Any, result: LoadResult, proxies: Sequence[Any]) -> str:
@@ -146,20 +121,12 @@ def _cell_signature(runtime: Any, result: LoadResult, proxies: Sequence[Any]) ->
 
 
 def _p99_recovery_windows(
-    runtime: Any, manager: Any, bound_ms: float, sustain: int = 3
+    runtime: Any, start: Optional[float], bound_ms: float, sustain: int = 3
 ) -> Optional[int]:
-    """Telemetry windows from the first scale-out install until the
-    ``send_mail`` windowed p99 stayed at/under ``bound_ms`` for
+    """Telemetry windows from ``start`` (the first scale-out install)
+    until the ``send_mail`` windowed p99 stayed at/under ``bound_ms`` for
     ``sustain`` consecutive windows (``None`` = never recovered or
     never scaled out)."""
-    start = next(
-        (
-            e.time_ms
-            for e in manager.events
-            if e.action == "scale_out" and e.installed
-        ),
-        None,
-    )
     sampler = getattr(runtime, "sampler", None)
     if start is None or sampler is None:
         return None
@@ -178,29 +145,20 @@ def _p99_recovery_windows(
     return None
 
 
-def _evaluate_cell_slo(slo: Any, obs: Observability, runtime: Any):
-    from ..obs.slo import SLOSpec, evaluate_slo, load_slo_spec
-
-    spec = load_slo_spec(slo) if isinstance(slo, str) else SLOSpec.from_dict(slo)
-    return evaluate_slo(spec, obs.metrics, coherence_stats=runtime.coherence.stats)
-
-
 def run_load_cell(
     arrival: ArrivalProcess,
     config: Optional[LoadConfig] = None,
     protection: Any = False,
     slo: Any = None,
-    site: str = "sandiego",
     n_proxies: int = 5,
-    node_cpu: float = LOAD_NODE_CPU,
     retry_policy: Optional[RetryPolicy] = None,
-    ops: Any = None,
     label: Optional[str] = None,
     autonomic: Any = False,
     telemetry_interval_ms: Optional[float] = None,
     flight: Any = None,
 ) -> LoadCellResult:
-    """Run one open-loop cell on a fresh testbed.
+    """Run one open-loop cell on a fresh testbed: ``n_proxies`` San Diego
+    clients pumping the default mail mix at ``LOAD_NODE_CPU``.
 
     ``protection`` passes through to the runtime's
     ``overload_protection`` knob (``False`` / ``True`` /
@@ -211,8 +169,8 @@ def run_load_cell(
     ``autonomic`` passes through to the runtime's autonomic knob
     (``False`` / ``True`` / :class:`~repro.autonomic.AutonomicConfig`);
     when truthy every bound proxy is registered with the autonomic
-    manager so scale rounds can rebind it, and the cell result carries
-    an ``autonomic`` summary of the actuated decisions.
+    manager's replanner so scale rounds can rebind it, and the cell
+    result carries an ``autonomic`` summary of the actuated decisions.
     ``telemetry_interval_ms`` (sim ms per sample) and ``flight`` (a
     :class:`~repro.obs.flight.FlightRecorder`) pass through unchanged.
     """
@@ -224,7 +182,7 @@ def run_load_cell(
     with use_obs(obs):
         testbed = build_mail_testbed(
             clients_per_site=max(n_proxies, 1),
-            node_cpu=node_cpu,
+            node_cpu=LOAD_NODE_CPU,
             flush_policy="never",
             users=DEFAULT_USERS,
             overload_protection=protection,
@@ -233,37 +191,21 @@ def run_load_cell(
             flight=flight,
         )
         runtime = testbed.runtime
-        nodes = testbed.client_nodes(site)[:n_proxies]
-        proxies = []
-        for i, node in enumerate(nodes):
-            user = DEFAULT_USERS[i % len(DEFAULT_USERS)]
-            proxy = runtime.run(
-                runtime.client_connect(node, {"User": user}), f"connect:{user}"
+        proxies = [
+            testbed.connect(
+                node,
+                DEFAULT_USERS[i % len(DEFAULT_USERS)],
+                dataclasses.replace(template, seed=config.seed + i),
             )
-            proxy.retry_policy = RetryPolicy(
-                timeout_ms=template.timeout_ms,
-                max_retries=template.max_retries,
-                backoff_base_ms=template.backoff_base_ms,
-                backoff_factor=template.backoff_factor,
-                backoff_cap_ms=template.backoff_cap_ms,
-                jitter=template.jitter,
-                seed=config.seed + i,
-                honor_retry_after=template.honor_retry_after,
-            )
-            proxies.append(proxy)
-            if runtime.autonomic is not None:
-                runtime.autonomic.track_access(
-                    proxy, runtime.generic_server.accesses[-1]
-                )
+            for i, node in enumerate(testbed.client_nodes("sandiego")[:n_proxies])
+        ]
 
-        driver = OpenLoopDriver(
-            proxies, arrival, config, ops or open_loop_mail_ops()
-        )
+        driver = OpenLoopDriver(proxies, arrival, config, open_loop_mail_ops())
         result = driver.run()
 
         slo_report = None
         if slo is not None:
-            slo_report = _evaluate_cell_slo(slo, obs, runtime)
+            slo_report = testbed.slo_report(slo)
 
         autonomic_summary = None
         manager = runtime.autonomic
@@ -276,11 +218,18 @@ def run_load_cell(
             # bind-time baseline: the baseline was planned at the spec's
             # declared RequestRate, and if the *measured* steady rate is
             # higher, condition 3 legitimately keeps more views.)
-            from ..chaos.harness import _final_sweep
             from ..chaos.invariants import check_convergence
 
-            _final_sweep(runtime)
+            testbed.converge()
             directory = runtime.coherence
+            scale_out_at = next(
+                (
+                    e.time_ms
+                    for e in manager.events
+                    if e.action == "scale_out" and e.installed
+                ),
+                None,
+            )
             autonomic_summary = {
                 "events": [e.as_dict() for e in manager.events],
                 "signals": len(manager.engine.signals) if manager.engine else 0,
@@ -293,16 +242,9 @@ def run_load_cell(
                 "convergence_violations": check_convergence(runtime),
                 "lost_updates": directory.stats.lost_updates,
                 "has_lost_buffers": directory.has_lost_buffers,
-                "scale_out_at_ms": next(
-                    (
-                        e.time_ms
-                        for e in manager.events
-                        if e.action == "scale_out" and e.installed
-                    ),
-                    None,
-                ),
+                "scale_out_at_ms": scale_out_at,
                 "p99_windows_to_recover": _p99_recovery_windows(
-                    runtime, manager, config.deadline_ms
+                    runtime, scale_out_at, config.deadline_ms
                 ),
             }
 

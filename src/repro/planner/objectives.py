@@ -17,6 +17,7 @@ as a lower bound.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -215,6 +216,8 @@ class DeploymentCost(Objective):
             return 0.0
         if node == self.home_node:
             return 0.0
+        if not ctx.reachable(self.home_node, node):
+            return math.inf  # a partition cut the node off from the code base
         path = ctx.path(self.home_node, node)
         return path.transfer_time_ms(unit.behaviors.code_size_bytes)
 

@@ -16,8 +16,8 @@ two pieces the reproduction was missing:
   primary-first to a surviving replica when the bound lookup host is
   dead or partitioned.
 
-Knob discipline: ``SmockRuntime(lookup_replicas=1)`` with leases off
-never constructs any of this — the runtime builds the plain singleton
+Knob discipline: ``SmockRuntime()`` with at most one lookup host and
+leases off never constructs any of this — the runtime builds the plain singleton
 ``LookupService`` exactly as before, byte for byte (pinned by
 ``tests/integration/test_control_plane_identity.py``).
 

@@ -52,6 +52,9 @@ from .wrapper import NodeWrapper
 
 __all__ = ["SmockRuntime"]
 
+#: how often a self-healing runtime's NetworkMonitor polls (sim ms)
+MONITOR_POLL_MS = 500.0
+
 
 class SmockRuntime:
     """Everything needed to run partitionable services end to end."""
@@ -78,7 +81,6 @@ class SmockRuntime:
         flight: Any = None,
         overload_protection: Any = False,
         autonomic: Any = False,
-        lookup_replicas: int = 1,
         lookup_hosts: Optional[List[str]] = None,
         lookup_leases: Any = False,
         directory_journal: bool = False,
@@ -132,9 +134,6 @@ class SmockRuntime:
         #: directory — byte-identical to a runtime predating the
         #: feature (pinned by tests/integration/
         #: test_control_plane_identity.py).
-        self.lookup_replicas = max(1, int(lookup_replicas))
-        if lookup_hosts:
-            self.lookup_replicas = max(self.lookup_replicas, len(lookup_hosts))
         self.directory_journal = bool(directory_journal)
         self.directory_host = directory_host
         if directory_host is not None:
@@ -143,14 +142,10 @@ class SmockRuntime:
         #: (crashed host, new host, recovery report) — read by the chaos
         #: invariants.
         self.directory_takeovers: List[Dict[str, Any]] = []
-        if self.lookup_replicas > 1 or lookup_leases:
+        if len(lookup_hosts or ()) > 1 or lookup_leases:
             from .leases import LeaseConfig, ReplicatedLookup
 
-            hosts = (
-                list(lookup_hosts)
-                if lookup_hosts
-                else self._default_lookup_hosts(self.lookup_replicas)
-            )
+            hosts = list(lookup_hosts) if lookup_hosts else [self.lookup_node]
             self.lookup: Any = ReplicatedLookup(
                 self, hosts, LeaseConfig.coerce(lookup_leases)
             )
@@ -220,17 +215,6 @@ class SmockRuntime:
             from ..autonomic import AutonomicManager
 
             self.autonomic = AutonomicManager(self, autonomic_config).attach()
-
-    def _default_lookup_hosts(self, n: int) -> List[str]:
-        """Primary lookup host plus the next distinct nodes in network
-        order — deterministic, and capped by the topology size."""
-        hosts = [self.lookup_node]
-        for node in self.network.nodes():
-            if len(hosts) >= n:
-                break
-            if node.name not in hosts:
-                hosts.append(node.name)
-        return hosts
 
     # -- bundle plumbing ---------------------------------------------------------
     def _make_bundle(
@@ -530,10 +514,8 @@ class SmockRuntime:
     # -- fault tolerance -----------------------------------------------------------
     def enable_self_healing(
         self,
-        poll_interval_ms: float = 500.0,
         heartbeat_interval_ms: float = 250.0,
         miss_threshold: int = 3,
-        detector_home: Optional[str] = None,
         incremental: bool = True,
     ) -> Any:
         """Wire up the full recovery loop: monitor → detector → replanner.
@@ -559,18 +541,17 @@ class SmockRuntime:
 
         if existing is not None:
             monitor = existing.monitor
-            monitor.poll_interval_ms = poll_interval_ms
+            monitor.poll_interval_ms = MONITOR_POLL_MS
             replanner = existing
             replanner.incremental = incremental
         else:
-            monitor = NetworkMonitor(self.sim, self.network, poll_interval_ms)
+            monitor = NetworkMonitor(self.sim, self.network, MONITOR_POLL_MS)
             replanner = ReplanManager(self, monitor, incremental=incremental)
         detector = FailureDetector(
             self,
             monitor,
             interval_ms=heartbeat_interval_ms,
             miss_threshold=miss_threshold,
-            home_node=detector_home or self.server_node,
         )
         monitor.start()
         detector.start()

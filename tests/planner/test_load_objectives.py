@@ -151,6 +151,17 @@ def test_deployment_cost_counts_only_new_placements(ctx, state_with_ms):
     assert plan.metrics["deployment_cost_ms"] < 50
 
 
+def test_deployment_cost_is_infinite_across_a_partition(ctx, fig5):
+    """A node cut off from the code base cannot be shipped to: that is an
+    infinitely expensive placement, not a NetworkError out of the search."""
+    obj = DeploymentCost(home_node="newyork-ms")
+    unit = ctx.spec.unit("MailClient")
+    assert obj.placement_cost(ctx, unit, "sandiego-client1", False) < float("inf")
+    fig5.network.set_node_up("sandiego-gw", False)
+    assert obj.placement_cost(ctx, unit, "sandiego-client1", False) == float("inf")
+    assert obj.placement_cost(ctx, unit, "sandiego-client1", True) == 0.0  # reused
+
+
 def test_max_capacity_objective_produces_valid_plan(ctx, state_with_ms):
     request = PlanRequest(
         "ClientInterface", "sandiego-client1", context={"User": "Bob"}, max_units=5

@@ -88,3 +88,36 @@ def test_mail_slo_report_and_flight(tmp_path, capsys):
     lines = flight_path.read_text().splitlines()
     assert json.loads(lines[0])["kind"] == "meta"
     assert any(json.loads(ln)["kind"] == "sample" for ln in lines[1:])
+
+
+def test_mail_chaos_records_each_fault_in_the_flight_ring(tmp_path, capsys):
+    flight_path = tmp_path / "flight.jsonl"
+    assert main([
+        "mail", "--clients-per-site", "1", "--sends", "10", "--receives", "2",
+        "--chaos", "crash:sandiego-gw@1000", "--chaos", "restart:sandiego-gw@6000",
+        "--flight", str(flight_path),
+    ]) == 0
+    chaos_lines = [
+        line.split("chaos: ", 1)[1]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("chaos: ")
+    ]
+
+    import json
+
+    records = [json.loads(ln) for ln in flight_path.read_text().splitlines()]
+    scheduled = [r["spec"] for r in records if r.get("name") == "fault_scheduled"]
+    assert len(chaos_lines) == 2 and scheduled == chaos_lines
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mail", "--slo-report", "slo.json"], "--slo-report needs --slo"),
+    (["load-sweep", "--rates", "40", "--flight", "f.jsonl"], "drop --rates"),
+    (["load-sweep", "--rates", "40", "--slo", "default",
+      "--slo-report", "slo.json"], "drop --rates"),
+])
+def test_flags_that_would_be_dropped_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err

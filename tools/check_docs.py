@@ -20,11 +20,12 @@ Five phases, each selectable (all run by default):
   subcommand's ``--help``.  Catches docs drifting from the argparse
   surface.
 - ``--kwargs``: every ``SmockRuntime(name=...)``,
-  ``build_mail_testbed(name=...)``, ``Simulator(name=...)`` or
-  ``RuntimeTransport(name=...)`` call quoted in the user-facing docs
-  must only pass keywords the real signature has.  Catches docs
-  drifting from the constructor surface.  CHANGES.md is history and is
-  not scanned.
+  ``build_mail_testbed(name=...)``, ``Simulator(name=...)``,
+  ``RuntimeTransport(name=...)``, ``ChaosCaseConfig(name=...)``,
+  ``run_load_cell(name=...)`` or ``.enable_self_healing(name=...)`` call
+  quoted in the user-facing docs must only pass keywords the real
+  signature has.  Catches docs drifting from the constructor surface.
+  CHANGES.md is history and is not scanned.
 
 Stdlib only; exit status is the number of failing checks.
 """
@@ -252,23 +253,35 @@ KWARGS_FILES = (
     "EXPERIMENTS.md",
     "benchmarks/README.md",
 )
-#: callable -> (module, where its ``**kwargs`` are forwarded, if anywhere)
+#: callable -> (module, where its ``**kwargs`` are forwarded, if anywhere);
+#: a dotted name is a method, matched in the docs as ``<anything>.name(``
 KWARGS_CALLABLES = {
     "SmockRuntime": ("repro.smock", None),
     "build_mail_testbed": ("repro.experiments", "SmockRuntime"),
     "Simulator": ("repro.sim", None),
     "RuntimeTransport": ("repro.smock.transport", None),
+    "ChaosCaseConfig": ("repro.chaos", None),
+    "run_load_cell": ("repro.load", None),
+    "SmockRuntime.enable_self_healing": ("repro.smock", None),
 }
-CALL_RE = re.compile(r"(?<![\w.])(%s)\(" % "|".join(KWARGS_CALLABLES))
+_BY_DOC_NAME = {name.rsplit(".", 1)[-1]: name for name in KWARGS_CALLABLES}
+CALL_RE = re.compile("|".join(
+    (r"(?<=\.)(%s)\(" if "." in name else r"(?<![\w.])(%s)\(") % doc_name
+    for doc_name, name in _BY_DOC_NAME.items()
+))
 KWARG_RE = re.compile(r"\s*([A-Za-z_]\w*)\s*=(?!=)")
 
 
 def _accepted_keywords(name: str) -> set:
+    import functools
     import importlib
     import inspect
 
     module, forwards_to = KWARGS_CALLABLES[name]
-    params = inspect.signature(getattr(importlib.import_module(module), name)).parameters
+    target = functools.reduce(
+        getattr, name.split("."), importlib.import_module(module)
+    )
+    params = inspect.signature(target).parameters
     accepted = {
         p.name for p in params.values()
         if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
@@ -302,7 +315,7 @@ def check_kwargs() -> List[str]:
     for rel in KWARGS_FILES:
         text = (REPO / rel).read_text(encoding="utf-8")
         for match in CALL_RE.finditer(text):
-            name = match.group(1)
+            name = _BY_DOC_NAME[match.group(match.lastindex)]
             line = text[: match.start()].count("\n") + 1
             for arg in _top_level_args(text, match.end()):
                 keyword = KWARG_RE.match(arg)
