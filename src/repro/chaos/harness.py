@@ -309,29 +309,31 @@ def _schedule_faults(
         control_plane_hosts=cp_hosts or None,
     )
     testbed.inject(plan)
-    reconnects: List[Dict[str, Any]] = []
-    outages: Dict[str, Any] = {}
-    probes: List[Any] = []
-    for host in cp_hosts:
-        outages[host] = tuple(
+    if not cp_hosts:
+        return plan, [], {}, []
+    outages = {
+        host: tuple(
             next(
                 a.at_ms for a in plan.sorted_actions()
                 if a.kind == kind and a.node == host
             )
             for kind in (FaultKind.CRASH, FaultKind.RESTART)
         )
-    if cp_hosts:
-        probe_at = outages[LOOKUP_HOSTS[0]][0] + 1_500.0
-        for site in SITES:
-            node = testbed.client_nodes(site)[0]
-            record: Dict[str, Any] = {"site": site, "node": node}
-            reconnects.append(record)
-            probes.append(runtime.sim.process(
-                _reconnect_probe(
-                    runtime, node, probe_at, probe_at + 30_000.0, record
-                ),
-                name=f"cp-probe:{site}",
-            ))
+        for host in cp_hosts
+    }
+    probe_at = outages[LOOKUP_HOSTS[0]][0] + 1_500.0
+    reconnects: List[Dict[str, Any]] = [
+        {"site": site, "node": testbed.client_nodes(site)[0]} for site in SITES
+    ]
+    probes = [
+        runtime.sim.process(
+            _reconnect_probe(
+                runtime, record["node"], probe_at, probe_at + 30_000.0, record
+            ),
+            name=f"cp-probe:{record['site']}",
+        )
+        for record in reconnects
+    ]
     return plan, reconnects, outages, probes
 
 
