@@ -13,8 +13,8 @@ Knob discipline (see ARCHITECTURE.md "telemetry pipeline"): sampling is
 **pull-based** — probes read state the simulation already maintains
 (``Resource.queue_length``, ``Store.__len__``, link byte counters), so a
 disabled sampler (``interval_ms`` of ``None``/``0`` or
-``enabled=False``) schedules nothing and the instrumented layers keep
-their fast paths; the only push-side accounting (per-link in-flight
+``enabled=False``) schedules nothing and adds no work to any
+instrumented layer; the only push-side accounting (per-link in-flight
 bytes) lives behind ``RuntimeTransport.enable_telemetry()`` and is never
 switched on unless a sampler attaches.  The sampler's tick *does*
 schedule simulator events, so enabling it changes the event count —

@@ -37,7 +37,7 @@ from .events import (
 from .node import SimNode
 from .process import Interrupt, Process
 from .resources import Monitor, Resource, Store
-from .transport import LOCALHOST_LINK_ID, SimHalfLink, SimLink, transfer_time_ms
+from .transport import SimHalfLink, SimLink, transfer_time_ms
 
 __all__ = [
     "Simulator",
@@ -59,7 +59,6 @@ __all__ = [
     "SimLink",
     "SimHalfLink",
     "transfer_time_ms",
-    "LOCALHOST_LINK_ID",
     "ArrivalProcess",
     "ArrivalStream",
     "PoissonProcess",

@@ -20,7 +20,8 @@ reproducible.
 
 from __future__ import annotations
 
-import heapq
+import math
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from ..obs import Observability, resolve_obs
@@ -28,6 +29,8 @@ from .events import AllOf, AnyOf, Event, SimulationError, Timeout
 from .process import Process
 
 __all__ = ["Simulator"]
+
+_INF = float("inf")
 
 
 class Simulator:
@@ -46,12 +49,12 @@ class Simulator:
     emits a ``sim.dispatch`` point event (``event=repr(event)``) through
     the tracer.
 
-    :meth:`run` and :meth:`run_until_complete` dispatch through a tight
-    inlined loop unless ``sim.dispatch`` capture needs a hook per event,
-    in which case they go through :meth:`step`.  Both dispatch the same
-    events in the same order; the tight loop counts its dispatches in a
-    local and adds them to ``sim.events_dispatched`` once, on the way
-    out (also when a callback raises).
+    :meth:`run` and :meth:`run_until_complete` are two stopping rules
+    over one dispatch loop, :meth:`_drain`: it pops events in key order,
+    advances the clock and runs their callbacks.  The loop counts its
+    dispatches in a local and adds them to ``sim.events_dispatched``
+    once, on the way out (also when a callback raises), and refuses to
+    be entered from inside one of its own callbacks.
     """
 
     def __init__(
@@ -117,7 +120,7 @@ class Simulator:
 
     def call_at(self, when: float, fn: Callable[[], None]) -> Event:
         """Run plain callable ``fn`` at absolute time ``when``."""
-        if when < self._now:
+        if not when >= self._now:  # also rejects NaN
             raise SimulationError(f"cannot schedule in the past: {when} < {self._now}")
         ev = Event(self)
         ev.add_callback(lambda _e: fn())
@@ -132,7 +135,7 @@ class Simulator:
     # -- kernel -------------------------------------------------------------
     def _schedule(self, when: float, event: Event) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (when, self._origin, self._seq, event))
+        heappush(self._heap, (when, self._origin, self._seq, event))
 
     def schedule_external(
         self, when: float, origin: int, seq: int, event: Event
@@ -145,35 +148,52 @@ class Simulator:
         path) guarantees ``origin`` differs from this simulator's own
         origin, so external keys can never collide with local ones.
         """
-        if when < self._now:
+        if not when >= self._now:  # also rejects NaN
             raise SimulationError(
                 f"causality violation: external event at {when} < now {self._now}"
             )
-        heapq.heappush(self._heap, (when, origin, seq, event))
+        heappush(self._heap, (when, origin, seq, event))
 
     def _queue_event(self, event: Event) -> None:
         """Queue an already-triggered event for callback dispatch *now*."""
         self._schedule(self._now, event)
 
-    def _dispatch(self, event: Event) -> None:
-        callbacks = event.callbacks
-        event.callbacks = None
-        if callbacks:
-            for fn in callbacks:
-                fn(event)
-
-    def step(self) -> float:
-        """Process one event; returns its timestamp."""
-        when, _origin, _seq, event = heapq.heappop(self._heap)
-        if when < self._now:
-            raise SimulationError("event list corrupted: time went backwards")
-        self._now = when
-        if self._capture_events:
-            self.obs.tracer.event("sim.dispatch", event=repr(event))
-        if self._evt_counter is not None:
-            self._evt_counter.inc()
-        self._dispatch(event)
-        return when
+    def _drain(self, until: Optional[float], proc: Optional[Process]) -> None:
+        """The dispatch loop: pop events in key order, advance the clock
+        and run their callbacks, until the list is empty, the next event
+        is stamped at or after ``until``, or ``proc`` has finished."""
+        if self._running:
+            raise SimulationError(
+                "run() / run_until_complete() are not reentrant"
+            )
+        self._running = True
+        heap = self._heap
+        capture = self._capture_events
+        dispatched = 0
+        try:
+            while (
+                heap
+                and (until is None or heap[0][0] < until)
+                and not (proc and proc._triggered)
+            ):
+                when, _origin, _seq, event = heappop(heap)
+                if when < self._now:
+                    raise SimulationError(
+                        "event list corrupted: time went backwards"
+                    )
+                self._now = when
+                dispatched += 1
+                if capture:
+                    self.obs.tracer.event("sim.dispatch", event=repr(event))
+                callbacks = event.callbacks
+                event.callbacks = None
+                if callbacks:
+                    for fn in callbacks:
+                        fn(event)
+        finally:
+            self._running = False
+            if dispatched and self._evt_counter is not None:
+                self._evt_counter.inc(dispatched)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the event list drains or the clock passes ``until``.
@@ -184,82 +204,31 @@ class Simulator:
         which case nothing runs and the clock stays where it is (it never
         moves backwards).
         """
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        dispatched = 0
-        try:
-            if self._capture_events:
-                while self._heap and (until is None or self._heap[0][0] < until):
-                    self.step()
-            else:
-                # Tight-loop variant of the while-step() above: same pop,
-                # same monotonicity check, same dispatch, minus the
-                # per-event method calls; the event counter is settled
-                # once, in the finally below.
-                heap = self._heap
-                pop = heapq.heappop
-                while heap and (until is None or heap[0][0] < until):
-                    when, _origin, _seq, event = pop(heap)
-                    if when < self._now:
-                        raise SimulationError(
-                            "event list corrupted: time went backwards"
-                        )
-                    self._now = when
-                    dispatched += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if callbacks:
-                        for fn in callbacks:
-                            fn(event)
-            if until is not None and until > self._now:
-                self._now = until
-        finally:
-            self._running = False
-            if dispatched and self._evt_counter is not None:
-                self._evt_counter.inc(dispatched)
+        self._drain(until, None)
+        if until is not None and until > self._now:
+            self._now = until
         return self._now
 
-    def run_until_complete(self, proc: Process, limit: float = float("inf")) -> Any:
+    def run_until_complete(self, proc: Process, limit: float = _INF) -> Any:
         """Run until ``proc`` finishes; return its value (raise if it failed).
 
-        A failing process re-raises its exception annotated with the
-        process name and the simulated time of the failure — without
-        this, a chaos-test stack trace says *what* broke but not *who*
-        or *when* on the virtual clock.
+        ``limit`` is inclusive: an event stamped exactly at ``limit``
+        still runs.  A failing process re-raises its exception annotated
+        with the process name and the simulated time of the failure —
+        without this, a chaos-test stack trace says *what* broke but not
+        *who* or *when* on the virtual clock.
         """
-        heap = self._heap
-        pop = heapq.heappop
-        capture = self._capture_events
-        dispatched = 0
-        try:
-            while not proc._triggered:
-                if not heap:
-                    raise SimulationError(
-                        f"deadlock: event list empty but {proc!r} not finished"
-                    )
-                if heap[0][0] > limit:
-                    raise SimulationError(
-                        f"time limit {limit} exceeded waiting on {proc!r}"
-                    )
-                if capture:
-                    self.step()
-                    continue
-                when, _origin, _seq, event = pop(heap)
-                if when < self._now:
-                    raise SimulationError(
-                        "event list corrupted: time went backwards"
-                    )
-                self._now = when
-                dispatched += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    for fn in callbacks:
-                        fn(event)
-        finally:
-            if dispatched and self._evt_counter is not None:
-                self._evt_counter.inc(dispatched)
+        # The loop's bound is exclusive: the next float above ``limit``
+        # admits exactly the events stamped at or before it.
+        self._drain(None if limit == _INF else math.nextafter(limit, _INF), proc)
+        if not proc._triggered:
+            if not self._heap:
+                raise SimulationError(
+                    f"deadlock: event list empty but {proc!r} not finished"
+                )
+            raise SimulationError(
+                f"time limit {limit} exceeded waiting on {proc!r}"
+            )
         if proc.failed:
             exc = proc.value
             failed_in = getattr(exc, "failed_process", proc.name)

@@ -129,7 +129,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: Any, delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which would poison the clock
             raise ValueError(f"negative timeout delay: {delay}")
         # Event.__init__ and Simulator._schedule inlined: a timeout is
         # built for every service time, serialization and link latency.

@@ -38,7 +38,7 @@ class Process(Event):
     generator finishes, or fails with the escaping exception.
     """
 
-    __slots__ = ("generator", "_waiting_on", "name")
+    __slots__ = ("generator", "name")
 
     def __init__(
         self,
@@ -51,7 +51,6 @@ class Process(Event):
             raise TypeError(f"process body must be a generator, got {generator!r}")
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         # Kick off on the next kernel step at the current time.
         boot = Event(sim)
         boot.add_callback(self._resume)
@@ -70,57 +69,25 @@ class Process(Event):
         """
         if not self.is_alive:
             return
-        self.sim.call_at(self.sim.now, lambda: self._throw(Interrupt(cause)))
+        # A failed event nobody else waits on: dispatching it resumes
+        # the process the way any failed event it had yielded would.
+        kick = Event(self.sim)
+        kick.add_callback(self._resume)
+        kick.fail(Interrupt(cause))
 
     # -- kernel plumbing --------------------------------------------------
     def _resume(self, by: Event) -> None:
+        """Advance the generator with the outcome of ``by``: send its
+        value, or throw its exception if it failed."""
         # Slot reads, not the triggered/failed/value properties: this
         # runs once per dispatched event.
         if self._triggered:
             return
-        if by._failed:
-            self._throw(by._value)
-            return
-        # Inlined _step(lambda: generator.send(...)): _resume runs once
-        # per dispatched event, and the closure allocation plus the extra
-        # call frame are measurable at benchmark scale.  Keep the two
-        # exception paths in lockstep with _step below.
-        self._waiting_on = None
         try:
-            target = self.generator.send(by._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except Interrupt:
-            self.succeed(None)
-            return
-        except BaseException as exc:
-            if not hasattr(exc, "failed_process"):
-                exc.failed_process = self.name  # type: ignore[attr-defined]
-                exc.failed_at_ms = self.sim.now  # type: ignore[attr-defined]
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must yield Events"
-            )
-        self._waiting_on = target
-        callbacks = target.callbacks
-        if callbacks is None:
-            # Already dispatched: add_callback schedules the wake-up.
-            target.add_callback(self._resume)
-        else:
-            callbacks.append(self._resume)
-
-    def _throw(self, exc: BaseException) -> None:
-        if self.triggered:
-            return
-        self._step(lambda: self.generator.throw(exc))
-
-    def _step(self, advance) -> None:
-        self._waiting_on = None
-        try:
-            target = advance()
+            if by._failed:
+                target = self.generator.throw(by._value)
+            else:
+                target = self.generator.send(by._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -143,8 +110,12 @@ class Process(Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Events"
             )
-        self._waiting_on = target
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is None:
+            # Already dispatched: add_callback schedules the wake-up.
+            target.add_callback(self._resume)
+        else:
+            callbacks.append(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.triggered else "alive"

@@ -105,10 +105,6 @@ class Resource:
             self._last_change = now
             self._in_use = in_use - 1
 
-    def acquire(self) -> Generator[Event, Any, None]:
-        """Generator helper: ``yield from resource.acquire()``."""
-        yield self.request()
-
     def use(self, duration: float) -> Generator[Event, Any, None]:
         """Acquire a slot, hold it for ``duration`` ms, release it."""
         yield self.request()

@@ -13,16 +13,13 @@ resource.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional, Tuple
+from typing import Any, Generator, Optional
 
 from .engine import Simulator
 from .events import Event, LinkDownError, Timeout
 from .resources import Monitor, Resource
 
-__all__ = ["SimLink", "SimHalfLink", "transfer_time_ms", "LOCALHOST_LINK_ID"]
-
-#: Identifier used for intra-node (loopback) communication.
-LOCALHOST_LINK_ID = "__loopback__"
+__all__ = ["SimLink", "SimHalfLink", "transfer_time_ms"]
 
 
 def transfer_time_ms(size_bytes: int, bandwidth_mbps: float, latency_ms: float) -> float:
@@ -80,9 +77,6 @@ class SimLink:
     def heal(self) -> None:
         self.up = True
 
-    def endpoints(self) -> Tuple[str, str]:
-        return (self.a, self.b)
-
     def other_end(self, node: str) -> str:
         """The opposite endpoint; raises if ``node`` is not an endpoint."""
         if node == self.a:
@@ -125,12 +119,6 @@ class SimLink:
         self.bytes_carried += size_bytes
         self.stats.observe(sim._now - start)
         return payload
-
-    def transfer_process(self, src: str, size_bytes: int, payload: Any = None):
-        """Convenience: run :meth:`transfer` as a standalone process."""
-        return self.sim.process(
-            self.transfer(src, size_bytes, payload), name=f"xfer:{self.name}"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sec = "secure" if self.secure else "insecure"

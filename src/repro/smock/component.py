@@ -64,7 +64,7 @@ class ServerStub:
         self.server = server
         self.calls = 0
 
-    def request(self, req: ServiceRequest, response_bytes_hint: int = 0) -> Generator[Any, Any, ServiceResponse]:
+    def request(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
         """Process generator: full round trip to the bound server.
 
         A network partition (no route to the server) or an infrastructure

@@ -12,8 +12,8 @@ Robustness: a :class:`RetryPolicy` arms the proxy with per-request
 timeouts and bounded retry (exponential backoff + jitter, seeded RNG).
 Every attempt of one logical operation carries the same idempotency key
 so stateful components deduplicate retries that raced a slow success.
-With no policy (the default) the request path is byte-identical to the
-original fast path — fault tolerance costs nothing until enabled.
+With no policy (the default) a request is one stub call with no timer
+and no extra process — fault tolerance costs nothing until enabled.
 """
 
 from __future__ import annotations
@@ -145,18 +145,6 @@ class ServiceProxy:
         self._bucket = (
             overload.bucket(client_node) if overload is not None else None
         )
-        # Fast-path eligibility, resolved once at bind time: with tracing
-        # and metrics off, no retry policy, and no overload protection,
-        # request() skips span and registry plumbing entirely.
-        # Tracer/metrics enablement is fixed for an Observability
-        # bundle's lifetime, so this cannot go stale; retry_policy is
-        # re-checked per request (tests swap it in place).
-        obs = runtime.obs
-        self._fast = (
-            not obs.tracer.enabled
-            and not obs.metrics.enabled
-            and overload is None
-        )
         #: per-op histogram handles, resolved on first use (the
         #: engine.Simulator pattern) — only populated when metrics are on.
         self._op_hist: Dict[str, Any] = {}
@@ -180,7 +168,6 @@ class ServiceProxy:
         op: str,
         payload: Optional[Dict[str, Any]] = None,
         size_bytes: int = 512,
-        response_is_error: bool = False,
         user: Optional[str] = None,
     ) -> Generator[Any, Any, ServiceResponse]:
         """Process generator: one service operation, end to end.
@@ -191,23 +178,15 @@ class ServiceProxy:
         real frontend pools connections the same way).
         """
         sim = self.runtime.sim
-        self.requests += 1
-        if self._fast and self.retry_policy is None:
-            # Same events in the same order as below — the span is a
-            # no-op NULL_SPAN and the metrics call a disabled-registry
-            # early return, both skipped here.
-            start = sim.now
-            req = ServiceRequest(
-                op=op, payload=dict(payload or {}), size_bytes=size_bytes,
-                user=user if user is not None else self.user,
-            )
-            resp = yield from self._stub.request(req)
-            self.latency.observe(sim.now - start)
-            return resp
         obs = self.runtime.obs
+        self.requests += 1
         start = sim.now
-        span = obs.tracer.start_span(
-            "request", op=op, client_node=self.client_node
+        # The null tracer's start_span/finish are not free at one call
+        # per request, so the span exists only when someone records it.
+        span = (
+            obs.tracer.start_span("request", op=op, client_node=self.client_node)
+            if obs.tracer.enabled
+            else None
         )
         req = ServiceRequest(
             op=op, payload=dict(payload or {}), size_bytes=size_bytes,
@@ -221,7 +200,8 @@ class ServiceProxy:
             resp = yield from self._stub.request(req)
         elapsed = sim.now - start
         self.latency.observe(elapsed)
-        span.finish(status=None if resp.ok else "error")
+        if span is not None:
+            span.finish(status=None if resp.ok else "error")
         metrics = obs.metrics
         if metrics.enabled:
             hist = self._op_hist.get(op)

@@ -182,7 +182,7 @@ class SmockRuntime:
         #: continuous telemetry (see ARCHITECTURE.md "telemetry
         #: pipeline").  ``None`` constructs nothing — byte-identical to
         #: a runtime without the feature; ``0`` constructs a disabled
-        #: sampler (machinery present, zero work, fast paths untouched);
+        #: sampler (machinery present, zero work);
         #: ``> 0`` samples every that-many simulated ms.
         self.flight = flight
         self.sampler: Optional[Any] = None

@@ -13,20 +13,18 @@ delay individual messages, modeling lossy links.  A dropped message
 hangs its delivery generator forever — silent loss, exactly what a
 client-side timeout exists to bound.
 
-Hot path: :meth:`RuntimeTransport.deliver` used to re-resolve the route,
-each link, each far end and each arrival node per message, then drive a
-nested ``SimLink.transfer`` generator per hop.  Steady-state traffic
-repeats the same (src, dst) pairs millions of times, so the transport
-now *compiles* each pair once into a flat hop schedule
-(:class:`CompiledRoute`: transmit resource, serialization divisor,
-latency, arrival node per hop) and replays it with zero lookups and a
-single generator frame.  Compiled routes are dropped on any
-:meth:`Network.version` bump (link add/remove, liveness flip,
+Hot path: steady-state traffic repeats the same (src, dst) pairs
+millions of times, so the transport *compiles* each pair once into a
+flat hop schedule (:class:`CompiledRoute`: transmit resource,
+serialization divisor, latency, arrival node and the hop's endpoint
+names) and :meth:`RuntimeTransport.deliver` replays it with zero
+lookups and a single generator frame.  Compiled routes are dropped on
+any :meth:`Network.version` bump (link add/remove, liveness flip,
 ``touch()``, a capacity reservation) — a superset of the events that
-can change ``Network.path``.  The walk yields the same events in
-the same order with the same timestamps as the per-hop resolution loop,
-and keeps the same per-link stats.  That loop still runs whenever a
-:class:`FaultHook` is installed, because a hook decides hop by hop.
+can change ``Network.path``.  There is one walk: an installed
+:class:`FaultHook` is consulted on each hop of it, and an attached
+telemetry sampler has it keep per-link in-flight bytes; neither changes
+which events the walk yields or when.
 """
 
 from __future__ import annotations
@@ -74,9 +72,10 @@ class CompiledRoute:
     needs: ``(link, tx, bw_bps, latency_ms, arrival_node, hop_a, hop_b)``
     where ``tx`` is the transmit :class:`~repro.sim.resources.Resource`
     for the traversal direction and ``bw_bps`` is ``bandwidth_mbps * 1e6``
-    (zero for infinitely fast links) — kept as the exact intermediate
-    :meth:`SimLink.serialization_ms` computes, so replayed transfer
-    times are bit-identical to the uncompiled path.
+    (zero for infinitely fast links) — the exact intermediate
+    :meth:`SimLink.serialization_ms` computes, so a replayed transfer
+    takes bit-for-bit the time :meth:`SimLink.transfer` would; ``hop_a``
+    and ``hop_b`` name the hop for :meth:`FaultHook.on_hop`.
     """
 
     __slots__ = ("src", "dst", "hops")
@@ -97,8 +96,7 @@ class RuntimeTransport:
         self.stats = Monitor("transport")
         self.messages_sent = 0
         self.bytes_sent = 0
-        #: optional fault hook; ``None`` keeps the delivery loop on the
-        #: exact pre-fault-tolerance fast path.
+        #: optional fault hook, consulted on every hop of a delivery
         self.fault_hook: Optional[FaultHook] = None
         self.messages_dropped = 0
         self.messages_duplicated = 0
@@ -108,14 +106,11 @@ class RuntimeTransport:
         #: network.version the compiled cache was built against; any
         #: topology mutation bumps it and strands this epoch.
         self._routes_version = network.version
-        #: telemetry knob: off keeps deliver() on the pristine compiled
-        #: walk below with zero extra work; a TelemetrySampler attaching
-        #: to the runtime flips it on via :meth:`enable_telemetry`.
-        self._telemetry = False
-        #: bytes currently traversing each link (both directions),
-        #: maintained only while telemetry is enabled — pure Python
-        #: accounting, never schedules or reorders events.
-        self.link_inflight: Dict[str, int] = {}
+        #: bytes currently traversing each link (both directions);
+        #: ``None`` until a TelemetrySampler attaching to the runtime
+        #: calls :meth:`enable_telemetry`.  Pure Python accounting,
+        #: never schedules or reorders events.
+        self.link_inflight: Optional[Dict[str, int]] = None
         # Metric handles resolved once (the engine.Simulator pattern):
         # deliver() runs per message and must not pay registry lookups.
         metrics = sim.obs.metrics
@@ -127,9 +122,9 @@ class RuntimeTransport:
             self._m_hits = None
 
     def enable_telemetry(self) -> None:
-        """Switch delivery onto the telemetry walk: identical events and
-        timestamps, plus per-link in-flight byte accounting."""
-        self._telemetry = True
+        """Have deliveries keep :attr:`link_inflight` from now on."""
+        if self.link_inflight is None:
+            self.link_inflight = {}
 
     def node(self, name: str) -> SimNode:
         return self.nodes[name]
@@ -183,19 +178,28 @@ class RuntimeTransport:
         """
         if src == dst:
             return
+        sim = self.sim
         hook = self.fault_hook
-        if hook is None and not self._telemetry:
-            # Fast path: replay the compiled walk.  Mirrors the hook
-            # walk below plus the inlined body of SimLink.transfer —
-            # identical checks, events, timestamps, and stats.
-            sim = self.sim
-            start = sim.now
-            for link, tx, bw_bps, latency_ms, arrival, _a, _b in self.route(
-                src, dst
-            ).hops:
-                if not link.up:
-                    raise LinkDownError(f"link {link.name} is partitioned")
-                hop_start = sim.now
+        inflight = self.link_inflight
+        start = sim.now
+        for link, tx, bw_bps, latency_ms, arrival, hop_a, hop_b in self.route(
+            src, dst
+        ).hops:
+            if hook is not None:
+                verdict = hook.on_hop(src, dst, hop_a, hop_b, size_bytes)
+                if verdict == "drop":
+                    self.messages_dropped += 1
+                    yield sim.event()  # never triggers: message lost
+                    return  # pragma: no cover - unreachable
+                if verdict:
+                    yield sim.timeout(float(verdict))
+            # The body of SimLink.transfer, on the pre-resolved hop.
+            if not link.up:
+                raise LinkDownError(f"link {link.name} is partitioned")
+            hop_start = sim.now
+            if inflight is not None:
+                inflight[link.name] = inflight.get(link.name, 0) + size_bytes
+            try:
                 yield tx.request()
                 try:
                     if bw_bps:
@@ -207,94 +211,19 @@ class RuntimeTransport:
                 if not link.up:
                     raise LinkDownError(f"link {link.name} partitioned mid-transfer")
                 yield sim.timeout(latency_ms)
-                link.bytes_carried += size_bytes
-                link.stats.observe(sim.now - hop_start)
-                if not arrival.up:
-                    raise NodeDownError(
-                        f"message {src} -> {dst} arrived at crashed node "
-                        f"{arrival.name!r}"
-                    )
-            self.messages_sent += 1
-            self.bytes_sent += size_bytes
-            self.stats.observe(sim.now - start)
-            return
-        if hook is None:
-            # Telemetry walk: the compiled walk above, verbatim, plus
-            # in-flight byte accounting per hop.  The accounting is
-            # plain dict arithmetic between the same yields, so the
-            # event sequence — and therefore every simulated result —
-            # is unchanged; only wall-clock cost differs.
-            sim = self.sim
-            inflight = self.link_inflight
-            start = sim.now
-            for link, tx, bw_bps, latency_ms, arrival, _a, _b in self.route(
-                src, dst
-            ).hops:
-                if not link.up:
-                    raise LinkDownError(f"link {link.name} is partitioned")
-                hop_start = sim.now
-                lname = link.name
-                inflight[lname] = inflight.get(lname, 0) + size_bytes
-                try:
-                    yield tx.request()
-                    try:
-                        if bw_bps:
-                            yield sim.timeout((size_bytes * 8) / bw_bps * 1e3)
-                        else:
-                            yield sim.timeout(0.0)
-                    finally:
-                        tx.release()
-                    if not link.up:
-                        raise LinkDownError(
-                            f"link {link.name} partitioned mid-transfer"
-                        )
-                    yield sim.timeout(latency_ms)
-                finally:
-                    inflight[lname] -= size_bytes
-                link.bytes_carried += size_bytes
-                link.stats.observe(sim.now - hop_start)
-                if not arrival.up:
-                    raise NodeDownError(
-                        f"message {src} -> {dst} arrived at crashed node "
-                        f"{arrival.name!r}"
-                    )
-            self.messages_sent += 1
-            self.bytes_sent += size_bytes
-            self.stats.observe(sim.now - start)
-            return
-        # Hook walk: a fault hook rules on every hop, so resolve and
-        # transfer hop by hop.
-        telemetry = self._telemetry
-        inflight = self.link_inflight
-        start = self.sim.now
-        path = self.network.path(src, dst)
-        cur = src
-        for hop in path.hops:
-            verdict = hook.on_hop(src, dst, hop.a, hop.b, size_bytes)
-            if verdict == "drop":
-                self.messages_dropped += 1
-                yield self.sim.event()  # never triggers: message lost
-                return  # pragma: no cover - unreachable
-            if verdict:
-                yield self.sim.timeout(float(verdict))
-            link = self.link(hop.a, hop.b)
-            if telemetry:
-                lname = link.name
-                inflight[lname] = inflight.get(lname, 0) + size_bytes
-                try:
-                    yield from link.transfer(cur, size_bytes)
-                finally:
-                    inflight[lname] -= size_bytes
-            else:
-                yield from link.transfer(cur, size_bytes)
-            cur = link.other_end(cur)
-            if not self.nodes[cur].up:
+            finally:
+                if inflight is not None:
+                    inflight[link.name] -= size_bytes
+            link.bytes_carried += size_bytes
+            link.stats.observe(sim.now - hop_start)
+            if not arrival.up:
                 raise NodeDownError(
-                    f"message {src} -> {dst} arrived at crashed node {cur!r}"
+                    f"message {src} -> {dst} arrived at crashed node "
+                    f"{arrival.name!r}"
                 )
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        self.stats.observe(self.sim.now - start)
+        self.stats.observe(sim.now - start)
 
     def round_trip(
         self, src: str, dst: str, request_bytes: int, response_bytes: int

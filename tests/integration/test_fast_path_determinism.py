@@ -1,19 +1,20 @@
-"""Every dispatch path the runtime can select produces one signature.
+"""Every observer the hot path can carry leaves one signature.
 
-The kernel, the proxy and the transport each pick between a tight path
-and an instrumented one from state they can observe — metrics or
-tracing enabled, ``capture_sim_events`` set, a fault hook installed —
-and promise *bit-identical simulated results* either way.  These tests
-pin that promise on the full mail scenario (DS500, 3 clients x 120
-sends): same event schedule length, same simulated clock, same per-send
-latencies to the last ulp, same transport, per-link and coherence
-counters.
+The kernel, the transport and the proxy each have one path, with the
+observers as conditionals inside it — ``sim.dispatch`` capture, the
+event counter, request spans and per-op histograms, a fault hook ruling
+on every hop, a telemetry sampler keeping in-flight bytes — and promise
+*bit-identical simulated results* whichever of them are attached.
+These tests pin that promise on the full mail scenario (DS500,
+3 clients x 120 sends): same event schedule length, same simulated
+clock, same per-send latencies to the last ulp, same transport,
+per-link and coherence counters.
 
 ``golden/ds500_signature.json`` was recorded at the last commit that
 still had a constructor knob per hot path (kernel, transport, proxy,
 coherence fan-out) and a crypto-cache toggle, with **all of them off**
 (and checked equal to all of them on) — so it is the output of the
-original slow paths, including the ones since deleted.  Regenerate
+original slow paths, none of which this tree still has.  Regenerate
 (only when a simulated result is *meant* to change) with
 ``PYTHONPATH=src python tests/integration/test_fast_path_determinism.py``.
 
@@ -37,7 +38,7 @@ from repro.experiments.mail_setup import build_mail_testbed
 from repro.experiments.scenarios_fig7 import _bind_clients, SCENARIOS
 from repro.experiments.topology_fig5 import SITE_TRUST
 from repro.faults import FaultInjector, FaultPlan
-from repro.obs import Observability
+from repro.obs import Observability, TelemetrySampler
 from repro.services.mail import WorkloadConfig, mail_workload
 
 GOLDEN = Path(__file__).parent / "golden" / "ds500_signature.json"
@@ -65,14 +66,22 @@ def _run(
     fault_specs=None,
     n_sends: int = N_SENDS,
     n_receives: int = 5,
+    telemetry: bool = False,
     **testbed_kwargs,
 ):
-    """One DS-style scenario run; returns ``(runtime, proxies, procs)``."""
+    """One DS-style scenario run; returns ``(runtime, proxies, procs)``.
+
+    ``telemetry`` attaches a sampler without starting it: deliveries
+    keep in-flight bytes, and no tick event joins the schedule (a
+    started sampler's ticks are counted in ``events_scheduled``).
+    """
     scenario = SCENARIOS[scenario_name]
     testbed = build_mail_testbed(
         flush_policy=scenario.flush_policy, **testbed_kwargs
     )
     runtime = testbed.runtime
+    if telemetry:
+        TelemetrySampler(runtime.sim).attach_runtime(runtime)
     if fault_specs:
         FaultInjector(runtime, FaultPlan.parse(fault_specs, seed=7)).schedule()
     proxies = _bind_clients(testbed, scenario, N_CLIENTS)
@@ -142,13 +151,13 @@ def _golden(key: str, path: Path = GOLDEN):
     return json.loads(path.read_text())[key]
 
 
-#: what selects each surviving path -> the Observability that does it
+#: who is watching -> the Observability that attaches them
 CONDITIONS = {
-    # nothing observes: kernel tight loop, proxy fast path
+    # nothing observes
     "default": None,
-    # event counter + per-op histograms: tight loop, instrumented proxy
+    # event counter + per-op histograms
     "metrics": dict(tracing=False, metrics=True),
-    # sim.dispatch capture + spans: step() loop, instrumented proxy
+    # sim.dispatch capture + request spans
     "tracing": dict(tracing=True, metrics=False, capture_sim_events=True),
 }
 
@@ -157,24 +166,35 @@ CONDITIONS = {
 def test_selected_paths_match_golden(condition):
     obs_kwargs = CONDITIONS[condition]
     obs = Observability(**obs_kwargs) if obs_kwargs else None
-    tight = obs is None
-    runtime, proxies, procs = _run("DS500", obs=obs)
-    assert runtime.sim._capture_events is (condition == "tracing")
-    assert all(p._fast is tight for p in proxies)
-    assert runtime.transport.fault_hook is None  # compiled walk
+    runtime, _proxies, procs = _run("DS500", obs=obs)
+    assert runtime.transport.fault_hook is None
     if condition == "tracing":
         assert obs.recorder.events("sim.dispatch")
+        assert obs.recorder.spans("request")
     assert _as_json(_signature(runtime, procs)) == _golden("plain")
 
 
 def test_chaos_run_matches_golden():
-    """An installed fault hook moves every delivery onto the per-hop
-    hook walk; the delays change the run, so it has its own golden."""
+    """An installed fault hook rules on every hop of every delivery;
+    the delays change the run, so it has its own golden."""
     runtime, _proxies, procs = _run("DS500", fault_specs=CHAOS)
     assert runtime.transport.fault_hook is not None
     signature = _as_json(_signature(runtime, procs))
     assert signature == _golden("chaos")
     assert signature != _golden("plain")
+
+
+def test_chaos_run_with_telemetry_matches_golden():
+    """Fault hook *and* in-flight accounting on the same walk: the
+    accounting is arithmetic between the same yields, so the chaos
+    golden holds, and every byte that entered a link has left it once
+    the event list has drained."""
+    runtime, _proxies, procs = _run("DS500", fault_specs=CHAOS, telemetry=True)
+    transport = runtime.transport
+    assert transport.fault_hook is not None
+    assert transport.link_inflight  # links were accounted ...
+    assert set(transport.link_inflight.values()) == {0}  # ... and emptied
+    assert _as_json(_signature(runtime, procs)) == _golden("chaos")
 
 
 @pytest.mark.parametrize("arm, fault_specs", [("plain", None), ("chaos", CHAOS)])

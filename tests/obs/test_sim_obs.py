@@ -33,10 +33,13 @@ def test_events_dispatched_counter():
 
 
 def _dispatches_seen_by_capture(build, drive):
-    """Reference count: the step() loop emits one sim.dispatch per event."""
+    """Reference count: capture records one sim.dispatch per event."""
     obs = Observability(capture_sim_events=True)
     sim = Simulator(obs=obs)
-    return _drive(sim, build(sim), drive), len(obs.recorder.events("sim.dispatch"))
+    outcome = _drive(sim, build(sim), drive)
+    seen = len(obs.recorder.events("sim.dispatch"))
+    assert obs.metrics.counter("sim.events_dispatched").value == seen
+    return outcome, seen
 
 
 def _drive(sim, target, drive):
@@ -75,13 +78,12 @@ def _build_with_raising_callback(sim):
     "build", [_build_two_steps, _build_with_raising_callback], ids=["clean", "raising"]
 )
 def test_events_dispatched_counter_equals_events_dispatched(build, drive):
-    """The tight loop counts in a local and settles the counter on the
-    way out — also when a callback raises, which still counts the event
-    whose callback raised."""
+    """The loop counts in a local and settles the counter on the way
+    out — also when a callback raises, which still counts the event
+    whose callback raised — with capture on and with it off."""
     outcome, expected = _dispatches_seen_by_capture(build, drive)
     obs = Observability(tracing=False, metrics=True)
     sim = Simulator(obs=obs)
-    assert not sim._capture_events  # the tight loop, not step()
     assert _drive(sim, build(sim), drive) == outcome
     assert expected > 0
     assert obs.metrics.counter("sim.events_dispatched").value == expected
@@ -113,4 +115,4 @@ def test_capture_sim_events_emits_dispatch_events():
 def test_default_simulator_has_no_observability_overhead_paths():
     sim = Simulator()
     assert sim._evt_counter is None
-    assert not sim._capture_events
+    assert not sim.obs.tracer.enabled and not sim.obs.metrics.enabled

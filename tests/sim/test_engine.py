@@ -1,5 +1,8 @@
 """Tests for the discrete-event simulation kernel."""
 
+import math
+import sys
+
 import pytest
 
 from repro.obs import Observability
@@ -110,9 +113,37 @@ def test_run_until_complete_raises_process_failure():
         yield sim.timeout(1)
         raise RuntimeError("nope")
 
-    p = sim.process(bad())
-    with pytest.raises(RuntimeError, match="nope"):
+    p = sim.process(bad(), name="bad-proc")
+    with pytest.raises(RuntimeError, match="nope") as excinfo:
         sim.run_until_complete(p)
+    assert excinfo.value.sim_context == "in process 'bad-proc' at t=1.0ms"
+
+
+def test_run_until_complete_limit_is_inclusive():
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(10)
+        return "on time"
+
+    assert sim.run_until_complete(sim.process(proc()), limit=10) == "on time"
+    assert sim.now == 10.0
+
+
+def test_run_until_complete_limit_exceeded():
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(10)
+        yield sim.timeout(10)
+
+    p = sim.process(proc())
+    with pytest.raises(SimulationError, match="time limit 15 exceeded"):
+        sim.run_until_complete(p, limit=15)
+    assert sim.now == 10.0  # the event past the limit did not run
+    assert sim.peek() == 20.0
+    sim.run_until_complete(p)  # and is still there to run
+    assert sim.now == 20.0
 
 
 def test_run_until_limit():
@@ -147,11 +178,9 @@ def test_run_until_is_exclusive():
 
 @pytest.mark.parametrize("metrics", [False, True], ids=["plain", "metrics"])
 def test_run_until_in_the_past_leaves_the_clock(metrics):
-    """With and without the event counter (both run the tight loop)."""
+    """With and without the event counter."""
     obs = Observability(tracing=False, metrics=True) if metrics else None
     sim = Simulator(obs=obs)
-    assert (sim._evt_counter is not None) is metrics
-    assert not sim._capture_events
     sim.timeout(200)  # still pending throughout
     sim.run(until=150)
     assert sim.run(until=50) == 150.0
@@ -163,6 +192,27 @@ def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.timeout(-1)
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        lambda sim: sim.timeout(math.nan),
+        lambda sim: Timeout(sim, math.nan),
+        lambda sim: sim.call_at(math.nan, lambda: None),
+        lambda sim: sim.call_after(math.nan, lambda: None),
+        lambda sim: sim.schedule_external(math.nan, 1, 1, sim.event()),
+    ],
+    ids=["timeout", "Timeout", "call_at", "call_after", "schedule_external"],
+)
+def test_nan_time_rejected(schedule):
+    """NaN fails every ``<`` test, so a ``delay < 0`` check lets it
+    through — and one NaN heap key makes ``sim.now`` NaN for good."""
+    sim = Simulator()
+    with pytest.raises((ValueError, SimulationError)):
+        schedule(sim)
+    assert sim.events_scheduled == 0
+    assert sim.peek() == float("inf")  # nothing reached the event list
 
 
 def test_event_double_trigger_rejected():
@@ -238,6 +288,19 @@ def test_interrupt_kills_sleeping_process():
     sim.process(killer(p))
     sim.run()
     assert log == [("interrupted", 10.0, "reason")]
+
+
+def test_uncaught_interrupt_ends_the_process_quietly():
+    sim = Simulator()
+
+    def sleeper():
+        yield sim.timeout(100)
+
+    p = sim.process(sleeper())
+    sim.call_at(10.0, p.interrupt)
+    assert sim.run_until_complete(p) is None
+    assert not p.failed
+    assert sim.now == 10.0
 
 
 def test_interrupt_dead_process_is_noop():
@@ -395,3 +458,44 @@ def test_failed_event_is_thrown_into_the_waiter():
     sim.call_at(3.0, lambda: ev.fail(KeyError("gone")))
     sim.run()
     assert caught == [("gone",)]
+
+
+# -- the same cases with sim.dispatch capture on --------------------------------
+
+#: every case above that drives run() or run_until_complete() through a
+#: stopping rule, an error exit or a thrown exception
+CAPTURE_CASES = [
+    test_run_until_limit,
+    test_run_until_is_exclusive,
+    test_run_until_complete_raises_process_failure,
+    test_run_until_complete_limit_is_inclusive,
+    test_run_until_complete_limit_exceeded,
+    test_deadlock_detection_in_run_until_complete,
+    test_process_exception_propagates_to_waiter,
+    test_interrupt_kills_sleeping_process,
+    test_uncaught_interrupt_ends_the_process_quietly,
+    test_failed_event_is_thrown_into_the_waiter,
+    test_yielding_an_already_dispatched_event_resumes_on_the_next_step,
+]
+
+
+@pytest.mark.parametrize("case", CAPTURE_CASES, ids=lambda case: case.__name__[5:])
+def test_case_with_dispatch_capture(case, monkeypatch):
+    """One loop and one ``Process._resume`` serve both modes: each case
+    passes unchanged on a capturing simulator, which records exactly one
+    ``sim.dispatch`` per event the counter counts — whichever of
+    ``run`` / ``run_until_complete`` dispatched it and however it exited."""
+    observed = []
+    real_simulator = Simulator
+
+    def capturing_simulator():
+        obs = Observability(capture_sim_events=True)
+        observed.append(obs)
+        return real_simulator(obs=obs)
+
+    monkeypatch.setattr(sys.modules[__name__], "Simulator", capturing_simulator)
+    case()
+    (obs,) = observed
+    dispatched = obs.metrics.counter("sim.events_dispatched").value
+    assert dispatched > 0
+    assert len(obs.recorder.events("sim.dispatch")) == dispatched

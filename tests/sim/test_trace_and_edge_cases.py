@@ -21,6 +21,24 @@ def test_run_is_not_reentrant():
     assert failure and "reentrant" in failure[0]
 
 
+def test_run_until_complete_is_not_reentrant():
+    """Entered from a callback, it would be a second dispatch loop
+    running inside the first; the guard covers both entry points."""
+    sim = Simulator()
+
+    def inner():
+        yield sim.timeout(5)
+
+    def outer():
+        yield sim.timeout(1)
+        sim.run_until_complete(sim.process(inner()))
+
+    proc = sim.process(outer())
+    with pytest.raises(SimulationError, match="not reentrant"):
+        sim.run_until_complete(proc)
+    assert sim.now == 1.0  # the inner loop never ran
+
+
 def test_any_of_failure_propagates():
     sim = Simulator()
 

@@ -26,7 +26,7 @@ class ScriptedStub:
         self.script = list(script)
         self.seen_keys = []
 
-    def request(self, req, response_bytes_hint=0):
+    def request(self, req):
         self.seen_keys.append(req.idempotency_key)
         delay, resp = self.script.pop(0)
         yield self.sim.timeout(delay)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checker: links resolve, snippets run, examples run.
 
-Five phases, each selectable (all run by default):
+Six phases, each selectable (all run by default):
 
 - ``--links``: every relative markdown link in the repo's ``*.md`` files
   must point at an existing file/directory (anchors and external URLs
@@ -26,6 +26,12 @@ Five phases, each selectable (all run by default):
   quoted in the user-facing docs must only pass keywords the real
   signature has.  Catches docs drifting from the constructor surface.
   CHANGES.md is history and is not scanned.
+- ``--symbols``: every `` `path/file.py:Dotted.name` `` pointer quoted in
+  the user-facing docs must name a file in the repo whose path ends
+  with ``path/file.py`` and, in it, a module-level definition (or, for
+  each further dotted part, a class-level one).  Resolved with ``ast``,
+  without importing ``repro``.  Catches docs naming a function, class
+  or method that was renamed, moved or deleted.
 
 Stdlib only; exit status is the number of failing checks.
 """
@@ -33,6 +39,7 @@ Stdlib only; exit status is the number of failing checks.
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import re
 import subprocess
@@ -246,6 +253,7 @@ def check_cli_flags() -> List[str]:
     return failures
 
 
+#: the user-facing docs ``--kwargs`` and ``--symbols`` scan
 KWARGS_FILES = (
     "README.md",
     "ARCHITECTURE.md",
@@ -327,6 +335,62 @@ def check_kwargs() -> List[str]:
     return failures
 
 
+#: `path/file.py:Dotted.name` at the start of a code span; a line number
+#: (`file.py:12`) or a pytest id (`file.py::test_x`) is not a pointer
+SYMBOL_RE = re.compile(r"`([\w./-]+\.py):([A-Za-z_][\w.]*)")
+
+
+def _defined_names(body: List[ast.stmt]) -> dict:
+    """name -> defining node, for the defs, classes and assignments
+    directly in ``body`` (a module's or a class's)."""
+    names: dict = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node
+    return names
+
+
+def _defines(source: Path, dotted: str) -> bool:
+    body = ast.parse(source.read_text(encoding="utf-8")).body
+    for part in dotted.split("."):
+        node = _defined_names(body).get(part)
+        if node is None:
+            return False
+        body = node.body if isinstance(node, ast.ClassDef) else []
+    return True
+
+
+def check_symbols() -> List[str]:
+    failures = []
+    sources = [
+        path for path in sorted(REPO.rglob("*.py"))
+        if not any(part in SKIP_DIRS for part in path.parts)
+    ]
+    for rel in KWARGS_FILES:
+        text = (REPO / rel).read_text(encoding="utf-8")
+        for match in SYMBOL_RE.finditer(text):
+            suffix, dotted = match.group(1), match.group(2).rstrip(".")
+            line = text[: match.start()].count("\n") + 1
+            label = f"{rel}:{line}"
+            candidates = [
+                path for path in sources
+                if ("/" + path.relative_to(REPO).as_posix()).endswith("/" + suffix)
+            ]
+            if not candidates:
+                failures.append(f"{label}: no file ends with '{suffix}'")
+            elif not any(_defines(path, dotted) for path in candidates):
+                failures.append(
+                    f"{label}: '{suffix}' defines no '{dotted}' at module or "
+                    f"class level"
+                )
+    return failures
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--links", action="store_true")
@@ -334,9 +398,11 @@ def main(argv: List[str]) -> int:
     parser.add_argument("--examples", action="store_true")
     parser.add_argument("--cli-flags", action="store_true")
     parser.add_argument("--kwargs", action="store_true")
+    parser.add_argument("--symbols", action="store_true")
     args = parser.parse_args(argv)
     run_all = not (
-        args.links or args.snippets or args.examples or args.cli_flags or args.kwargs
+        args.links or args.snippets or args.examples or args.cli_flags
+        or args.kwargs or args.symbols
     )
 
     sys.path.insert(0, str(REPO / "src"))
@@ -351,6 +417,8 @@ def main(argv: List[str]) -> int:
         failures += check_cli_flags()
     if run_all or args.kwargs:
         failures += check_kwargs()
+    if run_all or args.symbols:
+        failures += check_symbols()
 
     for failure in failures:
         print(f"FAIL {failure}")
