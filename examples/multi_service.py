@@ -42,7 +42,6 @@ def main() -> None:
         topo.network,
         mail_translator(),
         algorithm="dp_chain",
-        lookup_node=topo.server_node,
         server_node=topo.server_node,
         conflict_map=AttributeConflictMap("sensitivity", "TrustLevel", "le"),
     )

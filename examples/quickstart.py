@@ -143,7 +143,7 @@ def main() -> None:
 
     # 3. Stand up the runtime, register classes + service, pre-install
     #    the primary store in the datacenter.
-    runtime = SmockRuntime(spec, net, translator, lookup_node="dc", server_node="dc")
+    runtime = SmockRuntime(spec, net, translator, server_node="dc")
     runtime.register_component("Client", ClientComponent)
     runtime.register_component("Store", StoreComponent)
     runtime.register_service("kvstore", default_interface="ClientInterface")

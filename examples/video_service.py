@@ -67,8 +67,7 @@ def stream_a_few_frames() -> None:
     spec = build_video_spec()
     net = build_net(4.0)
     rt = SmockRuntime(spec, net, video_translator(),
-                      lookup_node="studio", server_node="studio",
-                      algorithm="exhaustive")
+                      server_node="studio", algorithm="exhaustive")
     for name, cls in VIDEO_COMPONENT_CLASSES.items():
         rt.register_component(name, cls)
     rt.register_service("video", default_interface="ViewerInterface")

@@ -141,8 +141,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
     topo = build_fig5_network(clients_per_site=2)
     planner = Planner(
-        build_mail_spec(), topo.network, mail_translator(), algorithm=args.algorithm,
-        plan_cache=False if args.no_plan_cache else None,
+        build_mail_spec(), topo.network, mail_translator(), algorithm=args.algorithm
     )
     planner.preinstall("MailServer", topo.server_node)
     node = topo.clients[args.site][0]
@@ -179,7 +178,6 @@ def cmd_mail(args: argparse.Namespace) -> int:
         clients_per_site=max(1, args.clients_per_site),
         flush_policy=args.flush_policy,
         algorithm=args.algorithm,
-        plan_cache=False if args.no_plan_cache else None,
         versioned_coherence=not args.no_versioned_coherence,
         telemetry_interval_ms=telemetry_interval,
         flight=flight,
@@ -194,7 +192,6 @@ def cmd_mail(args: argparse.Namespace) -> int:
         replanner = runtime.enable_self_healing(
             heartbeat_interval_ms=args.heartbeat_interval,
             miss_threshold=args.miss_threshold,
-            incremental=not args.no_incremental_replan,
         )
 
     proxies = []
@@ -663,20 +660,6 @@ def main(argv=None) -> int:
     group.add_argument("--log-json", action="store_true",
                        help="emit structured JSON log lines instead of text")
 
-    fastpath_parser = argparse.ArgumentParser(add_help=False)
-    fp = fastpath_parser.add_argument_group(
-        "planner fast path",
-        "caching is on by default and never changes the plans produced "
-        "(the byte-identical guard in tests/planner/test_cache.py holds "
-        "it to account); disable to measure the raw search",
-    )
-    fp.add_argument("--no-plan-cache", action="store_true",
-                    help="disable the deployment-plan cache")
-    fp.add_argument("--no-incremental-replan", action="store_true",
-                    help="make fault-triggered replans search from scratch "
-                         "instead of seeding from the previous plan's "
-                         "surviving placements")
-
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Partitionable-services reproduction (HPDC 2002)",
@@ -718,7 +701,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("plan", help="plan the mail service for one client",
-                       parents=[obs_parser, fastpath_parser])
+                       parents=[obs_parser])
     p.add_argument("--site", default="sandiego",
                    choices=["newyork", "sandiego", "seattle"])
     p.add_argument("--user", default="Bob")
@@ -727,7 +710,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("mail", help="run the mail service end to end",
-                       parents=[obs_parser, fastpath_parser])
+                       parents=[obs_parser])
     p.add_argument("--sites", nargs="*", default=["sandiego", "seattle"],
                    choices=["newyork", "sandiego", "seattle"])
     p.add_argument("--clients-per-site", type=int, default=2)

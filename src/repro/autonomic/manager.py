@@ -77,16 +77,14 @@ class AutonomicConfig:
 
     @classmethod
     def coerce(cls, value: Any) -> Optional["AutonomicConfig"]:
-        """Accept ``True`` / dict / instance; ``False``/``None`` -> None."""
+        """Accept ``True`` / instance; ``False``/``None`` -> None."""
         if not value:
             return None
         if value is True:
             return cls()
         if isinstance(value, cls):
             return value
-        if isinstance(value, dict):
-            return cls(**value)
-        raise TypeError(f"autonomic must be bool/dict/AutonomicConfig, got {value!r}")
+        raise TypeError(f"autonomic must be bool/AutonomicConfig, got {value!r}")
 
 
 @dataclass
@@ -318,21 +316,10 @@ class AutonomicManager:
 
     def _flush_round(self, signal: ScaleSignal) -> Generator[Any, Any, None]:
         """Actuate a ``flush`` signal: push dirty replica buffers upstream."""
-        bundle = self.runtime.primary
-        directory = bundle.coherence
         flushed = 0
-        for instance in list(bundle.instances.values()):
-            if getattr(instance, "failed", False):
-                continue
-            replica_id = getattr(instance, "replica_id", None)
-            flush = getattr(instance, "_sync", None)
-            if replica_id is None or flush is None:
-                continue
-            entry = directory._replicas.get(replica_id)
-            if entry is None or not entry.dirty:
-                continue
+        for instance in self.runtime.primary.dirty_replicas():
             try:
-                yield from flush()
+                yield from instance._sync()
                 flushed += 1
             except Exception:  # noqa: BLE001 - partitioned replica: retry later
                 continue

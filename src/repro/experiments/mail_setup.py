@@ -115,14 +115,7 @@ class MailTestbed:
         directory = runtime.coherence
         for _ in range(8):
             dirty = False
-            for instance in list(runtime.instances.values()):
-                if getattr(instance, "replica_id", None) is None:
-                    continue
-                if getattr(instance, "failed", False):
-                    continue
-                entry = directory._replicas.get(instance.replica_id)
-                if entry is None or not entry.dirty:
-                    continue
+            for instance in runtime.primary.dirty_replicas():
                 dirty = True
                 try:
                     runtime.run(
@@ -152,7 +145,6 @@ def build_mail_testbed(
     node_cpu: Optional[float] = None,
     flush_policy: str = "never",
     algorithm: str = "dp_chain",
-    planning_work: float = 2000.0,
     users=DEFAULT_USERS,
     **runtime_kwargs: Any,
 ) -> MailTestbed:
@@ -167,11 +159,16 @@ def build_mail_testbed(
     the exhaustive planner in ~1% of the time (see the planner-scaling
     benchmark), which keeps the 45-cell Figure 7 sweep tractable.
 
-    Every other keyword (``obs``, ``plan_cache``, ``versioned_coherence``,
-    ``telemetry_interval_ms``, ``overload_protection``, ``autonomic``,
-    ``lookup_hosts``, ...) is forwarded unchanged to
-    :class:`SmockRuntime`, the one place runtime options are declared
-    and documented; a misspelt one raises ``TypeError`` there.
+    The testbed fixes ``server_node`` and ``code_base_node`` (the New
+    York mail server, which also hosts the lookup unless
+    ``lookup_hosts`` moves it), ``conflict_map`` and ``view_policy``.
+    Every other keyword (``sim``, ``obs``, ``plan_cache``,
+    ``versioned_coherence``, ``telemetry_interval_ms``, ``flight``,
+    ``overload_protection``, ``autonomic``, ``lookup_hosts``,
+    ``lookup_leases``, ``directory_journal``, ``directory_host``) is
+    forwarded unchanged to :class:`SmockRuntime`, the one place runtime
+    options are declared and documented; a misspelt one raises
+    ``TypeError`` there.
     """
     spec = build_mail_spec()
     if node_cpu is None:
@@ -189,10 +186,8 @@ def build_mail_testbed(
         topo.network,
         mail_translator(),
         algorithm=algorithm,
-        lookup_node=topo.server_node,
         server_node=topo.server_node,
         code_base_node=topo.server_node,
-        planning_work=planning_work,
         conflict_map=AttributeConflictMap("sensitivity", "TrustLevel", "le"),
         view_policy=view_policy,
         **runtime_kwargs,

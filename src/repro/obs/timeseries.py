@@ -12,13 +12,13 @@ the cumulative summaries.
 Knob discipline (see ARCHITECTURE.md "telemetry pipeline"): sampling is
 **pull-based** — probes read state the simulation already maintains
 (``Resource.queue_length``, ``Store.__len__``, link byte counters), so a
-disabled sampler (``interval_ms`` of ``None``/``0`` or
-``enabled=False``) schedules nothing and adds no work to any
-instrumented layer; the only push-side accounting (per-link in-flight
-bytes) lives behind ``RuntimeTransport.enable_telemetry()`` and is never
-switched on unless a sampler attaches.  The sampler's tick *does*
-schedule simulator events, so enabling it changes the event count —
-byte-identical simulated results are pinned with telemetry off
+disabled sampler (``interval_ms`` of ``None`` or ``<= 0``) schedules
+nothing and adds no work to any instrumented layer; the only push-side
+accounting (per-link in-flight bytes) lives behind
+``RuntimeTransport.enable_telemetry()`` and is never switched on unless
+a sampler attaches.  The sampler's tick *does* schedule simulator
+events, so enabling it changes the event count — byte-identical
+simulated results are pinned with telemetry off
 (``tests/integration/test_telemetry_determinism.py``).
 """
 
@@ -298,7 +298,6 @@ class TelemetrySampler:
         interval_ms: Optional[float] = 500.0,
         capacity: int = SERIES_CAPACITY,
         flight: Any = None,
-        enabled: bool = True,
     ) -> None:
         self.sim = sim
         self.metrics = metrics
@@ -307,7 +306,7 @@ class TelemetrySampler:
         self.flight = flight
         #: master knob: a disabled sampler never schedules an event and
         #: never enables push-side instrumentation (zero work).
-        self.enabled = bool(enabled) and self.interval_ms > 0
+        self.enabled = self.interval_ms > 0
         #: True while a tick is armed on the simulator
         self.active = False
         self.ticks = 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Literal, Mapping, Optional, Tuple, Union
 
 from ..network import CredentialTranslator, Network
 from ..obs import Observability, resolve_obs
@@ -94,7 +94,7 @@ class Planner:
         objective: Optional[Objective] = None,
         algorithm: str = "exhaustive",
         obs: Optional[Observability] = None,
-        plan_cache: Union[PlanCache, None, bool] = None,
+        plan_cache: Union[PlanCache, None, Literal[False]] = None,
         memoize: bool = True,
     ) -> None:
         if algorithm not in ALGORITHMS:
@@ -108,7 +108,7 @@ class Planner:
         self.state = DeploymentState()
         self.objective = objective or ExpectedLatency()
         self.algorithm = algorithm
-        if plan_cache is None or plan_cache is True:
+        if plan_cache is None:
             plan_cache = PlanCache()
         elif plan_cache is False:
             plan_cache = None

@@ -204,6 +204,8 @@ class Simulator:
         which case nothing runs and the clock stays where it is (it never
         moves backwards).
         """
+        if until is not None and math.isnan(until):
+            raise SimulationError("run() needs a comparable until, got nan")
         self._drain(until, None)
         if until is not None and until > self._now:
             self._now = until

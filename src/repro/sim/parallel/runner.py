@@ -159,7 +159,7 @@ def run_parallel(
     per-worker no-progress tripwire (wall seconds); raise it for
     legitimately slow workloads.
     """
-    if until is None or until <= 0:
+    if until is None or not until > 0:  # also rejects NaN
         raise SimulationError(f"run_parallel needs a positive until, got {until!r}")
     if workers < 1:
         raise SimulationError(f"workers must be >= 1, got {workers}")

@@ -16,10 +16,12 @@ two pieces the reproduction was missing:
   primary-first to a surviving replica when the bound lookup host is
   dead or partitioned.
 
-Knob discipline: ``SmockRuntime()`` with at most one lookup host and
-leases off never constructs any of this — the runtime builds the plain singleton
-``LookupService`` exactly as before, byte for byte (pinned by
-``tests/integration/test_control_plane_identity.py``).
+Knob discipline: the lookup's address is ``lookup_hosts`` alone (its
+first entry; without it, the runtime's ``server_node``).  With at most
+one lookup host and ``lookup_leases`` off, ``SmockRuntime()`` never
+constructs any of this and builds the plain singleton ``LookupService``
+(pinned by ``tests/integration/test_control_plane_identity.py``).
+``lookup_leases`` takes ``False``/``None`` or a :class:`LeaseConfig`.
 
 Witness rule: a replica only *reports* a lease expiry (the event that
 triggers a replan/rebind round) if its own host stayed up since the
@@ -62,27 +64,23 @@ class LeaseConfig:
     heartbeat_bytes: int = 128
 
     def __post_init__(self) -> None:
-        if self.duration_ms <= 0:
+        if not self.duration_ms > 0:
             raise ValueError(f"duration_ms must be positive, got {self.duration_ms}")
         if self.renew_interval_ms is None:
             self.renew_interval_ms = self.duration_ms / 3.0
-        if self.renew_interval_ms <= 0:
+        if not self.renew_interval_ms > 0:
             raise ValueError(
                 f"renew_interval_ms must be positive, got {self.renew_interval_ms}"
             )
 
     @classmethod
     def coerce(cls, value: Any) -> Optional["LeaseConfig"]:
-        """``False``/``None`` → no leases; ``True`` → defaults; a number
-        → that duration; a :class:`LeaseConfig` passes through."""
+        """``False``/``None`` → no leases; a :class:`LeaseConfig` passes
+        through."""
         if not value:
             return None
         if isinstance(value, LeaseConfig):
             return value
-        if value is True:
-            return cls()
-        if isinstance(value, (int, float)):
-            return cls(duration_ms=float(value))
         raise TypeError(f"cannot interpret {value!r} as a LeaseConfig")
 
 

@@ -353,19 +353,9 @@ class ReplanManager:
             and bool(trigger.new)
         )
         if recovery:
-            for instance in list(self.bundle.instances.values()):
-                if getattr(instance, "failed", False):
-                    continue
-                if getattr(instance, "replica_id", None) is None:
-                    continue
-                flush = getattr(instance, "_sync", None)
-                if flush is None:
-                    continue
-                entry = directory._replicas.get(instance.replica_id)
-                if entry is None or not entry.dirty:
-                    continue
+            for instance in self.bundle.dirty_replicas():
                 try:
-                    yield from flush()
+                    yield from instance._sync()
                 except (NetworkError, FaultError):
                     continue  # still partitioned; a later round retries
         if directory.has_lost_buffers:

@@ -46,7 +46,7 @@ from .component import RuntimeComponent
 from .deployment import Deployer, DeploymentError, DeploymentRecord
 from .lookup import LookupService
 from .proxy import BindRecord, GenericProxy, ServiceProxy
-from .server import DEFAULT_PLANNING_WORK, GenericServer
+from .server import GenericServer
 from .transport import RuntimeTransport
 from .wrapper import NodeWrapper
 
@@ -66,12 +66,9 @@ class SmockRuntime:
         translator: CredentialTranslator,
         *,
         sim: Optional[Simulator] = None,
-        objective: Any = None,
         algorithm: str = "exhaustive",
-        lookup_node: Optional[str] = None,
         server_node: Optional[str] = None,
         code_base_node: Optional[str] = None,
-        planning_work: float = DEFAULT_PLANNING_WORK,
         conflict_map: Optional[ConflictMap] = None,
         view_policy: Optional[Callable[[ViewDef, Any], FlushPolicy]] = None,
         obs: Optional[Observability] = None,
@@ -121,10 +118,12 @@ class SmockRuntime:
             # with so spans always get simulated durations.
             self.obs.tracer.bind_sim_clock(lambda: self.sim.now)
         self.transport = RuntimeTransport(self.sim, network)
-        first_node = next(iter(network.nodes())).name
-        self.lookup_node = lookup_node or first_node
-        if lookup_hosts:
-            self.lookup_node = lookup_hosts[0]
+        #: the lookup sits on the first lookup host, else with the
+        #: generic server, else on the network's first node
+        self.lookup_node = (
+            lookup_hosts[0] if lookup_hosts
+            else server_node or next(iter(network.nodes())).name
+        )
         self.server_node = server_node or self.lookup_node
         self.code_base_node = code_base_node or self.server_node
 
@@ -170,11 +169,9 @@ class SmockRuntime:
             name="__primary__",
             spec=spec,
             translator=translator,
-            objective=objective,
             algorithm=algorithm,
             server_node=self.server_node,
             code_base_node=self.code_base_node,
-            planning_work=planning_work,
             conflict_map=conflict_map,
             view_policy=view_policy,
         )
@@ -222,16 +219,14 @@ class SmockRuntime:
         name: str,
         spec: ServiceSpec,
         translator: CredentialTranslator,
-        objective: Any,
         algorithm: str,
         server_node: str,
         code_base_node: str,
-        planning_work: float,
         conflict_map: Optional[ConflictMap],
         view_policy: Optional[Callable[[ViewDef, Any], FlushPolicy]],
     ) -> ServiceBundle:
         planner = Planner(
-            spec, self.network, translator, objective, algorithm, obs=self.obs,
+            spec, self.network, translator, algorithm=algorithm, obs=self.obs,
             plan_cache=self._plan_cache_setting,
         )
         bundle = ServiceBundle(
@@ -247,7 +242,7 @@ class SmockRuntime:
             code_base_node=code_base_node,
             view_policy=view_policy or (lambda view, instance: NeverPolicy()),
         )
-        bundle.server = GenericServer(self, server_node, planning_work, bundle=bundle)
+        bundle.server = GenericServer(self, server_node, bundle=bundle)
         return bundle
 
     def _make_journal(self) -> Optional[Any]:
@@ -349,11 +344,9 @@ class SmockRuntime:
         default_interface: str,
         *,
         component_classes: Optional[Dict[str, Type[RuntimeComponent]]] = None,
-        objective: Any = None,
         algorithm: str = "exhaustive",
         server_node: Optional[str] = None,
         code_base_node: Optional[str] = None,
-        planning_work: float = DEFAULT_PLANNING_WORK,
         conflict_map: Optional[ConflictMap] = None,
         view_policy: Optional[Callable[[ViewDef, Any], FlushPolicy]] = None,
         attributes: Optional[Dict[str, Any]] = None,
@@ -372,11 +365,9 @@ class SmockRuntime:
             name=name,
             spec=spec,
             translator=translator,
-            objective=objective,
             algorithm=algorithm,
             server_node=server_node or self.server_node,
             code_base_node=code_base_node or server_node or self.code_base_node,
-            planning_work=planning_work,
             conflict_map=conflict_map,
             view_policy=view_policy,
         )

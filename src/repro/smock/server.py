@@ -55,12 +55,10 @@ class GenericServer:
         self,
         runtime: "SmockRuntime",
         host_node: str,
-        planning_work: float = DEFAULT_PLANNING_WORK,
         bundle: Any = None,
     ) -> None:
         self.runtime = runtime
         self.host_node = host_node
-        self.planning_work = planning_work
         self.bundle = bundle
         self.accesses: List[AccessRecord] = []
 
@@ -98,7 +96,7 @@ class GenericServer:
         )
         try:
             yield from runtime.transport.node(self.host_node).execute(
-                self.planning_work
+                DEFAULT_PLANNING_WORK
             )
             request = PlanRequest(
                 interface=interface,

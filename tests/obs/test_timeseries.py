@@ -156,8 +156,7 @@ def test_sampler_stops_when_heap_drains():
 
 
 def test_disabled_sampler_schedules_nothing():
-    for kwargs in ({"interval_ms": 0}, {"interval_ms": None},
-                   {"enabled": False}):
+    for kwargs in ({"interval_ms": 0}, {"interval_ms": None}):
         sim = Simulator()
         sampler = TelemetrySampler(sim, **kwargs)
         assert not sampler.enabled

@@ -85,9 +85,7 @@ def test_end_to_end_playback():
     spec = build_video_spec()
     net = build_net(4.0)
     rt = SmockRuntime(
-        spec, net, video_translator(),
-        lookup_node="studio", server_node="studio",
-        algorithm="exhaustive",
+        spec, net, video_translator(), server_node="studio", algorithm="exhaustive"
     )
     for name, cls in VIDEO_COMPONENT_CLASSES.items():
         rt.register_component(name, cls)
@@ -113,9 +111,7 @@ def test_cache_view_absorbs_repeat_requests():
     spec = build_video_spec()
     net = build_net(4.0)
     rt = SmockRuntime(
-        spec, net, video_translator(),
-        lookup_node="studio", server_node="studio",
-        algorithm="exhaustive",
+        spec, net, video_translator(), server_node="studio", algorithm="exhaustive"
     )
     for name, cls in VIDEO_COMPONENT_CLASSES.items():
         rt.register_component(name, cls)

@@ -26,7 +26,7 @@ def build_runtime(wan_mbps: float) -> SmockRuntime:
     net.add_link("edge", "home", latency_ms=1.0, bandwidth_mbps=100.0)
     rt = SmockRuntime(
         build_video_spec(), net, video_translator(),
-        lookup_node="studio", server_node="studio", algorithm="exhaustive",
+        server_node="studio", algorithm="exhaustive",
     )
     for name, cls in VIDEO_COMPONENT_CLASSES.items():
         rt.register_component(name, cls)

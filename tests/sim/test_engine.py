@@ -188,6 +188,17 @@ def test_run_until_in_the_past_leaves_the_clock(metrics):
     assert sim.peek() == 200.0  # nothing ran
 
 
+def test_run_rejects_a_nan_horizon():
+    """``heap[0][0] < nan`` is never true, so a NaN ``until`` used to
+    run nothing and return the clock as if it had succeeded."""
+    sim = Simulator()
+    sim.timeout(5)
+    with pytest.raises(SimulationError, match="until"):
+        sim.run(until=math.nan)
+    assert sim.now == 0.0
+    assert sim.peek() == 5.0
+
+
 def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):

@@ -198,6 +198,18 @@ def test_run_parallel_validates_arguments():
         run_parallel(net, noop, None, workers=0, until=100.0)
 
 
+def test_run_parallel_rejects_a_nan_horizon():
+    """NaN passes ``until <= 0``; the LPs' ``now >= until`` then never
+    holds and the run spins for ever instead of failing."""
+    topo = build_fig5_network(clients_per_site=1)
+    cfg = TrafficConfig(seed=7, messages_per_client=5)
+    with pytest.raises(SimulationError, match="until"):
+        run_parallel(
+            topo.network, site_traffic_program, cfg, workers=1,
+            until=float("nan"), deadlock_timeout_s=3,
+        )
+
+
 # -- deadlock tripwire -----------------------------------------------------
 
 

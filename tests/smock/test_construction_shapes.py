@@ -1,0 +1,121 @@
+"""Golden pin of where each runtime construction shape puts its hosts.
+
+For every way the tree builds a :class:`SmockRuntime` — bare, with the
+lookup on the ``server_node``, with one or two ``lookup_hosts`` (and
+leases), through ``build_mail_testbed``, and with a second service on
+its own generic-server host — ``golden/construction_shapes.json`` records the
+lookup node, the server node, the code-base node, each bundle's
+code-base node and generic-server host, and the class of the lookup
+service.  The record was taken before the runtime's redundant options
+were retired; every shape must still resolve exactly as recorded.
+
+Regenerate (only when a placement is *meant* to change) with
+``PYTHONPATH=src python tests/smock/test_construction_shapes.py``.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.experiments import build_mail_testbed
+from repro.experiments.topology_fig5 import build_fig5_network
+from repro.services.mail import build_mail_spec, mail_translator
+from repro.smock import LeaseConfig, SmockRuntime
+
+GOLDEN = Path(__file__).parent / "golden" / "construction_shapes.json"
+
+
+def _runtime(**kwargs):
+    topo = build_fig5_network(clients_per_site=1)
+    return SmockRuntime(build_mail_spec(), topo.network, mail_translator(), **kwargs)
+
+
+def bare():
+    return _runtime()
+
+
+def lookup_at_server_node():
+    return _runtime(server_node="newyork-ms")
+
+
+def one_lookup_host_and_server_node():
+    return _runtime(lookup_hosts=["sandiego-gw"], server_node="newyork-ms")
+
+
+def two_lookup_hosts_with_leases():
+    return _runtime(
+        lookup_hosts=["sandiego-gw", "seattle-gw"],
+        lookup_leases=LeaseConfig(duration_ms=15_000.0),
+    )
+
+
+def second_service_on_a_gateway():
+    runtime = _runtime(server_node="newyork-ms")
+    runtime.register_service("mail", default_interface="ClientInterface")
+    runtime.add_service(
+        "mail2", build_mail_spec(), mail_translator(),
+        default_interface="ClientInterface", server_node="newyork-gw",
+    )
+    return runtime
+
+
+def mail_testbed():
+    return build_mail_testbed(clients_per_site=1).runtime
+
+
+def mail_testbed_leased_lookup():
+    return build_mail_testbed(
+        clients_per_site=1,
+        lookup_hosts=["sandiego-gw", "seattle-gw"],
+        lookup_leases=LeaseConfig(duration_ms=15_000.0),
+    ).runtime
+
+
+SHAPES = {
+    fn.__name__: fn
+    for fn in (
+        bare,
+        lookup_at_server_node,
+        one_lookup_host_and_server_node,
+        two_lookup_hosts_with_leases,
+        second_service_on_a_gateway,
+        mail_testbed,
+        mail_testbed_leased_lookup,
+    )
+}
+
+
+def resolved(runtime):
+    bundles = [runtime.primary] + [
+        b for b in runtime.bundles() if b is not runtime.primary
+    ]
+    return {
+        "lookup_node": runtime.lookup_node,
+        "server_node": runtime.server_node,
+        "code_base_node": runtime.code_base_node,
+        "bundles": {
+            b.name: {
+                "code_base_node": b.code_base_node,
+                "server_node": b.server.host_node,
+            }
+            for b in bundles
+        },
+        "lookup": type(runtime.lookup).__name__,
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_shape_resolves_as_recorded(shape):
+    golden = json.loads(GOLDEN.read_text())
+    assert resolved(SHAPES[shape]()) == golden[shape]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps({name: resolved(fn()) for name, fn in SHAPES.items()}, indent=1)
+        + "\n"
+    )
+    print(f"wrote {GOLDEN}")

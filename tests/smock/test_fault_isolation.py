@@ -26,7 +26,7 @@ def build_world(front_cls, back_cls):
     net.add_node("a")
     net.add_node("b")
     net.add_link("a", "b", latency_ms=5)
-    rt = SmockRuntime(spec, net, FunctionTranslator(), lookup_node="b", server_node="b")
+    rt = SmockRuntime(spec, net, FunctionTranslator(), server_node="b")
     rt.register_component("FrontUnit", front_cls)
     rt.register_component("BackUnit", back_cls)
     rt.register_service("svc", default_interface="Front")

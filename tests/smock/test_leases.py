@@ -58,8 +58,6 @@ def test_lease_renewal_is_skew_safe():
 def test_lease_config_coerce():
     assert LeaseConfig.coerce(False) is None
     assert LeaseConfig.coerce(None) is None
-    assert LeaseConfig.coerce(True).duration_ms == 10_000.0
-    assert LeaseConfig.coerce(5_000).duration_ms == 5_000.0
     cfg = LeaseConfig(duration_ms=9_000.0)
     assert LeaseConfig.coerce(cfg) is cfg
     assert cfg.renew_interval_ms == 3_000.0  # defaults to duration / 3
@@ -67,6 +65,15 @@ def test_lease_config_coerce():
         LeaseConfig.coerce("soon")
     with pytest.raises(ValueError):
         LeaseConfig(duration_ms=0.0)
+
+
+def test_lease_config_rejects_nan_duration():
+    """NaN passes ``<= 0``; it used to yield a NaN duration and a NaN
+    renewal interval."""
+    with pytest.raises(ValueError, match="duration_ms"):
+        LeaseConfig(duration_ms=float("nan"))
+    with pytest.raises(ValueError, match="renew_interval_ms"):
+        LeaseConfig(renew_interval_ms=float("nan"))
 
 
 # -- re-registration is renewal, not clobbering (satellite 1) ----------------

@@ -40,7 +40,6 @@ def runtime():
         topo.network,
         mail_translator(),
         algorithm="dp_chain",
-        lookup_node=topo.server_node,
         server_node=topo.server_node,
         conflict_map=AttributeConflictMap("sensitivity", "TrustLevel", "le"),
     )

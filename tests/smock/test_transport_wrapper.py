@@ -75,7 +75,7 @@ def tiny_runtime():
     )
     spec.validate()
     net = line_network()
-    rt = SmockRuntime(spec, net, FunctionTranslator(), lookup_node="a", server_node="a")
+    rt = SmockRuntime(spec, net, FunctionTranslator(), server_node="a")
     return spec, rt
 
 
