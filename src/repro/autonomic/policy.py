@@ -199,11 +199,6 @@ class PolicyEngine:
         """Register a listener called synchronously for every signal."""
         self._listeners.append(fn)
 
-    # -- introspection --------------------------------------------------------
-    def streak(self, rule_name: str, series: Any) -> int:
-        """Current consecutive-breach count for ``(rule, series)``."""
-        return self._streaks.get((rule_name, (series.name, series.labels)), 0)
-
     # -- evaluation -----------------------------------------------------------
     def _matching(self, rule: ThresholdRule) -> List[Any]:
         required = rule.labels.items()

@@ -10,9 +10,7 @@ replica convergence, client re-binding, and same-seed determinism.
 from .harness import (
     ChaosCaseConfig,
     ChaosCaseResult,
-    check_determinism,
     run_chaos_case,
-    run_chaos_sweep,
 )
 from .invariants import (
     check_all,
@@ -25,9 +23,7 @@ from .plangen import generate_fault_plan
 __all__ = [
     "ChaosCaseConfig",
     "ChaosCaseResult",
-    "check_determinism",
     "run_chaos_case",
-    "run_chaos_sweep",
     "check_all",
     "check_convergence",
     "check_durability",

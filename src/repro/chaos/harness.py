@@ -12,10 +12,9 @@ run *signature*, a hash over every externally observable outcome.
 The lifecycle steps themselves are
 :class:`~repro.experiments.mail_setup.MailTestbed` methods shared with
 the other harnesses; this module owns what is chaos-specific, one named
-phase per function.
-
-:func:`run_chaos_sweep` maps the harness over many seeds;
-:func:`check_determinism` runs one seed twice and compares signatures.
+phase per function.  The CLI's ``chaos-sweep`` maps
+:func:`run_chaos_case` over many seeds and, with
+``--check-determinism``, runs each seed twice and compares signatures.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ __all__ = [
     "ChaosCaseConfig",
     "ChaosCaseResult",
     "run_chaos_case",
-    "run_chaos_sweep",
-    "check_determinism",
 ]
 
 
@@ -555,18 +552,3 @@ def run_chaos_case(
             control_plane=cp_summary,
         )
 
-
-def run_chaos_sweep(
-    seeds: Sequence[int], config: Optional[ChaosCaseConfig] = None
-) -> List[ChaosCaseResult]:
-    """Run one chaos case per seed (the CLI ``chaos-sweep`` backend)."""
-    return [run_chaos_case(seed, config) for seed in seeds]
-
-
-def check_determinism(
-    seed: int, config: Optional[ChaosCaseConfig] = None
-) -> bool:
-    """Same seed ⇒ byte-identical run signature (two fresh runs)."""
-    first = run_chaos_case(seed, config)
-    second = run_chaos_case(seed, config)
-    return first.signature == second.signature

@@ -23,8 +23,8 @@ anti-entropy sweep), and only then asks:
   version-vector frontiers match the pre-crash directory's exactly.
 
 Determinism (same seed ⇒ identical run signature) is checked at the
-harness level by running the case twice — see
-:func:`repro.chaos.harness.check_determinism`.
+harness level by running the case twice — ``chaos-sweep
+--check-determinism``.
 """
 
 from __future__ import annotations

@@ -19,22 +19,14 @@ configurations conflict with the propagated updates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import Observability, resolve_obs
 from .conflicts import ConflictMap, Update, ViewConfig
 from .policies import FlushPolicy, NeverPolicy
 from .reconcile import LastWriterWins, ReconcilePolicy, ReconcileReport, VersionVector
 
-__all__ = ["CoherenceDirectory", "ReplicaEntry", "CoherenceStats", "ReplicaHost"]
-
-
-class ReplicaHost(Protocol):
-    """What the directory needs from a replica component instance."""
-
-    def on_invalidate(self, updates: List[Update]) -> None:
-        """Mark state stale following a conflicting remote update."""
-        ...
+__all__ = ["CoherenceDirectory", "ReplicaEntry", "CoherenceStats"]
 
 
 @dataclass
@@ -155,9 +147,6 @@ class CoherenceDirectory:
         self._primaries[family] = host
         if self.journal is not None:
             self.journal.record_primary(family)
-
-    def primary_of(self, family: str) -> Optional[Any]:
-        return self._primaries.get(family)
 
     def register_replica(
         self,

@@ -82,7 +82,7 @@ class TimePolicy(FlushPolicy):
     interval_ms: float
 
     def __post_init__(self) -> None:
-        if self.interval_ms <= 0:
+        if not self.interval_ms > 0:  # NaN too: it would never flush
             raise ValueError(f"interval must be positive, got {self.interval_ms}")
         self.name = f"time({self.interval_ms}ms)"
 

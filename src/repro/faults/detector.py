@@ -59,7 +59,7 @@ class FailureDetector:
         home_node: Optional[str] = None,
         ping_timeout_ms: Optional[float] = None,
     ) -> None:
-        if interval_ms <= 0:
+        if not interval_ms > 0:  # NaN too
             raise ValueError("interval_ms must be positive")
         if miss_threshold < 1:
             raise ValueError("miss_threshold must be >= 1")

@@ -91,8 +91,9 @@ class FaultAction:
     def __post_init__(self) -> None:
         if self.kind not in FaultKind.ALL:
             raise FaultPlanError(f"unknown fault kind {self.kind!r}")
-        if self.at_ms < 0 or (self.until_ms is not None and self.until_ms < 0):
-            raise FaultPlanError(f"{self.kind} fault has a negative timestamp")
+        # ``not x >= 0`` so NaN is rejected too
+        if not self.at_ms >= 0 or (self.until_ms is not None and not self.until_ms >= 0):
+            raise FaultPlanError(f"{self.kind} fault has a negative or NaN timestamp")
         if self.kind in (FaultKind.CRASH, FaultKind.RESTART):
             if not self.node:
                 raise FaultPlanError(f"{self.kind} fault needs a node")
@@ -120,8 +121,10 @@ class FaultAction:
             raise FaultPlanError(
                 f"{self.kind} probability must be in [0, 1], got {self.magnitude}"
             )
-        if self.kind in FaultKind.TIMED and self.magnitude < 0:
-            raise FaultPlanError(f"negative {self.kind} duration: {self.magnitude}")
+        if self.kind in FaultKind.TIMED and not self.magnitude >= 0:
+            raise FaultPlanError(
+                f"{self.kind} duration must be >= 0, got {self.magnitude}"
+            )
 
     @property
     def subject(self) -> str:
@@ -171,8 +174,8 @@ class FaultPlan:
     def validate(self) -> "FaultPlan":
         """Reject plans that would silently misbehave at injection time.
 
-        Raises :class:`FaultPlanError` for (1) actions with negative
-        timestamps, (2) duplicate actions — same (kind, subject, at_ms)
+        Raises :class:`FaultPlanError` for (1) actions with negative or
+        NaN timestamps, (2) duplicate actions — same (kind, subject, at_ms)
         scheduled twice, and (3) overlapping windows of the same kind on
         the same subject (two drop windows on one link at once compound
         their probabilities in an order-dependent way; the plan should
@@ -181,11 +184,11 @@ class FaultPlan:
         seen: set = set()
         open_windows: dict = {}
         for action in self.sorted_actions():
-            if action.at_ms < 0 or (
-                action.until_ms is not None and action.until_ms < 0
+            if not action.at_ms >= 0 or (
+                action.until_ms is not None and not action.until_ms >= 0
             ):
                 raise FaultPlanError(
-                    f"{action.describe()}: negative timestamp"
+                    f"{action.describe()}: negative or NaN timestamp"
                 )
             key = (action.kind, action.subject, action.at_ms)
             if key in seen:

@@ -32,7 +32,7 @@ OpFactory = Callable[[random.Random, str, Sequence[str]], Tuple[str, Dict[str, A
 @dataclass
 class LoadConfig:
     """Parameters of one open-loop run (the arrival process is separate
-    so one config can be swept across Poisson/diurnal/flash shapes)."""
+    so one config can be swept across Poisson/flash shapes)."""
 
     duration_ms: float = 30_000.0
     #: extra simulated time after the last arrival for in-flight

@@ -40,12 +40,6 @@ class ZipfSampler:
         self._total = total
         self._cdf = cdf
 
-    def probability(self, rank: int) -> float:
-        """P(rank) under the normalized distribution."""
-        if not 0 <= rank < self.n:
-            raise IndexError(f"rank {rank} out of [0, {self.n})")
-        return (rank + 1) ** -self.s / self._total
-
     def sample(self, rng: Optional[random.Random] = None) -> int:
         """Draw one rank (0 = hottest)."""
         r = rng if rng is not None else self._rng

@@ -1,7 +1,7 @@
 """Network substrate: topology model, BRITE-style generation,
 credential translation, and Remos-style monitoring."""
 
-from .brite import BriteConfig, generate, generate_barabasi_albert, generate_waxman
+from .brite import BriteConfig, generate_waxman
 from .credentials import (
     CredentialRule,
     CredentialTranslator,
@@ -19,9 +19,7 @@ __all__ = [
     "LinkInfo",
     "PathInfo",
     "BriteConfig",
-    "generate",
     "generate_waxman",
-    "generate_barabasi_albert",
     "Environment",
     "CredentialTranslator",
     "FunctionTranslator",

@@ -1,20 +1,16 @@
 """BRITE-style random topology generation.
 
 The paper's case-study network "was generated using Boston University's
-BRITE tool" [19].  BRITE's two classic flat router-level models are
-reimplemented here with the same parameter surface:
+BRITE tool" [19].  BRITE's Waxman flat router-level model is
+reimplemented here with the same parameter surface: nodes placed
+uniformly in a plane; an edge (u, v) exists with probability
+``alpha * exp(-d(u, v) / (beta * L))`` where ``L`` is the maximum
+possible distance.  Incremental growth with ``m`` edges per joining node
+guarantees connectivity.
 
-- **Waxman**: nodes placed uniformly in a plane; an edge (u, v) exists
-  with probability ``alpha * exp(-d(u, v) / (beta * L))`` where ``L`` is
-  the maximum possible distance.  Incremental growth with ``m`` edges per
-  joining node guarantees connectivity.
-- **Barabási–Albert** (preferential attachment): each joining node
-  connects ``m`` edges to existing nodes with probability proportional
-  to their degree.
-
-Both are seeded and deterministic.  Link latencies derive from Euclidean
-distance (speed-of-light-ish scaling) and bandwidths are drawn uniformly
-from a configurable range, mirroring BRITE's bandwidth assignment modes.
+Generation is seeded and deterministic.  Link latencies derive from
+Euclidean distance (speed-of-light-ish scaling) and bandwidths are drawn
+uniformly from a configurable range, mirroring BRITE's bandwidth assignment modes.
 A fraction of links can be marked insecure to produce heterogeneous
 security environments for the planner.
 """
@@ -24,11 +20,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .topology import Network
 
-__all__ = ["BriteConfig", "generate_waxman", "generate_barabasi_albert", "generate"]
+__all__ = ["BriteConfig", "generate_waxman"]
 
 
 @dataclass
@@ -147,61 +143,3 @@ def generate_waxman(cfg: BriteConfig) -> Network:
         for j in chosen:
             _add_link(net, cfg, rng, names, pos, i, j)
     return net
-
-
-def generate_barabasi_albert(cfg: BriteConfig) -> Network:
-    """Preferential-attachment topology (BRITE's RTBarabasiAlbert model)."""
-    rng = random.Random(cfg.seed)
-    net = Network()
-    pos = _place_nodes(cfg, rng)
-    names = _add_nodes(net, cfg, rng)
-
-    # Degree-weighted target list (repeat node index once per degree).
-    targets: List[int] = [0]
-    for i in range(1, cfg.n_nodes):
-        chosen: List[int] = []
-        pool = list(set(targets)) if targets else [0]
-        for _ in range(min(cfg.m_edges, len(pool))):
-            # Sample proportional to degree from the repeat list, skipping
-            # already-chosen endpoints.
-            for _attempt in range(64):
-                j = targets[rng.randrange(len(targets))]
-                if j not in chosen and j != i:
-                    break
-            else:
-                remaining = [p for p in pool if p not in chosen and p != i]
-                if not remaining:
-                    break
-                j = rng.choice(remaining)
-            chosen.append(j)
-        if not chosen and i > 0:
-            chosen = [i - 1]
-        for j in chosen:
-            _add_link(net, cfg, rng, names, pos, i, j)
-            targets.extend((i, j))
-    return net
-
-
-_MODELS = {
-    "waxman": generate_waxman,
-    "barabasi_albert": generate_barabasi_albert,
-    "ba": generate_barabasi_albert,
-}
-
-
-def generate(model: str = "waxman", cfg: Optional[BriteConfig] = None, **kwargs) -> Network:
-    """Generate a topology by model name ('waxman' or 'barabasi_albert').
-
-    ``kwargs`` override :class:`BriteConfig` fields when ``cfg`` is None.
-    """
-    if cfg is None:
-        cfg = BriteConfig(**kwargs)
-    elif kwargs:
-        raise TypeError("pass either cfg or keyword overrides, not both")
-    try:
-        fn = _MODELS[model.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown model {model!r}; expected one of {sorted(_MODELS)}"
-        ) from None
-    return fn(cfg)

@@ -54,12 +54,6 @@ class Environment:
     def __contains__(self, prop: str) -> bool:
         return prop in self.values
 
-    def merged(self, other: "Environment") -> "Environment":
-        """Right-biased merge (``other`` wins on conflicts)."""
-        merged = dict(self.values)
-        merged.update(other.values)
-        return Environment(merged)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.values.items()))
         return f"Environment({inner})"

@@ -6,9 +6,9 @@ state of the network and communicates it to network-aware applications
 through a well-defined and uniform set of APIs", letting the planner
 decide whether a redeployment is called for.
 
-:class:`NetworkMonitor` provides that API against the simulated network:
+:class:`NetworkMonitor` provides that API against the simulated network
+(the planner reads current attributes from the :class:`Network` itself):
 
-- *queries* — current latency/bandwidth/security of links, CPU of nodes;
 - *subscriptions* — callbacks fired when an observed attribute changes;
 - *scripted perturbations* — experiments inject changes at simulated
   times (a link slows down, a node loses trust) and the monitor reports
@@ -55,7 +55,7 @@ class NetworkMonitor:
         network: Network,
         poll_interval_ms: float = 1000.0,
     ) -> None:
-        if poll_interval_ms <= 0:
+        if not poll_interval_ms > 0:  # NaN too
             raise ValueError("poll_interval_ms must be positive")
         self.sim = sim
         self.network = network
@@ -66,29 +66,10 @@ class NetworkMonitor:
         self._running = False
         self._take_snapshot(initial=True)
 
-    # -- query API (the "well-defined and uniform set of APIs") -----------
-    def link_latency_ms(self, a: str, b: str) -> float:
-        return self.network.link(a, b).latency_ms
-
-    def link_bandwidth_mbps(self, a: str, b: str) -> float:
-        return self.network.link(a, b).bandwidth_mbps
-
-    def link_secure(self, a: str, b: str) -> bool:
-        return self.network.link(a, b).secure
-
-    def node_cpu_capacity(self, name: str) -> float:
-        return self.network.node(name).cpu_capacity
-
-    def node_credential(self, name: str, key: str, default: Any = None) -> Any:
-        return self.network.node(name).credentials.get(key, default)
-
     # -- subscriptions ------------------------------------------------------
     def subscribe(self, fn: Subscriber) -> None:
         """Call ``fn(change)`` for every change observed at a poll."""
         self._subscribers.append(fn)
-
-    def unsubscribe(self, fn: Subscriber) -> None:
-        self._subscribers.remove(fn)
 
     # -- perturbation injection ---------------------------------------------
     def perturb_link(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..sim import SimLink, SimNode, Simulator, transfer_time_ms
 
@@ -85,9 +85,6 @@ class LinkInfo:
     @property
     def free_mbps(self) -> float:
         return self.bandwidth_mbps - self.reserved_mbps
-
-    def endpoints(self) -> Tuple[str, str]:
-        return (self.a, self.b)
 
     def copy(self) -> "LinkInfo":
         return LinkInfo(
@@ -343,12 +340,6 @@ class Network:
         except KeyError:
             raise NetworkError(f"no link named {name!r}") from None
 
-    def has_node(self, name: str) -> bool:
-        return name in self._nodes
-
-    def has_link(self, a: str, b: str) -> bool:
-        return _link_key(a, b) in self._links
-
     def nodes(self) -> Iterator[NodeInfo]:
         return iter(self._nodes.values())
 
@@ -357,11 +348,6 @@ class Network:
 
     def node_names(self) -> List[str]:
         return list(self._nodes)
-
-    def neighbors(self, name: str) -> Sequence[str]:
-        if name not in self._adj:
-            raise NetworkError(f"unknown node {name!r}")
-        return tuple(self._adj[name])
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -437,13 +423,6 @@ class Network:
                     heapq.heappush(heap, (nd, v))
         self._route_trees[src] = prev
         return prev
-
-    def connected(self, src: str, dst: str) -> bool:
-        try:
-            self.path(src, dst)
-            return True
-        except NetworkError:
-            return False
 
     # -- reservations (planner condition 3 bookkeeping) --------------------
     def snapshot(self) -> "Network":

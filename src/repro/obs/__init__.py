@@ -8,7 +8,7 @@ reproduction a common way to answer that question:
 - :class:`Tracer` / :class:`Span` — nestable spans that record **both**
   wall-clock duration (host compute) and simulated-clock duration (the
   virtual milliseconds of Figure 7), plus point events;
-- :class:`MetricsRegistry` — counters, gauges and histograms with
+- :class:`MetricsRegistry` — counters and histograms with
   percentile summaries (labels supported);
 - :class:`TraceRecorder` — collects finished spans/events, exports
   JSON-lines and renders a human-readable span tree;
@@ -36,14 +36,13 @@ from .core import (
     NULL_OBS,
     Observability,
     get_default_obs,
-    reset_default_obs,
     resolve_obs,
     set_default_obs,
     use_obs,
 )
 from .flight import FlightRecorder
 from .logs import JsonFormatter, configure_logging, get_logger
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Histogram, MetricsRegistry
 from .recorder import TraceRecorder, load_jsonl
 from .slo import DEFAULT_MAIL_SLO, SLOReport, SLOSpec, evaluate_slo, load_slo_spec
 from .span import NULL_SPAN, Span
@@ -55,7 +54,6 @@ __all__ = [
     "NULL_OBS",
     "get_default_obs",
     "set_default_obs",
-    "reset_default_obs",
     "resolve_obs",
     "use_obs",
     "Tracer",
@@ -63,7 +61,6 @@ __all__ = [
     "NULL_SPAN",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "TraceRecorder",
     "load_jsonl",

@@ -22,7 +22,6 @@ __all__ = [
     "NULL_OBS",
     "get_default_obs",
     "set_default_obs",
-    "reset_default_obs",
     "resolve_obs",
     "use_obs",
 ]
@@ -72,11 +71,6 @@ def set_default_obs(obs: Observability) -> Observability:
     previous = _default
     _default = obs
     return previous
-
-
-def reset_default_obs() -> None:
-    global _default
-    _default = NULL_OBS
 
 
 def resolve_obs(obs: Optional[Observability]) -> Observability:

@@ -1,4 +1,4 @@
-"""Counters, gauges and histograms — the numeric half of observability.
+"""Counters and histograms — the numeric half of observability.
 
 Metrics are identified by ``(name, labels)``; labels are free-form
 key/value pairs (``metrics.inc("planner.pruned", 3, algorithm="dp_chain")``).
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "percentile"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry", "percentile"]
 
 #: raw observations kept per histogram; count/sum/min/max stay exact beyond it
 HISTOGRAM_CAP = 100_000
@@ -61,23 +61,6 @@ class Counter:
 
     def inc(self, n: float = 1) -> None:
         self.value += n
-
-
-class Gauge:
-    """A value that goes up and down (e.g. live replica count)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: LabelKey = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
 
 
 class Histogram:
@@ -126,7 +109,6 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
-        self._gauges: Dict[Tuple[str, LabelKey], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
 
     # -- handle accessors (create on first use) -----------------------------
@@ -136,13 +118,6 @@ class MetricsRegistry:
         if c is None:
             c = self._counters[key] = Counter(name, key[1])
         return c
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        key = _key(name, labels)
-        g = self._gauges.get(key)
-        if g is None:
-            g = self._gauges[key] = Gauge(name, key[1])
-        return g
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
         key = _key(name, labels)
@@ -180,11 +155,6 @@ class MetricsRegistry:
             return
         self.counter(name, **labels).inc(n)
 
-    def set_gauge(self, name: str, value: float, **labels: Any) -> None:
-        if not self.enabled:
-            return
-        self.gauge(name, **labels).set(value)
-
     def observe(self, name: str, value: float, **labels: Any) -> None:
         if not self.enabled:
             return
@@ -197,10 +167,6 @@ class MetricsRegistry:
             "counters": {
                 _format_key(name, labels): c.value
                 for (name, labels), c in sorted(self._counters.items())
-            },
-            "gauges": {
-                _format_key(name, labels): g.value
-                for (name, labels), g in sorted(self._gauges.items())
             },
             "histograms": {
                 _format_key(name, labels): h.summary()
@@ -215,10 +181,6 @@ class MetricsRegistry:
             lines.append("counters:")
             for (name, labels), c in sorted(self._counters.items()):
                 lines.append(f"  {_format_key(name, labels):52s} {c.value:g}")
-        if self._gauges:
-            lines.append("gauges:")
-            for (name, labels), g in sorted(self._gauges.items()):
-                lines.append(f"  {_format_key(name, labels):52s} {g.value:g}")
         if self._histograms:
             lines.append("histograms:")
             for (name, labels), h in sorted(self._histograms.items()):
@@ -236,5 +198,5 @@ class MetricsRegistry:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<MetricsRegistry counters={len(self._counters)} "
-            f"gauges={len(self._gauges)} histograms={len(self._histograms)}>"
+            f"histograms={len(self._histograms)}>"
         )

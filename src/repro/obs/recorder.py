@@ -13,7 +13,6 @@ one).  Export formats:
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from typing import Any, Dict, IO, List, Optional, Union
@@ -49,10 +48,6 @@ class TraceRecorder:
             if r.get("type") == "event" and (name is None or r.get("name") == name)
         ]
 
-    def children_of(self, span: Dict[str, Any]) -> List[Dict[str, Any]]:
-        sid = span.get("span_id")
-        return [r for r in self.spans() if r.get("parent_id") == sid]
-
     # -- JSON-lines ---------------------------------------------------------
     def to_jsonl(self, target: Union[str, IO[str]]) -> int:
         """Write every record as one JSON object per line.
@@ -71,11 +66,6 @@ class TraceRecorder:
             target.write(json.dumps(record, sort_keys=True, default=str))
             target.write("\n")
         return len(self.records)
-
-    def to_jsonl_str(self) -> str:
-        buf = io.StringIO()
-        self.to_jsonl(buf)
-        return buf.getvalue()
 
     # -- tree report --------------------------------------------------------
     def tree_report(self) -> str:

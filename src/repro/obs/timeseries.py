@@ -11,7 +11,7 @@ the cumulative summaries.
 
 Knob discipline (see ARCHITECTURE.md "telemetry pipeline"): sampling is
 **pull-based** — probes read state the simulation already maintains
-(``Resource.queue_length``, ``Store.__len__``, link byte counters), so a
+(``Resource.queue_length``, link byte counters), so a
 disabled sampler (``interval_ms`` of ``None`` or ``<= 0``) schedules
 nothing and adds no work to any instrumented layer; the only push-side
 accounting (per-link in-flight bytes) lives behind
@@ -245,10 +245,6 @@ class WindowedHistogram:
         """Closed windows, oldest first; the open window is excluded."""
         return list(self._windows)
 
-    def window_percentiles(self, q: float) -> List[Tuple[float, float]]:
-        """``(window_end_ms, percentile)`` per closed window."""
-        return [(w.end_ms, w.percentile(q)) for w in self._windows]
-
     def percentile(self, q: float) -> float:
         """Cumulative percentile, clamped into the exact [min, max]."""
         if self.count == 0:
@@ -374,12 +370,6 @@ class TelemetrySampler:
     ) -> None:
         """Sample a :class:`~repro.sim.resources.Resource`'s queue depth."""
         self.add_probe(name, lambda: float(resource.queue_length), **labels)
-
-    def watch_store(
-        self, store: Any, name: str = "store.depth", **labels: Any
-    ) -> None:
-        """Sample a :class:`~repro.sim.resources.Store`'s backlog depth."""
-        self.add_probe(name, lambda: float(len(store)), **labels)
 
     def watch_utilization(
         self, resource: Any, name: str = "resource.utilization", **labels: Any

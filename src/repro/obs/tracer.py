@@ -105,9 +105,6 @@ class Tracer:
             if tracked:
                 self._stack.pop()
 
-    def current_span(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
-
     # -- point events -------------------------------------------------------
     def event(self, name: str, **attrs: Any) -> None:
         """Record an instantaneous event (e.g. one simulator dispatch)."""

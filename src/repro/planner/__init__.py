@@ -14,13 +14,13 @@ state, capacity reservations, and the planner fast path — the
 :class:`PlanCache` of finished plans (keyed under the content-based
 topology epoch ``Network.state_fingerprint()``, so recurring network
 states re-hit their plans), the memoized validity checks inside
-:class:`PlanningContext`, and the :func:`plan_incremental` seeded search
-the replanner uses to patch a deployment around a failed host instead of
-re-deriving it from scratch.
+:class:`PlanningContext`, and :meth:`Planner.replan_incremental`, the
+seeded search the replanner uses to patch a deployment around a failed
+host instead of re-deriving it from scratch.
 """
 
 from .cache import PlanCache, PlanCacheStats
-from .compat import CompatError, ContextCacheStats, PlanningContext
+from .compat import ContextCacheStats, PlanningContext
 from .dp_chain import DPStats, plan_dp_chain
 from .exhaustive import SearchStats, plan_exhaustive
 from .linkage import LinkageGraph, enumerate_linkage_graphs, valid_chains
@@ -34,7 +34,7 @@ from .plan import (
     PlannedLinkage,
     PlanRequest,
 )
-from .incremental import plan_incremental, surviving_placements
+from .incremental import surviving_placements
 from .planner import ALGORITHMS, Planner, PlanningError
 
 __all__ = [
@@ -42,11 +42,9 @@ __all__ = [
     "PlanningError",
     "ALGORITHMS",
     "PlanningContext",
-    "CompatError",
     "ContextCacheStats",
     "PlanCache",
     "PlanCacheStats",
-    "plan_incremental",
     "surviving_placements",
     "PlanRequest",
     "DeploymentPlan",

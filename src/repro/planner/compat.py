@@ -62,11 +62,7 @@ from ..spec import (
     satisfies,
 )
 
-__all__ = ["PlanningContext", "CompatError", "ContextCacheStats", "ChainTables"]
-
-
-class CompatError(ValueError):
-    """A linkage pair violates one of the validity conditions."""
+__all__ = ["PlanningContext", "ContextCacheStats", "ChainTables"]
 
 
 @dataclass
@@ -457,23 +453,3 @@ class PlanningContext:
             if not satisfies(req_value, actual, self.match_mode(prop)):
                 return False
         return True
-
-    def linkage_compatible(
-        self,
-        client_unit: ComponentDef,
-        client_node: str,
-        server_unit: ComponentDef,
-        server_node: str,
-        interface: str,
-    ) -> bool:
-        """Full condition-2 check for one candidate linkage."""
-        server_impl = self.resolved_implements(server_unit, server_node).get(interface)
-        if server_impl is None:
-            return False
-        for req_iface, req_props in self.resolved_requires(client_unit, client_node):
-            if req_iface != interface:
-                continue
-            env = self.path_env(client_node, server_node)
-            if self.properties_compatible(req_props, server_impl, env):
-                return True
-        return False

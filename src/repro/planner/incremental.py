@@ -15,14 +15,15 @@ Re-validating condition 2 matters: a dead *router* reroutes traffic, and
 the new path may lose (or gain) Confidentiality, silently invalidating a
 linkage between two perfectly healthy endpoints.
 
-:func:`plan_incremental` seeds the search's
-:class:`~repro.planner.plan.DeploymentState` with those survivors and
-runs the normal algorithm.  Seeding only *adds* reuse candidates (every
-search treats installed placements as already-wired providers), so the
-seeded search explores a superset of the unseeded one — and with a
-branch-and-bound objective the surviving chain yields an early incumbent
-that prunes most of the space.  If the seeded search finds nothing, the
-plain full search runs as a fallback.
+:meth:`~repro.planner.planner.Planner.replan_incremental` seeds the
+search's :class:`~repro.planner.plan.DeploymentState` with those
+survivors and runs the normal algorithm, re-attaching the survivors'
+wiring with :func:`graft_survivor_subtrees`.  Seeding only *adds* reuse
+candidates (every search treats installed placements as already-wired
+providers), so the seeded search explores a superset of the unseeded
+one — and with a branch-and-bound objective the surviving chain yields
+an early incumbent that prunes most of the space.  If the seeded search
+finds nothing, the plain full search runs as a fallback.
 
 The :class:`~repro.smock.replanner.ReplanManager` applies this only to
 *liveness*-triggered rounds (node/link up/down).  Attribute changes
@@ -35,20 +36,13 @@ shortcut.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .compat import PlanningContext
-from .exhaustive import _required_props, plan_exhaustive
-from .objectives import Objective
-from .plan import (
-    DeploymentPlan,
-    DeploymentState,
-    Placement,
-    PlannedLinkage,
-    PlanRequest,
-)
+from .exhaustive import _required_props
+from .plan import DeploymentPlan, Placement, PlannedLinkage
 
-__all__ = ["surviving_placements", "plan_incremental", "graft_survivor_subtrees"]
+__all__ = ["surviving_placements", "graft_survivor_subtrees"]
 
 
 def surviving_placements(
@@ -160,37 +154,3 @@ def graft_survivor_subtrees(
             queue.append(server.key)
     return plan
 
-
-def plan_incremental(
-    ctx: PlanningContext,
-    request: PlanRequest,
-    state: DeploymentState,
-    previous: DeploymentPlan,
-    algorithm: Callable[..., Optional[DeploymentPlan]] = plan_exhaustive,
-    objective: Optional[Objective] = None,
-    installed_keys: Optional[Set[Tuple]] = None,
-) -> Tuple[Optional[DeploymentPlan], int]:
-    """Re-plan ``request`` seeded from the survivors of ``previous``.
-
-    ``installed_keys``, when given, restricts seeding to placements that
-    are actually installed in the runtime right now (a survivor whose
-    instance was purged by failover reconciliation must not be offered
-    for reuse).  Returns ``(plan_or_None, seeded_count)``; a seeded
-    search that comes up empty falls back to the plain full search, so
-    the result is never worse than non-incremental replanning.  Plans
-    from the seeded search are post-processed by
-    :func:`graft_survivor_subtrees` so they describe their full wiring.
-    """
-    survivors = surviving_placements(ctx, previous, request.context)
-    if installed_keys is not None:
-        survivors = [p for p in survivors if p.key in installed_keys]
-    fresh = [p for p in survivors if p.key not in state]
-    if not fresh:
-        return algorithm(ctx, request, state, objective), 0
-    seeded = state.clone()
-    for placement in fresh:
-        seeded.add(placement)
-    plan = algorithm(ctx, request, seeded, objective)
-    if plan is None:
-        return algorithm(ctx, request, state, objective), 0
-    return graft_survivor_subtrees(previous, plan, {p.key for p in fresh}), len(fresh)

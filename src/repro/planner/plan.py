@@ -44,9 +44,6 @@ class Placement:
         """Identity used for reuse matching: unit + node + factors."""
         return (self.unit, self.node, self.factor_values)
 
-    def factors_dict(self) -> Dict[str, Any]:
-        return dict(self.factor_values)
-
     def implemented_props(self, interface: str) -> Optional[Dict[str, Any]]:
         for iface, props in self.implemented:
             if iface == interface:
@@ -100,15 +97,9 @@ class DeploymentPlan:
     def new_placements(self) -> List[Placement]:
         return [p for p in self.placements if not p.reused]
 
-    def placement_of(self, unit: str) -> List[Placement]:
-        return [p for p in self.placements if p.unit == unit]
-
     def servers_of(self, idx: int) -> List[Tuple[str, int]]:
         """(interface, server placement index) pairs consumed by ``idx``."""
         return [(l.interface, l.server) for l in self.linkages if l.client == idx]
-
-    def clients_of(self, idx: int) -> List[int]:
-        return [l.client for l in self.linkages if l.server == idx]
 
     def chain_from_root(self) -> List[Placement]:
         """Placements in BFS order from the root (stable for display)."""

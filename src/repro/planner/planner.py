@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Literal, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Literal, Mapping, Optional, Tuple, Union
 
 from ..network import CredentialTranslator, Network
 from ..obs import Observability, resolve_obs
@@ -268,11 +268,17 @@ class Planner:
     ) -> Optional[DeploymentPlan]:
         """Re-plan one binding seeded from its previous plan's survivors.
 
-        The cache-aware counterpart of :func:`~repro.planner.incremental.
-        plan_incremental`: the seeded (and, on fallback, the plain)
-        search both go through :meth:`run_search`, so repeated
-        fault-triggered replans of identical bindings hit the plan
-        cache.  Emits ``planner.incremental.*`` counters.
+        ``installed_keys``, when given, restricts seeding to placements
+        actually installed right now (a survivor whose instance failover
+        reconciliation purged must not be offered for reuse).  A seeded
+        search that comes up empty falls back to the plain search, so
+        the result is never worse than replanning from scratch; a seeded
+        plan is passed through
+        :func:`~repro.planner.incremental.graft_survivor_subtrees` so it
+        describes its full wiring.  Both searches go through
+        :meth:`run_search`, so repeated fault-triggered replans of
+        identical bindings hit the plan cache.  Emits
+        ``planner.incremental.*`` counters.
         """
         from .incremental import graft_survivor_subtrees, surviving_placements
 
@@ -348,32 +354,3 @@ class Planner:
         )
         fn = ALGORITHMS[algorithm or self.algorithm]
         return fn(hypothetical, request, self.state, self.objective)
-
-    def plan_interfaces(
-        self,
-        interfaces: List[str],
-        client_node: str,
-        context: Optional[Dict[str, Any]] = None,
-        request_rate: float = 0.0,
-        algorithm: Optional[str] = None,
-    ) -> List[DeploymentPlan]:
-        """Satisfy a client request "for one or more service interfaces".
-
-        Each interface is planned and committed in turn against shared
-        deployment state, so the deployments reuse each other's
-        components — the paper's reading of multi-interface requests as
-        one client attaching to several facets of a service.  Raises
-        :class:`PlanningError` on the first unsatisfiable interface
-        (already-committed interfaces stay deployed).
-        """
-        plans = []
-        for interface in interfaces:
-            request = PlanRequest(
-                interface=interface,
-                client_node=client_node,
-                context=dict(context or {}),
-                request_rate=request_rate,
-            )
-            plan, _report = self.plan_and_commit(request, algorithm)
-            plans.append(plan)
-        return plans

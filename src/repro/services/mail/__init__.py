@@ -18,7 +18,6 @@ from .workload import (
     WorkloadResult,
     mail_workload,
     open_loop_mail_ops,
-    run_clients,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "WorkloadResult",
     "mail_workload",
     "open_loop_mail_ops",
-    "run_clients",
 ]

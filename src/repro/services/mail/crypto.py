@@ -167,9 +167,6 @@ class KeyRing:
         except KeyError:
             raise CryptoError(f"{self.user!r} holds no key for level {level}") from None
 
-    def levels(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._keys))
-
     def level_keys(self) -> Dict[int, Tuple[int, int, int, int]]:
         """Every held ``level -> key`` at once, for a caller about to
         decrypt a whole fetch (a level not held is simply absent)."""

@@ -104,10 +104,6 @@ class Mailbox:
     def inbox(self) -> List[StoredMessage]:
         return self.folders["inbox"]
 
-    @property
-    def sent(self) -> List[StoredMessage]:
-        return self.folders["sent"]
-
     def folder(self, name: str) -> List[StoredMessage]:
         try:
             return self.folders[name]
@@ -157,11 +153,6 @@ class MailStore:
 
     def contacts(self, user: str) -> List[str]:
         return list(self.mailbox(user).contacts)
-
-    def add_contact(self, user: str, contact: str) -> None:
-        box = self.mailbox(user)
-        if contact not in box.contacts:
-            box.contacts.append(contact)
 
     # -- folders ------------------------------------------------------------
     def create_folder(self, user: str, name: str) -> None:
@@ -245,9 +236,6 @@ class MailStore:
             for m in box.inbox
             if m.msg_id > since_id and (bound is None or m.sensitivity <= bound)
         ]
-
-    def inbox_size(self, user: str) -> int:
-        return len(self.ensure_account(user).inbox)
 
     def __len__(self) -> int:
         return len(self._accounts)

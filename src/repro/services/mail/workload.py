@@ -28,7 +28,6 @@ __all__ = [
     "WorkloadResult",
     "mail_workload",
     "open_loop_mail_ops",
-    "run_clients",
 ]
 
 
@@ -162,24 +161,3 @@ def open_loop_mail_ops(
         return ("fetch_mail", payload, 256)
 
     return ops
-
-
-def run_clients(
-    runtime: Any,
-    proxies: Sequence[ServiceProxy],
-    configs: Sequence[WorkloadConfig],
-) -> List[WorkloadResult]:
-    """Run several workload clients concurrently; returns their results."""
-    if len(proxies) != len(configs):
-        raise ValueError("need one config per proxy")
-    procs = [
-        runtime.sim.process(mail_workload(proxy, cfg), name=f"workload:{cfg.user}")
-        for proxy, cfg in zip(proxies, configs)
-    ]
-    runtime.sim.run()
-    results = []
-    for proc in procs:
-        if proc.failed:
-            raise proc.value
-        results.append(proc.value)
-    return results

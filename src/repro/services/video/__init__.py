@@ -33,7 +33,3 @@ __all__ = [
     "RAW_FRAME_BYTES",
     "COMPRESSED_FRAME_BYTES",
 ]
-
-from .workload import StreamConfig, StreamResult, open_loop_video_ops, stream_session
-
-__all__ += ["StreamConfig", "StreamResult", "open_loop_video_ops", "stream_session"]

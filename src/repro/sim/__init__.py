@@ -5,7 +5,7 @@ router) with a deterministic, seeded simulator.  Public surface:
 
 - :class:`Simulator` — event kernel, virtual clock (milliseconds)
 - :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`Interrupt`
-- :class:`Resource`, :class:`Store`, :class:`Monitor`
+- :class:`Resource`, :class:`Monitor`
 - :class:`SimNode` — host with CPU capacity + credentials
 - :class:`SimLink` — latency/bandwidth link with security credential
 
@@ -18,7 +18,6 @@ entry point is ``repro.sim.parallel.run_parallel``.
 from .arrivals import (
     ArrivalProcess,
     ArrivalStream,
-    DiurnalProcess,
     FlashCrowdProcess,
     PoissonProcess,
 )
@@ -36,7 +35,7 @@ from .events import (
 )
 from .node import SimNode
 from .process import Interrupt, Process
-from .resources import Monitor, Resource, Store
+from .resources import Monitor, Resource
 from .transport import SimHalfLink, SimLink, transfer_time_ms
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "Process",
     "Interrupt",
     "Resource",
-    "Store",
     "Monitor",
     "SimNode",
     "SimLink",
@@ -62,6 +60,5 @@ __all__ = [
     "ArrivalProcess",
     "ArrivalStream",
     "PoissonProcess",
-    "DiurnalProcess",
     "FlashCrowdProcess",
 ]

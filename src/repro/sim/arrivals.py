@@ -14,17 +14,15 @@ one event per arrival (the next arrival is scheduled only when the
 current one fires, so a 100k-arrival storm costs one pending event, not
 100k heap entries up front).
 
-Non-homogeneous processes (:class:`DiurnalProcess`,
-:class:`FlashCrowdProcess`) generate by Lewis-Shedler thinning: draw
-candidate gaps from a homogeneous Poisson process at the peak rate and
-accept each candidate with probability ``rate(t)/peak``.  The same seed
-therefore reproduces the same arrival instants exactly, independent of
-what the rest of the simulation does.
+The non-homogeneous :class:`FlashCrowdProcess` generates by
+Lewis-Shedler thinning: draw candidate gaps from a homogeneous Poisson
+process at the peak rate and accept each candidate with probability
+``rate(t)/peak``.  The same seed therefore reproduces the same arrival
+instants exactly, independent of what the rest of the simulation does.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Callable, Iterator, Optional
 
@@ -33,7 +31,6 @@ from .engine import Simulator
 __all__ = [
     "ArrivalProcess",
     "PoissonProcess",
-    "DiurnalProcess",
     "FlashCrowdProcess",
     "ArrivalStream",
 ]
@@ -85,15 +82,6 @@ class ArrivalProcess:
             t += rng.expovariate(lam_max) * 1000.0
             if rng.random() * lam_max <= self.rate_at(t):
                 yield t
-
-    def expected_arrivals(self, duration_ms: float, step_ms: float = 50.0) -> float:
-        """Numeric integral of the rate over ``[0, duration_ms]``."""
-        steps = max(1, int(duration_ms / step_ms))
-        dt = duration_ms / steps
-        total = 0.0
-        for i in range(steps):
-            total += self.rate_at((i + 0.5) * dt) * dt / 1000.0
-        return total
 
     def drive(
         self,
@@ -149,42 +137,6 @@ class PoissonProcess(ArrivalProcess):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PoissonProcess {self.rate_per_s}/s seed={self.seed}>"
-
-
-class DiurnalProcess(ArrivalProcess):
-    """Sinusoidal day/night cycle between ``base`` and ``peak`` rates.
-
-    ``rate(t) = base + (peak - base) * (1 - cos(2π (t+phase)/period)) / 2``
-    — the stream starts at the trough by default (``phase_ms = 0``).
-    """
-
-    def __init__(
-        self,
-        base_rate_per_s: float,
-        peak_rate_per_s: float,
-        period_ms: float = 86_400_000.0,
-        phase_ms: float = 0.0,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(seed)
-        if base_rate_per_s < 0 or peak_rate_per_s < base_rate_per_s:
-            raise ValueError(
-                f"need 0 <= base <= peak, got {base_rate_per_s}, {peak_rate_per_s}"
-            )
-        if period_ms <= 0:
-            raise ValueError(f"period must be positive, got {period_ms}")
-        self.base_rate_per_s = float(base_rate_per_s)
-        self.peak_rate_per_s = float(peak_rate_per_s)
-        self.period_ms = float(period_ms)
-        self.phase_ms = float(phase_ms)
-
-    def rate_at(self, t_ms: float) -> float:
-        swing = self.peak_rate_per_s - self.base_rate_per_s
-        x = 2.0 * math.pi * (t_ms + self.phase_ms) / self.period_ms
-        return self.base_rate_per_s + swing * (1.0 - math.cos(x)) / 2.0
-
-    def peak_rate(self) -> float:
-        return self.peak_rate_per_s
 
 
 class FlashCrowdProcess(ArrivalProcess):

@@ -117,9 +117,6 @@ class PartitionPlan:
             return float("inf")
         return min(self.lookahead_ms.values())
 
-    def partition_of(self, node: str) -> Partition:
-        return self.partitions[self.rank_of[node]]
-
     def in_neighbors(self, rank: int) -> Tuple[int, ...]:
         """Ranks with a channel *into* ``rank`` (sorted)."""
         return self._neighbors_in[rank]

@@ -1,20 +1,19 @@
-"""Shared-resource primitives: FIFO resources and message stores.
+"""Shared-resource primitives: FIFO resources and latency monitors.
 
 ``Resource`` models a server with ``capacity`` concurrent slots (a node's
-CPU, a link's transmit side); ``Store`` is an unbounded FIFO mailbox used
-for inter-component message queues.  Both integrate with the event kernel
-so processes simply ``yield`` on acquisition/retrieval.
+CPU, a link's transmit side).  It integrates with the event kernel so
+processes simply ``yield`` on acquisition.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Generator
 
 from .engine import Simulator
 from .events import Event
 
-__all__ = ["Resource", "Store", "Monitor"]
+__all__ = ["Resource", "Monitor"]
 
 
 class Resource:
@@ -44,11 +43,6 @@ class Resource:
         self._last_change = sim.now
 
     @property
-    def in_use(self) -> int:
-        """Number of currently held slots."""
-        return self._in_use
-
-    @property
     def queue_length(self) -> int:
         """Number of processes waiting for a slot."""
         return len(self._waiters)
@@ -58,19 +52,10 @@ class Resource:
         self._busy_area += self._in_use * (now - self._last_change)
         self._last_change = now
 
-    def utilization(self) -> float:
-        """Time-averaged fraction of capacity in use since creation."""
-        self._account()
-        elapsed = self.sim.now
-        if elapsed <= 0:
-            return 0.0
-        return self._busy_area / (elapsed * self.capacity)
-
     def busy_area(self) -> float:
         """Cumulative busy integral in slot-ms, settled to the current
         sim time.  Deltas of this between two instants give per-interval
-        utilization (the telemetry sampler's probe), where
-        :meth:`utilization` only gives the since-creation average."""
+        utilization (the telemetry sampler's probe)."""
         self._account()
         return self._busy_area
 
@@ -112,44 +97,6 @@ class Resource:
             yield self.sim.timeout(duration)
         finally:
             self.release()
-
-
-class Store:
-    """Unbounded FIFO mailbox of Python objects.
-
-    ``put`` never blocks; ``get`` returns an event that triggers with the
-    oldest item (immediately if one is available).
-    """
-
-    __slots__ = ("sim", "_items", "_getters")
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit ``item``, waking the oldest waiting getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event triggering with the next item (FIFO)."""
-        ev = self.sim.event()
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking pop; None if empty."""
-        return self._items.popleft() if self._items else None
 
 
 class Monitor:

@@ -2,7 +2,7 @@
 wrappers, deployment execution, and the runtime facade."""
 
 from .bundle import ServiceBundle
-from .component import ForwardingComponent, RuntimeComponent, ServerStub
+from .component import RuntimeComponent, ServerStub
 from .deployment import Deployer, DeploymentError, DeploymentRecord
 from .leases import Lease, LeaseConfig, ReplicatedLookup
 from .lookup import LookupError, LookupService, ServiceRegistration
@@ -24,7 +24,6 @@ __all__ = [
     "SmockRuntime",
     "ServiceBundle",
     "RuntimeComponent",
-    "ForwardingComponent",
     "ServerStub",
     "ServiceRequest",
     "ServiceResponse",

@@ -14,7 +14,7 @@ declared per-request CPU on its node before dispatching.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Generator, List, TYPE_CHECKING
 
 from ..network import NetworkError
 from ..sim import FaultError, NodeDownError, SimNode, Simulator
@@ -270,26 +270,3 @@ class RuntimeComponent:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.label}>"
-
-
-class ForwardingComponent(RuntimeComponent):
-    """A component that forwards every request to its single required
-    interface, optionally transforming request/response (the base for
-    Encryptor/Decryptor-style relays)."""
-
-    forward_interface: Optional[str] = None
-
-    def transform_request(self, req: ServiceRequest) -> ServiceRequest:
-        return req
-
-    def transform_response(self, resp: ServiceResponse) -> ServiceResponse:
-        return resp
-
-    def dispatch(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
-        iface = self.forward_interface or self.unit.required_interfaces()[0]
-        out = self.transform_request(req)
-        resp = yield from self.call(iface, out)
-        return self.transform_response(resp)
-
-
-__all__.append("ForwardingComponent")

@@ -119,9 +119,6 @@ class Lease:
     def expired(self, now_ms: float) -> bool:
         return now_ms >= self.expires_at_ms
 
-    def remaining_ms(self, now_ms: float) -> float:
-        return max(0.0, self.expires_at_ms - now_ms)
-
 
 class ReplicatedLookup:
     """A lookup *cluster*: per-host replicas, gossip, leases, failover.

@@ -30,10 +30,9 @@ from .rules import (
     ModificationRule,
     PropertyModificationRule,
     RuleSet,
-    confidentiality_rule,
 )
 from .service import ServiceSpec
-from .views import ViewConfiguration, ViewDef
+from .views import ViewDef
 from .xmlio import from_xml, to_xml
 
 __all__ = [
@@ -61,11 +60,9 @@ __all__ = [
     "Behaviors",
     "resolve_env_refs",
     "ViewDef",
-    "ViewConfiguration",
     "ModificationRule",
     "PropertyModificationRule",
     "RuleSet",
-    "confidentiality_rule",
     "parse_service",
     "to_text",
     "to_xml",

@@ -10,7 +10,7 @@ planner's load model (condition 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from .properties import ANY, EnvRef, OneOf, SpecError, ValueRange, satisfies
 
@@ -55,9 +55,6 @@ class InterfaceBinding:
         if not self.interface:
             raise SpecError("interface binding needs an interface name")
         object.__setattr__(self, "properties", dict(self.properties))
-
-    def resolved(self, node_env: Mapping[str, Any]) -> Dict[str, Any]:
-        return resolve_env_refs(self.properties, node_env)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.properties.items()))
@@ -162,15 +159,9 @@ class ComponentDef:
                 return b
         return None
 
-    def required_interfaces(self) -> List[str]:
-        return [b.interface for b in self.requires]
-
     def installable_in(self, env: Mapping[str, Any]) -> bool:
         """Planner condition 1: every installation condition holds."""
         return all(c.evaluate(env) for c in self.conditions)
-
-    def failing_conditions(self, env: Mapping[str, Any]) -> List[Condition]:
-        return [c for c in self.conditions if not c.evaluate(env)]
 
     def __repr__(self) -> str:
         return f"<Component {self.name}>"

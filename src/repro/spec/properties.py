@@ -364,13 +364,5 @@ class PropertyDef:
             return OneOf(self.domain.parse(v) for v in t[1:-1].split(","))
         return self.domain.parse(t)
 
-    def evaluate_derived(self, others: Dict[str, Any]) -> Any:
-        if self.derived is None:
-            raise SpecError(f"property {self.name!r} is not derived")
-        missing = [d for d in self.depends_on if d not in others]
-        if missing:
-            raise SpecError(f"derived property {self.name!r} missing inputs {missing}")
-        return self.validate(self.derived(others))
-
     def __repr__(self) -> str:
         return f"<Property {self.name}: {self.domain!r}>"

@@ -107,9 +107,6 @@ class RuleSet:
             raise SpecError(f"duplicate modification rule for {rule.property!r}")
         self._rules[rule.property] = rule
 
-    def has_rule(self, prop: str) -> bool:
-        return prop in self._rules
-
     def rule_for(self, prop: str) -> Optional[PropertyModificationRule]:
         return self._rules.get(prop)
 
@@ -142,17 +139,3 @@ class RuleSet:
     def __repr__(self) -> str:
         return f"<RuleSet {sorted(self._rules)}>"
 
-
-def confidentiality_rule(property_name: str = "Confidentiality") -> PropertyModificationRule:
-    """The exact rule of Figure 4, reusable by services and tests."""
-    return PropertyModificationRule(
-        property=property_name,
-        rules=(
-            ModificationRule(True, True, True),
-            ModificationRule(False, ANY, False),
-            ModificationRule(ANY, False, False),
-        ),
-    )
-
-
-__all__.append("confidentiality_rule")

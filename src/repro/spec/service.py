@@ -81,27 +81,15 @@ class ServiceSpec:
         """All deployable units (components then views), stable order."""
         return list(self.components.values()) + list(self.views.values())
 
-    def has_unit(self, name: str) -> bool:
-        return name in self.components or name in self.views
-
     def implementers_of(self, interface: str) -> List[Unit]:
         """Units implementing ``interface`` (string-level match)."""
         return [u for u in self.units() if u.implements_interface(interface)]
-
-    def views_of(self, component: str) -> List[ViewDef]:
-        return [v for v in self.views.values() if v.represents == component]
 
     def interface(self, name: str) -> InterfaceDef:
         try:
             return self.interfaces[name]
         except KeyError:
             raise SpecError(f"service {self.name!r} has no interface {name!r}") from None
-
-    def property_def(self, name: str) -> PropertyDef:
-        try:
-            return self.properties[name]
-        except KeyError:
-            raise SpecError(f"service {self.name!r} has no property {name!r}") from None
 
     # -- validation --------------------------------------------------------
     def validate(self) -> "ServiceSpec":

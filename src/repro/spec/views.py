@@ -17,12 +17,12 @@ to environment values (``TrustLevel = Node.TrustLevel``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Mapping
 
-from .components import ComponentDef, InterfaceBinding, resolve_env_refs
+from .components import ComponentDef, InterfaceBinding
 from .properties import EnvRef, SpecError
 
-__all__ = ["ViewDef", "ViewConfiguration"]
+__all__ = ["ViewDef"]
 
 VIEW_KINDS = ("object", "data")
 
@@ -47,49 +47,5 @@ class ViewDef(ComponentDef):
     def is_view(self) -> bool:
         return True
 
-    def configure(self, node_env: Mapping[str, Any]) -> "ViewConfiguration":
-        """Bind the Factors against a concrete node environment.
-
-        Returns the configuration realized on that node — e.g. a
-        ``ViewMailServer`` with ``TrustLevel = 2`` on a trust-2 node.
-        Unresolvable factors bind to ``None`` (and will fail any property
-        compatibility check that needs them).
-        """
-        bound = resolve_env_refs(self.factors, node_env)
-        return ViewConfiguration(view=self, factor_values=bound)
-
     def __repr__(self) -> str:
         return f"<View {self.name} represents={self.represents} kind={self.kind}>"
-
-
-@dataclass(frozen=True)
-class ViewConfiguration:
-    """A view with its Factors bound to concrete values.
-
-    The planner treats each distinct configuration as a distinct
-    deployable unit; the runtime keys coherence state on
-    ``(view name, factor values)``.
-    """
-
-    view: ViewDef
-    factor_values: Mapping[str, Any]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factor_values", dict(self.factor_values))
-
-    @property
-    def identity(self) -> Tuple[str, Tuple[Tuple[str, Any], ...]]:
-        return (self.view.name, tuple(sorted(self.factor_values.items())))
-
-    def resolved_implements(self, node_env: Mapping[str, Any]) -> Dict[str, Dict[str, Any]]:
-        """Implemented-interface properties with factors + env substituted."""
-        merged_env = dict(node_env)
-        merged_env.update({k: v for k, v in self.factor_values.items() if v is not None})
-        return {
-            b.interface: resolve_env_refs(b.properties, merged_env)
-            for b in self.view.implements
-        }
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.factor_values.items()))
-        return f"<ViewConfig {self.view.name} [{inner}]>"

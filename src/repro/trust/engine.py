@@ -30,9 +30,6 @@ class TrustEngine:
             raise TrustError(f"namespace {namespace!r} already has an authority")
         self._authorities[namespace] = authority
 
-    def authority_of(self, namespace: str) -> Optional[str]:
-        return self._authorities.get(namespace)
-
     # -- issuance ------------------------------------------------------------
     def issue(self, credential: Credential) -> Credential:
         """Accept a credential if its issuer owns the role's namespace."""
@@ -95,9 +92,6 @@ class TrustEngine:
     def revoke(self, credential: Credential) -> None:
         """Revoke by serial; takes effect on the next query."""
         self._revoked.add(credential.serial)
-
-    def is_revoked(self, credential: Credential) -> bool:
-        return credential.serial in self._revoked
 
     # -- queries ------------------------------------------------------------
     def _live(self, now: Optional[float]) -> List[Credential]:

@@ -1,13 +1,8 @@
-"""ASCII rendering of topologies and deployments (Figures 5 and 6).
+"""ASCII rendering of deployments (Figure 6).
 
-Pure-text, dependency-free renderers used by the CLI and examples:
-
-- :func:`render_topology` — nodes grouped by a credential (site), links
-  with their latency/bandwidth/security annotations;
-- :func:`render_deployment` — a plan overlaid on the topology, the text
-  analogue of Figure 6's component boxes;
-- :func:`render_chain` — one plan as an arrow chain with per-linkage
-  path annotations.
+:func:`render_deployment` overlays plans on the topology's nodes grouped
+by a credential (site) — a pure-text, dependency-free analogue of
+Figure 6's component boxes, used by ``fig6 --draw`` and the examples.
 """
 
 from __future__ import annotations
@@ -18,7 +13,7 @@ from typing import Dict, Iterable, List, Optional
 from .network import Network
 from .planner import DeploymentPlan
 
-__all__ = ["render_topology", "render_deployment", "render_chain"]
+__all__ = ["render_deployment"]
 
 
 def _group_nodes(network: Network, group_by: str) -> Dict[str, List[str]]:
@@ -26,31 +21,6 @@ def _group_nodes(network: Network, group_by: str) -> Dict[str, List[str]]:
     for node in network.nodes():
         groups[str(node.credentials.get(group_by, "?"))].append(node.name)
     return dict(sorted(groups.items()))
-
-
-def render_topology(network: Network, group_by: str = "site") -> str:
-    """Sites with their nodes, then every link with its annotations."""
-    lines: List[str] = []
-    groups = _group_nodes(network, group_by)
-    for group, nodes in groups.items():
-        trust = {
-            network.node(n).credentials.get("trust_level") for n in nodes
-        } - {None}
-        suffix = f"  (trust {sorted(trust)[0]})" if len(trust) == 1 else ""
-        lines.append(f"[{group}]{suffix}")
-        for name in sorted(nodes):
-            node = network.node(name)
-            lines.append(f"  o {name}  cpu={node.cpu_capacity:g}")
-    lines.append("")
-    lines.append("links:")
-    for link in sorted(network.links(), key=lambda l: l.name):
-        marker = "=====" if link.secure else "~ ~ ~"
-        lines.append(
-            f"  {link.a:>18s} {marker} {link.b:<18s} "
-            f"{link.latency_ms:g} ms / {link.bandwidth_mbps:g} Mb/s"
-            + ("" if link.secure else "  [insecure]")
-        )
-    return "\n".join(lines)
 
 
 _ABBREV = {
@@ -102,19 +72,3 @@ def render_deployment(
         lines.append("legend: " + ", ".join(legend) + ", *=reused")
     return "\n".join(lines)
 
-
-def render_chain(network: Network, plan: DeploymentPlan, abbrev: bool = False) -> str:
-    """One plan as an annotated arrow chain, root first."""
-    order = plan.chain_from_root()
-    parts: List[str] = []
-    for i, placement in enumerate(order):
-        parts.append(f"{_label(placement, abbrev)}@{placement.node}")
-        if i + 1 < len(order):
-            path = network.path(placement.node, order[i + 1].node)
-            if path.is_local:
-                note = "local"
-            else:
-                sec = "secure" if path.secure else "INSECURE"
-                note = f"{path.latency_ms:g}ms/{path.bandwidth_mbps:g}Mbps {sec}"
-            parts.append(f" --[{note}]--> ")
-    return "".join(parts)

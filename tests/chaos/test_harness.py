@@ -2,16 +2,12 @@
 
 import pytest
 
-from repro.chaos import (
-    ChaosCaseConfig,
-    ChaosCaseResult,
-    check_determinism,
-    run_chaos_case,
-    run_chaos_sweep,
-)
+from repro.__main__ import main
+from repro.chaos import ChaosCaseConfig, ChaosCaseResult, run_chaos_case
 
 #: fast case: fewer sends and faults than the CLI default, same shape
 FAST = ChaosCaseConfig(n_sends=12, n_receives=2, n_faults=2)
+FAST_ARGS = ["--sends", "12", "--receives", "2", "--faults", "2"]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -40,14 +36,22 @@ def test_seed_188_flush_retired_mid_flight_keeps_its_replica_id():
     assert all(v.startswith("durability") and "still lost" in v for v in result.violations)
 
 
-def test_chaos_sweep_runs_each_seed():
-    results = run_chaos_sweep([0, 1], FAST)
-    assert [r.seed for r in results] == [0, 1]
-    assert all(r.ok for r in results)
+def test_chaos_sweep_runs_each_seed(capsys):
+    assert main(["chaos-sweep", "--seeds", "2", *FAST_ARGS]) == 0
+    rows = [
+        line.split() for line in capsys.readouterr().out.splitlines()
+        if line.split()[:1] in (["0"], ["1"])
+    ]
+    assert [(row[0], row[1]) for row in rows] == [("0", "ok"), ("1", "ok")]
 
 
-def test_same_seed_same_signature():
-    assert check_determinism(3, FAST)
+def test_same_seed_same_signature(capsys):
+    assert main([
+        "chaos-sweep", "--seed-base", "3", "--seeds", "1",
+        "--check-determinism", *FAST_ARGS,
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "1/1 seeds passed" in out and "determinism:" not in out
 
 
 def test_different_seeds_different_runs():

@@ -38,7 +38,7 @@ def test_register_and_query(directory):
     assert directory.replicas_of("MailServer") == [entry]
     assert directory.entry(0) is entry
     directory.register_primary("MailServer", "primary-host")
-    assert directory.primary_of("MailServer") == "primary-host"
+    assert directory._primaries.get("MailServer") == "primary-host"
 
 
 def test_on_local_update_buffers_until_threshold(directory):

@@ -81,7 +81,7 @@ def test_recovery_rebuilds_membership_frontiers_and_stays_consistent():
     assert report.consistent
     assert report.families == ["MailServer"]
     assert report.replicas_reattached == [0, 1]
-    assert new.primary_of("MailServer") is primary
+    assert new._primaries.get("MailServer") is primary
     # The rebuilt frontiers reject exactly what the originals rejected.
     replayed = Update("store", {"i": 0}, origin=0, seq=1)
     assert not new.admit(("primary", "MailServer"), replayed)

@@ -40,6 +40,12 @@ def test_time_policy():
         TimePolicy(0)
 
 
+def test_time_policy_rejects_nan_interval():
+    """``--flush-policy time:nan`` used to build a policy that never flushed."""
+    with pytest.raises(ValueError):
+        policy_from_name("time:nan")
+
+
 def test_write_through_policy():
     p = WriteThroughPolicy()
     assert p.should_flush(1, 0.0, 0.0)

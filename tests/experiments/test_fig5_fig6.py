@@ -69,7 +69,7 @@ class TestFig6Deployments:
     def test_sandiego_cache_trust_level(self, deployments):
         plan = deployments["sandiego"].plan
         vms = [p for p in plan.placements if p.unit == "ViewMailServer"]
-        assert vms[0].factors_dict() == {"TrustLevel": 3}
+        assert dict(vms[0].factor_values) == {"TrustLevel": 3}
 
     def test_seattle_reuses_sandiego_cache(self, deployments):
         plan = deployments["seattle"].plan
@@ -84,7 +84,7 @@ class TestFig6Deployments:
             p for p in plan.placements
             if p.unit == "ViewMailServer" and p.node.startswith("seattle")
         ]
-        assert local_vms[0].factors_dict() == {"TrustLevel": 2}
+        assert dict(local_vms[0].factor_values) == {"TrustLevel": 2}
 
     def test_dp_chain_agrees_on_structure(self):
         dp = run_fig6(algorithm="dp_chain")

@@ -100,6 +100,12 @@ def test_duplicate_observations_are_suppressed(world, detected):
     assert len(node_events(monitor)) == 1
 
 
+def test_nan_interval_rejected(world, detected):
+    monitor, _ = detected
+    with pytest.raises(ValueError):
+        FailureDetector(world, monitor, interval_ms=float("nan"))
+
+
 def test_constructor_validation(world, detected):
     monitor, _ = detected
     with pytest.raises(ValueError):

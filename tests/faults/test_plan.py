@@ -71,6 +71,21 @@ def test_malformed_specs_raise(spec):
         FaultPlan.parse([spec])
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "crash:n1@nan",  # would schedule at NaN and crash the kernel
+        "drop:a/b:0.5@nan-2000",
+        "drop:a/b:0.5@1000-nan",
+        "delay:a/b:nan@1000-2000",
+        "reorder:a/b:nan@1000-2000",
+    ],
+)
+def test_nan_times_and_magnitudes_raise(spec):
+    with pytest.raises(FaultPlanError):
+        FaultPlan.parse([spec])
+
+
 def test_action_validation_direct_construction():
     with pytest.raises(FaultPlanError):
         FaultAction(kind=FaultKind.CRASH, at_ms=0.0)  # no node
@@ -179,10 +194,11 @@ def test_validate_rejects_duplicate_actions():
 
 
 def test_validate_rejects_negative_timestamps():
-    # parse_action rejects negatives at construction; build directly.
-    plan = FaultPlan()
-    action = FaultAction(kind=FaultKind.CRASH, at_ms=100.0, node="n")
-    object.__setattr__(action, "at_ms", -5.0)  # corrupt a frozen field
-    plan.add(action)
-    with pytest.raises(FaultPlanError, match="negative timestamp"):
-        plan.validate()
+    # parse_action rejects these at construction; build directly.
+    for bad in (-5.0, float("nan")):
+        plan = FaultPlan()
+        action = FaultAction(kind=FaultKind.CRASH, at_ms=100.0, node="n")
+        object.__setattr__(action, "at_ms", bad)  # corrupt a frozen field
+        plan.add(action)
+        with pytest.raises(FaultPlanError, match="negative or NaN timestamp"):
+            plan.validate()

@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from repro.sim import (
-    DiurnalProcess,
     FlashCrowdProcess,
     PoissonProcess,
     Simulator,
@@ -43,10 +42,6 @@ class TestPoisson:
         with pytest.raises(ValueError):
             PoissonProcess(-1.0, seed=0)
 
-    def test_expected_arrivals_integral(self):
-        p = PoissonProcess(40.0, seed=0)
-        assert p.expected_arrivals(10_000.0) == pytest.approx(400.0, rel=0.01)
-
 
 class TestFlashCrowd:
     def test_rate_profile_piecewise(self):
@@ -80,18 +75,6 @@ class TestFlashCrowd:
         a = _take(FlashCrowdProcess(20.0, 80.0, **kwargs), 100)
         b = _take(FlashCrowdProcess(20.0, 80.0, **kwargs), 100)
         assert a == b
-
-
-class TestDiurnal:
-    def test_rate_oscillates_between_base_and_peak(self):
-        d = DiurnalProcess(10.0, 50.0, period_ms=1_000.0, seed=0)
-        rates = [d.rate_at(t) for t in range(0, 1000, 10)]
-        assert min(rates) >= 10.0 - 1e-9
-        assert max(rates) <= 50.0 + 1e-9
-        assert max(rates) - min(rates) > 30.0  # actually swings
-
-    def test_peak_rate(self):
-        assert DiurnalProcess(10.0, 50.0, seed=0).peak_rate() == 50.0
 
 
 class TestDrive:

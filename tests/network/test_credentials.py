@@ -22,13 +22,6 @@ def test_environment_mapping_protocol():
     assert "B" in env and "C" not in env
 
 
-def test_environment_merge_right_bias():
-    a = Environment({"X": 1, "Y": 2})
-    b = Environment({"Y": 3, "Z": 4})
-    merged = a.merged(b)
-    assert merged.values == {"X": 1, "Y": 3, "Z": 4}
-
-
 def test_default_translator_fails_closed():
     t = CredentialTranslator()
     assert t.node_environment(NodeInfo("n")).values == {}

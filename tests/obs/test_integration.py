@@ -20,6 +20,11 @@ from repro.experiments import build_mail_testbed
 from repro.obs import Observability, use_obs
 
 
+def child_spans(recorder, span):
+    """The spans whose parent is ``span``, in recording order."""
+    return [r for r in recorder.spans() if r.get("parent_id") == span["span_id"]]
+
+
 @pytest.fixture()
 def traced_run():
     obs = Observability()
@@ -38,22 +43,22 @@ def test_client_connect_span_tree(traced_run):
     root = rec.spans("client_connect")[0]
     assert root["parent_id"] is None
     assert root["attrs"]["client_node"] == node
-    assert [c["name"] for c in rec.children_of(root)] == ["lookup", "bind"]
+    assert [c["name"] for c in child_spans(rec, root)] == ["lookup", "bind"]
 
     bind = rec.spans("bind")[0]
-    (access,) = rec.children_of(bind)
+    (access,) = child_spans(rec, bind)
     assert access["name"] == "access"
 
-    children = {c["name"]: c for c in rec.children_of(access)}
+    children = {c["name"]: c for c in child_spans(rec, access)}
     assert set(children) == {"plan", "deploy"}
 
-    (planner_plan,) = rec.children_of(children["plan"])
+    (planner_plan,) = child_spans(rec, children["plan"])
     assert planner_plan["name"] == "planner.plan"
     assert planner_plan["attrs"]["algorithm"] == "dp_chain"
-    (enumerate_span,) = rec.children_of(planner_plan)
+    (enumerate_span,) = child_spans(rec, planner_plan)
     assert enumerate_span["name"] == "planner.linkage.enumerate"
 
-    installs = rec.children_of(children["deploy"])
+    installs = child_spans(rec, children["deploy"])
     assert installs and all(s["name"] == "install" for s in installs)
     install_nodes = {s["attrs"]["node"] for s in installs}
     assert node in install_nodes  # client-side units land on the client node
@@ -68,7 +73,7 @@ def test_client_connect_span_tree(traced_run):
         return (s["sim_start_ms"], s["sim_start_ms"] + s["sim_ms"])
 
     lo, hi = window(root)
-    for child in rec.children_of(root):
+    for child in child_spans(rec, root):
         c_lo, c_hi = window(child)
         assert lo <= c_lo and c_hi <= hi
 

@@ -1,4 +1,4 @@
-"""Counter/gauge/histogram correctness, labels, percentiles, disabled mode."""
+"""Counter/histogram correctness, labels, percentiles, disabled mode."""
 
 import pytest
 
@@ -21,13 +21,6 @@ def test_label_order_is_canonical():
     m.inc("x", b=1, a=2)
     m.inc("x", a=2, b=1)
     assert m.snapshot()["counters"] == {"x{a=2,b=1}": 2}
-
-
-def test_gauge_set_and_add():
-    m = MetricsRegistry()
-    m.set_gauge("replicas", 3)
-    m.gauge("replicas").add(-1)
-    assert m.snapshot()["gauges"]["replicas"] == 2
 
 
 def test_histogram_summary_exact_percentiles():
@@ -95,10 +88,9 @@ def test_snapshot_and_render_label_ordering():
 def test_disabled_registry_records_nothing():
     m = MetricsRegistry(enabled=False)
     m.inc("a")
-    m.set_gauge("b", 1)
     m.observe("c", 2.0)
     snap = m.snapshot()
-    assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
+    assert snap == {"counters": {}, "histograms": {}}
 
 
 def test_render_mentions_each_metric():

@@ -5,6 +5,11 @@ import json
 from repro.obs import Tracer, load_jsonl
 
 
+def child_spans(recorder, span):
+    """The spans whose parent is ``span``, in recording order."""
+    return [r for r in recorder.spans() if r.get("parent_id") == span["span_id"]]
+
+
 def _sample_tracer() -> Tracer:
     tracer = Tracer()
     clock = [0.0]
@@ -42,7 +47,7 @@ def test_jsonl_round_trip_preserves_structure(tmp_path):
     loaded = load_jsonl(path)
 
     root = loaded.spans("client_connect")[0]
-    children = loaded.children_of(root)
+    children = child_spans(loaded, root)
     assert [c["name"] for c in children] == ["lookup", "bind"]
     assert root["attrs"]["client_node"] == "laptop"
     assert root["attrs"]["total_ms"] == 90.0

@@ -3,7 +3,16 @@
 import pytest
 
 from repro.planner import PlanningContext
+from repro.planner.exhaustive import _required_props
 from repro.spec import ANY
+
+
+def admits(ctx, client, client_node, server, server_node, interface):
+    """Condition 2 for one linkage, checked as the search algorithms do."""
+    required = _required_props(ctx, client, client_node, interface)
+    implemented = ctx.resolved_implements(server, server_node)[interface]
+    env = ctx.path_env(client_node, server_node)
+    return ctx.properties_compatible(required, implemented, env)
 
 
 def test_node_env_translates_credentials(ctx):
@@ -112,9 +121,9 @@ def test_linkage_compatible_direct_vs_insecure(ctx, mail_spec):
     mc = mail_spec.unit("MailClient")
     ms = mail_spec.unit("MailServer")
     # NY client to NY server: secure intra-site path.
-    assert ctx.linkage_compatible(mc, "newyork-client1", ms, "newyork-ms", "ServerInterface")
+    assert admits(ctx, mc, "newyork-client1", ms, "newyork-ms", "ServerInterface")
     # SD client to NY server: the insecure inter-site path kills it.
-    assert not ctx.linkage_compatible(mc, "sandiego-client1", ms, "newyork-ms", "ServerInterface")
+    assert not admits(ctx, mc, "sandiego-client1", ms, "newyork-ms", "ServerInterface")
 
 
 def test_linkage_compatible_encryptor_bridges(ctx, mail_spec):
@@ -123,14 +132,14 @@ def test_linkage_compatible_encryptor_bridges(ctx, mail_spec):
     dec = mail_spec.unit("Decryptor")
     ms = mail_spec.unit("MailServer")
     # Client to local Encryptor: fine.
-    assert ctx.linkage_compatible(mc, "sandiego-client1", enc, "sandiego-gw", "ServerInterface")
+    assert admits(ctx, mc, "sandiego-client1", enc, "sandiego-gw", "ServerInterface")
     # Encryptor to remote Decryptor over the insecure link: the
     # DecryptorInterface carries no property requirements.
-    assert ctx.linkage_compatible(enc, "sandiego-gw", dec, "newyork-gw", "DecryptorInterface")
+    assert admits(ctx, enc, "sandiego-gw", dec, "newyork-gw", "DecryptorInterface")
     # Decryptor to the server, locally: fine.
-    assert ctx.linkage_compatible(dec, "newyork-gw", ms, "newyork-ms", "ServerInterface")
+    assert admits(ctx, dec, "newyork-gw", ms, "newyork-ms", "ServerInterface")
     # But a Decryptor stranded in San Diego cannot reach the NY server.
-    assert not ctx.linkage_compatible(dec, "sandiego-gw", ms, "newyork-ms", "ServerInterface")
+    assert not admits(ctx, dec, "sandiego-gw", ms, "newyork-ms", "ServerInterface")
 
 
 def test_env_caches_invalidate_on_network_change(ctx):

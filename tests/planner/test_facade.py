@@ -72,22 +72,24 @@ def test_repeated_commits_exhaust_capacity(planner):
 
 
 def test_plan_interfaces_shares_components(planner):
-    plans = planner.plan_interfaces(
-        ["ClientInterface", "ServerInterface"],
-        "sandiego-client1",
-        context={"User": "Bob"},
+    """A client attaching to several interfaces plans each in turn
+    against the shared deployment state, reusing what earlier plans
+    installed."""
+    planner.plan_and_commit(
+        PlanRequest("ClientInterface", "sandiego-client1", context={"User": "Bob"})
     )
-    assert len(plans) == 2
-    # The second plan (direct ServerInterface attachment) reuses the
-    # cache the first deployed.
-    second = plans[1]
+    # The direct ServerInterface attachment reuses the cache the first
+    # plan deployed.
+    second, _report = planner.plan_and_commit(
+        PlanRequest("ServerInterface", "sandiego-client1", context={"User": "Bob"})
+    )
     assert any(p.reused and p.unit == "ViewMailServer" for p in second.placements)
 
 
 def test_plan_interfaces_propagates_failure(planner):
     with pytest.raises(PlanningError):
-        planner.plan_interfaces(
-            ["ClientInterface", "NoSuchInterface"],
-            "newyork-client1",
-            context={"User": "Alice"},
+        planner.plan_and_commit(
+            PlanRequest(
+                "NoSuchInterface", "newyork-client1", context={"User": "Alice"}
+            )
         )

@@ -7,10 +7,12 @@ the whole deployment.
 """
 
 from repro.experiments.topology_fig5 import build_fig5_network
+from repro.obs import Observability
 from repro.planner import (
+    ALGORITHMS,
     DeploymentState,
+    Planner,
     PlanningContext,
-    plan_incremental,
     surviving_placements,
 )
 from repro.planner.exhaustive import _instantiate, plan_exhaustive
@@ -26,6 +28,26 @@ def make_world():
     state = DeploymentState()
     state.add(_instantiate(ctx, spec.unit("MailServer"), topo.server_node, {}))
     return ctx, state
+
+
+def make_planner():
+    """A planner with the primary MailServer preinstalled and metrics on."""
+    topo = build_fig5_network(clients_per_site=2)
+    planner = Planner(
+        build_mail_spec(), topo.network, mail_translator(),
+        obs=Observability(tracing=False),
+    )
+    planner.preinstall("MailServer", topo.server_node)
+    return planner
+
+
+def incremental_counters(planner):
+    counters = planner.obs.metrics.snapshot()["counters"]
+    return {
+        name.rsplit(".", 1)[1]: value
+        for name, value in counters.items()
+        if name.startswith("planner.incremental.")
+    }
 
 
 def bob():
@@ -101,39 +123,42 @@ def test_incremental_plan_equals_previous_when_world_unchanged():
     """Seeding from a fully surviving plan must reproduce it exactly —
     including the downstream wiring of seeded placements, which the
     search treats as already wired (the graft step restores it)."""
-    ctx, state = make_world()
+    planner = make_planner()
     req = carol()
-    obj = ExpectedLatency()
-    previous = plan_exhaustive(ctx, req, state, obj)
+    previous = plan_exhaustive(
+        planner.ctx, req, planner.state, ExpectedLatency()
+    )
     assert len(previous.placements) == 5  # seattle chain incl. crypto pair
 
-    plan, seeded = plan_incremental(ctx, req, state, previous, objective=obj)
+    plan = planner.replan_incremental(req, previous)
     # Everything except the preinstalled MailServer was seeded.
-    assert seeded == len(previous.placements) - 1
+    assert incremental_counters(planner) == {
+        "rounds": 1, "seeded_placements": len(previous.placements) - 1,
+    }
     assert {p.key for p in plan.placements} == {p.key for p in previous.placements}
     assert linkage_set(plan) == linkage_set(previous)
 
 
 def test_installed_keys_filter_restricts_seeding():
-    ctx, state = make_world()
+    planner = make_planner()
     req = carol()
-    obj = ExpectedLatency()
-    previous = plan_exhaustive(ctx, req, state, obj)
+    previous = plan_exhaustive(
+        planner.ctx, req, planner.state, ExpectedLatency()
+    )
     # Pretend the runtime only has the primary installed: no survivor
     # may be offered for reuse, so the search runs unseeded.
-    installed = {p.key for p in state.placements()}
-    plan, seeded = plan_incremental(
-        ctx, req, state, previous, objective=obj, installed_keys=installed
-    )
-    assert seeded == 0
+    installed = {p.key for p in planner.state.placements()}
+    plan = planner.replan_incremental(req, previous, installed_keys=installed)
+    assert incremental_counters(planner) == {}
     assert {p.key for p in plan.placements} == {p.key for p in previous.placements}
 
 
-def test_seeded_search_failure_falls_back_to_full_search():
-    ctx, state = make_world()
+def test_seeded_search_failure_falls_back_to_full_search(monkeypatch):
+    planner = make_planner()
     req = bob()
-    obj = ExpectedLatency()
-    previous = plan_exhaustive(ctx, req, state, obj)
+    previous = plan_exhaustive(
+        planner.ctx, req, planner.state, ExpectedLatency()
+    )
 
     calls = []
 
@@ -143,10 +168,9 @@ def test_seeded_search_failure_falls_back_to_full_search():
             return None  # the seeded attempt comes up empty
         return plan_exhaustive(ctx_, req_, state_, obj_)
 
-    plan, seeded = plan_incremental(
-        ctx, req, state, previous, algorithm=flaky, objective=obj
-    )
-    assert seeded == 0  # fallback reports an unseeded round
+    monkeypatch.setitem(ALGORITHMS, "flaky", flaky)
+    plan = planner.replan_incremental(req, previous, algorithm="flaky")
+    assert incremental_counters(planner) == {"fallbacks": 1}
     assert len(calls) == 2
     assert calls[0] > calls[1]  # first call saw the seeded state
     assert plan is not None

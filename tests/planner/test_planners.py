@@ -74,7 +74,7 @@ def test_sandiego_client_gets_cache_and_crypto_chain(algo, ctx, state_with_ms):
     ]
     by_unit = {p.unit: p for p in plan.placements}
     assert by_unit["ViewMailServer"].node.startswith("sandiego")
-    assert by_unit["ViewMailServer"].factors_dict() == {"TrustLevel": 3}
+    assert dict(by_unit["ViewMailServer"].factor_values) == {"TrustLevel": 3}
     assert by_unit["Encryptor"].node.startswith("sandiego")
     assert by_unit["Decryptor"].node.startswith("newyork")
     assert by_unit["MailServer"].reused
@@ -96,11 +96,11 @@ def test_seattle_client_degrades_to_view_client(algo, ctx, state_with_ms):
     assert chain[0] == "ViewMailClient"  # full client not installable at trust 2
     assert chain[1] == "ViewMailServer"
     by_idx = plan.chain_from_root()
-    assert by_idx[1].factors_dict() == {"TrustLevel": 2}
+    assert dict(by_idx[1].factor_values) == {"TrustLevel": 2}
     # The chain terminates at San Diego's reused ViewMailServer[3].
     last = by_idx[-1]
     assert last.unit == "ViewMailServer"
-    assert last.factors_dict() == {"TrustLevel": 3}
+    assert dict(last.factor_values) == {"TrustLevel": 3}
     assert last.reused
     validate_plan_conditions(ctx, plan, request)
 

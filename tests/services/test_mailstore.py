@@ -17,8 +17,8 @@ def test_store_and_fetch():
     m = msg()
     store.store(m)
     assert store.fetch("Bob") == [m]
-    assert store.mailbox("Alice").sent == [m]
-    assert store.inbox_size("Bob") == 1
+    assert store.mailbox("Alice").folder("sent") == [m]
+    assert len(store.mailbox("Bob").inbox) == 1
 
 
 def test_total_size_is_the_sum_of_message_sizes():
@@ -75,9 +75,7 @@ def test_duplicate_account_rejected():
 
 def test_contacts():
     store = MailStore()
-    store.create_account("Alice", contacts=["Bob"])
-    store.add_contact("Alice", "Carol")
-    store.add_contact("Alice", "Carol")  # idempotent
+    store.create_account("Alice", contacts=["Bob", "Carol"])
     assert store.contacts("Alice") == ["Bob", "Carol"]
     with pytest.raises(MailStoreError):
         store.contacts("Ghost")

@@ -1,8 +1,8 @@
-"""Tests for Resource, Store, and Monitor."""
+"""Tests for Resource and Monitor."""
 
 import pytest
 
-from repro.sim import Monitor, Resource, Simulator, Store
+from repro.sim import Monitor, Resource, Simulator
 
 
 def test_resource_serializes_fifo():
@@ -60,10 +60,10 @@ def test_resource_queue_length_and_in_use():
     sim.process(holder())
     sim.process(waiter())
     sim.run(until=10)
-    assert r.in_use == 1
+    assert r._in_use == 1
     assert r.queue_length == 1
     sim.run()
-    assert r.in_use == 0
+    assert r._in_use == 0
 
 
 def test_resource_utilization():
@@ -75,7 +75,7 @@ def test_resource_utilization():
 
     sim.process(worker())
     sim.run(until=100)
-    assert r.utilization() == pytest.approx(0.5)
+    assert r.busy_area() / (sim.now * r.capacity) == pytest.approx(0.5)
 
 
 def test_release_hands_slot_to_waiter_exactly_once():
@@ -85,7 +85,7 @@ def test_release_hands_slot_to_waiter_exactly_once():
 
     def worker(i):
         yield r.request()
-        concurrent.append(r.in_use)
+        concurrent.append(r._in_use)
         try:
             yield sim.timeout(5)
         finally:
@@ -95,54 +95,6 @@ def test_release_hands_slot_to_waiter_exactly_once():
         sim.process(worker(i))
     sim.run()
     assert all(c == 1 for c in concurrent)
-
-
-def test_store_fifo_order():
-    sim = Simulator()
-    s = Store(sim)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield s.get()
-            got.append(item)
-
-    def producer():
-        for i in range(3):
-            yield sim.timeout(1)
-            s.put(i)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert got == [0, 1, 2]
-
-
-def test_store_get_before_put_blocks():
-    sim = Simulator()
-    s = Store(sim)
-    got = []
-
-    def consumer():
-        item = yield s.get()
-        got.append((sim.now, item))
-
-    sim.process(consumer())
-    sim.run()
-    assert got == []  # still blocked
-    s.put("x")
-    sim.run()
-    assert got == [(0.0, "x")]
-
-
-def test_store_try_get():
-    sim = Simulator()
-    s = Store(sim)
-    assert s.try_get() is None
-    s.put(1)
-    assert len(s) == 1
-    assert s.try_get() == 1
-    assert s.try_get() is None
 
 
 def test_monitor_stats():
@@ -178,10 +130,10 @@ def test_release_after_balanced_use_is_still_rejected():
     r = Resource(sim, capacity=2)
     r.request()
     r.release()
-    assert r.in_use == 0
+    assert r._in_use == 0
     with pytest.raises(RuntimeError, match="without matching request"):
         r.release()
-    assert r.in_use == 0
+    assert r._in_use == 0
 
 
 def test_busy_area_integrates_across_grants_handoffs_and_releases():
@@ -201,5 +153,4 @@ def test_busy_area_integrates_across_grants_handoffs_and_releases():
     sim.process(job(50.0, 10.0))  # holds 50..60 after an idle gap
     sim.run(until=100.0)
     assert r.busy_area() == pytest.approx(35.0)
-    assert r.utilization() == pytest.approx(0.35)
-    assert r.in_use == 0 and r.queue_length == 0
+    assert r._in_use == 0 and r.queue_length == 0

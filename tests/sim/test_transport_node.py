@@ -171,7 +171,7 @@ def test_link_partitioned_mid_serialization_loses_the_transfer():
     assert "mid-transfer" in str(proc.value)
     assert sim.now == 1.0  # failed after serialization, before latency
     assert link.bytes_carried == 0 and link.stats.count == 0
-    assert link._tx["a"].in_use == 0  # the transmit slot was released
+    assert link._tx["a"]._in_use == 0  # the transmit slot was released
 
 
 def test_crashed_node_refuses_work():
@@ -191,7 +191,7 @@ def test_node_crashing_mid_execution_kills_the_job():
     assert proc.failed and isinstance(proc.value, NodeDownError)
     assert "crashed during execution" in str(proc.value)
     assert sim.now == 10.0 and node.stats.count == 0
-    assert node.cpu.in_use == 0
+    assert node.cpu._in_use == 0
 
 
 def test_negative_cpu_work_rejected_before_anything_is_scheduled():
@@ -199,4 +199,4 @@ def test_negative_cpu_work_rejected_before_anything_is_scheduled():
     node = SimNode(sim, "n")
     proc = _outcome(sim, node.execute(-1.0))
     assert proc.failed and isinstance(proc.value, ValueError)
-    assert node.cpu.in_use == 0
+    assert node.cpu._in_use == 0

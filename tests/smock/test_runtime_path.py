@@ -137,7 +137,7 @@ def test_shared_placements_not_reinstalled(runtime):
 
 
 def test_preinstall_registers_primary(runtime):
-    primary = runtime.coherence.primary_of("MailServer")
+    primary = runtime.coherence._primaries.get("MailServer")
     assert primary is runtime.instance_of("MailServer")
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.network import FunctionTranslator, Network
+from repro.planner import PlanningContext
 from repro.spec import (
     ANY,
     Behaviors,
@@ -9,11 +11,22 @@ from repro.spec import (
     Condition,
     EnvRef,
     InterfaceBinding,
+    ServiceSpec,
     SpecError,
     ValueRange,
     ViewDef,
     resolve_env_refs,
 )
+
+
+def planning_context(**node_envs):
+    """The planner's context over one node per keyword, each node's
+    environment being exactly the given mapping."""
+    net = Network()
+    for name, env in node_envs.items():
+        net.add_node(name, credentials=env)
+    translator = FunctionTranslator(lambda node: node.credentials)
+    return PlanningContext(ServiceSpec("svc"), net, translator)
 
 
 def test_resolve_env_refs_substitutes_and_defaults_none():
@@ -61,11 +74,11 @@ def test_component_queries():
     )
     assert c.implements_interface("I").properties == {"X": 1}
     assert c.implements_interface("K") is None
-    assert c.required_interfaces() == ["J"]
+    assert [b.interface for b in c.requires] == ["J"]
     assert not c.is_terminal
     assert not c.is_view
     assert c.installable_in({"User": "Alice"})
-    assert c.failing_conditions({"User": "Eve"}) == list(c.conditions)
+    assert not c.installable_in({"User": "Eve"})
 
 
 def test_terminal_component():
@@ -79,6 +92,8 @@ def test_component_name_required():
 
 
 def test_view_configure_and_identity():
+    """The planner binds a view's Factors per node: each node yields its
+    own configuration, and an unresolvable factor binds to None."""
     v = ViewDef(
         "V",
         represents="C",
@@ -86,26 +101,22 @@ def test_view_configure_and_identity():
         factors={"Trust": EnvRef("Node", "Trust")},
         implements=(InterfaceBinding("I", {"Trust": EnvRef("Node", "Trust")}),),
     )
-    cfg2 = v.configure({"Trust": 2})
-    cfg3 = v.configure({"Trust": 3})
-    assert cfg2.identity != cfg3.identity
-    assert cfg2.factor_values == {"Trust": 2}
-    # Unresolvable factor binds to None.
-    cfg_none = v.configure({})
-    assert cfg_none.factor_values == {"Trust": None}
+    ctx = planning_context(n2={"Trust": 2}, n3={"Trust": 3}, bare={})
+    assert ctx.resolve_factors(v, "n2") == {"Trust": 2}
+    assert ctx.resolve_factors(v, "n3") == {"Trust": 3}
+    assert ctx.resolve_factors(v, "bare") == {"Trust": None}
 
 
 def test_view_resolved_implements_prefers_factor_values():
     v = ViewDef(
         "V",
         represents="C",
-        factors={"Trust": EnvRef("Node", "Trust")},
+        factors={"Trust": EnvRef("Node", "Level")},
         implements=(InterfaceBinding("I", {"Trust": EnvRef("Node", "Trust")}),),
     )
-    cfg = v.configure({"Trust": 2})
-    # Even if the surrounding env claims Trust 5, the bound factor wins.
-    impl = cfg.resolved_implements({"Trust": 5})
-    assert impl["I"]["Trust"] == 2
+    # The node environment claims Trust 5, but the bound factor wins.
+    ctx = planning_context(n={"Trust": 5, "Level": 2})
+    assert ctx.resolved_implements(v, "n")["I"]["Trust"] == 2
 
 
 def test_view_is_view_and_kind_checks():

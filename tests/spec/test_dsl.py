@@ -56,7 +56,7 @@ def test_comments_and_blank_lines_ignored():
         "Type: Boolean", "Type: Boolean  # trailing comment"
     )
     spec = parse_service(text)
-    assert spec.has_unit("C")
+    assert "C" in spec.components
 
 
 def test_multiline_property_list_joined_on_comma():
@@ -140,7 +140,7 @@ Capacity: 500
     assert v.conditions[0].requirement == ValueRange(1, 3)
     assert v.behaviors.rrf == 0.2
     assert v.behaviors.capacity == 500
-    assert spec.property_def("TrustLevel").match_mode == "at_least"
+    assert spec.properties["TrustLevel"].match_mode == "at_least"
 
 
 def test_rule_block_parses_figure4():

@@ -30,7 +30,7 @@ def test_mail_spec_roundtrips_through_text():
 
 def test_match_modes_survive_text_roundtrip():
     spec2 = parse_service(to_text(build_mail_spec()))
-    assert spec2.property_def("TrustLevel").match_mode == "at_least"
+    assert spec2.properties["TrustLevel"].match_mode == "at_least"
 
 
 def test_rules_survive_text_roundtrip():

@@ -168,18 +168,6 @@ def test_property_def_match_mode_validation():
         PropertyDef("X", BooleanDomain(), match_mode="wrong")
 
 
-def test_derived_property():
-    p = PropertyDef(
-        "Throughput",
-        NumberDomain(),
-        derived=lambda env: env["Bandwidth"] * 0.8,
-        depends_on=("Bandwidth",),
-    )
-    assert p.evaluate_derived({"Bandwidth": 10.0}) == pytest.approx(8.0)
-    with pytest.raises(SpecError):
-        p.evaluate_derived({})
-
-
 def test_derived_requires_depends_on():
     with pytest.raises(SpecError):
         PropertyDef("X", NumberDomain(), derived=lambda e: 1)

@@ -2,19 +2,20 @@
 
 import pytest
 
+from repro.services.mail import build_mail_spec
 from repro.spec import (
     ANY,
     ModificationRule,
     PropertyModificationRule,
     RuleSet,
     SpecError,
-    confidentiality_rule,
 )
 
 
 @pytest.fixture
 def conf_rule():
-    return confidentiality_rule()
+    """Figure 4's rule, as the mail service declares it."""
+    return build_mail_spec().rules.rule_for("Confidentiality")
 
 
 def test_figure4_truth_table(conf_rule):
@@ -85,13 +86,12 @@ def test_ruleset_transform_bag(conf_rule):
 def test_ruleset_duplicate_rejected(conf_rule):
     rs = RuleSet([conf_rule])
     with pytest.raises(SpecError):
-        rs.add(confidentiality_rule())
+        rs.add(conf_rule)
 
 
 def test_ruleset_queries(conf_rule):
     rs = RuleSet([conf_rule])
-    assert rs.has_rule("Confidentiality")
-    assert not rs.has_rule("TrustLevel")
+    assert rs.rule_for("TrustLevel") is None
     assert rs.rule_for("Confidentiality") is conf_rule
     assert rs.properties() == ["Confidentiality"]
     assert len(rs) == 1

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.network import FunctionTranslator, Network
+from repro.planner import PlanningContext
 from repro.services.mail import MAIL_SPEC_TEXT, build_mail_spec
 from repro.spec import (
     ANY,
@@ -99,7 +101,7 @@ def test_unit_queries():
     assert spec.unit("Server").name == "Server"
     assert spec.unit("V").is_view
     assert [u.name for u in spec.implementers_of("S")] == ["Server", "V"]
-    assert [v.name for v in spec.views_of("Server")] == ["V"]
+    assert [v.name for v in spec.views.values() if v.represents == "Server"] == ["V"]
     with pytest.raises(SpecError):
         spec.unit("missing")
 
@@ -107,11 +109,11 @@ def test_unit_queries():
 def test_view_configure_binds_factors():
     spec = small_spec()
     v = spec.views["V"]
-    cfg = v.configure({"Trust": 2})
-    assert cfg.factor_values == {"Trust": 2}
-    assert cfg.identity == ("V", (("Trust", 2),))
-    impl = cfg.resolved_implements({"Trust": 2})
-    assert impl["S"]["Trust"] == 2
+    net = Network()
+    net.add_node("n", credentials={"Trust": 2})
+    ctx = PlanningContext(spec, net, FunctionTranslator(lambda node: node.credentials))
+    assert ctx.resolve_factors(v, "n") == {"Trust": 2}
+    assert ctx.resolved_implements(v, "n")["S"]["Trust"] == 2
 
 
 def test_view_kind_validation():
@@ -124,7 +126,7 @@ def test_xml_roundtrip_small():
     xml = to_xml(spec)
     spec2 = from_xml(xml)
     assert sorted(spec2.properties) == sorted(spec.properties)
-    assert spec2.property_def("Trust").match_mode == "at_least"
+    assert spec2.properties["Trust"].match_mode == "at_least"
     v2 = spec2.unit("V")
     assert v2.factors == {"Trust": EnvRef("Node", "Trust")}
     assert v2.conditions[0].requirement == ValueRange(1, 3)
@@ -153,8 +155,8 @@ def test_mail_spec_matches_paper_figure2():
     vms = spec.unit("ViewMailServer")
     assert vms.factors["TrustLevel"] == EnvRef("Node", "TrustLevel")
     assert vms.conditions[0].requirement == ValueRange(1, 3)
-    assert spec.property_def("TrustLevel").domain.lo == 1
-    assert spec.property_def("TrustLevel").domain.hi == 5
+    assert spec.properties["TrustLevel"].domain.lo == 1
+    assert spec.properties["TrustLevel"].domain.hi == 5
     ms = spec.unit("MailServer")
     assert ms.implements_interface("ServerInterface").properties["TrustLevel"] == 5
     assert spec.unit("Decryptor").requires[0].properties == {"Confidentiality": True}

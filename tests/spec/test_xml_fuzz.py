@@ -73,7 +73,7 @@ def specs(draw):
 
     used = set()
     for _ in range(draw(st.integers(1, 3))):
-        cname = draw(names.filter(lambda n: n not in used and not spec.has_unit(n)))
+        cname = draw(names.filter(lambda n: n not in used and n not in spec.components and n not in spec.views))
         used.add(cname)
         spec.add_component(
             ComponentDef(
@@ -99,7 +99,7 @@ def specs(draw):
         )
     # One view over the first component.
     first = next(iter(spec.components))
-    vname = draw(names.filter(lambda n: not spec.has_unit(n)))
+    vname = draw(names.filter(lambda n: n not in spec.components and n not in spec.views))
     spec.add_view(
         ViewDef(
             vname,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import build_fig5_network, run_fig6
-from repro.viz import render_chain, render_deployment, render_topology
+from repro.viz import render_deployment
 
 
 @pytest.fixture(scope="module")
@@ -11,16 +11,6 @@ def world():
     deployments = run_fig6(algorithm="dp_chain")
     topo = build_fig5_network(clients_per_site=2)
     return topo, deployments
-
-
-def test_render_topology_shows_sites_and_links(world):
-    topo, _ = world
-    out = render_topology(topo.network)
-    assert "[newyork]" in out and "[seattle]" in out
-    assert "(trust 5)" in out and "(trust 2)" in out
-    assert "[insecure]" in out
-    assert "200 ms / 20 Mb/s" in out
-    assert "o newyork-ms" in out
 
 
 def test_render_deployment_overlays_components(world):
@@ -39,16 +29,3 @@ def test_render_deployment_full_names(world):
     assert "MailClient" in out
     assert "legend" not in out
 
-
-def test_render_chain_annotates_paths(world):
-    topo, deployments = world
-    out = render_chain(topo.network, deployments["sandiego"].plan)
-    assert out.startswith("MailClient@sandiego")
-    assert "INSECURE" in out  # the E->D hop crosses the insecure WAN
-    assert "-->" in out
-
-
-def test_render_chain_local_hops(world):
-    topo, deployments = world
-    out = render_chain(topo.network, deployments["newyork"].plan)
-    assert "[local]" in out or "0ms" in out

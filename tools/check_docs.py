@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checker: links resolve, snippets run, examples run.
 
-Six phases, each selectable (all run by default):
+Seven phases, each selectable (all run by default):
 
 - ``--links``: every relative markdown link in the repo's ``*.md`` files
   must point at an existing file/directory (anchors and external URLs
@@ -34,6 +34,15 @@ Six phases, each selectable (all run by default):
   each further dotted part, a class-level one).  Resolved with ``ast``,
   without importing ``repro``.  Catches docs naming a function, class
   or method that was renamed, moved or deleted.
+- ``--reach``: every public function, class and method in ``src/`` must
+  be reachable from an entry point: the ``repro`` CLI (``cmd_*``
+  subcommands and Smock's ``op_*`` operations are reached by dispatch),
+  the scripts under ``examples/``, ``benchmarks/``, ``perf/`` and
+  ``tools/``, every ``src/`` module body, and any name the docs above
+  (or ``.github/workflows/ci.yml``) quote in a code span — a definition
+  the docs name is kept on purpose.  Resolved with ``ast`` through
+  imports, without importing ``repro``.  Prints each definition only
+  tests (or nothing) reach as ``path/file.py:Qualified.name``.
 
 Stdlib only; exit status is the number of failing checks.
 """
@@ -440,6 +449,260 @@ def check_symbols() -> List[str]:
     return failures
 
 
+#: directories of entry-point scripts: everything in them is reached
+REACH_ROOT_DIRS = ("examples", "benchmarks", "perf", "tools")
+#: function and method name prefixes reached by ``getattr`` dispatch: the
+#: CLI's ``cmd_*`` subcommands and the Smock components' ``op_*`` operations
+DISPATCH_PREFIXES = ("cmd_", "op_")
+#: non-markdown files each of whose identifiers counts as named by the docs
+REACH_DOC_FILES = (".github/workflows/ci.yml",)
+IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+_ATTR_CALLS = ("getattr", "hasattr", "setattr")
+
+
+class _Def:
+    """A function or class at module level, or a method of such a class."""
+
+    def __init__(self, module: str, qualname: str, node: ast.AST, owner=None):
+        self.module, self.qualname, self.node, self.owner = module, qualname, node, owner
+        self.name = qualname.rsplit(".", 1)[-1]
+        self.methods: List["_Def"] = []
+
+
+class _Source:
+    """One parsed file and what each of its names is bound to.
+
+    A binding is a :class:`_Def`, ``("mod", dotted)`` for ``import x``
+    or ``("from", dotted, name)`` for ``from x import name``.  Imports
+    anywhere in the file count, so function-local imports bind too.
+    """
+
+    def __init__(self, module: str, path: Path, package: bool, entry: bool):
+        self.module, self.path, self.entry = module, path, entry
+        self.tree = ast.parse(path.read_text(encoding="utf-8"))
+        self.bindings: dict = {}
+        self.defs: List[_Def] = []
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        self.bind(alias.asname, ("mod", alias.name))
+                    else:
+                        top = alias.name.split(".")[0]
+                        self.bind(top, ("mod", top))
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    parts = module.split(".")[: None if package else -1]
+                    parts = parts[: len(parts) - node.level + 1]
+                    base = ".".join(parts + ([base] if base else []))
+                for alias in node.names:
+                    self.bind(alias.asname or alias.name, ("from", base, alias.name))
+        for node in self.tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definition = _Def(module, node.name, node)
+                self.defs.append(definition)
+                self.bind(node.name, definition)
+                if isinstance(node, ast.ClassDef):
+                    definition.methods = [
+                        _Def(module, f"{node.name}.{item.name}", item, definition)
+                        for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    ]
+                    self.defs += definition.methods
+
+    def bind(self, name: str, target) -> None:
+        self.bindings.setdefault(name, []).append(target)
+
+
+class _Reach:
+    """Definitions in ``src/`` reachable from the repo's entry points.
+
+    Module-level names resolve through imports, so ``x.name`` reaches a
+    module-level ``name`` only when ``x`` is a module.  A method is
+    reached when its class is and some reached code reads an attribute
+    of its name (or passes the name to ``getattr``/``hasattr``), when it
+    is a dunder or dispatch-prefixed, or when its class derives from one
+    defined outside ``src/`` (``logging.Formatter.format`` overrides are
+    called by the library).  A name the docs quote counts as read.
+    """
+
+    def __init__(self, root: Path):
+        self.sources: dict = {}
+        tops = [(root / "src", False)] + [(root / d, True) for d in REACH_ROOT_DIRS]
+        for top, entry in tops:
+            for path in sorted(top.rglob("*.py")):
+                if any(part in SKIP_DIRS for part in path.parts):
+                    continue
+                parts = list(path.relative_to(top.parent if entry else top).with_suffix("").parts)
+                package = parts[-1] == "__init__"
+                module = ".".join(parts[:-1] if package else parts)
+                self.sources[module] = _Source(module, path, package, entry)
+        self.methods: dict = {}
+        for source in self.sources.values():
+            for definition in source.defs:
+                if definition.owner is not None:
+                    self.methods.setdefault(definition.name, []).append(definition)
+        self.reached: set = set()
+        self.attrs: set = set()
+        self.queue: List[_Def] = []
+        
+        named = _doc_names(root)
+        for name in named:
+            self._read_attr(name)
+        for source in self.sources.values():
+            if source.entry:
+                self._visit(source, [source.tree])
+                continue
+            self._visit(source, [
+                node for node in source.tree.body
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            ])
+            for definition in source.defs:
+                if definition.owner is None and (
+                    definition.name in named
+                    or definition.name.startswith(DISPATCH_PREFIXES)
+                ):
+                    self._reach(definition)
+        while self.queue:
+            definition = self.queue.pop()
+            source = self.sources[definition.module]
+            node = definition.node
+            if not isinstance(node, ast.ClassDef):
+                self._visit(source, [node])
+                continue
+            self._visit(source, node.decorator_list + node.bases + node.keywords + [
+                item for item in node.body
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ])
+            overrides = self._external_base(source, node)
+            for method in definition.methods:
+                if (
+                    overrides
+                    or method.name in self.attrs
+                    or method.name.startswith(DISPATCH_PREFIXES)
+                    or (method.name.startswith("__") and method.name.endswith("__"))
+                ):
+                    self._reach(method)
+
+    def unreached(self) -> List[_Def]:
+        """Public ``src/`` definitions no entry point reaches; a method
+        only when its class is reached."""
+        return [
+            definition
+            for source in self.sources.values() if not source.entry
+            for definition in source.defs
+            if definition not in self.reached
+            and not any(part.startswith("_") for part in definition.qualname.split("."))
+            and (definition.owner is None or definition.owner in self.reached)
+        ]
+
+    def _reach(self, definition: _Def) -> None:
+        if definition not in self.reached:
+            self.reached.add(definition)
+            self.queue.append(definition)
+
+    def _read_attr(self, name: str) -> None:
+        if name in self.attrs:
+            return
+        self.attrs.add(name)
+        for method in self.methods.get(name, ()):
+            if method.owner in self.reached:
+                self._reach(method)
+
+    def _visit(self, source: _Source, nodes: list) -> None:
+        for top in nodes:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id in _ATTR_CALLS
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                    and isinstance(node.args[1].value, str)
+                ):
+                    self._read_attr(node.args[1].value)
+                if not isinstance(getattr(node, "ctx", None), (ast.Load, ast.Del)):
+                    continue
+                if isinstance(node, ast.Attribute):
+                    self._read_attr(node.attr)
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    for target in self._targets(source, node):
+                        if isinstance(target, _Def):
+                            self._reach(target)
+
+    def _targets(self, source: _Source, expr: ast.expr) -> list:
+        """What *expr* (a name or dotted attribute chain) may denote in
+        the tree: :class:`_Def` s, and the dotted names of modules."""
+        if isinstance(expr, ast.Name):
+            return [
+                target for binding in source.bindings.get(expr.id, ())
+                for target in self._resolve(binding, frozenset())
+            ]
+        if isinstance(expr, ast.Attribute):
+            return [
+                target for base in self._targets(source, expr.value)
+                if isinstance(base, str)
+                for target in self._member(base, expr.attr, frozenset())
+            ]
+        if isinstance(expr, ast.Subscript):  # Generic[T], Dict[str, X]
+            return self._targets(source, expr.value)
+        return []
+
+    def _resolve(self, binding, seen: frozenset) -> list:
+        if isinstance(binding, _Def):
+            return [binding]
+        if binding[0] == "mod":
+            return [binding[1]] if binding[1] in self.sources else []
+        return self._member(binding[1], binding[2], seen)
+
+    def _member(self, module: str, name: str, seen: frozenset) -> list:
+        dotted = f"{module}.{name}"
+        if dotted in self.sources:
+            return [dotted]
+        if module not in self.sources or dotted in seen:  # outside, or a cycle
+            return []
+        return [
+            target for binding in self.sources[module].bindings.get(name, ())
+            for target in self._resolve(binding, seen | {dotted})
+        ]
+
+    def _external_base(self, source: _Source, node: ast.ClassDef, seen=()) -> bool:
+        """Whether the class, or an in-tree base of it, has a base class
+        defined outside the tree (a builtin, stdlib or third-party class
+        whose machinery may call any of its methods)."""
+        for base in node.bases:
+            in_tree = [t for t in self._targets(source, base) if isinstance(t, _Def)]
+            if not in_tree or any(
+                isinstance(t.node, ast.ClassDef) and t not in seen
+                and self._external_base(self.sources[t.module], t.node, (*seen, t))
+                for t in in_tree
+            ):
+                return True
+        return False
+
+
+def _doc_names(root: Path) -> set:
+    """Identifiers quoted in the user-facing docs' code spans, and in
+    :data:`REACH_DOC_FILES`."""
+    chunks = []
+    for rel in KWARGS_FILES:
+        path = root / rel
+        if path.exists():
+            chunks += [span for _, span in _code_spans(path.read_text(encoding="utf-8"))]
+    for rel in REACH_DOC_FILES:
+        path = root / rel
+        if path.exists():
+            chunks.append(path.read_text(encoding="utf-8"))
+    return {name for chunk in chunks for name in IDENT_RE.findall(chunk)}
+
+
+def check_reach(root: Path = REPO) -> List[str]:
+    reach = _Reach(root)
+    return [
+        f"{reach.sources[d.module].path.relative_to(root).as_posix()}:{d.qualname}: "
+        "no entry point reaches it"
+        for d in reach.unreached()
+    ]
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--links", action="store_true")
@@ -448,10 +711,11 @@ def main(argv: List[str]) -> int:
     parser.add_argument("--cli-flags", action="store_true")
     parser.add_argument("--kwargs", action="store_true")
     parser.add_argument("--symbols", action="store_true")
+    parser.add_argument("--reach", action="store_true")
     args = parser.parse_args(argv)
     run_all = not (
         args.links or args.snippets or args.examples or args.cli_flags
-        or args.kwargs or args.symbols
+        or args.kwargs or args.symbols or args.reach
     )
 
     sys.path.insert(0, str(REPO / "src"))
@@ -468,6 +732,8 @@ def main(argv: List[str]) -> int:
         failures += check_kwargs()
     if run_all or args.symbols:
         failures += check_symbols()
+    if run_all or args.reach:
+        failures += check_reach()
 
     for failure in failures:
         print(f"FAIL {failure}")
