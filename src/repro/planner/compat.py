@@ -30,7 +30,8 @@ fast path, shared by all three search algorithms):
 What each table reads decides what flushes it.  Environments, routes
 (:meth:`PlanningContext.link_envs_from`), analytic round-trip times,
 both memos and the DP planner's :class:`ChainTables` (chain shapes,
-fresh-candidate tables and the pair rows built from them) are functions
+fresh-candidate tables and the pair rows built from them, and the
+installed-provider rows) are functions
 of the graph, liveness, link attributes and credentials, so they are
 flushed wholesale when ``Network.structure_version`` moves — every
 topology, liveness or attribute/credential change (``Network.touch()``)
@@ -71,10 +72,11 @@ class ContextCacheStats:
 
     ``compat_hits + compat_misses`` counts the condition-2 checks that
     reached the memo.  ``plan_dp_chain`` checks a (state, candidate)
-    pair when it builds the state's pair row and not again while the
-    row stands, so for that planner the sum grows with row builds (and
-    the per-call pairs against installed providers), not with the pairs
-    a plan considers — ``DPStats.states_evaluated`` counts those.
+    pair when it builds the state's pair row, and a (state, installed
+    provider) pair when it first enters the state's installed-provider
+    row, and neither again while the row stands; so for that planner
+    the sum grows with row entries built, not with the pairs a plan
+    considers — ``DPStats.states_evaluated`` counts those.
     ``uncacheable`` counts evaluations whose property values were not
     hashable (the memo silently steps aside for those);
     ``invalidations`` counts wholesale flushes caused by a network
@@ -103,10 +105,14 @@ class ChainTables:
     #: (unit, interface, frozen request context, objective key) -> the
     #: fresh candidates, each table with the pair rows built from it
     candidates: Dict[Tuple, Any] = field(default_factory=dict)
+    #: (interface, frozen request context, objective key) -> an open
+    #: state's placement key -> its installed-provider row
+    installed: Dict[Tuple, Dict[Tuple, Any]] = field(default_factory=dict)
 
     def clear(self) -> None:
         self.shapes.clear()
         self.candidates.clear()
+        self.installed.clear()
 
 
 def _freeze_bag(props: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:

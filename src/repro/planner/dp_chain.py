@@ -11,15 +11,21 @@ computing 94 — where the exhaustive planner searches exponentially.
 
 Cost: per distinct prefix, ``|open states| x (|candidate nodes| +
 |installed providers|)`` pairs, i.e. ``O(prefixes * nodes^2)`` per
-request — but a pair against a *fresh* candidate is checked once per
-structure epoch, not once per plan.  An open state's **pair row** lists,
-for one candidate table, the candidates it may link to with the
-probability-free edge weight and the placement cost of each; the row is
-built by the exact sequence of checks (reachability and the path
-environment from :meth:`PlanningContext.link_envs_from`, condition 2
-through :meth:`PlanningContext.compatible_interned`, then the route
-cost from :meth:`Objective.edge_weight`), and the DP's inner loop only
-adds ``cost + prob * weight + placement cost`` along it.
+request — but a pair is checked once per structure epoch, not once per
+plan.  An open state's **pair row** lists, for one candidate table, the
+candidates it may link to with the probability-free edge weight and the
+placement cost of each; the row is built by the exact sequence of
+checks (reachability and the path environment from
+:meth:`PlanningContext.link_envs_from`, condition 2 through
+:meth:`PlanningContext.compatible_interned`, then the route cost from
+:meth:`Objective.edge_weight`), and the DP's inner loop only adds
+``cost + prob * weight + placement cost`` along it.  An open
+state's **installed-provider row** does the same for the providers
+already installed: per (provider key, implemented bag id) it holds the
+edge weight, or ``None`` for no valid link, checked by that sequence the
+first time the state meets the provider.  The bag id is part of the key
+because a provider installed before a credential change keeps the bag
+it was instantiated with.
 
 Three lifetimes, by what each table reads:
 
@@ -27,14 +33,15 @@ Three lifetimes, by what each table reads:
   the context, flushed with the routes when
   ``Network.structure_version`` moves, kept across ``Planner.commit``):
   the chain shapes of an interface, the fresh candidates of a (unit,
-  interface, request context, objective), and their pair rows —
-  conditions 1 and 2 and route costs read nothing a reservation or the
-  deployment state moves.  With ``memoize=False`` the same code builds
-  them where they are needed and keeps none;
-- *per call*: the DP cells, the installed providers of an interface and
-  the ``early`` completions that end at them (they read the
-  :class:`DeploymentState`), condition 3 and the exact score (they read
-  the reservations), and the set of completions already scored;
+  interface, request context, objective) and their pair rows, and the
+  installed-provider rows of an (interface, request context, objective)
+  — conditions 1 and 2 and route costs read nothing a reservation or
+  the deployment state moves.  With ``memoize=False`` the same code
+  builds them where they are needed and keeps none;
+- *per call*: the DP cells, the list of installed providers of an
+  interface and the ``early`` completions that end at them (they read
+  the :class:`DeploymentState`), condition 3 and the exact score (they
+  read the reservations), and the set of completions already scored;
 - *per plan-cache epoch*: the finished plan, in
   :class:`~repro.planner.cache.PlanCache`.
 
@@ -163,33 +170,39 @@ def _finish_plan(
 @dataclass
 class _Cell:
     """The DP states of one chain *prefix*, shared by every chain that
-    starts with it (a node of the prefix trie)."""
+    starts with it (a node of the prefix trie).
+
+    References run from a prefix to its extensions only, and a
+    completion names its cell by depth, so the trie holds no reference
+    cycle: it is freed when the call returns, not by the collector.
+    """
 
     #: placement of the prefix's last unit -> (lower-bound primary cost
-    #: of the cheapest way to reach it, its predecessor in ``parent``)
+    #: of the cheapest way to reach it, its predecessor one cell up)
     places: Dict[Placement, Tuple[float, Optional[Placement]]]
-    parent: Optional["_Cell"] = None
     #: (next unit, interface) -> the prefix one unit longer
     children: Dict[Tuple[str, str], "_Cell"] = field(default_factory=dict)
     #: interface -> the cheapest completions that end at an *installed*
-    #: provider of it: (cost, this cell, state placement, provider)
+    #: provider of it: (cost, this cell's depth, state placement, provider)
     early: Dict[str, List["_Completion"]] = field(default_factory=dict)
 
-    def backtrace(self, placement: Placement) -> List[Placement]:
-        """Root-first placements of the cheapest way to ``placement``."""
-        chain = [placement]
-        cell = self
-        while cell.parent is not None:
-            placement = cell.places[placement][1]  # type: ignore[assignment]
-            chain.append(placement)
-            cell = cell.parent
-        chain.reverse()
-        return chain
+
+#: (lower-bound cost, depth of its cell, placement in that cell,
+#: installed provider ending the chain below that placement or None) —
+#: backtraced only if scored
+_Completion = Tuple[float, int, Placement, Optional[Placement]]
 
 
-#: (lower-bound cost, cell, placement in it, installed provider ending
-#: the chain below that placement or None) — backtraced only if scored
-_Completion = Tuple[float, _Cell, Placement, Optional[Placement]]
+def _backtrace(path: List[_Cell], depth: int, placement: Placement) -> List[Placement]:
+    """Root-first placements of the cheapest way to ``placement`` in
+    ``path[depth]``, where ``path`` lists a chain's cells root first."""
+    chain = [placement]
+    for cell in path[depth:0:-1]:
+        placement = cell.places[placement][1]  # type: ignore[assignment]
+        chain.append(placement)
+    chain.reverse()
+    return chain
+
 
 #: completions per chain whose exact score is computed
 _SCORED_PER_CHAIN = 5
@@ -215,6 +228,11 @@ _PairRow = Tuple[Optional[Dict[str, Any]], Optional[int], Sequence[Tuple[int, fl
 
 #: the row of a state whose unit does not require the interface
 _NOT_REQUIRED: _PairRow = (None, None, ())
+
+#: one open state against the installed providers of one interface:
+#: (provider key, its implemented bag id) -> the edge weight, or
+#: ``None`` when no link to that provider is valid
+_ProviderRow = Dict[Tuple, Optional[float]]
 
 
 @dataclass
@@ -261,6 +279,31 @@ def _pair_row(
     return required, required_id, pairs
 
 
+def _provider_weight(
+    ctx: PlanningContext,
+    objective: Objective,
+    place: Placement,
+    required: Dict[str, Any],
+    required_id: Optional[int],
+    provider: Placement,
+    impl: Dict[str, Any],
+    impl_id: int,
+) -> Optional[float]:
+    """The edge weight of ``place`` linking to an installed ``provider``,
+    or ``None`` if no such link is valid — checked like a pair row's
+    entry: reachability, condition 2, then the route cost."""
+    link = ctx.link_envs_from(place.node)[provider.node]
+    if link is None or not ctx.compatible_interned(
+        required, required_id, impl, impl_id, link[0], link[1]
+    ):
+        return None
+    return objective.edge_weight(ctx, ctx.spec.unit(place.unit), place.node, provider.node)
+
+
+#: a provider not yet checked against an open state
+_UNSEEN = object()
+
+
 def plan_dp_chain(
     ctx: PlanningContext,
     request: PlanRequest,
@@ -295,14 +338,16 @@ def plan_dp_chain(
         )
 
     tables = ctx.chain_tables()
-    # Candidate tables outlive the call when the context memoizes and
-    # the request context is hashable, so it can be part of their key.
+    # Candidate tables and installed-provider rows outlive the call when
+    # the context memoizes and the request context is hashable, so it
+    # can be part of their key.
     kept: Optional[Dict[Tuple, _CandidateTable]] = None
+    kept_installed: Optional[Dict[Tuple, Dict[Tuple, _ProviderRow]]] = None
     scope: Tuple = ()
     if tables is not None:
         try:
             scope = (_freeze_bag(request.context), objective.cache_key)
-            kept = tables.candidates
+            kept, kept_installed = tables.candidates, tables.installed
         except TypeError:
             pass
 
@@ -342,20 +387,23 @@ def plan_dp_chain(
                 kept[key] = table
         return table
 
-    # Installed providers per interface read the deployment state: per call.
-    installed_by_iface: Dict[str, List[Tuple[Placement, Dict[str, Any], int]]] = {}
+    # Installed providers per interface read the deployment state: per
+    # call.  Each entry: (placement, implemented bag, its bag id, the
+    # provider's key in an installed-provider row).
+    installed_by_iface: Dict[str, List[Tuple[Placement, Dict[str, Any], int, Tuple]]] = {}
 
     def installed_candidates(iface: str):
         found = installed_by_iface.get(iface)
         if found is None:
-            found = installed_by_iface[iface] = [
-                (p, *_offer(ctx, p, iface))  # type: ignore[misc]
-                for p in state.implementers_of(iface)
-            ]
+            found = installed_by_iface[iface] = []
+            for p in state.implementers_of(iface):
+                impl, impl_id = _offer(ctx, p, iface)  # type: ignore[misc]
+                found.append((p, impl, impl_id, (p.key, impl_id)))
         return found
 
-    def extend(cell: _Cell, unit_name: str, iface: str, prob: float) -> _Cell:
-        """The cell of ``cell``'s prefix plus ``unit_name``.
+    def extend(cell: _Cell, depth: int, unit_name: str, iface: str, prob: float) -> _Cell:
+        """The cell of ``cell``'s prefix (``depth`` units past the root)
+        plus ``unit_name``.
 
         The first extension of ``cell`` over ``iface`` also collects
         ``cell.early[iface]`` — installed providers (of any unit)
@@ -368,13 +416,16 @@ def plan_dp_chain(
         if iface not in cell.early:
             early = cell.early[iface] = []
             installed = installed_candidates(iface)
+            provider_rows = (
+                kept_installed.setdefault((iface, scope), {})
+                if kept_installed is not None
+                else {}
+            )
         # Best (cost, parent) per candidate index; ``order`` keeps the
         # candidates in first-reached order, which is the new cell's
         # dict order and so decides ties between equal-cost completions.
         best: List[Optional[Tuple[float, Placement]]] = [None] * len(candidates)
         order: List[int] = []
-        compatible = ctx.compatible_interned
-        edge_weight = objective.edge_weight
         for place, (cost, _parent) in cell.places.items():
             if place.reused:
                 continue  # reused placements are already complete
@@ -399,24 +450,24 @@ def plan_dp_chain(
             if early is None:
                 continue
             stats.states_evaluated += len(installed)
-            node = place.node
-            prev_unit = spec.unit(place.unit)
-            links = ctx.link_envs_from(node)
-            for cand, impl, impl_id in installed:
-                link = links[cand.node]
-                if link is None or not compatible(
-                    required, required_id, impl, impl_id, link[0], link[1]
-                ):
-                    continue
-                weight = edge_weight(ctx, prev_unit, node, cand.node)
-                early.append((cost + prob * weight, cell, place, cand))
+            weights = provider_rows.get(key)
+            if weights is None:
+                weights = provider_rows[key] = {}
+            for cand, impl, impl_id, cand_id in installed:
+                weight = weights.get(cand_id, _UNSEEN)
+                if weight is _UNSEEN:
+                    weight = weights[cand_id] = _provider_weight(
+                        ctx, objective, place, required, required_id, cand, impl, impl_id
+                    )
+                if weight is not None:
+                    early.append((cost + prob * weight, depth, place, cand))
         if early is not None:
             # A chain scores its cheapest few completions, and the sort
             # that picks them is stable, so no later entry of this list
             # can ever be picked: keep only its own cheapest few.
             early.sort(key=_completion_cost)
             del early[_SCORED_PER_CHAIN:]
-        return _Cell({candidates[j][0]: best[j] for j in order}, parent=cell)  # type: ignore[misc]
+        return _Cell({candidates[j][0]: best[j] for j in order})  # type: ignore[misc]
 
     best: Optional[DeploymentPlan] = None
     root_cells: Dict[str, _Cell] = {}
@@ -436,34 +487,37 @@ def plan_dp_chain(
 
         # Reused roots complete immediately (already wired upstream).
         completions: List[_Completion] = [
-            (cost, cell, placement, None)
+            (cost, 0, placement, None)
             for placement, (cost, _parent) in cell.places.items()
             if placement.reused
         ]
+        path = [cell]
         for i in range(1, len(units)):
             iface = ifaces[i - 1]
             prob = probs[i - 1]
             child = cell.children.get((units[i], iface))
             if child is None:
                 child = cell.children[(units[i], iface)] = extend(
-                    cell, units[i], iface, prob
+                    cell, i - 1, units[i], iface, prob
                 )
             completions += cell.early[iface]
             cell = child
+            path.append(cell)
             if not cell.places:
                 break
         else:
             # Fresh terminal completions: the chain's last unit requires nothing.
+            depth = len(path) - 1
             completions += [
-                (cost, cell, placement, None)
+                (cost, depth, placement, None)
                 for placement, (cost, _parent) in cell.places.items()
                 if not placement.reused
             ]
 
         # Score the cheapest few completions exactly (DP cost is a proxy).
         completions.sort(key=_completion_cost)
-        for _cost, end_cell, placement, provider in completions[:_SCORED_PER_CHAIN]:
-            chain_places = end_cell.backtrace(placement)
+        for _cost, depth, placement, provider in completions[:_SCORED_PER_CHAIN]:
+            chain_places = _backtrace(path, depth, placement)
             if provider is not None:
                 chain_places.append(provider)
             links = tuple(ifaces[: len(chain_places) - 1])

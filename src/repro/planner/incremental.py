@@ -65,41 +65,49 @@ def surviving_placements(
       the client's requirements under the *current* path environment
       (condition 2 — rerouting around failures can change it).
     """
-    spec = ctx.spec
     verdicts: Dict[int, bool] = {}
-
-    def survives(idx: int) -> bool:
-        known = verdicts.get(idx)
-        if known is not None:
-            return known
-        verdicts[idx] = False  # cycle guard (plans are DAGs, but be safe)
-        placement = previous.placements[idx]
-        unit = spec.unit(placement.unit)
-        if not ctx.installable(unit, placement.node, context):
-            return False
-        for iface, srv_idx in previous.servers_of(idx):
-            if not survives(srv_idx):
-                return False
-            server = previous.placements[srv_idx]
-            impl = server.implemented_props(iface)
-            if impl is None:
-                return False
-            if not ctx.reachable(placement.node, server.node):
-                return False
-            required = _required_props(ctx, unit, placement.node, iface)
-            if required is None:
-                return False
-            env = ctx.path_env(placement.node, server.node)
-            if not ctx.properties_compatible(required, impl, env):
-                return False
-        verdicts[idx] = True
-        return True
-
     return [
         previous.placements[idx]
         for idx in range(len(previous.placements))
-        if survives(idx)
+        if _survives(ctx, previous, context, verdicts, idx)
     ]
+
+
+def _survives(
+    ctx: PlanningContext,
+    previous: DeploymentPlan,
+    context: Optional[Dict[str, Any]],
+    verdicts: Dict[int, bool],
+    idx: int,
+) -> bool:
+    """Does placement ``idx`` and its whole downstream subtree survive?
+    A module function, not a recursive closure: that would be a
+    reference cycle holding ``previous`` until the collector runs."""
+    known = verdicts.get(idx)
+    if known is not None:
+        return known
+    verdicts[idx] = False  # cycle guard (plans are DAGs, but be safe)
+    placement = previous.placements[idx]
+    unit = ctx.spec.unit(placement.unit)
+    if not ctx.installable(unit, placement.node, context):
+        return False
+    for iface, srv_idx in previous.servers_of(idx):
+        if not _survives(ctx, previous, context, verdicts, srv_idx):
+            return False
+        server = previous.placements[srv_idx]
+        impl = server.implemented_props(iface)
+        if impl is None:
+            return False
+        if not ctx.reachable(placement.node, server.node):
+            return False
+        required = _required_props(ctx, unit, placement.node, iface)
+        if required is None:
+            return False
+        env = ctx.path_env(placement.node, server.node)
+        if not ctx.properties_compatible(required, impl, env):
+            return False
+    verdicts[idx] = True
+    return True
 
 
 def graft_survivor_subtrees(

@@ -94,42 +94,42 @@ def _enumerate(
     spec: ServiceSpec, interface: str, max_units: int, max_repeat: int
 ) -> List[LinkageGraph]:
     results: List[LinkageGraph] = []
-    roots = spec.implementers_of(interface)
-
-    def expand(
-        units: List[str],
-        edges: List[Tuple[int, int, str]],
-        frontier: List[Tuple[int, str]],
-    ) -> None:
-        if not frontier:
-            results.append(LinkageGraph(tuple(units), tuple(edges)))
-            return
-        if len(units) >= max_units and frontier:
-            return
-        client_idx, iface = frontier[0]
-        rest = frontier[1:]
-        for provider in spec.implementers_of(iface):
-            if units.count(provider.name) >= max_repeat:
-                continue
-            if len(units) + 1 > max_units:
-                continue
-            new_idx = len(units)
-            units.append(provider.name)
-            edges.append((client_idx, new_idx, iface))
-            new_frontier = rest + [
-                (new_idx, b.interface) for b in provider.requires
-            ]
-            expand(units, edges, new_frontier)
-            units.pop()
-            edges.pop()
-
-    for root in roots:
-        units = [root.name]
+    for root in spec.implementers_of(interface):
         frontier = [(0, b.interface) for b in root.requires]
-        expand(units, [], frontier)
-
+        _expand(spec, max_units, max_repeat, results, [root.name], [], frontier)
     results.sort(key=lambda g: (len(g.units), g.units))
     return results
+
+
+def _expand(
+    spec: ServiceSpec,
+    max_units: int,
+    max_repeat: int,
+    results: List[LinkageGraph],
+    units: List[str],
+    edges: List[Tuple[int, int, str]],
+    frontier: List[Tuple[int, str]],
+) -> None:
+    """Give ``frontier[0]`` each possible provider, depth first.  A
+    module function, not a closure: a recursive closure is a reference
+    cycle that would keep every graph alive until the collector runs."""
+    if not frontier:
+        results.append(LinkageGraph(tuple(units), tuple(edges)))
+        return
+    if len(units) >= max_units:
+        return
+    client_idx, iface = frontier[0]
+    rest = frontier[1:]
+    for provider in spec.implementers_of(iface):
+        if units.count(provider.name) >= max_repeat:
+            continue
+        new_idx = len(units)
+        units.append(provider.name)
+        edges.append((client_idx, new_idx, iface))
+        new_frontier = rest + [(new_idx, b.interface) for b in provider.requires]
+        _expand(spec, max_units, max_repeat, results, units, edges, new_frontier)
+        units.pop()
+        edges.pop()
 
 
 def valid_chains(

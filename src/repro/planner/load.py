@@ -19,10 +19,10 @@ capacity, and link bandwidth, returning the violations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .compat import PlanningContext
-from .plan import DeploymentPlan
+from .plan import DeploymentPlan, PlannedLinkage
 
 __all__ = ["LoadReport", "compute_loads", "check_loads", "config_of", "config_covered"]
 
@@ -103,35 +103,36 @@ def compute_loads(
 ) -> LoadReport:
     """Propagate the client request rate through the plan's linkages."""
     report = LoadReport()
-    inbound: Dict[int, float] = {i: 0.0 for i in range(len(plan.placements))}
-    inbound[plan.root] = request_rate
+    inbound = report.inbound = {i: 0.0 for i in range(len(plan.placements))}
 
     # DFS from the root, carrying the set of view configurations already
     # traversed: a component's RRF reduces flow only the first time its
     # configuration appears on the path (see config_of).  Plans are
-    # acyclic by construction, so recursion terminates.
+    # acyclic by construction, so the walk terminates.  It keeps an
+    # explicit stack because a recursive closure is a reference cycle;
+    # an entry adds its linkage's rate just before the walk enters its
+    # subtree, so rates are summed in depth-first order.
     out_edges: Dict[int, List] = {}
     for link in plan.linkages:
         out_edges.setdefault(link.client, []).append(link)
 
-    def propagate(idx: int, rate: float, seen: frozenset) -> None:
-        inbound[idx] = inbound.get(idx, 0.0) + rate
+    stack: List[Tuple[Optional[PlannedLinkage], int, float, frozenset]] = [
+        (None, plan.root, request_rate, frozenset())
+    ]
+    while stack:
+        via, idx, rate, seen = stack.pop()
+        if via is not None:
+            key = (via.client, via.server, via.interface)
+            report.linkage_rates[key] = report.linkage_rates.get(key, 0.0) + rate
+        inbound[idx] += rate
         cfg = config_of(plan, idx)
         if config_covered(ctx, seen, cfg):
             out_rate = rate  # a covered replica absorbs nothing more
-            seen = seen | {cfg}
         else:
             out_rate = rate * ctx.spec.unit(plan.placements[idx].unit).behaviors.rrf
-            seen = seen | {cfg}
-        for link in out_edges.get(idx, ()):
-            key = (link.client, link.server, link.interface)
-            report.linkage_rates[key] = report.linkage_rates.get(key, 0.0) + out_rate
-            propagate(link.server, out_rate, seen)
-
-    inbound[plan.root] = 0.0
-    propagate(plan.root, request_rate, frozenset())
-
-    report.inbound = inbound
+        seen = seen | {cfg}
+        for link in reversed(out_edges.get(idx, ())):
+            stack.append((link, link.server, out_rate, seen))
 
     # Node CPU demand.
     for idx, placement in enumerate(plan.placements):

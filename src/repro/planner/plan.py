@@ -31,6 +31,11 @@ class Placement:
     ``implemented`` records the fully resolved properties per implemented
     interface, as generated *at this node* (EnvRefs substituted).
     ``reused`` marks placements that already existed before this plan.
+
+    ``key`` and the hash are computed once, at construction (and again
+    by ``dataclasses.replace``): the planner's tables hash the same
+    placements thousands of times per plan.  The hash is the one a
+    frozen dataclass generates, over the five fields above.
     """
 
     unit: str
@@ -38,11 +43,27 @@ class Placement:
     factor_values: Tuple[Tuple[str, Any], ...] = ()
     implemented: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...] = ()
     reused: bool = False
+    #: identity used for reuse matching: unit + node + factors
+    key: Tuple[str, str, Tuple[Tuple[str, Any], ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> Tuple[str, str, Tuple[Tuple[str, Any], ...]]:
-        """Identity used for reuse matching: unit + node + factors."""
-        return (self.unit, self.node, self.factor_values)
+    def __post_init__(self) -> None:
+        values = (self.unit, self.node, self.factor_values, self.implemented, self.reused)
+        object.__setattr__(self, "key", values[:3])
+        object.__setattr__(self, "_hash", hash(values))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Constructor + field tuple: string hashes differ per process, so
+        # the cached hash must be recomputed on arrival, not carried.
+        return (
+            self.__class__,
+            (self.unit, self.node, self.factor_values, self.implemented, self.reused),
+        )
 
     def implemented_props(self, interface: str) -> Optional[Dict[str, Any]]:
         for iface, props in self.implemented:
@@ -222,5 +243,5 @@ class PlanRequest:
             raise SpecError("request needs an interface name")
         if self.max_units < 1:
             raise SpecError("max_units must be >= 1")
-        if self.request_rate < 0:
-            raise SpecError("negative request_rate")
+        if not self.request_rate >= 0:  # NaN too: it would disable condition 3
+            raise SpecError("negative or NaN request_rate")

@@ -18,6 +18,7 @@ and every produced plan is byte-identical, just slower.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Literal, Mapping, Optional, Tuple, Union
@@ -307,6 +308,10 @@ class Planner:
 
     def commit(self, plan: DeploymentPlan, request_rate: float = 0.0) -> LoadReport:
         """Accept a plan: install its placements and reserve capacity."""
+        if math.isnan(request_rate):
+            # A NaN reservation would make every later condition-3 check
+            # on the plan's nodes and links pass.
+            raise ValueError("NaN request_rate")
         if request_rate <= 0:
             root_unit = self.spec.unit(plan.placements[plan.root].unit)
             request_rate = root_unit.behaviors.request_rate or 1.0

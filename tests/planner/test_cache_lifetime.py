@@ -2,8 +2,8 @@
 
 A committed plan only *reserves capacity*: routes, path environments,
 install verdicts, condition-2 verdicts and the DP planner's candidate
-tables and pair rows are functions of the graph, liveness, link
-attributes and credentials, so they must survive it
+tables, pair rows and installed-provider rows are functions of the
+graph, liveness, link attributes and credentials, so they must survive it
 (``Network.touch_reservations``) — while the plan-cache epoch
 (``version`` / ``state_fingerprint``) must still move, because
 condition 3 reads the reservations, and nothing that read them (a
@@ -72,12 +72,23 @@ def _dp_tables(planner):
     }
 
 
+def _provider_rows(planner):
+    """The installed-provider rows built so far, per (interface, scope)
+    and open state, each with a copy of its entries."""
+    return {
+        key: {state: (row, dict(row)) for state, row in by_state.items()}
+        for key, by_state in planner.ctx.chain_tables().installed.items()
+    }
+
+
 def test_commit_keeps_routes_and_verdicts_but_moves_the_plan_cache_epoch(planner):
     net, stats = planner.network, planner.ctx.cache_stats
     plan, route, misses = _warm(planner)
     version, epoch, structure = net.version, net.state_fingerprint(), net.structure_version
     candidates, rows = _dp_tables(planner)
     assert candidates and any(rows.values()) and planner.ctx.chain_tables().shapes
+    provider_rows = _provider_rows(planner)
+    assert any(entries for by_state in provider_rows.values() for _row, entries in by_state.values())
 
     planner.commit(plan)
 
@@ -98,6 +109,17 @@ def test_commit_keeps_routes_and_verdicts_but_moves_the_plan_cache_epoch(planner
         assert candidates_now[key] is table
         for state, row in rows[key].items():
             assert rows_now[key][state] is row
+    # Installed-provider rows are kept the same way, entry for entry; the
+    # providers the commit installed were checked into the same rows.
+    provider_rows_now = _provider_rows(planner)
+    grew = False
+    for key, by_state in provider_rows.items():
+        for state, (row, entries) in by_state.items():
+            now, entries_now = provider_rows_now[key][state]
+            assert now is row
+            assert entries_now.items() >= entries.items()
+            grew = grew or len(entries_now) > len(entries)
+    assert grew
     # Condition 3 still sees the reservation the commit made.
     assert net.node(CLIENT).reserved_cpu > 0
 
@@ -137,6 +159,7 @@ def test_structure_changes_flush_routes_and_verdicts(planner, change):
     assert stats.compat_misses == misses + 1  # the verdict was dropped, not kept
     tables = planner.ctx.chain_tables()
     assert not tables.candidates and not tables.shapes  # rows go with their tables
+    assert not tables.installed
 
 
 def test_dead_node_never_serves_a_stale_install_verdict(planner, mail_spec):

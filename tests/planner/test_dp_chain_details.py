@@ -94,10 +94,12 @@ def test_each_distinct_completion_is_scored_once(ctx, state_with_ms, monkeypatch
 
     monkeypatch.setattr(dp_chain, "_finish_plan", spy)
     offers = []  # one backtrace per completion a chain offers
-    backtrace = dp_chain._Cell.backtrace
+    backtrace = dp_chain._backtrace
     monkeypatch.setattr(
-        dp_chain._Cell, "backtrace",
-        lambda cell, placement: offers.append(placement) or backtrace(cell, placement),
+        dp_chain, "_backtrace",
+        lambda path, depth, placement: (
+            offers.append(placement) or backtrace(path, depth, placement)
+        ),
     )
     for node, user in [("sandiego-client1", "Bob"), ("sandiego-client2", "Alice")]:
         # the second bind also completes early, at what the first installed

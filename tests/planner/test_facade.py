@@ -1,10 +1,13 @@
 """Tests for the Planner facade: commit/reservations, multi-interface."""
 
+import math
+
 import pytest
 
 from repro.experiments.topology_fig5 import build_fig5_network
 from repro.planner import Planner, PlanningError, PlanRequest
 from repro.services.mail import build_mail_spec, mail_translator
+from repro.spec import SpecError
 
 
 @pytest.fixture()
@@ -69,6 +72,25 @@ def test_repeated_commits_exhaust_capacity(planner):
                     context={"User": "Carol"}, request_rate=400.0,
                 )
             )
+
+
+def test_a_nan_request_rate_is_rejected():
+    # ``rate < 0`` lets NaN through, and a NaN rate passes condition 3.
+    with pytest.raises(SpecError, match="NaN"):
+        PlanRequest("ClientInterface", "sandiego-client1", request_rate=math.nan)
+
+
+def test_commit_rejects_a_nan_rate(planner):
+    plan = planner.plan(
+        PlanRequest("ClientInterface", "sandiego-client1", context={"User": "Bob"})
+    )
+    with pytest.raises(ValueError, match="NaN"):
+        planner.commit(plan, math.nan)
+    # Nothing was reserved or installed: a NaN ``free_cpu`` would pass
+    # every later condition-3 check on these nodes.
+    for node in ("sandiego-gw", "sandiego-client1", "newyork-ms"):
+        assert planner.network.node(node).reserved_cpu == 0.0
+    assert len(planner.state) == 1
 
 
 def test_plan_interfaces_shares_components(planner):

@@ -247,11 +247,11 @@ def _recredential(name, trust_level):
 
 @st.composite
 def _changes(draw, names, n_links):
-    """One step between two requests: ``"commit"``, nothing, or a
-    structure change (a function of the network)."""
-    kind = draw(st.sampled_from(["commit", "crash", "restart", "link", "credential", None]))
-    if kind in ("commit", None):
-        return kind
+    """A structure change between two requests (a function of the
+    network), or nothing."""
+    kind = draw(st.sampled_from(["crash", "restart", "link", "credential", None]))
+    if kind is None:
+        return None
     if kind == "link":
         return _perturb_link(
             draw(st.integers(0, n_links - 1)),
@@ -265,14 +265,19 @@ def _changes(draw, names, n_links):
     return _crash(name) if kind == "crash" else _restart(name)
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 10_000), n=st.integers(4, 7), data=st.data())
-def test_dp_chain_matches_unmemoized_and_is_bounded_by_exhaustive(seed, n, data):
+def _plan_through(seed: int, n: int, steps_for) -> None:
     """One long-lived memoized context, through commits and structure
     changes, across users, client requirements and objectives, must plan
     exactly what direct evaluation and a brand-new context plan: a pair
-    row or candidate table that outlived a structure change, or was
-    shared between request contexts or objectives, shows as a diff."""
+    row, installed-provider row or candidate table that outlived a
+    structure change, or was shared between open states, request
+    contexts or objectives, shows as a diff.  A commit installs the
+    plan's fresh placements, so the next request sees other installed
+    providers, checked against the rows the earlier requests built.
+
+    ``steps_for(names, n_links)`` gives the steps: (client, user, client
+    trust requirement, objectives in order as ``cheapest`` flags,
+    commit the last plan?, structure change or None)."""
     fast = _world(seed, n, "dp_chain", memoize=True)
     slow = _world(seed, n, "dp_chain", memoize=False)
     renewed = _world(seed, n, "dp_chain", memoize=True)  # new context per request
@@ -280,44 +285,74 @@ def test_dp_chain_matches_unmemoized_and_is_bounded_by_exhaustive(seed, n, data)
     worlds = (fast, slow, renewed, complete)
     names = fast.network.node_names()
     by_cost = DeploymentCost(home_node=names[0])
-    # Few clients, asked again after each change: a stale row only
-    # shows when the same states are planned from twice.
-    clients = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=2))
-    steps = data.draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(clients),
-                st.sampled_from(["Alice", "Bob", "Mallory"]),  # Mallory: no account
-                st.sampled_from([None, 1, 4]),
-                st.booleans(),
-                _changes(names, fast.network.n_links),
-            ),
-            min_size=2,
-            max_size=6,
-        )
-    )
-    for client, user, trust, cheapest, change in steps:
+    for client, user, trust, cheapest_flags, commit, change in steps_for(
+        names, fast.network.n_links
+    ):
         # Later requests see what earlier ones installed and reserved,
         # so early completions at installed providers are exercised.
         request = PlanRequest(
             "ClientInterface", client, context={"User": user}, max_units=4,
             required_properties={} if trust is None else {"TrustLevel": trust},
         )
-        objective = by_cost if cheapest else None  # None: the planner's _Unpruned
-        renewed.ctx = PlanningContext(SPEC, renewed.network, mail_translator())
-        plan, _ = fast.run_search(request, objective=objective)
-        for other in (slow, renewed):
-            reference, _ = other.run_search(request, objective=objective)
-            assert _shape(plan) == _shape(reference)
-        if plan is not None and not cheapest:
-            # Unpruned exhaustive is complete over a superset of the chain space.
-            optimum, _ = complete.run_search(request)
-            assert optimum is not None
-            assert optimum.score[0] <= plan.score[0] + 1e-9
+        for cheapest in cheapest_flags:
+            objective = by_cost if cheapest else None  # None: the planner's _Unpruned
+            renewed.ctx = PlanningContext(SPEC, renewed.network, mail_translator())
+            plan, _ = fast.run_search(request, objective=objective)
+            for other in (slow, renewed):
+                reference, _ = other.run_search(request, objective=objective)
+                assert _shape(plan) == _shape(reference)
+            if plan is not None and not cheapest:
+                # Unpruned exhaustive is complete over a superset of the chain space.
+                optimum, _ = complete.run_search(request)
+                assert optimum is not None
+                assert optimum.score[0] <= plan.score[0] + 1e-9
         for planner in worlds:
-            if change == "commit":
-                if plan is not None:
-                    planner.commit(plan)
-            elif change is not None:
+            if commit and plan is not None:
+                planner.commit(plan)
+            if change is not None:
                 change(planner.network)
     assert slow.ctx.cache_stats.compat_hits == 0  # memoize=False bypasses the memo
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), n=st.integers(4, 7), data=st.data())
+def test_dp_chain_matches_unmemoized_and_is_bounded_by_exhaustive(seed, n, data):
+    def steps_for(names, n_links):
+        # Few clients, asked again after each change: a stale row only
+        # shows when the same states are planned from twice.
+        clients = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=2))
+        return data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(clients),
+                    st.sampled_from(["Alice", "Bob", "Mallory"]),  # Mallory: no account
+                    st.sampled_from([None, 1, 4]),
+                    # cheapest first, fastest first, or one of them: a row
+                    # one objective built is then read under the other
+                    st.sampled_from([(True, False), (False, True), (True,), (False,)]),
+                    st.booleans(),
+                    _changes(names, n_links),
+                ),
+                min_size=2,
+                max_size=6,
+            )
+        )
+
+    _plan_through(seed, n, steps_for)
+
+
+@pytest.mark.parametrize("seed, n", [(0, 6), (79, 5)])
+def test_dp_chain_rows_are_not_shared_between_objectives(seed, n):
+    """Worlds where a row one objective built, read under the other,
+    changes a plan — rare among generated worlds, because a chain scores
+    its five cheapest completions exactly and a wrong weight must push
+    the best one out of them.  Three clients in turn, both objectives
+    each, every plan committed."""
+    _plan_through(
+        seed,
+        n,
+        lambda names, _n_links: [
+            (client, "Alice", None, flags, True, None)
+            for client, flags in zip(names[1:4], [(True, False), (False, True), (True, False)])
+        ],
+    )
