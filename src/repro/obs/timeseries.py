@@ -499,7 +499,7 @@ class TelemetrySampler:
         # the sampler would be the only thing keeping the clock alive,
         # let the run drain (sim.run() terminates one interval after
         # quiescence instead of never).
-        if self.sim._heap:
+        if self.sim.events_pending:
             self.sim.call_after(self.interval_ms, self._tick)
         else:
             self.active = False

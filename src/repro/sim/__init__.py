@@ -4,7 +4,7 @@ Replaces the paper's physical testbed (Pentium III nodes, Click software
 router) with a deterministic, seeded simulator.  Public surface:
 
 - :class:`Simulator` — event kernel, virtual clock (milliseconds)
-- :class:`Event`, :class:`Timeout`, :class:`Process`, :class:`Interrupt`
+- :class:`Event`, :class:`Timeout`, :class:`Process`
 - :class:`Resource`, :class:`Monitor`
 - :class:`SimNode` — host with CPU capacity + credentials
 - :class:`SimLink` — latency/bandwidth link with security credential
@@ -34,7 +34,7 @@ from .events import (
     Timeout,
 )
 from .node import SimNode
-from .process import Interrupt, Process
+from .process import Process
 from .resources import Monitor, Resource
 from .transport import SimHalfLink, SimLink, transfer_time_ms
 
@@ -50,7 +50,6 @@ __all__ = [
     "NodeDownError",
     "LinkDownError",
     "Process",
-    "Interrupt",
     "Resource",
     "Monitor",
     "SimNode",

@@ -24,6 +24,7 @@ instants exactly, independent of what the rest of the simulation does.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .engine import Simulator
@@ -99,25 +100,52 @@ class ArrivalProcess:
         :class:`ArrivalStream` whose ``count`` grows as arrivals fire.
         """
         stream = ArrivalStream()
-        gen = self.offsets_ms()
-        t0 = sim.now
-
-        def _arm() -> None:
-            if limit is not None and stream.count >= limit:
-                stream.exhausted = True
-                return
-            off = next(gen, None)
-            if off is None or off > duration_ms:
-                stream.exhausted = True
-                return
-            def _fire(_off: float = off) -> None:
-                stream.count += 1
-                fn(t0 + _off)
-                _arm()
-            sim.call_at(t0 + off, _fire)
-
-        _arm()
+        _Pump(sim, fn, stream, self.offsets_ms(), duration_ms, limit).arm()
         return stream
+
+
+class _Pump:
+    """The armed half of one :meth:`ArrivalProcess.drive`.
+
+    Only the pending arrival's event refers to it, so it is freed by
+    reference counting once the stream runs out (a closure that re-arms
+    itself is a reference cycle holding ``fn`` and all it reaches).
+    """
+
+    __slots__ = ("sim", "fn", "stream", "offsets", "t0", "duration_ms", "limit")
+
+    def __init__(
+        self,
+        sim: Simulator,
+        fn: Callable[[float], None],
+        stream: ArrivalStream,
+        offsets: Iterator[float],
+        duration_ms: float,
+        limit: Optional[int],
+    ) -> None:
+        self.sim = sim
+        self.fn = fn
+        self.stream = stream
+        self.offsets = offsets
+        self.t0 = sim.now
+        self.duration_ms = duration_ms
+        self.limit = limit
+
+    def arm(self) -> None:
+        stream = self.stream
+        if self.limit is not None and stream.count >= self.limit:
+            stream.exhausted = True
+            return
+        off = next(self.offsets, None)
+        if off is None or off > self.duration_ms:
+            stream.exhausted = True
+            return
+        self.sim.call_at(self.t0 + off, partial(self.fire, self.t0 + off))
+
+    def fire(self, t_abs_ms: float) -> None:
+        self.stream.count += 1
+        self.fn(t_abs_ms)
+        self.arm()
 
 
 class PoissonProcess(ArrivalProcess):

@@ -1,13 +1,14 @@
 """The discrete-event simulation kernel.
 
-:class:`Simulator` owns the event list (a binary heap keyed on
-``(time, origin, seq)`` — a *total* deterministic order: equal-time
-events run in schedule order within one origin, and events merged in
-from other partitions of a parallel run (see
-:mod:`repro.sim.parallel`) sort by their origin partition id and the
-sender's own sequence number, so the merge order never depends on OS
-message arrival order) and the simulated clock.  Sequential simulators
-all use origin 0, which reduces the key to the classic ``(time, seq)``
+:class:`Simulator` owns the simulated clock and the event list, which is
+two queues: a binary heap of future events keyed on ``(time, origin,
+seq)`` and a FIFO of events due at the current instant.  Together they
+give one *total* deterministic order: equal-time events run in schedule
+order within one origin, and events merged in from other partitions of
+a parallel run (see :mod:`repro.sim.parallel`) sort by their origin
+partition id and the sender's own sequence number, so the merge order
+never depends on OS message arrival order.  Sequential simulators all
+use origin 0, which reduces the key to the classic ``(time, seq)``
 schedule order.  All framework time is in **milliseconds** — the unit
 of the paper's Figure 7.
 
@@ -21,8 +22,9 @@ reproducible.
 from __future__ import annotations
 
 import math
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
 
 from ..obs import Observability, resolve_obs
 from .events import AllOf, AnyOf, Event, SimulationError, Timeout
@@ -55,6 +57,15 @@ class Simulator:
     dispatches in a local and adds them to ``sim.events_dispatched``
     once, on the way out (also when a callback raises), and refuses to
     be entered from inside one of its own callbacks.
+
+    Most events are due at the instant they are scheduled (a triggered
+    event, a process's first step, a zero-length timeout), so the event
+    list is two queues.  An event due later goes onto the heap under its
+    ``(when, origin, seq)`` key; an event due *now* is appended to a
+    FIFO and keeps no key.  The FIFO's order is its seq order, and a
+    heap entry stamped now sorts before it exactly when its origin is at
+    most this simulator's: a local one was scheduled before the clock
+    reached now (smaller seq), a merged one sorts by its origin.
     """
 
     def __init__(
@@ -64,6 +75,7 @@ class Simulator:
     ) -> None:
         self._now = 0.0
         self._heap: List[Tuple[float, int, int, Event]] = []
+        self._fifo: Deque[Event] = deque()
         self._seq = 0
         #: partition id stamped into every locally scheduled heap key.
         #: 0 for sequential runs; the parallel layer gives each logical
@@ -95,6 +107,11 @@ class Simulator:
         :attr:`now`, the run-length half of a determinism signature."""
         return self._seq
 
+    @property
+    def events_pending(self) -> int:
+        """How many scheduled events have not been dispatched yet."""
+        return len(self._heap) + len(self._fifo)
+
     # -- event construction -------------------------------------------------
     def event(self) -> Event:
         """A fresh pending event, triggered manually by the caller."""
@@ -120,8 +137,10 @@ class Simulator:
 
     def call_at(self, when: float, fn: Callable[[], None]) -> Event:
         """Run plain callable ``fn`` at absolute time ``when``."""
-        if not when >= self._now:  # also rejects NaN
-            raise SimulationError(f"cannot schedule in the past: {when} < {self._now}")
+        if not self._now <= when < _INF:  # also rejects NaN
+            raise SimulationError(
+                f"cannot schedule at {when}: not a finite time at or after now {self._now}"
+            )
         ev = Event(self)
         ev.add_callback(lambda _e: fn())
         ev._triggered = True
@@ -134,8 +153,12 @@ class Simulator:
 
     # -- kernel -------------------------------------------------------------
     def _schedule(self, when: float, event: Event) -> None:
+        """Put a triggered event on the event list, due at ``when``."""
         self._seq += 1
-        heappush(self._heap, (when, self._origin, self._seq, event))
+        if when == self._now:
+            self._fifo.append(event)
+        else:
+            heappush(self._heap, (when, self._origin, self._seq, event))
 
     def schedule_external(
         self, when: float, origin: int, seq: int, event: Event
@@ -146,42 +169,52 @@ class Simulator:
         sequence number, which keeps the heap key total and reproducible
         across worker counts.  The caller (the parallel layer's ingress
         path) guarantees ``origin`` differs from this simulator's own
-        origin, so external keys can never collide with local ones.
+        origin, so external keys can never collide with local ones.  The
+        event goes onto the heap even when it is due now: its key, not
+        its arrival, decides where it runs among this instant's events.
         """
-        if not when >= self._now:  # also rejects NaN
+        if not self._now <= when < _INF:  # also rejects NaN
             raise SimulationError(
-                f"causality violation: external event at {when} < now {self._now}"
+                f"causality violation: external event at {when}, not a finite "
+                f"time at or after now {self._now}"
             )
         heappush(self._heap, (when, origin, seq, event))
 
-    def _queue_event(self, event: Event) -> None:
-        """Queue an already-triggered event for callback dispatch *now*."""
-        self._schedule(self._now, event)
-
-    def _drain(self, until: Optional[float], proc: Optional[Process]) -> None:
+    def _drain(self, until: float, proc: Optional[Process]) -> None:
         """The dispatch loop: pop events in key order, advance the clock
-        and run their callbacks, until the list is empty, the next event
-        is stamped at or after ``until``, or ``proc`` has finished."""
+        and run their callbacks, until both queues are empty, the next
+        event is stamped at or after ``until``, or ``proc`` has finished.
+
+        The clock moves only when the FIFO is empty, so every FIFO event
+        is due now; the heap goes first while its top is due now from an
+        origin at or below this simulator's (see the class docstring)."""
         if self._running:
             raise SimulationError(
                 "run() / run_until_complete() are not reentrant"
             )
         self._running = True
         heap = self._heap
+        fifo = self._fifo
+        popleft = fifo.popleft
+        origin = self._origin
+        now = self._now
         capture = self._capture_events
         dispatched = 0
         try:
-            while (
-                heap
-                and (until is None or heap[0][0] < until)
-                and not (proc and proc._triggered)
-            ):
-                when, _origin, _seq, event = heappop(heap)
-                if when < self._now:
-                    raise SimulationError(
-                        "event list corrupted: time went backwards"
-                    )
-                self._now = when
+            while not (proc and proc._triggered):
+                if fifo and not (heap and heap[0][0] <= now and heap[0][1] <= origin):
+                    if now >= until:
+                        break
+                    event = popleft()
+                elif heap and heap[0][0] < until:
+                    when, _origin, _seq, event = heappop(heap)
+                    if when < now:
+                        raise SimulationError(
+                            "event list corrupted: time went backwards"
+                        )
+                    self._now = now = when
+                else:
+                    break
                 dispatched += 1
                 if capture:
                     self.obs.tracer.event("sim.dispatch", event=repr(event))
@@ -206,7 +239,7 @@ class Simulator:
         """
         if until is not None and math.isnan(until):
             raise SimulationError("run() needs a comparable until, got nan")
-        self._drain(until, None)
+        self._drain(_INF if until is None else until, None)
         if until is not None and until > self._now:
             self._now = until
         return self._now
@@ -220,11 +253,15 @@ class Simulator:
         without this, a chaos-test stack trace says *what* broke but not
         *who* or *when* on the virtual clock.
         """
+        if math.isnan(limit):
+            raise SimulationError(
+                "run_until_complete() needs a comparable limit, got nan"
+            )
         # The loop's bound is exclusive: the next float above ``limit``
         # admits exactly the events stamped at or before it.
-        self._drain(None if limit == _INF else math.nextafter(limit, _INF), proc)
+        self._drain(math.nextafter(limit, _INF), proc)
         if not proc._triggered:
-            if not self._heap:
+            if not self.events_pending:
                 raise SimulationError(
                     f"deadlock: event list empty but {proc!r} not finished"
                 )
@@ -244,7 +281,9 @@ class Simulator:
 
     def peek(self) -> float:
         """Timestamp of the next event, or +inf if the list is empty."""
-        return self._heap[0][0] if self._heap else float("inf")
+        if self._fifo:
+            return self._now
+        return self._heap[0][0] if self._heap else _INF
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self._now} pending={len(self._heap)}>"
+        return f"<Simulator t={self._now} pending={self.events_pending}>"

@@ -27,6 +27,8 @@ __all__ = [
     "LinkDownError",
 ]
 
+_INF = float("inf")
+
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (double trigger, running a dead sim...)."""
@@ -89,11 +91,12 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         self._triggered = True
         self._value = value
-        # Simulator._queue_event inlined: succeed runs once per resource
-        # grant and per finished process.
+        # Simulator._schedule(now, self) inlined: succeed runs once per
+        # resource grant and per finished process, and an event due now
+        # goes to the same-instant FIFO.
         sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim._now, sim._origin, seq, self))
+        sim._seq += 1
+        sim._fifo.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -103,7 +106,7 @@ class Event:
         self._triggered = True
         self._failed = True
         self._value = exc
-        self.sim._queue_event(self)
+        self.sim._schedule(self.sim._now, self)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -129,8 +132,10 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: Any, delay: float, value: Any = None) -> None:
-        if not delay >= 0:  # also rejects NaN, which would poison the clock
-            raise ValueError(f"negative timeout delay: {delay}")
+        # NaN or inf would poison the clock.  A float bound: comparing a
+        # float delay with the int 0 takes the interpreter's slow path.
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"timeout delay not finite and >= 0: {delay}")
         # Event.__init__ and Simulator._schedule inlined: a timeout is
         # built for every service time, serialization and link latency.
         self.sim = sim
@@ -140,7 +145,13 @@ class Timeout(Event):
         self._failed = False
         self.delay = delay
         sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim._now + delay, sim._origin, seq, self))
+        now = sim._now
+        when = now + delay
+        # Compare the sum, not the delay: a tiny delay can round to now.
+        if when == now:
+            sim._fifo.append(self)
+        else:
+            heappush(sim._heap, (when, sim._origin, seq, self))
 
 
 class Injected(Event):
@@ -184,10 +195,18 @@ class _Condition(Event):
             return
         if ev.failed:
             self.fail(ev.value)
-            return
-        self._n_done += 1
-        if self._n_done >= self._n_needed:
+        else:
+            self._n_done += 1
+            if self._n_done < self._n_needed:
+                return
             self.succeed([e.value for e in self.events if e.triggered])
+        # Decided: unsubscribe from every child not dispatched yet, so a
+        # race's losing timeout does not keep this condition, and through
+        # it the winner and its value, alive until the timeout fires.
+        on_child = self._on_child
+        for child in self.events:
+            if child.callbacks is not None:
+                child.callbacks.remove(on_child)
 
 
 class AnyOf(_Condition):

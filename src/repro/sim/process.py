@@ -20,15 +20,7 @@ from typing import Any, Generator, Optional
 
 from .events import Event, SimulationError
 
-__all__ = ["Process", "Interrupt"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
+__all__ = ["Process"]
 
 
 class Process(Event):
@@ -61,28 +53,13 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        A dead process is left untouched (interrupting it is a no-op, as
-        in SimPy).
-        """
-        if not self.is_alive:
-            return
-        # A failed event nobody else waits on: dispatching it resumes
-        # the process the way any failed event it had yielded would.
-        kick = Event(self.sim)
-        kick.add_callback(self._resume)
-        kick.fail(Interrupt(cause))
-
     # -- kernel plumbing --------------------------------------------------
     def _resume(self, by: Event) -> None:
         """Advance the generator with the outcome of ``by``: send its
         value, or throw its exception if it failed."""
-        # Slot reads, not the triggered/failed/value properties: this
-        # runs once per dispatched event.
-        if self._triggered:
-            return
+        # Slot reads, not the failed/value properties: this runs once per
+        # dispatched event.  A process waits on one event at a time, so
+        # nothing resumes it once it has finished.
         try:
             if by._failed:
                 target = self.generator.throw(by._value)
@@ -90,10 +67,6 @@ class Process(Event):
                 target = self.generator.send(by._value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except Interrupt:
-            # Uncaught interrupt kills the process quietly.
-            self.succeed(None)
             return
         except BaseException as exc:
             # Stamp the failure with where/when it escaped, so the

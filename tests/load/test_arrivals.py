@@ -110,4 +110,4 @@ class TestDrive:
             sim, lambda t: None, duration_ms=10_000.0
         )
         # Right after arming: one pending arrival event, nothing more.
-        assert len(sim._heap) <= 2
+        assert sim.events_pending <= 2

@@ -10,7 +10,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     SimulationError,
     Simulator,
     Timeout,
@@ -205,25 +204,58 @@ def test_negative_timeout_rejected():
         sim.timeout(-1)
 
 
-@pytest.mark.parametrize(
+#: every entry point that puts an event on the event list at a given
+#: delay or time
+SCHEDULERS = pytest.mark.parametrize(
     "schedule",
     [
-        lambda sim: sim.timeout(math.nan),
-        lambda sim: Timeout(sim, math.nan),
-        lambda sim: sim.call_at(math.nan, lambda: None),
-        lambda sim: sim.call_after(math.nan, lambda: None),
-        lambda sim: sim.schedule_external(math.nan, 1, 1, sim.event()),
+        lambda sim, t: sim.timeout(t),
+        lambda sim, t: Timeout(sim, t),
+        lambda sim, t: sim.call_at(t, lambda: None),
+        lambda sim, t: sim.call_after(t, lambda: None),
+        lambda sim, t: sim.schedule_external(t, 1, 1, sim.event()),
     ],
     ids=["timeout", "Timeout", "call_at", "call_after", "schedule_external"],
 )
+
+
+@SCHEDULERS
 def test_nan_time_rejected(schedule):
     """NaN fails every ``<`` test, so a ``delay < 0`` check lets it
     through — and one NaN heap key makes ``sim.now`` NaN for good."""
     sim = Simulator()
     with pytest.raises((ValueError, SimulationError)):
-        schedule(sim)
+        schedule(sim, math.nan)
     assert sim.events_scheduled == 0
     assert sim.peek() == float("inf")  # nothing reached the event list
+
+
+@SCHEDULERS
+def test_infinite_time_rejected(schedule):
+    """An event at +inf is accepted by ``>= now`` checks, and once it
+    runs the clock reads inf: every later timeout lands there too."""
+    sim = Simulator()
+    with pytest.raises((ValueError, SimulationError)):
+        schedule(sim, math.inf)
+    assert sim.events_scheduled == 0
+    assert sim.run() == 0.0
+
+
+def test_run_until_complete_rejects_a_nan_limit():
+    """``limit`` is inclusive through ``nextafter(limit, inf)``, which
+    keeps a NaN: nothing runs, and the failure used to read as a
+    timeout ("time limit nan exceeded") instead of a bad argument."""
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(5)
+
+    p = sim.process(proc())
+    with pytest.raises(SimulationError, match="comparable limit"):
+        sim.run_until_complete(p, limit=math.nan)
+    assert sim.now == 0.0
+    assert sim.run_until_complete(p) is None
+    assert sim.now == 5.0
 
 
 def test_event_double_trigger_rejected():
@@ -280,52 +312,6 @@ def test_all_of_waits_for_every_event():
     assert got == [(9.0, ["a", "b"])]
 
 
-def test_interrupt_kills_sleeping_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100)
-            log.append("finished")
-        except Interrupt as exc:
-            log.append(("interrupted", sim.now, exc.cause))
-
-    def killer(p):
-        yield sim.timeout(10)
-        p.interrupt("reason")
-
-    p = sim.process(sleeper())
-    sim.process(killer(p))
-    sim.run()
-    assert log == [("interrupted", 10.0, "reason")]
-
-
-def test_uncaught_interrupt_ends_the_process_quietly():
-    sim = Simulator()
-
-    def sleeper():
-        yield sim.timeout(100)
-
-    p = sim.process(sleeper())
-    sim.call_at(10.0, p.interrupt)
-    assert sim.run_until_complete(p) is None
-    assert not p.failed
-    assert sim.now == 10.0
-
-
-def test_interrupt_dead_process_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1)
-
-    p = sim.process(quick())
-    sim.run()
-    p.interrupt()  # must not raise
-    sim.run()
-
-
 def test_call_at_and_after():
     sim = Simulator()
     log = []
@@ -379,7 +365,7 @@ def test_timeout_constructed_directly_rejects_negative_delay():
     """SimNode.execute and SimLink.transfer build Timeout(sim, ...)
     without going through sim.timeout()."""
     sim = Simulator()
-    with pytest.raises(ValueError, match="negative timeout delay"):
+    with pytest.raises(ValueError, match="timeout delay not finite and >= 0"):
         Timeout(sim, -0.5)
     assert sim.events_scheduled == 0  # rejected before it was scheduled
 
@@ -397,19 +383,20 @@ def test_every_double_trigger_combination_rejected(first, second):
 
 
 def test_timeout_and_succeed_push_the_kernel_heap_key():
-    """(when, origin, seq, event), seq counting every scheduled event —
-    the key the parallel kernel's merge order is built on."""
+    """A future event is pushed as (when, origin, seq, event), seq
+    counting every scheduled event — the key the parallel kernel's merge
+    order is built on.  An event due now (by the sum ``now + delay``,
+    not by ``delay == 0``) joins the same-instant FIFO in seq order."""
     sim = Simulator(origin=3)
     sim.run(until=5.0)
     timeout = sim.timeout(2.5, value="v")
     manual = sim.event().succeed("w")
     direct = Timeout(sim, 0.0)
-    assert sorted(sim._heap) == [
-        (5.0, 3, 2, manual),
-        (5.0, 3, 3, direct),
-        (7.5, 3, 1, timeout),
-    ]
-    assert sim.events_scheduled == 3
+    tiny = Timeout(sim, 1e-300)  # 5.0 + 1e-300 == 5.0
+    assert sim._heap == [(7.5, 3, 1, timeout)]
+    assert list(sim._fifo) == [manual, direct, tiny]
+    assert sim.events_scheduled == sim.events_pending == 4
+    assert sim.peek() == 5.0
     assert timeout.delay == 2.5 and timeout.triggered and not timeout.failed
     assert timeout.value == "v" and manual.value == "w"
 
@@ -483,8 +470,6 @@ CAPTURE_CASES = [
     test_run_until_complete_limit_exceeded,
     test_deadlock_detection_in_run_until_complete,
     test_process_exception_propagates_to_waiter,
-    test_interrupt_kills_sleeping_process,
-    test_uncaught_interrupt_ends_the_process_quietly,
     test_failed_event_is_thrown_into_the_waiter,
     test_yielding_an_already_dispatched_event_resumes_on_the_next_step,
 ]
