@@ -48,11 +48,6 @@ class Process(Event):
         boot.add_callback(self._resume)
         boot.succeed(None)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
     # -- kernel plumbing --------------------------------------------------
     def _resume(self, by: Event) -> None:
         """Advance the generator with the outcome of ``by``: send its

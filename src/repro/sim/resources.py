@@ -138,10 +138,10 @@ class Monitor:
 
     def percentile(self, p: float) -> float:
         """The ``p``-th percentile (0..100) by nearest-rank."""
-        if not self.samples:
-            return 0.0
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
+        if not self.samples:
+            return 0.0
         ordered = sorted(self.samples)
         idx = min(len(ordered) - 1, max(0, round(p / 100.0 * (len(ordered) - 1))))
         return ordered[idx]

@@ -119,10 +119,12 @@ def test_monitor_empty():
 
 
 def test_monitor_percentile_bounds():
-    m = Monitor()
-    m.observe(1.0)
-    with pytest.raises(ValueError):
-        m.percentile(101)
+    empty, one = Monitor(), Monitor()
+    one.observe(1.0)
+    for m in (empty, one):  # a bad p is rejected with or without samples
+        for p in (101, 150, -1, float("nan")):
+            with pytest.raises(ValueError):
+                m.percentile(p)
 
 
 def test_release_after_balanced_use_is_still_rejected():
