@@ -15,6 +15,7 @@ deployment actually executes.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -180,6 +181,8 @@ class Network:
         """Add a host; raises on duplicates."""
         if name in self._nodes:
             raise NetworkError(f"duplicate node {name!r}")
+        if not cpu_capacity > 0:  # also rejects NaN
+            raise ValueError(f"cpu_capacity must be positive, got {cpu_capacity}")
         info = NodeInfo(name, cpu_capacity, dict(credentials or {}))
         self._nodes[name] = info
         self._adj[name] = []
@@ -195,7 +198,11 @@ class Network:
         secure: bool = True,
         credentials: Optional[Dict[str, Any]] = None,
     ) -> LinkInfo:
-        """Add a link between existing nodes; raises on duplicates."""
+        """Add a link between existing nodes; raises on duplicates.
+
+        A non-positive ``bandwidth_mbps`` means "infinitely fast" (pure
+        latency); a negative or NaN latency and a NaN bandwidth are
+        refused, since routing cannot order them."""
         if a not in self._nodes:
             raise NetworkError(f"unknown node {a!r}")
         if b not in self._nodes:
@@ -205,6 +212,10 @@ class Network:
         key = _link_key(a, b)
         if key in self._links:
             raise NetworkError(f"duplicate link {a!r}<->{b!r}")
+        if not latency_ms >= 0:  # also rejects NaN
+            raise ValueError(f"latency_ms must be >= 0, got {latency_ms}")
+        if math.isnan(bandwidth_mbps):
+            raise ValueError("bandwidth_mbps must be a number, got nan")
         info = LinkInfo(a, b, latency_ms, bandwidth_mbps, secure, dict(credentials or {}))
         self._links[key] = info
         self._links_by_name[info.name] = info

@@ -12,6 +12,13 @@ use origin 0, which reduces the key to the classic ``(time, seq)``
 schedule order.  All framework time is in **milliseconds** — the unit
 of the paper's Figure 7.
 
+One dispatch loop pops both queues.  A process that creates the very
+event the loop would pop next, with nobody else waiting on it, may have
+it dispatched in place (:meth:`Simulator.take`) and carry on instead of
+yielding it: a CPU grant or a service timeout then costs no trip back
+through the loop and the process's whole ``yield from`` chain, and the
+dispatch order and counts stay exactly those of the loop.
+
 This replaces the paper's physical testbed (Pentium III nodes + a Click
 software router doing traffic shaping): simulated links impose latency
 and bandwidth serialization, simulated nodes impose CPU service times,
@@ -56,7 +63,8 @@ class Simulator:
     advances the clock and runs their callbacks.  The loop counts its
     dispatches in a local and adds them to ``sim.events_dispatched``
     once, on the way out (also when a callback raises), and refuses to
-    be entered from inside one of its own callbacks.
+    be entered from inside one of its own callbacks.  :meth:`take`
+    dispatches the loop's next event in place, by the loop's own rules.
 
     Most events are due at the instant they are scheduled (a triggered
     event, a process's first step, a zero-length timeout), so the event
@@ -83,6 +91,13 @@ class Simulator:
         #: different origins have a total, arrival-independent order.
         self._origin = int(origin)
         self._running = False
+        #: set by _drain while it runs the sole callback of the event it
+        #: popped: only then may take() dispatch an event in place.
+        self._in_place = False
+        #: the running drain's exclusive bound, and how many events
+        #: take() has dispatched during it.
+        self._until = _INF
+        self._taken = 0
         self.obs = resolve_obs(obs)
         if self.obs.tracer.enabled:
             self.obs.tracer.bind_sim_clock(lambda: self._now)
@@ -187,12 +202,20 @@ class Simulator:
 
         The clock moves only when the FIFO is empty, so every FIFO event
         is due now; the heap goes first while its top is due now from an
-        origin at or below this simulator's (see the class docstring)."""
+        origin at or below this simulator's (see the class docstring).
+
+        While it runs the only callback of the event it popped, with
+        capture off, the loop lets :meth:`take` dispatch the loop's next
+        event in place.  A taken event may move the clock, so the loop
+        re-reads it after such a callback, and it adds the taken events
+        to ``sim.events_dispatched`` on the way out."""
         if self._running:
             raise SimulationError(
                 "run() / run_until_complete() are not reentrant"
             )
         self._running = True
+        self._until = until
+        self._taken = 0
         heap = self._heap
         fifo = self._fifo
         popleft = fifo.popleft
@@ -220,13 +243,56 @@ class Simulator:
                     self.obs.tracer.event("sim.dispatch", event=repr(event))
                 callbacks = event.callbacks
                 event.callbacks = None
-                if callbacks:
+                if not callbacks:
+                    continue
+                if len(callbacks) == 1 and not capture:
+                    self._in_place = True
+                    callbacks[0](event)
+                    self._in_place = False
+                    now = self._now
+                else:
                     for fn in callbacks:
                         fn(event)
         finally:
             self._running = False
+            self._in_place = False
+            dispatched += self._taken
             if dispatched and self._evt_counter is not None:
                 self._evt_counter.inc(dispatched)
+
+    def take(self, event: Event) -> bool:
+        """Dispatch ``event`` here and now if the dispatch loop would
+        dispatch it next, and to nobody but the caller; say whether it did.
+
+        A process that has just created ``event`` calls this in place of
+        ``yield event`` and carries on when it returns True, so the loop
+        does not resume it through its whole ``yield from`` chain.  It
+        holds exactly when the loop is running the sole callback of the
+        event it popped (that callback is the caller's resume), nobody
+        waits on ``event``, and ``event`` is the loop's next pop: the
+        FIFO's only entry with no heap entry due now ahead of it, or the
+        heap's top below the loop's bound with the FIFO empty.  Then the
+        loop's next step would pop ``event`` and resume only the caller,
+        with a value the caller ignores; here the clock moves the same
+        way and the dispatch is counted the same way.
+        """
+        if not self._in_place or event.callbacks:
+            return False
+        fifo = self._fifo
+        heap = self._heap
+        if fifo:
+            if len(fifo) != 1 or fifo[0] is not event:
+                return False
+            if heap and heap[0][0] <= self._now and heap[0][1] <= self._origin:
+                return False
+            fifo.pop()
+        elif heap and heap[0][3] is event and heap[0][0] < self._until:
+            self._now = heappop(heap)[0]
+        else:
+            return False
+        event.callbacks = None
+        self._taken += 1
+        return True
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the event list drains or the clock passes ``until``.

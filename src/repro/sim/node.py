@@ -36,7 +36,7 @@ class SimNode:
         credentials: Optional[Dict[str, Any]] = None,
         cores: int = 1,
     ) -> None:
-        if cpu_capacity <= 0:
+        if not cpu_capacity > 0:  # also rejects NaN
             raise ValueError(f"cpu_capacity must be positive, got {cpu_capacity}")
         self.sim = sim
         self.name = name
@@ -94,9 +94,17 @@ class SimNode:
             raise NodeDownError(f"node {self.name} is down")
         sim = self.sim
         start = sim._now
-        yield self.cpu.request()
+        # Each event yielded only when the kernel would not dispatch it
+        # next to this process anyway (Simulator.take).  One name for
+        # both, so a suspended frame keeps at most one dispatched event
+        # alive.
+        ev = self.cpu.request()
+        if not sim.take(ev):
+            yield ev
         try:
-            yield Timeout(sim, self.service_time_ms(cpu_work))
+            ev = Timeout(sim, self.service_time_ms(cpu_work))
+            if not sim.take(ev):
+                yield ev
         finally:
             self.cpu.release()
         if not self.up:

@@ -13,6 +13,7 @@ resource.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Generator, Optional
 
 from .engine import Simulator
@@ -36,6 +37,14 @@ def transfer_time_ms(size_bytes: int, bandwidth_mbps: float, latency_ms: float) 
     return latency_ms + serialization
 
 
+def _check_link(latency_ms: float, bandwidth_mbps: float) -> None:
+    """Refuse a negative or NaN latency and a NaN bandwidth."""
+    if not latency_ms >= 0:  # also rejects NaN
+        raise ValueError(f"latency_ms must be >= 0, got {latency_ms}")
+    if math.isnan(bandwidth_mbps):
+        raise ValueError("bandwidth_mbps must be a number, got nan")
+
+
 class SimLink:
     """A bidirectional point-to-point link between two simulated nodes.
 
@@ -54,8 +63,7 @@ class SimLink:
         secure: bool = True,
         name: Optional[str] = None,
     ) -> None:
-        if latency_ms < 0:
-            raise ValueError(f"negative latency: {latency_ms}")
+        _check_link(latency_ms, bandwidth_mbps)
         self.sim = sim
         self.a = a
         self.b = b
@@ -151,8 +159,7 @@ class SimHalfLink:
         bandwidth_mbps: float,
         name: Optional[str] = None,
     ) -> None:
-        if latency_ms < 0:
-            raise ValueError(f"negative latency: {latency_ms}")
+        _check_link(latency_ms, bandwidth_mbps)
         self.sim = sim
         self.src = src
         self.dst = dst

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..network import Network
-from ..sim import LinkDownError, NodeDownError, SimLink, SimNode, Simulator
+from ..sim import LinkDownError, NodeDownError, SimLink, SimNode, Simulator, Timeout
 from ..sim.resources import Monitor
 
 __all__ = ["RuntimeTransport", "FaultHook", "CompiledRoute"]
@@ -199,18 +199,27 @@ class RuntimeTransport:
             hop_start = sim.now
             if inflight is not None:
                 inflight[link.name] = inflight.get(link.name, 0) + size_bytes
+            # Each event yielded only when the kernel would not dispatch
+            # it next to this process anyway (Simulator.take).  One name
+            # for all three, so a suspended frame keeps at most one
+            # dispatched event alive.
             try:
-                yield tx.request()
+                ev = tx.request()
+                if not sim.take(ev):
+                    yield ev
                 try:
-                    if bw_bps:
-                        yield sim.timeout((size_bytes * 8) / bw_bps * 1e3)
-                    else:
-                        yield sim.timeout(0.0)
+                    ev = Timeout(
+                        sim, (size_bytes * 8) / bw_bps * 1e3 if bw_bps else 0.0
+                    )
+                    if not sim.take(ev):
+                        yield ev
                 finally:
                     tx.release()
                 if not link.up:
                     raise LinkDownError(f"link {link.name} partitioned mid-transfer")
-                yield sim.timeout(latency_ms)
+                ev = Timeout(sim, latency_ms)
+                if not sim.take(ev):
+                    yield ev
             finally:
                 if inflight is not None:
                     inflight[link.name] -= size_bytes

@@ -45,6 +45,26 @@ def test_duplicate_link_rejected_both_directions():
         net.add_link("b", "a")
 
 
+@pytest.mark.parametrize("cpu_capacity", [0, -1.0, float("nan")])
+def test_add_node_rejects_a_capacity_that_is_not_positive(cpu_capacity):
+    with pytest.raises(ValueError):
+        Network().add_node("a", cpu_capacity=cpu_capacity)
+
+
+@pytest.mark.parametrize(
+    "latency_ms, bandwidth_mbps",
+    [(-3.0, 10.0), (float("nan"), 10.0), (1.0, float("nan"))],
+    ids=["negative-latency", "nan-latency", "nan-bandwidth"],
+)
+def test_add_link_rejects_values_routing_cannot_order(latency_ms, bandwidth_mbps):
+    net = Network()
+    net.add_node("a")
+    net.add_node("b")
+    with pytest.raises(ValueError):
+        net.add_link("a", "b", latency_ms=latency_ms, bandwidth_mbps=bandwidth_mbps)
+    assert net.n_links == 0
+
+
 def test_link_lookup_is_symmetric():
     net = triangle()
     assert net.link("a", "b") is net.link("b", "a")

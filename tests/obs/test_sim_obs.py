@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import Observability
-from repro.sim import Simulator
+from repro.sim import SimNode, Simulator
 
 
 def _two_step_process(sim):
@@ -58,9 +58,28 @@ def _build_two_steps(sim):
     return sim.process(_two_step_process(sim))
 
 
+def _build_holding_a_cpu(sim):
+    """A process holds a node's CPU twice: with capture off, its grants
+    and service timeouts are dispatched in place (``Simulator.take``)."""
+    node = SimNode(sim, "n", cpu_capacity=1000)
+
+    def body():
+        yield from node.execute(5)
+        yield sim.timeout(0.0)
+        yield from node.execute(10)
+
+    return sim.process(body())
+
+
 def _build_with_raising_callback(sim):
     proc = sim.process(_two_step_process(sim))
     sim.call_at(12.0, _boom)  # raises out of the dispatch loop mid-run
+    return proc
+
+
+def _build_holding_a_cpu_with_raising_callback(sim):
+    proc = _build_holding_a_cpu(sim)
+    sim.call_at(12.0, _boom)  # raises while the second job holds the CPU
     return proc
 
 
@@ -75,12 +94,20 @@ def _build_with_raising_callback(sim):
     ids=["run", "run-until", "two-runs", "run_until_complete"],
 )
 @pytest.mark.parametrize(
-    "build", [_build_two_steps, _build_with_raising_callback], ids=["clean", "raising"]
+    "build",
+    [
+        _build_two_steps,
+        _build_holding_a_cpu,
+        _build_with_raising_callback,
+        _build_holding_a_cpu_with_raising_callback,
+    ],
+    ids=["clean", "in-place", "raising", "in-place-raising"],
 )
 def test_events_dispatched_counter_equals_events_dispatched(build, drive):
     """The loop counts in a local and settles the counter on the way
     out — also when a callback raises, which still counts the event
-    whose callback raised — with capture on and with it off."""
+    whose callback raised — with capture on and with it off, and counts
+    the events dispatched in place with capture off."""
     outcome, expected = _dispatches_seen_by_capture(build, drive)
     obs = Observability(tracing=False, metrics=True)
     sim = Simulator(obs=obs)

@@ -1,20 +1,23 @@
 """The two-queue kernel dispatches in the heap-only kernel's order.
 
 Events due at the current instant skip the heap and wait in a FIFO, and
-``Simulator._drain`` merges the two queues.  The reference below is the
-kernel without the FIFO: every event goes onto the heap under its
-``(when, origin, seq)`` key, and the loop pops the heap alone.  Generated
-programs must dispatch the same labels at the same times, and schedule
-the same number of events, on both.
+``Simulator._drain`` merges the two queues.  A process holding a node's
+CPU may also have its grant and service timeout dispatched in place
+(``Simulator.take``).  The reference below is the kernel without the
+FIFO and without in-place dispatch: every event goes onto the heap under
+its ``(when, origin, seq)`` key, and the loop pops the heap alone.
+Generated programs must dispatch the same labels at the same times, and
+schedule and dispatch the same number of events, on both.
 """
 
 import math
 from heapq import heappop, heappush
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Injected, SimulationError, Simulator
+from repro.obs import Observability
+from repro.sim import Injected, SimNode, SimulationError, Simulator
 
 # -- the reference kernel -------------------------------------------------------
 
@@ -35,22 +38,28 @@ class _OntoTheHeap:
 
 
 class HeapOnlySimulator(Simulator):
-    """Every event on the heap, one pop site: the reference order."""
+    """Every event on the heap, one pop site: the reference order.  Its
+    loop counts its own dispatches and never dispatches in place."""
 
-    def __init__(self, origin=0):
-        super().__init__(origin=origin)
+    def __init__(self, obs=None, origin=0):
+        super().__init__(obs=obs, origin=origin)
         self._fifo = _OntoTheHeap(self)
 
     def _drain(self, until, proc):
         heap = self._heap
-        while heap and heap[0][0] < until and not (proc and proc._triggered):
-            when, _origin, _seq, event = heappop(heap)
-            if when < self._now:
-                raise SimulationError("event list corrupted: time went backwards")
-            self._now = when
-            callbacks, event.callbacks = event.callbacks, None
-            for fn in callbacks or ():
-                fn(event)
+        dispatched = 0
+        try:
+            while heap and heap[0][0] < until and not (proc and proc._triggered):
+                when, _origin, _seq, event = heappop(heap)
+                if when < self._now:
+                    raise SimulationError("event list corrupted: time went backwards")
+                self._now = when
+                dispatched += 1
+                callbacks, event.callbacks = event.callbacks, None
+                for fn in callbacks or ():
+                    fn(event)
+        finally:
+            self._evt_counter.inc(dispatched)
 
 
 # -- generated programs -----------------------------------------------------------
@@ -63,6 +72,10 @@ LEAF = st.one_of(
     st.tuples(st.sampled_from(["succeed", "fail", "call_at"])),
     st.tuples(st.just("external"), st.sampled_from([-1, 1])),
     st.tuples(st.sampled_from(["any_of", "all_of"]), DELAYS, DELAYS),
+    # hold one of two shared CPUs for 0, 500 or 1000 ms
+    st.tuples(st.just("hold"), st.integers(0, 1), st.sampled_from([0, 500, 1000])),
+    # wait on one of two timeouts that several processes may share
+    st.tuples(st.just("shared"), st.integers(0, 1)),
 )
 STEP = st.one_of(
     LEAF,
@@ -82,9 +95,12 @@ def _delay(sim, d):
     return d
 
 
-def execute(sim_cls, origin, program, stops, limit):
+def execute(sim_cls, origin, program, stops, limit, shared_delays):
     """Run ``program`` on a fresh ``sim_cls``; return what was observed."""
-    sim = sim_cls(origin=origin)
+    obs = Observability(tracing=False, metrics=True)
+    sim = sim_cls(obs=obs, origin=origin)
+    nodes = [SimNode(sim, f"n{i}", cpu_capacity=1000) for i in range(2)]
+    shared = [sim.timeout(_delay(sim, d)) for d in shared_delays]
     trace = []
     external_seq = [0]
 
@@ -114,6 +130,10 @@ def execute(sim_cls, origin, program, stops, limit):
                 ev = Injected(sim, label + "!")
                 ev.add_callback(lambda e: log(e.payload))
                 sim.schedule_external(sim.now, origin + step[1], external_seq[0], ev)
+            elif kind == "hold":
+                yield from nodes[step[1]].execute(step[2])
+            elif kind == "shared":
+                yield shared[step[1]]
             elif kind in ("any_of", "all_of"):
                 children = [sim.timeout(_delay(sim, d)) for d in step[1:]]
                 yield getattr(sim, kind)(children)
@@ -134,17 +154,43 @@ def execute(sim_cls, origin, program, stops, limit):
         except SimulationError as exc:
             log(("limit", str(exc).split(" waiting")[0]))
     sim.run()
-    return trace, sim.events_scheduled, sim.now
+    dispatched = obs.metrics.counter("sim.events_dispatched").value
+    return trace, sim.events_scheduled, dispatched, sim.now
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     origin=st.integers(0, 3),
     program=PROGRAMS,
     stops=STOPS,
     limit=st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.5])),
+    shared_delays=st.tuples(DELAYS, DELAYS),
 )
-def test_two_queues_dispatch_in_heap_order(origin, program, stops, limit):
-    got = execute(Simulator, origin, program, stops, limit)
-    want = execute(HeapOnlySimulator, origin, program, stops, limit)
+# Each of these dispatches out of order if take() ignores one of its
+# conditions, in turn: a heap event due now from a lower origin, a second
+# waiter on the popped event, the drain's bound (the stop at 0.5 ms).
+@example(
+    origin=1,
+    program=[[("external", -1), ("hold", 0, 0)]],
+    stops=[],
+    limit=None,
+    shared_delays=(1.0, 2.0),
+)
+@example(
+    origin=0,
+    program=[[("shared", 0), ("hold", 0, 0)], [("shared", 0)]],
+    stops=[],
+    limit=None,
+    shared_delays=(0.5, 2.0),
+)
+@example(
+    origin=0,
+    program=[[("hold", 0, 500)]],
+    stops=[0.5],
+    limit=None,
+    shared_delays=("zero", "zero"),
+)
+def test_two_queues_dispatch_in_heap_order(origin, program, stops, limit, shared_delays):
+    got = execute(Simulator, origin, program, stops, limit, shared_delays)
+    want = execute(HeapOnlySimulator, origin, program, stops, limit, shared_delays)
     assert got == want

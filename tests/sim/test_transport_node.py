@@ -5,6 +5,7 @@ import pytest
 from repro.sim import (
     LinkDownError,
     NodeDownError,
+    SimHalfLink,
     SimLink,
     SimNode,
     Simulator,
@@ -85,6 +86,26 @@ def test_link_negative_latency_rejected():
         SimLink(Simulator(), "a", "b", latency_ms=-1, bandwidth_mbps=1)
 
 
+@pytest.mark.parametrize(
+    "latency_ms, bandwidth_mbps",
+    [(float("nan"), 1), (1, float("nan"))],
+    ids=["nan-latency", "nan-bandwidth"],
+)
+def test_link_nan_latency_or_bandwidth_rejected(latency_ms, bandwidth_mbps):
+    with pytest.raises(ValueError):
+        SimLink(Simulator(), "a", "b", latency_ms, bandwidth_mbps)
+
+
+@pytest.mark.parametrize(
+    "latency_ms, bandwidth_mbps",
+    [(-1, 1), (float("nan"), 1), (1, float("nan"))],
+    ids=["negative-latency", "nan-latency", "nan-bandwidth"],
+)
+def test_half_link_bad_latency_or_bandwidth_rejected(latency_ms, bandwidth_mbps):
+    with pytest.raises(ValueError):
+        SimHalfLink(Simulator(), "a", "b", latency_ms, bandwidth_mbps)
+
+
 def test_infinite_bandwidth_is_pure_latency():
     sim = Simulator()
     link = SimLink(sim, "a", "b", latency_ms=5, bandwidth_mbps=0)
@@ -141,6 +162,11 @@ def test_node_multicore_parallelism():
 def test_node_bad_capacity():
     with pytest.raises(ValueError):
         SimNode(Simulator(), "n", cpu_capacity=0)
+
+
+def test_node_nan_capacity_rejected():
+    with pytest.raises(ValueError):
+        SimNode(Simulator(), "n", cpu_capacity=float("nan"))
 
 
 # -- liveness checks on the transfer / execute paths --------------------------
