@@ -95,7 +95,7 @@ def _run_broadcast_fanout(
     n_replicas: int = 64, n_updates: int = 500, rounds: int = 20
 ) -> dict:
     directory = CoherenceDirectory(
-        AttributeConflictMap("sensitivity", "TrustLevel", "le"), obs=NULL_OBS
+        AttributeConflictMap("sensitivity", "TrustLevel"), obs=NULL_OBS
     )
 
     class _Host:

@@ -43,7 +43,7 @@ def main() -> None:
         mail_translator(),
         algorithm="dp_chain",
         server_node=topo.server_node,
-        conflict_map=AttributeConflictMap("sensitivity", "TrustLevel", "le"),
+        conflict_map=AttributeConflictMap("sensitivity", "TrustLevel"),
     )
     runtime.service_state["mail_users"] = DEFAULT_USERS
     for name, cls in MAIL_COMPONENT_CLASSES.items():

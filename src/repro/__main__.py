@@ -591,7 +591,7 @@ def cmd_parallel_sim(args: argparse.Namespace) -> int:
     )
 
     topo = build_fig5_network(clients_per_site=args.clients)
-    plan = partition_network(topo.network, credential=args.credential)
+    plan = partition_network(topo.network)
     for line in plan.describe():
         log.info(f"parallel-sim: {line}")
 
@@ -931,9 +931,6 @@ def main(argv=None) -> int:
     p.add_argument("--until", type=float, default=30_000.0,
                    help="simulation horizon (sim ms, exclusive)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--credential", default="site",
-                   help="node credential to partition by (fallback: "
-                        "latency min-cut)")
     p.add_argument("--check-determinism", action="store_true",
                    help="re-run single-process and require identical "
                         "run signatures")

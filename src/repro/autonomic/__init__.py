@@ -11,16 +11,14 @@ the existing replanner/coherence machinery.  Everything is behind
 are byte-identical.
 """
 
-from .manager import AutonomicConfig, AutonomicEvent, AutonomicManager
-from .policy import DEFAULT_RULES, PolicyEngine, ScaleSignal, ThresholdRule, default_rules
+from .manager import AutonomicEvent, AutonomicManager
+from .policy import DEFAULT_RULES, PolicyEngine, ScaleSignal, ThresholdRule
 
 __all__ = [
-    "AutonomicConfig",
     "AutonomicEvent",
     "AutonomicManager",
     "DEFAULT_RULES",
     "PolicyEngine",
     "ScaleSignal",
     "ThresholdRule",
-    "default_rules",
 ]

@@ -44,47 +44,30 @@ from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..network.monitor import ChangeEvent
 from ..planner.load import compute_loads
-from .policy import PolicyEngine, ScaleSignal, ThresholdRule
+from .policy import DEFAULT_RULES, PolicyEngine, ScaleSignal
 
-__all__ = ["AutonomicConfig", "AutonomicEvent", "AutonomicManager"]
+__all__ = ["AutonomicEvent", "AutonomicManager"]
 
-
-@dataclass
-class AutonomicConfig:
-    """Knobs of the autonomic loop (all times in sim milliseconds)."""
-
-    #: threshold rules; ``None`` uses :data:`~repro.autonomic.policy.DEFAULT_RULES`
-    rules: Optional[List[ThresholdRule]] = None
-    #: minimum gap between successive scale-out actuations
-    cooldown_ms: float = 4000.0
-    #: minimum gap between successive scale-in actuations (longer: the
-    #: cost of retiring too eagerly is a re-scale-out flap)
-    scale_in_cooldown_ms: float = 8000.0
-    #: planner headroom: planned rates target this fraction of capacity
-    headroom: float = 0.75
-    #: offered-rate estimate: mean of the last N sampler ticks
-    rate_window_ticks: int = 4
-    #: floor on any planned per-binding rate (req/s)
-    min_rate: float = 1.0
-    #: scale-out requires this much total measured offered load (req/s)
-    #: — saturation with no client traffic (e.g. bind-time planning work
-    #: burning the server node's CPU) is not a reason to add replicas
-    min_offered_per_s: float = 5.0
-    #: bounded wait for in-flight requests before retiring an instance
-    drain_timeout_ms: float = 2000.0
-    #: poll interval while draining
-    drain_poll_ms: float = 50.0
-
-    @classmethod
-    def coerce(cls, value: Any) -> Optional["AutonomicConfig"]:
-        """Accept ``True`` / instance; ``False``/``None`` -> None."""
-        if not value:
-            return None
-        if value is True:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        raise TypeError(f"autonomic must be bool/AutonomicConfig, got {value!r}")
+# All times in sim milliseconds.
+#: minimum gap between successive scale-out actuations
+COOLDOWN_MS = 4000.0
+#: minimum gap between successive scale-in actuations (longer: the
+#: cost of retiring too eagerly is a re-scale-out flap)
+SCALE_IN_COOLDOWN_MS = 8000.0
+#: planner headroom: planned rates target this fraction of capacity
+HEADROOM = 0.75
+#: offered-rate estimate: mean of the last N sampler ticks
+RATE_WINDOW_TICKS = 4
+#: floor on any planned per-binding rate (req/s)
+MIN_RATE = 1.0
+#: scale-out requires this much total measured offered load (req/s)
+#: — saturation with no client traffic (e.g. bind-time planning work
+#: burning the server node's CPU) is not a reason to add replicas
+MIN_OFFERED_PER_S = 5.0
+#: bounded wait for in-flight requests before retiring an instance
+DRAIN_TIMEOUT_MS = 2000.0
+#: poll interval while draining
+DRAIN_POLL_MS = 50.0
 
 
 @dataclass
@@ -121,14 +104,13 @@ class AutonomicManager:
     """Wire the policy engine to the replanner over a runtime.
 
     Construction is cheap and side-effect-free; :meth:`attach` (called
-    by ``SmockRuntime`` when the ``autonomic`` knob is truthy) registers
-    the sampler hooks.  Bindings are registered on ``runtime.replanner``
-    (which :meth:`attach` guarantees exists), the one place they live.
+    by ``SmockRuntime(autonomic=True)``) registers the sampler hooks.
+    Bindings are registered on ``runtime.replanner`` (which
+    :meth:`attach` guarantees exists), the one place they live.
     """
 
-    def __init__(self, runtime: Any, config: Optional[AutonomicConfig] = None) -> None:
+    def __init__(self, runtime: Any) -> None:
         self.runtime = runtime
-        self.config = config or AutonomicConfig()
         self.engine: Optional[PolicyEngine] = None
         self.events: List[AutonomicEvent] = []
         #: signals that were gated off (cooldown / already replanning)
@@ -155,7 +137,7 @@ class AutonomicManager:
                 "telemetry_interval_ms set (or let autonomic default it)"
             )
         sampler.add_scan(self._rate_scan)
-        self.engine = PolicyEngine(sampler, rules=self.config.rules)
+        self.engine = PolicyEngine(sampler, DEFAULT_RULES)
         self.engine.attach()
         self.engine.subscribe(self._on_signal)
         self._ensure_replanner().autonomic = self
@@ -193,15 +175,11 @@ class AutonomicManager:
         replanner = getattr(self.runtime, "replanner", None)
         if replanner is None:
             return
-        window = max(1, self.config.rate_window_ticks)
         for binding in replanner.bindings:
             proxy = binding.proxy
             count = float(getattr(proxy, "requests", 0))
             prev, history = self._rate_state.get(
-                id(proxy), (count, deque(maxlen=window))
-            )
-            history = history if history.maxlen == window else deque(
-                history, maxlen=window
+                id(proxy), (count, deque(maxlen=RATE_WINDOW_TICKS))
             )
             rate = max(0.0, (count - prev) * 1000.0 / interval)
             history.append(rate)
@@ -221,7 +199,7 @@ class AutonomicManager:
         """Highest per-binding rate the planner can still place.
 
         Computed against the binding's *current* plan at unit rate: the
-        binding's whole chain must fit under ``headroom`` of each node's
+        binding's whole chain must fit under :data:`HEADROOM` of each node's
         total capacity and each component's declared capacity, so a
         measured rate beyond any single chain's ceiling is clamped and
         the overflow left to admission control to shed.
@@ -230,18 +208,17 @@ class AutonomicManager:
         ctx = planner.ctx
         report = compute_loads(ctx, binding.plan, 1.0)
         cap = float("inf")
-        headroom = self.config.headroom
         for node_name, demand in report.node_cpu.items():
             if demand <= 0:
                 continue
             capacity = ctx.network.node(node_name).cpu_capacity
-            cap = min(cap, headroom * capacity / demand)
+            cap = min(cap, HEADROOM * capacity / demand)
         for idx, inbound in report.inbound.items():
             if inbound <= 0:
                 continue
             unit = ctx.spec.unit(binding.plan.placements[idx].unit)
-            cap = min(cap, headroom * unit.behaviors.capacity / inbound)
-        return cap if cap != float("inf") else self.config.min_rate
+            cap = min(cap, HEADROOM * unit.behaviors.capacity / inbound)
+        return cap if cap != float("inf") else MIN_RATE
 
     # -- signal actuation -----------------------------------------------------
     def _on_signal(self, signal: ScaleSignal) -> None:
@@ -256,9 +233,7 @@ class AutonomicManager:
         if signal.action == "scale_in" and not self._scaled_out:
             return
         cooldown = (
-            self.config.scale_in_cooldown_ms
-            if signal.action == "scale_in"
-            else self.config.cooldown_ms
+            SCALE_IN_COOLDOWN_MS if signal.action == "scale_in" else COOLDOWN_MS
         )
         last = self._last_fire.get(signal.action)
         if last is not None and now - last < cooldown:
@@ -275,7 +250,7 @@ class AutonomicManager:
             return
         if signal.action == "scale_out":
             total = sum(self._measured_rate(b) for b in replanner.bindings)
-            if total < self.config.min_offered_per_s:
+            if total < MIN_OFFERED_PER_S:
                 self.suppressed += 1
                 metrics.inc("autonomic.idle_skips")
                 return
@@ -293,7 +268,7 @@ class AutonomicManager:
         for binding in replanner.bindings:
             cap = self._rate_cap(binding)
             measured = self._measured_rate(binding)
-            planned = max(self.config.min_rate, min(measured, cap))
+            planned = max(MIN_RATE, min(measured, cap))
             binding.request.request_rate = planned
             event.planned_rates[binding.request.client_node] = round(planned, 3)
         self._pending = event
@@ -381,7 +356,7 @@ class AutonomicManager:
 
         Live migration step 1: the proxy has already been rebound to the
         new placement, so no *new* requests arrive here; we wait (up to
-        ``drain_timeout_ms``) for requests already past admission to
+        :data:`DRAIN_TIMEOUT_MS`) for requests already past admission to
         complete before the retire path flushes and uninstalls.
         """
         sim = self.runtime.sim
@@ -389,9 +364,9 @@ class AutonomicManager:
         if not inflight:
             return
         start = sim.now
-        deadline = start + self.config.drain_timeout_ms
+        deadline = start + DRAIN_TIMEOUT_MS
         while getattr(instance, "inflight", 0) > 0 and sim.now < deadline:
-            yield sim.timeout(self.config.drain_poll_ms)
+            yield sim.timeout(DRAIN_POLL_MS)
         metrics = self.runtime.obs.metrics
         metrics.observe("autonomic.drain_wait_ms", sim.now - start)
         if getattr(instance, "inflight", 0) > 0:

@@ -27,7 +27,6 @@ __all__ = [
     "ThresholdRule",
     "PolicyEngine",
     "DEFAULT_RULES",
-    "default_rules",
 ]
 
 
@@ -97,69 +96,56 @@ class ThresholdRule:
         return value <= self.threshold
 
 
-def default_rules(
-    *,
-    hot_utilization: float = 0.90,
-    deep_queue: float = 16.0,
-    slow_p99_ms: float = 1800.0,
-    cold_utilization: float = 0.45,
-    dirty_backlog: float = 512.0,
-) -> List[ThresholdRule]:
-    """The stock rule set used by ``SmockRuntime(autonomic=True)``.
-
-    Scale-out triggers are ``any``-aggregated (one saturated node is a
-    violation); the scale-in trigger is ``all``-aggregated over node
-    utilization so retirement waits for the whole fleet to go quiet.
-    Thresholds are tuned for the fig. 5 mail topology under the PR 7
-    load cells (100-cpu nodes, 32-deep accept queues).
-    """
-    return [
-        ThresholdRule(
-            name="node-hot",
-            series="node.cpu_utilization",
-            threshold=hot_utilization,
-            action="scale_out",
-            direction="above",
-            sustain=3,
-        ),
-        ThresholdRule(
-            name="queue-deep",
-            series="node.cpu_queue_depth",
-            threshold=deep_queue,
-            action="scale_out",
-            direction="above",
-            sustain=2,
-        ),
-        ThresholdRule(
-            name="op-p99-slow",
-            series="smock.request_sim_ms.p99",
-            threshold=slow_p99_ms,
-            action="scale_out",
-            direction="above",
-            sustain=4,
-        ),
-        ThresholdRule(
-            name="node-cold",
-            series="node.cpu_utilization",
-            threshold=cold_utilization,
-            action="scale_in",
-            direction="below",
-            sustain=8,
-            aggregate="all",
-        ),
-        ThresholdRule(
-            name="dirty-backlog",
-            series="coherence.dirty_units",
-            threshold=dirty_backlog,
-            action="flush",
-            direction="above",
-            sustain=4,
-        ),
-    ]
-
-
-#: Stock rules with the documented defaults (see DESIGN.md §8).
-DEFAULT_RULES: List[ThresholdRule] = default_rules()
+#: The stock rule set used by ``SmockRuntime(autonomic=True)`` (see
+#: DESIGN.md §8).  Scale-out triggers are ``any``-aggregated (one
+#: saturated node is a violation); the scale-in trigger is
+#: ``all``-aggregated over node utilization so retirement waits for the
+#: whole fleet to go quiet.  Thresholds are tuned for the fig. 5 mail
+#: topology under the open-loop load cells (100-cpu nodes, 32-deep
+#: accept queues).
+DEFAULT_RULES: List[ThresholdRule] = [
+    ThresholdRule(
+        name="node-hot",
+        series="node.cpu_utilization",
+        threshold=0.90,
+        action="scale_out",
+        direction="above",
+        sustain=3,
+    ),
+    ThresholdRule(
+        name="queue-deep",
+        series="node.cpu_queue_depth",
+        threshold=16.0,
+        action="scale_out",
+        direction="above",
+        sustain=2,
+    ),
+    ThresholdRule(
+        name="op-p99-slow",
+        series="smock.request_sim_ms.p99",
+        threshold=1800.0,
+        action="scale_out",
+        direction="above",
+        sustain=4,
+    ),
+    ThresholdRule(
+        name="node-cold",
+        series="node.cpu_utilization",
+        threshold=0.45,
+        action="scale_in",
+        direction="below",
+        sustain=8,
+        aggregate="all",
+    ),
+    ThresholdRule(
+        name="dirty-backlog",
+        series="coherence.dirty_units",
+        threshold=512.0,
+        action="flush",
+        direction="above",
+        sustain=4,
+    ),
+]
 
 
 class PolicyEngine:
@@ -174,11 +160,11 @@ class PolicyEngine:
     def __init__(
         self,
         sampler: Any,
-        rules: Optional[List[ThresholdRule]] = None,
+        rules: List[ThresholdRule],
         on_signal: Optional[Callable[[ScaleSignal], None]] = None,
     ) -> None:
         self.sampler = sampler
-        self.rules = list(DEFAULT_RULES if rules is None else rules)
+        self.rules = list(rules)
         self.signals: List[ScaleSignal] = []
         self.evaluations = 0
         self._listeners: List[Callable[[ScaleSignal], None]] = []

@@ -70,17 +70,16 @@ class ChaosCaseConfig:
     load_arrival: str = "poisson"
     #: simulated-user roster size for the background load
     load_users: int = 1_000
-    #: overload-protection knob passed through to the runtime (False /
-    #: True / OverloadConfig); independent of load_rate_per_s so the
-    #: composite can run both protected and unprotected
-    overload_protection: Any = False
-    #: autonomic-loop knob passed through to the runtime (False / True /
-    #: AutonomicConfig / kwargs dict).  The manager shares the harness's
-    #: self-healing replanner, so scale rounds and failover rounds
-    #: interleave through one machinery; pair with load_rate_per_s for a
-    #: load x fault x scale composite.  False keeps cases byte-identical
-    #: to the autonomic-less harness.
-    autonomic: Any = False
+    #: overload-protection switch passed through to the runtime;
+    #: independent of load_rate_per_s so the composite can run both
+    #: protected and unprotected
+    overload_protection: bool = False
+    #: autonomic-loop switch passed through to the runtime.  The
+    #: manager shares the harness's self-healing replanner, so scale
+    #: rounds and failover rounds interleave through one machinery; pair
+    #: with load_rate_per_s for a load x fault x scale composite.  False
+    #: keeps cases byte-identical to the autonomic-less harness.
+    autonomic: bool = False
     #: control-plane chaos: additionally crash the *brain* — the lookup
     #: primary's host and the coherence-directory host — one scripted
     #: crash+restart each, in their own fault slots (see

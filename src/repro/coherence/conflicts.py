@@ -102,29 +102,17 @@ class ConflictMap:
 class AttributeConflictMap(ConflictMap):
     """Declarative conflict map over one update attribute and one factor.
 
-    ``AttributeConflictMap("sensitivity", "TrustLevel", "le")`` says: an
+    ``AttributeConflictMap("sensitivity", "TrustLevel")`` says: an
     update conflicts with a view configuration iff
     ``update.sensitivity <= config.TrustLevel`` — exactly the mail
     service's rule (messages above a replica's trust level are never
     stored there, so they cannot conflict with it).
     """
 
-    _OPS = {
-        "le": lambda a, b: a <= b,
-        "lt": lambda a, b: a < b,
-        "ge": lambda a, b: a >= b,
-        "gt": lambda a, b: a > b,
-        "eq": lambda a, b: a == b,
-    }
-
-    def __init__(self, attribute: str, factor: str, relation: str = "le") -> None:
+    def __init__(self, attribute: str, factor: str) -> None:
         super().__init__()
-        if relation not in self._OPS:
-            raise ValueError(f"unknown relation {relation!r}")
         self.attribute = attribute
         self.factor = factor
-        self.relation = relation
-        op = self._OPS[relation]
 
         def predicate(update: Update, config: ViewConfig) -> bool:
             value = update.attr(self.attribute)
@@ -134,6 +122,6 @@ class AttributeConflictMap(ConflictMap):
             bound = factors.get(self.factor)
             if bound is None:
                 return True  # unfactored view sees everything
-            return op(value, bound)
+            return value <= bound
 
         self.register_default(predicate)

@@ -188,7 +188,7 @@ def build_mail_testbed(
         algorithm=algorithm,
         server_node=topo.server_node,
         code_base_node=topo.server_node,
-        conflict_map=AttributeConflictMap("sensitivity", "TrustLevel", "le"),
+        conflict_map=AttributeConflictMap("sensitivity", "TrustLevel"),
         view_policy=view_policy,
         **runtime_kwargs,
     )

@@ -2,11 +2,12 @@
 
 The paper's framework has no failure story; this detector supplies the
 missing observation channel the §6 monitoring integration needs for
-fail-stop faults.  A monitor process on a *home* node pings every other
-host over the simulated network at a fixed interval; ``miss_threshold``
-consecutive missed heartbeats declare the host dead.  Detection latency
-is therefore bounded by roughly ``miss_threshold × interval_ms`` plus
-ping round-trip time — the model documented in DESIGN.md.
+fail-stop faults.  A monitor process on the runtime's server node (its
+*home*) pings every other host over the simulated network at a fixed
+interval; ``miss_threshold`` consecutive missed heartbeats declare the
+host dead.  Detection latency is therefore bounded by roughly
+``miss_threshold × interval_ms`` plus ping round-trip time — the model
+documented in DESIGN.md.
 
 Detections are published two ways, both belief-layer only:
 
@@ -23,7 +24,7 @@ same path with ``new=True``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator
 
 from ..network import NetworkError
 from ..network.monitor import ChangeEvent, NetworkMonitor
@@ -48,7 +49,7 @@ class FailureEvent(ChangeEvent):
 
 
 class FailureDetector:
-    """Pings hosts from a home node; declares them dead after misses."""
+    """Pings hosts from the server node; declares them dead after misses."""
 
     def __init__(
         self,
@@ -56,8 +57,6 @@ class FailureDetector:
         monitor: NetworkMonitor,
         interval_ms: float = 250.0,
         miss_threshold: int = 3,
-        home_node: Optional[str] = None,
-        ping_timeout_ms: Optional[float] = None,
     ) -> None:
         if not interval_ms > 0:  # NaN too
             raise ValueError("interval_ms must be positive")
@@ -67,13 +66,7 @@ class FailureDetector:
         self.monitor = monitor
         self.interval_ms = interval_ms
         self.miss_threshold = miss_threshold
-        self.home_node = home_node or runtime.server_node
-        #: a ping slower than this counts as missed (dropped heartbeats
-        #: never return at all — the timeout is what bounds them).
-        #: ``None`` sizes the timeout per target from the analytic path
-        #: RTT — a fixed value shorter than a target's round trip would
-        #: declare every distant node dead.
-        self.ping_timeout_ms = ping_timeout_ms
+        self.home_node = runtime.server_node
         self._misses: Dict[str, int] = {}
         self._running = False
         self.failures_detected = 0
@@ -118,9 +111,13 @@ class FailureDetector:
                 self._account(name, bool(ping.value))
 
     def _timeout_for(self, name: str) -> float:
-        """Per-target ping budget: generous multiple of the analytic RTT."""
-        if self.ping_timeout_ms is not None:
-            return self.ping_timeout_ms
+        """Per-target ping budget: generous multiple of the analytic RTT.
+
+        A ping slower than this counts as missed (dropped heartbeats
+        never return at all — the timeout is what bounds them).  Sized
+        per target because a fixed value shorter than a target's round
+        trip would declare every distant node dead.
+        """
         try:
             one_way = self.runtime.network.path(self.home_node, name).latency_ms
         except NetworkError:

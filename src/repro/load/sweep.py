@@ -148,12 +148,12 @@ def _p99_recovery_windows(
 def run_load_cell(
     arrival: ArrivalProcess,
     config: Optional[LoadConfig] = None,
-    protection: Any = False,
+    protection: bool = False,
     slo: Any = None,
     n_proxies: int = 5,
     retry_policy: Optional[RetryPolicy] = None,
     label: Optional[str] = None,
-    autonomic: Any = False,
+    autonomic: bool = False,
     telemetry_interval_ms: Optional[float] = None,
     flight: Any = None,
 ) -> LoadCellResult:
@@ -161,14 +161,12 @@ def run_load_cell(
     clients pumping the default mail mix at ``LOAD_NODE_CPU``.
 
     ``protection`` passes through to the runtime's
-    ``overload_protection`` knob (``False`` / ``True`` /
-    :class:`~repro.smock.OverloadConfig`).  ``retry_policy`` is a
-    template: each proxy gets its own copy seeded ``seed + i`` so retry
-    jitter streams stay independent and reproducible.
+    ``overload_protection`` switch.  ``retry_policy`` is a template:
+    each proxy gets its own copy seeded ``seed + i`` so retry jitter
+    streams stay independent and reproducible.
 
-    ``autonomic`` passes through to the runtime's autonomic knob
-    (``False`` / ``True`` / :class:`~repro.autonomic.AutonomicConfig`);
-    when truthy every bound proxy is registered with the autonomic
+    ``autonomic`` passes through to the runtime's autonomic switch;
+    when on every bound proxy is registered with the autonomic
     manager's replanner so scale rounds can rebind it, and the cell
     result carries an ``autonomic`` summary of the actuated decisions.
     ``telemetry_interval_ms`` (sim ms per sample) and ``flight`` (a
@@ -253,7 +251,7 @@ def run_load_cell(
             offered_rate_per_s=float(
                 getattr(arrival, "rate_per_s", 0.0) or arrival.peak_rate()
             ),
-            protection=bool(protection),
+            protection=protection,
             arrival=label or type(arrival).__name__,
             seed=config.seed,
             duration_ms=config.duration_ms,
@@ -366,18 +364,16 @@ def run_load_sweep(
     rates: Sequence[float],
     modes: Sequence[bool] = (False, True),
     config: Optional[LoadConfig] = None,
-    protection: Any = True,
     slo: Any = None,
     parallel: int = 0,
     **cell_kwargs: Any,
 ) -> LoadSweepResult:
     """One Poisson cell per offered rate per protection mode.
 
-    ``protection`` is what "mode on" means (``True`` or an
-    :class:`~repro.smock.OverloadConfig`); mode off always runs the
-    bare runtime.  Each cell gets a fresh testbed and an arrival seed
-    derived from the config seed and the rate's index, so curves are
-    reproducible point by point.
+    Mode on runs the protected runtime, mode off the bare one.  Each
+    cell gets a fresh testbed and an arrival seed derived from the
+    config seed and the rate's index, so curves are reproducible point
+    by point.
 
     ``parallel`` > 1 farms the cells out to that many worker processes
     (cells are embarrassingly parallel: each builds its own testbed and
@@ -387,7 +383,7 @@ def run_load_sweep(
     config = config or LoadConfig()
     sweep = LoadSweepResult(rates=list(rates))
     tasks = [
-        (rate, i, protection if mode else False, config, slo, cell_kwargs)
+        (rate, i, mode, config, slo, cell_kwargs)
         for mode in modes
         for i, rate in enumerate(rates)
     ]
@@ -414,7 +410,7 @@ class FlashCrowdPair:
     unprotected: LoadCellResult
     protected: LoadCellResult
     #: fourth cell — protection *and* the autonomic loop — present only
-    #: when :func:`run_flash_crowd_pair` ran with ``autonomic`` truthy
+    #: when :func:`run_flash_crowd_pair` ran with ``autonomic=True``
     autonomic: Optional[LoadCellResult] = None
 
     @property
@@ -465,9 +461,8 @@ def run_flash_crowd_pair(
     decay_ms: float = 3_000.0,
     reference_rate_per_s: Optional[float] = 100.0,
     config: Optional[LoadConfig] = None,
-    protection: Any = True,
     slo: Any = None,
-    autonomic: Any = False,
+    autonomic: bool = False,
     flight: Any = None,
     **cell_kwargs: Any,
 ) -> FlashCrowdPair:
@@ -481,7 +476,7 @@ def run_flash_crowd_pair(
     admission + throttling shed the excess before it reaches a CPU and
     goodput holds near 100% of peak with bounded p99.
 
-    With ``autonomic`` truthy a *fourth* cell runs the same trace with
+    With ``autonomic=True`` a *fourth* cell runs the same trace with
     protection **and** the autonomic loop: the crowd trips the
     saturation rules, views scale out across the site, and goodput rises
     above the protected-only cell (capacity grows instead of shedding);
@@ -521,13 +516,13 @@ def run_flash_crowd_pair(
         label="flash-crowd", **cell_kwargs,
     )
     protected = run_load_cell(
-        flash(), config=config, protection=protection, slo=slo,
+        flash(), config=config, protection=True, slo=slo,
         label="flash-crowd", **cell_kwargs,
     )
     autonomic_cell = None
     if autonomic:
         autonomic_cell = run_load_cell(
-            flash(), config=config, protection=protection, slo=slo,
+            flash(), config=config, protection=True, slo=slo,
             label="flash-autonomic", autonomic=autonomic, flight=flight,
             **cell_kwargs,
         )

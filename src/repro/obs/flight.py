@@ -2,9 +2,9 @@
 
 A crash or invariant violation at simulated minute 40 is useless without
 the seconds leading up to it.  The :class:`FlightRecorder` keeps the
-last ``capacity`` records — telemetry-sampler ticks, fault injections,
-invariant violations, whatever callers push — and dumps them as JSONL
-on demand, so a failing chaos seed ships a post-mortem artifact instead
+last :data:`FLIGHT_CAPACITY` records — telemetry-sampler ticks, fault
+injections, invariant violations, whatever callers push — and dumps
+them as JSONL on demand, so a failing chaos seed ships a post-mortem artifact instead
 of just a seed number.
 
 Records are plain dicts ``{"t_ms": ..., "kind": ..., **payload}``; the
@@ -21,7 +21,7 @@ from typing import Any, Deque, Dict, IO, List, Union
 
 __all__ = ["FlightRecorder", "dump_records_jsonl"]
 
-#: default ring capacity — at the default 500 ms sampling interval this
+#: ring capacity — at the default 500 ms sampling interval this
 #: holds the last ~4 simulated minutes of ticks plus interleaved events
 FLIGHT_CAPACITY = 512
 
@@ -29,16 +29,13 @@ FLIGHT_CAPACITY = 512
 class FlightRecorder:
     """Bounded ring of recent samples and events."""
 
-    def __init__(self, capacity: int = FLIGHT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.dropped = 0
-        self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
+        self._ring: Deque[Dict[str, Any]] = deque(maxlen=FLIGHT_CAPACITY)
 
     def record(self, kind: str, t_ms: float, **payload: Any) -> None:
         """Push one record; evicts the oldest when the ring is full."""
-        if len(self._ring) == self.capacity:
+        if len(self._ring) == FLIGHT_CAPACITY:
             self.dropped += 1
         self._ring.append({"t_ms": t_ms, "kind": kind, **payload})
 
@@ -63,7 +60,7 @@ class FlightRecorder:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<FlightRecorder n={len(self._ring)}/{self.capacity} "
+            f"<FlightRecorder n={len(self._ring)}/{FLIGHT_CAPACITY} "
             f"dropped={self.dropped}>"
         )
 

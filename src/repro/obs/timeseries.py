@@ -42,7 +42,7 @@ from .metrics import LabelKey, MetricsRegistry, _format_key, _key
 
 __all__ = ["TimeSeries", "WindowedHistogram", "TelemetrySampler"]
 
-#: default ring capacity per time series (at the default 500 ms interval
+#: ring capacity per time series (at the default 500 ms interval
 #: this holds the last 6 simulated minutes)
 SERIES_CAPACITY = 720
 
@@ -87,12 +87,10 @@ class TimeSeries:
 
     __slots__ = ("name", "labels", "_samples")
 
-    def __init__(
-        self, name: str, labels: LabelKey = (), capacity: int = SERIES_CAPACITY
-    ) -> None:
+    def __init__(self, name: str, labels: LabelKey = ()) -> None:
         self.name = name
         self.labels = labels
-        self._samples: Deque[Tuple[float, float]] = deque(maxlen=capacity)
+        self._samples: Deque[Tuple[float, float]] = deque(maxlen=SERIES_CAPACITY)
 
     def append(self, t_ms: float, value: float) -> None:
         self._samples.append((t_ms, value))
@@ -190,7 +188,6 @@ class WindowedHistogram:
         self,
         name: str,
         labels: LabelKey = (),
-        window_capacity: int = WINDOW_CAPACITY,
     ) -> None:
         self.name = name
         self.labels = labels
@@ -203,7 +200,7 @@ class WindowedHistogram:
         self._cur_count = 0
         self._cur_sum = 0.0
         self._cur_start = 0.0
-        self._windows: Deque[_Window] = deque(maxlen=window_capacity)
+        self._windows: Deque[_Window] = deque(maxlen=WINDOW_CAPACITY)
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -292,13 +289,11 @@ class TelemetrySampler:
         sim: Any,
         metrics: Optional[MetricsRegistry] = None,
         interval_ms: Optional[float] = 500.0,
-        capacity: int = SERIES_CAPACITY,
         flight: Any = None,
     ) -> None:
         self.sim = sim
         self.metrics = metrics
         self.interval_ms = float(interval_ms or 0.0)
-        self.capacity = capacity
         self.flight = flight
         #: master knob: a disabled sampler never schedules an event and
         #: never enables push-side instrumentation (zero work).
@@ -318,9 +313,7 @@ class TelemetrySampler:
         key = _key(name, labels)
         ts = self._series.get(key)
         if ts is None:
-            ts = self._series[key] = TimeSeries(
-                name, key[1], capacity=self.capacity
-            )
+            ts = self._series[key] = TimeSeries(name, key[1])
         return ts
 
     def all_series(self) -> List[TimeSeries]:

@@ -70,6 +70,10 @@ class PlanCacheStats:
     uncacheable: int = 0
 
 
+#: plans kept before the least recently used one is evicted
+PLAN_CACHE_SIZE = 128
+
+
 def _freeze(mapping: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
     frozen = tuple(sorted(mapping.items()))
     hash(frozen)
@@ -97,10 +101,7 @@ class PlanCache:
     planners over the same network (multi-service hosting).
     """
 
-    def __init__(self, maxsize: int = 128) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
+    def __init__(self) -> None:
         self.stats = PlanCacheStats()
         self._entries: "OrderedDict[Hashable, Optional[DeploymentPlan]]" = OrderedDict()
         self._epoch: Optional[int] = None
@@ -177,7 +178,7 @@ class PlanCache:
         self._sync_epoch(epoch)
         self._entries[(epoch, key)] = _clone_plan(plan) if plan is not None else None
         self._entries.move_to_end((epoch, key))
-        while len(self._entries) > self.maxsize:
+        while len(self._entries) > PLAN_CACHE_SIZE:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 

@@ -23,6 +23,7 @@ instants exactly, independent of what the rest of the simulation does.
 
 from __future__ import annotations
 
+import math
 import random
 from functools import partial
 from typing import Callable, Iterator, Optional
@@ -35,6 +36,11 @@ __all__ = [
     "FlashCrowdProcess",
     "ArrivalStream",
 ]
+
+
+def _finite_non_negative(value: float) -> bool:
+    """False for negatives, NaN and infinities (NaN fails every ``<``)."""
+    return math.isfinite(value) and value >= 0
 
 
 class ArrivalStream:
@@ -153,8 +159,8 @@ class PoissonProcess(ArrivalProcess):
 
     def __init__(self, rate_per_s: float, seed: int = 0) -> None:
         super().__init__(seed)
-        if rate_per_s < 0:
-            raise ValueError(f"rate must be >= 0, got {rate_per_s}")
+        if not _finite_non_negative(rate_per_s):
+            raise ValueError(f"rate must be finite and >= 0, got {rate_per_s}")
         self.rate_per_s = float(rate_per_s)
 
     def rate_at(self, t_ms: float) -> float:
@@ -188,12 +194,16 @@ class FlashCrowdProcess(ArrivalProcess):
         seed: int = 0,
     ) -> None:
         super().__init__(seed)
-        if base_rate_per_s < 0 or peak_rate_per_s < base_rate_per_s:
+        if not (
+            _finite_non_negative(base_rate_per_s)
+            and _finite_non_negative(peak_rate_per_s)
+            and peak_rate_per_s >= base_rate_per_s
+        ):
             raise ValueError(
-                f"need 0 <= base <= peak, got {base_rate_per_s}, {peak_rate_per_s}"
+                f"need finite 0 <= base <= peak, got {base_rate_per_s}, {peak_rate_per_s}"
             )
-        if min(at_ms, ramp_ms, hold_ms, decay_ms) < 0:
-            raise ValueError("flash-crowd timings must be >= 0")
+        if not all(map(_finite_non_negative, (at_ms, ramp_ms, hold_ms, decay_ms))):
+            raise ValueError("flash-crowd timings must be finite and >= 0")
         self.base_rate_per_s = float(base_rate_per_s)
         self.peak_rate_per_s = float(peak_rate_per_s)
         self.at_ms = float(at_ms)

@@ -34,7 +34,6 @@ class SimNode:
         name: str,
         cpu_capacity: float = 1000.0,
         credentials: Optional[Dict[str, Any]] = None,
-        cores: int = 1,
     ) -> None:
         if not cpu_capacity > 0:  # also rejects NaN
             raise ValueError(f"cpu_capacity must be positive, got {cpu_capacity}")
@@ -42,7 +41,7 @@ class SimNode:
         self.name = name
         self.cpu_capacity = cpu_capacity
         self.credentials = dict(credentials or {})
-        self.cpu = Resource(sim, capacity=cores)
+        self.cpu = Resource(sim, 1)
         self.stats = Monitor(f"node:{name}")
         #: components installed here by the runtime, keyed by instance id.
         self.installed: Dict[str, Any] = {}

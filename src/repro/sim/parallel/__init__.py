@@ -4,8 +4,8 @@ The paper's deployments are site-partitioned: a handful of sites whose
 only slow edges are the inter-site links.  This package exploits that
 shape to break the sequential kernel's single-core ceiling:
 
-- :mod:`.partition` splits the topology by site credential (fallback:
-  min-cut over link latency) into one logical process per site.
+- :mod:`.partition` splits the topology by site credential into one
+  logical process per site.
 - :mod:`.lp` wraps the *unchanged* sequential :class:`~repro.sim.Simulator`
   per partition, bounded by the null-message safe horizon; lookahead is
   the minimum inter-site link latency.

@@ -6,34 +6,21 @@ exactly the shape conservative parallel DES wants — each site becomes
 one logical process, and the inter-site link latency becomes the
 channel lookahead that bounds how far each side may safely run ahead.
 
-Two partitioning rules, tried in order:
-
-1. **By site credential** (default): when every node carries the
-   credential (e.g. ``site``), nodes group by its value.  A uniform
-   credential yields one partition — a legal degenerate plan that the
-   runner executes on the plain sequential kernel.
-2. **Min-cut over link latency** (fallback): iterate the distinct link
-   latencies in descending order and take the connected components of
-   the subgraph containing only links *faster* than the threshold.
-   Every cut edge then has latency >= threshold, so the threshold is a
-   valid lookahead floor.  Lower thresholds only refine the split, so
-   the rule keeps refining and takes the finest split with no
-   single-node partition (a singleton does all its communication
-   cross-partition — pure overhead); if every split strands a
-   singleton, the coarsest split wins.  On Figure 5 without credentials
-   this recovers the three sites at threshold 100 ms.
+Nodes group by a credential (``site`` by default) when every node
+carries it.  A uniform credential yields one partition — a legal
+degenerate plan that the runner executes on the plain sequential
+kernel — and so does a topology where some node lacks the credential.
 
 Every cut link must have strictly positive latency: zero-latency cuts
 give zero lookahead, which deadlocks a conservative protocol.  Rather
 than deadlock, :func:`partition_network` collapses such splits to a
-single partition (or raises :class:`PartitionError` when the caller
-demanded a split via ``require_split=True``).
+single partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..events import SimulationError
 
@@ -223,31 +210,6 @@ class PartitionPlan:
         return lines
 
 
-def _components(nodes: List[str], edges: List[Tuple[str, str]]) -> List[List[str]]:
-    """Connected components (sorted inside and across, for determinism)."""
-    adj: Dict[str, List[str]] = {n: [] for n in nodes}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen: set = set()
-    comps: List[List[str]] = []
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = []
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return sorted(comps, key=lambda c: c[0])
-
-
 def _plan_from_groups(
     network: Any, groups: List[Tuple[str, List[str]]], method: str
 ) -> PartitionPlan:
@@ -279,85 +241,24 @@ def _single_partition(network: Any, method: str) -> PartitionPlan:
     return _plan_from_groups(network, [("all", nodes)], method)
 
 
-def partition_network(
-    network: Any,
-    credential: str = "site",
-    require_split: bool = False,
-) -> PartitionPlan:
+def partition_network(network: Any, credential: str = "site") -> PartitionPlan:
     """Partition ``network`` for conservative parallel execution.
 
-    Tries the ``credential`` grouping first, then the latency min-cut
-    (module docstring).  Splits whose cut links include a zero-latency
-    edge are rejected — they would mean zero lookahead.  When no legal
-    split exists the plan degenerates to a single partition unless
-    ``require_split`` is set, in which case :class:`PartitionError`
-    explains why.
+    Groups nodes by ``credential`` (module docstring).  A split whose cut
+    links include a zero-latency edge would mean zero lookahead, and a
+    topology where some node lacks the credential has no split at all:
+    both degenerate to a single partition.
     """
     names = sorted(network.node_names())
     if not names:
         raise PartitionError("cannot partition an empty network")
-
-    def _validate(plan: PartitionPlan) -> Optional[PartitionPlan]:
-        bad = [c for c in plan.cuts if c.latency_ms <= 0]
-        if bad:
-            return None
-        return plan
-
-    # Rule 1: group by credential when every node carries it.
-    values = {}
+    values: Dict[str, List[str]] = {}
     for name in names:
         cred = network.node(name).credentials.get(credential)
         if cred is None:
-            values = None
-            break
+            return _single_partition(network, f"degenerate:no-{credential}")
         values.setdefault(str(cred), []).append(name)
-    if values is not None:
-        groups = sorted(values.items())
-        plan = _plan_from_groups(network, groups, f"credential:{credential}")
-        checked = _validate(plan)
-        if checked is not None:
-            return checked
-        if require_split:
-            raise PartitionError(
-                f"credential {credential!r} split has a zero-latency cut link "
-                "(zero lookahead would deadlock the conservative protocol)"
-            )
+    plan = _plan_from_groups(network, sorted(values.items()), f"credential:{credential}")
+    if any(c.latency_ms <= 0 for c in plan.cuts):
         return _single_partition(network, f"degenerate:{credential}-zero-cut")
-
-    # Rule 2: min-cut over link latency.  Descending thresholds refine
-    # the split monotonically (fewer fast edges -> more components):
-    # keep the finest legal split without singleton partitions, falling
-    # back to the coarsest legal split.  Non-positive thresholds are
-    # skipped outright.
-    latencies = sorted(
-        {l.latency_ms for l in network.links() if l.latency_ms > 0}, reverse=True
-    )
-    coarsest: Optional[PartitionPlan] = None
-    finest_clean: Optional[PartitionPlan] = None
-    for threshold in latencies:
-        fast_edges = [
-            (l.a, l.b) for l in network.links() if l.latency_ms < threshold
-        ]
-        comps = _components(names, fast_edges)
-        if len(comps) < 2:
-            continue
-        groups = [(f"part{idx}", comp) for idx, comp in enumerate(comps)]
-        plan = _plan_from_groups(network, groups, f"min-cut:>={threshold:g}ms")
-        checked = _validate(plan)
-        if checked is None:
-            continue
-        if coarsest is None:
-            coarsest = checked
-        if all(len(c) > 1 for c in comps):
-            finest_clean = checked  # later thresholds are finer still
-    if finest_clean is not None:
-        return finest_clean
-    if coarsest is not None:
-        return coarsest
-
-    if require_split:
-        raise PartitionError(
-            "no legal split: every candidate cut includes a zero-latency link "
-            f"and no node-complete {credential!r} credential exists"
-        )
-    return _single_partition(network, "degenerate:no-cut")
+    return plan

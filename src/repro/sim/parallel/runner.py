@@ -145,7 +145,6 @@ def run_parallel(
     workers: int = 1,
     until: float,
     plan: Optional[PartitionPlan] = None,
-    credential: str = "site",
     deadlock_timeout_s: float = DEADLOCK_TIMEOUT_S,
 ) -> ParallelRunResult:
     """Run ``program`` over ``network`` on the conservative parallel
@@ -164,7 +163,7 @@ def run_parallel(
     if workers < 1:
         raise SimulationError(f"workers must be >= 1, got {workers}")
     if plan is None:
-        plan = partition_network(network, credential=credential)
+        plan = partition_network(network)
     return _run_placed(
         plan, network, program, config, until, plan.placement(workers),
         workers_requested=workers, deadlock_timeout_s=deadlock_timeout_s,

@@ -9,7 +9,6 @@ from .lookup import LookupError, LookupService, ServiceRegistration
 from .messages import RequestError, ServiceRequest, ServiceResponse
 from .overload import (
     CircuitBreaker,
-    OverloadConfig,
     OverloadManager,
     OverloadStats,
     TokenBucket,
@@ -45,7 +44,6 @@ __all__ = [
     "DeploymentError",
     "NodeWrapper",
     "RuntimeTransport",
-    "OverloadConfig",
     "OverloadManager",
     "OverloadStats",
     "TokenBucket",

@@ -47,31 +47,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Lease", "LeaseConfig", "ReplicatedLookup"]
 
+#: renewal heartbeats per lease duration: two consecutive heartbeats can
+#: be lost before a lease lapses
+RENEWALS_PER_LEASE = 3.0
+#: simulated size of one renewal message
+RENEWAL_BYTES = 128
+
 
 @dataclass
 class LeaseConfig:
     """Tunables for leased registrations.
 
     ``duration_ms`` is how long a registration survives without a
-    renewal; ``renew_interval_ms`` is the heartbeat period (default:
-    a third of the duration, so two consecutive heartbeats can be lost
-    before a lease lapses); ``heartbeat_bytes`` is the simulated size
-    of one renewal message.
+    renewal; each registration is renewed every
+    ``duration_ms / RENEWALS_PER_LEASE``.
     """
 
     duration_ms: float = 10_000.0
-    renew_interval_ms: Optional[float] = None
-    heartbeat_bytes: int = 128
 
     def __post_init__(self) -> None:
         if not self.duration_ms > 0:
             raise ValueError(f"duration_ms must be positive, got {self.duration_ms}")
-        if self.renew_interval_ms is None:
-            self.renew_interval_ms = self.duration_ms / 3.0
-        if not self.renew_interval_ms > 0:
-            raise ValueError(
-                f"renew_interval_ms must be positive, got {self.renew_interval_ms}"
-            )
 
     @classmethod
     def coerce(cls, value: Any) -> Optional["LeaseConfig"]:
@@ -289,8 +285,7 @@ class ReplicatedLookup:
         assert self.lease_config is not None
         sim = self.runtime.sim
         transport = self.runtime.transport
-        interval = self.lease_config.renew_interval_ms
-        beat = self.lease_config.heartbeat_bytes
+        interval = self.lease_config.duration_ms / RENEWALS_PER_LEASE
         while self._running:
             yield sim.timeout(interval)
             if not self._running:
@@ -304,7 +299,9 @@ class ReplicatedLookup:
                     if not host.up:
                         continue
                     try:
-                        yield from transport.deliver(home, replica.host_node, beat)
+                        yield from transport.deliver(
+                            home, replica.host_node, RENEWAL_BYTES
+                        )
                     except (NetworkError, FaultError):
                         continue  # crashed or partitioned mid-flight
                     attributes, code_bytes = self._specs[name]

@@ -5,8 +5,9 @@ deployment can serve; without protection the runtime queues forever —
 latencies blow past client timeouts, retries amplify the offered load,
 and goodput collapses even though the servers are running flat out on
 work nobody is waiting for anymore.  This module is the server-side
-counterweight, three mechanisms behind one runtime knob
-(``SmockRuntime(overload_protection=...)``):
+counterweight, three mechanisms behind one runtime switch
+(``SmockRuntime(overload_protection=True)``), each tuned by the module
+constants below:
 
 - **Admission control** (queue-based load leveling): every component
   serve checks its host node's CPU accept queue against a bound *before*
@@ -42,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import SimNode, Simulator
 
 __all__ = [
-    "OverloadConfig",
     "OverloadStats",
     "TokenBucket",
     "CircuitBreaker",
@@ -57,52 +57,26 @@ BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
 
 
-@dataclass(frozen=True)
-class OverloadConfig:
-    """Knobs of the overload-protection stack.
+# -- admission control (server side, per node) -------------------------------
+#: shed when the host node's CPU accept queue is at least this deep
+MAX_QUEUE = 32
+#: Retry-After hint attached to shed responses (clients add jitter)
+SHED_RETRY_AFTER_MS = 250.0
 
-    The three mechanisms can be disabled individually (``admission`` /
-    ``throttle`` / ``breaker``) for bisection; the runtime-level knob
-    (``overload_protection=False``) disables all of them with zero
-    construction.
-    """
+# -- per-client token bucket (client side, per client node) ------------------
+BUCKET_RATE_PER_S = 200.0
+BUCKET_BURST = 50.0
 
-    # -- admission control (server side, per node) ---------------------------
-    admission: bool = True
-    #: shed when the host node's CPU accept queue is at least this deep
-    max_queue: int = 32
-    #: Retry-After hint attached to shed responses (clients add jitter)
-    shed_retry_after_ms: float = 250.0
-
-    # -- per-client token bucket (client side, per client node) --------------
-    throttle: bool = True
-    bucket_rate_per_s: float = 200.0
-    bucket_burst: float = 50.0
-
-    # -- circuit breaker (client side, per proxy) ----------------------------
-    breaker: bool = True
-    breaker_window_ms: float = 4_000.0
-    breaker_buckets: int = 8
-    #: trip when failures/requests over the window reaches this fraction
-    breaker_failure_threshold: float = 0.5
-    #: ... but only once the window holds at least this many requests
-    breaker_min_requests: int = 10
-    breaker_cooldown_ms: float = 1_000.0
-    #: successful trial requests required to close from half-open
-    breaker_half_open_max: int = 3
-
-    def __post_init__(self) -> None:
-        if self.max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.bucket_rate_per_s <= 0 or self.bucket_burst <= 0:
-            raise ValueError("token bucket rate and burst must be positive")
-        if not 0.0 < self.breaker_failure_threshold <= 1.0:
-            raise ValueError(
-                f"breaker_failure_threshold must be in (0, 1], got "
-                f"{self.breaker_failure_threshold}"
-            )
-        if self.breaker_buckets < 1 or self.breaker_half_open_max < 1:
-            raise ValueError("breaker_buckets and breaker_half_open_max must be >= 1")
+# -- circuit breaker (client side, per proxy) --------------------------------
+BREAKER_WINDOW_MS = 4_000.0
+BREAKER_BUCKETS = 8
+#: trip when failures/requests over the window reaches this fraction
+BREAKER_FAILURE_THRESHOLD = 0.5
+#: ... but only once the window holds at least this many requests
+BREAKER_MIN_REQUESTS = 10
+BREAKER_COOLDOWN_MS = 1_000.0
+#: successful trial requests required to close from half-open
+BREAKER_HALF_OPEN_MAX = 3
 
 
 @dataclass
@@ -167,24 +141,23 @@ class TokenBucket:
 class CircuitBreaker:
     """Three-state breaker over a rolling windowed failure rate.
 
-    The window is ``breaker_buckets`` sub-windows of
-    ``breaker_window_ms / breaker_buckets`` ms each, advanced lazily on
+    The window is :data:`BREAKER_BUCKETS` sub-windows of
+    ``BREAKER_WINDOW_MS / BREAKER_BUCKETS`` ms each, advanced lazily on
     the simulated clock — counting a request ages out sub-windows older
     than the full window, so the observed rate always covers (at most)
-    the last ``breaker_window_ms``.
+    the last :data:`BREAKER_WINDOW_MS`.
     """
 
     __slots__ = (
-        "config", "state", "trips", "fast_fails",
+        "state", "trips", "fast_fails",
         "_width_ms", "_counts", "_open_until_ms", "_probes", "_successes",
     )
 
-    def __init__(self, config: OverloadConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.state = BREAKER_CLOSED
         self.trips = 0
         self.fast_fails = 0
-        self._width_ms = config.breaker_window_ms / config.breaker_buckets
+        self._width_ms = BREAKER_WINDOW_MS / BREAKER_BUCKETS
         #: bucket index -> [requests, failures]
         self._counts: Dict[int, list] = {}
         self._open_until_ms = 0.0
@@ -198,14 +171,14 @@ class CircuitBreaker:
         cell = counts.get(idx)
         if cell is None:
             cell = counts[idx] = [0, 0]
-            horizon = idx - self.config.breaker_buckets
+            horizon = idx - BREAKER_BUCKETS
             for old in [i for i in counts if i <= horizon]:
                 del counts[old]
         return cell
 
     def window_rates(self, now_ms: float) -> Tuple[int, int]:
         """(requests, failures) currently inside the rolling window."""
-        horizon = int(now_ms / self._width_ms) - self.config.breaker_buckets
+        horizon = int(now_ms / self._width_ms) - BREAKER_BUCKETS
         requests = failures = 0
         for idx, (req, fail) in self._counts.items():
             if idx > horizon:
@@ -226,11 +199,11 @@ class CircuitBreaker:
             self._probes = 0
             self._successes = 0
         # half-open: admit a bounded probe budget, fast-fail the rest
-        if self._probes < self.config.breaker_half_open_max:
+        if self._probes < BREAKER_HALF_OPEN_MAX:
             self._probes += 1
             return True, 0.0
         self.fast_fails += 1
-        return False, self.config.breaker_cooldown_ms
+        return False, BREAKER_COOLDOWN_MS
 
     def record(self, now_ms: float, ok: bool) -> None:
         """Count one finished attempt (``ok=False`` = error or timeout)."""
@@ -239,7 +212,7 @@ class CircuitBreaker:
                 self._trip(now_ms)
             else:
                 self._successes += 1
-                if self._successes >= self.config.breaker_half_open_max:
+                if self._successes >= BREAKER_HALF_OPEN_MAX:
                     self._close()
             return
         if self.state == BREAKER_OPEN:
@@ -251,15 +224,15 @@ class CircuitBreaker:
             cell[1] += 1
             requests, failures = self.window_rates(now_ms)
             if (
-                requests >= self.config.breaker_min_requests
-                and failures / requests >= self.config.breaker_failure_threshold
+                requests >= BREAKER_MIN_REQUESTS
+                and failures / requests >= BREAKER_FAILURE_THRESHOLD
             ):
                 self._trip(now_ms)
 
     def _trip(self, now_ms: float) -> None:
         self.state = BREAKER_OPEN
         self.trips += 1
-        self._open_until_ms = now_ms + self.config.breaker_cooldown_ms
+        self._open_until_ms = now_ms + BREAKER_COOLDOWN_MS
         self._counts.clear()
 
     def _close(self) -> None:
@@ -270,19 +243,13 @@ class CircuitBreaker:
 class OverloadManager:
     """Runtime-wide owner of the protection stack.
 
-    Constructed only when ``SmockRuntime(overload_protection=...)`` is
-    truthy; ``runtime.overload is None`` is the single check every hot
-    path performs when the feature is off.
+    Constructed only when ``SmockRuntime(overload_protection=True)``;
+    ``runtime.overload is None`` is the single check every hot path
+    performs when the feature is off.
     """
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        config: Optional[OverloadConfig] = None,
-        metrics: Any = None,
-    ) -> None:
+    def __init__(self, sim: "Simulator", metrics: Any = None) -> None:
         self.sim = sim
-        self.config = config or OverloadConfig()
         self.stats = OverloadStats()
         self._buckets: Dict[str, TokenBucket] = {}
         self._breakers: list = []
@@ -292,25 +259,18 @@ class OverloadManager:
         self._counters: Dict[Tuple[str, str], Any] = {}
 
     # -- factories (called at proxy bind time) -------------------------------
-    def bucket(self, client_node: str) -> Optional[TokenBucket]:
-        """The (shared) token bucket of one client node, or None when
-        throttling is disabled."""
-        if not self.config.throttle:
-            return None
+    def bucket(self, client_node: str) -> TokenBucket:
+        """The (shared) token bucket of one client node."""
         bucket = self._buckets.get(client_node)
         if bucket is None:
             bucket = self._buckets[client_node] = TokenBucket(
-                self.config.bucket_rate_per_s,
-                self.config.bucket_burst,
-                now_ms=self.sim.now,
+                BUCKET_RATE_PER_S, BUCKET_BURST, now_ms=self.sim.now
             )
         return bucket
 
-    def breaker(self) -> Optional[CircuitBreaker]:
-        """A fresh per-proxy circuit breaker, or None when disabled."""
-        if not self.config.breaker:
-            return None
-        breaker = CircuitBreaker(self.config)
+    def breaker(self) -> CircuitBreaker:
+        """A fresh per-proxy circuit breaker."""
+        breaker = CircuitBreaker()
         self._breakers.append(breaker)
         return breaker
 
@@ -321,13 +281,11 @@ class OverloadManager:
         Returns None to admit, or a ``retry_after_ms`` hint when the
         node's run queue is at the bound and the request must be shed.
         """
-        if not self.config.admission:
-            return None
-        if node.cpu.queue_length < self.config.max_queue:
+        if node.cpu.queue_length < MAX_QUEUE:
             return None
         self.stats.shed += 1
         self._count("overload.shed", "node", node.name)
-        return self.config.shed_retry_after_ms
+        return SHED_RETRY_AFTER_MS
 
     def _count(self, name: str, label: str, node: str) -> None:
         """Increment ``name{label=node}`` when metrics are on."""

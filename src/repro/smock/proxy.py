@@ -19,6 +19,7 @@ and no extra process — fault tolerance costs nothing until enabled.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
@@ -37,55 +38,58 @@ __all__ = ["GenericProxy", "ServiceProxy", "BindRecord", "RetryPolicy"]
 _key_counter = itertools.count(1)
 
 
+#: first retry's backoff; each further retry multiplies it by
+#: :data:`BACKOFF_FACTOR`, up to :data:`BACKOFF_CAP_MS`
+BACKOFF_BASE_MS = 50.0
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP_MS = 2000.0
+#: each delay is stretched by ``1 + JITTER * U[0, 1)`` from the seeded RNG
+JITTER = 0.5
+
+
 @dataclass
 class RetryPolicy:
     """Client-side robustness knobs for one proxy.
 
     ``timeout_ms`` bounds each attempt (it rescues silently-dropped
     messages, whose delivery generators never return); retries back off
-    exponentially from ``backoff_base_ms`` with multiplicative
-    ``jitter`` drawn from a seeded RNG, so chaos runs stay reproducible.
+    exponentially from :data:`BACKOFF_BASE_MS` with multiplicative
+    :data:`JITTER` drawn from an RNG seeded by ``seed``, so chaos runs
+    stay reproducible.
     """
 
     timeout_ms: float = 2000.0
     max_retries: int = 4
-    backoff_base_ms: float = 50.0
-    backoff_factor: float = 2.0
-    backoff_cap_ms: float = 2000.0
-    jitter: float = 0.5
     seed: int = 0
-    #: respect the server's ``retry_after_ms`` backpressure hint: the
-    #: retry delay becomes at least the hint (plus jitter), so a crowd
-    #: of shed clients spreads out instead of re-converging on the
-    #: still-saturated server at backoff-base speed.
-    honor_retry_after: bool = True
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.timeout_ms) and self.timeout_ms > 0):
+            raise ValueError(
+                f"timeout_ms must be finite and positive, got {self.timeout_ms}"
+            )
+        if not self.max_retries >= 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         self._rng = random.Random(self.seed)
 
     def backoff_ms(self, attempt: int) -> float:
         """Delay before retry ``attempt`` (1-based)."""
-        base = min(
-            self.backoff_base_ms * (self.backoff_factor ** (attempt - 1)),
-            self.backoff_cap_ms,
-        )
-        if not self.jitter:
-            return base
-        return base * (1.0 + self.jitter * self._rng.random())
+        base = min(BACKOFF_BASE_MS * (BACKOFF_FACTOR ** (attempt - 1)), BACKOFF_CAP_MS)
+        return base * (1.0 + JITTER * self._rng.random())
 
     def retry_delay_ms(self, attempt: int, retry_after_ms: Optional[float]) -> float:
         """Backoff for ``attempt``, floored by a Retry-After hint.
 
-        The hint gets its own jitter draw — a thousand clients shed in
-        the same millisecond must not all return exactly
+        The server's ``retry_after_ms`` backpressure hint makes the delay
+        at least the hint, so a crowd of shed clients spreads out instead
+        of re-converging on the still-saturated server at backoff-base
+        speed.  The hint gets its own jitter draw — a thousand clients
+        shed in the same millisecond must not all return exactly
         ``retry_after_ms`` later.  Runs without backpressure hints never
         reach the extra draw, so their RNG streams are unchanged.
         """
         delay = self.backoff_ms(attempt)
-        if self.honor_retry_after and retry_after_ms:
-            floor = retry_after_ms
-            if self.jitter:
-                floor *= 1.0 + self.jitter * self._rng.random()
+        if retry_after_ms:
+            floor = retry_after_ms * (1.0 + JITTER * self._rng.random())
             delay = max(delay, floor)
         return delay
 
@@ -137,9 +141,10 @@ class ServiceProxy:
         self.timeouts = 0
         self.throttled = 0
         # Overload protection, resolved once at bind time: the breaker
-        # is per proxy, the token bucket is shared per client node, and
-        # both stay None (zero hot-path work beyond this attribute)
-        # unless the runtime was built with overload_protection on.
+        # is per proxy, the token bucket is shared per client node.  Both
+        # exist only when the runtime was built with overload_protection
+        # on; otherwise both are None (zero hot-path work beyond this
+        # attribute).
         overload = getattr(runtime, "overload", None)
         self._breaker = overload.breaker() if overload is not None else None
         self._bucket = (
@@ -194,7 +199,7 @@ class ServiceProxy:
         )
         if self.retry_policy is not None:
             resp = yield from self._robust_request(req)
-        elif self._breaker is not None or self._bucket is not None:
+        elif self._breaker is not None:
             resp = yield from self._guarded_request(req)
         else:
             resp = yield from self._stub.request(req)

@@ -76,8 +76,8 @@ class SmockRuntime:
         versioned_coherence: bool = True,
         telemetry_interval_ms: Optional[float] = None,
         flight: Any = None,
-        overload_protection: Any = False,
-        autonomic: Any = False,
+        overload_protection: bool = False,
+        autonomic: bool = False,
         lookup_hosts: Optional[List[str]] = None,
         lookup_leases: Any = False,
         directory_journal: bool = False,
@@ -94,24 +94,20 @@ class SmockRuntime:
         #: stamps, no frontier dedup, no degraded mode, no anti-entropy.
         self.versioned_coherence = versioned_coherence
         self.sim = sim or Simulator(obs=self.obs)
-        #: overload protection (see smock.overload): ``False``/``None``
-        #: constructs nothing — every hot path guards on
-        #: ``runtime.overload is None`` and stays byte-identical to a
-        #: runtime predating the feature; ``True`` uses the default
-        #: :class:`~repro.smock.overload.OverloadConfig`; an
-        #: ``OverloadConfig`` instance tunes the stack.
+        for name, value in (
+            ("overload_protection", overload_protection), ("autonomic", autonomic)
+        ):
+            if not isinstance(value, bool):
+                raise TypeError(f"{name} must be a bool, got {value!r}")
+        #: overload protection (see smock.overload): ``False`` constructs
+        #: nothing — every hot path guards on ``runtime.overload is None``
+        #: and stays byte-identical to a runtime predating the feature;
+        #: ``True`` builds the stack at the module's constants.
         self.overload = None
         if overload_protection:
-            from .overload import OverloadConfig, OverloadManager
+            from .overload import OverloadManager
 
-            config = (
-                overload_protection
-                if isinstance(overload_protection, OverloadConfig)
-                else None
-            )
-            self.overload = OverloadManager(
-                self.sim, config, metrics=self.obs.metrics
-            )
+            self.overload = OverloadManager(self.sim, metrics=self.obs.metrics)
         if self.obs.tracer.enabled:
             # An externally-supplied simulator may carry a different (or
             # null) obs; bind our tracer to whichever clock we ended up
@@ -183,19 +179,13 @@ class SmockRuntime:
         #: ``> 0`` samples every that-many simulated ms.
         self.flight = flight
         self.sampler: Optional[Any] = None
-        #: autonomic loop (see repro.autonomic): ``False``/``None``
-        #: constructs nothing — byte-identical runs; truthy values
-        #: coerce to an :class:`~repro.autonomic.AutonomicConfig` and
-        #: imply telemetry (defaulting the sampler to 500 ms when the
-        #: caller did not size it).
+        #: autonomic loop (see repro.autonomic): ``False`` constructs
+        #: nothing — byte-identical runs; ``True`` implies telemetry
+        #: (defaulting the sampler to 500 ms when the caller did not
+        #: size it).
         self.autonomic: Optional[Any] = None
-        autonomic_config = None
-        if autonomic:
-            from ..autonomic import AutonomicConfig
-
-            autonomic_config = AutonomicConfig.coerce(autonomic)
-            if telemetry_interval_ms is None:
-                telemetry_interval_ms = 500.0
+        if autonomic and telemetry_interval_ms is None:
+            telemetry_interval_ms = 500.0
         if telemetry_interval_ms is not None:
             from ..obs.timeseries import TelemetrySampler
 
@@ -208,10 +198,10 @@ class SmockRuntime:
             if self.sampler.enabled:
                 self.sampler.attach_runtime(self)
                 self.sampler.start()
-        if autonomic_config is not None:
+        if autonomic:
             from ..autonomic import AutonomicManager
 
-            self.autonomic = AutonomicManager(self, autonomic_config).attach()
+            self.autonomic = AutonomicManager(self).attach()
 
     # -- bundle plumbing ---------------------------------------------------------
     def _make_bundle(

@@ -25,24 +25,18 @@ from .component import RuntimeComponent, ServerStub
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import SmockRuntime
 
-__all__ = ["NodeWrapper", "DEFAULT_STARTUP_MS"]
+__all__ = ["NodeWrapper", "STARTUP_MS"]
 
 #: class-loading + verification + init cost per component instance, ms
-DEFAULT_STARTUP_MS = 400.0
+STARTUP_MS = 400.0
 
 
 class NodeWrapper:
     """The Smock agent running on one node."""
 
-    def __init__(
-        self,
-        runtime: "SmockRuntime",
-        node: SimNode,
-        startup_ms: float = DEFAULT_STARTUP_MS,
-    ) -> None:
+    def __init__(self, runtime: "SmockRuntime", node: SimNode) -> None:
         self.runtime = runtime
         self.node = node
-        self.startup_ms = startup_ms
         self.installed: Dict[str, RuntimeComponent] = {}
         self.installs = 0
         self.bytes_downloaded = 0
@@ -66,7 +60,7 @@ class NodeWrapper:
             yield from self.runtime.transport.deliver(code_from, self.node.name, size)
             self.bytes_downloaded += size
         # Class loading, bytecode verification, constructor.
-        yield from self.node.execute(self.startup_ms * self.node.cpu_capacity / 1e3)
+        yield from self.node.execute(STARTUP_MS * self.node.cpu_capacity / 1e3)
         instance = component_cls(
             runtime=self.runtime,
             unit=unit,

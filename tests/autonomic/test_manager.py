@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.autonomic import AutonomicConfig, AutonomicManager, ScaleSignal
+from repro.autonomic import AutonomicManager, ScaleSignal
+from repro.autonomic.manager import COOLDOWN_MS
+from repro.experiments import build_mail_testbed
 from repro.obs import Observability
 
 
@@ -93,7 +95,7 @@ def _signal(action, now, rule="r"):
 @pytest.fixture
 def manager(monkeypatch):
     runtime = FakeRuntime()
-    mgr = AutonomicManager(runtime, AutonomicConfig())
+    mgr = AutonomicManager(runtime)
     runtime.replanner.autonomic = mgr
     # stub out the planner-dependent pieces: rates and view counting
     monkeypatch.setattr(mgr, "_rate_cap", lambda binding: 100.0)
@@ -116,7 +118,7 @@ class TestCooldown:
         assert len(rounds) == 1
         assert manager.suppressed == 1
         # past the cooldown the next sustained signal actuates again
-        sim.now = 1_000.0 + manager.config.cooldown_ms
+        sim.now = 1_000.0 + COOLDOWN_MS
         manager._on_signal(_signal("scale_out", sim.now))
         assert len(rounds) == 2
 
@@ -176,14 +178,10 @@ class TestOrderingGates:
         assert manager.events[-1].planned_rates == {"client1": 15.0}
 
 
-class TestConfigCoercion:
-    def test_coerce_accepts_bool_dict_instance(self):
-        assert AutonomicConfig.coerce(False) is None
-        assert AutonomicConfig.coerce(None) is None
-        default = AutonomicConfig.coerce(True)
-        assert isinstance(default, AutonomicConfig)
-        assert default.cooldown_ms == 4_000.0
-        inst = AutonomicConfig(headroom=0.5)
-        assert AutonomicConfig.coerce(inst) is inst
-        with pytest.raises(TypeError):
-            AutonomicConfig.coerce("yes")
+class TestSwitchType:
+    @pytest.mark.parametrize("switch", ["autonomic", "overload_protection"])
+    @pytest.mark.parametrize("value", ["yes", None, 1, object()])
+    def test_runtime_switch_must_be_a_bool(self, switch, value):
+        """A config object or a truthy stand-in must not read as on."""
+        with pytest.raises(TypeError, match=switch):
+            build_mail_testbed(clients_per_site=1, **{switch: value})

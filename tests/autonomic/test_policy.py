@@ -8,7 +8,7 @@ the simulator.
 
 from __future__ import annotations
 
-from repro.autonomic import PolicyEngine, ThresholdRule, default_rules
+from repro.autonomic import DEFAULT_RULES, PolicyEngine, ThresholdRule
 
 
 class FakeSeries:
@@ -183,8 +183,7 @@ class TestMatchingAndStaleness:
 
 class TestDefaultRules:
     def test_stock_rule_set_shape(self):
-        rules = default_rules()
-        by_name = {r.name: r for r in rules}
+        by_name = {r.name: r for r in DEFAULT_RULES}
         assert set(by_name) == {
             "node-hot", "queue-deep", "op-p99-slow", "node-cold",
             "dirty-backlog",
@@ -194,9 +193,7 @@ class TestDefaultRules:
         assert {by_name[n].action for n in
                 ("node-hot", "queue-deep", "op-p99-slow")} == {"scale_out"}
         assert by_name["dirty-backlog"].action == "flush"
-
-    def test_threshold_overrides(self):
-        rules = default_rules(hot_utilization=0.5, deep_queue=4.0)
-        by_name = {r.name: r for r in rules}
-        assert by_name["node-hot"].threshold == 0.5
-        assert by_name["queue-deep"].threshold == 4.0
+        assert {name: rule.threshold for name, rule in by_name.items()} == {
+            "node-hot": 0.90, "queue-deep": 16.0, "op-p99-slow": 1800.0,
+            "node-cold": 0.45, "dirty-backlog": 512.0,
+        }

@@ -24,7 +24,7 @@ class FakeHost:
 
 @pytest.fixture
 def directory():
-    return CoherenceDirectory(AttributeConflictMap("sensitivity", "TrustLevel", "le"))
+    return CoherenceDirectory(AttributeConflictMap("sensitivity", "TrustLevel"))
 
 
 def cfg(trust):
@@ -392,7 +392,7 @@ def test_reconcile_invalidation_fanout_uses_conflict_map():
     """Anti-entropy fan-out goes through the same conflict-map path as a
     normal flush."""
     directory = CoherenceDirectory(
-        AttributeConflictMap("sensitivity", "TrustLevel", "le")
+        AttributeConflictMap("sensitivity", "TrustLevel")
     )
     primary = FakePrimary()
     directory.register_primary("MailServer", primary)

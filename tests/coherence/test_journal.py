@@ -40,7 +40,7 @@ def cfg(trust):
 def make_directory():
     journal = DirectoryJournal()
     directory = CoherenceDirectory(
-        AttributeConflictMap("sensitivity", "TrustLevel", "le"),
+        AttributeConflictMap("sensitivity", "TrustLevel"),
         versioned=True,
         journal=journal,
     )
@@ -177,7 +177,7 @@ def test_successor_journals_to_the_same_journal():
 
 def test_unjournaled_directory_appends_nothing():
     directory = CoherenceDirectory(
-        AttributeConflictMap("sensitivity", "TrustLevel", "le"), versioned=True
+        AttributeConflictMap("sensitivity", "TrustLevel"), versioned=True
     )
     assert directory.journal is None
     directory.register_primary("MailServer", FakePrimary())

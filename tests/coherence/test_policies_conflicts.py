@@ -85,7 +85,7 @@ def test_conflict_map_is_dynamic():
 
 
 def test_attribute_conflict_map_mail_rule():
-    cm = AttributeConflictMap("sensitivity", "TrustLevel", "le")
+    cm = AttributeConflictMap("sensitivity", "TrustLevel")
     low_view = ("ViewMailServer", (("TrustLevel", 2),))
     high_view = ("ViewMailServer", (("TrustLevel", 5),))
     secret = Update("store_message", {"sensitivity": 4, "recipient": "Alice"})
@@ -99,11 +99,6 @@ def test_attribute_conflict_map_missing_data_is_conservative():
     cm = AttributeConflictMap("sensitivity", "TrustLevel")
     assert cm.conflicts(Update("store_message", {}), ("V", (("TrustLevel", 2),)))
     assert cm.conflicts(Update("store_message", {"sensitivity": 5}), ("V", ()))
-
-
-def test_attribute_conflict_map_bad_relation():
-    with pytest.raises(ValueError):
-        AttributeConflictMap("a", "b", "weird")
 
 
 def test_update_multiplicity_default():

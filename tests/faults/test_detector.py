@@ -9,9 +9,7 @@ from repro.network.monitor import ChangeEvent, NetworkMonitor
 @pytest.fixture()
 def detected(world):
     monitor = NetworkMonitor(world.sim, world.network, poll_interval_ms=1000.0)
-    detector = FailureDetector(
-        world, monitor, interval_ms=100.0, miss_threshold=2, home_node="a"
-    )
+    detector = FailureDetector(world, monitor, interval_ms=100.0, miss_threshold=2)
     return monitor, detector
 
 

@@ -11,6 +11,8 @@ from repro.sim import (
 )
 from repro.obs import NULL_OBS
 
+NAN, INF = float("nan"), float("inf")
+
 
 def _take(process, n):
     return list(itertools.islice(process.offsets_ms(), n))
@@ -42,6 +44,13 @@ class TestPoisson:
         with pytest.raises(ValueError):
             PoissonProcess(-1.0, seed=0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        """NaN passes ``rate < 0``: its offsets never yielded, and an
+        infinite rate hung ``sim.run()``."""
+        with pytest.raises(ValueError, match="finite"):
+            PoissonProcess(rate, seed=0)
+
 
 class TestFlashCrowd:
     def test_rate_profile_piecewise(self):
@@ -68,6 +77,23 @@ class TestFlashCrowd:
         during = sum(1 for t in arrivals if 6_000.0 <= t < 11_000.0)
         # ~50 arrivals in the 5s base window vs ~1000 held at peak
         assert during > 5 * max(before, 1)
+
+    @pytest.mark.parametrize(
+        "base, peak", [(NAN, NAN), (10.0, NAN), (10.0, INF), (INF, INF)]
+    )
+    def test_non_finite_rates_rejected(self, base, peak):
+        with pytest.raises(ValueError, match="finite"):
+            FlashCrowdProcess(base, peak, at_ms=0.0)
+
+    @pytest.mark.parametrize("timing", ["at_ms", "ramp_ms", "hold_ms", "decay_ms"])
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_non_finite_timing_rejected(self, timing, value):
+        """A NaN ``at_ms`` used to run silently at the base rate, with
+        no flash at all."""
+        timings = dict(at_ms=1_000.0, ramp_ms=500.0, hold_ms=1_000.0, decay_ms=500.0)
+        timings[timing] = value
+        with pytest.raises(ValueError, match="finite"):
+            FlashCrowdProcess(10.0, 50.0, **timings)
 
     def test_deterministic(self):
         kwargs = dict(at_ms=2_000, ramp_ms=500, hold_ms=1_000,

@@ -3,27 +3,20 @@
 import io
 import json
 
-import pytest
-
 from repro.obs import FlightRecorder, TelemetrySampler
-from repro.obs.flight import dump_records_jsonl
+from repro.obs.flight import FLIGHT_CAPACITY, dump_records_jsonl
 from repro.obs.recorder import TraceRecorder
 from repro.sim import Simulator
 
 
 def test_ring_bounded_with_dropped_counter():
-    fr = FlightRecorder(capacity=3)
-    for i in range(5):
+    fr = FlightRecorder()
+    for i in range(FLIGHT_CAPACITY + 2):
         fr.record("sample", float(i), n=i)
-    assert len(fr) == 3
+    assert len(fr) == FLIGHT_CAPACITY
     assert fr.dropped == 2
-    assert [r["n"] for r in fr.records()] == [2, 3, 4]
+    assert [r["n"] for r in fr.records()] == list(range(2, FLIGHT_CAPACITY + 2))
     assert fr.records()[0] == {"t_ms": 2.0, "kind": "sample", "n": 2}
-
-
-def test_capacity_validated():
-    with pytest.raises(ValueError):
-        FlightRecorder(capacity=0)
 
 
 def test_event_convenience():
@@ -36,14 +29,16 @@ def test_event_convenience():
 
 
 def test_dump_jsonl_meta_line_and_records():
-    fr = FlightRecorder(capacity=2)
-    for i in range(3):
+    fr = FlightRecorder()
+    for i in range(FLIGHT_CAPACITY + 1):
         fr.record("sample", float(i))
     buf = io.StringIO()
-    assert fr.dump_jsonl(buf) == 2
+    assert fr.dump_jsonl(buf) == FLIGHT_CAPACITY
     lines = [json.loads(line) for line in buf.getvalue().splitlines()]
-    assert lines[0] == {"kind": "meta", "records": 2, "dropped": 1}
-    assert [ln["t_ms"] for ln in lines[1:]] == [1.0, 2.0]
+    assert lines[0] == {"kind": "meta", "records": FLIGHT_CAPACITY, "dropped": 1}
+    assert [ln["t_ms"] for ln in lines[1:]] == [
+        float(i) for i in range(1, FLIGHT_CAPACITY + 1)
+    ]
 
 
 def test_dump_jsonl_creates_parent_dirs(tmp_path):

@@ -4,20 +4,22 @@ import pytest
 
 from repro.obs import MetricsRegistry, TelemetrySampler, TimeSeries, WindowedHistogram
 from repro.obs.metrics import Histogram
+from repro.obs.timeseries import SERIES_CAPACITY, WINDOW_CAPACITY
 from repro.sim import Simulator
 from repro.sim.resources import Resource
 
 
 # -- TimeSeries --------------------------------------------------------------
 def test_timeseries_ring_capacity():
-    ts = TimeSeries("x", capacity=3)
-    for i in range(5):
+    ts = TimeSeries("x")
+    n = SERIES_CAPACITY + 2
+    for i in range(n):
         ts.append(float(i), float(i * 10))
-    assert len(ts) == 3
-    assert ts.capacity == 3
-    assert ts.samples() == [(2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]
-    assert ts.values() == [20.0, 30.0, 40.0]
-    assert ts.latest() == (4.0, 40.0)
+    assert len(ts) == SERIES_CAPACITY
+    assert ts.capacity == SERIES_CAPACITY
+    assert ts.samples()[:2] == [(2.0, 20.0), (3.0, 30.0)]
+    assert ts.values()[-1] == (n - 1) * 10.0
+    assert ts.latest() == (n - 1.0, (n - 1) * 10.0)
 
 
 def test_timeseries_empty():
@@ -89,12 +91,13 @@ def test_rotate_closes_windows_and_skips_empty():
 
 
 def test_rotate_window_capacity_bounded():
-    h = WindowedHistogram("lat", window_capacity=4)
-    for i in range(10):
+    h = WindowedHistogram("lat")
+    n = WINDOW_CAPACITY + 10
+    for i in range(n):
         h.observe(1.0)
         h.rotate(float(i + 1))
-    assert len(h.windows()) == 4
-    assert h.count == 10  # cumulative stays exact
+    assert len(h.windows()) == WINDOW_CAPACITY
+    assert h.count == n  # cumulative stays exact
 
 
 def test_registry_windowed_histogram_registration():

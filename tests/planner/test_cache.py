@@ -16,6 +16,7 @@ from repro.planner import (
     PlanningError,
     PlanRequest,
 )
+from repro.planner.cache import PLAN_CACHE_SIZE
 from repro.services.mail import build_mail_spec, mail_translator
 
 
@@ -161,12 +162,16 @@ def test_installed_state_is_part_of_the_key():
 # -- bounds and edge cases ----------------------------------------------------
 
 def test_lru_eviction():
-    p = make_planner(plan_cache=PlanCache(maxsize=1))
-    p.plan(bob())
-    p.plan(carol())  # evicts Bob's entry
-    p.plan(bob())
-    assert p.plan_cache.stats.evictions >= 1
-    assert p.plan_cache.stats.hits == 0
+    """Past PLAN_CACHE_SIZE entries the least recently used one goes."""
+    cache = PlanCache()
+    for key in range(PLAN_CACHE_SIZE):
+        cache.store(0, key, None)
+    assert cache.lookup(0, 0) == (True, None)  # key 0 is now the freshest
+    cache.store(0, "one more", None)  # evicts key 1
+    assert cache.stats.evictions == 1
+    assert len(cache) == PLAN_CACHE_SIZE
+    assert cache.lookup(0, 1) == (False, None)
+    assert cache.lookup(0, 0) == (True, None)
 
 
 def test_unhashable_request_bypasses_cache():
@@ -177,11 +182,6 @@ def test_unhashable_request_bypasses_cache():
     key = cache.key_for("exhaustive", ("ExpectedLatency",), req, DeploymentState())
     assert key is None
     assert cache.stats.uncacheable == 1
-
-
-def test_maxsize_must_be_positive():
-    with pytest.raises(ValueError):
-        PlanCache(maxsize=0)
 
 
 # -- purity guard -------------------------------------------------------------

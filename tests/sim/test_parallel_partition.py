@@ -114,22 +114,19 @@ def test_uniform_credential_degrades_to_sequential_kernel():
 
 def test_zero_latency_cut_rejected():
     """A credential split whose only cut link has zero latency is not a
-    legal conservative plan: degenerate by default, PartitionError when
-    the caller demanded a split."""
+    legal conservative plan: it degenerates to one partition."""
     net = Network()
     net.add_node("a", credentials={"site": "east"})
     net.add_node("b", credentials={"site": "west"})
     net.add_link("a", "b", latency_ms=0.0)
     plan = partition_network(net)
     assert len(plan) == 1
-    assert plan.method.startswith("degenerate")
-    with pytest.raises(PartitionError):
-        partition_network(net, require_split=True)
+    assert plan.method == "degenerate:site-zero-cut"
 
 
-def test_min_cut_fallback_recovers_fig5_sites():
-    """Strip the site credentials from Figure 5: the latency min-cut
-    fallback still finds the three sites (threshold = 100 ms)."""
+def test_missing_credential_runs_as_one_partition():
+    """Strip the site credentials from Figure 5: with no node-complete
+    credential there is no split, so the run is one partition."""
     topo = build_fig5_network(clients_per_site=2)
     stripped = Network()
     for node in topo.network.nodes():
@@ -139,13 +136,10 @@ def test_min_cut_fallback_recovers_fig5_sites():
             link.a, link.b, link.latency_ms, link.bandwidth_mbps, link.secure
         )
     plan = partition_network(stripped)
-    assert plan.method.startswith("min-cut")
-    assert len(plan) == 3
-    assert plan.min_lookahead_ms == 100.0
-    by_site = partition_network(topo.network)
-    assert [p.nodes for p in plan.partitions] == [
-        p.nodes for p in by_site.partitions
-    ]
+    assert plan.method == "degenerate:no-site"
+    assert len(plan) == 1
+    assert not plan.cuts
+    assert plan.partitions[0].nodes == tuple(sorted(stripped.node_names()))
 
 
 def test_empty_network_raises():

@@ -144,21 +144,6 @@ def test_node_execute_serializes_jobs():
     assert done == [(pytest.approx(10.0), "a"), (pytest.approx(20.0), "b")]
 
 
-def test_node_multicore_parallelism():
-    sim = Simulator()
-    node = SimNode(sim, "n", cpu_capacity=1000, cores=2)
-    done = []
-
-    def job(tag):
-        yield from node.execute(10)
-        done.append((sim.now, tag))
-
-    for t in "ab":
-        sim.process(job(t))
-    sim.run()
-    assert [t for t, _ in done] == [pytest.approx(10.0), pytest.approx(10.0)]
-
-
 def test_node_bad_capacity():
     with pytest.raises(ValueError):
         SimNode(Simulator(), "n", cpu_capacity=0)

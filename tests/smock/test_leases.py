@@ -59,7 +59,6 @@ def test_lease_config_coerce():
     assert LeaseConfig.coerce(None) is None
     cfg = LeaseConfig(duration_ms=9_000.0)
     assert LeaseConfig.coerce(cfg) is cfg
-    assert cfg.renew_interval_ms == 3_000.0  # defaults to duration / 3
     with pytest.raises(TypeError):
         LeaseConfig.coerce("soon")
     with pytest.raises(ValueError):
@@ -71,8 +70,6 @@ def test_lease_config_rejects_nan_duration():
     renewal interval."""
     with pytest.raises(ValueError, match="duration_ms"):
         LeaseConfig(duration_ms=float("nan"))
-    with pytest.raises(ValueError, match="renew_interval_ms"):
-        LeaseConfig(renew_interval_ms=float("nan"))
 
 
 # -- re-registration is renewal, not clobbering (satellite 1) ----------------

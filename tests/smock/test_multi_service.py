@@ -41,7 +41,7 @@ def runtime():
         mail_translator(),
         algorithm="dp_chain",
         server_node=topo.server_node,
-        conflict_map=AttributeConflictMap("sensitivity", "TrustLevel", "le"),
+        conflict_map=AttributeConflictMap("sensitivity", "TrustLevel"),
     )
     rt.service_state["mail_users"] = DEFAULT_USERS
     for name, cls in MAIL_COMPONENT_CLASSES.items():

@@ -10,35 +10,30 @@ import pytest
 from repro.load import LoadConfig, run_load_cell, sweep
 from repro.obs import Observability
 from repro.sim import FlashCrowdProcess
-from repro.smock import (
-    CircuitBreaker,
-    OverloadConfig,
-    OverloadManager,
-    RetryPolicy,
-    TokenBucket,
+from repro.smock import CircuitBreaker, OverloadManager, RetryPolicy, TokenBucket
+from repro.smock.overload import (
+    BREAKER_BUCKETS,
+    BREAKER_CLOSED,
+    BREAKER_COOLDOWN_MS,
+    BREAKER_FAILURE_THRESHOLD,
+    BREAKER_HALF_OPEN,
+    BREAKER_HALF_OPEN_MAX,
+    BREAKER_OPEN,
+    BREAKER_WINDOW_MS,
+    BUCKET_BURST,
+    BUCKET_RATE_PER_S,
+    MAX_QUEUE,
+    SHED_RETRY_AFTER_MS,
 )
-from repro.smock.overload import BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN
 
 
 class TestConfig:
     def test_defaults_validate(self):
-        OverloadConfig()
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_queue": 0},
-            {"bucket_rate_per_s": 0.0},
-            {"bucket_burst": -1.0},
-            {"breaker_failure_threshold": 0.0},
-            {"breaker_failure_threshold": 1.5},
-            {"breaker_buckets": 0},
-            {"breaker_half_open_max": 0},
-        ],
-    )
-    def test_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(ValueError):
-            OverloadConfig(**kwargs)
+        """The shipped constants satisfy the bounds each mechanism needs."""
+        assert MAX_QUEUE >= 1
+        assert BUCKET_RATE_PER_S > 0 and BUCKET_BURST > 0
+        assert 0.0 < BREAKER_FAILURE_THRESHOLD <= 1.0
+        assert BREAKER_BUCKETS >= 1 and BREAKER_HALF_OPEN_MAX >= 1
 
 
 class TestTokenBucket:
@@ -81,7 +76,7 @@ class TestTokenBucket:
 
 
 def _drive_to_open(br, now=0.0):
-    """Feed enough failures to trip a default-config breaker."""
+    """Feed enough failures to trip a breaker."""
     for i in range(10):
         br.record(now + i, ok=False)
     assert br.state == BREAKER_OPEN
@@ -89,15 +84,13 @@ def _drive_to_open(br, now=0.0):
 
 
 class TestCircuitBreaker:
-    CFG = OverloadConfig()
-
     def test_starts_closed_and_allows(self):
-        br = CircuitBreaker(self.CFG)
+        br = CircuitBreaker()
         assert br.state == BREAKER_CLOSED
         assert br.allow(0.0) == (True, 0.0)
 
     def test_trips_on_failure_rate(self):
-        br = CircuitBreaker(self.CFG)
+        br = CircuitBreaker()
         # below min_requests: no trip even at 100% failures
         for i in range(9):
             br.record(float(i), ok=False)
@@ -107,36 +100,36 @@ class TestCircuitBreaker:
         assert br.trips == 1
 
     def test_successes_keep_it_closed(self):
-        br = CircuitBreaker(self.CFG)
+        br = CircuitBreaker()
         for i in range(40):
             # 25% failures < 50% threshold
             br.record(float(i), ok=(i % 4 != 0))
         assert br.state == BREAKER_CLOSED
 
     def test_open_fast_fails_with_cooldown_hint(self):
-        br = CircuitBreaker(self.CFG)
+        br = CircuitBreaker()
         t = _drive_to_open(br)
         allowed, retry_after = br.allow(t + 1.0)
         assert not allowed
-        assert 0.0 < retry_after <= self.CFG.breaker_cooldown_ms
+        assert 0.0 < retry_after <= BREAKER_COOLDOWN_MS
         assert br.fast_fails == 1
 
     def test_half_open_probe_budget(self):
-        br = CircuitBreaker(self.CFG)
+        br = CircuitBreaker()
         t = _drive_to_open(br)
-        after = t + self.CFG.breaker_cooldown_ms + 1.0
+        after = t + BREAKER_COOLDOWN_MS + 1.0
         # cooldown elapsed: bounded probes pass, the rest fast-fail
-        for _ in range(self.CFG.breaker_half_open_max):
+        for _ in range(BREAKER_HALF_OPEN_MAX):
             assert br.allow(after) == (True, 0.0)
         assert br.state == BREAKER_HALF_OPEN
         allowed, _ = br.allow(after)
         assert not allowed
 
     def test_half_open_success_closes(self):
-        br = CircuitBreaker(self.CFG)
+        br = CircuitBreaker()
         t = _drive_to_open(br)
-        after = t + self.CFG.breaker_cooldown_ms + 1.0
-        for _ in range(self.CFG.breaker_half_open_max):
+        after = t + BREAKER_COOLDOWN_MS + 1.0
+        for _ in range(BREAKER_HALF_OPEN_MAX):
             assert br.allow(after)[0]
             br.record(after, ok=True)
         assert br.state == BREAKER_CLOSED
@@ -145,20 +138,20 @@ class TestCircuitBreaker:
         assert br.state == BREAKER_CLOSED
 
     def test_half_open_failure_retrips(self):
-        br = CircuitBreaker(self.CFG)
+        br = CircuitBreaker()
         t = _drive_to_open(br)
-        after = t + self.CFG.breaker_cooldown_ms + 1.0
+        after = t + BREAKER_COOLDOWN_MS + 1.0
         assert br.allow(after)[0]
         br.record(after, ok=False)
         assert br.state == BREAKER_OPEN
         assert br.trips == 2
 
     def test_window_ages_out_old_failures(self):
-        br = CircuitBreaker(self.CFG)
+        br = CircuitBreaker()
         for i in range(9):
             br.record(float(i), ok=False)
         # a full window later those failures are gone
-        later = self.CFG.breaker_window_ms + 1_000.0
+        later = BREAKER_WINDOW_MS + 1_000.0
         br.record(later, ok=False)
         requests, failures = br.window_rates(later)
         assert requests == 1
@@ -170,8 +163,8 @@ class _FakeSim(SimpleNamespace):
     pass
 
 
-def _manager(**knobs):
-    return OverloadManager(_FakeSim(now=0.0), OverloadConfig(**knobs))
+def _manager():
+    return OverloadManager(_FakeSim(now=0.0))
 
 
 class TestOverloadManager:
@@ -181,27 +174,20 @@ class TestOverloadManager:
         )
 
     def test_admit_below_bound(self):
-        m = _manager(max_queue=4)
-        assert m.admit(self._node(3)) is None
+        m = _manager()
+        assert m.admit(self._node(MAX_QUEUE - 1)) is None
         assert m.stats.shed == 0
 
     def test_shed_at_bound_returns_retry_after(self):
-        m = _manager(max_queue=4, shed_retry_after_ms=123.0)
-        assert m.admit(self._node(4)) == 123.0
-        assert m.admit(self._node(9)) == 123.0
+        m = _manager()
+        assert m.admit(self._node(MAX_QUEUE)) == SHED_RETRY_AFTER_MS
+        assert m.admit(self._node(MAX_QUEUE + 5)) == SHED_RETRY_AFTER_MS
         assert m.stats.shed == 2
-
-    def test_admission_can_be_disabled(self):
-        m = _manager(admission=False)
-        assert m.admit(self._node(10_000)) is None
 
     def test_bucket_shared_per_client_node(self):
         m = _manager()
         assert m.bucket("a") is m.bucket("a")
         assert m.bucket("a") is not m.bucket("b")
-
-    def test_bucket_none_when_throttle_off(self):
-        assert _manager(throttle=False).bucket("a") is None
 
     def test_breaker_fresh_per_proxy(self):
         m = _manager()
@@ -209,9 +195,6 @@ class TestOverloadManager:
         assert b1 is not b2
         _drive_to_open(b1)
         assert m.breaker_trips == 1
-
-    def test_breaker_none_when_disabled(self):
-        assert _manager(breaker=False).breaker() is None
 
     def test_snapshot_shape(self):
         m = _manager()
@@ -229,9 +212,10 @@ class TestOverloadManager:
 def test_protected_cell_counters_match_the_recorded_snapshot(monkeypatch):
     """The per-attempt counters go through handles resolved once; every
     name, label and value must stay what the registry lookups produced
-    (``golden/protected_cell_counters.json``, recorded at commit 0ef33b7
-    from this very cell: sheds, throttles, breaker fast-fails, timeouts
-    and retries that succeeded or ran out all fire).  The planner's own counters are
+    (``golden/protected_cell_counters.json``, recorded at commit 356d544
+    from this very cell, at the shipped protection constants: sheds,
+    throttles, breaker fast-fails, timeouts and retries that succeeded or
+    ran out all fire).  The planner's own counters are
     pinned by ``tests/planner`` and left out."""
     created = []
 
@@ -248,10 +232,8 @@ def test_protected_cell_counters_match_the_recorded_snapshot(monkeypatch):
         ),
         config=LoadConfig(seed=37, duration_ms=4000.0, drain_ms=10000.0, n_users=200),
         n_proxies=3,
-        protection=OverloadConfig(
-            max_queue=48, breaker_min_requests=5, breaker_failure_threshold=0.05
-        ),
-        retry_policy=RetryPolicy(timeout_ms=400.0, max_retries=2),
+        protection=True,
+        retry_policy=RetryPolicy(timeout_ms=150.0, max_retries=2),
     )
     (obs,) = created
     counters = {

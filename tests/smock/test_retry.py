@@ -1,11 +1,13 @@
 """Unit tests for client-side robustness: RetryPolicy + _robust_request."""
 
+import random
+
 import pytest
 
 from repro.obs import Observability
 from repro.sim import Simulator
 from repro.smock import RetryPolicy, ServiceResponse
-from repro.smock.proxy import ServiceProxy
+from repro.smock.proxy import JITTER, ServiceProxy
 
 
 class FakeRuntime:
@@ -52,26 +54,40 @@ def run(rt, gen):
 
 
 def test_backoff_is_exponential_and_capped_without_jitter():
-    policy = RetryPolicy(backoff_base_ms=50, backoff_factor=2,
-                         backoff_cap_ms=300, jitter=0.0)
-    assert [policy.backoff_ms(a) for a in range(1, 6)] == [50, 100, 200, 300, 300]
+    """Dividing out each delay's seeded jitter draw leaves the base."""
+    policy = RetryPolicy(seed=5)
+    rng = random.Random(5)
+    bases = [policy.backoff_ms(a) / (1.0 + JITTER * rng.random()) for a in range(1, 9)]
+    assert bases == pytest.approx([50, 100, 200, 400, 800, 1600, 2000, 2000])
 
 
 def test_backoff_jitter_is_seeded_and_reproducible():
-    a = RetryPolicy(jitter=0.5, seed=42)
-    b = RetryPolicy(jitter=0.5, seed=42)
+    a = RetryPolicy(seed=42)
+    b = RetryPolicy(seed=42)
     seq_a = [a.backoff_ms(i) for i in range(1, 5)]
     seq_b = [b.backoff_ms(i) for i in range(1, 5)]
     assert seq_a == seq_b
-    base = RetryPolicy(jitter=0.0)
     for i, val in enumerate(seq_a, start=1):
-        assert base.backoff_ms(i) <= val <= base.backoff_ms(i) * 1.5
+        base = 50.0 * 2 ** (i - 1)
+        assert base <= val <= base * 1.5
+
+
+@pytest.mark.parametrize("timeout_ms", [float("nan"), float("inf"), 0.0, -1.0])
+def test_bad_timeout_rejected(timeout_ms):
+    with pytest.raises(ValueError, match="timeout_ms"):
+        RetryPolicy(timeout_ms=timeout_ms)
+
+
+def test_negative_retry_count_rejected():
+    with pytest.raises(ValueError, match="max_retries"):
+        RetryPolicy(max_retries=-1)
+    assert RetryPolicy(max_retries=0).max_retries == 0
 
 
 def test_retryable_failures_are_retried_until_success():
     fail = ServiceResponse.failure("unreachable", retryable=True)
     ok = ServiceResponse(ok=True, payload={}, size_bytes=64)
-    rt, proxy = make_proxy(RetryPolicy(timeout_ms=1000, max_retries=4, jitter=0.0),
+    rt, proxy = make_proxy(RetryPolicy(timeout_ms=1000, max_retries=4),
                            [(5, fail), (5, fail), (5, ok)])
     resp = run(rt, proxy.request("op"))
     assert resp.ok
@@ -84,7 +100,7 @@ def test_retryable_failures_are_retried_until_success():
 
 def test_non_retryable_failure_returns_immediately():
     fatal = ServiceResponse.failure("bad request", retryable=False)
-    rt, proxy = make_proxy(RetryPolicy(max_retries=4, jitter=0.0), [(5, fatal)])
+    rt, proxy = make_proxy(RetryPolicy(max_retries=4), [(5, fatal)])
     resp = run(rt, proxy.request("op"))
     assert not resp.ok and "bad request" in resp.error
     assert proxy.retries == 0
@@ -92,7 +108,7 @@ def test_non_retryable_failure_returns_immediately():
 
 def test_dropped_message_is_rescued_by_timeout():
     ok = ServiceResponse(ok=True, payload={}, size_bytes=64)
-    rt, proxy = make_proxy(RetryPolicy(timeout_ms=100, max_retries=2, jitter=0.0),
+    rt, proxy = make_proxy(RetryPolicy(timeout_ms=100, max_retries=2),
                            [(5, None), (5, ok)])
 
     proc = rt.sim.process(proxy.request("op"))
@@ -105,7 +121,7 @@ def test_dropped_message_is_rescued_by_timeout():
 
 def test_retry_budget_exhaustion_returns_last_failure():
     fail = ServiceResponse.failure("unreachable", retryable=True)
-    rt, proxy = make_proxy(RetryPolicy(timeout_ms=100, max_retries=2, jitter=0.0),
+    rt, proxy = make_proxy(RetryPolicy(timeout_ms=100, max_retries=2),
                            [(5, fail)] * 3)
     resp = run(rt, proxy.request("op"))
     assert not resp.ok

@@ -13,38 +13,39 @@ The three failure modes a flash crowd amplifies:
   sheds both happened.
 """
 
-import pytest
+import random
 
 from repro.load import LoadConfig, OpenLoopDriver
 from repro.obs import Observability, use_obs
 from repro.services.mail.spec import DEFAULT_USERS
 from repro.services.mail.workload import open_loop_mail_ops
 from repro.sim import FlashCrowdProcess, PoissonProcess
-from repro.smock import OverloadConfig, RetryPolicy
+from repro.smock import RetryPolicy
+from repro.smock.overload import BUCKET_BURST, BUCKET_RATE_PER_S
+from repro.smock.proxy import BACKOFF_BASE_MS, BACKOFF_CAP_MS, BACKOFF_FACTOR, JITTER
 
 
 class TestBackoffShape:
     def test_exponential_growth_without_jitter(self):
-        p = RetryPolicy(
-            backoff_base_ms=50.0, backoff_factor=2.0, backoff_cap_ms=2_000.0,
-            jitter=0.0,
-        )
+        """With its seeded jitter draw taken out, each delay doubles
+        from 50 ms: it is exactly its base times that draw."""
+        p = RetryPolicy(seed=3)
+        rng = random.Random(3)
+        bases = [50.0, 100.0, 200.0, 400.0, 800.0]
         assert [p.backoff_ms(a) for a in range(1, 6)] == [
-            50.0, 100.0, 200.0, 400.0, 800.0
+            base * (1.0 + JITTER * rng.random()) for base in bases
         ]
 
     def test_backoff_caps(self):
-        p = RetryPolicy(
-            backoff_base_ms=50.0, backoff_factor=2.0, backoff_cap_ms=300.0,
-            jitter=0.0,
-        )
-        assert p.backoff_ms(10) == 300.0
+        p = RetryPolicy()
+        for _ in range(20):
+            assert BACKOFF_CAP_MS <= p.backoff_ms(10) <= BACKOFF_CAP_MS * (1.0 + JITTER)
 
     def test_jitter_bounds(self):
-        p = RetryPolicy(backoff_base_ms=100.0, jitter=0.5, seed=3)
+        p = RetryPolicy(seed=3)
         for attempt in range(1, 5):
             base = min(
-                100.0 * (p.backoff_factor ** (attempt - 1)), p.backoff_cap_ms
+                BACKOFF_BASE_MS * (BACKOFF_FACTOR ** (attempt - 1)), BACKOFF_CAP_MS
             )
             for _ in range(20):
                 d = p.backoff_ms(attempt)
@@ -60,26 +61,26 @@ class TestBackoffShape:
     def test_retry_after_floors_the_delay(self):
         """A saturated server's hint dominates a small early backoff,
         with the hint's own jitter spreading the re-converging crowd."""
-        p = RetryPolicy(backoff_base_ms=10.0, jitter=0.5, seed=1)
+        p = RetryPolicy(seed=1)
         for _ in range(50):
             d = p.retry_delay_ms(1, retry_after_ms=500.0)
             assert 500.0 <= d <= 500.0 * 1.5
 
     def test_large_backoff_beats_small_hint(self):
-        p = RetryPolicy(backoff_base_ms=1_000.0, jitter=0.0)
-        assert p.retry_delay_ms(1, retry_after_ms=50.0) == 1_000.0
-
-    def test_hint_ignored_when_disabled(self):
-        p = RetryPolicy(backoff_base_ms=10.0, jitter=0.0, honor_retry_after=False)
-        assert p.retry_delay_ms(1, retry_after_ms=10_000.0) == 10.0
+        """Attempt 6 backs off at least 1.6 s, a 50 ms hint at most
+        75 ms: the delay is the backoff's own (first) draw."""
+        p, twin = RetryPolicy(seed=2), RetryPolicy(seed=2)
+        assert p.retry_delay_ms(6, retry_after_ms=50.0) == twin.backoff_ms(6)
 
     def test_no_hint_means_pure_backoff(self):
-        p = RetryPolicy(backoff_base_ms=25.0, jitter=0.0)
-        assert p.retry_delay_ms(2, None) == 50.0
+        p, twin = RetryPolicy(seed=4), RetryPolicy(seed=4)
+        assert p.retry_delay_ms(2, None) == twin.backoff_ms(2)
+        assert p._rng.random() == twin._rng.random()  # no extra draw
 
 
-def _run_cell(arrival, config, protection, retry_policy):
-    """Small load cell that keeps runtime internals for inspection.
+def _run_cell(arrival, config, retry_policy, clients=3, node_cpu=100.0):
+    """Small protected load cell that keeps runtime internals for
+    inspection.
 
     Mirrors run_load_cell but returns (runtime, proxies, result) so the
     tests below can read the overload manager and the mail store.
@@ -89,15 +90,15 @@ def _run_cell(arrival, config, protection, retry_policy):
     obs = Observability(tracing=False, metrics=True)
     with use_obs(obs):
         testbed = build_mail_testbed(
-            clients_per_site=3,
-            node_cpu=100.0,
+            clients_per_site=clients,
+            node_cpu=node_cpu,
             flush_policy="never",
             users=DEFAULT_USERS,
-            overload_protection=protection,
+            overload_protection=True,
         )
         runtime = testbed.runtime
         proxies = []
-        for i, node in enumerate(testbed.client_nodes("sandiego")[:3]):
+        for i, node in enumerate(testbed.client_nodes("sandiego")[:clients]):
             user = DEFAULT_USERS[i % len(DEFAULT_USERS)]
             proxy = runtime.run(
                 runtime.client_connect(node, {"User": user}), f"connect:{user}"
@@ -105,8 +106,6 @@ def _run_cell(arrival, config, protection, retry_policy):
             proxy.retry_policy = RetryPolicy(
                 timeout_ms=retry_policy.timeout_ms,
                 max_retries=retry_policy.max_retries,
-                backoff_base_ms=retry_policy.backoff_base_ms,
-                jitter=retry_policy.jitter,
                 seed=config.seed + i,
             )
             proxies.append(proxy)
@@ -120,21 +119,18 @@ class TestBucketBoundsRetries:
         """Initial sends and retries alike draw tokens, so the traffic
         that actually reaches the wire can never exceed the bucket's
         refill budget no matter how hard the retry storm pushes."""
-        rate, burst, duration_s = 20.0, 10.0, 10.0
-        protection = OverloadConfig(
-            bucket_rate_per_s=rate, bucket_burst=burst, breaker=False
-        )
+        rate, burst = BUCKET_RATE_PER_S, BUCKET_BURST
         config = LoadConfig(
-            duration_ms=duration_s * 1_000.0, drain_ms=20_000.0,
-            n_users=500, seed=5,
+            duration_ms=1_000.0, drain_ms=20_000.0, n_users=200, seed=5
         )
         runtime, proxies, result = _run_cell(
-            # offered ~120/s across 3 client nodes: far above the
-            # 20/s-per-node budget, so the buckets must bite
-            PoissonProcess(120.0, seed=5),
+            # offered ~400/s from one client node: twice its bucket
+            # rate, so the bucket must bite
+            PoissonProcess(400.0, seed=5),
             config,
-            protection,
             RetryPolicy(timeout_ms=2_000.0, max_retries=4),
+            clients=1,
+            node_cpu=None,
         )
         stats = runtime.overload.stats
         assert stats.throttled > 0  # the storm actually hit the gate
@@ -150,17 +146,16 @@ class TestBucketBoundsRetries:
 
     def test_throttled_attempts_cost_no_simulated_work(self):
         """A throttled attempt is a local fast-fail: proxies report
-        throttles but the server-side shed counter stays untouched."""
-        protection = OverloadConfig(
-            bucket_rate_per_s=5.0, bucket_burst=2.0, breaker=False,
-            admission=False,
-        )
+        throttles but the server-side shed counter stays untouched (the
+        full-speed server never queues to the admission bound)."""
         config = LoadConfig(
-            duration_ms=5_000.0, drain_ms=10_000.0, n_users=200, seed=9
+            duration_ms=1_000.0, drain_ms=10_000.0, n_users=200, seed=9
         )
         runtime, proxies, result = _run_cell(
-            PoissonProcess(60.0, seed=9), config, protection,
+            PoissonProcess(400.0, seed=9), config,
             RetryPolicy(timeout_ms=2_000.0, max_retries=2),
+            clients=1,
+            node_cpu=None,
         )
         stats = runtime.overload.stats
         assert stats.throttled > 0
@@ -173,7 +168,6 @@ class TestShedThenRetryDedupe:
         """Shed-then-retried sends reuse one idempotency key, so the
         primary stores each acked send exactly once even though the
         flash crowd forced retries and sheds along the way."""
-        protection = OverloadConfig(max_queue=8, bucket_rate_per_s=60.0)
         config = LoadConfig(
             duration_ms=10_000.0, drain_ms=30_000.0, n_users=500, seed=13
         )
@@ -183,7 +177,6 @@ class TestShedThenRetryDedupe:
                 hold_ms=5_000.0, decay_ms=1_000.0, seed=13,
             ),
             config,
-            protection,
             RetryPolicy(timeout_ms=4_000.0, max_retries=6),
         )
         # The scenario exercised the machinery it claims to test:
@@ -210,7 +203,6 @@ class TestShedThenRetryDedupe:
     def test_dedupe_holds_deterministically(self):
         """Same seed, same storm, same store count — the dedupe path is
         on the deterministic hot path, not a best-effort cache."""
-        protection = OverloadConfig(max_queue=8)
         counts = []
         for _ in range(2):
             config = LoadConfig(
@@ -222,7 +214,6 @@ class TestShedThenRetryDedupe:
                     hold_ms=3_000.0, decay_ms=1_000.0, seed=17,
                 ),
                 config,
-                protection,
                 RetryPolicy(timeout_ms=4_000.0, max_retries=5),
             )
             stored = sum(

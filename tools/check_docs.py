@@ -24,10 +24,14 @@ Seven phases, each selectable (all run by default):
 - ``--kwargs``: every ``SmockRuntime(name=...)``, ``.add_service(...)``,
   ``build_mail_testbed(...)``, ``Simulator(...)``, ``RuntimeTransport(...)``,
   ``ChaosCaseConfig(...)``, ``run_load_cell(...)``,
-  ``.enable_self_healing(...)``, ``Planner(...)``, ``TelemetrySampler(...)``
-  or ``LeaseConfig(...)`` call quoted in the user-facing docs must only
-  pass keywords the real signature has.  Catches docs drifting from the
-  constructor surface.  CHANGES.md is history and is not scanned.
+  ``.enable_self_healing(...)``, ``Planner(...)``, ``TelemetrySampler(...)``,
+  ``LeaseConfig(...)``, ``RetryPolicy(...)``, ``run_parallel(...)``,
+  ``partition_network(...)``, ``FailureDetector(...)``,
+  ``FlightRecorder(...)`` or ``AttributeConflictMap(...)`` call quoted
+  in the user-facing docs must only pass keywords the real signature
+  has.  Catches docs drifting from the constructor surface, and docs
+  still quoting a keyword that became a module constant.  CHANGES.md is
+  history and is not scanned.
 - ``--symbols``: every `` `path/file.py:Dotted.name` `` pointer quoted in
   the user-facing docs must name a file in the repo whose path ends
   with ``path/file.py`` and, in it, a module-level definition (or, for
@@ -329,6 +333,12 @@ KWARGS_CALLABLES = {
     "Planner": ("repro.planner", None),
     "TelemetrySampler": ("repro.obs.timeseries", None),
     "LeaseConfig": ("repro.smock", None),
+    "RetryPolicy": ("repro.smock", None),
+    "run_parallel": ("repro.sim.parallel", None),
+    "partition_network": ("repro.sim.parallel", None),
+    "FailureDetector": ("repro.faults", None),
+    "FlightRecorder": ("repro.obs.flight", None),
+    "AttributeConflictMap": ("repro.coherence", None),
 }
 _BY_DOC_NAME = {name.rsplit(".", 1)[-1]: name for name in KWARGS_CALLABLES}
 CALL_RE = re.compile("|".join(
