@@ -238,8 +238,8 @@ def _lookup_unavailability_ms(lookup_hosts):
     """Crash the first lookup host mid-run and measure the window (sim
     ms from crash to first successful lookup) a Seattle client sees.
 
-    Both cells run the leased :class:`ReplicatedLookup` (a registry on
-    a dead host must not answer — the lease machinery is what models
+    Both cells run a leased :class:`LookupService` (a registry on a
+    dead host must not answer — the lease machinery is what models
     that); only the host count differs.  The singleton is dark for the
     whole outage plus one renewal interval (its purged registry is
     re-created by the first post-restart heartbeat); a second replica
@@ -281,8 +281,7 @@ def _lookup_unavailability_ms(lookup_hosts):
 
     proc = sim.process(probe(), name="unavail-probe-loop")
     sim.run(until=t_crash + OUTAGE_MS + 30_000.0)
-    if hasattr(rt.lookup, "stop"):
-        rt.lookup.stop()
+    rt.lookup.stop()
     assert proc.triggered and not proc.failed, "probe never recovered"
     return recovered["at_ms"] - t_crash
 
@@ -354,8 +353,9 @@ def test_lookup_failover_window_and_directory_mttr(benchmark, report_lines):
 def test_control_plane_knobs_zero_overhead_when_default(benchmark,
                                                         report_lines):
     """Explicit default knobs (leases off, journal off) are
-    byte-identical to omitting them, and resolve to the plain singleton
-    ``LookupService`` — the structural zero-overhead pin."""
+    byte-identical to omitting them, and resolve to the one-host
+    ``LookupService`` with no lease loop — the structural zero-overhead
+    pin."""
     def run_pair():
         bare = run_chaos(with_faults=False, n_sends=30, n_receives=3)
         knobbed = run_chaos(with_faults=False, n_sends=30, n_receives=3,
@@ -366,9 +366,14 @@ def test_control_plane_knobs_zero_overhead_when_default(benchmark,
     sig_bare = _fault_free_signature(bare[0], bare[2])
     sig_knobbed = _fault_free_signature(knobbed[0], knobbed[2])
     assert sig_bare == sig_knobbed, "default control-plane knobs leak events"
-    assert type(knobbed[0].lookup) is LookupService
+    lookup = knobbed[0].lookup
+    assert type(lookup) is LookupService
+    assert len(lookup.replicas) == 1 and lookup.lease_config is None
+    # nothing stopped it, so no lease loop was ever spawned
+    assert lookup._running is None
     assert knobbed[0].coherence.journal is None
     report_lines.append(
         "control plane: default knobs are byte-identical to their absence "
-        f"(plain LookupService, no journal; {sig_bare[1]} events either way)"
+        f"(one-host LookupService, no lease loop, no journal; {sig_bare[1]} "
+        "events either way)"
     )

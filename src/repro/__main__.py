@@ -50,6 +50,14 @@ def _write_json(path: str, payload) -> None:
         json.dump(payload, fh, indent=2)
 
 
+def _interval_ms(text: str) -> float:
+    """argparse type for ``--telemetry-interval``: finite and > 0."""
+    value = float(text)
+    if not 0 < value < float("inf"):  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def cmd_fig5(args: argparse.Namespace) -> int:
     from .experiments import build_fig5_network
 
@@ -766,7 +774,7 @@ def main(argv=None) -> int:
                            "p99) trigger scale-out replanning at measured "
                            "rates, scale-in consolidates afterwards (implies "
                            "a 500 ms telemetry sampler)")
-    tele.add_argument("--telemetry-interval", type=float, default=None,
+    tele.add_argument("--telemetry-interval", type=_interval_ms, default=None,
                       metavar="MS",
                       help="sample queue depths, utilizations and windowed "
                            "percentiles every MS simulated ms "
@@ -813,7 +821,7 @@ def main(argv=None) -> int:
                    help="write a JSON artifact (plus a flight-recorder "
                         "JSONL) per failing seed into DIR; SLO reports land "
                         "in DIR/slo-reports.json")
-    p.add_argument("--telemetry-interval", type=float, default=None,
+    p.add_argument("--telemetry-interval", type=_interval_ms, default=None,
                    metavar="MS",
                    help="per-case telemetry sampling interval in simulated "
                         "ms (default: off; implied 500 by --artifacts)")

@@ -130,8 +130,8 @@ class AutonomicManager:
     # -- wiring ---------------------------------------------------------------
     def attach(self) -> "AutonomicManager":
         """Register sampler hooks and claim the replanner's autonomic slot."""
-        sampler = getattr(self.runtime, "sampler", None)
-        if sampler is None or not sampler.enabled:
+        sampler = self.runtime.sampler
+        if sampler is None:
             raise RuntimeError(
                 "autonomic needs telemetry: construct the runtime with "
                 "telemetry_interval_ms set (or let autonomic default it)"
@@ -155,7 +155,7 @@ class AutonomicManager:
         later ``enable_self_healing()`` call upgrades this replanner in
         place with a live monitor and failure detector.
         """
-        existing = getattr(self.runtime, "replanner", None)
+        existing = self.runtime.replanner
         if existing is not None:
             return existing
         from ..network.monitor import NetworkMonitor
@@ -171,11 +171,8 @@ class AutonomicManager:
     def _rate_scan(self, now: float) -> None:
         """Per-tick sampler scan: instantaneous offered req/s per binding."""
         sampler = self.runtime.sampler
-        interval = sampler.interval_ms or 1.0
-        replanner = getattr(self.runtime, "replanner", None)
-        if replanner is None:
-            return
-        for binding in replanner.bindings:
+        interval = sampler.interval_ms
+        for binding in self.runtime.replanner.bindings:
             proxy = binding.proxy
             count = float(getattr(proxy, "requests", 0))
             prev, history = self._rate_state.get(
@@ -285,7 +282,7 @@ class AutonomicManager:
         sim.process(replanner.replan_all(trigger=trigger), name="autonomic-replan")
 
     def _record_flight(self, signal: ScaleSignal) -> None:
-        flight = getattr(self.runtime.sampler, "flight", None)
+        flight = self.runtime.sampler.flight
         if flight is not None:
             flight.record("autonomic", self.runtime.sim.now, data=signal.as_dict())
 
@@ -398,7 +395,7 @@ class AutonomicManager:
                 and self._view_count() <= self._baseline_views
             ):
                 self._scaled_out = False
-        flight = getattr(self.runtime.sampler, "flight", None)
+        flight = self.runtime.sampler.flight
         if flight is not None:
             flight.record(
                 "autonomic_round", self.runtime.sim.now, data=pending.as_dict()

@@ -201,7 +201,7 @@ class PolicyEngine:
 
     def _scan(self, now: float) -> None:
         self.evaluations += 1
-        interval = self.sampler.interval_ms or 1.0
+        interval = self.sampler.interval_ms
         for rule in self.rules:
             fired = self._evaluate(rule, now, interval)
             if fired is not None:

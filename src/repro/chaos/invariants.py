@@ -162,9 +162,6 @@ def check_lookup_failover(
     """
     violations: List[str] = []
     lookup = runtime.lookup
-    log = getattr(lookup, "lookup_log", None)
-    if log is None:
-        return ["lookup-failover: runtime is not running a replicated lookup"]
     for rec in reconnects:
         if not rec.get("ok"):
             violations.append(
@@ -174,7 +171,7 @@ def check_lookup_failover(
     for host in sorted(outages):
         start, end = outages[host]
         served = [
-            t for t, _client, serving in log
+            t for t, _client, serving in lookup.lookup_log
             if serving == host and start <= t < end
         ]
         if served:
@@ -193,7 +190,7 @@ def check_lookup_failover(
 def check_directory_recovery(runtime: Any, crashed_host: str) -> List[str]:
     """The directory host's death produced a consistent takeover."""
     takeovers = [
-        t for t in getattr(runtime, "directory_takeovers", [])
+        t for t in runtime.directory_takeovers
         if t["crashed_host"] == crashed_host
     ]
     if not takeovers:
@@ -215,7 +212,7 @@ def check_directory_recovery(runtime: Any, crashed_host: str) -> List[str]:
                 f"directory-recovery: takeover re-elected the crashed host "
                 f"{crashed_host}"
             )
-    if getattr(runtime.coherence, "journal", None) is None:
+    if runtime.coherence.journal is None:
         violations.append(
             "directory-recovery: recovered directory has no journal (a "
             "second crash would be unrecoverable)"

@@ -57,7 +57,7 @@ class MailTestbed:
         )
         if retry is not None:
             proxy.retry_policy = retry
-        replanner = getattr(runtime, "replanner", None)
+        replanner = runtime.replanner
         if replanner is not None:
             replanner.track_access(proxy, runtime.generic_server.accesses[-1])
         return proxy
@@ -99,8 +99,7 @@ class MailTestbed:
             sim.run(until=min(sim.now + 5_000.0, deadline))
         runtime.failure_detector.stop()
         runtime.monitor.stop()
-        if hasattr(runtime.lookup, "stop"):
-            runtime.lookup.stop()
+        runtime.lookup.stop()
 
     def converge(self) -> None:
         """Force convergence once the schedule is over: flush every dirty

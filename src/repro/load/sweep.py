@@ -127,11 +127,11 @@ def _p99_recovery_windows(
     until the ``send_mail`` windowed p99 stayed at/under ``bound_ms`` for
     ``sustain`` consecutive windows (``None`` = never recovered or
     never scaled out)."""
-    sampler = getattr(runtime, "sampler", None)
+    sampler = runtime.sampler
     if start is None or sampler is None:
         return None
     series = sampler.series("smock.request_sim_ms.p99", op="send_mail")
-    interval = sampler.interval_ms or 1.0
+    interval = sampler.interval_ms
     run = 0
     for t_ms, value in series.samples():
         if t_ms < start:

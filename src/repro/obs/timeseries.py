@@ -11,14 +11,13 @@ the cumulative summaries.
 
 Knob discipline (see ARCHITECTURE.md "telemetry pipeline"): sampling is
 **pull-based** — probes read state the simulation already maintains
-(``Resource.queue_length``, link byte counters), so a
-disabled sampler (``interval_ms`` of ``None`` or ``<= 0``) schedules
-nothing and adds no work to any instrumented layer; the only push-side
-accounting (per-link in-flight bytes) lives behind
-``RuntimeTransport.enable_telemetry()`` and is never switched on unless
-a sampler attaches.  The sampler's tick *does* schedule simulator
-events, so enabling it changes the event count — byte-identical
-simulated results are pinned with telemetry off
+(``Resource.queue_length``, link byte counters), so a runtime without a
+sampler (``telemetry_interval_ms=None``) adds no work to any
+instrumented layer; the only push-side accounting (per-link in-flight
+bytes) lives behind ``RuntimeTransport.enable_telemetry()`` and is never
+switched on unless a sampler attaches.  The sampler's tick *does*
+schedule simulator events, so enabling it changes the event count —
+byte-identical simulated results are pinned with telemetry off
 (``tests/integration/test_telemetry_determinism.py``).
 """
 
@@ -274,30 +273,31 @@ class WindowedHistogram:
 class TelemetrySampler:
     """Periodic sim-clock scrape of probes into time series.
 
-    Construction is free; :meth:`start` schedules the first tick only
-    when the sampler is enabled.  Each tick reads every probe, runs
-    every scan hook, rotates the registry's windowed histograms (so
-    per-op p50/p99/p999 land in ``<hist>.p50``/``.p99``/``.p999``
-    series), optionally feeds the :class:`~repro.obs.flight.FlightRecorder`,
-    and re-arms itself — but only while *other* events remain queued, so
-    an otherwise-finished ``sim.run()`` still drains one interval after
-    quiescence instead of spinning forever.
+    Construction is free; :meth:`start` schedules the first tick.  Each
+    tick reads every probe, runs every scan hook, rotates the registry's
+    windowed histograms (so per-op p50/p99/p999 land in
+    ``<hist>.p50``/``.p99``/``.p999`` series), optionally feeds the
+    :class:`~repro.obs.flight.FlightRecorder`, and re-arms itself — but
+    only while *other* events remain queued, so an otherwise-finished
+    ``sim.run()`` still drains one interval after quiescence instead of
+    spinning forever.
     """
 
     def __init__(
         self,
         sim: Any,
         metrics: Optional[MetricsRegistry] = None,
-        interval_ms: Optional[float] = 500.0,
+        interval_ms: float = 500.0,
         flight: Any = None,
     ) -> None:
+        if not 0 < interval_ms < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"interval_ms must be finite and > 0, got {interval_ms!r}"
+            )
         self.sim = sim
         self.metrics = metrics
-        self.interval_ms = float(interval_ms or 0.0)
+        self.interval_ms = float(interval_ms)
         self.flight = flight
-        #: master knob: a disabled sampler never schedules an event and
-        #: never enables push-side instrumentation (zero work).
-        self.enabled = self.interval_ms > 0
         #: True while a tick is armed on the simulator
         self.active = False
         self.ticks = 0
@@ -389,8 +389,6 @@ class TelemetrySampler:
         per-node CPU queue depth and utilization, per-link utilization
         and in-flight bytes, per-component service time, coherence
         dirty-buffer depth, and retry/timeout/replan rates."""
-        if not self.enabled:
-            return self
         transport = runtime.transport
         transport.enable_telemetry()
         for name, node in transport.nodes.items():
@@ -459,8 +457,8 @@ class TelemetrySampler:
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "TelemetrySampler":
-        """Arm the first tick; a no-op when disabled or already active."""
-        if not self.enabled or self.active:
+        """Arm the first tick; a no-op when already active."""
+        if self.active:
             return self
         self._stopped = False
         self.active = True
@@ -524,6 +522,6 @@ class TelemetrySampler:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<TelemetrySampler interval={self.interval_ms}ms "
-            f"enabled={self.enabled} ticks={self.ticks} "
+            f"ticks={self.ticks} "
             f"series={len(self._series)}>"
         )

@@ -4,7 +4,7 @@ wrappers, deployment execution, and the runtime facade."""
 from .bundle import ServiceBundle
 from .component import RuntimeComponent, ServerStub
 from .deployment import Deployer, DeploymentError, DeploymentRecord
-from .leases import Lease, LeaseConfig, ReplicatedLookup
+from .leases import Lease, LeaseConfig
 from .lookup import LookupError, LookupService, ServiceRegistration
 from .messages import RequestError, ServiceRequest, ServiceResponse
 from .overload import (
@@ -32,7 +32,6 @@ __all__ = [
     "ServiceRegistration",
     "Lease",
     "LeaseConfig",
-    "ReplicatedLookup",
     "GenericProxy",
     "ServiceProxy",
     "BindRecord",

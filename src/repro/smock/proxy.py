@@ -145,7 +145,7 @@ class ServiceProxy:
         # exist only when the runtime was built with overload_protection
         # on; otherwise both are None (zero hot-path work beyond this
         # attribute).
-        overload = getattr(runtime, "overload", None)
+        overload = runtime.overload
         self._breaker = overload.breaker() if overload is not None else None
         self._bucket = (
             overload.bucket(client_node) if overload is not None else None

@@ -186,10 +186,10 @@ class ReplanManager:
         # death may arrive debounced behind a sibling event.  Requires
         # the ``directory_host`` + ``directory_journal`` knobs; without
         # them a directory-host death is an ordinary node death.
-        directory_host = getattr(runtime, "directory_host", None)
+        directory_host = runtime.directory_host
         if (
             directory_host is not None
-            and getattr(bundle.coherence, "journal", None) is not None
+            and bundle.coherence.journal is not None
             and not runtime.transport.node(directory_host).up
         ):
             self._takeover_directory(directory_host)

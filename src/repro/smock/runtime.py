@@ -44,6 +44,7 @@ from ..spec import ComponentDef, ServiceSpec, ViewDef
 from .bundle import ServiceBundle
 from .component import RuntimeComponent
 from .deployment import Deployer, DeploymentError, DeploymentRecord
+from .leases import LeaseConfig
 from .lookup import LookupService
 from .proxy import BindRecord, GenericProxy, ServiceProxy
 from .server import GenericServer
@@ -124,10 +125,10 @@ class SmockRuntime:
         self.code_base_node = code_base_node or self.server_node
 
         #: control-plane availability knobs (see ARCHITECTURE.md
-        #: "control-plane availability").  The defaults construct the
-        #: plain singleton :class:`LookupService` and an unjournaled
-        #: directory — byte-identical to a runtime predating the
-        #: feature (pinned by tests/integration/
+        #: "control-plane availability").  With one lookup host and
+        #: leases off the lookup schedules no event of its own, and
+        #: ``directory_journal`` off builds an unjournaled directory
+        #: (both pinned by tests/integration/
         #: test_control_plane_identity.py).
         self.directory_journal = bool(directory_journal)
         self.directory_host = directory_host
@@ -137,15 +138,16 @@ class SmockRuntime:
         #: (crashed host, new host, recovery report) — read by the chaos
         #: invariants.
         self.directory_takeovers: List[Dict[str, Any]] = []
-        if len(lookup_hosts or ()) > 1 or lookup_leases:
-            from .leases import LeaseConfig, ReplicatedLookup
-
-            hosts = list(lookup_hosts) if lookup_hosts else [self.lookup_node]
-            self.lookup: Any = ReplicatedLookup(
-                self, hosts, LeaseConfig.coerce(lookup_leases)
-            )
-        else:
-            self.lookup = LookupService(self, self.lookup_node)
+        self.lookup = LookupService(
+            self,
+            list(lookup_hosts) if lookup_hosts else [self.lookup_node],
+            LeaseConfig.coerce(lookup_leases),
+        )
+        #: the recovery loop, wired by :meth:`enable_self_healing` (the
+        #: autonomic manager may create a dormant monitor + replanner)
+        self.monitor: Optional[Any] = None
+        self.failure_detector: Optional[Any] = None
+        self.replanner: Optional[Any] = None
         self.deployer = Deployer(self)
         self.wrappers: Dict[str, NodeWrapper] = {
             name: NodeWrapper(self, node)
@@ -174,9 +176,8 @@ class SmockRuntime:
 
         #: continuous telemetry (see ARCHITECTURE.md "telemetry
         #: pipeline").  ``None`` constructs nothing — byte-identical to
-        #: a runtime without the feature; ``0`` constructs a disabled
-        #: sampler (machinery present, zero work);
-        #: ``> 0`` samples every that-many simulated ms.
+        #: a runtime without the feature; ``> 0`` samples every
+        #: that-many simulated ms.
         self.flight = flight
         self.sampler: Optional[Any] = None
         #: autonomic loop (see repro.autonomic): ``False`` constructs
@@ -195,9 +196,8 @@ class SmockRuntime:
                 interval_ms=telemetry_interval_ms,
                 flight=flight,
             )
-            if self.sampler.enabled:
-                self.sampler.attach_runtime(self)
-                self.sampler.start()
+            self.sampler.attach_runtime(self)
+            self.sampler.start()
         if autonomic:
             from ..autonomic import AutonomicManager
 
@@ -513,8 +513,8 @@ class SmockRuntime:
         the autonomic manager (no monitor polling, no heartbeats) is
         upgraded in place — its bindings and autonomic hooks survive.
         """
-        existing = getattr(self, "replanner", None)
-        if existing is not None and getattr(self, "failure_detector", None) is not None:
+        existing = self.replanner
+        if existing is not None and self.failure_detector is not None:
             return existing
         from ..faults import FailureDetector
         from ..network.monitor import NetworkMonitor
@@ -539,21 +539,17 @@ class SmockRuntime:
         self.monitor = monitor
         self.failure_detector = detector
         self.replanner = replanner
-        if hasattr(self.lookup, "on_lease_event"):
-            # Lease lapses become monitor events: a service that stops
-            # renewing triggers a replan/rebind round through the same
-            # pipeline as heartbeat-detected node death (the monitor
-            # dedups, so the two channels never double-fire a round).
-            self.lookup.on_lease_event = self._report_lease_event
+        # Lease lapses become monitor events: a service that stops
+        # renewing triggers a replan/rebind round through the same
+        # pipeline as heartbeat-detected node death (the monitor dedups,
+        # so the two channels never double-fire a round).
+        self.lookup.on_lease_event = self._report_lease_event
         return replanner
 
     def _report_lease_event(self, name: str, alive: bool) -> None:
-        monitor = getattr(self, "monitor", None)
-        if monitor is None:
-            return
         from ..network.monitor import ChangeEvent
 
-        monitor.report(
+        self.monitor.report(
             ChangeEvent(
                 time_ms=self.sim.now,
                 kind="service",

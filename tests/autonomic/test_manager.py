@@ -63,7 +63,6 @@ class FakeReplanner:
 
 
 class FakeSampler:
-    enabled = True
     interval_ms = 500.0
     flight = None
 
@@ -79,6 +78,8 @@ class FakeRuntime:
         self.sim = FakeSim()
         self.obs = Observability(tracing=False, metrics=True)
         self.sampler = FakeSampler()
+        self.monitor = None
+        self.failure_detector = None
         self.replanner = FakeReplanner()
         self.network = None
         self.primary = None

@@ -34,7 +34,7 @@ class TestConnect:
         tb = build_mail_testbed(clients_per_site=1)
         proxy = tb.connect("sandiego-client1", "Bob")
         assert proxy.user == "Bob"
-        assert getattr(tb.runtime, "replanner", None) is None
+        assert tb.runtime.replanner is None
 
     @pytest.mark.parametrize("autonomic, self_healing", [(True, False), (False, True)])
     def test_binding_is_tracked_when_a_replanner_exists(self, autonomic, self_healing):

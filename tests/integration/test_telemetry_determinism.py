@@ -1,12 +1,12 @@
-"""Telemetry must be free when off and invisible when disabled.
+"""Telemetry must be free when off and invisible to the workload when on.
 
 The continuous-telemetry pipeline (sampler ticks, windowed histograms,
 in-flight byte accounting) follows the same contract as every other
-observability knob in this repository: the default configuration does
-not construct it, a constructed-but-disabled sampler does zero work and
-leaves the run byte-identical, and an enabled sampler may add its own
-tick events to the schedule but must not perturb anything the workload
-observes (latencies, traffic, coherence outcomes).
+observability knob in this repository: the default configuration
+(``telemetry_interval_ms=None``) does not construct it, and an enabled
+sampler may add its own tick events to the schedule but must not
+perturb anything the workload observes (latencies, traffic, coherence
+outcomes).
 """
 
 from __future__ import annotations
@@ -63,32 +63,13 @@ def _full_signature(runtime, result):
     )
 
 
-def test_disabled_sampler_is_byte_identical():
-    """interval 0 constructs the sampler but must change nothing at all:
-    same clock, same event count, same traffic, same latencies."""
-    ref_rt, ref_result = _run_mail(telemetry_interval_ms=None)
-    off_rt, off_result = _run_mail(telemetry_interval_ms=0.0)
-    assert ref_rt.sampler is None
-    assert off_rt.sampler is not None
-    assert _full_signature(off_rt, off_result) == _full_signature(
-        ref_rt, ref_result
-    )
-
-
 def test_disabled_sampler_structural_zero_work():
     """The <1%-overhead guarantee, asserted structurally: with telemetry
-    off no sampler event is ever scheduled and the transport keeps no
-    in-flight accounting."""
-    rt, _result = _run_mail(telemetry_interval_ms=0.0)
-    sampler = rt.sampler
-    assert not sampler.enabled and not sampler.active
-    assert sampler.ticks == 0
-    assert sampler.all_series() == []
+    off no sampler exists and the transport keeps no in-flight
+    accounting."""
+    rt, _result = _run_mail(telemetry_interval_ms=None)
+    assert rt.sampler is None
     assert rt.transport.link_inflight is None
-
-    rt_none, _result = _run_mail(telemetry_interval_ms=None)
-    assert rt_none.sampler is None
-    assert rt_none.transport.link_inflight is None
 
 
 def test_enabled_sampler_does_not_perturb_workload():
@@ -96,7 +77,6 @@ def test_enabled_sampler_does_not_perturb_workload():
     interval boundary), but every workload-visible outcome is identical."""
     ref_rt, ref_result = _run_mail(telemetry_interval_ms=None)
     on_rt, on_result = _run_mail(telemetry_interval_ms=500.0, metrics=True)
-    assert on_rt.sampler.enabled
     assert on_rt.sampler.ticks > 0
     inflight = [
         ts for ts in on_rt.sampler.all_series() if ts.name == "link.inflight_bytes"
@@ -137,20 +117,20 @@ def test_enabled_sampler_collects_standard_series():
 
 
 def test_disabled_sampler_wall_clock_overhead_bounded():
-    """Generous wall-clock companion to the structural guard: the
-    disabled-telemetry run must not be meaningfully slower than the
-    no-telemetry run (bound far above noise; the structural assertions
-    above are the real <1% guarantee)."""
-    def timed(interval):
+    """Generous wall-clock companion to the structural guard: passing
+    the off state, ``None``, must not be meaningfully slower than
+    omitting the argument (bound far above noise; the structural
+    assertions above are the real <1% guarantee)."""
+    def timed(**kwargs):
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            _run_mail(telemetry_interval_ms=interval)
+            _run_mail(**kwargs)
             best = min(best, time.perf_counter() - t0)
         return best
 
-    base = timed(None)
-    disabled = timed(0.0)
+    base = timed()
+    disabled = timed(telemetry_interval_ms=None)
     assert disabled < base * 1.5 + 0.05, (
         f"disabled telemetry cost too much: {disabled:.3f}s vs {base:.3f}s"
     )

@@ -155,18 +155,12 @@ def test_sampler_stops_when_heap_drains():
     assert not sampler.active
 
 
-def test_disabled_sampler_schedules_nothing():
-    for kwargs in ({"interval_ms": 0}, {"interval_ms": None}):
-        sim = Simulator()
-        sampler = TelemetrySampler(sim, **kwargs)
-        assert not sampler.enabled
-        seq_before = sim._seq
-        sampler.start()
-        assert sim._seq == seq_before, "disabled sampler scheduled an event"
-        assert not sampler.active
-        sim.process(_ticker(sim, 2))
-        sim.run()
-        assert sampler.ticks == 0
+@pytest.mark.parametrize("interval_ms", [0, 0.0, -250.0, float("nan"), float("inf")])
+def test_sampler_rejects_an_interval_that_is_not_positive_and_finite(interval_ms):
+    """``None`` (no sampler at all) is the only off state: a sampler
+    that would never tick is refused instead of built disabled."""
+    with pytest.raises(ValueError, match="interval_ms"):
+        TelemetrySampler(Simulator(), interval_ms=interval_ms)
 
 
 def test_sampler_counter_rate():

@@ -5,9 +5,11 @@ lookup on the ``server_node``, with one or two ``lookup_hosts`` (and
 leases), through ``build_mail_testbed``, and with a second service on
 its own generic-server host — ``golden/construction_shapes.json`` records the
 lookup node, the server node, the code-base node, each bundle's
-code-base node and generic-server host, and the class of the lookup
-service.  The record was taken before the runtime's redundant options
-were retired; every shape must still resolve exactly as recorded.
+code-base node and generic-server host, and the lookup service's hosts
+(primary first).  The record was taken before the runtime's redundant
+options were retired (its ``"lookup"`` field re-taken, from the same
+tree, when it changed from the lookup's class name to its host list);
+every shape must still resolve exactly as recorded.
 
 Regenerate (only when a placement is *meant* to change) with
 ``PYTHONPATH=src python tests/smock/test_construction_shapes.py``.
@@ -23,7 +25,7 @@ import pytest
 from repro.experiments import build_mail_testbed
 from repro.experiments.topology_fig5 import build_fig5_network
 from repro.services.mail import build_mail_spec, mail_translator
-from repro.smock import LeaseConfig, SmockRuntime
+from repro.smock import LeaseConfig, LookupService, SmockRuntime
 
 GOLDEN = Path(__file__).parent / "golden" / "construction_shapes.json"
 
@@ -103,14 +105,16 @@ def resolved(runtime):
             }
             for b in bundles
         },
-        "lookup": type(runtime.lookup).__name__,
+        "lookup": runtime.lookup.hosts,
     }
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_shape_resolves_as_recorded(shape):
     golden = json.loads(GOLDEN.read_text())
-    assert resolved(SHAPES[shape]()) == golden[shape]
+    runtime = SHAPES[shape]()
+    assert type(runtime.lookup) is LookupService
+    assert resolved(runtime) == golden[shape]
 
 
 if __name__ == "__main__":

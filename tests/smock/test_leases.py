@@ -18,7 +18,6 @@ from repro.smock import (
     LeaseConfig,
     LookupError,
     LookupService,
-    ReplicatedLookup,
 )
 
 LOOKUP_HOSTS = ["sandiego-gw", "seattle-gw"]
@@ -75,7 +74,7 @@ def test_lease_config_rejects_nan_duration():
 # -- re-registration is renewal, not clobbering (satellite 1) ----------------
 
 def test_reregistration_renews_in_place_and_counts(runtime, caplog):
-    original = runtime.lookup.resolve(name="mail")
+    original = runtime.lookup.replicas[0].resolve(name="mail")
     with caplog.at_level(logging.WARNING, logger="repro.smock.lookup"):
         again = runtime.lookup.register("mail", {"replaced": True})
     assert again is original  # live proxies keep a valid reference
@@ -145,31 +144,35 @@ def test_unwitnessed_expiry_purges_quietly():
     testify the service died: it purges without reporting."""
     testbed = leased_testbed()
     runtime = testbed.runtime
-    service = LookupService(runtime, "sandiego-gw")
-    service.lease_config = LeaseConfig(duration_ms=1_000.0)
+    service = LookupService(
+        runtime, ["sandiego-gw"], LeaseConfig(duration_ms=1_000.0)
+    )
+    registry = service.replicas[0]
     service.register("svc", {})
     # Host crashes and restarts: its crash count moves past the witness
     # snapshot taken at grant time.
-    purged = service.purge_expired(5_000.0, host_crashes=1)
+    purged = registry.purge_expired(5_000.0, host_crashes=1)
     assert purged == [("svc", False)]  # purged, but not witnessed
     service.register("svc2", {})
-    purged = service.purge_expired(10_000.0, host_crashes=1)
+    purged = registry.purge_expired(10_000.0, host_crashes=1)
     assert purged == [("svc2", False)] or purged == []
 
 
 def test_witnessed_expiry_is_reported():
     testbed = leased_testbed()
     runtime = testbed.runtime
-    service = LookupService(runtime, "sandiego-gw")
-    service.lease_config = LeaseConfig(duration_ms=1_000.0)
+    service = LookupService(
+        runtime, ["sandiego-gw"], LeaseConfig(duration_ms=1_000.0)
+    )
+    registry = service.replicas[0]
     service.register("svc", {})
-    purged = service.purge_expired(5_000.0, host_crashes=0)
+    purged = registry.purge_expired(5_000.0, host_crashes=0)
     assert purged == [("svc", True)]
     with pytest.raises(LookupError):
-        service.resolve(name="svc")
+        registry.resolve(name="svc")
 
 
-# -- replicated lookup failover ----------------------------------------------
+# -- failover across lookup hosts --------------------------------------------
 
 def test_lookup_fails_over_to_surviving_replica():
     testbed = leased_testbed()
@@ -177,7 +180,6 @@ def test_lookup_fails_over_to_surviving_replica():
     # A Seattle client: its path to the surviving (Seattle) replica
     # does not transit the crashed San Diego gateway.
     client = testbed.client_nodes("seattle")[0]
-    assert isinstance(runtime.lookup, ReplicatedLookup)
     assert runtime.lookup.hosts == LOOKUP_HOSTS
 
     runtime.transport.node(LOOKUP_HOSTS[0]).crash()
@@ -205,11 +207,11 @@ def test_replicated_lookup_rejects_bad_hosts():
     testbed = build_mail_testbed(clients_per_site=2)
     runtime = testbed.runtime
     with pytest.raises(ValueError):
-        ReplicatedLookup(runtime, [])
+        LookupService(runtime, [])
     with pytest.raises(ValueError):
-        ReplicatedLookup(runtime, ["sandiego-gw", "sandiego-gw"])
+        LookupService(runtime, ["sandiego-gw", "sandiego-gw"])
     with pytest.raises(KeyError):
-        ReplicatedLookup(runtime, ["no-such-node"])
+        LookupService(runtime, ["no-such-node"])
 
 
 def test_gossip_recreates_purged_registration():
@@ -231,3 +233,30 @@ def test_gossip_recreates_purged_registration():
     sim.run(until=sim.now + 2 * 2_000.0)
     assert "mail" in secondary._registry  # gossip re-created it
     runtime.lookup.stop()
+
+
+# -- the lease loop -----------------------------------------------------------
+
+def _renewal_messages_after_reregister(stop_first):
+    """Transport messages in the 10 s after a re-registration 1.5 s into
+    a run with 2 lookup hosts and 3 s leases."""
+    testbed = leased_testbed(duration_ms=3_000.0)
+    runtime = testbed.runtime
+    sim = runtime.sim
+    sim.run(until=sim.now + 1_500.0)
+    if stop_first:
+        runtime.lookup.stop()
+    runtime.lookup.register("mail", {})
+    before = runtime.transport.messages_sent
+    sim.run(until=sim.now + 10_000.0)
+    runtime.lookup.stop()
+    return runtime.transport.messages_sent - before
+
+
+def test_stop_then_register_leaves_one_lease_loop():
+    """A loop sleeping through ``stop()`` must not resume when a
+    ``register()`` restarts the lease machinery: only the new loop
+    renews, so renewal traffic is that of a plain re-registration."""
+    assert _renewal_messages_after_reregister(stop_first=True) == (
+        _renewal_messages_after_reregister(stop_first=False)
+    )

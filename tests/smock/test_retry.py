@@ -14,6 +14,7 @@ class FakeRuntime:
     def __init__(self):
         self.sim = Simulator()
         self.obs = Observability(tracing=False, metrics=True)
+        self.overload = None
 
 
 class ScriptedStub:

@@ -121,3 +121,15 @@ def test_flags_that_would_be_dropped_are_usage_errors(argv, message, capsys):
         main(argv)
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mail", "--telemetry-interval", "0"],
+    ["mail", "--telemetry-interval", "-500"],
+    ["chaos-sweep", "--telemetry-interval", "nan"],
+])
+def test_a_telemetry_interval_that_never_samples_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "--telemetry-interval: must be finite and > 0" in capsys.readouterr().err
