@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .obs import (
@@ -117,6 +118,18 @@ def cmd_chains(args: argparse.Namespace) -> int:
     return 0
 
 
+_FIRST_TAG = re.compile(r"<([A-Za-z]\w*)(\s?)")
+
+
+def _is_xml_spec(text: str) -> bool:
+    """XML starts with a declaration or a ``<Service ...>`` tag; the
+    readable form's tags never carry attributes."""
+    if text.lstrip().startswith("<?xml"):
+        return True
+    first = _FIRST_TAG.search(text)
+    return first is not None and first.group(1) == "Service" and bool(first.group(2))
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     from .spec import SpecError, from_xml, parse_service
 
@@ -126,7 +139,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         log.error(f"INVALID: cannot read {args.file}: {exc.strerror or exc}")
         return 1
     try:
-        if text.lstrip().startswith("<Service") and 'name="' in text[:200]:
+        if _is_xml_spec(text):
             spec = from_xml(text)
         else:
             spec = parse_service(text)
@@ -782,8 +795,8 @@ def main(argv=None) -> int:
                            "--autonomic)")
     tele.add_argument("--slo", metavar="SPEC", default=None,
                       help='evaluate an SLO spec after the run: "default", '
-                           "a YAML/JSON spec file, or an inline JSON object "
-                           "(enables metrics + the telemetry sampler)")
+                           "a JSON or YAML subset spec file, or an inline JSON "
+                           "object (enables metrics + the telemetry sampler)")
     tele.add_argument("--slo-report", metavar="PATH", default=None,
                       help="also write the SLO report as JSON to PATH")
     tele.add_argument("--flight", metavar="PATH", default=None,
@@ -827,7 +840,7 @@ def main(argv=None) -> int:
                         "ms (default: off; implied 500 by --artifacts)")
     p.add_argument("--slo", metavar="SPEC", default=None,
                    help='SLO spec evaluated per seed ("default" or a '
-                        "YAML/JSON spec file)")
+                        "JSON or YAML subset spec file)")
     p.add_argument("--fail-on-slo", action="store_true",
                    help="exit non-zero when any seed violates the --slo "
                         "spec (CI gating), not just on invariant failures")
@@ -900,7 +913,8 @@ def main(argv=None) -> int:
                         "every cell runs with the loop closed")
     p.add_argument("--slo", metavar="SPEC", default=None,
                    help='grade every cell against an SLO spec ("default", '
-                        "a YAML/JSON spec file, or an inline JSON object)")
+                        "a JSON or YAML subset spec file, or an inline JSON "
+                        "object)")
     p.add_argument("--fail-on-slo", action="store_true",
                    help="exit non-zero unless the gated run (autonomic cell "
                         "with --autonomic, else protected) passes the --slo "

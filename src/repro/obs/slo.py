@@ -1,6 +1,7 @@
 """Declarative SLOs evaluated against windowed telemetry.
 
-A spec is a plain mapping (written as YAML, JSON, or an inline dict)::
+A spec is a plain mapping (written as a YAML subset, JSON, or an
+inline dict)::
 
     name: mail-default
     error_budget: 0.25        # tolerated fraction of windows violating
@@ -24,9 +25,9 @@ the degraded-read objective comes from :class:`CoherenceStats`.  Plain
 window and burn is all-or-nothing.
 
 Parsing is dependency-free: :func:`load_slo_spec` accepts JSON outright
-and falls back to a tiny YAML subset (nested maps of scalars and flow
-lists) when PyYAML is unavailable, which it is in this repository's
-zero-dependency toolchain.
+and otherwise reads a tiny YAML subset (nested maps of scalars and flow
+lists).  It never imports PyYAML, so a spec parses the same way whether
+or not PyYAML is installed.
 """
 
 from __future__ import annotations
@@ -319,8 +320,9 @@ def _coerce_scalar(text: str) -> Any:
 def _parse_simple_yaml(text: str) -> Dict[str, Any]:
     """Tiny YAML-subset parser: nested maps of scalars and flow lists.
 
-    Enough for SLO spec files; used when PyYAML is unavailable.  No
-    block lists, anchors, or multi-line scalars.
+    Enough for SLO spec files, and the only YAML reader, so a spec
+    parses the same on every machine.  No block lists, anchors, or
+    multi-line scalars.
     """
     root: Dict[str, Any] = {}
     stack: List[Tuple[int, Dict[str, Any]]] = [(-1, root)]
@@ -348,8 +350,8 @@ def _parse_simple_yaml(text: str) -> Dict[str, Any]:
 
 
 def load_slo_spec(source: str) -> SLOSpec:
-    """Load a spec from ``"default"``, a JSON/YAML file path, or an
-    inline JSON string."""
+    """Load a spec from ``"default"``, a JSON or YAML-subset file path,
+    or an inline JSON string."""
     if source == "default":
         return SLOSpec.from_dict(DEFAULT_MAIL_SLO)
     if os.path.exists(source):
@@ -360,12 +362,7 @@ def load_slo_spec(source: str) -> SLOSpec:
     try:
         raw = json.loads(text)
     except ValueError:
-        try:
-            import yaml  # type: ignore[import-untyped]
-
-            raw = yaml.safe_load(text)
-        except ImportError:
-            raw = _parse_simple_yaml(text)
+        raw = _parse_simple_yaml(text)
     if not isinstance(raw, Mapping):
         raise ValueError(f"SLO spec did not parse to a mapping: {source!r}")
     return SLOSpec.from_dict(raw)

@@ -3,7 +3,8 @@
 Properties, interfaces, components, views, installation conditions,
 behaviors, and property-modification rules — plus parsers for the
 paper's readable text form (:func:`parse_service`) and the XML form
-(:func:`from_xml` / :func:`to_xml`).
+(:func:`from_xml` / :func:`to_xml`), which share one grammar
+(:mod:`repro.spec.codec`).
 """
 
 from .components import Behaviors, ComponentDef, Condition, InterfaceBinding, resolve_env_refs

@@ -36,20 +36,34 @@ readability".  This module parses that readable form, e.g.::
     </PropertyModificationRule>
 
 Conditions accept ``=``, ``in`` and the paper's ``∈`` for range/set
-membership.  The strict XML form lives in :mod:`repro.spec.xmlio`; both
-produce identical :class:`~repro.spec.service.ServiceSpec` objects.
+membership.  This module only tokenizes blocks and lays out lines; the
+literals and the objects built from them come from
+:mod:`repro.spec.codec`, which the XML form (:mod:`repro.spec.xmlio`)
+shares, so both produce identical
+:class:`~repro.spec.service.ServiceSpec` objects.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .components import Behaviors, ComponentDef, Condition, InterfaceBinding
-from .interfaces import InterfaceDef
-from .properties import ANY, EnvRef, PropertyDef, SpecError, ValueRange, parse_domain
-from .rules import ModificationRule, PropertyModificationRule
+from .codec import (
+    BEHAVIORS,
+    MATCH_MODES,
+    add_interface,
+    add_property,
+    add_rule,
+    add_unit,
+    behavior_texts,
+    domain_fields,
+    format_value,
+    is_membership,
+    rule_texts,
+    split_top_level,
+)
+from .properties import SpecError
 from .service import ServiceSpec
 from .views import ViewDef
 
@@ -128,20 +142,20 @@ def _parse_blocks(lines: List[str], pos: int, closing: Optional[str]) -> Tuple[L
         pos += 1
         while pos < len(lines):
             line = lines[pos]
-            if _TAG_CLOSE.match(line):
+            if line[0] == "<":
                 m = _TAG_CLOSE.match(line)
-                assert m is not None
-                if m.group(1) != tag:
-                    raise ParseError(
-                        f"mismatched closing tag {line!r} inside <{tag}>"
-                    )
-                pos += 1
-                break
-            if _TAG_OPEN.match(line):
-                children, pos = _parse_blocks(lines, pos, closing=None)
-                # _parse_blocks with closing=None parses exactly one block
-                block.children.extend(children)
-                continue
+                if m:
+                    if m.group(1) != tag:
+                        raise ParseError(
+                            f"mismatched closing tag {line!r} inside <{tag}>"
+                        )
+                    pos += 1
+                    break
+                if _TAG_OPEN.match(line):
+                    children, pos = _parse_blocks(lines, pos, closing=None)
+                    # _parse_blocks with closing=None parses exactly one block
+                    block.children.extend(children)
+                    continue
             if ":" in line and not line.startswith("("):
                 key, _, value = line.partition(":")
                 block.fields.setdefault(key.strip(), []).append(value.strip())
@@ -158,245 +172,76 @@ def _parse_blocks(lines: List[str], pos: int, closing: Optional[str]) -> Tuple[L
     return blocks, pos
 
 
-def _split_top_level(text: str, sep: str = ",") -> List[str]:
-    """Split on ``sep`` outside parentheses/braces."""
-    parts: List[str] = []
-    depth = 0
-    cur: List[str] = []
-    for ch in text:
-        if ch in "({[":
-            depth += 1
-        elif ch in ")}]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        parts.append(tail)
-    return parts
+# The paper's PDF renders ∈ as '2' in one place; accept it.
+_CONDITION = re.compile(r"^(?P<key>[\w.]+)\s*(?P<op>=|in|∈|2)\s*(?P<val>.+)$")
 
 
-class _SpecBuilder:
-    """Turns parsed blocks into a validated :class:`ServiceSpec`."""
+def _assignments(text: str) -> List[Tuple[str, str]]:
+    """``Confidentiality = T, TrustLevel = 4`` -> (property, literal) pairs.
 
-    def __init__(self, name: str) -> None:
-        self.spec = ServiceSpec(name=name)
+    A bare property name is required with any generated value (``ANY``).
+    """
+    pairs = []
+    for part in split_top_level(text):
+        if part:
+            key, eq, val = part.partition("=")
+            pairs.append((key.strip(), val.strip() if eq else "ANY"))
+    return pairs
 
-    # -- value parsing ------------------------------------------------------
-    def _parse_value(self, prop: str, text: str) -> Any:
-        pdef = self.spec.properties.get(prop)
-        if pdef is not None:
-            return pdef.parse_value(text)
-        # Unknown property (open environment namespace): best-effort.
-        t = text.strip()
-        if t == "ANY":
-            return ANY
-        if "." in t and t.split(".", 1)[0] in ("Node", "Link"):
-            return EnvRef.parse(t)
-        if t in ("T", "F"):
-            return t == "T"
-        if t.startswith("{") and t.endswith("}"):
-            from .properties import OneOf
 
-            return OneOf(
-                self._parse_value(prop, v) for v in _split_top_level(t[1:-1])
-            )
-        if t.startswith("(") and t.endswith(")") and "," in t:
-            parts = _split_top_level(t[1:-1])
-            if len(parts) == 2:
-                try:
-                    return ValueRange(int(parts[0]), int(parts[1]))
-                except ValueError:
-                    pass
-        try:
-            return int(t)
-        except ValueError:
-            pass
-        try:
-            return float(t)
-        except ValueError:
-            pass
-        return t
+def _conditions(text: str) -> Iterator[Tuple[str, bool, str]]:
+    for part in split_top_level(text):
+        if not part:
+            continue
+        m = _CONDITION.match(part)
+        if not m:
+            raise ParseError(f"malformed condition {part!r}")
+        key = m.group("key")
+        # `Node.TrustLevel` in a condition addresses the node
+        # environment, which is where conditions are evaluated anyway.
+        if key.startswith("Node."):
+            key = key[len("Node."):]
+        yield key, m.group("op") != "=", m.group("val")
 
-    def _parse_prop_assignments(self, text: str) -> Dict[str, Any]:
-        """``Confidentiality = T, TrustLevel = 4`` -> bindings dict."""
-        out: Dict[str, Any] = {}
-        for part in _split_top_level(text):
-            if not part:
-                continue
-            if "=" in part:
-                key, _, val = part.partition("=")
-                key = key.strip()
-                out[key] = self._parse_value(key, val.strip())
-            else:
-                # Bare property name: required with any generated value.
-                out[part.strip()] = ANY
-        return out
 
-    def _parse_conditions(self, text: str) -> List[Condition]:
-        conds: List[Condition] = []
-        for part in _split_top_level(text):
-            if not part:
-                continue
-            m = re.match(r"^(?P<key>[\w.]+)\s*(?P<op>=|in|∈|2)\s*(?P<val>.+)$", part)
-            # Note: the paper's PDF renders ∈ as '2' in one place; accept it.
-            if not m:
-                raise ParseError(f"malformed condition {part!r}")
-            key = m.group("key")
-            # `Node.TrustLevel` in a condition addresses the node
-            # environment, which is where conditions are evaluated anyway.
-            if key.startswith("Node."):
-                key = key[len("Node."):]
-            val_text = m.group("val").strip()
-            op = m.group("op")
-            if op in ("in", "∈", "2"):
-                value = self._parse_membership(key, val_text)
-            else:
-                value = self._parse_value(key, val_text)
-            conds.append(Condition(key, value))
-        return conds
+def _properties(b: Block) -> str:
+    return b.one("Properties", "") or ""
 
-    def _parse_membership(self, prop: str, text: str) -> Any:
-        t = text.strip()
-        if t.startswith("(") and t.endswith(")"):
-            lo_s, hi_s = _split_top_level(t[1:-1])
-            return ValueRange(int(lo_s), int(hi_s))
-        if t.startswith("{") and t.endswith("}"):
-            from .properties import OneOf
 
-            return OneOf(self._parse_value(prop, v) for v in _split_top_level(t[1:-1]))
-        raise ParseError(f"malformed membership expression {text!r}")
+def _bindings(linkages: List[Block], tag: str) -> List[Tuple[str, List[Tuple[str, str]]]]:
+    return [
+        (blk.require("Name"), _assignments(_properties(blk)))
+        for lk in linkages
+        for blk in lk.child_blocks(tag)
+    ]
 
-    # -- block handlers -------------------------------------------------------
-    _MATCH_MODES = {
-        "exact": "exact",
-        "atleast": "at_least",
-        "at_least": "at_least",
-        "atmost": "at_most",
-        "at_most": "at_most",
-    }
 
-    def property_block(self, b: Block) -> None:
-        name = b.require("Name")
-        domain = parse_domain(
-            b.require("Type"), values=b.one("Values"), value_range=b.one("ValueRange")
-        )
-        match_text = (b.one("Match", "exact") or "exact").strip().lower()
-        try:
-            match_mode = self._MATCH_MODES[match_text]
-        except KeyError:
-            raise ParseError(f"property {name!r}: unknown Match {match_text!r}") from None
-        self.spec.add_property(
-            PropertyDef(
-                name,
-                domain,
-                description=b.one("Description", ""),
-                match_mode=match_mode,
-            )
-        )
+def _unit_block(spec: ServiceSpec, b: Block) -> None:
+    linkages = b.child_blocks("Linkages")
+    add_unit(
+        spec,
+        b.require("Name"),
+        implements=_bindings(linkages, "Implements"),
+        requires=_bindings(linkages, "Requires"),
+        conditions=[c for blk in b.child_blocks("Conditions") for c in _conditions(_properties(blk))],
+        behaviors={
+            name: blk.one(key)
+            for blk in b.child_blocks("Behaviors")[:1]
+            for name, (key, _attr, _type) in BEHAVIORS.items()
+        },
+        description=b.one("Description", "") or "",
+        represents=b.require("Represents") if b.tag == "View" else None,
+        kind=b.one("Kind", "data") or "data",
+        factors=[pair for fb in b.child_blocks("Factors") for pair in _assignments(_properties(fb))],
+    )
 
-    def interface_block(self, b: Block) -> None:
-        props_text = b.one("Properties", "")
-        props = tuple(p for p in _split_top_level(props_text or "") if p)
-        self.spec.add_interface(InterfaceDef(b.require("Name"), props))
 
-    def _parse_bindings(self, parent: Block, tag: str) -> List[InterfaceBinding]:
-        bindings = []
-        for blk in parent.child_blocks(tag):
-            iface = blk.require("Name")
-            props = self._parse_prop_assignments(blk.one("Properties", "") or "")
-            bindings.append(InterfaceBinding(iface, props))
-        return bindings
-
-    def _parse_behaviors(self, parent: Block) -> Behaviors:
-        for blk in parent.child_blocks("Behaviors"):
-            kwargs: Dict[str, Any] = {}
-            mapping = {
-                "Capacity": ("capacity", float),
-                "RRF": ("rrf", float),
-                "CpuPerRequest": ("cpu_per_request", float),
-                "RequestRate": ("request_rate", float),
-                "BytesPerRequest": ("bytes_per_request", int),
-                "BytesPerResponse": ("bytes_per_response", int),
-                "CodeSize": ("code_size_bytes", int),
-            }
-            for key, (attr, conv) in mapping.items():
-                val = blk.one(key)
-                if val is not None:
-                    try:
-                        kwargs[attr] = conv(val)
-                    except ValueError:
-                        raise ParseError(f"malformed {key}: {val!r}") from None
-            return Behaviors(**kwargs)
-        return Behaviors()
-
-    def _parse_unit_conditions(self, parent: Block) -> List[Condition]:
-        conds: List[Condition] = []
-        for blk in parent.child_blocks("Conditions"):
-            props_text = blk.one("Properties", "") or ""
-            conds.extend(self._parse_conditions(props_text))
-        return conds
-
-    def component_block(self, b: Block) -> None:
-        linkages = b.child_blocks("Linkages")
-        implements: List[InterfaceBinding] = []
-        requires: List[InterfaceBinding] = []
-        for lk in linkages:
-            implements.extend(self._parse_bindings(lk, "Implements"))
-            requires.extend(self._parse_bindings(lk, "Requires"))
-        self.spec.add_component(
-            ComponentDef(
-                name=b.require("Name"),
-                implements=tuple(implements),
-                requires=tuple(requires),
-                conditions=tuple(self._parse_unit_conditions(b)),
-                behaviors=self._parse_behaviors(b),
-                description=b.one("Description", ""),
-            )
-        )
-
-    def view_block(self, b: Block) -> None:
-        linkages = b.child_blocks("Linkages")
-        implements: List[InterfaceBinding] = []
-        requires: List[InterfaceBinding] = []
-        for lk in linkages:
-            implements.extend(self._parse_bindings(lk, "Implements"))
-            requires.extend(self._parse_bindings(lk, "Requires"))
-        factors: Dict[str, Any] = {}
-        for fb in b.child_blocks("Factors"):
-            factors.update(self._parse_prop_assignments(fb.one("Properties", "") or ""))
-        self.spec.add_view(
-            ViewDef(
-                name=b.require("Name"),
-                implements=tuple(implements),
-                requires=tuple(requires),
-                conditions=tuple(self._parse_unit_conditions(b)),
-                behaviors=self._parse_behaviors(b),
-                description=b.one("Description", ""),
-                represents=b.require("Represents"),
-                kind=b.one("Kind", "data") or "data",
-                factors=factors,
-            )
-        )
-
-    def rule_block(self, b: Block) -> None:
-        prop = b.require("Name")
-        rows: List[ModificationRule] = []
-        for raw in b.raw_lines:
-            m = _RULE_ROW.match(raw)
-            if not m:
-                raise ParseError(f"malformed rule row {raw!r}")
-            rows.append(
-                ModificationRule(
-                    in_pattern=self._parse_value(prop, m.group("in")),
-                    env_pattern=self._parse_value(prop, m.group("env")),
-                    out=self._parse_value(prop, m.group("out")),
-                )
-            )
-        self.spec.add_rule(PropertyModificationRule(prop, tuple(rows)))
+def _rule_rows(b: Block) -> Iterator[Tuple[str, str, str]]:
+    for raw in b.raw_lines:
+        m = _RULE_ROW.match(raw)
+        if not m:
+            raise ParseError(f"malformed rule row {raw!r}")
+        yield m.group("in"), m.group("env"), m.group("out")
 
 
 _PASS1 = ("Property",)
@@ -421,13 +266,21 @@ def parse_service(text: str, name: str = "service") -> ServiceSpec:
         name = svc.one("Name", name) or name
         blocks = svc.children
 
-    builder = _SpecBuilder(name)
+    spec = ServiceSpec(name=name)
     handlers = {
-        "Property": builder.property_block,
-        "Interface": builder.interface_block,
-        "Component": builder.component_block,
-        "View": builder.view_block,
-        "PropertyModificationRule": builder.rule_block,
+        "Property": lambda b: add_property(
+            spec,
+            b.require("Name"),
+            b.require("Type"),
+            values=b.one("Values"),
+            value_range=b.one("ValueRange"),
+            match=b.one("Match", "exact") or "exact",
+            description=b.one("Description", "") or "",
+        ),
+        "Interface": lambda b: add_interface(spec, b.require("Name"), _properties(b)),
+        "Component": lambda b: _unit_block(spec, b),
+        "View": lambda b: _unit_block(spec, b),
+        "PropertyModificationRule": lambda b: add_rule(spec, b.require("Name"), _rule_rows(b)),
     }
     for wanted in (_PASS1, _PASS2, _PASS3):
         for b in blocks:
@@ -436,163 +289,114 @@ def parse_service(text: str, name: str = "service") -> ServiceSpec:
     unknown = [b.tag for b in blocks if b.tag not in handlers]
     if unknown:
         raise ParseError(f"unknown top-level blocks: {unknown}")
-    return builder.spec.validate()
+    return spec.validate()
 
 
 # -- serialization back to the readable form ---------------------------------
 
-def _text_value(value: Any) -> str:
-    from .xmlio import value_to_text
+def _readable(prop: str, text: str, in_row: bool = False) -> str:
+    """Refuse a literal the readable form would cut short.
 
-    return value_to_text(value)
+    ``#`` starts a comment and a line break ends the entry; inside a rule
+    row ``)`` closes the literal, elsewhere the literal must split back
+    out of a ``,``-separated list.
+    """
+    fits = ")" not in text if in_row else split_top_level(text + ",x") == [text, "x"]
+    if "#" in text or len(text.splitlines()) > 1 or not fits:
+        raise SpecError(f"property {prop!r}: {text!r} cannot be written in the readable form")
+    return text
 
 
-def _text_domain_fields(domain) -> List[str]:
-    from .properties import (
-        BooleanDomain,
-        EnumDomain,
-        IntervalDomain,
-        NumberDomain,
-        StringDomain,
+def _literal(spec: ServiceSpec, prop: str, value: Any) -> str:
+    return _readable(prop, format_value(spec, prop, value))
+
+
+def _field(key: str, text: str) -> str:
+    if "#" in text or len(text.splitlines()) > 1 or text != text.strip() or text.endswith(","):
+        raise SpecError(f"{key} {text!r} cannot be written in the readable form")
+    return f"{key}: {text}"
+
+
+def _assigns(spec: ServiceSpec, props: Dict[str, Any]) -> str:
+    return "Properties: " + ", ".join(
+        f"{k} = {_literal(spec, k, v)}" for k, v in props.items()
     )
 
-    if isinstance(domain, BooleanDomain):
-        return ["Type: Boolean", "Values: T, F"]
-    if isinstance(domain, IntervalDomain):
-        return ["Type: Interval", f"ValueRange: ({domain.lo},{domain.hi})"]
-    if isinstance(domain, StringDomain):
-        return ["Type: String"]
-    if isinstance(domain, NumberDomain):
-        return ["Type: Number"]
-    if isinstance(domain, EnumDomain):
-        return ["Type: Enum", "Values: " + ", ".join(domain.values)]
-    raise SpecError(f"cannot serialize domain {domain!r}")
 
-
-_MATCH_TEXT = {"exact": None, "at_least": "AtLeast", "at_most": "AtMost"}
-
-
-def _text_bindings(lines: List[str], tag: str, bindings) -> None:
-    for b in bindings:
-        lines.append(f"<{tag}>")
-        lines.append(f"Name: {b.interface}")
-        if b.properties:
-            assigns = ", ".join(
-                f"{k} = {_text_value(v)}" for k, v in b.properties.items()
-            )
-            lines.append(f"Properties: {assigns}")
-        lines.append(f"</{tag}>")
-
-
-def _text_conditions(lines: List[str], conditions) -> None:
-    if not conditions:
-        return
-    parts = []
-    for c in conditions:
-        if isinstance(c.requirement, (ValueRange,)) or type(c.requirement).__name__ == "OneOf":
-            parts.append(f"{c.prop} in {_text_value(c.requirement)}")
-        else:
-            parts.append(f"{c.prop} = {_text_value(c.requirement)}")
-    lines.append("<Conditions>")
-    lines.append("Properties: " + ", ".join(parts))
-    lines.append("</Conditions>")
-
-
-def _text_behaviors(lines: List[str], b: Behaviors) -> None:
-    default = Behaviors()
-    rows = []
-    if b.capacity != default.capacity:
-        rows.append(f"Capacity: {b.capacity:g}")
-    if b.rrf != default.rrf:
-        rows.append(f"RRF: {b.rrf:g}")
-    if b.cpu_per_request != default.cpu_per_request:
-        rows.append(f"CpuPerRequest: {b.cpu_per_request:g}")
-    if b.request_rate != default.request_rate:
-        rows.append(f"RequestRate: {b.request_rate:g}")
-    if b.bytes_per_request != default.bytes_per_request:
-        rows.append(f"BytesPerRequest: {b.bytes_per_request}")
-    if b.bytes_per_response != default.bytes_per_response:
-        rows.append(f"BytesPerResponse: {b.bytes_per_response}")
-    if b.code_size_bytes != default.code_size_bytes:
-        rows.append(f"CodeSize: {b.code_size_bytes}")
-    if rows:
-        lines.append("<Behaviors>")
-        lines.extend(rows)
-        lines.append("</Behaviors>")
-
-
-def to_text(spec: "ServiceSpec") -> str:
+def to_text(spec: ServiceSpec) -> str:
     """Serialize a spec into the paper's readable form.
 
     Inverse of :func:`parse_service` for every construct that form can
-    express; rules with *computed* outputs (Python callables) are not
-    textual and raise :class:`SpecError`, mirroring the XML serializer.
+    express.  Rules with *computed* outputs (Python callables), and
+    values whose literal would not read back as themselves, raise
+    :class:`SpecError` as in the XML serializer; so do values and
+    descriptions holding the form's comment (``#``), list (``,``) or
+    line separators.
     """
-    from .views import ViewDef as _ViewDef
-
     lines: List[str] = ["<Service>", f"Name: {spec.name}", ""]
 
+    def described(tag: str, name: str, description: str) -> None:
+        lines.extend([f"<{tag}>", f"Name: {name}"])
+        if description:
+            lines.append(_field("Description", description))
+
     for prop in spec.properties.values():
-        lines.append("<Property>")
-        lines.append(f"Name: {prop.name}")
-        lines.extend(_text_domain_fields(prop.domain))
-        match = _MATCH_TEXT[prop.match_mode]
-        if match:
-            lines.append(f"Match: {match}")
-        lines.append("</Property>")
-        lines.append("")
+        described("Property", prop.name, prop.description)
+        type_name, values, value_range = domain_fields(prop.domain)
+        lines.append(f"Type: {type_name}")
+        if values:
+            lines.append("Values: " + ", ".join(values))
+        if value_range:
+            lines.append(f"ValueRange: {value_range}")
+        if prop.match_mode != "exact":
+            lines.append(f"Match: {MATCH_MODES[prop.match_mode]}")
+        lines.extend(["</Property>", ""])
 
     for iface in spec.interfaces.values():
-        lines.append("<Interface>")
-        lines.append(f"Name: {iface.name}")
+        lines.extend(["<Interface>", f"Name: {iface.name}"])
         if iface.properties:
             lines.append("Properties: " + ", ".join(iface.properties))
-        lines.append("</Interface>")
-        lines.append("")
+        lines.extend(["</Interface>", ""])
 
     for unit in spec.units():
-        is_view = isinstance(unit, _ViewDef)
-        tag = "View" if is_view else "Component"
-        lines.append(f"<{tag}>")
-        lines.append(f"Name: {unit.name}")
-        if is_view:
+        tag = "View" if isinstance(unit, ViewDef) else "Component"
+        described(tag, unit.name, unit.description)
+        if isinstance(unit, ViewDef):
             lines.append(f"Represents: {unit.represents}")
             lines.append(f"Kind: {unit.kind}")
             if unit.factors:
-                lines.append("<Factors>")
-                lines.append(
-                    "Properties: "
-                    + ", ".join(f"{k} = {_text_value(v)}" for k, v in unit.factors.items())
-                )
-                lines.append("</Factors>")
+                lines.extend(["<Factors>", _assigns(spec, unit.factors), "</Factors>"])
         if unit.implements or unit.requires:
             lines.append("<Linkages>")
-            _text_bindings(lines, "Implements", unit.implements)
-            _text_bindings(lines, "Requires", unit.requires)
+            for btag, bindings in (("Implements", unit.implements), ("Requires", unit.requires)):
+                for b in bindings:
+                    lines.extend([f"<{btag}>", f"Name: {b.interface}"])
+                    if b.properties:
+                        lines.append(_assigns(spec, b.properties))
+                    lines.append(f"</{btag}>")
             lines.append("</Linkages>")
-        _text_conditions(lines, unit.conditions)
-        _text_behaviors(lines, unit.behaviors)
-        lines.append(f"</{tag}>")
-        lines.append("")
+        if unit.conditions:
+            conds = ", ".join(
+                f"{c.prop} {'in' if is_membership(c.requirement) else '='} "
+                f"{_literal(spec, c.prop, c.requirement)}"
+                for c in unit.conditions
+            )
+            lines.extend(["<Conditions>", f"Properties: {conds}", "</Conditions>"])
+        texts = behavior_texts(unit.behaviors)
+        if texts:
+            lines.append("<Behaviors>")
+            lines.extend(
+                f"{key}: {texts[name]}" for name, (key, _a, _t) in BEHAVIORS.items() if name in texts
+            )
+            lines.append("</Behaviors>")
+        lines.extend([f"</{tag}>", ""])
 
     for prop_name in spec.rules.properties():
-        rule = spec.rules.rule_for(prop_name)
-        assert rule is not None
-        lines.append("<PropertyModificationRule>")
-        lines.append(f"Name: {prop_name}")
-        lines.append("Rules:")
-        for row in rule.rules:
-            if callable(row.out):
-                raise SpecError(
-                    f"rule for {prop_name!r} has a computed output; not serializable"
-                )
-            lines.append(
-                f"(In: {_text_value(row.in_pattern)}) x "
-                f"(Env: {_text_value(row.env_pattern)}) = "
-                f"(Out: {_text_value(row.out)})"
-            )
-        lines.append("</PropertyModificationRule>")
-        lines.append("")
+        lines.extend(["<PropertyModificationRule>", f"Name: {prop_name}", "Rules:"])
+        for row in rule_texts(spec, prop_name):
+            in_text, env_text, out_text = (_readable(prop_name, t, in_row=True) for t in row)
+            lines.append(f"(In: {in_text}) x (Env: {env_text}) = (Out: {out_text})")
+        lines.extend(["</PropertyModificationRule>", ""])
 
     lines.append("</Service>")
     return "\n".join(lines)

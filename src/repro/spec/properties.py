@@ -347,22 +347,5 @@ class PropertyDef:
     def validate(self, value: Any) -> Any:
         return self.domain.validate(value, self.name)
 
-    def parse_value(self, text: str) -> Any:
-        """Parse a spec literal, honoring ANY / Node.X / (lo,hi) / {a,b}."""
-        t = text.strip()
-        if t == "ANY":
-            return ANY
-        if "." in t and t.split(".", 1)[0] in ("Node", "Link"):
-            return EnvRef.parse(t)
-        if t.startswith("(") and t.endswith(")") and "," in t:
-            try:
-                lo_s, hi_s = t[1:-1].split(",")
-                return ValueRange(int(lo_s), int(hi_s))
-            except ValueError:
-                pass  # fall through: not a range literal
-        if t.startswith("{") and t.endswith("}"):
-            return OneOf(self.domain.parse(v) for v in t[1:-1].split(","))
-        return self.domain.parse(t)
-
     def __repr__(self) -> str:
         return f"<Property {self.name}: {self.domain!r}>"

@@ -4,317 +4,155 @@ The paper's implementation stores specs in XML ("using the XML Winter
 Pack 01"); this module provides the equivalent with :mod:`xml.etree`.
 ``to_xml`` / ``from_xml`` round-trip every construct of the readable
 form: properties, interfaces, components, views (factors), conditions,
-behaviors, and property-modification rules.
+behaviors, property-modification rules and descriptions.  Only the
+element and attribute mapping lives here; literals and the objects built
+from them come from :mod:`repro.spec.codec`, shared with the readable
+form.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Mapping, Optional, Tuple
 
-from .components import Behaviors, ComponentDef, Condition, InterfaceBinding
-from .interfaces import InterfaceDef
-from .properties import (
-    ANY,
-    BooleanDomain,
-    Domain,
-    EnumDomain,
-    EnvRef,
-    IntervalDomain,
-    NumberDomain,
-    OneOf,
-    PropertyDef,
-    SpecError,
-    StringDomain,
-    ValueRange,
-    parse_domain,
+from .codec import (
+    BEHAVIORS,
+    add_interface,
+    add_property,
+    add_rule,
+    add_unit,
+    behavior_texts,
+    domain_fields,
+    format_value,
+    is_membership,
+    rule_texts,
 )
-from .rules import ModificationRule, PropertyModificationRule
+from .components import ComponentDef
+from .properties import SpecError
 from .service import ServiceSpec
 from .views import ViewDef
 
 __all__ = ["to_xml", "from_xml"]
 
 
-# -- value text form ---------------------------------------------------------
-
-def value_to_text(value: Any) -> str:
-    """Serialize a bound value into the spec's textual form."""
-    if value is ANY:
-        return "ANY"
-    if isinstance(value, EnvRef):
-        return f"{value.scope}.{value.prop}"
-    if isinstance(value, bool):
-        return "T" if value else "F"
-    if isinstance(value, ValueRange):
-        return f"({value.lo},{value.hi})"
-    if isinstance(value, OneOf):
-        return "{" + ",".join(value_to_text(v) for v in sorted(value.values, key=repr)) + "}"
-    return str(value)
-
-
-def _domain_attrs(domain: Domain) -> Dict[str, str]:
-    if isinstance(domain, BooleanDomain):
-        return {"type": "Boolean", "values": "T,F"}
-    if isinstance(domain, IntervalDomain):
-        return {"type": "Interval", "valueRange": f"({domain.lo},{domain.hi})"}
-    if isinstance(domain, StringDomain):
-        return {"type": "String"}
-    if isinstance(domain, NumberDomain):
-        return {"type": "Number"}
-    if isinstance(domain, EnumDomain):
-        return {"type": "Enum", "values": ",".join(domain.values)}
-    raise SpecError(f"cannot serialize domain {domain!r}")
-
-
 # -- serialization -----------------------------------------------------------
 
-def _bindings_el(parent: ET.Element, tag: str, bindings) -> None:
-    for b in bindings:
-        el = ET.SubElement(parent, tag, name=b.interface)
-        for prop, value in b.properties.items():
-            ET.SubElement(el, "PropertyValue", name=prop, value=value_to_text(value))
+def _values_el(spec: ServiceSpec, parent: ET.Element, values: Mapping[str, Any]) -> None:
+    for prop, value in values.items():
+        ET.SubElement(parent, "PropertyValue", name=prop, value=format_value(spec, prop, value))
 
 
-def _conditions_el(parent: ET.Element, conditions) -> None:
-    if not conditions:
-        return
-    conds = ET.SubElement(parent, "Conditions")
-    for c in conditions:
-        op = "in" if isinstance(c.requirement, (ValueRange, OneOf)) else "eq"
-        ET.SubElement(
-            conds, "Condition", property=c.prop, op=op, value=value_to_text(c.requirement)
-        )
-
-
-_DEFAULT_BEHAVIORS = Behaviors()
-
-
-def _num(value: float) -> str:
-    """Canonical numeric text (ints print without a trailing .0), so a
-    serialize-parse-serialize cycle is a fixpoint."""
-    return f"{value:g}"
-
-
-def _behaviors_el(parent: ET.Element, b: Behaviors) -> None:
-    attrs: Dict[str, str] = {}
-    if b.capacity != _DEFAULT_BEHAVIORS.capacity:
-        attrs["capacity"] = _num(b.capacity)
-    if b.cpu_per_request != _DEFAULT_BEHAVIORS.cpu_per_request:
-        attrs["cpuPerRequest"] = _num(b.cpu_per_request)
-    if b.request_rate != _DEFAULT_BEHAVIORS.request_rate:
-        attrs["requestRate"] = _num(b.request_rate)
-    if b.bytes_per_request != _DEFAULT_BEHAVIORS.bytes_per_request:
-        attrs["bytesPerRequest"] = str(b.bytes_per_request)
-    if b.bytes_per_response != _DEFAULT_BEHAVIORS.bytes_per_response:
-        attrs["bytesPerResponse"] = str(b.bytes_per_response)
-    if b.rrf != _DEFAULT_BEHAVIORS.rrf:
-        attrs["rrf"] = _num(b.rrf)
-    if b.code_size_bytes != _DEFAULT_BEHAVIORS.code_size_bytes:
-        attrs["codeSize"] = str(b.code_size_bytes)
-    if attrs:
-        ET.SubElement(parent, "Behaviors", **attrs)
-
-
-def _unit_el(parent: ET.Element, unit: ComponentDef) -> None:
+def _unit_el(spec: ServiceSpec, parent: ET.Element, unit: ComponentDef) -> None:
     if isinstance(unit, ViewDef):
         el = ET.SubElement(
             parent, "View", name=unit.name, represents=unit.represents, kind=unit.kind
         )
         if unit.factors:
-            factors = ET.SubElement(el, "Factors")
-            for prop, value in unit.factors.items():
-                ET.SubElement(
-                    factors, "PropertyValue", name=prop, value=value_to_text(value)
-                )
+            _values_el(spec, ET.SubElement(el, "Factors"), unit.factors)
     else:
         el = ET.SubElement(parent, "Component", name=unit.name)
+    if unit.description:
+        el.set("description", unit.description)
     if unit.implements or unit.requires:
         linkages = ET.SubElement(el, "Linkages")
-        _bindings_el(linkages, "Implements", unit.implements)
-        _bindings_el(linkages, "Requires", unit.requires)
-    _conditions_el(el, unit.conditions)
-    _behaviors_el(el, unit.behaviors)
+        for tag, bindings in (("Implements", unit.implements), ("Requires", unit.requires)):
+            for b in bindings:
+                _values_el(spec, ET.SubElement(linkages, tag, name=b.interface), b.properties)
+    if unit.conditions:
+        conds = ET.SubElement(el, "Conditions")
+        for c in unit.conditions:
+            ET.SubElement(
+                conds,
+                "Condition",
+                property=c.prop,
+                op="in" if is_membership(c.requirement) else "eq",
+                value=format_value(spec, c.prop, c.requirement),
+            )
+    texts = behavior_texts(unit.behaviors)
+    if texts:
+        ET.SubElement(el, "Behaviors", {BEHAVIORS[f][1]: t for f, t in texts.items()})
 
 
 def to_xml(spec: ServiceSpec) -> str:
     """Serialize a spec to an XML document string."""
     root = ET.Element("Service", name=spec.name)
     for prop in spec.properties.values():
-        attrs = _domain_attrs(prop.domain)
+        type_name, values, value_range = domain_fields(prop.domain)
+        el = ET.SubElement(root, "Property", name=prop.name, type=type_name)
+        if values:
+            el.set("values", ",".join(values))
+        if value_range:
+            el.set("valueRange", value_range)
         if prop.match_mode != "exact":
-            attrs["match"] = prop.match_mode
-        ET.SubElement(root, "Property", name=prop.name, **attrs)
+            el.set("match", prop.match_mode)
+        if prop.description:
+            el.set("description", prop.description)
     for iface in spec.interfaces.values():
         ET.SubElement(
             root, "Interface", name=iface.name, properties=",".join(iface.properties)
         )
-    for comp in spec.components.values():
-        _unit_el(root, comp)
-    for view in spec.views.values():
-        _unit_el(root, view)
+    for unit in spec.units():
+        _unit_el(spec, root, unit)
     for prop_name in spec.rules.properties():
-        rule = spec.rules.rule_for(prop_name)
-        assert rule is not None
         rule_el = ET.SubElement(root, "PropertyModificationRule", property=prop_name)
-        for row in rule.rules:
-            if callable(row.out):
-                raise SpecError(
-                    f"rule for {prop_name!r} has a computed output; not serializable"
-                )
-            ET.SubElement(
-                rule_el,
-                "Rule",
-                **{
-                    "in": value_to_text(row.in_pattern),
-                    "env": value_to_text(row.env_pattern),
-                    "out": value_to_text(row.out),
-                },
-            )
+        for in_text, env_text, out_text in rule_texts(spec, prop_name):
+            ET.SubElement(rule_el, "Rule", {"in": in_text, "env": env_text, "out": out_text})
     ET.indent(root)
     return ET.tostring(root, encoding="unicode")
 
 
 # -- deserialization ---------------------------------------------------------
 
-def _parse_value(spec: ServiceSpec, prop: str, text: str) -> Any:
-    pdef = spec.properties.get(prop)
-    if pdef is not None:
-        return pdef.parse_value(text)
-    if text == "ANY":
-        return ANY
-    if "." in text and text.split(".", 1)[0] in ("Node", "Link"):
-        return EnvRef.parse(text)
-    if text in ("T", "F"):
-        return text == "T"
-    for conv in (int, float):
-        try:
-            return conv(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _parse_bindings(spec: ServiceSpec, parent: ET.Element, tag: str) -> List[InterfaceBinding]:
-    out = []
-    for el in parent.findall(tag):
-        props = {
-            pv.get("name", ""): _parse_value(spec, pv.get("name", ""), pv.get("value", ""))
-            for pv in el.findall("PropertyValue")
-        }
-        out.append(InterfaceBinding(el.get("name", ""), props))
-    return out
-
-
-def _parse_conditions(spec: ServiceSpec, el: ET.Element) -> List[Condition]:
-    out = []
-    for conds in el.findall("Conditions"):
-        for c in conds.findall("Condition"):
-            prop = c.get("property", "")
-            text = c.get("value", "")
-            if c.get("op") == "in":
-                if text.startswith("(") and text.endswith(")"):
-                    lo_s, hi_s = text[1:-1].split(",")
-                    value: Any = ValueRange(int(lo_s), int(hi_s))
-                elif text.startswith("{") and text.endswith("}"):
-                    value = OneOf(
-                        _parse_value(spec, prop, v) for v in text[1:-1].split(",")
-                    )
-                else:
-                    raise SpecError(f"malformed membership value {text!r}")
-            else:
-                value = _parse_value(spec, prop, text)
-            out.append(Condition(prop, value))
-    return out
-
-
-def _parse_behaviors(el: ET.Element) -> Behaviors:
-    b = el.find("Behaviors")
-    if b is None:
-        return Behaviors()
-    kwargs: Dict[str, Any] = {}
-    conv = {
-        "capacity": ("capacity", float),
-        "cpuPerRequest": ("cpu_per_request", float),
-        "requestRate": ("request_rate", float),
-        "bytesPerRequest": ("bytes_per_request", int),
-        "bytesPerResponse": ("bytes_per_response", int),
-        "rrf": ("rrf", float),
-        "codeSize": ("code_size_bytes", int),
-    }
-    for attr, (field_name, fn) in conv.items():
-        raw = b.get(attr)
-        if raw is not None:
-            kwargs[field_name] = fn(raw)
-    return Behaviors(**kwargs)
+def _values(parent: Optional[ET.Element]) -> List[Tuple[str, str]]:
+    if parent is None:
+        return []
+    return [(pv.get("name", ""), pv.get("value", "")) for pv in parent.findall("PropertyValue")]
 
 
 def from_xml(text: str) -> ServiceSpec:
     """Parse an XML document into a validated :class:`ServiceSpec`."""
-    root = ET.fromstring(text)
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise SpecError(f"malformed XML: {exc}") from None
     if root.tag != "Service":
         raise SpecError(f"expected <Service> root, got <{root.tag}>")
     spec = ServiceSpec(name=root.get("name", "service"))
 
     for el in root.findall("Property"):
-        spec.add_property(
-            PropertyDef(
-                el.get("name", ""),
-                parse_domain(
-                    el.get("type", ""), values=el.get("values"), value_range=el.get("valueRange")
-                ),
-                match_mode=el.get("match", "exact"),
-            )
+        add_property(
+            spec,
+            el.get("name", ""),
+            el.get("type", ""),
+            values=el.get("values"),
+            value_range=el.get("valueRange"),
+            match=el.get("match", "exact"),
+            description=el.get("description", ""),
         )
     for el in root.findall("Interface"):
-        props_attr = el.get("properties", "")
-        props = tuple(p for p in props_attr.split(",") if p)
-        spec.add_interface(InterfaceDef(el.get("name", ""), props))
-
-    for el in root.findall("Component"):
-        linkages = el.find("Linkages")
-        implements = _parse_bindings(spec, linkages, "Implements") if linkages is not None else []
-        requires = _parse_bindings(spec, linkages, "Requires") if linkages is not None else []
-        spec.add_component(
-            ComponentDef(
-                name=el.get("name", ""),
-                implements=tuple(implements),
-                requires=tuple(requires),
-                conditions=tuple(_parse_conditions(spec, el)),
-                behaviors=_parse_behaviors(el),
-            )
-        )
-    for el in root.findall("View"):
-        linkages = el.find("Linkages")
-        implements = _parse_bindings(spec, linkages, "Implements") if linkages is not None else []
-        requires = _parse_bindings(spec, linkages, "Requires") if linkages is not None else []
-        factors: Dict[str, Any] = {}
-        factors_el = el.find("Factors")
-        if factors_el is not None:
-            for pv in factors_el.findall("PropertyValue"):
-                name = pv.get("name", "")
-                factors[name] = _parse_value(spec, name, pv.get("value", ""))
-        spec.add_view(
-            ViewDef(
-                name=el.get("name", ""),
-                implements=tuple(implements),
-                requires=tuple(requires),
-                conditions=tuple(_parse_conditions(spec, el)),
-                behaviors=_parse_behaviors(el),
-                represents=el.get("represents", ""),
-                kind=el.get("kind", "data"),
-                factors=factors,
-            )
+        add_interface(spec, el.get("name", ""), el.get("properties", ""))
+    for el in root.findall("Component") + root.findall("View"):
+        behaviors = el.find("Behaviors")
+        attrs = behaviors.attrib if behaviors is not None else {}
+        add_unit(
+            spec,
+            el.get("name", ""),
+            implements=[(b.get("name", ""), _values(b)) for b in el.iterfind("Linkages/Implements")],
+            requires=[(b.get("name", ""), _values(b)) for b in el.iterfind("Linkages/Requires")],
+            conditions=[
+                (c.get("property", ""), c.get("op") == "in", c.get("value", ""))
+                for c in el.iterfind("Conditions/Condition")
+            ],
+            behaviors={name: attrs.get(attr) for name, (_key, attr, _type) in BEHAVIORS.items()},
+            description=el.get("description", ""),
+            represents=el.get("represents", "") if el.tag == "View" else None,
+            kind=el.get("kind", "data"),
+            factors=_values(el.find("Factors")),
         )
     for el in root.findall("PropertyModificationRule"):
-        prop = el.get("property", "")
-        rows = tuple(
-            ModificationRule(
-                in_pattern=_parse_value(spec, prop, r.get("in", "ANY")),
-                env_pattern=_parse_value(spec, prop, r.get("env", "ANY")),
-                out=_parse_value(spec, prop, r.get("out", "ANY")),
-            )
-            for r in el.findall("Rule")
+        add_rule(
+            spec,
+            el.get("property", ""),
+            ((r.get("in", "ANY"), r.get("env", "ANY"), r.get("out", "ANY")) for r in el.findall("Rule")),
         )
-        spec.add_rule(PropertyModificationRule(prop, rows))
     return spec.validate()

@@ -52,3 +52,26 @@ def test_views_keep_represents_kind_factors():
     assert vms.represents == "MailServer"
     assert vms.kind == "data"
     assert str(vms.factors["TrustLevel"]) == "Node.TrustLevel"
+
+
+def test_descriptions_survive_both_syntaxes():
+    from repro.spec import from_xml, to_xml
+
+    spec = build_mail_spec()
+    spec.properties["TrustLevel"].description = "how far a node is trusted"
+    spec.components["MailServer"].description = "the mail store"
+    spec.views["ViewMailServer"].description = "a cached server replica"
+    for spec2 in (parse_service(to_text(spec)), from_xml(to_xml(spec))):
+        assert spec2.properties["TrustLevel"].description == "how far a node is trusted"
+        assert spec2.unit("MailServer").description == "the mail store"
+        assert spec2.unit("ViewMailServer").description == "a cached server replica"
+        assert spec2.unit("MailClient").description == ""
+    assert 'description="the mail store"' in to_xml(spec)
+    assert "description=" not in to_xml(build_mail_spec())
+
+
+def test_readable_form_refuses_a_description_it_would_cut():
+    spec = build_mail_spec()
+    spec.components["MailServer"].description = "see #3"
+    with pytest.raises(SpecError, match="Description"):
+        to_text(spec)

@@ -18,6 +18,7 @@ from repro.spec import (
     parse_domain,
     satisfies,
 )
+from repro.spec.codec import parse_value
 
 
 def test_any_is_singleton():
@@ -155,12 +156,18 @@ def test_property_def_validation():
 
 
 def test_property_def_parse_value_forms():
-    p = PropertyDef("TrustLevel", IntervalDomain(1, 5))
-    assert p.parse_value("3") == 3
-    assert p.parse_value("ANY") is ANY
-    assert p.parse_value("Node.TrustLevel") == EnvRef("Node", "TrustLevel")
-    assert p.parse_value("(1,3)") == ValueRange(1, 3)
-    assert p.parse_value("{1,3}") == OneOf([1, 3])
+    domain = PropertyDef("TrustLevel", IntervalDomain(1, 5)).domain
+    assert parse_value("3", domain) == 3
+    assert parse_value("ANY", domain) is ANY
+    assert parse_value("Node.TrustLevel", domain) == EnvRef("Node", "TrustLevel")
+    assert parse_value("(1,3)", domain) == ValueRange(1, 3)
+    assert parse_value("{1,3}", domain) == OneOf([1, 3])
+    # An undeclared (environment) property reads the same literals.
+    assert parse_value("T") is True
+    assert parse_value("{a,b}") == OneOf(["a", "b"])
+    assert parse_value("(1,4)") == ValueRange(1, 4)
+    assert parse_value("2.5") == 2.5
+    assert parse_value("Alice") == "Alice"
 
 
 def test_property_def_match_mode_validation():

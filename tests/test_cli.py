@@ -61,6 +61,34 @@ def test_validate_xml_form(tmp_path, capsys):
     assert "OK:" in capsys.readouterr().out
 
 
+def test_validate_xml_form_with_declaration(tmp_path, capsys):
+    path = tmp_path / "mail.xml"
+    path.write_text('<?xml version="1.0"?>\n' + to_xml(build_mail_spec()))
+    assert main(["validate", str(path)]) == 0
+    assert "OK:" in capsys.readouterr().out
+
+
+def test_validate_xml_form_with_single_quotes(tmp_path, capsys):
+    path = tmp_path / "mail.xml"
+    path.write_text(to_xml(build_mail_spec()).replace('"', "'"))
+    assert main(["validate", str(path)]) == 0
+    assert "OK:" in capsys.readouterr().out
+
+
+def test_validate_rejects_malformed_xml(tmp_path, capsys):
+    path = tmp_path / "bad.xml"
+    path.write_text(to_xml(build_mail_spec())[:-20])
+    assert main(["validate", str(path)]) == 1
+    assert "INVALID: malformed XML" in capsys.readouterr().err
+
+
+def test_validate_rejects_non_numeric_behavior(tmp_path, capsys):
+    path = tmp_path / "bad.xml"
+    path.write_text(to_xml(build_mail_spec()).replace('capacity="1000"', 'capacity="lots"'))
+    assert main(["validate", str(path)]) == 1
+    assert "INVALID: malformed behavior capacity: 'lots'" in capsys.readouterr().err
+
+
 def test_validate_rejects_garbage(tmp_path, capsys):
     path = tmp_path / "bad.spec"
     path.write_text("<Component>\nName: X\n")
