@@ -35,14 +35,12 @@ OUTAGE_MS = 19_000.0  # crash at +1 s, restart at +20 s
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_failover.json"
 
 
-def run_chaos(with_faults=True, n_sends=60, n_receives=5, versioned=True,
-              **testbed_kwargs):
+def run_chaos(with_faults=True, n_sends=60, n_receives=5, **testbed_kwargs):
     # Telemetry on everywhere in this file: the zero-overhead pair below
     # compares two runs that both carry the sampler, so its tick events
     # cancel out of the signature.
     tb = build_mail_testbed(clients_per_site=2, flush_policy="count:500",
                             algorithm="dp_chain",
-                            versioned_coherence=versioned,
                             telemetry_interval_ms=500.0,
                             **testbed_kwargs)
     rt = tb.runtime
@@ -194,7 +192,7 @@ def test_partition_availability_and_reconciliation(benchmark, report_lines):
 
 
 def _fault_free_signature(rt, result):
-    """Everything the versioning knob could perturb on a healthy run."""
+    """Everything a default-valued knob could perturb on a healthy run."""
     return (
         rt.sim.now,
         rt.sim._seq,
@@ -205,30 +203,6 @@ def _fault_free_signature(rt, result):
         tuple(result.errors),
         rt.coherence.stats.syncs,
         rt.coherence.stats.messages_propagated,
-    )
-
-
-def test_versioning_zero_overhead_when_disabled(benchmark, report_lines):
-    """`versioned_coherence=False` and the (default) versioned protocol
-    must be byte-identical on the fault-free path: same clock, same
-    event count, same traffic, same latencies to the last ulp."""
-    def run_pair():
-        on = run_chaos(with_faults=False, n_sends=30, n_receives=3,
-                       versioned=True)
-        off = run_chaos(with_faults=False, n_sends=30, n_receives=3,
-                        versioned=False)
-        return on, off
-
-    (on, off) = benchmark.pedantic(run_pair, rounds=1, iterations=1)
-    sig_on = _fault_free_signature(on[0], on[2])
-    sig_off = _fault_free_signature(off[0], off[2])
-    assert sig_on == sig_off, "versioning knob perturbed a fault-free run"
-    st = on[0].coherence.stats
-    assert st.duplicates_rejected == 0 and st.degraded_reads == 0
-    report_lines.append(
-        "partition tolerance: versioned coherence is byte-identical to "
-        "the unversioned protocol on fault-free runs (zero overhead; "
-        f"{sig_on[1]} events either way)"
     )
 
 

@@ -199,7 +199,6 @@ def cmd_mail(args: argparse.Namespace) -> int:
         clients_per_site=max(1, args.clients_per_site),
         flush_policy=args.flush_policy,
         algorithm=args.algorithm,
-        versioned_coherence=not args.no_versioned_coherence,
         telemetry_interval_ms=telemetry_interval,
         flight=flight,
         autonomic=args.autonomic,
@@ -367,7 +366,6 @@ def cmd_chaos_sweep(args: argparse.Namespace) -> int:
         n_faults=args.faults,
         horizon_ms=args.horizon,
         kinds=args.kinds or None,
-        versioned_coherence=not args.no_versioned_coherence,
         telemetry_interval_ms=telemetry_interval,
         slo=args.slo,
         load_rate_per_s=args.load_rate,
@@ -380,8 +378,7 @@ def cmd_chaos_sweep(args: argparse.Namespace) -> int:
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     log.info(
         f"chaos-sweep: {len(seeds)} seeds, {config.n_faults} faults over "
-        f"{config.horizon_ms:.0f} ms each, versioned="
-        f"{config.versioned_coherence}"
+        f"{config.horizon_ms:.0f} ms each"
     )
     failures = []
     crashed: list = []
@@ -743,12 +740,6 @@ def main(argv=None) -> int:
                         '"write_through")')
     p.add_argument("--algorithm", default="dp_chain",
                    choices=["exhaustive", "dp_chain", "partial_order"])
-    p.add_argument("--no-versioned-coherence", action="store_true",
-                   help="fail-stop coherence: no update version stamps, no "
-                        "duplicate rejection, no degraded-mode reads/writes, "
-                        "no anti-entropy replay of lost buffers (the "
-                        "pre-partition-tolerance behavior, byte-identical "
-                        "to it)")
     chaos = p.add_argument_group("chaos")
     chaos.add_argument("--chaos", action="append", metavar="SPEC", default=[],
                        help="inject a fault (repeatable); SPEC is e.g. "
@@ -828,8 +819,6 @@ def main(argv=None) -> int:
     p.add_argument("--check-determinism", action="store_true",
                    help="run every seed twice and require identical run "
                         "signatures")
-    p.add_argument("--no-versioned-coherence", action="store_true",
-                   help="sweep under fail-stop coherence instead")
     p.add_argument("--artifacts", metavar="DIR", default=None,
                    help="write a JSON artifact (plus a flight-recorder "
                         "JSONL) per failing seed into DIR; SLO reports land "

@@ -50,7 +50,6 @@ class ChaosCaseConfig:
     n_receives: int = 5
     n_faults: int = 3
     horizon_ms: float = 60_000.0
-    versioned_coherence: bool = True
     kinds: Optional[Sequence[str]] = None
     #: continuous-telemetry knob (None = no sampler; the sampler's tick
     #: events change the event count, so the signature is only
@@ -475,7 +474,6 @@ def run_chaos_case(
         testbed = build_mail_testbed(
             clients_per_site=2,
             flush_policy="count:200",
-            versioned_coherence=config.versioned_coherence,
             telemetry_interval_ms=config.telemetry_interval_ms,
             flight=flight,
             overload_protection=config.overload_protection,

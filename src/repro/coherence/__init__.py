@@ -11,12 +11,7 @@ from .policies import (
     WriteThroughPolicy,
     policy_from_name,
 )
-from .reconcile import (
-    LastWriterWins,
-    ReconcilePolicy,
-    ReconcileReport,
-    VersionVector,
-)
+from .reconcile import ReconcileReport, VersionVector, last_writer_wins
 
 __all__ = [
     "CoherenceDirectory",
@@ -36,7 +31,6 @@ __all__ = [
     "WriteThroughPolicy",
     "policy_from_name",
     "VersionVector",
-    "ReconcilePolicy",
-    "LastWriterWins",
+    "last_writer_wins",
     "ReconcileReport",
 ]

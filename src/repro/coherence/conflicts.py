@@ -34,11 +34,11 @@ class Update:
     #: workload client "simulates the behavior of a cluster of users")
     multiplicity: int = 1
     #: version stamp, assigned by the directory when the update is first
-    #: buffered (``CoherenceDirectory(versioned=True)``): ``origin`` is
-    #: the buffering replica's id, ``seq`` its per-replica monotonic
+    #: buffered (:meth:`CoherenceDirectory.on_local_update`): ``origin``
+    #: is the buffering replica's id, ``seq`` its per-replica monotonic
     #: sequence number, ``ts_ms`` the simulated buffering instant (the
-    #: last-writer-wins clock).  ``origin is None`` means unversioned —
-    #: the pre-partition-tolerance wire format.
+    #: last-writer-wins clock).  ``origin is None`` means not yet
+    #: buffered, so not yet stamped.
     origin: Optional[int] = None
     seq: int = 0
     ts_ms: float = 0.0
@@ -61,7 +61,7 @@ class Update:
 
     @property
     def version(self) -> Optional[Tuple[int, int]]:
-        """The ``(origin, seq)`` identity, or ``None`` if unversioned."""
+        """The ``(origin, seq)`` identity, or ``None`` if not yet stamped."""
         return None if self.origin is None else (self.origin, self.seq)
 
 

@@ -14,6 +14,15 @@ crosses exactly the links the planner selected — including any
 Encryptor/Decryptor pairs).  On reconciliation the directory consults
 the conflict map and delivers invalidations to the other replicas whose
 configurations conflict with the propagated updates.
+
+The protocol is partition-tolerant: buffered updates carry
+``(origin, seq, ts_ms)`` version stamps, applying stores keep a
+:class:`VersionVector` frontier (duplicated, reordered or replayed flush
+batches are rejected instead of double-applied), crashed replicas'
+dirty buffers are stashed for anti-entropy replay, and partitioned
+replicas serve degraded reads and writes.  On a fault-free run the
+stamps and frontiers are pure bookkeeping: no event, message or
+latency differs from a protocol without them.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..obs import Observability, resolve_obs
 from .conflicts import ConflictMap, Update, ViewConfig
 from .policies import FlushPolicy, NeverPolicy
-from .reconcile import LastWriterWins, ReconcilePolicy, ReconcileReport, VersionVector
+from .reconcile import ReconcileReport, VersionVector
 
 __all__ = ["CoherenceDirectory", "ReplicaEntry", "CoherenceStats"]
 
@@ -76,7 +85,7 @@ class ReplicaEntry:
     pending_units: int = 0
     last_flush_ms: float = 0.0
     stale_keys: set = field(default_factory=set)
-    #: per-replica monotonic sequence counter for versioned updates
+    #: per-replica monotonic sequence counter for version stamps
     next_seq: int = 0
 
     @property
@@ -91,8 +100,6 @@ class CoherenceDirectory:
         self,
         conflict_map: Optional[ConflictMap] = None,
         obs: Optional[Observability] = None,
-        versioned: bool = True,
-        reconcile_policy: Optional[ReconcilePolicy] = None,
         journal: Optional[Any] = None,
     ) -> None:
         self.conflict_map = conflict_map or ConflictMap()
@@ -102,17 +109,6 @@ class CoherenceDirectory:
         self._next_id = 0
         self.stats = CoherenceStats()
         self.obs = resolve_obs(obs)
-        #: knob: partition tolerance.  When on, buffered updates carry
-        #: ``(origin, seq, ts_ms)`` version stamps, applying stores keep
-        #: a :class:`VersionVector` frontier (duplicated/reordered/
-        #: replayed flush batches are rejected instead of double-applied),
-        #: crashed replicas' dirty buffers are stashed for anti-entropy
-        #: replay, and partitioned replicas serve degraded reads/writes.
-        #: When off the protocol is byte-identical to the pre-versioning
-        #: revision: no stamps, no frontiers, ``report_lost`` discards.
-        self.versioned = versioned
-        #: conflict resolution for anti-entropy replays (LWW by sim time)
-        self.reconcile_policy = reconcile_policy or LastWriterWins()
         #: optional append-only journal of registrations, frontier
         #: admissions and anti-entropy stashes (see
         #: :mod:`repro.coherence.journal`) from which a successor
@@ -179,9 +175,9 @@ class CoherenceDirectory:
         if entry.pending:
             # A retiring replica whose last flush could not reach the
             # primary (e.g. uninstalled mid-partition): its buffer holds
-            # client-acked updates and must enter the lost ledger — and,
-            # under versioned coherence, the anti-entropy stash — rather
-            # than vanish with the registration.
+            # client-acked updates and must enter the lost ledger and
+            # the anti-entropy stash rather than vanish with the
+            # registration.
             self.report_lost(replica_id)
         del self._replicas[replica_id]
         self._by_family[entry.family].remove(replica_id)
@@ -202,7 +198,7 @@ class CoherenceDirectory:
     def on_local_update(self, replica_id: int, update: Update, now_ms: float) -> bool:
         """Buffer a local update; True if the replica must reconcile now."""
         entry = self._replicas[replica_id]
-        if self.versioned and update.origin is None:
+        if update.origin is None:
             # Stamp at first buffering only: updates arriving through a
             # downstream sync batch keep their original identity so the
             # frontier dedups them end to end across replica chains.
@@ -257,31 +253,33 @@ class CoherenceDirectory:
 
         Called during failover reconciliation when the replica's host
         crashed before its flush policy fired: those updates were acked
-        to clients but never propagated.  Under fail-stop semantics
-        (``versioned=False``) they are simply discarded — the write-back
-        protocol's durability gap.  Under versioned coherence the batch
-        is additionally stashed (modeling the replica's stable storage)
-        for anti-entropy replay by :meth:`reconcile`.  Returns
-        (batch, units) so callers can report exactly what was lost.
+        to clients but never propagated.  They are accounted lost and
+        stashed (modeling the replica's stable storage) for anti-entropy
+        replay by :meth:`reconcile`, which un-loses what it replays.
+        Returns (batch, units) so callers can report exactly what was
+        lost.
         """
         entry = self._replicas.get(replica_id)
         if entry is None or not entry.pending:
             return [], 0
         batch, units = self.drain(replica_id)
+        self._stash_lost(replica_id, entry.family, batch, units)
+        return batch, units
+
+    def _stash_lost(
+        self, replica_id: int, family: str, batch: List[Update], units: int
+    ) -> None:
+        """Account ``batch`` lost and hold it for anti-entropy replay."""
         self.stats.lost_updates += len(batch)
         self.stats.lost_units += units
-        self.obs.metrics.inc(
-            "coherence.lost_updates", len(batch), family=entry.family
-        )
-        if self.versioned:
-            held = self._lost_buffers.get(replica_id)
-            if held is not None:
-                held[1].extend(batch)
-            else:
-                self._lost_buffers[replica_id] = (entry.family, list(batch))
-            if self.journal is not None:
-                self.journal.record_stash(replica_id, entry.family, batch)
-        return batch, units
+        self.obs.metrics.inc("coherence.lost_updates", len(batch), family=family)
+        held = self._lost_buffers.get(replica_id)
+        if held is not None:
+            held[1].extend(batch)
+        else:
+            self._lost_buffers[replica_id] = (family, list(batch))
+        if self.journal is not None:
+            self.journal.record_stash(replica_id, family, batch)
 
     @property
     def has_lost_buffers(self) -> bool:
@@ -302,9 +300,9 @@ class CoherenceDirectory:
         Returns False — and accounts a rejected duplicate — when the
         update's ``(origin, seq)`` version was already applied at this
         store (a duplicated, replayed, or requeued-after-apply batch).
-        Unversioned updates (or ``versioned=False``) always admit.
+        An update never buffered (``origin is None``) always admits.
         """
-        if not self.versioned or update.origin is None:
+        if update.origin is None:
             return True
         if self.frontier(applier).admit(update.origin, update.seq):
             if self.journal is not None:
@@ -333,12 +331,13 @@ class CoherenceDirectory:
         For each stashed buffer the primary's frontier delta — exactly
         the updates it has not already applied — is replayed through the
         primary's ``apply_reconciled`` hook, which resolves conflicting
-        writes via :attr:`reconcile_policy` (plus any service-level
-        merge), and the resulting sub-batch is fanned out as
-        invalidations through the conflict map.  No-op (returns ``[]``)
-        when unversioned or when nothing is stashed.
+        writes (the mail primary merges folder structure and settles
+        racing moves by :func:`~repro.coherence.reconcile.last_writer_wins`),
+        and the resulting sub-batch is fanned out as invalidations
+        through the conflict map.  No-op (returns ``[]``) when nothing
+        is stashed.
         """
-        if not self.versioned or not self._lost_buffers:
+        if not self._lost_buffers:
             return []
         reports: List[ReconcileReport] = []
         m = self.obs.metrics
@@ -366,7 +365,7 @@ class CoherenceDirectory:
                         self.journal.record_admit(
                             ("primary", family), update.origin, update.seq
                         )
-                outcome = primary.apply_reconciled(update, self.reconcile_policy)
+                outcome = primary.apply_reconciled(update)
                 report.note(outcome)
                 if outcome == "conflict":
                     report.conflicts += 1
@@ -394,9 +393,9 @@ class CoherenceDirectory:
 
         If the replica was unregistered while the flush was in flight
         (a concurrent retirement or failover purge), there is no pending
-        queue to return to: the batch enters the lost ledger directly —
-        and, under versioned coherence, the anti-entropy stash — exactly
-        as if :meth:`report_lost` had drained it.
+        queue to return to: the batch enters the lost ledger and the
+        anti-entropy stash directly, exactly as if :meth:`report_lost`
+        had drained it.
 
         ``replica_id`` must be the id the batch was drained under; a
         caller that re-reads it from an instance after yielding can see
@@ -409,21 +408,12 @@ class CoherenceDirectory:
             return
         entry = self._replicas.get(replica_id)
         if entry is None:
-            family = self._retired_families.get(replica_id, "?")
-            units = sum(u.multiplicity for u in batch)
-            self.stats.lost_updates += len(batch)
-            self.stats.lost_units += units
-            self.obs.metrics.inc(
-                "coherence.lost_updates", len(batch), family=family
+            self._stash_lost(
+                replica_id,
+                self._retired_families.get(replica_id, "?"),
+                batch,
+                sum(u.multiplicity for u in batch),
             )
-            if self.versioned:
-                held = self._lost_buffers.get(replica_id)
-                if held is not None:
-                    held[1].extend(batch)
-                else:
-                    self._lost_buffers[replica_id] = (family, list(batch))
-                if self.journal is not None:
-                    self.journal.record_stash(replica_id, family, batch)
             return
         entry.pending = batch + entry.pending
         entry.pending_units += sum(u.multiplicity for u in batch)

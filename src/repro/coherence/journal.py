@@ -9,7 +9,7 @@ journal of exactly the directory state that must survive a crash:
 
 * registrations (primaries, replicas, unregistrations) — the membership
   a successor directory must re-attach to live instances;
-* frontier admissions — every versioned ``(applier, origin, seq)``
+* frontier admissions — every stamped ``(applier, origin, seq)``
   applied anywhere, from which the per-store
   :class:`~repro.coherence.reconcile.VersionVector` frontiers are
   rebuilt exactly;
@@ -110,9 +110,10 @@ def _vv_state(vv: VersionVector) -> Tuple[Tuple[int, int], ...]:
 def recover_directory(journal: DirectoryJournal, source: Any, now_ms: float):
     """Rebuild a :class:`CoherenceDirectory` after its host crashed.
 
-    ``source`` is the orphaned pre-crash directory object: its knobs and
-    stats carry over (stats are cumulative run accounting, not host
-    state), its live replica entries stand in for the replicas
+    ``source`` is the orphaned pre-crash directory object: its conflict
+    map, observability and stats carry over (stats are cumulative run
+    accounting, not host state), its live replica entries stand in for
+    the replicas
     re-reporting their volatile flush state to the successor, and its
     in-memory frontiers serve as the oracle the journal-rebuilt
     frontiers are validated against.  Returns ``(directory, report)``;
@@ -125,8 +126,6 @@ def recover_directory(journal: DirectoryJournal, source: Any, now_ms: float):
     new = CoherenceDirectory(
         source.conflict_map,
         obs=source.obs,
-        versioned=source.versioned,
-        reconcile_policy=source.reconcile_policy,
         journal=journal,
     )
     report = RecoveryReport(recovered_at_ms=now_ms)

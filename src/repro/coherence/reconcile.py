@@ -1,8 +1,9 @@
 """Anti-entropy reconciliation for partition-tolerant coherence.
 
-The base write-back protocol (:mod:`repro.coherence.directory`) assumes
-the update channel between a replica and its upstream is reliable and
-ordered.  Under partitions that assumption breaks three ways:
+A plain write-back protocol assumes the update channel between a
+replica and its upstream is reliable and ordered.  Under partitions
+that assumption breaks three ways, and the directory
+(:mod:`repro.coherence.directory`) answers each:
 
 1. **Duplication/replay** — a flush batch can apply upstream while the
    acknowledgement is lost (link severed mid-response), so the replica
@@ -18,10 +19,10 @@ ordered.  Under partitions that assumption breaks three ways:
    not seen — once the failure is reconciled.
 3. **Divergence** — both sides of a partition can mutate the same
    logical cell (e.g. a mailbox folder move issued at a degraded view
-   while the primary applied a conflicting move).  A pluggable
-   :class:`ReconcilePolicy` resolves such conflicts; the default is
-   last-writer-wins by simulated time, and services can layer their own
-   merge hooks on top (the mail service merges folder structure).
+   while the primary applied a conflicting move).  The applying
+   service merges what it can (the mail service unions folder
+   structure) and settles the rest with :func:`last_writer_wins`, by
+   simulated write time.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .conflicts import Update
 
 __all__ = [
     "VersionVector",
-    "ReconcilePolicy",
-    "LastWriterWins",
+    "last_writer_wins",
     "ReconcileReport",
 ]
 
@@ -93,38 +93,27 @@ class VersionVector:
         return f"<VersionVector frontier={self._frontier} tail={tails}>"
 
 
-class ReconcilePolicy:
-    """Decides which of two conflicting writes to the same logical cell
-    survives reconciliation."""
+def last_writer_wins(
+    incoming: Update,
+    incumbent_ts_ms: float,
+    incumbent_version: Optional[Tuple[int, int]],
+) -> bool:
+    """Should ``incoming`` replace the write the applying store last
+    accepted for a contested cell (stamped ``incumbent_ts_ms`` /
+    ``incumbent_version``)?
 
-    name = "abstract"
-
-    def wins(self, incoming: Update, incumbent_ts_ms: float,
-             incumbent_version: Optional[Tuple[int, int]]) -> bool:
-        """Should ``incoming`` replace the currently-applied write?
-
-        ``incumbent_ts_ms``/``incumbent_version`` describe the write the
-        applying store last accepted for the contested cell.
-        """
-        raise NotImplementedError
-
-
-class LastWriterWins(ReconcilePolicy):
-    """Resolve by simulated write time; ties break on ``(origin, seq)``
+    The later simulated write time wins; ties break on ``(origin, seq)``
     so both sides of a healed partition converge on the same winner
-    regardless of replay order."""
-
-    name = "last_writer_wins"
-
-    def wins(self, incoming: Update, incumbent_ts_ms: float,
-             incumbent_version: Optional[Tuple[int, int]]) -> bool:
-        if incoming.ts_ms != incumbent_ts_ms:
-            return incoming.ts_ms > incumbent_ts_ms
-        if incoming.version is None:
-            return True  # unversioned writes behave like the old protocol
-        if incumbent_version is None:
-            return False
-        return incoming.version > incumbent_version
+    regardless of replay order.  A write never buffered by a replica
+    (no version) wins a tie; a stamped one yields to such a write.
+    """
+    if incoming.ts_ms != incumbent_ts_ms:
+        return incoming.ts_ms > incumbent_ts_ms
+    if incoming.version is None:
+        return True
+    if incumbent_version is None:
+        return False
+    return incoming.version > incumbent_version
 
 
 @dataclass

@@ -124,7 +124,7 @@ class MailTestbed:
                     pass
             if not dirty:
                 break
-        if directory.versioned and directory.has_lost_buffers:
+        if directory.has_lost_buffers:
             directory.reconcile(runtime.sim.now)
 
     def slo_report(self, spec: Any):
@@ -162,9 +162,9 @@ def build_mail_testbed(
     York mail server, which also hosts the lookup unless
     ``lookup_hosts`` moves it), ``conflict_map`` and ``view_policy``.
     Every other keyword (``sim``, ``obs``, ``plan_cache``,
-    ``versioned_coherence``, ``telemetry_interval_ms``, ``flight``,
-    ``overload_protection``, ``autonomic``, ``lookup_hosts``,
-    ``lookup_leases``, ``directory_journal``, ``directory_host``) is
+    ``telemetry_interval_ms``, ``flight``, ``overload_protection``,
+    ``autonomic``, ``lookup_hosts``, ``lookup_leases``,
+    ``directory_journal``, ``directory_host``) is
     forwarded unchanged to :class:`SmockRuntime`, the one place runtime
     options are declared and documented; a misspelt one raises
     ``TypeError`` there.

@@ -28,7 +28,7 @@ import operator
 import pickle
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ...coherence import Update
+from ...coherence import Update, last_writer_wins
 from ...smock import RuntimeComponent, ServiceRequest, ServiceResponse
 from .crypto import CIPHER_OVERHEAD_BYTES, CryptoError, KeyRing, decrypt, derive_key, encrypt
 from .mailstore import ENVELOPE_BYTES, MailStore, StoredMessage, total_size_bytes
@@ -247,7 +247,7 @@ class MailServerComponent(_StoreBase):
             incumbent = self._move_clock.get((user, msg_id))
             if incumbent is not None:
                 ts, version = incumbent
-                if not self.coherence.reconcile_policy.wins(update, ts, version):
+                if not last_writer_wins(update, ts, version):
                     return "conflict"  # a newer move already won this cell
                 outcome = "conflict"
             else:
@@ -263,7 +263,7 @@ class MailServerComponent(_StoreBase):
             return outcome
         return "ignored"
 
-    def apply_reconciled(self, update: Update, policy: Any) -> str:
+    def apply_reconciled(self, update: Update) -> str:
         """Anti-entropy hook: replay one recovered update at the primary.
 
         Called by :meth:`CoherenceDirectory.reconcile` for the frontier
@@ -421,10 +421,10 @@ class ViewMailServerComponent(_StoreBase):
         client-acked batch stranded.  Racing the call against a timeout
         bounds that: the attempt is abandoned, the caller requeues, and
         the version frontier dedups the re-send if the abandoned attempt
-        applied after all.  Without a fault hook (or unversioned) the
-        call is the plain blocking RPC — byte-identical to before.
+        applied after all.  Without a fault hook the call is the plain
+        blocking RPC: a fault-free run schedules no timeout events.
         """
-        if self.runtime.transport.fault_hook is None or not self.coherence.versioned:
+        if self.runtime.transport.fault_hook is None:
             resp = yield from self.call("ServerInterface", req)
             return resp
         sim = self.sim
@@ -562,7 +562,7 @@ class ViewMailServerComponent(_StoreBase):
             # the local copy as stale as it was.
             if since_id == 0 and (max_s is None or max_s >= self.trust_level):
                 self.stale_users.discard(user)
-        elif resp.retryable and self.coherence.versioned:
+        elif resp.retryable:
             # Degraded mode: the upstream is unreachable (partition), so
             # serve the local — possibly stale — copy per our flush
             # policy's consistency promise, with stale-read accounting.
@@ -575,13 +575,13 @@ class ViewMailServerComponent(_StoreBase):
     def op_create_folder(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
         """Folder structure lives at the primary: write through.
 
-        When the primary is unreachable (partition) under versioned
-        coherence, the folder is created locally and the update buffered
+        When the primary is unreachable (partition), the folder is
+        created locally and the update buffered
         for write-back; reconciliation merges folder structure by union.
         """
         self.upstream_forwards += 1
         resp = yield from self.call("ServerInterface", req)
-        if resp.ok or not resp.retryable or not self.coherence.versioned:
+        if resp.ok or not resp.retryable:
             return resp
         user = req.payload.get("user") or req.user or ""
         folder = req.payload.get("folder", "")
@@ -605,13 +605,13 @@ class ViewMailServerComponent(_StoreBase):
     def op_move_mail(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
         """Folder structure lives at the primary: write through.
 
-        Under a partition (versioned coherence) the move applies locally
+        Under a partition the move applies locally
         when this view holds the message, and is buffered for write-back
         — reconciliation resolves racing moves last-writer-wins.
         """
         self.upstream_forwards += 1
         resp = yield from self.call("ServerInterface", req)
-        if resp.ok or not resp.retryable or not self.coherence.versioned:
+        if resp.ok or not resp.retryable:
             return resp
         user = req.payload.get("user") or req.user or ""
         msg_id = int(req.payload.get("msg_id") or 0)

@@ -24,8 +24,8 @@ Failover extension: when the observed change is a *node-death*
 detection (a :class:`FailureEvent` from the heartbeat detector), the
 round first reconciles runtime registries with reality — instances on
 the dead host are unregistered, their un-flushed coherence buffers are
-accounted as lost updates (fail-stop: that state is unrecoverable) —
-and then replans around the dead node, which the planner's
+accounted as lost updates and stashed for the round's anti-entropy
+replay — and then replans around the dead node, which the planner's
 installability gate already excludes.  Recovery time (crash instant to
 rebound proxies) lands in the ``failover.recovery_ms`` histogram.
 """
@@ -336,16 +336,14 @@ class ReplanManager:
     ) -> Generator[Any, Any, None]:
         """Re-converge coherence state after the round's registry changes.
 
-        Two steps, both no-ops under unversioned (fail-stop) coherence:
-        (1) on a *recovery* trigger (a node or link coming back up),
-        flush every dirty live replica upstream so state diverged during
-        the partition propagates now instead of waiting out its flush
-        policy; (2) replay any lost buffers stashed by ``report_lost``
-        at their primaries (:meth:`CoherenceDirectory.reconcile`).
+        Two steps: (1) on a *recovery* trigger (a node or link coming
+        back up), flush every dirty live replica upstream so state
+        diverged during the partition propagates now instead of waiting
+        out its flush policy; (2) replay any lost buffers stashed by
+        ``report_lost`` at their primaries
+        (:meth:`CoherenceDirectory.reconcile`).
         """
         directory = self.bundle.coherence
-        if not directory.versioned:
-            return
         recovery = (
             trigger is not None
             and trigger.kind in ("node", "link")
@@ -423,8 +421,8 @@ class ReplanManager:
         An instance is gone if fault injection flagged it ``failed`` or
         the failure detector declared its node down.  Dirty coherence
         buffers on such replicas are *lost updates* — acked to clients,
-        never propagated — and are reported as such rather than silently
-        discarded.
+        never propagated — and are reported as such, then stashed for
+        anti-entropy replay, rather than silently discarded.
         """
         runtime = self.runtime
         bundle = self.bundle

@@ -74,7 +74,6 @@ class SmockRuntime:
         view_policy: Optional[Callable[[ViewDef, Any], FlushPolicy]] = None,
         obs: Optional[Observability] = None,
         plan_cache: Any = None,
-        versioned_coherence: bool = True,
         telemetry_interval_ms: Optional[float] = None,
         flight: Any = None,
         overload_protection: bool = False,
@@ -90,10 +89,6 @@ class SmockRuntime:
         #: :class:`repro.planner.Planner`: ``None`` = private cache,
         #: ``False`` = caching off)
         self._plan_cache_setting = plan_cache
-        #: partition-tolerance master knob (see CoherenceDirectory): off
-        #: restores the fail-stop protocol byte for byte — no version
-        #: stamps, no frontier dedup, no degraded mode, no anti-entropy.
-        self.versioned_coherence = versioned_coherence
         self.sim = sim or Simulator(obs=self.obs)
         for name, value in (
             ("overload_protection", overload_protection), ("autonomic", autonomic)
@@ -225,9 +220,7 @@ class SmockRuntime:
             planner=planner,
             server=None,  # type: ignore[arg-type]  (set right below)
             coherence=CoherenceDirectory(
-                conflict_map, obs=self.obs,
-                versioned=self.versioned_coherence,
-                journal=self._make_journal(),
+                conflict_map, obs=self.obs, journal=self._make_journal(),
             ),
             code_base_node=code_base_node,
             view_policy=view_policy or (lambda view, instance: NeverPolicy()),

@@ -187,14 +187,20 @@ _DEFAULT_BEHAVIORS = Behaviors()
 def behavior_texts(b: Behaviors) -> Dict[str, str]:
     """Field -> text of every metric off its default, in field order.
 
-    Floats print in ``%g`` form (ints without a trailing ``.0``), so a
-    serialize-parse-serialize cycle is a fixpoint.
+    Floats print in the short ``%g`` form (ints without a trailing
+    ``.0``) when it reads back as the same value, and as ``repr`` when
+    ``%g``'s six significant digits would round it, so every value
+    round-trips exactly and serialize-parse-serialize is a fixpoint.
     """
     out: Dict[str, str] = {}
     for f in fields(Behaviors):
         value = getattr(b, f.name)
         if value != getattr(_DEFAULT_BEHAVIORS, f.name):
-            out[f.name] = f"{value:g}" if BEHAVIORS[f.name][2] is float else str(value)
+            if BEHAVIORS[f.name][2] is float:
+                text = f"{value:g}"
+                out[f.name] = text if float(text) == value else repr(value)
+            else:
+                out[f.name] = str(value)
     return out
 
 

@@ -83,16 +83,6 @@ def test_requeue_restores_batch_order(directory):
     assert units == 3
 
 
-def test_requeue_unversioned_keeps_objects(directory):
-    unversioned = CoherenceDirectory(versioned=False)
-    unversioned.register_replica("MailServer", cfg(3), FakeHost(), NeverPolicy())
-    u1, u2 = Update("store", {"i": 0}), Update("store", {"i": 1})
-    unversioned.on_local_update(0, u1, 0.0)
-    unversioned.on_local_update(0, u2, 0.0)
-    batch, _ = unversioned.drain(0)
-    assert batch == [u1, u2]  # no stamping: the exact objects round-trip
-
-
 def test_first_buffering_stamps_without_dataclasses_replace(directory, monkeypatch):
     """The stamp is built positionally (``dataclasses.replace`` walks
     ``fields()`` once per buffered send) and equals the ``replace`` result."""
@@ -192,16 +182,6 @@ def test_double_report_lost_accounts_once(directory):
     assert len(directory._lost_buffers[0][1]) == 3
 
 
-def test_report_lost_unversioned_discards_without_stash():
-    directory = CoherenceDirectory(versioned=False)
-    directory.register_replica("MailServer", cfg(3), FakeHost(), NeverPolicy())
-    stamped(directory, 0, 2)
-    batch, units = directory.report_lost(0)
-    assert len(batch) == 2 and units == 2
-    assert directory.stats.lost_updates == 2  # accounted either way
-    assert not directory.has_lost_buffers  # ...but nothing kept for replay
-
-
 def test_unregister_with_pending_buffer_reports_lost(directory):
     directory.register_replica("MailServer", cfg(3), FakeHost(), NeverPolicy())
     stamped(directory, 0, 2)
@@ -221,17 +201,6 @@ def test_requeue_after_concurrent_purge_enters_lost_ledger(directory):
     family, held = directory._lost_buffers[0]
     assert family == "MailServer"  # tombstone preserved the family
     assert len(held) == 3
-
-
-def test_requeue_after_purge_unversioned_accounts_without_stash():
-    directory = CoherenceDirectory(versioned=False)
-    directory.register_replica("MailServer", cfg(3), FakeHost(), NeverPolicy())
-    stamped(directory, 0, 2)
-    batch, _ = directory.drain(0)
-    directory.unregister_replica(0)
-    directory.requeue(0, batch)
-    assert directory.stats.lost_updates == 2
-    assert not directory.has_lost_buffers
 
 
 def test_requeue_rejects_none_replica_id(directory):
@@ -277,14 +246,6 @@ def test_admit_unversioned_update_always_passes(directory):
     assert directory.stats.duplicates_rejected == 0
 
 
-def test_admit_disabled_directory_never_rejects():
-    directory = CoherenceDirectory(versioned=False)
-    update = Update("store", {}, origin=0, seq=1)
-    assert directory.admit(("primary", "MailServer"), update)
-    assert directory.admit(("primary", "MailServer"), update)
-    assert directory.stats.duplicates_rejected == 0
-
-
 def test_degraded_counters(directory):
     directory.note_degraded_read("MailServer")
     directory.note_degraded_read("MailServer")
@@ -302,7 +263,7 @@ class FakePrimary:
         self.replayed = []
         self.outcome = outcome
 
-    def apply_reconciled(self, update, policy):
+    def apply_reconciled(self, update):
         self.replayed.append(update)
         return self.outcome
 
@@ -382,10 +343,8 @@ def test_reconcile_without_merge_hook_leaves_buffer_lost(directory):
     assert not directory.has_lost_buffers  # but not retried forever
 
 
-def test_reconcile_noop_when_unversioned_or_empty(directory):
+def test_reconcile_noop_when_nothing_stashed(directory):
     assert directory.reconcile(now_ms=0.0) == []
-    unversioned = CoherenceDirectory(versioned=False)
-    assert unversioned.reconcile(now_ms=0.0) == []
 
 
 def test_reconcile_invalidation_fanout_uses_conflict_map():

@@ -28,7 +28,7 @@ class FakePrimary:
     def __init__(self):
         self.applied: List[Update] = []
 
-    def apply_reconciled(self, update, policy):
+    def apply_reconciled(self, update):
         self.applied.append(update)
         return "applied"
 
@@ -40,9 +40,7 @@ def cfg(trust):
 def make_directory():
     journal = DirectoryJournal()
     directory = CoherenceDirectory(
-        AttributeConflictMap("sensitivity", "TrustLevel"),
-        versioned=True,
-        journal=journal,
+        AttributeConflictMap("sensitivity", "TrustLevel"), journal=journal
     )
     return directory, journal
 
@@ -177,7 +175,7 @@ def test_successor_journals_to_the_same_journal():
 
 def test_unjournaled_directory_appends_nothing():
     directory = CoherenceDirectory(
-        AttributeConflictMap("sensitivity", "TrustLevel"), versioned=True
+        AttributeConflictMap("sensitivity", "TrustLevel")
     )
     assert directory.journal is None
     directory.register_primary("MailServer", FakePrimary())

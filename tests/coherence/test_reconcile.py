@@ -1,13 +1,10 @@
 """Tests for the anti-entropy primitives: version vectors, LWW, reports."""
 
-import pytest
-
 from repro.coherence import Update
 from repro.coherence.reconcile import (
-    LastWriterWins,
-    ReconcilePolicy,
     ReconcileReport,
     VersionVector,
+    last_writer_wins,
 )
 
 
@@ -58,7 +55,7 @@ def test_origins_are_independent():
 def test_delta_filters_applied_keeps_unversioned():
     vv = VersionVector()
     vv.admit(7, 1)
-    legacy = Update("store", {})  # origin None: pre-versioning wire format
+    legacy = Update("store", {})  # origin None: never buffered, so unstamped
     batch = [u(7, 1), u(7, 2), legacy]
     delta = vv.delta(batch)
     assert [x.seq for x in delta if x.origin is not None] == [2]
@@ -66,32 +63,24 @@ def test_delta_filters_applied_keeps_unversioned():
     assert not vv.contains(7, 2)  # delta never mutates the vector
 
 
-# -- LastWriterWins ----------------------------------------------------------
+# -- last_writer_wins --------------------------------------------------------
 
 def test_lww_later_timestamp_wins():
-    lww = LastWriterWins()
-    assert lww.wins(u(1, 1, ts_ms=200.0), 100.0, (2, 9))
-    assert not lww.wins(u(1, 1, ts_ms=100.0), 200.0, (2, 9))
+    assert last_writer_wins(u(1, 1, ts_ms=200.0), 100.0, (2, 9))
+    assert not last_writer_wins(u(1, 1, ts_ms=100.0), 200.0, (2, 9))
 
 
 def test_lww_tie_breaks_on_version():
-    lww = LastWriterWins()
-    assert lww.wins(u(3, 5, ts_ms=100.0), 100.0, (2, 9))  # (3,5) > (2,9)
-    assert not lww.wins(u(2, 5, ts_ms=100.0), 100.0, (2, 9))
+    assert last_writer_wins(u(3, 5, ts_ms=100.0), 100.0, (2, 9))  # (3,5) > (2,9)
+    assert not last_writer_wins(u(2, 5, ts_ms=100.0), 100.0, (2, 9))
 
 
 def test_lww_unversioned_semantics_at_tie():
-    lww = LastWriterWins()
     legacy = Update("store", {}, ts_ms=100.0)
-    # Unversioned incoming behaves like the old protocol: apply.
-    assert lww.wins(legacy, 100.0, (2, 9))
-    # Versioned incoming yields to an unversioned incumbent at a tie.
-    assert not lww.wins(u(1, 1, ts_ms=100.0), 100.0, None)
-
-
-def test_base_policy_is_abstract():
-    with pytest.raises(NotImplementedError):
-        ReconcilePolicy().wins(u(1, 1), 0.0, None)
+    # An unstamped incoming write wins a tie.
+    assert last_writer_wins(legacy, 100.0, (2, 9))
+    # A stamped incoming write yields to an unstamped incumbent at a tie.
+    assert not last_writer_wins(u(1, 1, ts_ms=100.0), 100.0, None)
 
 
 # -- ReconcileReport ---------------------------------------------------------

@@ -7,7 +7,7 @@ faults, drive to quiescence, converge, grade.
 ``golden/harness_identity.json`` records, from the commit *before* that
 lifecycle moved onto :class:`~repro.experiments.MailTestbed`, what each
 of them reports: chaos signatures (plain, control-plane, a
-load x fault x protection x autonomic composite, an unversioned case),
+load x fault x protection x autonomic composite),
 two load cells field by field, two Figure 7 cells, and the stdout plus
 artifact files of four CLI invocations.  Every section must stay
 byte-identical; a harness refactor that moves one has changed a run.
@@ -80,12 +80,6 @@ def chaos_composite(_tmp):
             [r["t_ms"], r["name"]] for r in result.flight if r["kind"] == "event"
         ],
     }
-
-
-def chaos_unversioned(_tmp):
-    return _chaos_record(
-        run_chaos_case(2, ChaosCaseConfig(versioned_coherence=False))
-    )
 
 
 def load_flash_autonomic(_tmp):
@@ -181,7 +175,7 @@ def cli_load_sweep(tmp):
 SECTIONS = {
     fn.__name__: fn
     for fn in (
-        chaos_default, chaos_control_plane, chaos_composite, chaos_unversioned,
+        chaos_default, chaos_control_plane, chaos_composite,
         load_flash_autonomic, load_poisson, fig7,
         cli_mail, cli_mail_chaos, cli_chaos_sweep, cli_load_sweep,
     )

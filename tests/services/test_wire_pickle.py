@@ -49,7 +49,7 @@ def test_wire_types_round_trip(protocol):
     assert (update2.origin, update2.seq, update2.ts_ms) == (4, 17, 1234.5)
     assert update2.version == (4, 17)
     assert update2.attr("message") == msg
-    # the unversioned wire format survives too
+    # an unstamped (never buffered) update survives too
     bare = Update(op="create_folder", attributes={"user": "Bob", "folder": "f"})
     assert pickle.loads(pickle.dumps(bare, protocol)) == bare
     assert pickle.loads(pickle.dumps(bare, protocol)).origin is None

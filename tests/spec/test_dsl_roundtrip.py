@@ -70,6 +70,20 @@ def test_descriptions_survive_both_syntaxes():
     assert "description=" not in to_xml(build_mail_spec())
 
 
+def test_behavior_floats_survive_both_syntaxes():
+    """A metric ``%g`` would round (six significant digits) is written
+    in full; one it prints exactly keeps its short form."""
+    from repro.spec import Behaviors, from_xml, to_xml
+
+    spec = build_mail_spec()
+    exact = Behaviors(capacity=1234567.0, cpu_per_request=0.1234567)
+    spec.components["MailServer"].behaviors = exact
+    for spec2 in (parse_service(to_text(spec)), from_xml(to_xml(spec))):
+        assert spec2.unit("MailServer").behaviors == exact
+    assert "Capacity: 1234567.0" in to_text(spec)
+    assert 'rrf="0.2"' in to_xml(build_mail_spec())
+
+
 def test_readable_form_refuses_a_description_it_would_cut():
     spec = build_mail_spec()
     spec.components["MailServer"].description = "see #3"
