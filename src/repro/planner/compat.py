@@ -24,19 +24,23 @@ fast path, shared by all three search algorithms):
   and calls :meth:`PlanningContext.compatible_interned`, so a memo
   lookup hashes three small ints instead of re-sorting three dicts;
 - condition 1 — :meth:`PlanningContext.installable`, keyed by
-  (component, node, request context), i.e. the node's credentials after
-  translation.
+  (component, node, :func:`context_key`): the node stands for its
+  credentials after translation, and of the request context only the
+  keys the component's conditions read (``ComponentDef.condition_props``)
+  count.  A context key no condition reads, however unhashable its
+  value, neither splits nor bypasses the memo.
 
 What each table reads decides what flushes it.  Environments, routes
 (:meth:`PlanningContext.link_envs_from`), analytic round-trip times,
-both memos and the DP planner's :class:`ChainTables` (chain shapes,
-fresh-candidate tables and the pair rows built from them, and the
-installed-provider rows) are functions
+both memos and the DP planner's fresh-candidate tables, the pair rows
+built from them and its installed-provider rows (in :class:`ChainTables`)
+are functions
 of the graph, liveness, link attributes and credentials, so they are
 flushed wholesale when ``Network.structure_version`` moves — every
 topology, liveness or attribute/credential change (``Network.touch()``)
 bumps it, so a memoized verdict can never outlive the network state it
-was computed against.  Capacity *reservations* (``Network.touch_reservations()``,
+was computed against.  The DP planner's chain shapes read only the spec
+and outlive every flush.  Capacity *reservations* (``Network.touch_reservations()``,
 what ``Planner.commit`` records) change none of them and flush nothing:
 condition 3 reads ``free_cpu`` / ``free_mbps`` live in
 :func:`~repro.planner.load.check_loads`.  Hit/miss counts land in
@@ -77,8 +81,9 @@ class ContextCacheStats:
     row, and neither again while the row stands; so for that planner
     the sum grows with row entries built, not with the pairs a plan
     considers — ``DPStats.states_evaluated`` counts those.
-    ``uncacheable`` counts evaluations whose property values were not
-    hashable (the memo silently steps aside for those);
+    ``uncacheable`` counts evaluations whose property values, or the
+    request-context values a condition reads, were not hashable (the
+    memo silently steps aside for those);
     ``invalidations`` counts wholesale flushes caused by a network
     structure change (reservations flush nothing).
     """
@@ -94,23 +99,25 @@ class ContextCacheStats:
 @dataclass
 class ChainTables:
     """What :func:`~repro.planner.dp_chain.plan_dp_chain` keeps from one
-    call to the next (the module describes the values).  Everything in
-    here is a function of the spec and of what
-    ``Network.structure_version`` guards — conditions 1 and 2 and route
-    costs — and of nothing a reservation or the deployment state moves.
+    call to the next (the module describes the values), each keyed on
+    exactly what it reads.  Chain shapes read only the spec, so they
+    outlive every flush.  The other tables read conditions 1 and 2 and
+    route costs, i.e. what ``Network.structure_version`` guards, so
+    :meth:`clear` drops them when it moves; nothing a reservation or
+    the deployment state moves reaches any of them.
     """
 
     #: (interface, max units, max repeat) -> chain shapes
     shapes: Dict[Tuple[str, int, int], List[Any]] = field(default_factory=dict)
-    #: (unit, interface, frozen request context, objective key) -> the
-    #: fresh candidates, each table with the pair rows built from it
+    #: (unit, interface, :func:`context_key` of the unit, objective key)
+    #: -> the fresh candidates, each table with the pair rows built from it
     candidates: Dict[Tuple, Any] = field(default_factory=dict)
-    #: (interface, frozen request context, objective key) -> an open
-    #: state's placement key -> its installed-provider row
+    #: (interface, objective key) -> an open state's placement key ->
+    #: its installed-provider row
     installed: Dict[Tuple, Dict[Tuple, Any]] = field(default_factory=dict)
 
     def clear(self) -> None:
-        self.shapes.clear()
+        """Flush what a structure change can move (not the shapes)."""
         self.candidates.clear()
         self.installed.clear()
 
@@ -118,6 +125,19 @@ class ChainTables:
 def _freeze_bag(props: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
     """Hashable form of a property bag (raises TypeError if values aren't)."""
     frozen = tuple(sorted(props.items()))
+    hash(frozen)
+    return frozen
+
+
+def context_key(
+    unit: ComponentDef, context: Optional[Mapping[str, Any]]
+) -> Tuple[Tuple[str, Any], ...]:
+    """What condition 1 of ``unit`` reads of a request context: the
+    context restricted to ``unit.condition_props``, in hashable form
+    (raises TypeError if a value it reads is not hashable)."""
+    if not context or not unit.condition_props:
+        return ()
+    frozen = tuple((p, context[p]) for p in unit.condition_props if p in context)
     hash(frozen)
     return frozen
 
@@ -274,16 +294,16 @@ class PlanningContext:
         candidate enumeration excludes failed hosts during failover
         replanning.
 
-        Memoized per (component, node, request context); the memo is
-        flushed whenever the network version moves (liveness flips bump
-        it, so a dead node can never serve a stale ``True``).
+        Memoized per (component, node, :func:`context_key`); the memo
+        is flushed whenever the network version moves (liveness flips
+        bump it, so a dead node can never serve a stale ``True``).
         """
         if not self.memoize:
             return self._installable_eval(unit, node, context)
         self._check_version()
         stats = self.cache_stats
         try:
-            key = (unit.name, node, _freeze_bag(context) if context else None)
+            key = (unit.name, node, context_key(unit, context))
         except TypeError:
             stats.uncacheable += 1
             return self._installable_eval(unit, node, context)

@@ -27,17 +27,21 @@ first time the state meets the provider.  The bag id is part of the key
 because a provider installed before a credential change keeps the bag
 it was instantiated with.
 
-Three lifetimes, by what each table reads:
+Four lifetimes, by what each table reads:
 
-- *per structure epoch* (:class:`~repro.planner.compat.ChainTables` on
-  the context, flushed with the routes when
-  ``Network.structure_version`` moves, kept across ``Planner.commit``):
-  the chain shapes of an interface, the fresh candidates of a (unit,
-  interface, request context, objective) and their pair rows, and the
-  installed-provider rows of an (interface, request context, objective)
-  — conditions 1 and 2 and route costs read nothing a reservation or
-  the deployment state moves.  With ``memoize=False`` the same code
-  builds them where they are needed and keeps none;
+- *per context* (:class:`~repro.planner.compat.ChainTables` on the
+  context, never flushed): the chain shapes of an interface, which
+  read only the spec;
+- *per structure epoch* (the rest of ``ChainTables``, flushed with the
+  routes when ``Network.structure_version`` moves, kept across
+  ``Planner.commit``): the fresh candidates of a (unit, interface,
+  :func:`~repro.planner.compat.context_key` of the unit, objective)
+  and their pair rows, and the installed-provider rows of an
+  (interface, objective) — condition 1 reads only the request-context
+  keys the unit's conditions name, condition 2 and route costs read
+  none, and none reads what a reservation or the deployment state
+  moves.  With ``memoize=False`` the same code builds these tables
+  where they are needed and keeps none;
 - *per call*: the DP cells, the list of installed providers of an
   interface and the ``early`` completions that end at them (they read
   the :class:`DeploymentState`), condition 3 and the exact score (they
@@ -76,7 +80,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from .compat import ChainTables, PlanningContext, _freeze_bag
+from .compat import ChainTables, PlanningContext, context_key
 from .exhaustive import _instantiate, _required_props
 from .linkage import enumerate_linkage_graphs
 from .load import check_loads
@@ -338,18 +342,7 @@ def plan_dp_chain(
         )
 
     tables = ctx.chain_tables()
-    # Candidate tables and installed-provider rows outlive the call when
-    # the context memoizes and the request context is hashable, so it
-    # can be part of their key.
-    kept: Optional[Dict[Tuple, _CandidateTable]] = None
-    kept_installed: Optional[Dict[Tuple, Dict[Tuple, _ProviderRow]]] = None
-    scope: Tuple = ()
-    if tables is not None:
-        try:
-            scope = (_freeze_bag(request.context), objective.cache_key)
-            kept, kept_installed = tables.candidates, tables.installed
-        except TypeError:
-            pass
+    objective_key = objective.cache_key
 
     all_nodes = [n.name for n in ctx.network.nodes()]
     root_nodes = [request.client_node] if request.root_on_client else all_nodes
@@ -371,10 +364,16 @@ def plan_dp_chain(
         return _Cell(places)
 
     def candidate_table(unit_name: str, iface: str) -> _CandidateTable:
-        key = (unit_name, iface, scope)
+        # A table outlives the call when the context memoizes and the
+        # part of the request context the unit reads is hashable.
+        unit = spec.unit(unit_name)
+        kept = tables.candidates if tables is not None else None
+        try:
+            key = (unit_name, iface, context_key(unit, request.context), objective_key)
+        except TypeError:
+            kept = None
         table = kept.get(key) if kept is not None else None
         if table is None:
-            unit = spec.unit(unit_name)
             found = []
             for node in all_nodes:
                 p = _instantiate(ctx, unit, node, request.context)
@@ -416,9 +415,9 @@ def plan_dp_chain(
         if iface not in cell.early:
             early = cell.early[iface] = []
             installed = installed_candidates(iface)
-            provider_rows = (
-                kept_installed.setdefault((iface, scope), {})
-                if kept_installed is not None
+            provider_rows: Dict[Tuple, _ProviderRow] = (
+                tables.installed.setdefault((iface, objective_key), {})
+                if tables is not None
                 else {}
             )
         # Best (cost, parent) per candidate index; ``order`` keeps the

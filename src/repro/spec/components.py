@@ -135,6 +135,9 @@ class ComponentDef:
     conditions: Tuple[Condition, ...] = ()
     behaviors: Behaviors = field(default_factory=Behaviors)
     description: str = ""
+    #: the properties ``conditions`` read, sorted: all that condition 1
+    #: reads of a request context
+    condition_props: Tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -142,6 +145,7 @@ class ComponentDef:
         self.implements = tuple(self.implements)
         self.requires = tuple(self.requires)
         self.conditions = tuple(self.conditions)
+        self.condition_props = tuple(sorted({c.prop for c in self.conditions}))
 
     # -- queries used by the planner --------------------------------------
     @property

@@ -252,8 +252,8 @@ _PASS3 = ("Component", "View", "PropertyModificationRule")
 def parse_service(text: str, name: str = "service") -> ServiceSpec:
     """Parse readable-form text into a validated :class:`ServiceSpec`.
 
-    A top-level ``<Service>`` wrapper with a ``Name:`` field is optional;
-    without one, ``name`` is used.
+    A top-level ``<Service>`` wrapper with ``Name:`` and ``Description:``
+    fields is optional; without one, ``name`` is used.
     """
     lines = _logical_lines(text)
     blocks, pos = [], 0
@@ -261,12 +261,14 @@ def parse_service(text: str, name: str = "service") -> ServiceSpec:
         parsed, pos = _parse_blocks(lines, pos, closing=None)
         blocks.extend(parsed)
 
+    description = ""
     if len(blocks) == 1 and blocks[0].tag == "Service":
         svc = blocks[0]
         name = svc.one("Name", name) or name
+        description = svc.one("Description", "") or ""
         blocks = svc.children
 
-    spec = ServiceSpec(name=name)
+    spec = ServiceSpec(name=name, description=description)
     handlers = {
         "Property": lambda b: add_property(
             spec,
@@ -333,7 +335,10 @@ def to_text(spec: ServiceSpec) -> str:
     descriptions holding the form's comment (``#``), list (``,``) or
     line separators.
     """
-    lines: List[str] = ["<Service>", f"Name: {spec.name}", ""]
+    lines: List[str] = ["<Service>", f"Name: {spec.name}"]
+    if spec.description:
+        lines.append(_field("Description", spec.description))
+    lines.append("")
 
     def described(tag: str, name: str, description: str) -> None:
         lines.extend([f"<{tag}>", f"Name: {name}"])

@@ -76,6 +76,8 @@ def _unit_el(spec: ServiceSpec, parent: ET.Element, unit: ComponentDef) -> None:
 def to_xml(spec: ServiceSpec) -> str:
     """Serialize a spec to an XML document string."""
     root = ET.Element("Service", name=spec.name)
+    if spec.description:
+        root.set("description", spec.description)
     for prop in spec.properties.values():
         type_name, values, value_range = domain_fields(prop.domain)
         el = ET.SubElement(root, "Property", name=prop.name, type=type_name)
@@ -117,7 +119,7 @@ def from_xml(text: str) -> ServiceSpec:
         raise SpecError(f"malformed XML: {exc}") from None
     if root.tag != "Service":
         raise SpecError(f"expected <Service> root, got <{root.tag}>")
-    spec = ServiceSpec(name=root.get("name", "service"))
+    spec = ServiceSpec(name=root.get("name", "service"), description=root.get("description", ""))
 
     for el in root.findall("Property"):
         add_property(

@@ -8,7 +8,10 @@ graph, liveness, link attributes and credentials, so they must survive it
 (``version`` / ``state_fingerprint``) must still move, because
 condition 3 reads the reservations, and nothing that read them (a
 load check, an exact score) may be kept from one plan to the next.
-Every other kind of change must flush all of them, exactly as before.
+Every other kind of change must flush all of them but the DP's chain
+shapes, which read only the spec.  Of a request context, the tables
+read only the keys a unit's conditions name, so only those may split
+them.
 """
 
 import pytest
@@ -158,8 +161,9 @@ def test_structure_changes_flush_routes_and_verdicts(planner, change):
     assert stats.invalidations == 1
     assert stats.compat_misses == misses + 1  # the verdict was dropped, not kept
     tables = planner.ctx.chain_tables()
-    assert not tables.candidates and not tables.shapes  # rows go with their tables
+    assert not tables.candidates  # rows go with their tables
     assert not tables.installed
+    assert tables.shapes  # they read only the spec
 
 
 def test_dead_node_never_serves_a_stale_install_verdict(planner, mail_spec):
@@ -256,3 +260,110 @@ def test_tables_are_not_shared_between_request_contexts_or_objectives():
     reference = plan_dp_chain(_tiered_world(), gold, DeploymentState(), by_cost)
     assert cheapest.describe() == reference.describe()
     assert len(ctx.chain_tables().candidates) == 3 and ctx.cache_stats.invalidations == 0
+
+
+def _vault_world(memoize=True):
+    """``Front`` at the client needs a store.  The near ``Vault`` keeps
+    Alice's mail only (a condition on ``User`` below the root); the far
+    ``Store`` serves anyone.  ``Site`` is a node property both read."""
+    spec = ServiceSpec("vault")
+    spec.add_property(PropertyDef("User", StringDomain()))
+    spec.add_property(PropertyDef("Site", StringDomain()))
+    spec.add_interface(InterfaceDef("FrontInterface"))
+    spec.add_interface(InterfaceDef("StoreInterface"))
+    spec.add_component(
+        ComponentDef(
+            "Front",
+            implements=(InterfaceBinding("FrontInterface"),),
+            requires=(InterfaceBinding("StoreInterface"),),
+            behaviors=Behaviors(request_rate=1.0),
+        )
+    )
+    for name, site, users in (("Vault", "near", "Alice"), ("Store", "far", ANY)):
+        spec.add_component(
+            ComponentDef(
+                name,
+                implements=(InterfaceBinding("StoreInterface"),),
+                conditions=(Condition("User", users), Condition("Site", site)),
+            )
+        )
+    net = Network()
+    for node in ("client", "near", "far"):
+        net.add_node(node)
+    net.add_link("client", "near", latency_ms=1.0)
+    net.add_link("client", "far", latency_ms=20.0)
+    translator = FunctionTranslator(lambda node: {"Site": node.name})
+    return PlanningContext(spec.validate(), net, translator, memoize=memoize)
+
+
+def _store_plan(ctx, context):
+    plan = plan_dp_chain(ctx, PlanRequest("FrontInterface", "client", context=context))
+    return [(p.unit, p.node) for p in plan.placements]
+
+
+def test_a_context_key_a_unit_below_the_root_reads_still_separates_its_tables():
+    ctx = _vault_world()
+    alice = _store_plan(ctx, {"User": "Alice"})
+    bob = _store_plan(ctx, {"User": "Bob"})
+    assert alice == [("Front", "client"), ("Vault", "near")]
+    assert bob == [("Front", "client"), ("Store", "far")]
+    for context, plan in (({"User": "Alice"}, alice), ({"User": "Bob"}, bob)):
+        assert _store_plan(_vault_world(memoize=False), context) == plan
+    keys = {key[:3] for key in ctx.chain_tables().candidates}
+    assert ("Vault", "StoreInterface", (("User", "Alice"),)) in keys
+    assert ("Vault", "StoreInterface", (("User", "Bob"),)) in keys
+
+
+def test_contexts_that_differ_only_in_an_unread_key_share_tables_and_verdicts():
+    ctx = _vault_world()
+    stats = ctx.cache_stats
+    plans = [
+        _store_plan(ctx, context)
+        for context in (
+            {"User": "Alice"},
+            {"User": "Alice", "Mood": "calm"},
+            {"User": "Alice", "Mood": ["unhashable", "and", "unread"]},
+        )
+    ]
+    assert plans[0] == plans[1] == plans[2]
+    tables = ctx.chain_tables().candidates
+    assert len(tables) == 2  # one per store unit, however many contexts
+    vault_verdicts = [key for key in ctx._install_cache if key[:2] == ("Vault", "near")]
+    assert vault_verdicts == [("Vault", "near", (("User", "Alice"),))]
+    assert stats.uncacheable == 0
+    # An unhashable value the conditions *do* read steps aside, and is
+    # still judged right.
+    misses = stats.install_misses
+    assert _store_plan(ctx, {"User": ["Alice"]}) == [("Front", "client"), ("Store", "far")]
+    assert stats.uncacheable > 0 and stats.install_misses == misses
+    assert len(tables) == 2
+
+
+def test_a_liveness_flip_flushes_candidate_tables_but_keeps_chain_shapes(mail_spec, fig5):
+    net = fig5.network
+    fast = Planner(mail_spec, net, mail_translator(), algorithm="dp_chain", plan_cache=False)
+    slow = Planner(
+        mail_spec, net, mail_translator(), algorithm="dp_chain", plan_cache=False, memoize=False
+    )
+    for planner in (fast, slow):
+        planner.preinstall("MailServer", fig5.server_node)
+    stats = fast.ctx.cache_stats
+
+    def same_plans():
+        for user in ("Alice", "Mallory"):
+            request = PlanRequest("ClientInterface", CLIENT, context={"User": user})
+            assert fast.plan(request).describe() == slow.plan(request).describe()
+
+    same_plans()
+    tables = fast.ctx.chain_tables()
+    shapes = dict(tables.shapes)
+    assert shapes and tables.candidates
+    for up in (False, True):
+        net.set_node_up("seattle-gw", up)
+        invalidations = stats.invalidations
+        tables = fast.ctx.chain_tables()
+        assert stats.invalidations == invalidations + 1
+        assert not tables.candidates and not tables.installed
+        assert tables.shapes.keys() == shapes.keys()
+        assert all(tables.shapes[key] is shape for key, shape in shapes.items())
+        same_plans()

@@ -341,6 +341,48 @@ def test_dp_chain_matches_unmemoized_and_is_bounded_by_exhaustive(seed, n, data)
     _plan_through(seed, n, steps_for)
 
 
+#: MailClient's ACL, and two users outside it
+USERS = ["Alice", "Bob", "Carol", "Dave", "Eve", "Mallory", "Zed"]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), n=st.integers(4, 7), data=st.data())
+def test_dp_chain_tables_keyed_on_what_units_read_plan_like_unmemoized(seed, n, data):
+    """One memoized context serves a stream of users, with context keys
+    no condition reads (one of them unhashable) and a ``TrustLevel``
+    that MailServer's and ViewMailServer's conditions do read: it must
+    plan what direct evaluation plans.  Only the root MailClient reads
+    ``User``, so no candidate table is split by it."""
+    fast = _world(seed, n, "dp_chain", memoize=True)
+    slow = _world(seed, n, "dp_chain", memoize=False)
+    steps = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(fast.network.node_names()),
+                st.sampled_from(USERS),
+                st.sampled_from([None, "urgent", ["unhashable"]]),
+                st.sampled_from([None, 2, 4]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    for client, user, note, trust in steps:
+        context = {"User": user}
+        if note is not None:
+            context["Note"] = note
+        if trust is not None:
+            context["TrustLevel"] = trust
+        request = PlanRequest("ClientInterface", client, context=context, max_units=4)
+        plan, _ = fast.run_search(request)
+        reference, _ = slow.run_search(request)
+        assert _shape(plan) == _shape(reference)
+    for unit, _iface, read, _objective in fast.ctx.chain_tables().candidates:
+        assert {prop for prop, _value in read} <= {"TrustLevel"}
+        assert set(dict(read)) <= set(SPEC.unit(unit).condition_props)
+    assert fast.ctx.cache_stats.uncacheable == 0
+
+
 @pytest.mark.parametrize("seed, n", [(0, 6), (79, 5)])
 def test_dp_chain_rows_are_not_shared_between_objectives(seed, n):
     """Worlds where a row one objective built, read under the other,

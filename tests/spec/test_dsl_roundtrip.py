@@ -70,6 +70,24 @@ def test_descriptions_survive_both_syntaxes():
     assert "description=" not in to_xml(build_mail_spec())
 
 
+def test_service_description_survives_both_syntaxes():
+    from repro.spec import from_xml, to_xml
+
+    plain = build_mail_spec()
+    text, xml = to_text(plain), to_xml(plain)
+    spec = build_mail_spec()
+    spec.description = "the paper's mail service"
+    for spec2 in (parse_service(to_text(spec)), from_xml(to_xml(spec))):
+        assert spec2.description == "the paper's mail service"
+    assert to_text(spec).splitlines()[:3] == [
+        "<Service>", "Name: mail", "Description: the paper's mail service"
+    ]
+    # An empty description writes nothing: the mail spec's output is unchanged.
+    assert parse_service(text).description == from_xml(xml).description == ""
+    assert "Description" not in text.split("<Property>", 1)[0]
+    assert "description=" not in xml
+
+
 def test_behavior_floats_survive_both_syntaxes():
     """A metric ``%g`` would round (six significant digits) is written
     in full; one it prints exactly keeps its short form."""
