@@ -25,7 +25,6 @@ from repro.planner import (
     check_loads,
     plan_exhaustive,
 )
-from repro.planner.exhaustive import _instantiate
 from repro.services.mail import build_mail_spec, mail_translator
 
 
@@ -34,7 +33,7 @@ def build_world():
     topo = build_fig5_network(clients_per_site=2)
     ctx = PlanningContext(spec, topo.network, mail_translator())
     state = DeploymentState()
-    state.add(_instantiate(ctx, spec.unit("MailServer"), topo.server_node, {}))
+    state.add(ctx.instantiate(spec.unit("MailServer"), topo.server_node, {}))
     request = PlanRequest("ClientInterface", "sandiego-client1", context={"User": "Bob"})
     return ctx, state, request, topo
 

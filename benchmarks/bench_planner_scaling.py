@@ -21,7 +21,6 @@ from repro.planner import (
     plan_exhaustive,
     plan_partial_order,
 )
-from repro.planner.exhaustive import _instantiate
 from repro.services.mail import build_mail_spec, mail_translator
 
 ALGOS = {
@@ -54,7 +53,7 @@ def build_world(n_nodes: int):
     net.node(client_node).credentials["trust_level"] = 4
     ctx = PlanningContext(spec, net, mail_translator())
     state = DeploymentState()
-    placement = _instantiate(ctx, spec.unit("MailServer"), server_node, {})
+    placement = ctx.instantiate(spec.unit("MailServer"), server_node, {})
     assert placement is not None
     state.add(placement)
     request = PlanRequest(

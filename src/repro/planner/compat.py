@@ -1,14 +1,18 @@
 """Pairwise linkage validity: the planner's three conditions (§3.3).
 
-For each pair of linked components the planner checks:
+For each pair of linked components the planner checks, each condition
+in one place that every search algorithm, ``Planner.preinstall`` and
+the incremental survivor check call:
 
 1. each component can be *instantiated* in its node environment
-   (installation ``Conditions``);
+   (installation ``Conditions``): :meth:`PlanningContext.instantiate`;
 2. the properties of the interface implemented by the 'server' are
    *compatible* with those required by the 'client', after the
-   environment's property-modification rules transform them;
-3. the expected request traffic does not exceed node/link capacity
-   (delegated to :mod:`repro.planner.load`).
+   environment's property-modification rules transform them:
+   :meth:`PlanningContext.link_ok` along a route,
+   :meth:`PlanningContext.root_ok` between the client and a root;
+3. the expected request traffic does not exceed node/link capacity:
+   :func:`~repro.planner.load.finish_plan`.
 
 :class:`PlanningContext` bundles the spec, network, credential
 translator and rule set, and caches node/path environments — the hot
@@ -55,17 +59,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..network import CredentialTranslator, Environment, Network, NetworkError, PathInfo
+from ..network import CredentialTranslator, Network, NetworkError, PathInfo
 from ..obs import Observability, resolve_obs
 from ..spec import (
     ANY,
     ComponentDef,
-    InterfaceBinding,
     ServiceSpec,
     ViewDef,
     resolve_env_refs,
     satisfies,
 )
+from .plan import Placement, PlanRequest, freeze_implemented, freeze_props
 
 __all__ = ["PlanningContext", "ContextCacheStats", "ChainTables"]
 
@@ -107,8 +111,8 @@ class ChainTables:
     the deployment state moves reaches any of them.
     """
 
-    #: (interface, max units, max repeat) -> chain shapes
-    shapes: Dict[Tuple[str, int, int], List[Any]] = field(default_factory=dict)
+    #: (interface, max units) -> chain shapes
+    shapes: Dict[Tuple[str, int], List[Any]] = field(default_factory=dict)
     #: (unit, interface, :func:`context_key` of the unit, objective key)
     #: -> the fresh candidates, each table with the pair rows built from it
     candidates: Dict[Tuple, Any] = field(default_factory=dict)
@@ -250,13 +254,6 @@ class PlanningContext:
         """One entry of :meth:`link_envs_from`."""
         return self.link_envs_from(src)[dst]
 
-    def path_env(self, src: str, dst: str) -> Dict[str, Any]:
-        """Service properties of the path between two nodes."""
-        entry = self.link_env(src, dst)
-        if entry is None:
-            raise NetworkError(f"no path {src!r} -> {dst!r}")
-        return entry[0]
-
     def path(self, src: str, dst: str) -> PathInfo:
         return self.network.path(src, dst)
 
@@ -327,6 +324,25 @@ class PlanningContext:
         env = self.node_env(node, context)
         return unit.installable_in(env)
 
+    def instantiate(
+        self, unit: ComponentDef, node: str, context: Optional[Mapping[str, Any]] = None
+    ) -> Optional[Placement]:
+        """Condition 1 + factor binding: ``unit`` placed on ``node``, or
+        None if it cannot live there (its install conditions fail under
+        the request ``context``, or a Factor cannot be bound)."""
+        if not self.installable(unit, node, context):
+            return None
+        factors = self.resolve_factors(unit, node)
+        if any(v is None for v in factors.values()):
+            return None  # a Factor could not be bound from this environment
+        return Placement(
+            unit=unit.name,
+            node=node,
+            factor_values=freeze_props(factors),
+            implemented=freeze_implemented(self.resolved_implements(unit, node)),
+            reused=False,
+        )
+
     def resolve_factors(self, unit: ComponentDef, node: str) -> Dict[str, Any]:
         """Bind a view's Factors against the node environment (empty for
         plain components)."""
@@ -374,7 +390,50 @@ class PlanningContext:
         self._requires_cache[key] = resolved
         return resolved
 
+    def required_props(
+        self, unit: ComponentDef, node: str, iface: str
+    ) -> Optional[Dict[str, Any]]:
+        """What ``unit`` on ``node`` requires of ``iface``; None if it does
+        not require that interface."""
+        for req_iface, props in self.resolved_requires(unit, node):
+            if req_iface == iface:
+                return props
+        return None
+
     # -- condition 2: property compatibility ----------------------------------
+    def link_ok(
+        self, required: Mapping[str, Any], implemented: Mapping[str, Any], src: str, dst: str
+    ) -> Optional[bool]:
+        """Condition 2 for one linkage from ``src`` to ``dst``: None when a
+        partition separates the nodes, else whether ``implemented``,
+        transformed by the path environment, satisfies ``required``.
+        The route is resolved here, on first lookup of the pair."""
+        link = self.link_env(src, dst)
+        if link is None:
+            return None
+        return self.properties_compatible(required, implemented, link[0])
+
+    def root_nodes(self, request: PlanRequest) -> List[str]:
+        """Where the root of a plan for ``request`` may be placed."""
+        if request.root_on_client:
+            return [request.client_node]
+        return [n.name for n in self.network.nodes()]
+
+    def root_ok(self, request: PlanRequest, placement: Placement) -> bool:
+        """Can ``placement`` be the root of a plan for ``request``?  It
+        must sit on one of the :meth:`root_nodes`, implement the requested
+        interface and, delivered at the client's node, meet the client's
+        ``required_properties`` (condition 2 between client and root)."""
+        if request.root_on_client and placement.node != request.client_node:
+            return False
+        impl = placement.implemented_props(request.interface)
+        if impl is None:
+            return False
+        required = request.required_properties
+        return not required or bool(
+            self.link_ok(required, impl, request.client_node, placement.node)
+        )
+
     def match_mode(self, prop: str) -> str:
         pdef = self.spec.properties.get(prop)
         return pdef.match_mode if pdef is not None else "exact"

@@ -51,15 +51,18 @@ Four lifetimes, by what each table reads:
 
 Scope and honesty notes:
 
-- Edge validity (conditions 1 and 2) is checked exactly, per pair, like
-  the exhaustive planner.
+- Edge validity (conditions 1 and 2) is checked exactly, per pair, by
+  the checks every planner shares (:meth:`PlanningContext.instantiate`,
+  :meth:`PlanningContext.root_ok`); a pair row makes the lookups of
+  :meth:`PlanningContext.link_ok` on interned bags.
 - Traversal probabilities use *unit-level* first-occurrence RRF over the
   chain prefix (node-independent, so states stay memoizable).  When a
   chain repeats a factored view with different configurations the exact
   coverage semantics differ slightly; the returned plan is re-scored
   with the exact objective, so reported scores are always comparable.
-- Condition 3 (load) is validated on the completed plan; a chain whose
-  optimum violates capacity is discarded rather than re-searched.  The
+- Condition 3 (load) is validated on the completed plan by
+  :func:`~repro.planner.load.finish_plan`; a chain whose optimum
+  violates capacity is discarded rather than re-searched.  The
   exhaustive planner remains the complete reference.
 - An installed placement implementing the interface required at any
   position may terminate the chain early (deployment reuse), mirroring
@@ -81,9 +84,8 @@ from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .compat import ChainTables, PlanningContext, context_key
-from .exhaustive import _instantiate, _required_props
 from .linkage import enumerate_linkage_graphs
-from .load import check_loads
+from .load import finish_plan
 from .objectives import ExpectedLatency, Objective
 from .plan import (
     DeploymentPlan,
@@ -131,16 +133,13 @@ def _chain_shapes(
     tables: Optional[ChainTables],
     interface: str,
     max_units: int,
-    max_repeat: int,
 ) -> List[_Shape]:
     """The chain-shaped linkage graphs of ``interface``, in enumeration order."""
-    key = (interface, max_units, max_repeat)
+    key = (interface, max_units)
     shapes = tables.shapes.get(key) if tables is not None else None
     if shapes is None:
         shapes = []
-        for graph in enumerate_linkage_graphs(
-            ctx.spec, interface, max_units, max_repeat, obs=ctx.obs
-        ):
+        for graph in enumerate_linkage_graphs(ctx.spec, interface, max_units, obs=ctx.obs):
             if graph.is_chain:
                 units = graph.chain_units()
                 ifaces = [iface for _c, _s, iface in sorted(graph.edges, key=lambda e: e[0])]
@@ -148,27 +147,6 @@ def _chain_shapes(
         if tables is not None:
             tables.shapes[key] = shapes
     return shapes
-
-
-def _finish_plan(
-    ctx: PlanningContext,
-    request: PlanRequest,
-    rate: float,
-    objective: Objective,
-    placements: List[Placement],
-    linkages: List[PlannedLinkage],
-) -> Optional[DeploymentPlan]:
-    plan = DeploymentPlan(
-        placements=placements,
-        linkages=linkages,
-        root=0,
-        client_node=request.client_node,
-    )
-    report = check_loads(ctx, plan, rate)
-    if not report.ok:
-        return None
-    plan.score = objective.score(ctx, plan, rate, report)
-    return plan
 
 
 @dataclass
@@ -262,7 +240,7 @@ def _pair_row(
     routes are first resolved in a fixed order."""
     node = place.node
     prev_unit = ctx.spec.unit(place.unit)
-    required = _required_props(ctx, prev_unit, node, iface)
+    required = ctx.required_props(prev_unit, node, iface)
     if required is None:
         return _NOT_REQUIRED
     required_id = ctx.bag_id(required)
@@ -314,52 +292,27 @@ def plan_dp_chain(
     state: Optional[DeploymentState] = None,
     objective: Optional[Objective] = None,
     stats: Optional[DPStats] = None,
-    max_units: Optional[int] = None,
-    max_repeat: int = 2,
 ) -> Optional[DeploymentPlan]:
     """Best chain-shaped deployment found by DP over the chain-prefix trie."""
     objective = objective or ExpectedLatency()
     state = state or DeploymentState()
     stats = stats if stats is not None else DPStats()
     spec = ctx.spec
-    limit = max_units or request.max_units
-
-    rate = request.request_rate
-    if rate <= 0:
-        roots = spec.implementers_of(request.interface)
-        rate = max((u.behaviors.request_rate for u in roots), default=1.0) or 1.0
-
-    def root_acceptable(placement: Placement) -> bool:
-        """Client QoS expectations on the requested interface."""
-        if not request.required_properties:
-            return True
-        impl = placement.implemented_props(request.interface)
-        if impl is None:
-            return False
-        link = ctx.link_env(request.client_node, placement.node)
-        return link is not None and ctx.properties_compatible(
-            request.required_properties, impl, link[0]
-        )
-
     tables = ctx.chain_tables()
     objective_key = objective.cache_key
 
     all_nodes = [n.name for n in ctx.network.nodes()]
-    root_nodes = [request.client_node] if request.root_on_client else all_nodes
 
     def root_cell(unit_name: str) -> _Cell:
         unit = spec.unit(unit_name)
         extra = objective.root_view_penalty if unit.is_view else 0.0
         places: Dict[Placement, Tuple[float, Optional[Placement]]] = {}
-        for node in root_nodes:
-            p = _instantiate(ctx, unit, node, request.context)
-            if p is None or p.implemented_props(request.interface) is None:
-                continue
-            if not root_acceptable(p):
-                continue
-            places[p] = (extra + objective.placement_cost(ctx, unit, node, False), None)
+        for node in ctx.root_nodes(request):
+            p = ctx.instantiate(unit, node, request.context)
+            if p is not None and ctx.root_ok(request, p):
+                places[p] = (extra + objective.placement_cost(ctx, unit, node, False), None)
         for installed in state.implementers_of(request.interface):
-            if installed.node in root_nodes and root_acceptable(installed):
+            if ctx.root_ok(request, installed):
                 places[installed] = (extra, None)
         return _Cell(places)
 
@@ -376,7 +329,7 @@ def plan_dp_chain(
         if table is None:
             found = []
             for node in all_nodes:
-                p = _instantiate(ctx, unit, node, request.context)
+                p = ctx.instantiate(unit, node, request.context)
                 offer = _offer(ctx, p, iface) if p is not None else None
                 if offer is not None:
                     cost = objective.placement_cost(ctx, unit, node, False)
@@ -473,9 +426,7 @@ def plan_dp_chain(
     #: (placements, interface of each linkage) of the completions scored
     scored: Set[Tuple] = set()
 
-    for units, ifaces, probs in _chain_shapes(
-        ctx, tables, request.interface, limit, max_repeat
-    ):
+    for units, ifaces, probs in _chain_shapes(ctx, tables, request.interface, request.max_units):
         stats.chains_considered += 1
 
         cell = root_cells.get(units[0])
@@ -526,7 +477,7 @@ def plan_dp_chain(
             scored.add(completion)
             stats.plans_scored += 1
             linkages = [PlannedLinkage(j, j + 1, iface) for j, iface in enumerate(links)]
-            plan = _finish_plan(ctx, request, rate, objective, chain_places, linkages)
+            plan = finish_plan(ctx, request, objective, chain_places, linkages)
             if plan is not None and (best is None or plan.score < best.score):
                 best = plan
 

@@ -9,11 +9,13 @@ from candidate roots (units implementing the requested interface), it
 repeatedly takes an unsatisfied required interface and either links it
 to an already-placed compatible provider (within the plan or reused from
 the existing deployment state) or instantiates a new provider on some
-node — checking condition 1 (installability) and condition 2 (property
-compatibility under path-environment modification) as it goes, and
-condition 3 (load vs. capacity) on each complete candidate.  A
-branch-and-bound lower bound from the objective prunes dominated
-partial plans.
+node — checking condition 1 (:meth:`PlanningContext.instantiate
+<repro.planner.compat.PlanningContext.instantiate>`) and condition 2
+(:meth:`~repro.planner.compat.PlanningContext.link_ok`, and
+:meth:`~repro.planner.compat.PlanningContext.root_ok` for the root) as
+it goes, and condition 3 on each complete candidate
+(:func:`~repro.planner.load.finish_plan`).  A branch-and-bound lower
+bound from the objective prunes dominated partial plans.
 
 Installed placements (from the :class:`~repro.planner.plan.
 DeploymentState`) are treated as *already wired*: linking to one — or
@@ -28,11 +30,11 @@ an early incumbent for the branch-and-bound pruning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..spec import ComponentDef
 from .compat import PlanningContext
-from .load import check_loads, config_covered
+from .load import config_covered, finish_plan
 from .objectives import ExpectedLatency, Objective
 from .plan import (
     DeploymentPlan,
@@ -40,8 +42,6 @@ from .plan import (
     Placement,
     PlannedLinkage,
     PlanRequest,
-    freeze_implemented,
-    freeze_props,
 )
 
 __all__ = ["plan_exhaustive", "SearchStats"]
@@ -95,13 +95,7 @@ def plan_exhaustive(
     stats = stats if stats is not None else SearchStats()
     spec = ctx.spec
 
-    rate = request.request_rate
-    if rate <= 0:
-        roots = spec.implementers_of(request.interface)
-        rate = max((u.behaviors.request_rate for u in roots), default=1.0) or 1.0
-
-    best: List[Optional[DeploymentPlan]] = [None]
-    best_score: List[Tuple[float, ...]] = [()]
+    best: Optional[DeploymentPlan] = None
     prune_enabled = objective.supports_pruning
 
     placements: List[Placement] = []
@@ -140,38 +134,34 @@ def plan_exhaustive(
             cached = []
             for provider in spec.implementers_of(iface):
                 for node_info in ctx.network.nodes():
-                    placement = _instantiate(ctx, provider, node_info.name, request.context)
+                    placement = ctx.instantiate(provider, node_info.name, request.context)
                     if placement is None:
                         stats.install_rejected += 1
-                        continue
-                    if placement.implemented_props(iface) is None:
-                        stats.install_rejected += 1
-                        continue
-                    cached.append((provider, placement))
+                    else:
+                        cached.append((provider, placement))
             _candidate_cache[iface] = cached
         return cached
 
+    def linkable(required, impl, src: str, dst: str) -> bool:
+        """Condition 2 for one candidate link; a pair a partition
+        separates is skipped, not counted as rejected."""
+        verdict = ctx.link_ok(required, impl, src, dst)
+        if verdict is False:
+            stats.compat_rejected += 1
+        return bool(verdict)
+
     def try_complete() -> None:
+        nonlocal best
         stats.complete_plans += 1
-        plan = DeploymentPlan(
-            placements=list(placements),
-            linkages=list(linkages),
-            root=0,
-            client_node=request.client_node,
-        )
-        report = check_loads(ctx, plan, rate)
-        if not report.ok:
+        plan = finish_plan(ctx, request, objective, list(placements), list(linkages))
+        if plan is None:
             stats.load_rejected += 1
-            return
-        score = objective.score(ctx, plan, rate, report)
-        if best[0] is None or score < best_score[0]:
-            plan.score = score
-            best[0] = plan
-            best_score[0] = score
+        elif best is None or plan.score < best.score:
+            best = plan
 
     def search(frontier: List[Tuple[int, str]], partial_cost: float) -> None:
         stats.nodes_expanded += 1
-        if prune_enabled and best[0] is not None and partial_cost >= best_score[0][0]:
+        if prune_enabled and best is not None and partial_cost >= best.score[0]:
             stats.pruned += 1
             return
         if not frontier:
@@ -181,7 +171,7 @@ def plan_exhaustive(
         rest = frontier[1:]
         client_place = placements[client_idx]
         client_unit = spec.unit(client_place.unit)
-        required = _required_props(ctx, client_unit, client_place.node, iface)
+        required = ctx.required_props(client_unit, client_place.node, iface)
         if required is None:
             return  # malformed: client doesn't actually require this iface
         edge_prob = out_probs[client_idx]
@@ -195,11 +185,7 @@ def plan_exhaustive(
                 continue
             if _reaches(linkages, srv_idx, client_idx):
                 continue  # would create a cycle
-            if not ctx.reachable(client_place.node, srv.node):
-                continue
-            env = ctx.path_env(client_place.node, srv.node)
-            if not ctx.properties_compatible(required, impl, env):
-                stats.compat_rejected += 1
+            if not linkable(required, impl, client_place.node, srv.node):
                 continue
             cost = (
                 objective.edge_cost(ctx, client_unit, client_place.node, srv.node, edge_prob)
@@ -217,11 +203,7 @@ def plan_exhaustive(
                 continue
             impl = installed.implemented_props(iface)
             assert impl is not None
-            if not ctx.reachable(client_place.node, installed.node):
-                continue
-            env = ctx.path_env(client_place.node, installed.node)
-            if not ctx.properties_compatible(required, impl, env):
-                stats.compat_rejected += 1
+            if not linkable(required, impl, client_place.node, installed.node):
                 continue
             cost = (
                 objective.edge_cost(
@@ -248,11 +230,7 @@ def plan_exhaustive(
                 continue  # identical instance already placed: case (a)
             impl = placement.implemented_props(iface)
             assert impl is not None
-            if not ctx.reachable(client_place.node, node):
-                continue
-            env = ctx.path_env(client_place.node, node)
-            if not ctx.properties_compatible(required, impl, env):
-                stats.compat_rejected += 1
+            if not linkable(required, impl, client_place.node, node):
                 continue
             cost = 0.0
             if prune_enabled:
@@ -269,28 +247,9 @@ def plan_exhaustive(
             linkages.pop()
             _leave()
 
-    def root_acceptable(placement: Placement) -> bool:
-        """Client QoS expectations on the requested interface."""
-        if not request.required_properties:
-            return True
-        impl = placement.implemented_props(request.interface)
-        if impl is None:
-            return False
-        if not ctx.reachable(request.client_node, placement.node):
-            return False
-        env = ctx.path_env(request.client_node, placement.node)
-        return ctx.properties_compatible(request.required_properties, impl, env)
-
     # Root candidates: reused installed placements first, then fresh ones.
-    root_nodes = (
-        [request.client_node]
-        if request.root_on_client
-        else [n.name for n in ctx.network.nodes()]
-    )
     for installed in state.implementers_of(request.interface):
-        if installed.node not in root_nodes:
-            continue
-        if not root_acceptable(installed):
+        if not ctx.root_ok(request, installed):
             continue
         root_unit = spec.unit(installed.unit)
         _enter(installed, 1.0, None)
@@ -300,13 +259,9 @@ def plan_exhaustive(
         search([], objective.root_view_penalty if root_unit.is_view else 0.0)
         _leave()
     for root_unit in spec.implementers_of(request.interface):
-        for node in root_nodes:
-            placement = _instantiate(ctx, root_unit, node, request.context)
-            if placement is None:
-                continue
-            if placement.implemented_props(request.interface) is None:
-                continue
-            if not root_acceptable(placement):
+        for node in ctx.root_nodes(request):
+            placement = ctx.instantiate(root_unit, node, request.context)
+            if placement is None or not ctx.root_ok(request, placement):
                 continue
             _enter(placement, 1.0, None)
             frontier = [(0, b.interface) for b in root_unit.requires]
@@ -316,35 +271,4 @@ def plan_exhaustive(
             search(frontier, cost)
             _leave()
 
-    return best[0]
-
-
-def _required_props(
-    ctx: PlanningContext, unit: ComponentDef, node: str, iface: str
-) -> Optional[Dict[str, Any]]:
-    for req_iface, props in ctx.resolved_requires(unit, node):
-        if req_iface == iface:
-            return props
-    return None
-
-
-def _instantiate(
-    ctx: PlanningContext,
-    unit: ComponentDef,
-    node: str,
-    context: Dict[str, Any],
-) -> Optional[Placement]:
-    """Condition 1 + factor binding; None if the unit can't live there."""
-    if not ctx.installable(unit, node, context):
-        return None
-    factors = ctx.resolve_factors(unit, node)
-    if any(v is None for v in factors.values()):
-        return None  # a Factor could not be bound from this environment
-    implemented = ctx.resolved_implements(unit, node)
-    return Placement(
-        unit=unit.name,
-        node=node,
-        factor_values=freeze_props(factors),
-        implemented=freeze_implemented(implemented),
-        reused=False,
-    )
+    return best

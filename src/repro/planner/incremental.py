@@ -39,7 +39,6 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .compat import PlanningContext
-from .exhaustive import _required_props
 from .plan import DeploymentPlan, Placement, PlannedLinkage
 
 __all__ = ["surviving_placements", "graft_survivor_subtrees"]
@@ -59,11 +58,13 @@ def surviving_placements(
     it.  Checks per placement:
 
     - condition 1: the unit still satisfies its installation conditions
-      on its node (a dead node fails this immediately);
-    - per downstream linkage: the server placement survives, is
-      reachable, and its recorded implemented properties still satisfy
-      the client's requirements under the *current* path environment
-      (condition 2 — rerouting around failures can change it).
+      on its node (:meth:`PlanningContext.installable`; a dead node
+      fails this immediately);
+    - per downstream linkage: the server placement survives, and its
+      recorded implemented properties still satisfy the client's
+      requirements across the *current* route
+      (:meth:`PlanningContext.link_ok`, condition 2 — rerouting around
+      failures can change it, and a partition fails it).
     """
     verdicts: Dict[int, bool] = {}
     return [
@@ -96,15 +97,10 @@ def _survives(
             return False
         server = previous.placements[srv_idx]
         impl = server.implemented_props(iface)
-        if impl is None:
+        required = ctx.required_props(unit, placement.node, iface)
+        if impl is None or required is None:
             return False
-        if not ctx.reachable(placement.node, server.node):
-            return False
-        required = _required_props(ctx, unit, placement.node, iface)
-        if required is None:
-            return False
-        env = ctx.path_env(placement.node, server.node)
-        if not ctx.properties_compatible(required, impl, env):
+        if not ctx.link_ok(required, impl, placement.node, server.node):
             return False
     verdicts[idx] = True
     return True

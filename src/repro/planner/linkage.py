@@ -14,18 +14,25 @@ happens at mapping time through placement reuse.
 
 Because views such as ``ViewMailServer`` both implement and require the
 same interface, the space is infinite; enumeration is bounded by
-``max_units`` per graph and ``max_repeat`` occurrences of one unit.
+``max_units`` per graph (the request's ``PlanRequest.max_units`` when a
+planner enumerates) and ``max_repeat`` occurrences of one unit
+(:data:`MAX_REPEAT` for every planner).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..obs import Observability, resolve_obs
-from ..spec import ComponentDef, ServiceSpec
+from ..spec import ServiceSpec
 
-__all__ = ["LinkageGraph", "enumerate_linkage_graphs", "valid_chains"]
+__all__ = ["LinkageGraph", "enumerate_linkage_graphs", "valid_chains", "MAX_REPEAT"]
+
+#: occurrences of one unit per linkage graph: two lets a view chain
+#: through a second copy of itself (``ViewMailServer[2] ->
+#: ViewMailServer[3]``, Figure 6's Seattle chain) and no further
+MAX_REPEAT = 2
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,7 @@ def enumerate_linkage_graphs(
     spec: ServiceSpec,
     interface: str,
     max_units: int = 8,
-    max_repeat: int = 2,
+    max_repeat: int = MAX_REPEAT,
     obs: Optional[Observability] = None,
 ) -> List[LinkageGraph]:
     """All bounded linkage trees able to satisfy ``interface``.
@@ -133,7 +140,7 @@ def _expand(
 
 
 def valid_chains(
-    spec: ServiceSpec, interface: str, max_units: int = 8, max_repeat: int = 2
+    spec: ServiceSpec, interface: str, max_units: int = 8, max_repeat: int = MAX_REPEAT
 ) -> List[List[str]]:
     """The chain-shaped subset as unit-name lists (Figure 3's content)."""
     return [

@@ -14,17 +14,29 @@ Given a plan and the client request rate, :func:`compute_loads` derives:
 
 :func:`check_loads` compares those against node capacity, component
 capacity, and link bandwidth, returning the violations.
+
+:func:`finish_plan` is where every search algorithm turns a complete
+candidate into a plan: it checks condition 3 at :func:`plan_rate` (the
+request's rate, or else the chosen root's declared ``RequestRate``, the
+rate :meth:`~repro.planner.planner.Planner.commit` reserves) and scores
+what passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .compat import PlanningContext
-from .plan import DeploymentPlan, PlannedLinkage
+from .plan import DeploymentPlan, Placement, PlannedLinkage, PlanRequest
 
-__all__ = ["LoadReport", "compute_loads", "check_loads", "config_of", "config_covered"]
+if TYPE_CHECKING:
+    from .objectives import Objective
+
+__all__ = [
+    "LoadReport", "compute_loads", "check_loads", "config_of", "config_covered",
+    "plan_rate", "finish_plan",
+]
 
 
 def config_of(plan: DeploymentPlan, idx: int):
@@ -188,3 +200,29 @@ def check_loads(
             )
 
     return report
+
+
+def plan_rate(ctx: PlanningContext, plan: DeploymentPlan, request_rate: float) -> float:
+    """The request rate a plan must sustain: ``request_rate`` if positive,
+    else its root unit's declared ``RequestRate`` (1 req/s if none)."""
+    if request_rate > 0:
+        return request_rate
+    return ctx.spec.unit(plan.placements[plan.root].unit).behaviors.request_rate or 1.0
+
+
+def finish_plan(
+    ctx: PlanningContext,
+    request: PlanRequest,
+    objective: "Objective",
+    placements: List[Placement],
+    linkages: List[PlannedLinkage],
+) -> Optional[DeploymentPlan]:
+    """A complete candidate rooted at ``placements[0]`` as a scored plan,
+    or None if it violates condition 3 at :func:`plan_rate`."""
+    plan = DeploymentPlan(placements, linkages, 0, request.client_node)
+    rate = plan_rate(ctx, plan, request.request_rate)
+    report = check_loads(ctx, plan, rate)
+    if not report.ok:
+        return None
+    plan.score = objective.score(ctx, plan, rate, report)
+    return plan

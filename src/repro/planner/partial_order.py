@@ -11,10 +11,14 @@ realizes that future-work planner as a CSP:
   graph vertices and whose domains are candidate placements (fresh
   placements passing condition 1, plus installed placements from the
   deployment state);
-- binary constraints are condition-2 compatibility along each edge;
-  search uses minimum-remaining-values ordering with forward checking
-  and branch-and-bound on the objective's additive lower bound;
-- complete assignments are load-checked (condition 3) and scored.
+- binary constraints are condition-2 compatibility along each edge
+  (:meth:`~repro.planner.compat.PlanningContext.link_ok`), and the root's
+  domain holds only placements the client accepts
+  (:meth:`~repro.planner.compat.PlanningContext.root_ok`); search uses
+  minimum-remaining-values ordering with forward checking and
+  branch-and-bound on the objective's additive lower bound;
+- complete assignments are load-checked (condition 3) and scored by
+  :func:`~repro.planner.load.finish_plan`.
 
 Unlike the DP planner this handles components with multiple required
 interfaces (fan-out), and unlike the exhaustive planner its search is
@@ -27,9 +31,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .compat import PlanningContext
-from .exhaustive import _instantiate, _required_props
 from .linkage import LinkageGraph, enumerate_linkage_graphs
-from .load import check_loads
+from .load import finish_plan
 from .objectives import ExpectedLatency, Objective
 from .plan import (
     DeploymentPlan,
@@ -58,7 +61,6 @@ def plan_partial_order(
     state: Optional[DeploymentState] = None,
     objective: Optional[Objective] = None,
     stats: Optional[CSPStats] = None,
-    max_repeat: int = 2,
 ) -> Optional[DeploymentPlan]:
     """Best deployment over all bounded linkage graphs, solved as CSPs."""
     objective = objective or ExpectedLatency()
@@ -66,54 +68,25 @@ def plan_partial_order(
     stats = stats if stats is not None else CSPStats()
     spec = ctx.spec
 
-    rate = request.request_rate
-    if rate <= 0:
-        roots = spec.implementers_of(request.interface)
-        rate = max((u.behaviors.request_rate for u in roots), default=1.0) or 1.0
-
-    root_nodes = (
-        [request.client_node]
-        if request.root_on_client
-        else [n.name for n in ctx.network.nodes()]
-    )
     all_nodes = [n.name for n in ctx.network.nodes()]
 
     best: Optional[DeploymentPlan] = None
     prune = objective.supports_pruning
 
-    graphs = enumerate_linkage_graphs(
-        spec, request.interface, request.max_units, max_repeat, obs=ctx.obs
-    )
-
-    def root_acceptable(placement: Placement) -> bool:
-        """Client QoS expectations on the requested interface."""
-        if not request.required_properties:
-            return True
-        impl = placement.implemented_props(request.interface)
-        if impl is None:
-            return False
-        if not ctx.reachable(request.client_node, placement.node):
-            return False
-        env = ctx.path_env(request.client_node, placement.node)
-        return ctx.properties_compatible(request.required_properties, impl, env)
+    graphs = enumerate_linkage_graphs(spec, request.interface, request.max_units, obs=ctx.obs)
 
     # Reused root: a single installed placement satisfies the request.
     for installed in state.implementers_of(request.interface):
-        if installed.node not in root_nodes:
+        if not ctx.root_ok(request, installed):
             continue
-        if not root_acceptable(installed):
-            continue
-        plan = DeploymentPlan([installed], [], 0, request.client_node)
-        report = check_loads(ctx, plan, rate)
-        if report.ok:
-            plan.score = objective.score(ctx, plan, rate, report)
-            if best is None or plan.score < best.score:
-                best = plan
+        plan = finish_plan(ctx, request, objective, [installed], [])
+        if plan is not None and (best is None or plan.score < best.score):
+            best = plan
 
     for graph in graphs:
         stats.graphs_considered += 1
         plan = _solve_graph(
-            ctx, request, state, objective, stats, graph, root_nodes, all_nodes, rate,
+            ctx, request, state, objective, stats, graph, all_nodes,
             best_score=(best.score if best is not None and prune else None),
         )
         if plan is not None and (best is None or plan.score < best.score):
@@ -151,9 +124,7 @@ def _solve_graph(
     objective: Objective,
     stats: CSPStats,
     graph: LinkageGraph,
-    root_nodes: List[str],
     all_nodes: List[str],
-    rate: float,
     best_score: Optional[Tuple[float, ...]],
 ) -> Optional[DeploymentPlan]:
     spec = ctx.spec
@@ -180,21 +151,14 @@ def _solve_graph(
     fresh_domains: List[List[Placement]] = []
     for i in range(n):
         unit = spec.unit(graph.units[i])
-        nodes = root_nodes if i == 0 else all_nodes
+        nodes = ctx.root_nodes(request) if i == 0 else all_nodes
         domain = []
         for node in nodes:
-            p = _instantiate(ctx, unit, node, request.context)
+            p = ctx.instantiate(unit, node, request.context)
             if p is None:
                 continue
-            if i == 0 and request.required_properties:
-                impl = p.implemented_props(request.interface)
-                if not ctx.reachable(request.client_node, p.node):
-                    continue
-                env = ctx.path_env(request.client_node, p.node)
-                if impl is None or not ctx.properties_compatible(
-                    request.required_properties, impl, env
-                ):
-                    continue
+            if i == 0 and not ctx.root_ok(request, p):
+                continue
             domain.append(p)
         fresh_domains.append(domain)
         if not domain and i == 0:
@@ -226,17 +190,13 @@ def _solve_graph(
     def edge_ok(client_idx: int, server_idx: int, iface: str) -> bool:
         cp = assignment[client_idx]
         sp = assignment[server_idx]
-        client_unit = spec.unit(cp.unit)
-        required = _required_props(ctx, client_unit, cp.node, iface)
+        required = ctx.required_props(spec.unit(cp.unit), cp.node, iface)
         if required is None:
             return False
         impl = sp.implemented_props(iface)
         if impl is None:
             return False
-        if not ctx.reachable(cp.node, sp.node):
-            return False
-        env = ctx.path_env(cp.node, sp.node)
-        return ctx.properties_compatible(required, impl, env)
+        return bool(ctx.link_ok(required, impl, cp.node, sp.node))
 
     def partial_cost() -> float:
         cost = root_extra
@@ -267,11 +227,9 @@ def _solve_graph(
             for c, s, iface in graph.edges
             if c in idx_map and s in idx_map
         ]
-        plan = DeploymentPlan(placements, linkages, 0, request.client_node)
-        report = check_loads(ctx, plan, rate)
-        if not report.ok:
+        plan = finish_plan(ctx, request, objective, placements, linkages)
+        if plan is None:
             return
-        plan.score = objective.score(ctx, plan, rate, report)
         if best_local_score is not None and plan.score >= best_local_score:
             return
         best_local = plan

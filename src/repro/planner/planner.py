@@ -20,17 +20,16 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Literal, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Literal, Optional, Tuple, Union
 
 from ..network import CredentialTranslator, Network
 from ..obs import Observability, resolve_obs
-from ..spec import ComponentDef, ServiceSpec
+from ..spec import ServiceSpec
 from .cache import PlanCache
 from .compat import PlanningContext
 from .dp_chain import DPStats, plan_dp_chain
-from .exhaustive import SearchStats, _instantiate, plan_exhaustive
-from .load import LoadReport, check_loads, compute_loads
+from .exhaustive import SearchStats, plan_exhaustive
+from .load import LoadReport, compute_loads, plan_rate
 from .objectives import ExpectedLatency, Objective
 from .partial_order import CSPStats, plan_partial_order
 from .plan import DeploymentPlan, DeploymentState, Placement, PlanRequest
@@ -132,7 +131,7 @@ class Planner:
         """Register an already-running component (e.g. the primary
         MailServer the service operator stood up in New York)."""
         unit = self.spec.unit(unit_name)
-        placement = _instantiate(self.ctx, unit, node, {})
+        placement = self.ctx.instantiate(unit, node)
         if placement is None:
             raise PlanningError(
                 f"{unit_name!r} does not satisfy its installation conditions on {node!r}"
@@ -312,10 +311,7 @@ class Planner:
             # A NaN reservation would make every later condition-3 check
             # on the plan's nodes and links pass.
             raise ValueError("NaN request_rate")
-        if request_rate <= 0:
-            root_unit = self.spec.unit(plan.placements[plan.root].unit)
-            request_rate = root_unit.behaviors.request_rate or 1.0
-        report = compute_loads(self.ctx, plan, request_rate)
+        report = compute_loads(self.ctx, plan, plan_rate(self.ctx, plan, request_rate))
 
         for node_name, demand in report.node_cpu.items():
             self.network.node(node_name).reserved_cpu += demand

@@ -76,9 +76,14 @@ class ParseError(SpecError):
 
 _TAG_OPEN = re.compile(r"^<([A-Za-z]+)>$")
 _TAG_CLOSE = re.compile(r"^</([A-Za-z]+)>$")
+#: a rule-row literal: anything up to the ``)`` closing its cell, with
+#: at most one level of parentheses inside (a range such as ``(1,3)``)
+_ROW_LITERAL = r"(?:[^()]|\([^()]*\))*"
 _RULE_ROW = re.compile(
-    r"^\(In:\s*(?P<in>[^)]*)\)\s*[x×*]\s*\(Env:\s*(?P<env>[^)]*)\)\s*=\s*\(Out:\s*(?P<out>[^)]*)\)$"
+    rf"^\(In:\s*(?P<in>{_ROW_LITERAL})\)\s*[x×*]\s*\(Env:\s*(?P<env>{_ROW_LITERAL})\)"
+    rf"\s*=\s*\(Out:\s*(?P<out>{_ROW_LITERAL})\)$"
 )
+_ROW_CELL = re.compile(_ROW_LITERAL)
 
 
 @dataclass
@@ -300,10 +305,14 @@ def _readable(prop: str, text: str, in_row: bool = False) -> str:
     """Refuse a literal the readable form would cut short.
 
     ``#`` starts a comment and a line break ends the entry; inside a rule
-    row ``)`` closes the literal, elsewhere the literal must split back
-    out of a ``,``-separated list.
+    row an unmatched ``)`` closes the cell, so the literal may hold one
+    level of balanced parentheses, and elsewhere it must split back out
+    of a ``,``-separated list.
     """
-    fits = ")" not in text if in_row else split_top_level(text + ",x") == [text, "x"]
+    if in_row:
+        fits = _ROW_CELL.fullmatch(text) is not None
+    else:
+        fits = split_top_level(text + ",x") == [text, "x"]
     if "#" in text or len(text.splitlines()) > 1 or not fits:
         raise SpecError(f"property {prop!r}: {text!r} cannot be written in the readable form")
     return text

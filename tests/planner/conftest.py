@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.topology_fig5 import build_fig5_network
 from repro.planner import DeploymentState, PlanningContext
-from repro.planner.exhaustive import _instantiate
 from repro.services.mail import build_mail_spec, mail_translator
 
 
@@ -27,7 +26,7 @@ def ctx(mail_spec, fig5):
 def state_with_ms(ctx, fig5):
     """Deployment state with the primary MailServer pre-installed."""
     state = DeploymentState()
-    placement = _instantiate(ctx, ctx.spec.unit("MailServer"), fig5.server_node, {})
+    placement = ctx.instantiate(ctx.spec.unit("MailServer"), fig5.server_node, {})
     assert placement is not None
     state.add(placement)
     return state

@@ -3,16 +3,14 @@
 import pytest
 
 from repro.planner import PlanningContext
-from repro.planner.exhaustive import _required_props
 from repro.spec import ANY
 
 
 def admits(ctx, client, client_node, server, server_node, interface):
     """Condition 2 for one linkage, checked as the search algorithms do."""
-    required = _required_props(ctx, client, client_node, interface)
+    required = ctx.required_props(client, client_node, interface)
     implemented = ctx.resolved_implements(server, server_node)[interface]
-    env = ctx.path_env(client_node, server_node)
-    return ctx.properties_compatible(required, implemented, env)
+    return ctx.link_ok(required, implemented, client_node, server_node)
 
 
 def test_node_env_translates_credentials(ctx):
@@ -30,17 +28,17 @@ def test_node_env_merges_request_context(ctx):
 
 
 def test_path_env_secure_within_site(ctx):
-    env = ctx.path_env("newyork-gw", "newyork-ms")
+    env = ctx.link_env("newyork-gw", "newyork-ms")[0]
     assert env["Confidentiality"] is True
 
 
 def test_path_env_insecure_across_sites(ctx):
-    env = ctx.path_env("sandiego-gw", "newyork-ms")
+    env = ctx.link_env("sandiego-gw", "newyork-ms")[0]
     assert env["Confidentiality"] is False
 
 
 def test_path_env_local_is_confidential(ctx):
-    assert ctx.path_env("newyork-ms", "newyork-ms")["Confidentiality"] is True
+    assert ctx.link_env("newyork-ms", "newyork-ms")[0]["Confidentiality"] is True
 
 
 def test_installable_conditions(ctx, mail_spec):
@@ -143,7 +141,7 @@ def test_linkage_compatible_encryptor_bridges(ctx, mail_spec):
 
 
 def test_env_caches_invalidate_on_network_change(ctx):
-    assert ctx.path_env("sandiego-gw", "newyork-gw")["Confidentiality"] is False
+    assert ctx.link_env("sandiego-gw", "newyork-gw")[0]["Confidentiality"] is False
     ctx.network.link("sandiego-gw", "newyork-gw").secure = True
     ctx.network.touch()
-    assert ctx.path_env("sandiego-gw", "newyork-gw")["Confidentiality"] is True
+    assert ctx.link_env("sandiego-gw", "newyork-gw")[0]["Confidentiality"] is True

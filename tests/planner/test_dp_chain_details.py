@@ -9,8 +9,9 @@ from repro.planner import (
     PlanRequest,
     plan_dp_chain,
 )
+from repro.planner import dp_chain
 from repro.planner.dp_chain import _chain_probs
-from repro.planner.exhaustive import _instantiate
+from repro.planner.linkage import MAX_REPEAT
 
 
 def test_chain_probs_first_occurrence_only(ctx):
@@ -44,13 +45,20 @@ def test_reused_root_completes_immediately(ctx, state_with_ms):
 
 
 def test_max_repeat_bounds_view_chains(ctx, state_with_ms):
-    request = PlanRequest("ClientInterface", "sandiego-client1", context={"User": "Bob"})
-    plan = plan_dp_chain(
-        ctx, request, state_with_ms, ExpectedLatency(), max_repeat=1
+    """No chain the DP considers repeats a unit more than ``MAX_REPEAT``
+    times, however many units the request allows; and the bound is the
+    one that binds, not ``max_units``."""
+    request = PlanRequest(
+        "ClientInterface", "sandiego-client1", context={"User": "Bob"}, max_units=8
     )
+    plan = plan_dp_chain(ctx, request, state_with_ms, ExpectedLatency())
     assert plan is not None
-    units = [p.unit for p in plan.placements]
-    assert units.count("ViewMailServer") <= 1
+    assert [p.unit for p in plan.placements].count("ViewMailServer") <= MAX_REPEAT
+    shapes = dp_chain._chain_shapes(ctx, ctx.chain_tables(), "ClientInterface", 8)
+    assert shapes
+    for units, _ifaces, _probs in shapes:
+        assert max(units.count(name) for name in units) <= MAX_REPEAT
+    assert max(units.count("ViewMailServer") for units, _i, _p in shapes) == MAX_REPEAT
 
 
 def test_load_violating_chain_discarded(ctx, state_with_ms):
@@ -82,17 +90,15 @@ def test_each_distinct_completion_is_scored_once(ctx, state_with_ms, monkeypatch
     the first time only, and the plan chosen is still the one scoring
     every offer would choose (a repeat ties with its first occurrence,
     and only a strictly lower score replaces the incumbent)."""
-    from repro.planner import dp_chain
-
     scored, plans = [], []
-    finish = dp_chain._finish_plan
+    finish = dp_chain.finish_plan
 
-    def spy(ctx_, request_, rate, objective, placements, linkages):
+    def spy(ctx_, request_, objective, placements, linkages):
         scored.append((tuple(placements), tuple(linkages)))
-        plans.append(finish(ctx_, request_, rate, objective, placements, linkages))
+        plans.append(finish(ctx_, request_, objective, placements, linkages))
         return plans[-1]
 
-    monkeypatch.setattr(dp_chain, "_finish_plan", spy)
+    monkeypatch.setattr(dp_chain, "finish_plan", spy)
     offers = []  # one backtrace per completion a chain offers
     backtrace = dp_chain._backtrace
     monkeypatch.setattr(

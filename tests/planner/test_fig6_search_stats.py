@@ -1,0 +1,67 @@
+"""Golden pin of what each planner *does* on Figure 6, not only what it returns.
+
+``golden/fig6_search_stats.json`` records, per algorithm and site of the
+Figure 6 run (New York, San Diego, Seattle, committed in that order),
+every field of the algorithm's stats record, the context's
+``cache_stats`` after the search, and the plan's score.  Moving a check
+from one module to another must leave all of them where they were: the
+same branches expanded, pruned and rejected under the same condition,
+the same memo hits and misses, the same score.
+
+Regenerate (only when a search is *meant* to change) with
+``PYTHONPATH=src python tests/planner/test_fig6_search_stats.py``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.deployments_fig6 import SITE_USERS
+from repro.experiments.topology_fig5 import build_fig5_network
+from repro.planner import ALGORITHMS, Planner, PlanRequest
+from repro.services.mail import build_mail_spec, mail_translator
+
+GOLDEN = Path(__file__).parent / "golden" / "fig6_search_stats.json"
+
+
+def record(algorithm):
+    """The Figure 6 run of one algorithm, site by site."""
+    topo = build_fig5_network(clients_per_site=2)
+    planner = Planner(
+        build_mail_spec(), topo.network, mail_translator(), algorithm=algorithm
+    )
+    planner.preinstall("MailServer", topo.server_node)
+    sites = {}
+    for site in ("newyork", "sandiego", "seattle"):
+        request = PlanRequest(
+            "ClientInterface", topo.clients[site][0], context={"User": SITE_USERS[site]}
+        )
+        plan, _report = planner.plan_and_commit(request)
+        sites[site] = {
+            "stats": dataclasses.asdict(planner.last_stats),
+            "cache_stats": dataclasses.asdict(planner.ctx.cache_stats),
+            "score": list(plan.score),
+        }
+    return sites
+
+
+def replay():
+    return {algorithm: record(algorithm) for algorithm in sorted(ALGORITHMS)}
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_fig6_search_stats_match_golden(algorithm):
+    want = json.loads(GOLDEN.read_text())[algorithm]
+    got = json.loads(json.dumps(record(algorithm)))
+    for site in want:
+        assert got[site] == want[site], f"{algorithm}/{site} moved"
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(replay(), indent=1) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -15,7 +15,7 @@ from repro.planner import (
     PlanningContext,
     surviving_placements,
 )
-from repro.planner.exhaustive import _instantiate, plan_exhaustive
+from repro.planner.exhaustive import plan_exhaustive
 from repro.planner.objectives import ExpectedLatency
 from repro.planner.plan import PlanRequest
 from repro.services.mail import build_mail_spec, mail_translator
@@ -26,7 +26,7 @@ def make_world():
     topo = build_fig5_network(clients_per_site=2)
     ctx = PlanningContext(spec, topo.network, mail_translator())
     state = DeploymentState()
-    state.add(_instantiate(ctx, spec.unit("MailServer"), topo.server_node, {}))
+    state.add(ctx.instantiate(spec.unit("MailServer"), topo.server_node, {}))
     return ctx, state
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.experiments.topology_fig5 import build_fig5_network
 from repro.planner import (
+    ALGORITHMS,
     DeploymentPlan,
     DeploymentState,
     DeploymentCost,
@@ -15,17 +17,20 @@ from repro.planner import (
     compute_loads,
     config_covered,
     plan_exhaustive,
+    Planner,
 )
-from repro.planner.exhaustive import _instantiate
+from repro.services.mail import mail_translator
+from repro.services.mail.spec import MAIL_SPEC_TEXT
+from repro.spec import parse_service
 
 
 def make_sd_plan(ctx):
     """Hand-build the Figure 6 San Diego plan for load analysis."""
-    mc = _instantiate(ctx, ctx.spec.unit("MailClient"), "sandiego-client1", {"User": "Bob"})
-    vms = _instantiate(ctx, ctx.spec.unit("ViewMailServer"), "sandiego-gw", {})
-    enc = _instantiate(ctx, ctx.spec.unit("Encryptor"), "sandiego-gw", {})
-    dec = _instantiate(ctx, ctx.spec.unit("Decryptor"), "newyork-gw", {})
-    ms = _instantiate(ctx, ctx.spec.unit("MailServer"), "newyork-ms", {})
+    mc = ctx.instantiate(ctx.spec.unit("MailClient"), "sandiego-client1", {"User": "Bob"})
+    vms = ctx.instantiate(ctx.spec.unit("ViewMailServer"), "sandiego-gw", {})
+    enc = ctx.instantiate(ctx.spec.unit("Encryptor"), "sandiego-gw", {})
+    dec = ctx.instantiate(ctx.spec.unit("Decryptor"), "newyork-gw", {})
+    ms = ctx.instantiate(ctx.spec.unit("MailServer"), "newyork-ms", {})
     plan = DeploymentPlan(
         placements=[mc, vms, enc, dec, ms],
         linkages=[
@@ -106,10 +111,10 @@ def test_config_covered_same_and_dominating(ctx):
 
 def test_covered_replica_absorbs_nothing(ctx):
     """Two identical VMS configs in a chain: second applies no RRF."""
-    mc = _instantiate(ctx, ctx.spec.unit("MailClient"), "sandiego-client1", {"User": "Bob"})
-    v1 = _instantiate(ctx, ctx.spec.unit("ViewMailServer"), "sandiego-gw", {})
-    v2 = _instantiate(ctx, ctx.spec.unit("ViewMailServer"), "sandiego-client2", {})
-    ms = _instantiate(ctx, ctx.spec.unit("MailServer"), "newyork-ms", {})
+    mc = ctx.instantiate(ctx.spec.unit("MailClient"), "sandiego-client1", {"User": "Bob"})
+    v1 = ctx.instantiate(ctx.spec.unit("ViewMailServer"), "sandiego-gw", {})
+    v2 = ctx.instantiate(ctx.spec.unit("ViewMailServer"), "sandiego-client2", {})
+    ms = ctx.instantiate(ctx.spec.unit("MailServer"), "newyork-ms", {})
     plan = DeploymentPlan(
         placements=[mc, v1, v2, ms],
         linkages=[
@@ -177,3 +182,25 @@ def test_root_view_penalty_prefers_full_client(ctx, state_with_ms):
     # ViewMailClient is marginally cheaper on CPU but must lose to the
     # full-featured MailClient wherever the latter installs.
     assert plan.placements[plan.root].unit == "MailClient"
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_default_rate_is_the_chosen_roots(algorithm):
+    """With no rate in the request, condition 3 is checked at the rate
+    of the root the plan chose, which is what ``commit`` reserves, not
+    at the highest rate any root of the interface declares.  Seattle's
+    only installable root is the ViewMailClient (10 req/s); a
+    MailClient declaring 100000 req/s must not make it unservable."""
+    text = MAIL_SPEC_TEXT.replace(
+        "RequestRate: 10\nCpuPerRequest: 0.5", "RequestRate: 100000\nCpuPerRequest: 0.5"
+    )
+    spec = parse_service(text)
+    assert spec.unit("MailClient").behaviors.request_rate == 100000
+    assert spec.unit("ViewMailClient").behaviors.request_rate == 10
+    topo = build_fig5_network(clients_per_site=2)
+    planner = Planner(spec, topo.network, mail_translator(), algorithm=algorithm)
+    planner.preinstall("MailServer", topo.server_node)
+    request = PlanRequest("ClientInterface", "seattle-client1", context={"User": "Carol"})
+    plan, report = planner.plan_and_commit(request)
+    assert plan.placements[plan.root].unit == "ViewMailClient"
+    assert report.inbound[plan.root] == 10

@@ -44,8 +44,11 @@ def validate_plan_conditions(ctx, plan, request, rate=10.0):
         assert required is not None
         impl = server.implemented_props(link.interface)
         assert impl is not None
-        env = ctx.path_env(client.node, server.node)
-        assert ctx.properties_compatible(required, impl, env), (
+        link = ctx.link_env(client.node, server.node)
+        assert link is not None, (
+            f"linkage {client.label()} -> {server.label()} crosses a partition"
+        )
+        assert ctx.properties_compatible(required, impl, link[0]), (
             f"linkage {client.label()} -> {server.label()} incompatible"
         )
     # Condition 3: loads within capacity.

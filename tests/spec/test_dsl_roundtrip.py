@@ -107,3 +107,34 @@ def test_readable_form_refuses_a_description_it_would_cut():
     spec.components["MailServer"].description = "see #3"
     with pytest.raises(SpecError, match="Description"):
         to_text(spec)
+
+
+def test_a_range_in_a_rule_row_survives_both_syntaxes():
+    """A rule cell may hold one level of parentheses, so a range such as
+    ``(1,3)`` writes and reads back in the readable form as in XML."""
+    from repro.spec import ValueRange, from_xml, to_xml
+
+    spec = build_mail_spec()
+    spec.rules.add(
+        PropertyModificationRule(
+            "TrustLevel",
+            (ModificationRule(ValueRange(1, 3), ANY, 1), ModificationRule(ANY, ANY, ANY)),
+        )
+    )
+    text = to_text(spec)
+    assert "(In: (1,3)) x (Env: ANY) = (Out: 1)" in text.splitlines()
+    for spec2 in (parse_service(text), from_xml(to_xml(spec))):
+        assert spec2.rules.rule_for("TrustLevel").rules == spec.rules.rule_for("TrustLevel").rules
+        assert spec2.rules.apply("TrustLevel", 2, 5) == 1
+        assert spec2.rules.apply("TrustLevel", 4, 5) is ANY
+    assert to_text(parse_service(text)) == text
+
+
+def test_readable_rule_rows_refuse_what_would_not_read_back():
+    """A cell with an unbalanced or doubly nested parenthesis would be cut
+    short by the row's own ``)``, so the readable form refuses it."""
+    for value in ("a)b", "((x))"):
+        spec = build_mail_spec()
+        spec.rules.add(PropertyModificationRule("Site", (ModificationRule(ANY, ANY, value),)))
+        with pytest.raises(SpecError, match="cannot be written"):
+            to_text(spec)

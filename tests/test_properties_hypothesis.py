@@ -225,14 +225,13 @@ def test_planner_output_always_satisfies_constraints(site, user_idx):
         check_loads,
         plan_dp_chain,
     )
-    from repro.planner.exhaustive import _instantiate
     from repro.services.mail import DEFAULT_USERS, build_mail_spec, mail_translator
 
     spec = build_mail_spec()
     topo = build_fig5_network(clients_per_site=2)
     ctx = PlanningContext(spec, topo.network, mail_translator())
     state = DeploymentState()
-    state.add(_instantiate(ctx, spec.unit("MailServer"), topo.server_node, {}))
+    state.add(ctx.instantiate(spec.unit("MailServer"), topo.server_node, {}))
     request = PlanRequest(
         "ClientInterface",
         topo.clients[site][0],
@@ -249,6 +248,6 @@ def test_planner_output_always_satisfies_constraints(site, user_idx):
             ctx.resolved_requires(spec.unit(client.unit), client.node)
         )[link.interface]
         impl = server.implemented_props(link.interface)
-        env = ctx.path_env(client.node, server.node)
+        env = ctx.link_env(client.node, server.node)[0]
         assert ctx.properties_compatible(required, impl, env)
     assert check_loads(ctx, plan, 10.0).ok
