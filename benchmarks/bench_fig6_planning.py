@@ -12,9 +12,10 @@ import time
 import pytest
 
 from repro.experiments import EXPECTED_CHAINS, run_fig6
+from repro.planner import ALGORITHMS
 
 
-@pytest.mark.parametrize("algorithm", ["exhaustive", "dp_chain", "partial_order"])
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_fig6_deployments(benchmark, algorithm, report_lines):
     deployments = benchmark.pedantic(
         lambda: run_fig6(algorithm=algorithm), rounds=1, iterations=1

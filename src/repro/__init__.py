@@ -11,8 +11,8 @@ they rest on:
 - :mod:`repro.smock` — the Smock run-time (§3.2): lookup service,
   generic proxy/server, node wrappers, deployment execution, dynamic
   replanning (§6).
-- :mod:`repro.planner` — planning policies (§3.3): exhaustive,
-  DP-chain (CANS-style) and partial-order/CSP planners over a shared
+- :mod:`repro.planner` — planning policies (§3.3): the exhaustive
+  planner and the DP-chain (CANS-style) fast path over a shared
   constraint model (installability, property compatibility under
   environment modification, load vs. capacity).
 - :mod:`repro.coherence` — directory-based cache coherence at view

@@ -41,6 +41,10 @@ from .obs import (
 
 log = get_logger("cli")
 
+#: the ``--algorithm`` choices: ``repro.planner.ALGORITHMS``' names,
+#: spelled out so building the parser imports no planner code
+ALGORITHM_CHOICES = ("dp_chain", "exhaustive")
+
 
 def _write_json(path: str, payload) -> None:
     """Write ``payload`` as indented JSON, creating parent directories."""
@@ -692,7 +696,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("fig6", help="plan the three site deployments",
                        parents=[obs_parser])
     p.add_argument("--algorithm", default="exhaustive",
-                   choices=["exhaustive", "dp_chain", "partial_order"])
+                   choices=ALGORITHM_CHOICES)
     p.add_argument("--draw", action="store_true",
                    help="render the Figure 6 deployment picture")
     p.set_defaults(fn=cmd_fig6)
@@ -724,7 +728,7 @@ def main(argv=None) -> int:
                    choices=["newyork", "sandiego", "seattle"])
     p.add_argument("--user", default="Bob")
     p.add_argument("--algorithm", default="exhaustive",
-                   choices=["exhaustive", "dp_chain", "partial_order"])
+                   choices=ALGORITHM_CHOICES)
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("mail", help="run the mail service end to end",
@@ -739,7 +743,7 @@ def main(argv=None) -> int:
                    help='replica flush policy ("never", "count:N", "time:MS", '
                         '"write_through")')
     p.add_argument("--algorithm", default="dp_chain",
-                   choices=["exhaustive", "dp_chain", "partial_order"])
+                   choices=ALGORITHM_CHOICES)
     chaos = p.add_argument_group("chaos")
     chaos.add_argument("--chaos", action="append", metavar="SPEC", default=[],
                        help="inject a fault (repeatable); SPEC is e.g. "

@@ -1,13 +1,13 @@
 """Planning policies (paper §3.3).
 
-Three interchangeable algorithms over a shared constraint model:
+Two interchangeable algorithms over a shared constraint model:
 
 - :func:`plan_exhaustive` — the paper's current implementation: combined
-  linkage-enumeration + network-mapping search with branch-and-bound;
+  linkage-enumeration + network-mapping search with branch-and-bound,
+  over general component graphs (fan-out included), and the exact
+  reference the other algorithm is checked against;
 - :func:`plan_dp_chain` — the CANS-style dynamic program for chain
-  graphs ([13]);
-- :func:`plan_partial_order` — the IPP-style constraint solver the paper
-  names as future work, handling general component graphs.
+  graphs ([13]), which abstains on anything else.
 
 :class:`Planner` is the facade the runtime uses; it owns deployment
 state, capacity reservations, and the planner fast path — the
@@ -26,7 +26,6 @@ from .exhaustive import SearchStats, plan_exhaustive
 from .linkage import LinkageGraph, enumerate_linkage_graphs, valid_chains
 from .load import LoadReport, check_loads, compute_loads, config_covered, config_of
 from .objectives import DeploymentCost, ExpectedLatency, MaxCapacity, Objective
-from .partial_order import CSPStats, plan_partial_order
 from .plan import (
     DeploymentPlan,
     DeploymentState,
@@ -67,6 +66,4 @@ __all__ = [
     "SearchStats",
     "plan_dp_chain",
     "DPStats",
-    "plan_partial_order",
-    "CSPStats",
 ]

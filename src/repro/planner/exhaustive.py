@@ -15,7 +15,16 @@ node — checking condition 1 (:meth:`PlanningContext.instantiate
 :meth:`~repro.planner.compat.PlanningContext.root_ok` for the root) as
 it goes, and condition 3 on each complete candidate
 (:func:`~repro.planner.load.finish_plan`).  A branch-and-bound lower
-bound from the objective prunes dominated partial plans.
+bound from the objective prunes dominated partial plans.  A plan holds
+at most ``request.max_units`` placements, installed ones included.
+
+Any component graph is searched, not only chains: a unit requiring
+several interfaces (fan-out) puts each on the frontier.  That makes this
+the exact reference the chain-only :func:`~repro.planner.dp_chain.
+plan_dp_chain` is checked against — exact with pruning off (an
+objective whose ``supports_pruning`` is false), because the bound
+charges a placement its full CPU time while the score weights it by
+visit probability, which can prune the optimum below a caching view.
 
 Installed placements (from the :class:`~repro.planner.plan.
 DeploymentState`) are treated as *already wired*: linking to one — or
@@ -196,6 +205,10 @@ def plan_exhaustive(
             search(rest, partial_cost + cost)
             linkages.pop()
 
+        # (b) and (c) add a placement: only while the plan has room.
+        if len(placements) >= request.max_units:
+            return
+
         # (b) link to an installed placement from the deployment state.
         in_plan_keys = {p.key for p in placements}
         for installed in state.implementers_of(iface):
@@ -222,8 +235,6 @@ def plan_exhaustive(
             _leave()
 
         # (c) instantiate a fresh provider somewhere.
-        if len(placements) >= request.max_units:
-            return
         for provider, placement in candidates_for(iface):
             node = placement.node
             if placement.key in in_plan_keys:

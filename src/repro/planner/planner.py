@@ -31,7 +31,6 @@ from .dp_chain import DPStats, plan_dp_chain
 from .exhaustive import SearchStats, plan_exhaustive
 from .load import LoadReport, compute_loads, plan_rate
 from .objectives import ExpectedLatency, Objective
-from .partial_order import CSPStats, plan_partial_order
 from .plan import DeploymentPlan, DeploymentState, Placement, PlanRequest
 
 __all__ = ["Planner", "PlanningError", "ALGORITHMS"]
@@ -44,7 +43,6 @@ class PlanningError(RuntimeError):
 ALGORITHMS: Dict[str, Callable[..., Optional[DeploymentPlan]]] = {
     "exhaustive": plan_exhaustive,
     "dp_chain": plan_dp_chain,
-    "partial_order": plan_partial_order,
 }
 
 #: per-algorithm instrumentation record types (externally registered
@@ -52,7 +50,6 @@ ALGORITHMS: Dict[str, Callable[..., Optional[DeploymentPlan]]] = {
 STATS_FACTORIES: Dict[str, Callable[[], Any]] = {
     "exhaustive": SearchStats,
     "dp_chain": DPStats,
-    "partial_order": CSPStats,
 }
 
 
@@ -76,8 +73,10 @@ class Planner:
         Global objective steering plan selection; defaults to
         :class:`~repro.planner.objectives.ExpectedLatency`.
     algorithm:
-        Default search algorithm, one of :data:`ALGORITHMS`
-        (``"exhaustive"``, ``"dp_chain"``, ``"partial_order"``).
+        Default search algorithm, one of :data:`ALGORITHMS`:
+        ``"exhaustive"`` searches any component graph, fan-out included,
+        and is the exact reference; ``"dp_chain"`` is the fast path for
+        chain graphs and finds no plan for anything else.
     plan_cache:
         ``None`` (default) creates a private :class:`PlanCache`;
         ``False`` disables plan caching; an explicit :class:`PlanCache`

@@ -10,6 +10,7 @@ import pytest
 
 from repro.experiments.topology_fig5 import build_fig5_network
 from repro.planner import (
+    ALGORITHMS,
     DeploymentState,
     PlanCache,
     Planner,
@@ -186,7 +187,7 @@ def test_unhashable_request_bypasses_cache():
 
 # -- purity guard -------------------------------------------------------------
 
-@pytest.mark.parametrize("algorithm", ["exhaustive", "dp_chain", "partial_order"])
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_plans_byte_identical_with_fast_path_off(algorithm):
     """The acceptance guard: memoization and plan caching are pure.
 

@@ -9,10 +9,9 @@ from repro.planner import (
     PlanRequest,
     plan_dp_chain,
     plan_exhaustive,
-    plan_partial_order,
 )
 
-ALGOS = [plan_exhaustive, plan_dp_chain, plan_partial_order]
+ALGOS = [plan_exhaustive, plan_dp_chain]
 
 
 @pytest.mark.parametrize("plan_fn", ALGOS)

@@ -3,8 +3,8 @@
 "More generally, however, applications need to be represented as a
 directed component graph.  To support such applications, we are
 developing a partial-order based constraint solver" (§3.3).  The
-exhaustive planner and the CSP solver must handle a component that
-requires *two* interfaces; the chain DP correctly abstains.
+exhaustive planner must handle a component that requires *two*
+interfaces; the chain DP correctly abstains.
 """
 
 import pytest
@@ -19,7 +19,6 @@ from repro.planner import (
     enumerate_linkage_graphs,
     plan_dp_chain,
     plan_exhaustive,
-    plan_partial_order,
 )
 from repro.spec import (
     Behaviors,
@@ -31,6 +30,11 @@ from repro.spec import (
     PropertyDef,
     ServiceSpec,
 )
+
+from .conftest import _Unpruned
+
+#: every planner that accepts general component graphs (dp_chain abstains)
+FANOUT_PLANNERS = [plan_exhaustive]
 
 
 def analytics_spec() -> ServiceSpec:
@@ -104,7 +108,7 @@ def test_linkage_graph_is_a_tree_not_a_chain():
         g.chain_units()
 
 
-@pytest.mark.parametrize("plan_fn", [plan_exhaustive, plan_partial_order])
+@pytest.mark.parametrize("plan_fn", FANOUT_PLANNERS)
 def test_fanout_planned_with_conditions_respected(plan_fn):
     spec, net, ctx = analytics_world()
     request = PlanRequest("FrontInterface", "client")
@@ -127,7 +131,7 @@ def test_dp_chain_abstains_on_fanout():
     assert plan_dp_chain(ctx, request, DeploymentState(), ExpectedLatency()) is None
 
 
-@pytest.mark.parametrize("plan_fn", [plan_exhaustive, plan_partial_order])
+@pytest.mark.parametrize("plan_fn", FANOUT_PLANNERS)
 def test_fanout_reuses_installed_tiers(plan_fn):
     spec, net, ctx = analytics_world()
     state = DeploymentState()
@@ -139,7 +143,7 @@ def test_fanout_reuses_installed_tiers(plan_fn):
     assert not second.new_placements()
 
 
-@pytest.mark.parametrize("plan_fn", [plan_exhaustive, plan_partial_order])
+@pytest.mark.parametrize("plan_fn", FANOUT_PLANNERS)
 def test_fanout_infeasible_when_a_tier_has_no_home(plan_fn):
     spec, net, ctx = analytics_world()
     # Remove every disk: StorageNode has nowhere to live.
@@ -163,9 +167,9 @@ def test_fanout_load_model_splits_rates():
     assert by_unit["IndexNode"] == pytest.approx(20.0)
 
 
-def test_exhaustive_and_csp_agree_on_fanout_score():
+def test_exhaustive_matches_unpruned_search_on_fanout_score():
     spec, net, ctx = analytics_world()
     request = PlanRequest("FrontInterface", "client")
-    ex = plan_exhaustive(ctx, request, DeploymentState(), ExpectedLatency())
-    po = plan_partial_order(ctx, request, DeploymentState(), ExpectedLatency())
-    assert ex.score[0] == pytest.approx(po.score[0], rel=1e-9)
+    pruned = plan_exhaustive(ctx, request, DeploymentState(), ExpectedLatency())
+    complete = plan_exhaustive(ctx, request, DeploymentState(), _Unpruned())
+    assert pruned.score[0] == pytest.approx(complete.score[0], rel=1e-9)

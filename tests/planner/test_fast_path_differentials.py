@@ -26,13 +26,14 @@ from hypothesis import strategies as st
 from repro.network import BriteConfig, Network, NetworkError, generate_waxman
 from repro.planner import (
     DeploymentCost,
-    ExpectedLatency,
     Planner,
     PlanningContext,
     PlanRequest,
 )
 from repro.services.mail import build_mail_spec, mail_translator
 from repro.spec import ANY
+
+from .conftest import _Unpruned
 
 SPEC = build_mail_spec()
 
@@ -179,17 +180,6 @@ def test_route_trees_choose_the_per_pair_routes(seed, n, m, data):
 
 
 # -- dp_chain: shared prefixes + memos vs memoize=False vs exhaustive --------------
-
-
-class _Unpruned(ExpectedLatency):
-    """The exhaustive search is only a *complete* reference with its
-    branch-and-bound off: ``placement_cost`` charges a placement its
-    full CPU service time while the exact score weights it by visit
-    probability, so the bound is not admissible below a caching view
-    and pruning can cut the optimum (seed 47, n=7: VMC -> VMS[2] ->
-    VMS[3] -> installed Encryptor is pruned away)."""
-
-    supports_pruning = False
 
 
 def _world(seed: int, n: int, algorithm: str, memoize: bool) -> Planner:

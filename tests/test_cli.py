@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import ALGORITHM_CHOICES, main
+from repro.planner import ALGORITHMS
 from repro.services.mail.spec import MAIL_SPEC_TEXT
 from repro.spec import to_xml
 from repro.services.mail import build_mail_spec
@@ -14,10 +15,15 @@ def test_fig5(capsys):
     assert "newyork-gw" in out and "INSECURE" in out
 
 
+def test_algorithm_choices_are_the_planners():
+    assert list(ALGORITHM_CHOICES) == sorted(ALGORITHMS)
+
+
 def test_fig6(capsys):
-    assert main(["fig6", "--algorithm", "dp_chain"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("matches the paper") == 3
+    for algorithm in ALGORITHM_CHOICES:
+        assert main(["fig6", "--algorithm", algorithm]) == 0
+        out = capsys.readouterr().out
+        assert out.count("matches the paper") == 3, algorithm
 
 
 def test_chains(capsys):
@@ -40,10 +46,19 @@ def test_fig7_subset(capsys):
 
 
 def test_plan(capsys):
-    assert main(["plan", "--site", "newyork", "--user", "Alice",
-                 "--algorithm", "dp_chain"]) == 0
-    out = capsys.readouterr().out
-    assert "MailClient@newyork-client1" in out
+    for algorithm in ALGORITHM_CHOICES:
+        assert main(["plan", "--site", "newyork", "--user", "Alice",
+                     "--algorithm", algorithm]) == 0
+        out = capsys.readouterr().out
+        assert "MailClient@newyork-client1" in out, algorithm
+
+
+@pytest.mark.parametrize("command", ["fig6", "plan", "mail"])
+def test_a_retired_algorithm_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--algorithm", "partial_order"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'partial_order'" in capsys.readouterr().err
 
 
 def test_validate_readable_form(tmp_path, capsys):
