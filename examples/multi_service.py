@@ -37,18 +37,17 @@ def main() -> None:
         node.credentials.setdefault("source_site", False)
         node.credentials.setdefault("popularity", 3)
 
-    runtime = SmockRuntime(
+    runtime = SmockRuntime(topo.network, server_node=topo.server_node)
+    runtime.service_state["mail_users"] = DEFAULT_USERS
+    runtime.add_service(
+        "mail",
         build_mail_spec(),
-        topo.network,
         mail_translator(),
+        default_interface="ClientInterface",
+        component_classes=MAIL_COMPONENT_CLASSES,
         algorithm="dp_chain",
-        server_node=topo.server_node,
         conflict_map=AttributeConflictMap("sensitivity", "TrustLevel"),
     )
-    runtime.service_state["mail_users"] = DEFAULT_USERS
-    for name, cls in MAIL_COMPONENT_CLASSES.items():
-        runtime.register_component(name, cls)
-    runtime.register_service("mail", default_interface="ClientInterface")
     runtime.preinstall("MailServer", topo.server_node)
 
     runtime.add_service(

@@ -141,12 +141,16 @@ def main() -> None:
         path_fn=lambda path: {"Confidentiality": path.secure},
     )
 
-    # 3. Stand up the runtime, register classes + service, pre-install
-    #    the primary store in the datacenter.
-    runtime = SmockRuntime(spec, net, translator, server_node="dc")
-    runtime.register_component("Client", ClientComponent)
-    runtime.register_component("Store", StoreComponent)
-    runtime.register_service("kvstore", default_interface="ClientInterface")
+    # 3. Stand up the runtime, add the service with its component
+    #    classes, pre-install the primary store in the datacenter.
+    runtime = SmockRuntime(net, server_node="dc")
+    runtime.add_service(
+        "kvstore",
+        spec,
+        translator,
+        default_interface="ClientInterface",
+        component_classes={"Client": ClientComponent, "Store": StoreComponent},
+    )
     runtime.preinstall("Store", "dc")
 
     # 4. A client at the branch connects: lookup -> proxy download ->

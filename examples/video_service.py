@@ -66,11 +66,10 @@ def stream_a_few_frames() -> None:
     print("\nRunning the slow-WAN deployment end to end:")
     spec = build_video_spec()
     net = build_net(4.0)
-    rt = SmockRuntime(spec, net, video_translator(),
-                      server_node="studio", algorithm="exhaustive")
-    for name, cls in VIDEO_COMPONENT_CLASSES.items():
-        rt.register_component(name, cls)
-    rt.register_service("video", default_interface="ViewerInterface")
+    rt = SmockRuntime(net, server_node="studio")
+    rt.add_service("video", spec, video_translator(), "ViewerInterface",
+                   component_classes=VIDEO_COMPONENT_CLASSES,
+                   algorithm="exhaustive")
     rt.preinstall("VideoSource", "studio")
     proxy = rt.run(rt.client_connect("home"))
 

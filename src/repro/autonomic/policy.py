@@ -161,7 +161,6 @@ class PolicyEngine:
         self,
         sampler: Any,
         rules: List[ThresholdRule],
-        on_signal: Optional[Callable[[ScaleSignal], None]] = None,
     ) -> None:
         self.sampler = sampler
         self.rules = list(rules)
@@ -170,8 +169,6 @@ class PolicyEngine:
         self._listeners: List[Callable[[ScaleSignal], None]] = []
         self._streaks: Dict[Tuple[str, Tuple[str, Any]], int] = {}
         self._attached = False
-        if on_signal is not None:
-            self._listeners.append(on_signal)
 
     # -- wiring ---------------------------------------------------------------
     def attach(self) -> "PolicyEngine":

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
-from ..coherence import AttributeConflictMap, FlushPolicy, NeverPolicy, policy_from_name
+from ..coherence import AttributeConflictMap, FlushPolicy, policy_from_name
 from ..network import NetworkError
 from ..sim import FaultError
 from ..smock import SmockRuntime
@@ -158,13 +158,14 @@ def build_mail_testbed(
     the exhaustive planner in ~1% of the time (see the planner-scaling
     benchmark), which keeps the 45-cell Figure 7 sweep tractable.
 
-    The testbed fixes ``server_node`` and ``code_base_node`` (the New
-    York mail server, which also hosts the lookup unless
-    ``lookup_hosts`` moves it), ``conflict_map`` and ``view_policy``.
-    Every other keyword (``sim``, ``obs``, ``plan_cache``,
-    ``telemetry_interval_ms``, ``flight``, ``overload_protection``,
-    ``autonomic``, ``lookup_hosts``, ``lookup_leases``,
-    ``directory_journal``, ``directory_host``) is
+    The testbed fixes the runtime's ``server_node`` (the New York mail
+    server, which also hosts the lookup unless ``lookup_hosts`` moves
+    it, and the mail service's code base), and adds the ``"mail"``
+    service with its ``algorithm``, ``conflict_map``, ``view_policy``
+    and component classes.  Every other keyword (``sim``, ``obs``,
+    ``plan_cache``, ``telemetry_interval_ms``, ``flight``,
+    ``overload_protection``, ``autonomic``, ``lookup_hosts``,
+    ``lookup_leases``, ``directory_journal``, ``directory_host``) is
     forwarded unchanged to :class:`SmockRuntime`, the one place runtime
     options are declared and documented; a misspelt one raises
     ``TypeError`` there.
@@ -180,20 +181,17 @@ def build_mail_testbed(
     def view_policy(view, instance) -> FlushPolicy:
         return policy_from_name(flush_policy)
 
-    runtime = SmockRuntime(
+    runtime = SmockRuntime(topo.network, server_node=topo.server_node, **runtime_kwargs)
+    runtime.service_state["mail_users"] = tuple(users)
+    runtime.add_service(
+        "mail",
         spec,
-        topo.network,
         mail_translator(),
+        "ClientInterface",
+        component_classes=MAIL_COMPONENT_CLASSES,
         algorithm=algorithm,
-        server_node=topo.server_node,
-        code_base_node=topo.server_node,
         conflict_map=AttributeConflictMap("sensitivity", "TrustLevel"),
         view_policy=view_policy,
-        **runtime_kwargs,
     )
-    runtime.service_state["mail_users"] = tuple(users)
-    for name, cls in MAIL_COMPONENT_CLASSES.items():
-        runtime.register_component(name, cls)
-    runtime.register_service("mail", default_interface="ClientInterface")
     runtime.preinstall("MailServer", topo.server_node)
     return MailTestbed(runtime=runtime, topology=topo)

@@ -415,12 +415,9 @@ class TelemetrySampler:
         self.add_counter_rate("failover.replan_rate", "failover.replans")
         return self
 
-    def _bundles_of(self, runtime: Any) -> List[Any]:
-        return runtime.bundles() or [runtime.primary]
-
     def _make_coherence_scan(self, runtime: Any) -> Callable[[float], None]:
         def scan(now: float) -> None:
-            for bundle in self._bundles_of(runtime):
+            for bundle in runtime.bundles():
                 dirty = sum(
                     entry.pending_units
                     for entry in bundle.coherence._replicas.values()
@@ -438,7 +435,7 @@ class TelemetrySampler:
         state = self._service_state
 
         def scan(now: float) -> None:
-            for bundle in self._bundles_of(runtime):
+            for bundle in runtime.bundles():
                 for inst in bundle.instances.values():
                     samples = inst.latency.samples
                     seen, _prev_mean = state.get(inst.instance_id, (0, 0.0))

@@ -331,7 +331,6 @@ class ViewMailServerComponent(_StoreBase):
         super().__init__(*args, **kwargs)
         self.stale_users: set = set()
         self.replica_id: Optional[int] = None
-        self.syncs_performed = 0
         self.upstream_forwards = 0
         self._daemon_running = False
 
@@ -482,7 +481,6 @@ class ViewMailServerComponent(_StoreBase):
         resp = yield from self._call_upstream(req)
         if resp.ok:
             directory.record_flush(replica_id, self.sim.now, batch)
-            self.syncs_performed += 1
         else:
             directory.requeue(replica_id, batch)
 
@@ -903,7 +901,7 @@ class ViewMailClientComponent(MailClientComponent):
     op_move_mail = None  # type: ignore[assignment]
 
 
-#: unit name -> runtime class, for SmockRuntime.register_component
+#: unit name -> runtime class, for SmockRuntime.add_service(component_classes=)
 MAIL_COMPONENT_CLASSES = {
     "MailServer": MailServerComponent,
     "ViewMailServer": ViewMailServerComponent,

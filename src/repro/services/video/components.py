@@ -102,10 +102,6 @@ class PackagerComponent(RuntimeComponent):
 class VideoClientComponent(RuntimeComponent):
     """Pulls compressed frames and decodes them."""
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.frames_played = 0
-
     def op_play(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
         downstream = req.child(
             op="get_frame",
@@ -121,7 +117,6 @@ class VideoClientComponent(RuntimeComponent):
         frame = resp.payload["frame"]
         if resp.payload.get("compressed"):
             frame = zlib.decompress(frame)
-        self.frames_played += 1
         return ServiceResponse(
             payload={**resp.payload, "frame": frame, "compressed": False},
             size_bytes=256,

@@ -13,7 +13,7 @@ from typing import Any, Dict, Generator, Optional
 
 from .engine import Simulator
 from .events import Event, NodeDownError, Timeout
-from .resources import Monitor, Resource
+from .resources import Resource
 
 __all__ = ["SimNode"]
 
@@ -42,7 +42,6 @@ class SimNode:
         self.cpu_capacity = cpu_capacity
         self.credentials = dict(credentials or {})
         self.cpu = Resource(sim, 1)
-        self.stats = Monitor(f"node:{name}")
         #: components installed here by the runtime, keyed by instance id.
         self.installed: Dict[str, Any] = {}
         #: liveness flag: a crashed node refuses CPU work and deliveries.
@@ -92,7 +91,6 @@ class SimNode:
         if not self.up:
             raise NodeDownError(f"node {self.name} is down")
         sim = self.sim
-        start = sim._now
         # Each event yielded only when the kernel would not dispatch it
         # next to this process anyway (Simulator.take).  One name for
         # both, so a suspended frame keeps at most one dispatched event
@@ -108,7 +106,6 @@ class SimNode:
             self.cpu.release()
         if not self.up:
             raise NodeDownError(f"node {self.name} crashed during execution")
-        self.stats.observe(sim._now - start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimNode {self.name} cap={self.cpu_capacity} installed={len(self.installed)}>"

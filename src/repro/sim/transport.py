@@ -18,7 +18,7 @@ from typing import Any, Generator, Optional
 
 from .engine import Simulator
 from .events import Event, LinkDownError, Timeout
-from .resources import Monitor, Resource
+from .resources import Resource
 
 __all__ = ["SimLink", "SimHalfLink", "transfer_time_ms"]
 
@@ -73,7 +73,6 @@ class SimLink:
         self.name = name or f"{a}<->{b}"
         # One transmit queue per direction (full duplex).
         self._tx = {a: Resource(sim, 1), b: Resource(sim, 1)}
-        self.stats = Monitor(f"link:{self.name}")
         self.bytes_carried = 0
         #: liveness flag: a partitioned link carries no new transfers.
         self.up = True
@@ -115,7 +114,6 @@ class SimLink:
             raise LinkDownError(f"link {self.name} is partitioned")
         tx = self._tx[src if src in self._tx else self.a]
         sim = self.sim
-        start = sim._now
         yield tx.request()
         try:
             yield Timeout(sim, self.serialization_ms(size_bytes))
@@ -125,7 +123,6 @@ class SimLink:
             raise LinkDownError(f"link {self.name} partitioned mid-transfer")
         yield Timeout(sim, self.latency_ms)
         self.bytes_carried += size_bytes
-        self.stats.observe(sim._now - start)
         return payload
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

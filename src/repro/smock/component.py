@@ -151,7 +151,6 @@ class RuntimeComponent:
         self.servers: Dict[str, List[ServerStub]] = {}
         self.latency = Monitor(f"component:{instance_id}")
         self.requests_served = 0
-        self.requests_forwarded = 0
         #: requests past admission and not yet responded; the autonomic
         #: manager's live-migration drain waits for this to hit zero
         #: before retiring the instance
@@ -181,8 +180,7 @@ class RuntimeComponent:
     @property
     def coherence(self):
         """The coherence directory of this instance's service."""
-        bundle = self.bundle if self.bundle is not None else self.runtime.primary
-        return bundle.coherence
+        return self.bundle.coherence
 
     @property
     def label(self) -> str:
@@ -212,7 +210,6 @@ class RuntimeComponent:
         self, interface: str, req: ServiceRequest
     ) -> Generator[Any, Any, ServiceResponse]:
         """Invoke the bound server of ``interface`` (round trip)."""
-        self.requests_forwarded += 1
         resp = yield from self.stub_for(interface).request(req)
         return resp
 

@@ -19,6 +19,7 @@ from ..spec import ViewDef
 from .component import RuntimeComponent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .bundle import ServiceBundle
     from .runtime import SmockRuntime
 
 __all__ = ["Deployer", "DeploymentRecord", "DeploymentError"]
@@ -53,18 +54,16 @@ class Deployer:
         self.deployments: List[DeploymentRecord] = []
 
     def execute(
-        self, plan: DeploymentPlan, bundle: Any = None, parent_span: Any = None
+        self, plan: DeploymentPlan, bundle: "ServiceBundle", parent_span: Any = None
     ) -> Generator[Any, Any, DeploymentRecord]:
         """Process generator: install, wire, and register a plan.
 
         ``bundle`` selects which hosted service's spec/classes/instances
-        apply; defaults to the runtime's primary service.  Traced as a
-        ``deploy`` span with one ``install`` child per freshly installed
-        component (node-attributed, so trace consumers can break §4.2
-        deployment cost down per target host).
+        apply.  Traced as a ``deploy`` span with one ``install`` child
+        per freshly installed component (node-attributed, so trace
+        consumers can break §4.2 deployment cost down per target host).
         """
         runtime = self.runtime
-        bundle = bundle if bundle is not None else runtime.primary
         sim = runtime.sim
         tracer = runtime.obs.tracer
         deploy_span = tracer.start_span(
@@ -201,10 +200,9 @@ class Deployer:
         instance.bundle = bundle
         return instance
 
-    def uninstall(self, placement: Placement, bundle: Any = None) -> None:
+    def uninstall(self, placement: Placement, bundle: "ServiceBundle") -> None:
         """Remove a live instance (used by the replanning extension)."""
         runtime = self.runtime
-        bundle = bundle if bundle is not None else runtime.primary
         instance = bundle.instances.pop(placement.key, None)
         if instance is None:
             return

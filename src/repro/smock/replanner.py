@@ -87,7 +87,6 @@ class ReplanManager:
         self.runtime = runtime
         self.monitor = monitor
         self.incremental = incremental
-        self.bundle = runtime.primary
         self.bindings: List[_Binding] = []
         self.events: List[ReplanEvent] = []
         #: optional :class:`~repro.autonomic.manager.AutonomicManager`
@@ -102,6 +101,12 @@ class ReplanManager:
         #: known, else when the binding first became unservable)
         self._outage_since: Dict[str, float] = {}
         monitor.subscribe(self._on_change)
+
+    @property
+    def bundle(self) -> Any:
+        """The service replanned: the runtime's primary, read per use so a
+        manager built before any service exists follows the first one."""
+        return self.runtime.primary
 
     # -- tracking -----------------------------------------------------------
     def track(self, proxy: ServiceProxy, request: PlanRequest, plan: DeploymentPlan) -> None:

@@ -3,17 +3,19 @@
 Owns the simulator, the materialized network, per-node wrappers, and the
 lookup service — plus one :class:`~repro.smock.bundle.ServiceBundle` per
 hosted service (spec, planner, generic server, coherence directory,
-component classes, live instances).  A runtime constructed with a single
-spec behaves exactly like a single-service deployment; further services
-join via :meth:`add_service`, each with its own generic-server instance
-("spreading out requests for different services among multiple
-instances", §3.2).
+component classes, live instances).  A runtime starts with no service;
+each arrives through :meth:`add_service` with its own generic-server
+instance ("spreading out requests for different services among multiple
+instances", §3.2).  The first service added is the runtime's
+:attr:`~SmockRuntime.primary`, which backs the single-service
+shorthands (``runtime.planner``, ``.coherence``, ``.generic_server``,
+``.instances``, ``.spec``).
 
 Experiments interact almost exclusively with this class::
 
-    runtime = SmockRuntime(spec, network, translator)
-    runtime.register_component("MailServer", MailServerComponent)
-    runtime.register_service("mail", default_interface="ClientInterface")
+    runtime = SmockRuntime(network)
+    runtime.add_service("mail", spec, translator, "ClientInterface",
+                        component_classes=MAIL_COMPONENT_CLASSES)
     runtime.preinstall("MailServer", "newyork-ms")
     proxy = runtime.run(runtime.client_connect("sandiego-client1",
                                                {"User": "Bob"}))
@@ -32,21 +34,15 @@ from ..coherence import (
 )
 from ..network import CredentialTranslator, Network
 from ..obs import Observability, resolve_obs
-from ..planner import (
-    DeploymentPlan,
-    Placement,
-    Planner,
-    PlanningError,
-    PlanRequest,
-)
+from ..planner import DeploymentPlan, Placement, Planner
 from ..sim import Simulator
-from ..spec import ComponentDef, ServiceSpec, ViewDef
+from ..spec import ServiceSpec, ViewDef
 from .bundle import ServiceBundle
 from .component import RuntimeComponent
 from .deployment import Deployer, DeploymentError, DeploymentRecord
 from .leases import LeaseConfig
 from .lookup import LookupService
-from .proxy import BindRecord, GenericProxy, ServiceProxy
+from .proxy import BindRecord, ServiceProxy
 from .server import GenericServer
 from .transport import RuntimeTransport
 from .wrapper import NodeWrapper
@@ -62,16 +58,10 @@ class SmockRuntime:
 
     def __init__(
         self,
-        spec: ServiceSpec,
         network: Network,
-        translator: CredentialTranslator,
         *,
         sim: Optional[Simulator] = None,
-        algorithm: str = "exhaustive",
         server_node: Optional[str] = None,
-        code_base_node: Optional[str] = None,
-        conflict_map: Optional[ConflictMap] = None,
-        view_policy: Optional[Callable[[ViewDef, Any], FlushPolicy]] = None,
         obs: Optional[Observability] = None,
         plan_cache: Any = None,
         telemetry_interval_ms: Optional[float] = None,
@@ -116,8 +106,8 @@ class SmockRuntime:
             lookup_hosts[0] if lookup_hosts
             else server_node or next(iter(network.nodes())).name
         )
+        #: default generic-server host (and code base) of each service
         self.server_node = server_node or self.lookup_node
-        self.code_base_node = code_base_node or self.server_node
 
         #: control-plane availability knobs (see ARCHITECTURE.md
         #: "control-plane availability").  With one lookup host and
@@ -155,19 +145,8 @@ class SmockRuntime:
         self.service_state: Dict[str, Any] = {}
         self._ids = itertools.count(1)
         self._bundles: Dict[str, ServiceBundle] = {}
-
-        # The primary service, constructed from the init arguments; its
-        # public name is assigned at register_service time.
-        self._primary = self._make_bundle(
-            name="__primary__",
-            spec=spec,
-            translator=translator,
-            algorithm=algorithm,
-            server_node=self.server_node,
-            code_base_node=self.code_base_node,
-            conflict_map=conflict_map,
-            view_policy=view_policy,
-        )
+        #: the first service added (see :attr:`primary`)
+        self._primary: Optional[ServiceBundle] = None
 
         #: continuous telemetry (see ARCHITECTURE.md "telemetry
         #: pipeline").  ``None`` constructs nothing — byte-identical to
@@ -198,36 +177,7 @@ class SmockRuntime:
 
             self.autonomic = AutonomicManager(self).attach()
 
-    # -- bundle plumbing ---------------------------------------------------------
-    def _make_bundle(
-        self,
-        name: str,
-        spec: ServiceSpec,
-        translator: CredentialTranslator,
-        algorithm: str,
-        server_node: str,
-        code_base_node: str,
-        conflict_map: Optional[ConflictMap],
-        view_policy: Optional[Callable[[ViewDef, Any], FlushPolicy]],
-    ) -> ServiceBundle:
-        planner = Planner(
-            spec, self.network, translator, algorithm=algorithm, obs=self.obs,
-            plan_cache=self._plan_cache_setting,
-        )
-        bundle = ServiceBundle(
-            name=name,
-            spec=spec,
-            planner=planner,
-            server=None,  # type: ignore[arg-type]  (set right below)
-            coherence=CoherenceDirectory(
-                conflict_map, obs=self.obs, journal=self._make_journal(),
-            ),
-            code_base_node=code_base_node,
-            view_policy=view_policy or (lambda view, instance: NeverPolicy()),
-        )
-        bundle.server = GenericServer(self, server_node, bundle=bundle)
-        return bundle
-
+    # -- services ---------------------------------------------------------------
     def _make_journal(self) -> Optional[Any]:
         """A fresh per-bundle directory journal when the knob is on."""
         if not self.directory_journal:
@@ -238,7 +188,9 @@ class SmockRuntime:
 
     @property
     def primary(self) -> ServiceBundle:
-        """The bundle built from the constructor arguments."""
+        """The first service added; raises before any service exists."""
+        if self._primary is None:
+            raise DeploymentError("no service registered")
         return self._primary
 
     def bundle_for(self, service_name: str) -> ServiceBundle:
@@ -248,76 +200,28 @@ class SmockRuntime:
             raise DeploymentError(f"no service registered as {service_name!r}") from None
 
     def bundles(self) -> List[ServiceBundle]:
-        # Dedup by identity, not dict.fromkeys: ServiceBundle is an
-        # eq-generating dataclass and therefore unhashable.
-        seen: List[ServiceBundle] = []
-        for bundle in self._bundles.values():
-            if not any(bundle is b for b in seen):
-                seen.append(bundle)
-        return seen
+        return list(self._bundles.values())
 
-    # -- single-service compatibility surface (the primary bundle) ---------------
+    # -- single-service shorthands (the primary bundle) ------------------------
     @property
     def spec(self) -> ServiceSpec:
-        return self._primary.spec
+        return self.primary.spec
 
     @property
     def planner(self) -> Planner:
-        return self._primary.planner
+        return self.primary.planner
 
     @property
     def generic_server(self) -> GenericServer:
-        return self._primary.server
+        return self.primary.server
 
     @property
     def coherence(self) -> CoherenceDirectory:
-        return self._primary.coherence
+        return self.primary.coherence
 
     @property
     def instances(self) -> Dict[Tuple, RuntimeComponent]:
-        return self._primary.instances
-
-    @property
-    def component_classes(self) -> Dict[str, Type[RuntimeComponent]]:
-        return self._primary.component_classes
-
-    @property
-    def view_policy(self):
-        return self._primary.view_policy
-
-    @view_policy.setter
-    def view_policy(self, fn) -> None:
-        self._primary.view_policy = fn
-
-    def component_class(self, unit_name: str) -> Type[RuntimeComponent]:
-        return self._primary.component_class(unit_name)
-
-    # -- registration -----------------------------------------------------------
-    def register_component(
-        self, unit_name: str, cls: Type[RuntimeComponent], service: Optional[str] = None
-    ) -> None:
-        """Associate a runtime class with a spec unit."""
-        bundle = self.bundle_for(service) if service else self._primary
-        bundle.spec.unit(unit_name)  # raises if unknown
-        bundle.component_classes[unit_name] = cls
-
-    def register_service(
-        self,
-        name: str,
-        default_interface: str,
-        attributes: Optional[Dict[str, Any]] = None,
-        proxy_code_bytes: int = 60_000,
-    ) -> ServiceBundle:
-        """Step 1 of Figure 1 for the primary service."""
-        self._primary.spec.interface(default_interface)  # raises if unknown
-        self._primary.name = name
-        self._primary.default_interface = default_interface
-        self._bundles[name] = self._primary
-        self.lookup.register(
-            name, attributes, proxy_code_bytes,
-            home_node=self._primary.server.host_node,
-        )
-        return self._primary
+        return self.primary.instances
 
     def add_service(
         self,
@@ -335,33 +239,43 @@ class SmockRuntime:
         attributes: Optional[Dict[str, Any]] = None,
         proxy_code_bytes: int = 60_000,
     ) -> ServiceBundle:
-        """Host an additional service on this runtime.
+        """Host a service on this runtime (step 1 of Figure 1).
 
-        The new service gets its own generic-server instance (optionally
-        on its own host node), planner and coherence directory; the
-        simulator, network and wrappers are shared.
+        The service gets its own generic-server instance (on
+        ``server_node``, else the runtime's), planner and coherence
+        directory; the simulator, network and wrappers are shared.
+        ``component_classes`` maps spec unit names to the runtime
+        classes instantiated for them.  The first service added becomes
+        :attr:`primary`.
         """
         if name in self._bundles:
             raise DeploymentError(f"service {name!r} already registered")
-        spec.interface(default_interface)
-        bundle = self._make_bundle(
+        spec.interface(default_interface)  # raises if unknown
+        classes = dict(component_classes or {})
+        for unit_name in classes:
+            spec.unit(unit_name)  # raises if unknown
+        server_node = server_node or self.server_node
+        bundle = ServiceBundle(
             name=name,
             spec=spec,
-            translator=translator,
-            algorithm=algorithm,
-            server_node=server_node or self.server_node,
-            code_base_node=code_base_node or server_node or self.code_base_node,
-            conflict_map=conflict_map,
-            view_policy=view_policy,
+            planner=Planner(
+                spec, self.network, translator, algorithm=algorithm,
+                obs=self.obs, plan_cache=self._plan_cache_setting,
+            ),
+            server=None,  # type: ignore[arg-type]  (set right below)
+            coherence=CoherenceDirectory(
+                conflict_map, obs=self.obs, journal=self._make_journal(),
+            ),
+            default_interface=default_interface,
+            code_base_node=code_base_node or server_node,
+            component_classes=classes,
+            view_policy=view_policy or (lambda view, instance: NeverPolicy()),
         )
-        bundle.default_interface = default_interface
-        for unit_name, cls in (component_classes or {}).items():
-            spec.unit(unit_name)
-            bundle.component_classes[unit_name] = cls
+        bundle.server = GenericServer(self, server_node, bundle)
         self._bundles[name] = bundle
-        self.lookup.register(
-            name, attributes, proxy_code_bytes, home_node=bundle.server.host_node
-        )
+        if self._primary is None:
+            self._primary = bundle
+        self.lookup.register(name, attributes, proxy_code_bytes, home_node=server_node)
         return bundle
 
     def default_interface(self, service_name: str) -> str:
@@ -380,7 +294,7 @@ class SmockRuntime:
         the primary MailServer in New York.  Registers the instance as
         the coherence primary of its own family.
         """
-        bundle = self.bundle_for(service) if service else self._primary
+        bundle = self.bundle_for(service) if service else self.primary
         placement = bundle.planner.preinstall(unit_name, node)
         unit = bundle.spec.unit(unit_name)
         cls = bundle.component_class(unit_name)
@@ -402,10 +316,9 @@ class SmockRuntime:
         return instance
 
     def register_replica(
-        self, instance: RuntimeComponent, view: ViewDef, bundle: Optional[ServiceBundle] = None
+        self, instance: RuntimeComponent, view: ViewDef, bundle: ServiceBundle
     ) -> None:
         """Hook the deployer calls for each new data-view instance."""
-        bundle = bundle or getattr(instance, "bundle", None) or self._primary
         config = (view.name, tuple(sorted(instance.factor_values.items())))
         policy = bundle.view_policy(view, instance)
         entry = bundle.coherence.register_replica(
@@ -435,9 +348,7 @@ class SmockRuntime:
         """
         tracer = self.obs.tracer
         t0 = self.sim.now
-        name = service or next(iter(self._bundles), None)
-        if name is None:
-            raise DeploymentError("no service registered")
+        name = service or self.primary.name
         span = tracer.start_span(
             "client_connect", client_node=client_node, service=name
         )
@@ -478,7 +389,7 @@ class SmockRuntime:
         SS scenario).  Runs the deployment to completion on the
         simulator.
         """
-        bundle = self.bundle_for(service) if service else self._primary
+        bundle = self.bundle_for(service) if service else self.primary
         proc = self.sim.process(
             self.deployer.execute(plan, bundle), name="manual-deploy"
         )
@@ -563,7 +474,7 @@ class SmockRuntime:
         self, unit_name: str, node: Optional[str] = None, service: Optional[str] = None
     ) -> RuntimeComponent:
         """Find a live instance by unit (and optionally node/service)."""
-        bundle = self.bundle_for(service) if service else self._primary
+        bundle = self.bundle_for(service) if service else self.primary
         for (unit, inode, _factors), inst in bundle.instances.items():
             if unit == unit_name and (node is None or inode == node):
                 return inst

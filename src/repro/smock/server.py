@@ -21,6 +21,7 @@ from ..planner import DeploymentPlan, PlanRequest, PlanningError
 from .deployment import DeploymentRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .bundle import ServiceBundle
     from .runtime import SmockRuntime
 
 __all__ = ["GenericServer", "AccessRecord", "DEFAULT_PLANNING_WORK"]
@@ -55,7 +56,7 @@ class GenericServer:
         self,
         runtime: "SmockRuntime",
         host_node: str,
-        bundle: Any = None,
+        bundle: "ServiceBundle",
     ) -> None:
         self.runtime = runtime
         self.host_node = host_node
@@ -79,7 +80,7 @@ class GenericServer:
         """
         runtime = self.runtime
         sim = runtime.sim
-        bundle = self.bundle if self.bundle is not None else runtime.primary
+        bundle = self.bundle
         tracer = runtime.obs.tracer
         access_span = tracer.start_span(
             "access",

@@ -196,7 +196,6 @@ class RuntimeTransport:
             # The body of SimLink.transfer, on the pre-resolved hop.
             if not link.up:
                 raise LinkDownError(f"link {link.name} is partitioned")
-            hop_start = sim.now
             if inflight is not None:
                 inflight[link.name] = inflight.get(link.name, 0) + size_bytes
             # Each event yielded only when the kernel would not dispatch
@@ -224,7 +223,6 @@ class RuntimeTransport:
                 if inflight is not None:
                     inflight[link.name] -= size_bytes
             link.bytes_carried += size_bytes
-            link.stats.observe(sim.now - hop_start)
             if not arrival.up:
                 raise NodeDownError(
                     f"message {src} -> {dst} arrived at crashed node "

@@ -84,12 +84,11 @@ def test_source_condition_pins_master_to_source_site():
 def test_end_to_end_playback():
     spec = build_video_spec()
     net = build_net(4.0)
-    rt = SmockRuntime(
-        spec, net, video_translator(), server_node="studio", algorithm="exhaustive"
+    rt = SmockRuntime(net, server_node="studio")
+    rt.add_service(
+        "video", spec, video_translator(), "ViewerInterface",
+        component_classes=VIDEO_COMPONENT_CLASSES, algorithm="exhaustive",
     )
-    for name, cls in VIDEO_COMPONENT_CLASSES.items():
-        rt.register_component(name, cls)
-    rt.register_service("video", default_interface="ViewerInterface")
     rt.preinstall("VideoSource", "studio")
 
     proxy = rt.run(rt.client_connect("home", {}))
@@ -110,12 +109,11 @@ def test_end_to_end_playback():
 def test_cache_view_absorbs_repeat_requests():
     spec = build_video_spec()
     net = build_net(4.0)
-    rt = SmockRuntime(
-        spec, net, video_translator(), server_node="studio", algorithm="exhaustive"
+    rt = SmockRuntime(net, server_node="studio")
+    rt.add_service(
+        "video", spec, video_translator(), "ViewerInterface",
+        component_classes=VIDEO_COMPONENT_CLASSES, algorithm="exhaustive",
     )
-    for name, cls in VIDEO_COMPONENT_CLASSES.items():
-        rt.register_component(name, cls)
-    rt.register_service("video", default_interface="ViewerInterface")
     rt.preinstall("VideoSource", "studio")
     proxy = rt.run(rt.client_connect("home", {}))
 

@@ -181,7 +181,7 @@ def test_link_partitioned_mid_serialization_loses_the_transfer():
     assert proc.failed and isinstance(proc.value, LinkDownError)
     assert "mid-transfer" in str(proc.value)
     assert sim.now == 1.0  # failed after serialization, before latency
-    assert link.bytes_carried == 0 and link.stats.count == 0
+    assert link.bytes_carried == 0
     assert link._tx["a"]._in_use == 0  # the transmit slot was released
 
 
@@ -201,7 +201,7 @@ def test_node_crashing_mid_execution_kills_the_job():
     proc = _outcome(sim, node.execute(10.0))
     assert proc.failed and isinstance(proc.value, NodeDownError)
     assert "crashed during execution" in str(proc.value)
-    assert sim.now == 10.0 and node.stats.count == 0
+    assert sim.now == 10.0
     assert node.cpu._in_use == 0
 
 

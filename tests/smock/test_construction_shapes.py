@@ -1,15 +1,19 @@
 """Golden pin of where each runtime construction shape puts its hosts.
 
-For every way the tree builds a :class:`SmockRuntime` — bare, with the
-lookup on the ``server_node``, with one or two ``lookup_hosts`` (and
-leases), through ``build_mail_testbed``, and with a second service on
-its own generic-server host — ``golden/construction_shapes.json`` records the
-lookup node, the server node, the code-base node, each bundle's
-code-base node and generic-server host, and the lookup service's hosts
-(primary first).  The record was taken before the runtime's redundant
-options were retired (its ``"lookup"`` field re-taken, from the same
-tree, when it changed from the lookup's class name to its host list);
-every shape must still resolve exactly as recorded.
+For every way the tree builds a :class:`SmockRuntime` — bare (one
+service added with no placement options), with the lookup on the
+``server_node``, with one or two ``lookup_hosts`` (and leases), through
+``build_mail_testbed``, and with a second service on its own
+generic-server host — ``golden/construction_shapes.json`` records the
+lookup node, the server node, the primary service's code-base node,
+each bundle's code-base node and generic-server host, and the lookup
+service's hosts (primary first).  The record was taken before the
+runtime's redundant options were retired; its ``"lookup"`` field was
+re-taken when it changed from the lookup's class name to its host list,
+and its bundle keys when every service came to arrive through
+``add_service`` under its own name (the first service had been keyed
+by a placeholder until then).  Every node field is as first recorded,
+and every shape must still resolve exactly as recorded.
 
 Regenerate (only when a placement is *meant* to change) with
 ``PYTHONPATH=src python tests/smock/test_construction_shapes.py``.
@@ -32,7 +36,9 @@ GOLDEN = Path(__file__).parent / "golden" / "construction_shapes.json"
 
 def _runtime(**kwargs):
     topo = build_fig5_network(clients_per_site=1)
-    return SmockRuntime(build_mail_spec(), topo.network, mail_translator(), **kwargs)
+    runtime = SmockRuntime(topo.network, **kwargs)
+    runtime.add_service("mail", build_mail_spec(), mail_translator(), "ClientInterface")
+    return runtime
 
 
 def bare():
@@ -56,7 +62,6 @@ def two_lookup_hosts_with_leases():
 
 def second_service_on_a_gateway():
     runtime = _runtime(server_node="newyork-ms")
-    runtime.register_service("mail", default_interface="ClientInterface")
     runtime.add_service(
         "mail2", build_mail_spec(), mail_translator(),
         default_interface="ClientInterface", server_node="newyork-gw",
@@ -91,19 +96,16 @@ SHAPES = {
 
 
 def resolved(runtime):
-    bundles = [runtime.primary] + [
-        b for b in runtime.bundles() if b is not runtime.primary
-    ]
     return {
         "lookup_node": runtime.lookup_node,
         "server_node": runtime.server_node,
-        "code_base_node": runtime.code_base_node,
+        "code_base_node": runtime.primary.code_base_node,
         "bundles": {
             b.name: {
                 "code_base_node": b.code_base_node,
                 "server_node": b.server.host_node,
             }
-            for b in bundles
+            for b in runtime.bundles()
         },
         "lookup": runtime.lookup.hosts,
     }

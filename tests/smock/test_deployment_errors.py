@@ -37,7 +37,7 @@ def test_cyclic_plan_rejected(runtime):
 
 
 def test_missing_component_class_rejected(runtime):
-    runtime.component_classes.pop("Encryptor")
+    runtime.primary.component_classes.pop("Encryptor")
     plan = DeploymentPlan(
         placements=[Placement(unit="Encryptor", node="newyork-client1")],
         linkages=[],
@@ -55,16 +55,16 @@ def test_unknown_service_bundle_rejected(runtime):
 
 def test_client_connect_without_registered_service_rejected():
     from repro.experiments.topology_fig5 import build_fig5_network
-    from repro.services.mail import build_mail_spec, mail_translator
     from repro.smock import SmockRuntime
 
     topo = build_fig5_network(clients_per_site=1)
-    bare = SmockRuntime(build_mail_spec(), topo.network, mail_translator())
+    bare = SmockRuntime(topo.network)
     with pytest.raises(DeploymentError, match="no service registered"):
         bare.run(bare.client_connect(topo.clients["newyork"][0], {"User": "Bob"}))
 
 
-def test_register_component_validates_unit(runtime):
+def test_add_service_validates_component_units(runtime):
+    from repro.services.mail import build_mail_spec, mail_translator
     from repro.smock import RuntimeComponent
     from repro.spec import SpecError
 
@@ -72,11 +72,17 @@ def test_register_component_validates_unit(runtime):
         pass
 
     with pytest.raises(SpecError):
-        runtime.register_component("NotAUnit", X)
+        runtime.add_service(
+            "again", build_mail_spec(), mail_translator(), "ClientInterface",
+            component_classes={"NotAUnit": X},
+        )
+    assert "again" not in {b.name for b in runtime.bundles()}
 
 
-def test_register_service_validates_interface(runtime):
+def test_add_service_validates_interface(runtime):
+    from repro.services.mail import build_mail_spec, mail_translator
     from repro.spec import SpecError
 
     with pytest.raises(SpecError):
-        runtime.register_service("again", default_interface="Bogus")
+        runtime.add_service("again", build_mail_spec(), mail_translator(), "Bogus")
+    assert "again" not in {b.name for b in runtime.bundles()}

@@ -26,10 +26,11 @@ def build_world(front_cls, back_cls):
     net.add_node("a")
     net.add_node("b")
     net.add_link("a", "b", latency_ms=5)
-    rt = SmockRuntime(spec, net, FunctionTranslator(), server_node="b")
-    rt.register_component("FrontUnit", front_cls)
-    rt.register_component("BackUnit", back_cls)
-    rt.register_service("svc", default_interface="Front")
+    rt = SmockRuntime(net, server_node="b")
+    rt.add_service(
+        "svc", spec, FunctionTranslator(), "Front",
+        component_classes={"FrontUnit": front_cls, "BackUnit": back_cls},
+    )
     rt.preinstall("BackUnit", "b")
     proxy = rt.run(rt.client_connect("a"))
     return rt, proxy

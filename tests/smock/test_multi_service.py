@@ -21,7 +21,8 @@ from repro.services.video import (
     build_video_spec,
     video_translator,
 )
-from repro.smock import SmockRuntime
+from repro.planner import DeploymentPlan, Placement
+from repro.smock import DeploymentError, SmockRuntime
 from repro.coherence import AttributeConflictMap
 
 
@@ -35,18 +36,17 @@ def runtime():
         node.credentials.setdefault("source_site", False)
         node.credentials.setdefault("popularity", 3)
 
-    rt = SmockRuntime(
+    rt = SmockRuntime(topo.network, server_node=topo.server_node)
+    rt.service_state["mail_users"] = DEFAULT_USERS
+    rt.add_service(
+        "mail",
         build_mail_spec(),
-        topo.network,
         mail_translator(),
+        default_interface="ClientInterface",
+        component_classes=MAIL_COMPONENT_CLASSES,
         algorithm="dp_chain",
-        server_node=topo.server_node,
         conflict_map=AttributeConflictMap("sensitivity", "TrustLevel"),
     )
-    rt.service_state["mail_users"] = DEFAULT_USERS
-    for name, cls in MAIL_COMPONENT_CLASSES.items():
-        rt.register_component(name, cls)
-    rt.register_service("mail", default_interface="ClientInterface")
     rt.preinstall("MailServer", topo.server_node)
 
     rt.add_service(
@@ -109,8 +109,6 @@ def test_instance_registries_are_isolated(runtime):
 
 
 def test_duplicate_service_name_rejected(runtime):
-    from repro.smock import DeploymentError
-
     with pytest.raises(DeploymentError):
         runtime.add_service(
             "mail", build_video_spec(), video_translator(), "ViewerInterface"
@@ -123,3 +121,73 @@ def test_coherence_directories_do_not_cross_talk(runtime):
     video_coherence = runtime.bundle_for("video").coherence
     assert mail_coherence.replicas_of("MailServer")
     assert not video_coherence.replicas_of("MailServer")
+
+
+def test_first_service_added_is_the_primary(runtime):
+    mail = runtime.bundle_for("mail")
+    assert runtime.primary is mail
+    assert [b.name for b in runtime.bundles()] == ["mail", "video"]
+    assert runtime.planner is mail.planner
+    assert runtime.coherence is mail.coherence
+    assert runtime.generic_server is mail.server
+    assert runtime.instances is mail.instances
+    assert runtime.spec is mail.spec
+
+
+def test_second_service_bootstraps_through_service_keyword(runtime):
+    video = runtime.bundle_for("video")
+    # the fixture's preinstall(service="video") landed in video's
+    # registry and coherence directory alone
+    source = runtime.instance_of("VideoSource", "newyork-ms", service="video")
+    assert source.bundle is video
+    assert video.coherence._primaries["VideoSource"] is source
+    assert "VideoSource" not in runtime.primary.coherence._primaries
+    assert not any(k[0] == "VideoSource" for k in runtime.primary.instances)
+    plan = DeploymentPlan(
+        placements=[Placement(unit="VideoClient", node="sandiego-client2")],
+        linkages=[],
+        root=0,
+        client_node="sandiego-client2",
+    )
+    record = runtime.deploy_manual(plan, service="video")
+    client = runtime.instance_of("VideoClient", "sandiego-client2", service="video")
+    assert record.root_instance is client
+    assert client.bundle is video
+    assert client.node_name == "sandiego-client2"
+    with pytest.raises(KeyError):
+        runtime.instance_of("VideoClient")  # the primary (mail) has none
+
+
+def test_runtime_without_a_service_refuses_primary_and_connect():
+    topo = build_fig5_network(clients_per_site=1)
+    bare = SmockRuntime(topo.network)
+    assert bare.bundles() == []
+    with pytest.raises(DeploymentError, match="no service registered"):
+        bare.primary
+    with pytest.raises(DeploymentError, match="no service registered"):
+        bare.run(bare.client_connect(topo.clients["newyork"][0], {"User": "Bob"}))
+
+
+def test_autonomic_runtime_takes_its_first_service_after_construction():
+    # The autonomic loop builds its replanner in the constructor, before
+    # any service exists; it must plan with the service added later.
+    topo = build_fig5_network(clients_per_site=1)
+    runtime = SmockRuntime(topo.network, server_node=topo.server_node, autonomic=True)
+    assert runtime.replanner is not None
+    runtime.service_state["mail_users"] = DEFAULT_USERS
+    mail = runtime.add_service(
+        "mail", build_mail_spec(), mail_translator(), "ClientInterface",
+        component_classes=MAIL_COMPONENT_CLASSES, algorithm="dp_chain",
+    )
+    runtime.preinstall("MailServer", topo.server_node)
+    proxy = runtime.run(runtime.client_connect("sandiego-client1", {"User": "Bob"}))
+    assert proxy.root.unit.name == "MailClient"
+
+    replanner = runtime.replanner
+    replanner.track_access(proxy, runtime.generic_server.accesses[-1])
+    searched = []
+    run_search = mail.planner.run_search
+    mail.planner.run_search = lambda *a, **kw: searched.append(1) or run_search(*a, **kw)
+    event = runtime.run(replanner.replan_all())
+    assert searched == [1]
+    assert not event.failures

@@ -75,7 +75,11 @@ def tiny_runtime():
     )
     spec.validate()
     net = line_network()
-    rt = SmockRuntime(spec, net, FunctionTranslator(), server_node="a")
+    rt = SmockRuntime(net, server_node="a")
+    rt.add_service(
+        "svc", spec, FunctionTranslator(), "I",
+        component_classes={"Unit": UnitComponent},
+    )
     return spec, rt
 
 
@@ -87,7 +91,6 @@ class UnitComponent(RuntimeComponent):
 
 def test_wrapper_install_downloads_code_and_charges_startup():
     spec, rt = tiny_runtime()
-    rt.register_component("Unit", UnitComponent)
     wrapper = rt.wrappers["c"]
 
     def install():
@@ -107,7 +110,6 @@ def test_wrapper_install_downloads_code_and_charges_startup():
 
 def test_wrapper_local_code_skips_download():
     spec, rt = tiny_runtime()
-    rt.register_component("Unit", UnitComponent)
     wrapper = rt.wrappers["a"]
 
     def install():
@@ -123,7 +125,6 @@ def test_wrapper_local_code_skips_download():
 
 def test_wrapper_connect_and_uninstall():
     spec, rt = tiny_runtime()
-    rt.register_component("Unit", UnitComponent)
     wa, wb = rt.wrappers["a"], rt.wrappers["b"]
 
     def install_two():
@@ -150,7 +151,6 @@ def test_wrapper_connect_and_uninstall():
 
 def test_component_without_binding_fails_cleanly():
     spec, rt = tiny_runtime()
-    rt.register_component("Unit", UnitComponent)
     wrapper = rt.wrappers["a"]
 
     def install():
