@@ -305,7 +305,6 @@ class TelemetrySampler:
         self._series: Dict[Tuple[str, LabelKey], TimeSeries] = {}
         self._probes: List[Tuple[TimeSeries, Callable[[], Optional[float]]]] = []
         self._scans: List[Callable[[float], None]] = []
-        self._service_state: Dict[str, Tuple[int, float]] = {}
 
     # -- series and probe registration --------------------------------------
     def series(self, name: str, **labels: Any) -> TimeSeries:
@@ -391,6 +390,7 @@ class TelemetrySampler:
         dirty-buffer depth, and retry/timeout/replan rates."""
         transport = runtime.transport
         transport.enable_telemetry()
+        runtime.records_service_times = True
         for name, node in transport.nodes.items():
             self.watch_resource(node.cpu, "node.cpu_queue_depth", node=name)
             self.watch_utilization(node.cpu, "node.cpu_utilization", node=name)
@@ -429,21 +429,19 @@ class TelemetrySampler:
         return scan
 
     def _make_component_scan(self, runtime: Any) -> Callable[[float], None]:
-        """Per-component service time: mean of the latency samples that
-        arrived since the previous tick (instances appear dynamically as
-        deployments land, so this rescans rather than pre-registering)."""
-        state = self._service_state
+        """Per-component service time: mean of the service times an
+        instance collected since the previous tick, which the scan takes
+        (instances appear dynamically as deployments land, so this
+        rescans rather than pre-registering)."""
 
         def scan(now: float) -> None:
             for bundle in runtime.bundles():
                 for inst in bundle.instances.values():
-                    samples = inst.latency.samples
-                    seen, _prev_mean = state.get(inst.instance_id, (0, 0.0))
-                    fresh = samples[seen:]
+                    fresh = inst.service_times
                     if not fresh:
                         continue
+                    inst.service_times = []
                     mean = sum(fresh) / len(fresh)
-                    state[inst.instance_id] = (len(samples), mean)
                     self.series(
                         "component.service_ms",
                         unit=inst.unit.name,

@@ -31,7 +31,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from ...coherence import Update, last_writer_wins
 from ...smock import RuntimeComponent, ServiceRequest, ServiceResponse
 from .crypto import CIPHER_OVERHEAD_BYTES, CryptoError, KeyRing, decrypt, derive_key, encrypt
-from .mailstore import ENVELOPE_BYTES, MailStore, StoredMessage, total_size_bytes
+from .mailstore import ENVELOPE_BYTES, MailStore, StoredMessage
 
 __all__ = [
     "MailServerComponent",
@@ -141,10 +141,12 @@ class _StoreBase(RuntimeComponent):
         )
 
     @staticmethod
-    def _messages_response(messages: List[StoredMessage]) -> ServiceResponse:
+    def _messages_response(answer: Tuple[List[StoredMessage], int]) -> ServiceResponse:
+        """Respond with a :meth:`MailStore.fetch_sized` answer."""
+        messages, size_bytes = answer
         return ServiceResponse(
             payload={"messages": messages, "count": len(messages)},
-            size_bytes=total_size_bytes(messages) + 256,
+            size_bytes=size_bytes + 256,
         )
 
     def op_sync_prepare(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
@@ -178,7 +180,7 @@ class MailServerComponent(_StoreBase):
 
     def op_fetch_mail(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
         user, since_id, max_s = self._fetch_args(req)
-        return self._messages_response(self.store.fetch(user, since_id, max_s))
+        return self._messages_response(self.store.fetch_sized(user, since_id, max_s))
         yield  # pragma: no cover - generator marker
 
     def op_sync_batch(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
@@ -548,7 +550,7 @@ class ViewMailServerComponent(_StoreBase):
             max_s is not None and max_s > self.trust_level
         )
         if not needs_upstream:
-            return self._messages_response(self.store.fetch(user, since_id, max_s))
+            return self._messages_response(self.store.fetch_sized(user, since_id, max_s))
         # Miss path: fetch through the planned upstream linkage.
         self.upstream_forwards += 1
         resp = yield from self.call("ServerInterface", req)
@@ -567,7 +569,7 @@ class ViewMailServerComponent(_StoreBase):
             # The user stays marked stale, so the next reachable fetch
             # re-validates.
             self.coherence.note_degraded_read(self.unit.represents)
-            return self._messages_response(self.store.fetch(user, since_id, max_s))
+            return self._messages_response(self.store.fetch_sized(user, since_id, max_s))
         return resp
 
     def op_create_folder(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
@@ -809,7 +811,10 @@ class MailClientComponent(RuntimeComponent):
         did not hold is decrypted.  A message is a frozen object and a
         user's keyring is never replaced, so when the answer starts with
         the very objects of that last answer, their bodies are the ones
-        decrypted then; any other answer is decrypted in full.
+        decrypted then; any other answer is decrypted in full.  An answer
+        relayed through an Encryptor/Decryptor pair holds those very
+        objects too: a message unpickles to the live instance with the
+        same fields (see :mod:`~repro.services.mail.mailstore`).
         """
         self.fetches += 1
         user = req.user or req.payload.get("user", "")

@@ -9,11 +9,26 @@ The same store class backs both the primary ``MailServer`` (unbounded
 sensitivity) and ``ViewMailServer`` data views (``max_sensitivity``
 bound): a view's store refuses messages above its bound, which is the
 state-subset semantics the planner's trust conditions protect.
+
+Reads do not rebuild what is already in memory:
+
+- A message unpickles (the Encryptor -> Decryptor relay) to the live
+  instance with the same fields when one exists, so a relayed answer is
+  made of the very objects the store holds and the client's
+  identity-keyed read memo hits on it.  ``_live`` holds, weakly and by
+  id, every message pickled so far (a message that never crosses a
+  relay costs nothing); a restore whose fields differ from the live
+  one's, or whose id no live message carries, constructs a new message,
+  validated as any other.
+- A mailbox keeps, per sensitivity bound, its last full-inbox answer
+  and that answer's byte size until the inbox next changes
+  (:meth:`Mailbox.file` into the inbox, :meth:`MailStore.move_message`).
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -32,12 +47,37 @@ ENVELOPE_BYTES = 96
 _message_ids = itertools.count(1)
 
 
+class _LiveRef(weakref.ref):
+    """A weak reference to a pickled message, carrying its ``_live`` key."""
+
+    __slots__ = ("msg_id",)
+
+
+def _forget(ref: _LiveRef) -> None:
+    """Weak-reference callback: the message died, drop its entry."""
+    if _live.get(ref.msg_id) is ref:
+        del _live[ref.msg_id]
+
+
+#: msg_id -> the first live message pickled with that id, held weakly.
+#: A plain dict of reference subclasses rather than a
+#: ``WeakValueDictionary``: registering and looking up stay in C.
+_live: Dict[int, _LiveRef] = {}
+
+
 class MailStoreError(ValueError):
     """Unknown account, sensitivity violation, or malformed message."""
 
 
+class _WeakReferable:
+    """Gives a slotted subclass a ``__weakref__`` slot (what
+    ``dataclass(weakref_slot=True)`` does from Python 3.11 on)."""
+
+    __slots__ = ("__weakref__",)
+
+
 @dataclass(frozen=True, slots=True)
-class StoredMessage:
+class StoredMessage(_WeakReferable):
     """One e-mail message as held by a store (body already encrypted)."""
 
     sender: str
@@ -51,18 +91,41 @@ class StoredMessage:
             raise MailStoreError(f"sensitivity out of range: {self.sensitivity}")
 
     def __reduce__(self) -> Tuple[Any, ...]:
-        # Constructor + field tuple: pickle stays in C (the slotted-
+        # Restore function + field tuple: pickle stays in C (the slotted-
         # dataclass default walks ``dataclasses.fields()`` per object in
-        # each direction), ``__post_init__`` validates on arrival, and
-        # the id passed through means loading never draws a fresh one.
+        # each direction), and the id passed through means loading never
+        # draws a fresh one.  Only ``_live`` refers to a message weakly,
+        # so no weak reference means not registered yet.
+        if self.__weakref__ is None:
+            ref = _LiveRef(self, _forget)
+            ref.msg_id = self.msg_id
+            _live.setdefault(self.msg_id, ref)
         return (
-            self.__class__,
+            _restore_message,
             (self.sender, self.recipient, self.sensitivity, self.body, self.msg_id),
         )
 
     @property
     def size_bytes(self) -> int:
         return len(self.body) + ENVELOPE_BYTES
+
+
+def _restore_message(
+    sender: str, recipient: str, sensitivity: int, body: bytes, msg_id: int
+) -> StoredMessage:
+    """Unpickle: the live message with exactly these fields, else a new
+    one (whose ``__post_init__`` validates the fields)."""
+    ref = _live.get(msg_id)
+    live = ref() if ref is not None else None
+    if (
+        live is not None
+        and live.body == body
+        and live.sender == sender
+        and live.recipient == recipient
+        and live.sensitivity == sensitivity
+    ):
+        return live
+    return StoredMessage(sender, recipient, sensitivity, body, msg_id)
 
 
 def total_size_bytes(messages: Sequence[StoredMessage]) -> int:
@@ -84,6 +147,10 @@ class Mailbox:
     its id is in ``ids``.  Messages enter through :meth:`file` only and
     never leave (a move changes the folder, not the mailbox), so the
     invariant needs no other upkeep.
+
+    ``answers`` maps a sensitivity bound to the inbox messages within it
+    and their total size, as :meth:`MailStore.fetch_sized` last computed
+    them; whatever changes the inbox clears it.
     """
 
     folders: Dict[str, List[StoredMessage]] = field(
@@ -91,6 +158,9 @@ class Mailbox:
     )
     contacts: List[str] = field(default_factory=list)
     ids: Set[int] = field(init=False)
+    answers: Dict[Optional[int], Tuple[List[StoredMessage], int]] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.ids = {msg.msg_id for folder in self.folders.values() for msg in folder}
@@ -99,6 +169,8 @@ class Mailbox:
         """Append ``message`` to ``folder`` and index it."""
         self.folders[folder].append(message)
         self.ids.add(message.msg_id)
+        if folder == "inbox":
+            self.answers.clear()
 
     @property
     def inbox(self) -> List[StoredMessage]:
@@ -177,6 +249,7 @@ class MailStore:
                         return msg
                     folder.pop(i)
                     target.append(msg)  # same mailbox: ``ids`` is unaffected
+                    box.answers.clear()
                     return msg
         raise MailStoreError(f"{user!r} has no message {msg_id}")
 
@@ -227,15 +300,36 @@ class MailStore:
         max_sensitivity: Optional[int] = None,
     ) -> List[StoredMessage]:
         """Inbox messages newer than ``since_id`` within the bound."""
+        return self.fetch_sized(user, since_id, max_sensitivity)[0]
+
+    def fetch_sized(
+        self,
+        user: str,
+        since_id: int = 0,
+        max_sensitivity: Optional[int] = None,
+    ) -> Tuple[List[StoredMessage], int]:
+        """:meth:`fetch` and the answer's :func:`total_size_bytes`.
+
+        A full-inbox answer (``since_id == 0``) comes from the mailbox's
+        ``answers`` while the inbox is unchanged; the caller always gets
+        its own list.
+        """
         box = self.ensure_account(user)
         bound = max_sensitivity
         if self.max_sensitivity is not None:
             bound = min(bound, self.max_sensitivity) if bound is not None else self.max_sensitivity
-        return [
+        if since_id == 0:
+            answer = box.answers.get(bound)
+            if answer is None:
+                messages = [m for m in box.inbox if bound is None or m.sensitivity <= bound]
+                answer = box.answers[bound] = (messages, total_size_bytes(messages))
+            return answer[0][:], answer[1]
+        messages = [
             m
             for m in box.inbox
             if m.msg_id > since_id and (bound is None or m.sensitivity <= bound)
         ]
+        return messages, total_size_bytes(messages)
 
     def __len__(self) -> int:
         return len(self._accounts)

@@ -18,7 +18,6 @@ from typing import Any, Callable, Dict, Generator, List, TYPE_CHECKING
 
 from ..network import NetworkError
 from ..sim import FaultError, NodeDownError, SimNode, Simulator
-from ..sim.resources import Monitor
 from ..spec import ComponentDef
 from .messages import RequestError, ServiceRequest, ServiceResponse
 
@@ -149,7 +148,10 @@ class RuntimeComponent:
         self.bundle: Any = None
         #: interface name -> bound stub(s); the first stub is the default
         self.servers: Dict[str, List[ServerStub]] = {}
-        self.latency = Monitor(f"component:{instance_id}")
+        #: service times (sim ms) of the requests served since the
+        #: telemetry scan last took them; kept only while the runtime
+        #: ``records_service_times`` (a TelemetrySampler is attached)
+        self.service_times: List[float] = []
         self.requests_served = 0
         #: requests past admission and not yet responded; the autonomic
         #: manager's live-migration drain waits for this to hit zero
@@ -254,7 +256,8 @@ class RuntimeComponent:
         finally:
             self.inflight -= 1
         self.requests_served += 1
-        self.latency.observe(sim.now - start)
+        if self.runtime.records_service_times:
+            self.service_times.append(sim.now - start)
         return resp
 
     def dispatch(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:

@@ -10,14 +10,15 @@ two configurations".
 
 :class:`ReplanManager` implements that loop:
 
-1. it tracks every active client binding (proxy + original request);
+1. it tracks every active client binding (proxy + original request),
+   each with the service it binds to;
 2. a monitor subscription fires on any observed change; a replanning
    process is scheduled (debounced to one per observation burst);
-3. each binding is re-planned against the updated network; bindings
-   whose optimal plan changed are redeployed *incrementally* — new
-   placements install first, the proxy is re-bound, and obsolete
-   instances are retired only after their coherence buffers have been
-   flushed upstream (state preservation);
+3. each binding is re-planned by its own service's planner against the
+   updated network; bindings whose optimal plan changed are redeployed
+   *incrementally* — new placements install first, the proxy is
+   re-bound, and obsolete instances are retired only after their
+   coherence buffers have been flushed upstream (state preservation);
 4. placements shared with unaffected bindings survive untouched.
 
 Failover extension: when the observed change is a *node-death*
@@ -65,6 +66,8 @@ class _Binding:
     proxy: ServiceProxy
     request: PlanRequest
     plan: DeploymentPlan
+    #: the hosted service (``ServiceBundle``) the binding belongs to
+    bundle: Any
 
 
 class ReplanManager:
@@ -102,16 +105,10 @@ class ReplanManager:
         self._outage_since: Dict[str, float] = {}
         monitor.subscribe(self._on_change)
 
-    @property
-    def bundle(self) -> Any:
-        """The service replanned: the runtime's primary, read per use so a
-        manager built before any service exists follows the first one."""
-        return self.runtime.primary
-
     # -- tracking -----------------------------------------------------------
     def track(self, proxy: ServiceProxy, request: PlanRequest, plan: DeploymentPlan) -> None:
         """Register an active binding for future replanning."""
-        self.bindings.append(_Binding(proxy, request, plan))
+        self.bindings.append(_Binding(proxy, request, plan, proxy.root.bundle))
 
     def track_access(self, proxy: ServiceProxy, access: Any) -> None:
         """Convenience: track from a GenericServer access record."""
@@ -173,36 +170,27 @@ class ReplanManager:
     def _replan_round(
         self, trigger: Optional[ChangeEvent]
     ) -> Generator[Any, Any, ReplanEvent]:
+        """One round: the primary service, then every other service with
+        a tracked binding, each replanned by its own planner."""
         runtime = self.runtime
-        bundle = self.bundle
-        planner = bundle.planner
         event = ReplanEvent(time_ms=runtime.sim.now, trigger=trigger)
         autonomic = self.autonomic
         if autonomic is not None:
             autonomic.on_round_start(trigger)
 
         # Control-plane takeover: the coherence directory's own host
-        # died.  Rebuild the directory from its journal on a surviving
-        # node *before* reconciling, so the rest of the round —
-        # report_lost, retirement flushes, anti-entropy — runs against
-        # the successor.  Ground truth (is the directory host down *now*)
-        # rather than the trigger event: the round's trigger is only the
-        # first event of a detection burst, and the directory host's
-        # death may arrive debounced behind a sibling event.  Requires
-        # the ``directory_host`` + ``directory_journal`` knobs; without
-        # them a directory-host death is an ordinary node death.
-        directory_host = runtime.directory_host
+        # died.  Ground truth (is the directory host down *now*) rather
+        # than the trigger event: the round's trigger is only the first
+        # event of a detection burst, and the directory host's death may
+        # arrive debounced behind a sibling event.  Requires the
+        # ``directory_host`` + ``directory_journal`` knobs; without them
+        # a directory-host death is an ordinary node death.
+        crashed_directory_host = runtime.directory_host
         if (
-            directory_host is not None
-            and bundle.coherence.journal is not None
-            and not runtime.transport.node(directory_host).up
+            crashed_directory_host is not None
+            and runtime.transport.node(crashed_directory_host).up
         ):
-            self._takeover_directory(directory_host)
-
-        # Failover preamble: drop dead-host instances from the runtime's
-        # registries before planning, so the planner state seeded below
-        # reflects reality and retirement never routes traffic to them.
-        self._reconcile_failed_instances(event)
+            crashed_directory_host = None
 
         # Ground-truth crash instant behind this round's trigger, if the
         # trigger is a death detection — anchors recovery-time tracking.
@@ -217,12 +205,54 @@ class ReplanManager:
                 runtime.transport.node(trigger.subject), "crashed_at_ms", None
             )
 
+        for i, bundle in enumerate(runtime.bundles()):
+            bindings = [b for b in self.bindings if b.bundle is bundle]
+            # The primary's round runs with no binding tracked too: it
+            # still reconciles dead hosts and retires untracked chains.
+            if bindings or i == 0:
+                yield from self._replan_service(
+                    bundle, bindings, trigger, trigger_crash, crashed_directory_host, event
+                )
+
+        self.events.append(event)
+        self._observe_round(event)
+        if autonomic is not None:
+            autonomic.on_round_end(event)
+        return event
+
+    def _replan_service(
+        self,
+        bundle: Any,
+        bindings: List[_Binding],
+        trigger: Optional[ChangeEvent],
+        trigger_crash: Optional[float],
+        crashed_directory_host: Optional[str],
+        event: ReplanEvent,
+    ) -> Generator[Any, Any, None]:
+        """One service's part of a round: replan ``bindings`` (those
+        tracked on ``bundle``) and record what changed in ``event``."""
+        runtime = self.runtime
+        planner = bundle.planner
+        autonomic = self.autonomic
+
+        # Rebuild a dead host's directory from its journal on a surviving
+        # node *before* reconciling, so the rest of the round —
+        # report_lost, retirement flushes, anti-entropy — runs against
+        # the successor.
+        if crashed_directory_host is not None and bundle.coherence.journal is not None:
+            self._takeover_directory(bundle, crashed_directory_host)
+
+        # Failover preamble: drop dead-host instances from the runtime's
+        # registries before planning, so the planner state seeded below
+        # reflects reality and retirement never routes traffic to them.
+        self._reconcile_failed_instances(bundle, event)
+
         # Re-plan each binding against a state seeded with primaries and
         # (incrementally) the kept/new placements of earlier bindings —
         # later bindings can reuse what earlier ones keep.
         state = DeploymentState()
         for placement in planner.state.placements():
-            if placement.key in bundle.instances and self._is_primary(placement):
+            if placement.key in bundle.instances and _is_primary(bundle, placement):
                 state.add(placement)
 
         # Liveness triggers (a host died or came back) patch around the
@@ -237,7 +267,7 @@ class ReplanManager:
         installed_keys = set(bundle.instances.keys())
 
         new_plans: List[Optional[DeploymentPlan]] = []
-        for binding in self.bindings:
+        for binding in bindings:
             try:
                 if seed_from_previous:
                     plan = planner.replan_incremental(
@@ -265,7 +295,7 @@ class ReplanManager:
 
         # Compute the new desired placement-key set.
         desired: Set[Tuple] = set()
-        for binding, plan in zip(self.bindings, new_plans):
+        for binding, plan in zip(bindings, new_plans):
             if plan is not None:
                 desired.update(p.key for p in plan.placements)
             elif autonomic is not None:
@@ -275,11 +305,11 @@ class ReplanManager:
                 # its current placements until a later round succeeds.
                 desired.update(p.key for p in binding.plan.placements)
         for placement in planner.state.placements():
-            if placement.key in bundle.instances and self._is_primary(placement):
+            if placement.key in bundle.instances and _is_primary(bundle, placement):
                 desired.add(placement.key)
 
         # Deploy changed bindings (install new placements, rebind proxies).
-        for binding, plan in zip(list(self.bindings), new_plans):
+        for binding, plan in zip(bindings, new_plans):
             if plan is None:
                 continue
             if self._same_structure(binding.plan, plan) and all(
@@ -325,19 +355,14 @@ class ReplanManager:
             event.retired.append(instance.label)
 
         # Anti-entropy: replay recovered buffers, re-converge replicas.
-        yield from self._anti_entropy(trigger)
+        yield from self._anti_entropy(bundle, trigger)
 
         # Rebuild the planner's deployment state to match reality.
         planner.state = state
-        self.events.append(event)
-        self._observe_round(event)
-        if autonomic is not None:
-            autonomic.on_round_end(event)
-        return event
 
     # -- anti-entropy ------------------------------------------------------------
     def _anti_entropy(
-        self, trigger: Optional[ChangeEvent]
+        self, bundle: Any, trigger: Optional[ChangeEvent]
     ) -> Generator[Any, Any, None]:
         """Re-converge coherence state after the round's registry changes.
 
@@ -348,7 +373,7 @@ class ReplanManager:
         ``report_lost`` at their primaries
         (:meth:`CoherenceDirectory.reconcile`).
         """
-        directory = self.bundle.coherence
+        directory = bundle.coherence
         recovery = (
             trigger is not None
             and trigger.kind in ("node", "link")
@@ -356,7 +381,7 @@ class ReplanManager:
             and bool(trigger.new)
         )
         if recovery:
-            for instance in self.bundle.dirty_replicas():
+            for instance in bundle.dirty_replicas():
                 try:
                     yield from instance._sync()
                 except (NetworkError, FaultError):
@@ -368,8 +393,8 @@ class ReplanManager:
                 metrics.inc("coherence.reconcile.passes")
 
     # -- directory takeover -------------------------------------------------------
-    def _takeover_directory(self, crashed_host: str) -> None:
-        """Move the coherence directory to a surviving host.
+    def _takeover_directory(self, bundle: Any, crashed_host: str) -> None:
+        """Move ``bundle``'s coherence directory to a surviving host.
 
         The successor rebuilds registrations, per-store version-vector
         frontiers, and outstanding anti-entropy stashes from the
@@ -382,7 +407,6 @@ class ReplanManager:
         from ..coherence.journal import recover_directory
 
         runtime = self.runtime
-        bundle = self.bundle
         old = bundle.coherence
         new_host = self._elect_directory_host(exclude=crashed_host)
         recovered, report = recover_directory(old.journal, old, runtime.sim.now)
@@ -420,8 +444,8 @@ class ReplanManager:
         return runtime.server_node  # nothing is up; park on the primary
 
     # -- failover reconciliation -------------------------------------------------
-    def _reconcile_failed_instances(self, event: ReplanEvent) -> None:
-        """Purge registries of instances whose host is dead.
+    def _reconcile_failed_instances(self, bundle: Any, event: ReplanEvent) -> None:
+        """Purge ``bundle``'s registries of instances whose host is dead.
 
         An instance is gone if fault injection flagged it ``failed`` or
         the failure detector declared its node down.  Dirty coherence
@@ -430,7 +454,6 @@ class ReplanManager:
         anti-entropy replay, rather than silently discarded.
         """
         runtime = self.runtime
-        bundle = self.bundle
         network = runtime.network
         for key in list(bundle.instances.keys()):
             instance = bundle.instances[key]
@@ -486,14 +509,15 @@ class ReplanManager:
             )
 
     # -- helpers ----------------------------------------------------------------
-    def _is_primary(self, placement: Placement) -> bool:
-        """Placements registered as coherence primaries are permanent."""
-        unit = self.bundle.spec.unit(placement.unit)
-        return not unit.is_view and unit.is_terminal
-
     @staticmethod
     def _same_structure(a: DeploymentPlan, b: DeploymentPlan) -> bool:
         return {p.key for p in a.placements} == {p.key for p in b.placements}
+
+
+def _is_primary(bundle: Any, placement: Placement) -> bool:
+    """Placements registered as coherence primaries are permanent."""
+    unit = bundle.spec.unit(placement.unit)
+    return not unit.is_view and unit.is_terminal
 
 
 #: placeholder trigger meaning "re-run requested while busy, cause unknown"

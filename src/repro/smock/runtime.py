@@ -154,6 +154,9 @@ class SmockRuntime:
         #: that-many simulated ms.
         self.flight = flight
         self.sampler: Optional[Any] = None
+        #: components keep their service times only for an attached
+        #: sampler's per-tick scan (set by ``attach_runtime``)
+        self.records_service_times = False
         #: autonomic loop (see repro.autonomic): ``False`` constructs
         #: nothing — byte-identical runs; ``True`` implies telemetry
         #: (defaulting the sampler to 500 ms when the caller did not

@@ -2,12 +2,17 @@
 
 ``StoredMessage`` and ``coherence.Update`` are what crosses the
 Encryptor -> Decryptor relay by ``pickle``; both define ``__reduce__``
-(constructor + field tuple) so that stays in C.  The merge is
-``MailStore.absorb`` over the mailbox id index; the per-message set
-rebuild it replaced survives here only, as the differential's reference.
+(a callable + field tuple) so that stays in C.  A message unpickles to
+the live instance with the same fields when there is one, and to a new,
+validated message otherwise.  The merge is ``MailStore.absorb`` over the
+mailbox id index; the per-message set rebuild it replaced survives here
+only, as the differential's reference.  The same differential checks
+every fetch, which a full-inbox read answers from the mailbox's last
+scan, against a fresh scan of plain lists.
 """
 
 import dataclasses
+import operator
 import pickle
 from typing import Dict, List
 
@@ -17,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.coherence import Update
 from repro.experiments.mail_setup import build_mail_testbed
 from repro.services.mail import MailStore, MailStoreError, StoredMessage, mailstore
+from repro.services.mail.mailstore import total_size_bytes
 
 PROTOCOLS = range(2, pickle.HIGHEST_PROTOCOL + 1)
 
@@ -53,6 +59,46 @@ def test_wire_types_round_trip(protocol):
     bare = Update(op="create_folder", attributes={"user": "Bob", "folder": "f"})
     assert pickle.loads(pickle.dumps(bare, protocol)) == bare
     assert pickle.loads(pickle.dumps(bare, protocol)).origin is None
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_live_message_unpickles_to_itself(protocol):
+    msg = _message()
+    inbox = [msg, _message()]
+    assert pickle.loads(pickle.dumps(msg, protocol)) is msg
+    loaded = pickle.loads(pickle.dumps(inbox, protocol))
+    assert loaded == inbox and all(map(operator.is_, loaded, inbox))
+
+
+def test_a_restore_matches_every_field_not_the_id_alone():
+    msg = _message()
+    blob = pickle.dumps(msg)
+    forged = mailstore._restore_message("Bob", "Alice", 3, b"other body", msg.msg_id)
+    assert forged is not msg
+    assert (forged.body, forged.msg_id) == (b"other body", msg.msg_id)
+    # the live message keeps its id's entry
+    assert pickle.loads(blob) is msg
+    again = pickle.loads(pickle.dumps(forged))
+    assert again == forged and again is not msg
+    for fields in (("Eve", "Alice", 3), ("Bob", "Eve", 3), ("Bob", "Alice", 4)):
+        other = mailstore._restore_message(*fields, msg.body, msg.msg_id)
+        assert other is not msg and (other.sender, other.recipient, other.sensitivity) == fields
+
+
+def test_the_live_table_holds_no_message_alive():
+    msg = _message()
+    msg_id = msg.msg_id
+    assert pickle.loads(pickle.dumps(msg)) is msg
+    assert mailstore._live[msg_id]() is msg
+    del msg
+    assert msg_id not in mailstore._live
+
+
+def test_a_forged_restore_is_still_validated():
+    msg = StoredMessage(sender="Bob", recipient="Alice", sensitivity=5, body=b"")
+    assert pickle.loads(pickle.dumps(msg)) is msg
+    with pytest.raises(MailStoreError, match="sensitivity out of range"):
+        mailstore._restore_message("Bob", "Alice", 9, b"", msg.msg_id)
 
 
 def test_loading_draws_no_message_id():
@@ -207,9 +253,16 @@ def test_absorb_matches_naive_merge(ops):
                 naive.store(msg)
         elif kind == "miss_fetch":
             _, user, back, max_s = op
-            fetched = primary.fetch(user, since(back), max_s)
+            fetched, size = primary.fetch_sized(user, since(back), max_s)
+            scan = [
+                m for m in primary.mailbox(user).inbox
+                if m.msg_id > since(back) and m.sensitivity <= max_s
+            ]
+            assert fetched == scan and size == total_size_bytes(scan)
             view.absorb(user, fetched)
             naive.merge(user, fetched)
+            fetched.clear()  # the caller's own list: the next answer is unchanged
+            assert primary.fetch(user, since(back), max_s) == scan
         elif kind == "local_fetch":
             _, user, back, max_s = op
             assert view.fetch(user, since(back), max_s) == naive.fetch(user, since(back), max_s)
@@ -234,3 +287,10 @@ def test_absorb_matches_naive_merge(ops):
             assert box.folders == naive.boxes[user]
             # the index invariant: in some folder <=> id in the index
             assert box.ids == {m.msg_id for f in box.folders.values() for m in f}
+            # a full-inbox answer, kept from an earlier step unless the
+            # inbox changed since, equals a fresh scan
+            for bound in (1, VIEW_BOUND, 5):
+                answer, size = view.fetch_sized(user, 0, bound)
+                assert answer == naive.fetch(user, 0, bound)
+                assert size == total_size_bytes(answer)
+                answer.clear()

@@ -191,3 +191,26 @@ def test_autonomic_runtime_takes_its_first_service_after_construction():
     event = runtime.run(replanner.replan_all())
     assert searched == [1]
     assert not event.failures
+
+
+def test_replanning_plans_each_binding_with_its_own_service(runtime):
+    replanner = runtime.enable_self_healing()
+    mail_proxy = runtime.run(
+        runtime.client_connect("sandiego-client1", {"User": "Bob"}, service="mail")
+    )
+    replanner.track_access(mail_proxy, runtime.bundle_for("mail").server.accesses[-1])
+    video = runtime.bundle_for("video")
+    video_proxy = runtime.run(runtime.client_connect("sandiego-client2", {}, service="video"))
+    replanner.track_access(video_proxy, video.server.accesses[-1])
+    assert [b.bundle.name for b in replanner.bindings] == ["mail", "video"]
+
+    searched = []
+    run_search = video.planner.run_search
+    video.planner.run_search = lambda *a, **kw: searched.append(1) or run_search(*a, **kw)
+    event = runtime.run(replanner.replan_all())
+    assert event.failures == []
+    assert searched == [1]
+    client = runtime.instance_of("VideoClient", "sandiego-client2", service="video")
+    assert video_proxy.root is client
+    play = runtime.run(video_proxy.request("play", {"content": "m", "seq": 0}))
+    assert play.ok
