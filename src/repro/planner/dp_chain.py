@@ -75,6 +75,20 @@ Scope and honesty notes:
   completion is load-checked and scored the first time only (a repeat
   could never replace the incumbent, which needs a strictly lower
   score).
+- A chain is skipped, before its root cell is built, when its root
+  unit's :meth:`Objective.root_floor` lies strictly above the
+  incumbent's primary score and the objective ``supports_pruning``
+  (its other primary terms are non-negative, so every plan rooted at
+  that unit scores at least the floor).  Under the mail objectives
+  that means: once a MailClient plan is in hand, the view-rooted
+  chains go unsolved, and Seattle, where no MailClient installs,
+  solves them all.  The chains keep their enumeration order.  A
+  chain's *reused* roots are not its root unit's, but a skip cannot
+  drop one: every root cell offers the same installed roots, each at
+  the cell's floor and ahead of every other completion, which costs
+  at least that floor, so the stable sort puts the same first few of
+  them in front in every chain, and the first chain solved has scored
+  them.
 """
 
 from __future__ import annotations
@@ -102,6 +116,7 @@ __all__ = ["plan_dp_chain", "DPStats"]
 class DPStats:
     """Instrumentation for the planner-scaling benchmarks."""
 
+    #: chains solved; one the root floor skips is not counted
     chains_considered: int = 0
     #: (open state, candidate) pairs the DP considered
     states_evaluated: int = 0
@@ -300,12 +315,13 @@ def plan_dp_chain(
     spec = ctx.spec
     tables = ctx.chain_tables()
     objective_key = objective.cache_key
+    prunable = objective.supports_pruning
 
     all_nodes = [n.name for n in ctx.network.nodes()]
 
     def root_cell(unit_name: str) -> _Cell:
         unit = spec.unit(unit_name)
-        extra = objective.root_view_penalty if unit.is_view else 0.0
+        extra = objective.root_floor(unit)
         places: Dict[Placement, Tuple[float, Optional[Placement]]] = {}
         for node in ctx.root_nodes(request):
             p = ctx.instantiate(unit, node, request.context)
@@ -427,6 +443,12 @@ def plan_dp_chain(
     scored: Set[Tuple] = set()
 
     for units, ifaces, probs in _chain_shapes(ctx, tables, request.interface, request.max_units):
+        # Every plan of a chain whose root unit's floor lies above the
+        # incumbent loses to it (see the notes on the floor above).
+        if prunable and best is not None and (
+            objective.root_floor(spec.unit(units[0])) > best.score[0]
+        ):
+            continue
         stats.chains_considered += 1
 
         cell = root_cells.get(units[0])

@@ -267,7 +267,7 @@ def plan_exhaustive(
         # The root-view penalty is known at root selection time; folding
         # it into the partial cost keeps branch-and-bound sound *and*
         # effective for view-rooted subtrees.
-        search([], objective.root_view_penalty if root_unit.is_view else 0.0)
+        search([], objective.root_floor(root_unit))
         _leave()
     for root_unit in spec.implementers_of(request.interface):
         for node in ctx.root_nodes(request):
@@ -276,7 +276,7 @@ def plan_exhaustive(
                 continue
             _enter(placement, 1.0, None)
             frontier = [(0, b.interface) for b in root_unit.requires]
-            cost = objective.root_view_penalty if root_unit.is_view else 0.0
+            cost = objective.root_floor(root_unit)
             if prune_enabled:
                 cost += objective.placement_cost(ctx, root_unit, node, reused=False)
             search(frontier, cost)

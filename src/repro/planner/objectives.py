@@ -72,9 +72,19 @@ class Objective:
         change scoring must extend this tuple."""
         return (self.name,)
 
+    def root_floor(self, unit: ComponentDef) -> float:
+        """The primary-score term every plan rooted at ``unit`` pays:
+        :attr:`root_view_penalty` for a view, ``0.0`` otherwise.
+
+        With ``supports_pruning`` every other primary term is
+        non-negative, so this is also a lower bound on the primary score
+        of any plan rooted at ``unit``: ``exhaustive`` starts a root's
+        branch-and-bound from it, and ``dp_chain`` skips a chain whose
+        root's floor lies above its incumbent's primary score."""
+        return self.root_view_penalty if unit.is_view else 0.0
+
     def root_penalty(self, ctx: PlanningContext, plan: DeploymentPlan) -> float:
-        root_unit = ctx.spec.unit(plan.placements[plan.root].unit)
-        return self.root_view_penalty if root_unit.is_view else 0.0
+        return self.root_floor(ctx.spec.unit(plan.placements[plan.root].unit))
 
     def score(
         self,

@@ -6,12 +6,15 @@ from repro.planner import (
     DeploymentState,
     DPStats,
     ExpectedLatency,
+    MaxCapacity,
     PlanRequest,
     plan_dp_chain,
 )
 from repro.planner import dp_chain
 from repro.planner.dp_chain import _chain_probs
 from repro.planner.linkage import MAX_REPEAT
+
+from .conftest import _Unpruned
 
 
 def test_chain_probs_first_occurrence_only(ctx):
@@ -118,3 +121,94 @@ def test_each_distinct_completion_is_scored_once(ctx, state_with_ms, monkeypatch
         valid = [plan for plan in plans if plan is not None]
         assert chosen is min(valid, key=lambda plan: plan.score)  # min keeps the first
         state_with_ms.absorb(chosen)
+
+
+# -- the root floor: chains that cannot beat the incumbent go unsolved -------------
+
+
+def _chains_solved(ctx, state, node, user, objective):
+    stats = DPStats()
+    request = PlanRequest("ClientInterface", node, context={"User": user})
+    return plan_dp_chain(ctx, request, state, objective, stats), stats.chains_considered
+
+
+def _n_chains(ctx):
+    return len(dp_chain._chain_shapes(ctx, ctx.chain_tables(), "ClientInterface", 6))
+
+
+@pytest.mark.parametrize(
+    "node, user, solved", [("newyork-client1", "Alice", 10), ("sandiego-client1", "Bob", 12)]
+)
+def test_view_chains_after_a_mailclient_plan_go_unsolved(ctx, state_with_ms, node, user, solved):
+    """Once a MailClient plan scores below the view penalty, no
+    ViewMailClient-rooted chain can beat it: the plan is the one the
+    unpruned search finds, from fewer chains."""
+    plan, chains = _chains_solved(ctx, state_with_ms, node, user, ExpectedLatency())
+    reference, all_chains = _chains_solved(ctx, state_with_ms, node, user, _Unpruned())
+    assert plan.placements[0].unit == "MailClient"
+    assert (plan.placements, plan.linkages, plan.score) == (
+        reference.placements, reference.linkages, reference.score,
+    )
+    assert all_chains == _n_chains(ctx) == 20
+    assert chains == solved
+
+
+def test_seattle_where_mailclient_cannot_install_skips_no_chain(ctx, state_with_ms):
+    plan, chains = _chains_solved(ctx, state_with_ms, "seattle-client1", "Carol", ExpectedLatency())
+    assert plan.placements[0].unit == "ViewMailClient"
+    assert plan.score[0] > ExpectedLatency.root_view_penalty
+    assert chains == _n_chains(ctx)
+
+
+def test_an_objective_without_pruning_skips_no_chain(ctx, state_with_ms):
+    """``MaxCapacity``'s primary term is a negated headroom, so the view
+    penalty is no floor on it."""
+    plan, chains = _chains_solved(ctx, state_with_ms, "newyork-client1", "Alice", MaxCapacity())
+    assert plan.placements[0].unit == "MailClient"
+    assert chains == _n_chains(ctx)
+
+
+def test_view_plan_found_when_every_mailclient_completion_fails_condition_3(
+    ctx, fig5, state_with_ms
+):
+    """A MailClient chain with no plan sets no incumbent: at 10 req/s a
+    MailClient needs 5 CPU units/s and a ViewMailClient 4, so on a 4.5
+    units/s client node only the view plan passes condition 3."""
+    node = "newyork-client1"
+    fig5.network.node(node).cpu_capacity = 4.5
+    fig5.network.touch()
+    plan, chains = _chains_solved(ctx, state_with_ms, node, "Alice", ExpectedLatency())
+    reference, _ = _chains_solved(ctx, state_with_ms, node, "Alice", _Unpruned())
+    assert plan is not None and plan.placements[0].unit == "ViewMailClient"
+    assert plan.score == reference.score
+    assert chains == _n_chains(ctx)
+
+
+def test_a_tie_with_the_floor_is_still_solved(ctx, state_with_ms):
+    """The skip needs a floor strictly above the incumbent.  Under an
+    objective whose primary term is the root penalty alone, every
+    MailClient plan scores 0.0, a MailClient chain's floor ties with
+    the incumbent, and the next term, which prefers longer plans, must
+    still see every MailClient chain."""
+
+    class RootOnly(ExpectedLatency):
+        name = "root_only"
+
+        def edge_weight(self, ctx, client_unit, client_node, server_node):
+            return 0.0
+
+        def placement_cost(self, ctx, unit, node, reused):
+            return 0.0
+
+        def score(self, ctx, plan, request_rate, report=None):
+            return (self.root_penalty(ctx, plan), -float(len(plan.placements)))
+
+    class RootOnlyUnpruned(RootOnly):
+        supports_pruning = False
+
+    for node, user in [("newyork-client1", "Alice"), ("sandiego-client1", "Bob")]:
+        plan, chains = _chains_solved(ctx, state_with_ms, node, user, RootOnly())
+        reference, _ = _chains_solved(ctx, state_with_ms, node, user, RootOnlyUnpruned())
+        assert (plan.placements, plan.score) == (reference.placements, reference.score)
+        assert len(plan.placements) > 3  # not the first MailClient plan found
+        assert chains < _n_chains(ctx)  # the view-rooted chains still go

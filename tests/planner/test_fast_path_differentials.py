@@ -11,7 +11,10 @@
   pair rows and candidate tables kept on a long-lived context) vs the
   same search with ``memoize=False`` and vs a brand-new context per
   request, through commits and structure changes, and its objective vs
-  the complete ``plan_exhaustive`` reference.
+  the complete ``plan_exhaustive`` reference;
+- ``plan_dp_chain`` under a pruning objective, which leaves unsolved the
+  chains whose root floor lies above the incumbent, vs the same
+  objective with pruning off, on Figure 5 and on the generated worlds.
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.deployments_fig6 import SITE_USERS
+from repro.experiments.topology_fig5 import build_fig5_network
 from repro.network import BriteConfig, Network, NetworkError, generate_waxman
 from repro.planner import (
     DeploymentCost,
+    ExpectedLatency,
     Planner,
     PlanningContext,
     PlanRequest,
@@ -182,6 +188,12 @@ def test_route_trees_choose_the_per_pair_routes(seed, n, m, data):
 # -- dp_chain: shared prefixes + memos vs memoize=False vs exhaustive --------------
 
 
+class _UnprunedCost(DeploymentCost):
+    """``DeploymentCost`` with the root floor's chain skipping off."""
+
+    supports_pruning = False
+
+
 def _world(seed: int, n: int, algorithm: str, memoize: bool) -> Planner:
     net = generate_waxman(
         BriteConfig(n_nodes=n, seed=seed, insecure_fraction=0.4, trust_level_range=(1, 4))
@@ -265,16 +277,23 @@ def _plan_through(seed: int, n: int, steps_for) -> None:
     plan's fresh placements, so the next request sees other installed
     providers, checked against the rows the earlier requests built.
 
+    A fourth memoized world plans each request under the pruning
+    objectives (``ExpectedLatency``, ``DeploymentCost``), whose root
+    floor lets ``dp_chain`` skip chains, against the same objectives
+    with pruning off everywhere else: it must plan the same.
+
     ``steps_for(names, n_links)`` gives the steps: (client, user, client
     trust requirement, objectives in order as ``cheapest`` flags,
     commit the last plan?, structure change or None)."""
     fast = _world(seed, n, "dp_chain", memoize=True)
     slow = _world(seed, n, "dp_chain", memoize=False)
     renewed = _world(seed, n, "dp_chain", memoize=True)  # new context per request
+    pruned = _world(seed, n, "dp_chain", memoize=True)
     complete = _world(seed, n, "exhaustive", memoize=True)
-    worlds = (fast, slow, renewed, complete)
+    worlds = (fast, slow, renewed, pruned, complete)
     names = fast.network.node_names()
-    by_cost = DeploymentCost(home_node=names[0])
+    by_cost = _UnprunedCost(home_node=names[0])
+    pruning = {True: DeploymentCost(home_node=names[0]), False: ExpectedLatency()}
     for client, user, trust, cheapest_flags, commit, change in steps_for(
         names, fast.network.n_links
     ):
@@ -291,6 +310,8 @@ def _plan_through(seed: int, n: int, steps_for) -> None:
             for other in (slow, renewed):
                 reference, _ = other.run_search(request, objective=objective)
                 assert _shape(plan) == _shape(reference)
+            skipping, _ = pruned.run_search(request, objective=pruning[cheapest])
+            assert _shape(skipping) == _shape(plan)
             if plan is not None and not cheapest:
                 # Unpruned exhaustive is complete over a superset of the chain space.
                 optimum, _ = complete.run_search(request)
@@ -388,3 +409,32 @@ def test_dp_chain_rows_are_not_shared_between_objectives(seed, n):
             for client, flags in zip(names[1:4], [(True, False), (False, True), (True, False)])
         ],
     )
+
+
+def test_dp_chain_root_floor_plans_what_the_unpruned_search_plans():
+    """Figure 5: every client node and every user (three of them outside
+    MailClient's ACL), before the first Figure 6 bind and after each:
+    skipping the chains whose root floor lies above the incumbent must
+    plan exactly what solving them all plans, reused roots included."""
+    planners = []
+    for objective in (ExpectedLatency(), _Unpruned()):
+        topo = build_fig5_network(clients_per_site=2)
+        planner = Planner(
+            SPEC, topo.network, mail_translator(), objective=objective,
+            algorithm="dp_chain", plan_cache=False,
+        )
+        planner.preinstall("MailServer", topo.server_node)
+        planners.append(planner)
+    clients = [node for nodes in topo.clients.values() for node in nodes]
+    for site in (None, "newyork", "sandiego", "seattle"):
+        if site is not None:
+            request = PlanRequest(
+                "ClientInterface", topo.clients[site][0], context={"User": SITE_USERS[site]}
+            )
+            for planner in planners:
+                planner.commit(planner.run_search(request)[0])
+        for client in clients:
+            for user in USERS:
+                request = PlanRequest("ClientInterface", client, context={"User": user})
+                plan, reference = (planner.run_search(request)[0] for planner in planners)
+                assert _shape(plan) == _shape(reference), (site, client, user)
