@@ -201,5 +201,7 @@ class NetworkMonitor:
                     changes.append(
                         ChangeEvent(now, kind, subject, attribute, old, new)
                     )
-        self._snapshot = current
+        # Update, not replace: what report() folded in (node liveness,
+        # service leases) is never polled and must outlive the round.
+        self._snapshot.update(current)
         return changes

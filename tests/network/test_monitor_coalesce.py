@@ -82,3 +82,20 @@ def test_report_folds_into_snapshot_and_dedupes():
         not (c.kind == "node" and c.attribute == "up") for c in monitor.poll()
     )
     assert len(seen) == 1
+
+
+def test_reported_facts_outlive_a_poll():
+    """A poll refreshes what it observes and keeps what ``report``
+    folded in: the same lease lapse reported on both sides of a poll
+    is dispatched once, not once per polling round."""
+    monitor = make_monitor()
+    seen = []
+    monitor.subscribe(seen.append)
+    lapse = ev("lease", True, False, subject="mail", kind="service")
+    monitor.report(lapse)
+    assert monitor.poll() == []
+    monitor.report(lapse)
+    assert seen == [lapse]
+    renewed = ev("lease", False, True, subject="mail", kind="service")
+    monitor.report(renewed)
+    assert seen == [lapse, renewed]
