@@ -172,6 +172,13 @@ class Mailbox:
         if folder == "inbox":
             self.answers.clear()
 
+    def add_folder(self, name: str) -> bool:
+        """Create folder ``name`` unless it exists; True if it did."""
+        if name in self.folders:
+            return False
+        self.folders[name] = []
+        return True
+
     @property
     def inbox(self) -> List[StoredMessage]:
         return self.folders["inbox"]
@@ -231,9 +238,8 @@ class MailStore:
         box = self.mailbox(user)
         if not name:
             raise MailStoreError("folder name must be non-empty")
-        if name in box.folders:
+        if not box.add_folder(name):
             raise MailStoreError(f"folder {name!r} already exists")
-        box.folders[name] = []
 
     def folder_names(self, user: str) -> List[str]:
         return sorted(self.mailbox(user).folders)

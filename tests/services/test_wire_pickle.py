@@ -1,10 +1,15 @@
-"""The two wire types and the view's miss-path merge.
+"""The two wire types, the relay's pickle memo, and the view's miss-path merge.
 
 ``StoredMessage`` and ``coherence.Update`` are what crosses the
 Encryptor -> Decryptor relay by ``pickle``; both define ``__reduce__``
 (a callable + field tuple) so that stays in C.  A message unpickles to
 the live instance with the same fields when there is one, and to a new,
-validated message otherwise.  The merge is ``MailStore.absorb`` over the
+validated message otherwise.  Each relay component pickles a payload
+shape it has pickled before, and unpickles a plaintext it has unpickled
+before, from its memo: the tests check a hit against a fresh round trip
+(equal values of equal types, the same message objects, containers the
+caller owns) and that an ``Update``, a float or a shared container is
+pickled every time.  The merge is ``MailStore.absorb`` over the
 mailbox id index; the per-message set rebuild it replaced survives here
 only, as the differential's reference.  The same differential checks
 every fetch, which a full-inbox read answers from the mailbox's last
@@ -22,7 +27,10 @@ from hypothesis import given, settings, strategies as st
 from repro.coherence import Update
 from repro.experiments.mail_setup import build_mail_testbed
 from repro.services.mail import MailStore, MailStoreError, StoredMessage, mailstore
+from repro.services.mail.components import _SESSION_KEY, RELAY_MEMO_SIZE, _RelayMemo
+from repro.services.mail.crypto import encrypt
 from repro.services.mail.mailstore import total_size_bytes
+from repro.smock import ServiceRequest
 
 PROTOCOLS = range(2, pickle.HIGHEST_PROTOCOL + 1)
 
@@ -167,6 +175,208 @@ def test_sync_batch_of_500_updates_survives_the_relay():
     # same ids, fields and ciphertexts on both sides of the relay
     assert primary.store.mailbox("Alice").inbox == vms.store.mailbox("Alice").inbox
     assert primary.store.messages_stored == 500
+
+
+# -- the relay memo -------------------------------------------------------------
+class _PickleCounts:
+    """Counts ``pickle.dumps`` / ``pickle.loads`` calls while installed."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.dumps = self.loads = 0
+        dumps, loads = pickle.dumps, pickle.loads
+
+        def counted_dumps(*args, **kwargs):
+            self.dumps += 1
+            return dumps(*args, **kwargs)
+
+        def counted_loads(*args, **kwargs):
+            self.loads += 1
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", counted_dumps)
+        monkeypatch.setattr(pickle, "loads", counted_loads)
+
+
+def _same(a, b) -> bool:
+    """Equal values of equal types all the way down (``True`` is not
+    ``1``), and messages by identity."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, StoredMessage):
+        return a is b
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _mutables(obj) -> List[object]:
+    """Every dict and list in ``obj``, ``obj`` itself when it is one."""
+    if isinstance(obj, dict):
+        return [obj] + [c for v in obj.values() for c in _mutables(v)]
+    if isinstance(obj, (list, tuple)):
+        inner = [c for v in obj for c in _mutables(v)]
+        return [obj] + inner if isinstance(obj, list) else inner
+    return []
+
+
+def _relay_bed():
+    """San Diego's chain, MC -> VMS[3] -> Encryptor -> Decryptor -> MS:
+    a fetch above the view's trust level crosses the relay both ways."""
+    rt = build_mail_testbed(clients_per_site=1).runtime
+    proxy = rt.run(rt.client_connect("sandiego-client1", {"User": "Bob"}))
+    for i in range(4):
+        resp = rt.run(proxy.request(
+            "send_mail", {"recipient": "Bob", "sensitivity": 4 + i % 2, "body": "hi"}))
+        assert resp.ok
+    return rt, proxy
+
+
+def test_a_repeated_answer_is_relayed_from_the_memo(monkeypatch):
+    rt, proxy = _relay_bed()
+    enc, dec = rt.instance_of("Encryptor"), rt.instance_of("Decryptor")
+    inbox = rt.instance_of("MailServer").store.mailbox("Bob").inbox
+    answers: List[Dict] = []
+    loads = enc.wire.loads
+
+    def keep(data):
+        answers.append(loads(data))
+        return answers[-1]
+
+    monkeypatch.setattr(enc.wire, "loads", keep)
+
+    def fetch():
+        resp = rt.run(proxy.request("fetch_mail", {"max_sensitivity": 5}))
+        assert resp.ok
+        return resp
+
+    fetch()
+    fresh = pickle.loads(pickle.dumps(answers[0]))
+    hits = enc.wire.hits, dec.wire.hits
+    counts = _PickleCounts(monkeypatch)
+    second = fetch()
+    assert (counts.dumps, counts.loads) == (0, 0)
+    # one hit for the request, one for the answer, at each end
+    assert (enc.wire.hits, dec.wire.hits) == (hits[0] + 2, hits[1] + 2)
+    first, again = answers
+    assert _same(again, fresh)
+    assert len(again["messages"]) == 4 and all(map(operator.is_, again["messages"], inbox))
+    assert again is not first and again["messages"] is not first["messages"]
+    assert second.payload["messages"] is again["messages"]
+    # what a caller does to one answer reaches neither the memo nor the next
+    first["messages"].clear()
+    again["messages"].clear()
+    again["count"] = -1
+    third = fetch()
+    assert (counts.dumps, counts.loads) == (0, 0)
+    assert all(map(operator.is_, answers[2]["messages"], inbox)) and answers[2]["count"] == 4
+    assert third.payload["bodies"] == [b"hi"] * 4
+
+
+def test_equal_shapes_decode_alike_and_different_ones_apart():
+    a, b = _message(), _message()
+    memo = _RelayMemo()
+    for payload in ({"messages": [a, b]}, {"messages": [b, a]}, {"messages": [a, a]},
+                    {"messages": [a], "count": 1}, {"messages": [a], "count": True},
+                    ("op", {"messages": [b], "count": 1})):
+        for _ in range(2):
+            assert _same(pickle.loads(memo.dumps(payload)), payload)
+    assert memo.hits == 6 and len(memo) == 6
+
+
+_POOL = [StoredMessage("Bob", "Alice", 1 + i % 5, b"body%d" % i) for i in range(3)]
+_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.sampled_from(["", "a", "b"]),
+    st.sampled_from([b"", b"a"]), st.sampled_from(_POOL), st.just(0.5),
+)
+_payload = st.recursive(
+    _leaf,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.tuples(kids, kids),
+        st.dictionaries(st.sampled_from(["k", "m", 1]), kids, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(range(6)), min_size=1, max_size=12),
+       st.lists(_payload, min_size=6, max_size=6))
+def test_a_memo_hit_is_a_fresh_round_trip(order, pool):
+    """Each payload goes through both directions of one memo, in an
+    order that repeats some: what comes out must be what a fresh
+    ``pickle.dumps`` / ``pickle.loads`` gives, in containers of its own."""
+    memo = _RelayMemo()
+    handed_out: List[object] = []  # kept alive, so no id is reused
+    for i in order:
+        payload = pool[i]
+        assert _same(pickle.loads(memo.dumps(payload)), payload)
+        out = memo.loads(pickle.dumps(payload))
+        assert _same(out, payload)
+        mine = {id(c) for c in _mutables(out)}
+        assert mine.isdisjoint(id(c) for c in _mutables(payload))
+        assert mine.isdisjoint(id(c) for c in handed_out)
+        handed_out += _mutables(out)
+        assert len(memo) <= RELAY_MEMO_SIZE
+
+
+def _shared_list() -> Dict:
+    shared = [_message()]
+    return {"a": shared, "b": shared}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: {"ts_ms": 1.5},
+    lambda: {"updates": [_update(_message())]},
+    _shared_list,
+], ids=["float", "update", "shared-list"])
+def test_a_payload_without_a_shape_is_pickled_every_time(monkeypatch, make):
+    payload = make()
+    memo = _RelayMemo()
+    counts = _PickleCounts(monkeypatch)
+    blob = pickle.dumps(payload)
+    for _ in range(2):
+        assert memo.dumps(payload) == blob
+        out = memo.loads(blob)
+        assert out == payload
+    assert (counts.dumps, counts.loads) == (3, 2)
+    assert len(memo) == 0 and memo.hits == 0
+    if "a" in payload:
+        assert out["a"] is out["b"]  # pickle's sharing survives
+
+
+def _finish(gen):
+    """Run a component operation that must not yield."""
+    with pytest.raises(StopIteration) as stop:
+        next(gen)
+    return stop.value.value
+
+
+def test_a_tampered_blob_still_fails_the_unwrap():
+    rt, _proxy = _relay_bed()
+    dec = rt.instance_of("Decryptor")
+    good = encrypt(_SESSION_KEY, pickle.dumps(("fetch_mail", {"user": "Bob"})))
+    bad = bytes([good[0] ^ 0xFF]) + good[1:]
+    for blob in (bad, bad, good[:5]):
+        resp = _finish(dec.op_relay(ServiceRequest(op="relay", payload={"blob": blob})))
+        assert not resp.ok and resp.error.startswith("relay unwrap failed")
+    resp = _finish(dec.op_relay(ServiceRequest(op="relay", payload={})))
+    assert not resp.ok and resp.error.startswith("relay unwrap failed")
+
+
+def test_the_memo_keeps_at_most_its_bound():
+    memo = _RelayMemo()
+    payloads = [{"user": "Bob", "since_id": i} for i in range(RELAY_MEMO_SIZE + 20)]
+    for payload in payloads:
+        memo.loads(memo.dumps(payload))
+        assert len(memo) <= RELAY_MEMO_SIZE
+    assert len(memo) == RELAY_MEMO_SIZE and memo.hits == 0
+    # the most recent payloads are still held, the oldest are not
+    memo.dumps(payloads[-1])
+    memo.dumps(payloads[0])
+    assert memo.hits == 1
 
 
 # -- the merge, against the rebuild it replaced ---------------------------------
