@@ -68,6 +68,10 @@ class FailureDetector:
         self.miss_threshold = miss_threshold
         self.home_node = runtime.server_node
         self._misses: Dict[str, int] = {}
+        #: per-target ping timeouts, valid while ``network.structure_version``
+        #: reads ``_timeouts_version`` (see :meth:`_timeout_for`)
+        self._timeouts: Dict[str, float] = {}
+        self._timeouts_version = -1
         self._running = False
         self.failures_detected = 0
         self.recoveries_detected = 0
@@ -93,21 +97,23 @@ class FailureDetector:
         ``miss_threshold × (interval + ping timeout)``.
         """
         sim = self.runtime.sim
+        # The live hosts are materialized once, with the transport, so
+        # the targets and their process names are fixed for the run.
+        targets = [
+            (name, f"heartbeat:{name}", f"heartbeat-rtt:{name}")
+            for name in sorted(self.runtime.transport.nodes)
+            if name != self.home_node
+        ]
         while self._running:
             yield sim.timeout(self.interval_ms)
             if not self._running:
                 return
-            targets = [
-                name
-                for name in sorted(self.runtime.transport.nodes)
-                if name != self.home_node
-            ]
             pings = [
-                sim.process(self._ping(name), name=f"heartbeat:{name}")
-                for name in targets
+                sim.process(self._ping(name, rtt_name), name=ping_name)
+                for name, ping_name, rtt_name in targets
             ]
             yield sim.all_of(pings)
-            for name, ping in zip(targets, pings):
+            for (name, _ping_name, _rtt_name), ping in zip(targets, pings):
                 self._account(name, bool(ping.value))
 
     def _timeout_for(self, name: str) -> float:
@@ -117,22 +123,39 @@ class FailureDetector:
         never return at all — the timeout is what bounds them).  Sized
         per target because a fixed value shorter than a target's round
         trip would declare every distant node dead.
-        """
-        try:
-            one_way = self.runtime.network.path(self.home_node, name).latency_ms
-        except NetworkError:
-            return self.interval_ms  # no believed route: fail fast
-        return max(self.interval_ms, 3.0 * 2.0 * one_way + 50.0)
 
-    def _ping(self, name: str) -> Generator[Any, Any, bool]:
-        """One heartbeat round trip, bounded by the ping timeout."""
+        Kept per ``Network.structure_version``: the routes read here
+        move only with it, and the network's own path cache lives
+        exactly as long, so a skipped :meth:`Network.path` call is one
+        that would only have read that cache — which pair fixes a route
+        first does not change.
+        """
+        network = self.runtime.network
+        timeouts = self._timeouts
+        if self._timeouts_version != network.structure_version:
+            timeouts.clear()
+            self._timeouts_version = network.structure_version
+        timeout = timeouts.get(name)
+        if timeout is None:
+            try:
+                one_way = network.path(self.home_node, name).latency_ms
+            except NetworkError:
+                timeout = self.interval_ms  # no believed route: fail fast
+            else:
+                timeout = max(self.interval_ms, 3.0 * 2.0 * one_way + 50.0)
+            timeouts[name] = timeout
+        return timeout
+
+    def _ping(self, name: str, rtt_name: str) -> Generator[Any, Any, bool]:
+        """One heartbeat round trip, bounded by the ping timeout;
+        ``rtt_name`` names the round trip's process."""
         sim = self.runtime.sim
         transport = self.runtime.transport
         rpc = sim.process(
             transport.round_trip(
                 self.home_node, name, HEARTBEAT_BYTES, HEARTBEAT_BYTES
             ),
-            name=f"heartbeat-rtt:{name}",
+            name=rtt_name,
         )
         timeout = sim.timeout(self._timeout_for(name))
         try:

@@ -56,6 +56,8 @@ class FaultInjector:
         self.plan = plan or FaultPlan()
         self._rng = random.Random(self.plan.seed)
         self._windows: List[_Window] = []
+        #: the same windows by link key, each list in opening order
+        self._windows_by_link: Dict[Tuple[str, str], List[_Window]] = {}
         self._hook_installed = False
         #: ground-truth crash instants, by node (for recovery-time metrics)
         self.crash_times: Dict[str, float] = {}
@@ -163,16 +165,26 @@ class FaultInjector:
             magnitude=action.magnitude,
         )
         self._windows.append(window)
+        self._windows_by_link.setdefault(window.link, []).append(window)
         if not self._hook_installed:
             self.runtime.transport.fault_hook = _InjectorHook(self)
             self._hook_installed = True
 
     def _hop_verdict(self, hop_a: str, hop_b: str) -> Optional[Any]:
+        """Drop or delay verdict of the windows open on one hop.
+
+        A hop with no window costs one lookup; a link's windows are
+        read in the order they opened, so the plan RNG draws in the
+        same order as a scan over every window would."""
+        windows = self._windows_by_link.get(
+            (hop_a, hop_b) if hop_a <= hop_b else (hop_b, hop_a)
+        )
+        if windows is None:
+            return None
         now = self.runtime.sim.now
-        key = tuple(sorted((hop_a, hop_b)))
         delay = 0.0
-        for w in self._windows:
-            if w.link != key or not (w.at_ms <= now < w.until_ms):
+        for w in windows:
+            if not (w.at_ms <= now < w.until_ms):
                 continue
             if w.kind == FaultKind.DROP:
                 if self._rng.random() < w.magnitude:

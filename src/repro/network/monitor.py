@@ -13,6 +13,16 @@ decide whether a redeployment is called for.
 - *scripted perturbations* — experiments inject changes at simulated
   times (a link slows down, a node loses trust) and the monitor reports
   them on its next polling round, modeling real monitoring lag.
+
+A poll scans only when :attr:`Network.version` has moved since the
+last scan; otherwise it returns ``[]`` at once.  That is exact because
+every attribute a poll reads (link latency, bandwidth, security and
+liveness, node CPU capacity and credentials) changes only through a
+call that moves the version: :meth:`Network.touch`,
+:meth:`Network.set_link_up` or :meth:`perturb_link` /
+:meth:`perturb_node`.  A direct attribute write must be followed by
+:meth:`Network.touch` — the contract the planner's caches already
+rely on — or no poll will see it.
 """
 
 from __future__ import annotations
@@ -62,6 +72,8 @@ class NetworkMonitor:
         self.poll_interval_ms = poll_interval_ms
         self._subscribers: List[Subscriber] = []
         self._snapshot: Dict[Tuple[str, str, str], Any] = {}
+        #: ``network.version`` when :attr:`_snapshot` was last scanned
+        self._snapshot_version = -1
         self.history: List[ChangeEvent] = []
         self._running = False
         self._take_snapshot(initial=True)
@@ -147,8 +159,12 @@ class NetworkMonitor:
         (kind, subject, attribute), carrying the first old value and the
         last new one, and events whose old and new values are equal (a
         perturbation that round-tripped inside the observation window)
-        are dropped entirely — subscribers never fire on a no-op.
+        are dropped entirely — subscribers never fire on a no-op.  An
+        unchanged ``network.version`` means nothing polled has changed,
+        so the round scans nothing (see the module notes).
         """
+        if self.network.version == self._snapshot_version:
+            return []
         changes = self._coalesce(self._take_snapshot(initial=False))
         self._dispatch(changes)
         return changes
@@ -176,6 +192,7 @@ class NetworkMonitor:
 
     def _take_snapshot(self, initial: bool) -> List[ChangeEvent]:
         now = self.sim.now
+        self._snapshot_version = self.network.version
         current: Dict[Tuple[str, str, str], Any] = {}
         for link in self.network.links():
             base = ("link", link.name)

@@ -169,6 +169,7 @@ class Network:
         self._path_cache: Dict[Tuple[str, str], PathInfo] = {}
         self._version = 0
         self._structure_version = 0
+        self._graph_version = 0
         self._fingerprint: Optional[int] = None
 
     # -- construction ----------------------------------------------------
@@ -234,9 +235,11 @@ class Network:
         self._adj[b].remove(a)
         self._invalidate()
 
-    def _invalidate(self) -> None:
+    def _invalidate(self, liveness: bool = False) -> None:
         self._route_trees.clear()
         self._path_cache.clear()
+        if not liveness:
+            self._graph_version += 1
         self._structure_version += 1
         self._version += 1
         self._fingerprint = None
@@ -256,6 +259,21 @@ class Network:
         on this counter and survive :meth:`touch_reservations`.
         """
         return self._structure_version
+
+    @property
+    def graph_version(self) -> int:
+        """Bumped by every :attr:`structure_version` change *except* a
+        liveness flip (:meth:`set_node_up`, :meth:`set_link_up`): a node
+        or link added or removed, or :meth:`touch`.
+
+        While it stands, every link and node attribute but liveness and
+        the reservations is fixed, so a route (a pair and its hop
+        sequence) crosses hops with the same latency, bandwidth, security
+        and credentials, and what is derived from those alone survives a
+        flip; only which route a pair takes, and whether it has one,
+        can change.
+        """
+        return self._graph_version
 
     def state_fingerprint(self) -> int:
         """Stable hash of all planning-relevant network state.
@@ -320,7 +338,7 @@ class Network:
         info = self.link(a, b)
         if info.up != up:
             info.up = up
-            self._invalidate()
+            self._invalidate(liveness=True)
         return info
 
     def set_node_up(self, name: str, up: bool) -> NodeInfo:
@@ -328,7 +346,7 @@ class Network:
         info = self.node(name)
         if info.up != up:
             info.up = up
-            self._invalidate()
+            self._invalidate(liveness=True)
         return info
 
     # -- lookup ----------------------------------------------------------
@@ -446,6 +464,7 @@ class Network:
             other._links_by_name[l.name] = other._links[k] = l.copy()
         other._version = self._version
         other._structure_version = self._structure_version
+        other._graph_version = self._graph_version
         return other
 
     # -- materialization ----------------------------------------------------

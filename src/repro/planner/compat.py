@@ -34,18 +34,38 @@ fast path, shared by all three search algorithms):
   count.  A context key no condition reads, however unhashable its
   value, neither splits nor bypasses the memo.
 
-What each table reads decides what flushes it.  Environments, routes
-(:meth:`PlanningContext.link_envs_from`), analytic round-trip times,
-both memos and the DP planner's fresh-candidate tables, the pair rows
-built from them and its installed-provider rows (in :class:`ChainTables`)
-are functions
-of the graph, liveness, link attributes and credentials, so they are
-flushed wholesale when ``Network.structure_version`` moves — every
-topology, liveness or attribute/credential change (``Network.touch()``)
-bumps it, so a memoized verdict can never outlive the network state it
-was computed against.  The DP planner's chain shapes read only the spec
-and outlive every flush.  Capacity *reservations* (``Network.touch_reservations()``,
-what ``Planner.commit`` records) change none of them and flush nothing:
+What each table reads decides what flushes it:
+
+- when ``Network.structure_version`` moves (every change but a
+  reservation, a liveness flip included): the link rows of
+  :meth:`PlanningContext.link_envs_from` (which pairs are reachable),
+  the per-pair round-trip index, and the :class:`ChainTables` but the
+  shapes (fresh candidates, pair rows, installed-provider rows);
+- when ``Network.graph_version`` moves (the graph, an attribute or a
+  credential, ``Network.touch()``; never a flip): the path
+  environments and transfer times kept per route — per pair, with the
+  hop tuple they were computed on, and reused only while the pair's
+  route is that hop sequence — node environments, resolved
+  implements/requires, bag ids and both memos;
+- never: the chain shapes, which read only the spec.
+
+A liveness flip (``Network.set_node_up`` / ``set_link_up``) changes
+which route a pair takes and whether it has one, and which nodes can
+host what; it changes no hop's attributes and no credential.  So it
+rebuilds the link rows and the round-trip index, but an entry whose
+pair still takes the hops its kept value was computed on is answered
+from that value (a first build pays one dict lookup for it, and
+nothing per hop); condition-2 verdicts read only bags and stay;
+condition 1 reads node liveness live, ahead of its memo
+(:meth:`PlanningContext.installable`), so a dead node never serves a
+stale ``True``.  The DP's tables read both reachability and
+installability and go.  Every other structure change moves both
+counters and flushes everything but the chain shapes, so no
+memoized value outlives the network state it was computed against —
+provided a direct attribute write is followed by ``Network.touch()``,
+and a credential translator reads only what that covers.  Capacity
+*reservations* (``Network.touch_reservations()``, what
+``Planner.commit`` records) change none of them and flush nothing:
 condition 3 reads ``free_cpu`` / ``free_mbps`` live in
 :func:`~repro.planner.load.check_loads`.  Hit/miss counts land in
 :class:`ContextCacheStats`, which the :class:`~repro.planner.planner.
@@ -88,8 +108,9 @@ class ContextCacheStats:
     ``uncacheable`` counts evaluations whose property values, or the
     request-context values a condition reads, were not hashable (the
     memo silently steps aside for those);
-    ``invalidations`` counts wholesale flushes caused by a network
-    structure change (reservations flush nothing).
+    ``invalidations`` counts flushes caused by a network structure
+    change, a liveness flip's (which keeps the per-route values and
+    the memos) included; reservations flush nothing.
     """
 
     compat_hits: int = 0
@@ -105,10 +126,11 @@ class ChainTables:
     """What :func:`~repro.planner.dp_chain.plan_dp_chain` keeps from one
     call to the next (the module describes the values), each keyed on
     exactly what it reads.  Chain shapes read only the spec, so they
-    outlive every flush.  The other tables read conditions 1 and 2 and
-    route costs, i.e. what ``Network.structure_version`` guards, so
-    :meth:`clear` drops them when it moves; nothing a reservation or
-    the deployment state moves reaches any of them.
+    outlive every flush.  The other tables read conditions 1 and 2,
+    reachability and route costs, i.e. what ``Network.structure_version``
+    guards, liveness included, so :meth:`clear` drops them when it
+    moves; nothing a reservation or the deployment state moves reaches
+    any of them.
     """
 
     #: (interface, max units) -> chain shapes
@@ -153,6 +175,9 @@ class _LinkRow(dict):
         super().__init__()
         self._ctx = ctx
         self._src = src
+        #: dst -> (hops, entry) of the last route resolved to it, kept
+        #: across liveness flips
+        self._routes = ctx._route_envs.setdefault(src, {})
 
     def __missing__(self, dst: str) -> Optional[Tuple[Dict[str, Any], Optional[int]]]:
         ctx = self._ctx
@@ -161,8 +186,13 @@ class _LinkRow(dict):
         except NetworkError:
             entry = None
         else:
-            env = dict(ctx.translator.path_environment(path).values)
-            entry = (env, ctx.bag_id(env))
+            kept = self._routes.get(dst)
+            if kept is not None and kept[0] == path.hops:
+                entry = kept[1]
+            else:
+                env = dict(ctx.translator.path_environment(path).values)
+                entry = (env, ctx.bag_id(env))
+                self._routes[dst] = (path.hops, entry)
         # The environment is the pair's, whichever end asks first.
         self[dst] = entry
         ctx.link_envs_from(dst)[self._src] = entry
@@ -187,6 +217,10 @@ class PlanningContext:
         self._node_env_cache: Dict[str, Dict[str, Any]] = {}
         self._link_rows: Dict[str, _LinkRow] = {}
         self._round_trip_cache: Dict[Tuple[str, str, int, int], float] = {}
+        #: src -> dst -> (hops, (path environment, its bag id))
+        self._route_envs: Dict[str, Dict[str, Tuple[Tuple, Any]]] = {}
+        #: (src, dst, request bytes, response bytes) -> (hops, round trip)
+        self._route_times: Dict[Tuple[str, str, int, int], Tuple[Tuple, float]] = {}
         self._implements_cache: Dict[Tuple[str, str], Dict[str, Dict[str, Any]]] = {}
         self._requires_cache: Dict[Tuple[str, str], List[Tuple[str, Dict[str, Any]]]] = {}
         self._bag_ids: Dict[Tuple[Tuple[str, Any], ...], int] = {}
@@ -195,21 +229,31 @@ class PlanningContext:
         self._chain_tables = ChainTables()
         self.cache_stats = ContextCacheStats()
         self._net_version = self.network.structure_version
+        self._graph_version = self.network.graph_version
 
     # -- environments -------------------------------------------------------
     def _check_version(self) -> None:
-        if self.network.structure_version != self._net_version:
+        network = self.network
+        if network.structure_version == self._net_version:
+            return
+        # What reads liveness: which route a pair takes, and whether it
+        # has one, and the tables built from those or from installability.
+        self._link_rows.clear()
+        self._round_trip_cache.clear()
+        self._chain_tables.clear()
+        self.cache_stats.invalidations += 1
+        self._net_version = network.structure_version
+        if network.graph_version != self._graph_version:
+            # The graph or an attribute moved: everything else too.
             self._node_env_cache.clear()
-            self._link_rows.clear()
-            self._round_trip_cache.clear()
+            self._route_envs.clear()
+            self._route_times.clear()
             self._implements_cache.clear()
             self._requires_cache.clear()
             self._bag_ids.clear()
             self._compat_cache.clear()
             self._install_cache.clear()
-            self._chain_tables.clear()
-            self.cache_stats.invalidations += 1
-            self._net_version = self.network.structure_version
+            self._graph_version = network.graph_version
 
     def node_env(self, node: str, context: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
         """Service properties of a node (credential-translated), merged
@@ -241,7 +285,9 @@ class PlanningContext:
         condition 2's environment in one dict lookup.  Planners must
         skip pairs that yield ``None``.  Entries are resolved on first
         lookup (which also fixes the pair's route, see
-        :meth:`Network.path`); do not hold a row across network changes."""
+        :meth:`Network.path`) — from the kept value when the pair still
+        takes the hops it was computed on; do not hold a row across
+        network changes."""
         self._check_version()
         row = self._link_rows.get(src)
         if row is None:
@@ -265,16 +311,24 @@ class PlanningContext:
     def round_trip_ms(
         self, src: str, dst: str, request_bytes: int, response_bytes: int
     ) -> float:
-        """Analytic request/response round trip along the pair's route."""
+        """Analytic request/response round trip along the pair's route,
+        kept per pair until the next structure change, and with the hops
+        it was computed on until the next graph change."""
         self._check_version()
         key = (src, dst, request_bytes, response_bytes)
         ms = self._round_trip_cache.get(key)
         if ms is None:
             path = self.network.path(src, dst)
-            ms = self._round_trip_cache[key] = (
-                path.transfer_time_ms(request_bytes)
-                + path.transfer_time_ms(response_bytes)
-            )
+            kept = self._route_times.get(key)
+            if kept is not None and kept[0] == path.hops:
+                ms = kept[1]
+            else:
+                ms = (
+                    path.transfer_time_ms(request_bytes)
+                    + path.transfer_time_ms(response_bytes)
+                )
+                self._route_times[key] = (path.hops, ms)
+            self._round_trip_cache[key] = ms
         return ms
 
     # -- condition 1: installability -------------------------------------------
@@ -291,10 +345,12 @@ class PlanningContext:
         candidate enumeration excludes failed hosts during failover
         replanning.
 
-        Memoized per (component, node, :func:`context_key`); the memo
-        is flushed whenever the network version moves (liveness flips
-        bump it, so a dead node can never serve a stale ``True``).
+        Memoized per (component, node, :func:`context_key`); liveness is
+        read live, ahead of the memo, so a dead node can never serve a
+        stale ``True`` and a liveness flip need not flush the memo.
         """
+        if not self.network.node(node).up:
+            return False
         if not self.memoize:
             return self._installable_eval(unit, node, context)
         self._check_version()
@@ -319,10 +375,7 @@ class PlanningContext:
         node: str,
         context: Optional[Mapping[str, Any]] = None,
     ) -> bool:
-        if not self.network.node(node).up:
-            return False
-        env = self.node_env(node, context)
-        return unit.installable_in(env)
+        return unit.installable_in(self.node_env(node, context))
 
     def instantiate(
         self, unit: ComponentDef, node: str, context: Optional[Mapping[str, Any]] = None
@@ -461,8 +514,8 @@ class PlanningContext:
         same triple recurs constantly across search branches because the
         planner revisits identical (interface properties, path
         environment) pairs from different partial deployments.  The memo
-        is flushed with the environment caches on any network structure
-        change.
+        is flushed with the environment caches when
+        ``Network.graph_version`` moves.
         """
         if not self.memoize:
             return self._compatible_eval(required, implemented, env)
@@ -475,7 +528,7 @@ class PlanningContext:
     def bag_id(self, props: Mapping[str, Any]) -> Optional[int]:
         """Small-int identity of a property bag's content, for
         :meth:`compatible_interned`; ``None`` when a value is unhashable.
-        Ids are only comparable until the next structure flush."""
+        Ids are only comparable until ``Network.graph_version`` moves."""
         try:
             frozen = _freeze_bag(props)
         except TypeError:
@@ -503,8 +556,8 @@ class PlanningContext:
     ) -> bool:
         """:meth:`properties_compatible` for bags the caller interned
         once (:meth:`bag_id`) and checks many times.  The ids must come
-        from this context since its last flush — i.e. from the same
-        planning call."""
+        from this context since ``Network.graph_version`` last moved —
+        e.g. from the same planning call."""
         if not self.memoize:
             return self._compatible_eval(required, implemented, env)
         stats = self.cache_stats

@@ -836,6 +836,19 @@ class _RelayMemo:
         return obj
 
 
+def _unwrap_failed(exc: Exception) -> ServiceResponse:
+    """The answer to a relayed blob that does not decrypt and unpickle.
+
+    Either end catches every ``Exception`` around its unwrap: the
+    session cipher carries no MAC, so a body altered behind an intact
+    header decrypts to garbage, and ``pickle.loads`` of garbage can
+    raise nearly anything (flipping single bytes of a relayed request
+    raised ``UnpicklingError``, ``UnicodeDecodeError``,
+    ``OverflowError``, ``ValueError``, ``EOFError`` and ``MemoryError``).
+    """
+    return ServiceResponse.failure(f"relay unwrap failed: {type(exc).__name__}: {exc}")
+
+
 class EncryptorComponent(RuntimeComponent):
     """Protects component interactions across insecure links.
 
@@ -858,7 +871,10 @@ class EncryptorComponent(RuntimeComponent):
         resp = yield from self.call("DecryptorInterface", wrapped)
         if not resp.ok or "blob" not in resp.payload:
             return resp
-        payload = self.wire.loads(decrypt(_SESSION_KEY, resp.payload["blob"]))
+        try:
+            payload = self.wire.loads(decrypt(_SESSION_KEY, resp.payload["blob"]))
+        except Exception as exc:  # see _unwrap_failed
+            return _unwrap_failed(exc)
         return ServiceResponse(
             payload=payload,
             size_bytes=max(64, resp.size_bytes - CIPHER_OVERHEAD_BYTES),
@@ -877,8 +893,8 @@ class DecryptorComponent(RuntimeComponent):
     def op_relay(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
         try:
             op, payload = self.wire.loads(decrypt(_SESSION_KEY, req.payload["blob"]))
-        except (CryptoError, KeyError) as exc:
-            return ServiceResponse.failure(f"relay unwrap failed: {exc}")
+        except Exception as exc:  # see _unwrap_failed
+            return _unwrap_failed(exc)
         inner = req.child(
             op=op,
             payload=payload,

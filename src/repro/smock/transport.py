@@ -18,10 +18,12 @@ millions of times, so the transport *compiles* each pair once into a
 flat hop schedule (:class:`CompiledRoute`: transmit resource,
 serialization divisor, latency, arrival node and the hop's endpoint
 names) and :meth:`RuntimeTransport.deliver` replays it with zero
-lookups and a single generator frame.  Compiled routes are dropped on
-any :meth:`Network.version` bump (link add/remove, liveness flip,
-``touch()``, a capacity reservation) — a superset of the events that
-can change ``Network.path``.  There is one walk: an installed
+lookups and a single generator frame.  Compiled routes are dropped
+when :attr:`Network.structure_version` moves (link add/remove, liveness
+flip, ``touch()``) — exactly the events that can change
+``Network.path`` or a hop's attributes; a capacity reservation moves
+only :attr:`Network.version`, and a compiled hop reads nothing it
+changes.  There is one walk: an installed
 :class:`FaultHook` is consulted on each hop of it, and an attached
 telemetry sampler has it keep per-link in-flight bytes; neither changes
 which events the walk yields or when.
@@ -103,9 +105,9 @@ class RuntimeTransport:
         self.messages_corrupted = 0
         self.messages_reordered = 0
         self._routes: Dict[Tuple[str, str], CompiledRoute] = {}
-        #: network.version the compiled cache was built against; any
-        #: topology mutation bumps it and strands this epoch.
-        self._routes_version = network.version
+        #: network.structure_version the compiled cache was built
+        #: against; any route or hop-attribute change strands this epoch.
+        self._routes_version = network.structure_version
         #: bytes currently traversing each link (both directions);
         #: ``None`` until a TelemetrySampler attaching to the runtime
         #: calls :meth:`enable_telemetry`.  Pure Python accounting,
@@ -154,10 +156,10 @@ class RuntimeTransport:
 
     def route(self, src: str, dst: str) -> CompiledRoute:
         """The compiled hop schedule for (src, dst), rebuilt whenever
-        ``Network.version`` moves."""
-        if self._routes_version != self.network.version:
+        ``Network.structure_version`` moves."""
+        if self._routes_version != self.network.structure_version:
             self._routes.clear()
-            self._routes_version = self.network.version
+            self._routes_version = self.network.structure_version
         key = (src, dst)
         route = self._routes.get(key)
         if route is None:

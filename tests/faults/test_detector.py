@@ -110,3 +110,32 @@ def test_constructor_validation(world, detected):
         FailureDetector(world, monitor, interval_ms=0.0)
     with pytest.raises(ValueError):
         FailureDetector(world, monitor, miss_threshold=0)
+
+
+def test_ping_timeouts_are_recomputed_after_a_flip(world, detected, monkeypatch):
+    """Timeouts are kept per structure epoch: a round in an unchanged
+    network resolves no route, and a flip that moves the route to c
+    moves c's timeout at the next round."""
+    monitor, detector = detected
+    net = world.network
+    resolved = []
+    path = net.path
+
+    def counted(src, dst):
+        resolved.append((src, dst))
+        return path(src, dst)
+
+    monkeypatch.setattr(net, "path", counted)
+    assert detector._timeout_for("c") == 3.0 * 2.0 * 30.0 + 50.0  # a -> b -> c
+    assert detector._timeout_for("c") == 230.0
+    assert resolved == [("a", "c")]
+    # A reservation moves the version but no route: still kept.
+    net.touch_reservations()
+    assert detector._timeout_for("c") == 230.0 and len(resolved) == 1
+
+    net.set_link_up("b", "c", False)  # no believed route: fail fast
+    assert detector._timeout_for("c") == detector.interval_ms
+    net.add_link("a", "c", latency_ms=15.0)  # a new, shorter route
+    net.set_link_up("b", "c", True)
+    assert detector._timeout_for("c") == 3.0 * 2.0 * 15.0 + 50.0
+    assert resolved == [("a", "c")] * 3

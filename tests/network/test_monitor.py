@@ -88,3 +88,67 @@ def test_nan_interval_rejected(world):
     sim, net, _ = world
     with pytest.raises(ValueError):
         NetworkMonitor(sim, net, poll_interval_ms=float("nan"))
+
+
+def _count_scans(monkeypatch, net):
+    """Count the polls that walk the links (a scan reads them first)."""
+    scans = []
+    links = net.links
+
+    def counted():
+        scans.append(None)
+        return links()
+
+    monkeypatch.setattr(net, "links", counted)
+    return scans
+
+
+def test_an_unchanged_network_is_not_rescanned(world, monkeypatch):
+    sim, net, mon = world
+    scans = _count_scans(monkeypatch, net)
+    for _ in range(3):
+        assert mon.poll() == []
+    assert not scans
+    # A change nobody polls (believed node liveness) still moves the
+    # version: one scan, no event, and quiet again after it.
+    net.set_node_up("b", False)
+    assert mon.poll() == [] and len(scans) == 1
+    assert mon.poll() == [] and len(scans) == 1
+
+
+def _direct_write_then_touch(net, mon):
+    net.node("b").credentials["trust_level"] = 2
+    net.touch()
+    return ("node", "b", "credential:trust_level", None, 2)
+
+
+def _partition(net, mon):
+    net.set_link_up("a", "b", False)
+    return ("link", "a<->b", "up", True, False)
+
+
+def _perturb_link(net, mon):
+    mon.perturb_link("a", "b", bandwidth_mbps=5.0)
+    return ("link", "a<->b", "bandwidth_mbps", 100, 5.0)
+
+
+def _perturb_node(net, mon):
+    mon.perturb_node("a", cpu_capacity=10.0)
+    return ("node", "a", "cpu_capacity", 1000, 10.0)
+
+
+def _add_node(net, mon):
+    net.add_node("c", cpu_capacity=7.0)
+    return ("node", "c", "cpu_capacity", None, 7.0)
+
+
+@pytest.mark.parametrize(
+    "change", [_direct_write_then_touch, _partition, _perturb_link, _perturb_node, _add_node]
+)
+def test_every_api_change_is_reported_at_the_next_poll(world, change):
+    sim, net, mon = world
+    assert mon.poll() == []  # idle: skipped
+    expected = change(net, mon)
+    changes = mon.poll()
+    assert [(c.kind, c.subject, c.attribute, c.old, c.new) for c in changes] == [expected]
+    assert mon.poll() == []

@@ -8,21 +8,27 @@ graph, liveness, link attributes and credentials, so they must survive it
 (``version`` / ``state_fingerprint``) must still move, because
 condition 3 reads the reservations, and nothing that read them (a
 load check, an exact score) may be kept from one plan to the next.
-Every other kind of change must flush all of them but the DP's chain
-shapes, which read only the spec.  Of a request context, the tables
-read only the keys a unit's conditions name, so only those may split
-them.
+A liveness flip (a crashed router, a partitioned link) must flush what
+reads liveness — which route a pair takes, and the DP's tables — but
+keep what a route's hops alone decide (its environment and transfer
+times) and the verdicts that read no route.  Every other kind of change
+must flush all of them but the DP's chain shapes, which read only the
+spec.  Of a request context, the tables read only the keys a unit's
+conditions name, so only those may split them.
 """
+
+import random
 
 import pytest
 
-from repro.network import FunctionTranslator, Network, NetworkError
+from repro.network import FunctionTranslator, Network
 from repro.planner import (
     DeploymentCost,
     DeploymentState,
     ExpectedLatency,
     Planner,
     PlanningContext,
+    PlanningError,
     PlanRequest,
     check_loads,
     plan_dp_chain,
@@ -144,26 +150,147 @@ def _recredential(net):
     net.touch()
 
 
-@pytest.mark.parametrize("change", [_crash_router, _partition, _unplug, _recredential])
-def test_structure_changes_flush_routes_and_verdicts(planner, change):
-    net, stats = planner.network, planner.ctx.cache_stats
-    _plan, route, misses = _warm(planner)
-    structure = net.structure_version
-
-    change(net)
-
-    assert net.structure_version > structure
-    try:
-        assert net.path(CLIENT, SERVER) is not route
-    except NetworkError:
-        pass  # the change cut the client off: no route at all
-    planner.ctx.properties_compatible(*PROBE)
-    assert stats.invalidations == 1
-    assert stats.compat_misses == misses + 1  # the verdict was dropped, not kept
+def _assert_liveness_tables_flushed(planner):
+    """What reads liveness went; the chain shapes, which read only the
+    spec, stayed."""
     tables = planner.ctx.chain_tables()
     assert not tables.candidates  # rows go with their tables
     assert not tables.installed
-    assert tables.shapes  # they read only the spec
+    assert tables.shapes
+
+
+@pytest.mark.parametrize("change", [_crash_router, _partition])
+def test_liveness_flips_keep_route_derived_values(planner, change):
+    net, ctx, stats = planner.network, planner.ctx, planner.ctx.cache_stats
+    _plan, route, misses = _warm(planner)
+    envs = {src: dict(row) for src, row in ctx._route_envs.items()}
+    times = dict(ctx._route_times)
+    assert any(envs.values()) and times
+    structure, graph = net.structure_version, net.graph_version
+
+    change(net)
+
+    assert net.structure_version > structure and net.graph_version == graph
+    ctx.properties_compatible(*PROBE)
+    assert stats.invalidations == 1
+    assert stats.compat_misses == misses  # the verdict was kept: a hit
+    _assert_liveness_tables_flushed(planner)
+    assert not ctx._link_rows and not ctx._round_trip_cache
+    # Rebuilding answers from memory each pair whose route the flip left
+    # alone: the rows built after the flip hold the very entries built
+    # before it, and a kept value is replaced only for a pair whose hop
+    # sequence changed.
+    planner.plan(PlanRequest("ClientInterface", "newyork-client1", context={"User": "Bob"}))
+    kept = {id(entry) for row in envs.values() for _hops, entry in row.values()}
+    assert any(
+        id(entry) in kept for row in ctx._link_rows.values() for entry in row.values()
+    )
+    for src, row in envs.items():
+        for dst, before in row.items():
+            now = ctx._route_envs[src][dst]
+            assert now is before or now[0] != before[0]
+    for key, before in times.items():
+        now = ctx._route_times[key]
+        assert now is before or now[0] != before[0]
+    assert any(ctx._route_times[key] is before for key, before in times.items())
+
+
+@pytest.mark.parametrize("change", [_unplug, _recredential])
+def test_graph_changes_flush_everything(planner, change):
+    net, ctx, stats = planner.network, planner.ctx, planner.ctx.cache_stats
+    _plan, route, misses = _warm(planner)
+    graph = net.graph_version
+
+    change(net)
+
+    assert net.graph_version > graph
+    assert net.path(CLIENT, SERVER) is not route
+    ctx.properties_compatible(*PROBE)
+    assert stats.invalidations == 1
+    assert stats.compat_misses == misses + 1  # the verdict was dropped, not kept
+    _assert_liveness_tables_flushed(planner)
+    assert not ctx._route_envs and not ctx._route_times
+    assert not ctx._install_cache and not ctx._node_env_cache
+
+
+def _secure_ny_sd(net):
+    """Make the New York - San Diego link secure, so a flip that reroutes
+    between those sites changes the path environment, not only the
+    latency."""
+    net.link("newyork-gw", "sandiego-gw").secure = True
+    net.touch()
+
+
+@pytest.mark.parametrize("world", [None, _secure_ny_sd])
+@pytest.mark.parametrize("seed", range(8))
+def test_plans_after_random_liveness_flips_match_a_fresh_planner(mail_spec, fig5, seed, world):
+    """Random crash/restart and partition/heal sequences on the Figure 5
+    testbed: after every flip, the long-lived planner — which keeps
+    route-derived values, verdicts and its plan cache across flips —
+    plans and scores exactly what a planner built afresh, keeping
+    nothing, does."""
+    net, rng = fig5.network, random.Random(seed)
+    if world is not None:
+        world(net)
+    kept = Planner(mail_spec, net, mail_translator(), algorithm="dp_chain")
+    server = kept.preinstall("MailServer", fig5.server_node)
+    nodes = sorted(net.node_names())
+    links = sorted((link.a, link.b) for link in net.links())
+    requests = [
+        PlanRequest("ClientInterface", client, context={"User": user})
+        for client in ("sandiego-client1", "seattle-client2", "newyork-client1")
+        for user in ("Alice", "Bob")
+    ]
+
+    def outcome(planner, request):
+        try:
+            plan = planner.plan(request)
+        except PlanningError:
+            return None
+        return plan.describe(), plan.score
+
+    planned = 0
+    for _ in range(16):
+        if rng.random() < 0.5:
+            name = rng.choice(nodes)
+            net.set_node_up(name, not net.node(name).up)
+        else:
+            a, b = rng.choice(links)
+            net.set_link_up(a, b, not net.link(a, b).up)
+        fresh = Planner(
+            mail_spec, net, mail_translator(), algorithm="dp_chain",
+            memoize=False, plan_cache=False,
+        )
+        fresh.state.add(server)
+        for request in requests:
+            expected = outcome(fresh, request)
+            assert outcome(kept, request) == expected
+            planned += expected is not None
+    assert planned  # not every flip left every client cut off
+    assert kept.ctx._route_envs  # no flip flushed them
+
+
+def test_a_flip_that_reroutes_a_pair_recomputes_what_its_route_decides(mail_spec, fig5):
+    """A kept environment or round trip is reused only while the pair
+    still takes the hops it was computed on: cutting the secure New
+    York - San Diego link sends the pair through Seattle, insecure and
+    slower, and healing it brings both values back."""
+    net = fig5.network
+    _secure_ny_sd(net)
+    ctx = PlanningContext(mail_spec, net, mail_translator())
+
+    def values(context):
+        return (
+            context.link_env("sandiego-gw", "newyork-gw")[0],
+            context.round_trip_ms("sandiego-gw", "newyork-gw", 100, 100),
+        )
+
+    direct = values(ctx)
+    for up in (False, True):
+        net.set_link_up("newyork-gw", "sandiego-gw", up)
+        assert values(ctx) == values(PlanningContext(mail_spec, net, mail_translator()))
+        assert (values(ctx) == direct) is up
+    assert direct[0] == {"Confidentiality": True}
 
 
 def test_dead_node_never_serves_a_stale_install_verdict(planner, mail_spec):

@@ -366,6 +366,57 @@ def test_a_tampered_blob_still_fails_the_unwrap():
     assert not resp.ok and resp.error.startswith("relay unwrap failed")
 
 
+def _flip(blob: bytes, i: int, mask: int) -> bytes:
+    return blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:]
+
+
+def test_a_tampered_request_body_fails_the_unwrap():
+    """The cipher has no MAC: a body altered behind an intact header
+    decrypts to garbage that ``pickle.loads`` rejects with almost any
+    exception (byte 20 of this blob: ``OverflowError``).  Each one is a
+    failure response, never an exception out of the component."""
+    rt, _proxy = _relay_bed()
+    dec = rt.instance_of("Decryptor")
+    good = encrypt(_SESSION_KEY, pickle.dumps(("fetch_mail", {"user": "Bob", "since_id": 3})))
+    kinds = set()
+    for i in range(len(good)):
+        for mask in (0x01, 0x80, 0xFF):
+            gen = dec.op_relay(ServiceRequest(op="relay", payload={"blob": _flip(good, i, mask)}))
+            try:
+                next(gen)
+            except StopIteration as stop:
+                resp = stop.value
+                assert not resp.ok and resp.error.startswith("relay unwrap failed: ")
+                kinds.add(resp.error.split(": ")[1])
+            else:  # pragma: no cover - garbage that happens to be a request
+                gen.close()
+    assert "OverflowError" in kinds and "CryptoError" in kinds
+    assert len(kinds) > 2
+
+
+def test_a_tampered_response_body_fails_the_unwrap(monkeypatch):
+    """The Encryptor's end: a reply blob altered on the way back is a
+    failed answer to the client, not an exception in its chain."""
+    rt, proxy = _relay_bed()
+    enc = rt.instance_of("Encryptor")
+    call = enc.call
+    flipped = []
+
+    def tamper(interface, req):
+        resp = yield from call(interface, req)
+        blob = resp.payload["blob"]
+        resp.payload["blob"] = _flip(blob, 20, 0x80)  # garbles the pickle's frame length
+        flipped.append(blob)
+        return resp
+
+    monkeypatch.setattr(enc, "call", tamper)
+    resp = rt.run(proxy.request("fetch_mail", {"max_sensitivity": 5}))
+    assert flipped
+    assert not resp.ok and resp.error.startswith("relay unwrap failed: ")
+    monkeypatch.undo()
+    assert rt.run(proxy.request("fetch_mail", {"max_sensitivity": 5})).ok
+
+
 def test_the_memo_keeps_at_most_its_bound():
     memo = _RelayMemo()
     payloads = [{"user": "Bob", "since_id": i} for i in range(RELAY_MEMO_SIZE + 20)]
