@@ -1,7 +1,7 @@
 """Substrate micro-benchmarks: event kernel, transport, crypto, routing.
 
 Not a paper figure — these quantify the simulator this reproduction runs
-on, so regressions in the hot paths (event heap, link transfer, XTEA)
+on, so regressions in the hot paths (event heap, link transfer, mail cipher)
 are visible.
 """
 

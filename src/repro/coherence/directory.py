@@ -236,8 +236,10 @@ class CoherenceDirectory:
         """Bookkeeping after a successful upstream reconciliation."""
         entry = self._replicas[replica_id]
         entry.last_flush_ms = now_ms
-        messages = sum(u.multiplicity for u in batch)
-        size = sum(u.size_bytes for u in batch)
+        messages = size = 0
+        for u in batch:
+            messages += u.multiplicity
+            size += u.size_bytes
         self.stats.syncs += 1
         self.stats.messages_propagated += messages
         self.stats.bytes_propagated += size

@@ -190,16 +190,15 @@ class Planner:
         (:class:`~repro.planner.compat.ContextCacheStats`,
         :class:`~repro.planner.cache.PlanCacheStats`); this flushes their
         growth since the previous flush as ``planner.ctx_cache.*`` and
-        ``planner.plan_cache.*`` metrics, once per search.
+        ``planner.plan_cache.*`` metrics, once per search.  Both records
+        hold ints only, so a flat copy of their fields is the snapshot.
         """
         m = self.obs.metrics
         if not m.enabled:
             return
-        sources = [("planner.ctx_cache", dataclasses.asdict(self.ctx.cache_stats))]
+        sources = [("planner.ctx_cache", vars(self.ctx.cache_stats).copy())]
         if self.plan_cache is not None:
-            sources.append(
-                ("planner.plan_cache", dataclasses.asdict(self.plan_cache.stats))
-            )
+            sources.append(("planner.plan_cache", vars(self.plan_cache.stats).copy()))
         for prefix, snap in sources:
             prev = self._flushed_cache_stats.get(prefix, {})
             for counter_name, value in snap.items():

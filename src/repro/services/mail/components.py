@@ -472,13 +472,26 @@ class ViewMailServerComponent(_StoreBase):
         if not prep_resp.ok:
             directory.requeue(replica_id, batch)
             return
-        messages = [u.attributes["message"] for u in batch if "message" in u.attributes]
-        size = sum(u.size_bytes for u in batch) + 512
+        # The messages travel once, in ``messages``; each update that
+        # carried one goes upstream as a metadata-only copy for
+        # invalidation bookkeeping (its version stamp rides along so
+        # upstream frontiers dedup), and one without is frozen and goes
+        # as it is.
+        messages: List[StoredMessage] = []
+        updates: List[Update] = []
+        size = 512
+        for u in batch:
+            size += u.size_bytes
+            if "message" in u.attributes:
+                attrs = dict(u.attributes)
+                messages.append(attrs.pop("message"))
+                u = Update(u.op, attrs, u.size_bytes, u.multiplicity, u.origin, u.seq, u.ts_ms)
+            updates.append(u)
         req = ServiceRequest(
             op="sync_batch",
             payload={
                 "messages": messages,
-                "updates": [self._strip_message(u) for u in batch],
+                "updates": updates,
                 "units": units,
                 "origin_config": self.config,
             },
@@ -489,21 +502,6 @@ class ViewMailServerComponent(_StoreBase):
             directory.record_flush(replica_id, self.sim.now, batch)
         else:
             directory.requeue(replica_id, batch)
-
-    @staticmethod
-    def _strip_message(update: Update) -> Update:
-        """Metadata-only copy for invalidation bookkeeping upstream
-        (the version stamp rides along so upstream frontiers dedup)."""
-        attrs = {k: v for k, v in update.attributes.items() if k != "message"}
-        return Update(
-            op=update.op,
-            attributes=attrs,
-            size_bytes=update.size_bytes,
-            multiplicity=update.multiplicity,
-            origin=update.origin,
-            seq=update.seq,
-            ts_ms=update.ts_ms,
-        )
 
     # -- operations -----------------------------------------------------------------
     def op_store_message(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
@@ -693,13 +691,13 @@ class ViewMailServerComponent(_StoreBase):
                         payload={"msg_id": msg.msg_id}, size_bytes=256
                     )
                 chained = Update(
-                    op=update.op,
-                    attributes={**dict(update.attributes), "message": msg},
-                    size_bytes=update.size_bytes,
-                    multiplicity=update.multiplicity,
-                    origin=update.origin,
-                    seq=update.seq,
-                    ts_ms=update.ts_ms,
+                    update.op,
+                    {**update.attributes, "message": msg},
+                    update.size_bytes,
+                    update.multiplicity,
+                    update.origin,
+                    update.seq,
+                    update.ts_ms,
                 )
             else:
                 chained = update  # folder update: chain upstream as-is
@@ -839,12 +837,12 @@ class _RelayMemo:
 def _unwrap_failed(exc: Exception) -> ServiceResponse:
     """The answer to a relayed blob that does not decrypt and unpickle.
 
-    Either end catches every ``Exception`` around its unwrap: the
-    session cipher carries no MAC, so a body altered behind an intact
-    header decrypts to garbage, and ``pickle.loads`` of garbage can
-    raise nearly anything (flipping single bytes of a relayed request
-    raised ``UnpicklingError``, ``UnicodeDecodeError``,
-    ``OverflowError``, ``ValueError``, ``EOFError`` and ``MemoryError``).
+    The session cipher authenticates: a blob altered anywhere, header
+    or body, is refused by :func:`decrypt` as a ``CryptoError`` before
+    ``pickle.loads`` sees it.  Either end still catches every
+    ``Exception`` around its unwrap, so a request without a blob, or a
+    32-bit tag matched by chance, is a failure response too and never
+    an exception out of the component.
     """
     return ServiceResponse.failure(f"relay unwrap failed: {type(exc).__name__}: {exc}")
 

@@ -270,9 +270,14 @@ class MailStore:
                 f"message sensitivity {message.sensitivity} exceeds store bound "
                 f"{self.max_sensitivity}"
             )
-        self.ensure_account(message.recipient).file("inbox", message)
-        if self.has_account(message.sender):
-            self.mailbox(message.sender).file("sent", message)
+        accounts = self._accounts
+        recipient = accounts.get(message.recipient)
+        if recipient is None:
+            recipient = accounts[message.recipient] = Mailbox()
+        recipient.file("inbox", message)
+        sender = accounts.get(message.sender)  # after the above: may be the same box
+        if sender is not None:
+            sender.file("sent", message)
         self.messages_stored += 1
 
     def holds(self, user: str, msg_id: int) -> bool:

@@ -28,9 +28,9 @@ from repro.coherence import Update
 from repro.experiments.mail_setup import build_mail_testbed
 from repro.services.mail import MailStore, MailStoreError, StoredMessage, mailstore
 from repro.services.mail.components import _SESSION_KEY, RELAY_MEMO_SIZE, _RelayMemo
-from repro.services.mail.crypto import encrypt
+from repro.services.mail.crypto import decrypt, encrypt
 from repro.services.mail.mailstore import total_size_bytes
-from repro.smock import ServiceRequest
+from repro.smock import ServiceRequest, ServiceResponse
 
 PROTOCOLS = range(2, pickle.HIGHEST_PROTOCOL + 1)
 
@@ -370,49 +370,87 @@ def _flip(blob: bytes, i: int, mask: int) -> bytes:
     return blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:]
 
 
-def test_a_tampered_request_body_fails_the_unwrap():
-    """The cipher has no MAC: a body altered behind an intact header
-    decrypts to garbage that ``pickle.loads`` rejects with almost any
-    exception (byte 20 of this blob: ``OverflowError``).  Each one is a
-    failure response, never an exception out of the component."""
+#: each byte of a relayed blob is flipped under every one of these masks
+_MASKS = (0x01, 0x80, 0xFF)
+
+
+def _spy_loads(monkeypatch) -> List[bytes]:
+    """Every blob ``pickle.loads`` is handed while installed."""
+    seen: List[bytes] = []
+    loads = pickle.loads
+
+    def spy(data, *args, **kwargs):
+        seen.append(bytes(data))
+        return loads(data, *args, **kwargs)
+
+    monkeypatch.setattr(pickle, "loads", spy)
+    return seen
+
+
+def _assert_refused(resp, kinds) -> None:
+    assert not resp.ok and resp.error.startswith("relay unwrap failed: ")
+    kinds.add(resp.error.split(": ")[1])
+
+
+def test_a_tampered_request_body_fails_the_unwrap(monkeypatch):
+    """The session cipher authenticates: every single-byte flip of a
+    request blob, header or body, is refused by ``decrypt`` as a
+    ``CryptoError`` before ``pickle.loads`` sees a byte of it.  Each one
+    is a failure response, never an exception out of the component."""
     rt, _proxy = _relay_bed()
     dec = rt.instance_of("Decryptor")
     good = encrypt(_SESSION_KEY, pickle.dumps(("fetch_mail", {"user": "Bob", "since_id": 3})))
+    loaded = _spy_loads(monkeypatch)
     kinds = set()
     for i in range(len(good)):
-        for mask in (0x01, 0x80, 0xFF):
-            gen = dec.op_relay(ServiceRequest(op="relay", payload={"blob": _flip(good, i, mask)}))
-            try:
-                next(gen)
-            except StopIteration as stop:
-                resp = stop.value
-                assert not resp.ok and resp.error.startswith("relay unwrap failed: ")
-                kinds.add(resp.error.split(": ")[1])
-            else:  # pragma: no cover - garbage that happens to be a request
-                gen.close()
-    assert "OverflowError" in kinds and "CryptoError" in kinds
-    assert len(kinds) > 2
+        for mask in _MASKS:
+            request = ServiceRequest(op="relay", payload={"blob": _flip(good, i, mask)})
+            _assert_refused(_finish(dec.op_relay(request)), kinds)
+    assert kinds == {"CryptoError"}
+    assert loaded == []
+    # the spy does see what reaches the unpickler: the untouched blob's plaintext
+    gen = dec.op_relay(ServiceRequest(op="relay", payload={"blob": good}))
+    next(gen)  # unwrapped, and calling upstream
+    gen.close()
+    assert loaded == [decrypt(_SESSION_KEY, good)]
 
 
 def test_a_tampered_response_body_fails_the_unwrap(monkeypatch):
     """The Encryptor's end: a reply blob altered on the way back is a
-    failed answer to the client, not an exception in its chain."""
+    failed answer to the client, not an exception in its chain, and
+    never reaches ``pickle.loads``; the next request succeeds."""
     rt, proxy = _relay_bed()
     enc = rt.instance_of("Encryptor")
     call = enc.call
-    flipped = []
+    replies = []
 
     def tamper(interface, req):
         resp = yield from call(interface, req)
-        blob = resp.payload["blob"]
-        resp.payload["blob"] = _flip(blob, 20, 0x80)  # garbles the pickle's frame length
-        flipped.append(blob)
+        replies.append(resp.payload["blob"])
+        resp.payload["blob"] = _flip(replies[-1], 20, 0x80)
         return resp
 
     monkeypatch.setattr(enc, "call", tamper)
     resp = rt.run(proxy.request("fetch_mail", {"max_sensitivity": 5}))
-    assert flipped
-    assert not resp.ok and resp.error.startswith("relay unwrap failed: ")
+    assert replies
+    assert not resp.ok and resp.error.startswith("relay unwrap failed: CryptoError: ")
+    # every single-byte flip of that reply, handed straight to the Encryptor
+    good = replies[-1]
+    loaded = _spy_loads(monkeypatch)
+    kinds = set()
+    for i in range(len(good)):
+        for mask in _MASKS:
+            reply = ServiceResponse(payload={"blob": _flip(good, i, mask)}, size_bytes=512)
+
+            def answer(interface, req, reply=reply):
+                return reply
+                yield  # pragma: no cover - generator marker
+
+            monkeypatch.setattr(enc, "call", answer)
+            request = ServiceRequest(op="fetch_mail", payload={"user": "Bob", "max_sensitivity": 5})
+            _assert_refused(_finish(enc.dispatch(request)), kinds)
+    assert kinds == {"CryptoError"}
+    assert loaded == []
     monkeypatch.undo()
     assert rt.run(proxy.request("fetch_mail", {"max_sensitivity": 5})).ok
 
