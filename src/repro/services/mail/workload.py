@@ -89,8 +89,9 @@ def mail_workload(
             "workload.op_sim_ms", service="mail", op="fetch_mail"
         )
 
+    peers = list(config.peers)
     for i in range(config.n_sends):
-        recipient = rng.choice(list(config.peers)) if config.peers else config.user
+        recipient = rng.choice(peers) if peers else config.user
         sensitivity = rng.randint(1, config.max_sensitivity)
         t0 = sim.now
         resp = yield from proxy.request(

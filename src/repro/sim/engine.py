@@ -12,12 +12,14 @@ use origin 0, which reduces the key to the classic ``(time, seq)``
 schedule order.  All framework time is in **milliseconds** — the unit
 of the paper's Figure 7.
 
-One dispatch loop pops both queues.  A process that creates the very
-event the loop would pop next, with nobody else waiting on it, may have
-it dispatched in place (:meth:`Simulator.take`) and carry on instead of
-yielding it: a CPU grant or a service timeout then costs no trip back
+One dispatch loop pops both queues.  A process about to create the
+very event the loop would pop next, with nobody else waiting on it, may
+have it dispatched in place instead (:meth:`Simulator.take_now`,
+:meth:`Simulator.take_after`) and carry on: a CPU grant or a service
+timeout then costs no event object, no queue entry and no trip back
 through the loop and the process's whole ``yield from`` chain, and the
-dispatch order and counts stay exactly those of the loop.
+clock, the sequence numbers, the dispatch order and the counts stay
+exactly those of the loop.
 
 This replaces the paper's physical testbed (Pentium III nodes + a Click
 software router doing traffic shaping): simulated links impose latency
@@ -63,8 +65,9 @@ class Simulator:
     advances the clock and runs their callbacks.  The loop counts its
     dispatches in a local and adds them to ``sim.events_dispatched``
     once, on the way out (also when a callback raises), and refuses to
-    be entered from inside one of its own callbacks.  :meth:`take`
-    dispatches the loop's next event in place, by the loop's own rules.
+    be entered from inside one of its own callbacks.  :meth:`take_now`
+    and :meth:`take_after` dispatch the loop's next event in place, by
+    the loop's own rules, before it is built.
 
     Most events are due at the instant they are scheduled (a triggered
     event, a process's first step, a zero-length timeout), so the event
@@ -92,10 +95,11 @@ class Simulator:
         self._origin = int(origin)
         self._running = False
         #: set by _drain while it runs the sole callback of the event it
-        #: popped: only then may take() dispatch an event in place.
+        #: popped: only then may take_now()/take_after() dispatch an event
+        #: in place.
         self._in_place = False
         #: the running drain's exclusive bound, and how many events
-        #: take() has dispatched during it.
+        #: have been dispatched in place during it.
         self._until = _INF
         self._taken = 0
         self.obs = resolve_obs(obs)
@@ -205,10 +209,11 @@ class Simulator:
         origin at or below this simulator's (see the class docstring).
 
         While it runs the only callback of the event it popped, with
-        capture off, the loop lets :meth:`take` dispatch the loop's next
-        event in place.  A taken event may move the clock, so the loop
-        re-reads it after such a callback, and it adds the taken events
-        to ``sim.events_dispatched`` on the way out."""
+        capture off, the loop lets :meth:`take_now` and :meth:`take_after`
+        dispatch the loop's next event in place.  A taken event may move
+        the clock, so the loop re-reads it after such a callback, and it
+        adds the taken events to ``sim.events_dispatched`` on the way
+        out."""
         if self._running:
             raise SimulationError(
                 "run() / run_until_complete() are not reentrant"
@@ -260,37 +265,65 @@ class Simulator:
             if dispatched and self._evt_counter is not None:
                 self._evt_counter.inc(dispatched)
 
-    def take(self, event: Event) -> bool:
-        """Dispatch ``event`` here and now if the dispatch loop would
-        dispatch it next, and to nobody but the caller; say whether it did.
+    def take_now(self) -> bool:
+        """Dispatch here and now an event due at this instant, without
+        building it, if the dispatch loop would dispatch it next and to
+        nobody but the caller; say whether it did.
 
-        A process that has just created ``event`` calls this in place of
-        ``yield event`` and carries on when it returns True, so the loop
-        does not resume it through its whole ``yield from`` chain.  It
-        holds exactly when the loop is running the sole callback of the
-        event it popped (that callback is the caller's resume), nobody
-        waits on ``event``, and ``event`` is the loop's next pop: the
-        FIFO's only entry with no heap entry due now ahead of it, or the
-        heap's top below the loop's bound with the FIFO empty.  Then the
-        loop's next step would pop ``event`` and resume only the caller,
-        with a value the caller ignores; here the clock moves the same
-        way and the dispatch is counted the same way.
+        A process about to create a fresh event due now (a CPU grant, a
+        zero-length timeout) calls this first and carries on when it
+        returns True, so neither the event nor the loop's trip back
+        through the process's ``yield from`` chain is paid for.  It holds
+        exactly when the loop is running the sole callback of the event
+        it popped (that callback is the caller's resume), the FIFO is
+        empty (the fresh event would be its only entry) and no heap entry
+        is due now from an origin at or below this simulator's.  Then the
+        loop's next step would pop that event and resume only the caller,
+        with a value the caller ignores; here the event is scheduled and
+        dispatched, and counted, the same way.  When it returns False the
+        caller builds and yields the event as usual.
         """
-        if not self._in_place or event.callbacks:
+        if not self._in_place or self._fifo:
             return False
-        fifo = self._fifo
         heap = self._heap
-        if fifo:
-            if len(fifo) != 1 or fifo[0] is not event:
-                return False
-            if heap and heap[0][0] <= self._now and heap[0][1] <= self._origin:
-                return False
-            fifo.pop()
-        elif heap and heap[0][3] is event and heap[0][0] < self._until:
-            self._now = heappop(heap)[0]
-        else:
+        if heap and heap[0][0] <= self._now and heap[0][1] <= self._origin:
             return False
-        event.callbacks = None
+        self._seq += 1
+        self._taken += 1
+        return True
+
+    def take_after(self, delay: float) -> bool:
+        """:meth:`take_now` for a timeout of ``delay`` ms: dispatch it in
+        place, without building it, if the loop would dispatch it next
+        and to nobody but the caller, moving the clock to its instant;
+        say whether it did.
+
+        The instant is the sum ``now + delay``, as :class:`Timeout` forms
+        it, so a delay that rounds away is due now and follows
+        :meth:`take_now`'s rule.  A later instant is the loop's next pop
+        when the FIFO is empty, the instant lies below the running
+        drain's bound, and ``(when, origin)`` sorts strictly below the
+        heap top's: on a tie the top, scheduled earlier, holds the
+        smaller seq.  Both cases read the heap top the same way.  Raises
+        :class:`ValueError` for a delay :class:`Timeout` refuses (NaN,
+        negative or infinite).
+        """
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"timeout delay not finite and >= 0: {delay}")
+        if not self._in_place or self._fifo:
+            return False
+        now = self._now
+        when = now + delay
+        heap = self._heap
+        if heap:
+            top_when, top_origin = heap[0][0], heap[0][1]
+            if top_when < when or (top_when == when and top_origin <= self._origin):
+                return False
+        if when != now:
+            if not when < self._until:
+                return False
+            self._now = when
+        self._seq += 1
         self._taken += 1
         return True
 

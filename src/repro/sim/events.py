@@ -175,13 +175,15 @@ class Injected(Event):
 
 
 class _Condition(Event):
-    """Base for AnyOf / AllOf composite events."""
+    """Base for AnyOf / AllOf composite events.  The condition keeps
+    ``events`` itself, not a copy: :meth:`Simulator.any_of` and
+    :meth:`Simulator.all_of` hand it a fresh list."""
 
     __slots__ = ("events", "_n_needed", "_n_done")
 
     def __init__(self, sim: Any, events: List[Event], n_needed: int) -> None:
         super().__init__(sim)
-        self.events = list(events)
+        self.events = events
         self._n_needed = n_needed
         self._n_done = 0
         if not self.events:

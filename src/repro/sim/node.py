@@ -91,16 +91,17 @@ class SimNode:
         if not self.up:
             raise NodeDownError(f"node {self.name} is down")
         sim = self.sim
-        # Each event yielded only when the kernel would not dispatch it
-        # next to this process anyway (Simulator.take).  One name for
-        # both, so a suspended frame keeps at most one dispatched event
-        # alive.
-        ev = self.cpu.request()
-        if not sim.take(ev):
+        # Each event built and yielded only when the kernel would not
+        # dispatch it next to this process anyway (Simulator.take_now,
+        # Simulator.take_after).  One name for both, so a suspended frame
+        # keeps at most one dispatched event alive.
+        ev = self.cpu.request_in_place()
+        if ev is not None:
             yield ev
         try:
-            ev = Timeout(sim, self.service_time_ms(cpu_work))
-            if not sim.take(ev):
+            delay = self.service_time_ms(cpu_work)
+            if not sim.take_after(delay):
+                ev = Timeout(sim, delay)
                 yield ev
         finally:
             self.cpu.release()

@@ -8,7 +8,7 @@ processes simply ``yield`` on acquisition.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator
+from typing import Any, Deque, Generator, Optional
 
 from .engine import Simulator
 from .events import Event
@@ -75,6 +75,20 @@ class Resource:
         else:
             self._waiters.append(ev)
         return ev
+
+    def request_in_place(self) -> Optional[Event]:
+        """:meth:`request`, or ``None`` when the slot is free and the
+        kernel dispatched its grant in place (:meth:`Simulator.take_now`):
+        the caller holds the slot and carries on without yielding."""
+        in_use = self._in_use
+        if in_use < self.capacity and self.sim.take_now():
+            # The grant branch of request(), with no event to succeed.
+            now = self.sim._now
+            self._busy_area += in_use * (now - self._last_change)
+            self._last_change = now
+            self._in_use = in_use + 1
+            return None
+        return self.request()
 
     def release(self) -> None:
         """Return a slot; wakes the head-of-line waiter if any."""

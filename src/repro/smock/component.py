@@ -47,6 +47,12 @@ def _dispatch_table(cls: type) -> Dict[str, Callable[..., Any]]:
     return table
 
 
+def _answer(resp: ServiceResponse) -> Generator[Any, Any, ServiceResponse]:
+    """A generator that yields nothing and returns ``resp``."""
+    return resp
+    yield  # pragma: no cover - makes this a generator
+
+
 class ServerStub:
     """Client-side handle for one planned linkage."""
 
@@ -83,10 +89,14 @@ class ServerStub:
         """
         self.calls += 1
         transport = self.runtime.transport
+        client_node = self.client_node
+        server_node = self.server.node.name
+        # deliver() moves nothing between two components on one node.
+        remote = client_node != server_node
         try:
             hook = transport.fault_hook
             verdicts = (
-                hook.on_message(self.client_node, self.server.node_name, req.size_bytes)
+                hook.on_message(client_node, server_node, req.size_bytes)
                 if hook is not None
                 else ()
             )
@@ -94,13 +104,12 @@ class ServerStub:
                 if isinstance(verdict, tuple) and verdict[0] == "reorder":
                     transport.messages_reordered += 1
                     yield self.runtime.sim.timeout(float(verdict[1]))
-            yield from transport.deliver(
-                self.client_node, self.server.node_name, req.size_bytes
-            )
+            if remote:
+                yield from transport.deliver(client_node, server_node, req.size_bytes)
             if "corrupt" in verdicts:
                 transport.messages_corrupted += 1
                 return ServiceResponse.failure(
-                    f"corrupt: {self.client_node} -> {self.server.node_name}: "
+                    f"corrupt: {client_node} -> {server_node}: "
                     f"request {req.op!r} failed integrity check",
                     retryable=True,
                 )
@@ -108,12 +117,11 @@ class ServerStub:
             if "duplicate" in verdicts:
                 transport.messages_duplicated += 1
                 yield from self.server.serve(req)
-            yield from transport.deliver(
-                self.server.node_name, self.client_node, resp.size_bytes
-            )
+            if remote:
+                yield from transport.deliver(server_node, client_node, resp.size_bytes)
         except (NetworkError, FaultError) as exc:
             return ServiceResponse.failure(
-                f"unreachable: {self.client_node} -> {self.server.node_name}: {exc}",
+                f"unreachable: {client_node} -> {server_node}: {exc}",
                 retryable=True,
             )
         return resp
@@ -125,9 +133,9 @@ class ServerStub:
 class RuntimeComponent:
     """Base class for live component instances.
 
-    Subclasses override :meth:`dispatch` (a generator) to implement
-    operations; the default implementation routes ``op`` to an
-    ``op_<name>`` generator method.
+    Subclasses implement operations as ``op_<name>`` generator methods,
+    which the default :meth:`dispatch` routes ``op`` to, or override
+    :meth:`dispatch` itself (a generator, or a method returning one).
     """
 
     def __init__(
@@ -211,9 +219,9 @@ class RuntimeComponent:
     def call(
         self, interface: str, req: ServiceRequest
     ) -> Generator[Any, Any, ServiceResponse]:
-        """Invoke the bound server of ``interface`` (round trip)."""
-        resp = yield from self.stub_for(interface).request(req)
-        return resp
+        """Invoke the bound server of ``interface`` (round trip): the
+        stub's request generator, for the caller to ``yield from``."""
+        return self.stub_for(interface).request(req)
 
     # -- serving ----------------------------------------------------------------
     def serve(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
@@ -261,12 +269,14 @@ class RuntimeComponent:
         return resp
 
     def dispatch(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
-        """Route ``req.op`` to an ``op_<name>`` generator method."""
+        """The generator that answers ``req``: its ``op_<name>`` method's,
+        for :meth:`serve` to ``yield from``."""
         handler = self._ops.get(req.op)
         if handler is None:
-            return ServiceResponse.failure(f"{self.unit.name} has no op {req.op!r}")
-        resp = yield from handler(self, req)
-        return resp
+            return _answer(
+                ServiceResponse.failure(f"{self.unit.name} has no op {req.op!r}")
+            )
+        return handler(self, req)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.label}>"

@@ -200,26 +200,25 @@ class RuntimeTransport:
                 raise LinkDownError(f"link {link.name} is partitioned")
             if inflight is not None:
                 inflight[link.name] = inflight.get(link.name, 0) + size_bytes
-            # Each event yielded only when the kernel would not dispatch
-            # it next to this process anyway (Simulator.take).  One name
-            # for all three, so a suspended frame keeps at most one
-            # dispatched event alive.
+            # Each event built and yielded only when the kernel would not
+            # dispatch it next to this process anyway (Simulator.take_now,
+            # Simulator.take_after).  One name for all three, so a
+            # suspended frame keeps at most one dispatched event alive.
             try:
-                ev = tx.request()
-                if not sim.take(ev):
+                ev = tx.request_in_place()
+                if ev is not None:
                     yield ev
                 try:
-                    ev = Timeout(
-                        sim, (size_bytes * 8) / bw_bps * 1e3 if bw_bps else 0.0
-                    )
-                    if not sim.take(ev):
+                    delay = (size_bytes * 8) / bw_bps * 1e3 if bw_bps else 0.0
+                    if not sim.take_after(delay):
+                        ev = Timeout(sim, delay)
                         yield ev
                 finally:
                     tx.release()
                 if not link.up:
                     raise LinkDownError(f"link {link.name} partitioned mid-transfer")
-                ev = Timeout(sim, latency_ms)
-                if not sim.take(ev):
+                if not sim.take_after(latency_ms):
+                    ev = Timeout(sim, latency_ms)
                     yield ev
             finally:
                 if inflight is not None:

@@ -60,7 +60,8 @@ def _build_two_steps(sim):
 
 def _build_holding_a_cpu(sim):
     """A process holds a node's CPU twice: with capture off, its grants
-    and service timeouts are dispatched in place (``Simulator.take``)."""
+    and service timeouts are dispatched in place, never built
+    (``Simulator.take_now``, ``Simulator.take_after``)."""
     node = SimNode(sim, "n", cpu_capacity=1000)
 
     def body():

@@ -2,17 +2,19 @@
 
 Events due at the current instant skip the heap and wait in a FIFO, and
 ``Simulator._drain`` merges the two queues.  A process holding a node's
-CPU may also have its grant and service timeout dispatched in place
-(``Simulator.take``).  The reference below is the kernel without the
-FIFO and without in-place dispatch: every event goes onto the heap under
-its ``(when, origin, seq)`` key, and the loop pops the heap alone.
-Generated programs must dispatch the same labels at the same times, and
-schedule and dispatch the same number of events, on both.
+CPU may also have its grant and service timeout dispatched in place,
+without either event being built (``Simulator.take_now``,
+``Simulator.take_after``).  The reference below is the kernel without
+the FIFO and without in-place dispatch: every event is built and goes
+onto the heap under its ``(when, origin, seq)`` key, and the loop pops
+the heap alone.  Generated programs must dispatch the same labels at the
+same times, and schedule and dispatch the same number of events, on both.
 """
 
 import math
 from heapq import heappop, heappush
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -70,7 +72,8 @@ DELAYS = st.sampled_from(["zero", "tiny", 0.5, 1.0, 2.0])
 LEAF = st.one_of(
     st.tuples(st.just("timeout"), DELAYS),
     st.tuples(st.sampled_from(["succeed", "fail", "call_at"])),
-    st.tuples(st.just("external"), st.sampled_from([-1, 1])),
+    # an event merged from the origin below or above, due now or later
+    st.tuples(st.just("external"), st.sampled_from([-1, 1]), st.sampled_from([0.0, 0.5, 500.0])),
     st.tuples(st.sampled_from(["any_of", "all_of"]), DELAYS, DELAYS),
     # hold one of two shared CPUs for 0, 500 or 1000 ms
     st.tuples(st.just("hold"), st.integers(0, 1), st.sampled_from([0, 500, 1000])),
@@ -129,7 +132,9 @@ def execute(sim_cls, origin, program, stops, limit, shared_delays):
                 external_seq[0] += 1
                 ev = Injected(sim, label + "!")
                 ev.add_callback(lambda e: log(e.payload))
-                sim.schedule_external(sim.now, origin + step[1], external_seq[0], ev)
+                sim.schedule_external(
+                    sim.now + step[2], origin + step[1], external_seq[0], ev
+                )
             elif kind == "hold":
                 yield from nodes[step[1]].execute(step[2])
             elif kind == "shared":
@@ -166,12 +171,19 @@ def execute(sim_cls, origin, program, stops, limit, shared_delays):
     limit=st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.5])),
     shared_delays=st.tuples(DELAYS, DELAYS),
 )
-# Each of these dispatches out of order if take() ignores one of its
-# conditions, in turn: a heap event due now from a lower origin, a second
-# waiter on the popped event, the drain's bound (the stop at 0.5 ms).
+# Each of these dispatches out of order if the in-place path ignores one
+# of its conditions, in turn: a heap event due now from a lower origin, a
+# second waiter on the popped event, the drain's bound (the stop at
+# 0.5 ms), a heap event at the service timeout's instant from a lower
+# origin, an event in the FIFO at the service timeout (the second
+# process's zero-length timeout), an event in the FIFO at the grant and
+# at a zero-length service timeout, a heap event due now from the same
+# origin at the grant.  The last two are taken in place: a heap event at
+# the timeout's instant from a higher origin, and a zero-length service
+# time behind a heap event due now from a higher origin.
 @example(
     origin=1,
-    program=[[("external", -1), ("hold", 0, 0)]],
+    program=[[("external", -1, 0.0), ("hold", 0, 0)]],
     stops=[],
     limit=None,
     shared_delays=(1.0, 2.0),
@@ -190,7 +202,114 @@ def execute(sim_cls, origin, program, stops, limit, shared_delays):
     limit=None,
     shared_delays=("zero", "zero"),
 )
+@example(
+    origin=1,
+    program=[[("external", -1, 500.0), ("hold", 0, 500)]],
+    stops=[],
+    limit=None,
+    shared_delays=("zero", "zero"),
+)
+@example(
+    origin=0,
+    program=[[("hold", 0, 500)], [("timeout", "zero")]],
+    stops=[],
+    limit=None,
+    shared_delays=("zero", "zero"),
+)
+@example(
+    origin=0,
+    program=[[("hold", 0, 0)], [("timeout", "zero")]],
+    stops=[],
+    limit=None,
+    shared_delays=("zero", "zero"),
+)
+@example(
+    origin=0,
+    program=[[("timeout", 0.5), ("hold", 0, 0)], [("timeout", 0.5), ("timeout", "zero")]],
+    stops=[],
+    limit=None,
+    shared_delays=("zero", "zero"),
+)
+@example(
+    origin=0,
+    program=[[("external", 1, 500.0), ("hold", 0, 500)]],
+    stops=[],
+    limit=None,
+    shared_delays=("zero", "zero"),
+)
+@example(
+    origin=0,
+    program=[[("external", 1, 0.0), ("hold", 0, 0), ("hold", 1, 0)]],
+    stops=[],
+    limit=None,
+    shared_delays=("zero", "zero"),
+)
 def test_two_queues_dispatch_in_heap_order(origin, program, stops, limit, shared_delays):
     got = execute(Simulator, origin, program, stops, limit, shared_delays)
     want = execute(HeapOnlySimulator, origin, program, stops, limit, shared_delays)
     assert got == want
+
+
+@pytest.mark.parametrize("delay", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+def test_take_after_refuses_the_delays_timeout_refuses(delay):
+    sim = Simulator()
+    with pytest.raises(ValueError, match="timeout delay not finite and >= 0"):
+        sim.take_after(delay)
+    with pytest.raises(ValueError, match="timeout delay not finite and >= 0"):
+        sim.timeout(delay)
+    assert sim.events_scheduled == 0 and sim.now == 0.0
+
+
+def test_a_zero_delay_waits_behind_a_heap_entry_due_now():
+    """Right after a heap pop, another local timeout at the same instant
+    (scheduled later) is still due now: it runs first."""
+    sim = Simulator()
+    order = []
+
+    def first():
+        yield sim.timeout(1.0)
+        taken = sim.take_after(0.0)
+        if not taken:
+            yield sim.timeout(0.0)
+        order.append(("first", taken))
+
+    def second():
+        yield sim.timeout(1.0)
+        order.append(("second", None))
+
+    sim.process(first())
+    sim.process(second())
+    sim.run()
+    assert order == [("second", None), ("first", False)]
+
+
+def _hold_a_cpu_three_times(sim):
+    """A process holds one CPU for 2, 0 and 5 ms, 1 ms apart; returns
+    its busy integral settled at 20 ms."""
+    node = SimNode(sim, "n", cpu_capacity=1000)
+
+    def body():
+        for work in (2, 0, 5):
+            yield sim.timeout(1.0)
+            yield from node.execute(work)
+
+    sim.process(body())
+    sim.run(until=20.0)
+    return node.cpu.busy_area()
+
+
+def test_a_grant_taken_in_place_keeps_the_busy_integral():
+    obs = Observability(tracing=False, metrics=True)
+    sim = Simulator(obs=obs)
+    granted_in_place = []
+    take_now = sim.take_now
+
+    def spy():
+        granted_in_place.append(take_now())
+        return granted_in_place[-1]
+
+    sim.take_now = spy
+    got = _hold_a_cpu_three_times(sim)
+    want = _hold_a_cpu_three_times(HeapOnlySimulator(obs=obs))
+    assert granted_in_place == [True, True, True]
+    assert got == want == 7.0

@@ -83,3 +83,49 @@ def test_service_survives_after_a_fault():
     second = rt.run(proxy.request("work", {}))
     assert not second.ok
     assert rt.instance_of("FrontUnit").requests_served == 2
+
+
+class Narrowed(Healthy):
+    op_work = None  # interface narrowed away: no op, not a callable None
+
+
+class RaisesOnCall(RuntimeComponent):
+    def op_work(self, req):  # not a generator: raises when called
+        raise RuntimeError("no generator at all")
+
+
+def _serve(rt, unit, op):
+    """Run ``op`` through ``serve`` on the live ``unit`` instance."""
+    return rt.run(rt.instance_of(unit).serve(ServiceRequest(op=op)))
+
+
+@pytest.mark.parametrize(
+    "back_cls, op", [(Healthy, "nosuch"), (Narrowed, "work")], ids=["unknown", "narrowed"]
+)
+def test_an_op_the_component_lacks_answers_has_no_op(back_cls, op):
+    rt, _proxy = build_world(Forwarder, back_cls)
+    resp = _serve(rt, "BackUnit", op)
+    assert not resp.ok and not resp.retryable
+    assert resp.error == f"BackUnit has no op {op!r}"
+    assert rt.instance_of("BackUnit").requests_served == 1
+
+
+def test_has_no_op_travels_back_through_a_chain():
+    rt, proxy = build_world(Forwarder, Narrowed)
+    resp = rt.run(proxy.request("work", {}))
+    assert not resp.ok and not resp.retryable
+    assert resp.error == "BackUnit has no op 'work'"
+
+
+@pytest.mark.parametrize(
+    "back_cls, message",
+    [(Crasher, "RuntimeError: disk on fire"), (RaisesOnCall, "RuntimeError: no generator at all")],
+    ids=["while-running", "when-called"],
+)
+def test_a_handler_exception_is_contained_by_serve(back_cls, message):
+    rt, _proxy = build_world(Forwarder, back_cls)
+    resp = _serve(rt, "BackUnit", "work")
+    assert not resp.ok and not resp.retryable
+    assert resp.error.endswith(message) and "BackUnit" in resp.error
+    back = rt.instance_of("BackUnit")
+    assert back.requests_served == 1 and back.inflight == 0
