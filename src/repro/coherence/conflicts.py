@@ -43,19 +43,6 @@ class Update:
     seq: int = 0
     ts_ms: float = 0.0
 
-    def __reduce__(self) -> Tuple[Any, ...]:
-        # Sync batches cross the Encryptor->Decryptor relay by pickle,
-        # hundreds of updates at a time: constructor + field tuple keeps
-        # that in C, where the slotted-dataclass default walks
-        # ``dataclasses.fields()`` per update in each direction.
-        return (
-            self.__class__,
-            (
-                self.op, self.attributes, self.size_bytes, self.multiplicity,
-                self.origin, self.seq, self.ts_ms,
-            ),
-        )
-
     def attr(self, key: str, default: Any = None) -> Any:
         return self.attributes.get(key, default)
 

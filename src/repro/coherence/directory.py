@@ -202,8 +202,8 @@ class CoherenceDirectory:
             # Stamp at first buffering only: updates arriving through a
             # downstream sync batch keep their original identity so the
             # frontier dedups them end to end across replica chains.
-            # Positional, like ``Update.__reduce__``: ``replace`` walks
-            # ``dataclasses.fields()`` once per buffered send.
+            # Positional: ``replace`` walks ``dataclasses.fields()`` once
+            # per buffered send.
             entry.next_seq += 1
             update = Update(
                 update.op, update.attributes, update.size_bytes,

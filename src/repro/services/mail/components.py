@@ -10,11 +10,10 @@ These are the live counterparts of the Figure 2 units:
   coherence traffic crosses Encryptor/Decryptor pairs exactly like
   request traffic).
 - :class:`EncryptorComponent` / :class:`DecryptorComponent` — relays
-  that protect any operation crossing insecure links with a session key.
-  Each keeps a small LRU (:class:`_RelayMemo`) over its two pickle
-  calls, so a payload it has already carried (a full-inbox answer
-  repeats until the inbox changes) is neither pickled nor unpickled
-  again; encryption runs on every relay.
+  that protect any operation crossing insecure links with a session
+  key.  The payload crosses by reference, as on every other hop, in a
+  :class:`~repro.services.mail.crypto.Sealed` envelope only the session
+  key opens; the relayed size grows by the cipher's 12-byte header.
 - :class:`MailClientComponent` — full client (send/receive + address
   book); :class:`ViewMailClientComponent` — the object view without the
   address book.
@@ -29,13 +28,13 @@ those encrypted to the recipient's sensitivity upon a receive."
 from __future__ import annotations
 
 import operator
-import pickle
-from collections import OrderedDict
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ...coherence import Update, last_writer_wins
 from ...smock import RuntimeComponent, ServiceRequest, ServiceResponse
-from .crypto import CIPHER_OVERHEAD_BYTES, CryptoError, KeyRing, decrypt, derive_key, encrypt
+from .crypto import (
+    CIPHER_OVERHEAD_BYTES, CryptoError, KeyRing, Sealed, decrypt, derive_key, encrypt,
+)
 from .mailstore import ENVELOPE_BYTES, MailStore, StoredMessage
 
 __all__ = [
@@ -710,139 +709,14 @@ class ViewMailServerComponent(_StoreBase):
         return ServiceResponse(payload={"applied": applied}, size_bytes=256)
 
 
-#: relay payloads one Encryptor or Decryptor keeps pickled and unpickled,
-#: both directions together, before the least recently used is evicted
-RELAY_MEMO_SIZE = 64
-
-#: leaf types a memo key holds by value, as ``(type, value)``
-_SCALARS = frozenset((str, bytes, int, bool, type(None)))
-#: every leaf type a memoised payload may hold
-_LEAVES = _SCALARS | {StoredMessage}
-
-
-def _shape(obj: Any, key: List[Any], held: List[StoredMessage], seen: Set[int]) -> bool:
-    """Append ``obj``'s shape to ``key``; False when it has none.
-
-    A scalar adds ``(type, value)`` and a message ``(StoredMessage,
-    id)``, kept alive in ``held`` so that no key names a reused id.  A
-    dict, list or tuple adds its type and length and then its items
-    (a dict's keys, then its values, in order), tagged by how they are
-    keyed: all scalars, all messages, or one by one.  Anything else
-    (a float, an ``Update``, any other object) and a container reached
-    twice have no shape: pickle would write the second visit as a
-    back-reference, which no shape records.  (A string object reached
-    twice is written once too, but equal strings decode alike, so two
-    payloads of one shape still decode to equal values.)
-    """
-    kind = type(obj)
-    if kind in _SCALARS:
-        key += (kind, obj)
-        return True
-    if kind is StoredMessage:
-        key += (kind, id(obj))
-        held.append(obj)
-        return True
-    if kind is not dict and kind is not list and kind is not tuple:
-        return False
-    if id(obj) in seen:
-        return False
-    seen.add(id(obj))
-    items = [*obj, *obj.values()] if kind is dict else obj
-    types = set(map(type, items))
-    if types <= _SCALARS:
-        key += (kind, len(obj), tuple(map(type, items)))
-        key += items
-    elif types == {StoredMessage}:
-        key += (kind, len(obj), StoredMessage)
-        key += map(id, items)
-        held += items
-    else:
-        key += (kind, len(obj), None)
-        for item in items:
-            if not _shape(item, key, held, seen):
-                return False
-    return True
-
-
-def _fresh(obj: Any) -> Any:
-    """New dicts and lists around the same leaves.  A tuple of leaves is
-    immutable all the way down and is shared; any other tuple is new."""
-    kind = type(obj)
-    if kind is list:
-        return obj[:] if _LEAVES.issuperset(map(type, obj)) else [_fresh(v) for v in obj]
-    if kind is dict:
-        if _LEAVES.issuperset(map(type, obj.values())):
-            return obj.copy()
-        return {k: _fresh(v) for k, v in obj.items()}
-    if kind is tuple and not _LEAVES.issuperset(map(type, obj)):
-        return tuple([_fresh(v) for v in obj])
-    return obj
-
-
-class _RelayMemo:
-    """The payloads one relay component pickled and unpickled lately.
-
-    ``dumps`` keys a payload on its :func:`_shape` and hands back the
-    blob it made for the same shape before.  ``loads`` keys on the
-    plaintext and hands back :func:`_fresh` containers around the
-    leaves it decoded before: equal values, the messages that decode
-    returned, and containers the caller owns.  The entry keeps those
-    messages alive, so one that was the live instance then is still the
-    one a fresh ``pickle.loads`` would return (``mailstore._live``).  A
-    payload without a shape is pickled and unpickled every time and
-    never kept.  One LRU of :data:`RELAY_MEMO_SIZE` entries serves both
-    directions; a shape key is a tuple and a plaintext is bytes, so the
-    two never meet.
-    """
-
-    def __init__(self) -> None:
-        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
-        self.hits = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _keep(self, key: Any, entry: Any) -> None:
-        self._entries[key] = entry
-        if len(self._entries) > RELAY_MEMO_SIZE:
-            self._entries.popitem(last=False)
-
-    def dumps(self, obj: Any) -> bytes:
-        parts: List[Any] = []
-        held: List[StoredMessage] = []
-        if not _shape(obj, parts, held, set()):
-            return pickle.dumps(obj)
-        key = tuple(parts)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return entry[0]
-        blob = pickle.dumps(obj)
-        self._keep(key, (blob, held))
-        return blob
-
-    def loads(self, data: bytes) -> Any:
-        template = self._entries.get(data)
-        if template is not None:  # a relayed payload is a dict or a tuple
-            self.hits += 1
-            self._entries.move_to_end(data)
-            return _fresh(template)
-        obj = pickle.loads(data)
-        if _shape(obj, [], [], set()):
-            self._keep(data, _fresh(obj))
-        return obj
-
-
 def _unwrap_failed(exc: Exception) -> ServiceResponse:
-    """The answer to a relayed blob that does not decrypt and unpickle.
+    """The answer to a relayed envelope that does not open.
 
-    The session cipher authenticates: a blob altered anywhere, header
-    or body, is refused by :func:`decrypt` as a ``CryptoError`` before
-    ``pickle.loads`` sees it.  Either end still catches every
-    ``Exception`` around its unwrap, so a request without a blob, or a
-    32-bit tag matched by chance, is a failure response too and never
-    an exception out of the component.
+    An envelope sealed under another key is refused by
+    :meth:`Sealed.open` as a ``CryptoError``.  Either end catches every
+    ``Exception`` around its unwrap, so a request or reply without an
+    envelope is a failure response too and never an exception out of
+    the component.
     """
     return ServiceResponse.failure(f"relay unwrap failed: {type(exc).__name__}: {exc}")
 
@@ -850,27 +724,22 @@ def _unwrap_failed(exc: Exception) -> ServiceResponse:
 class EncryptorComponent(RuntimeComponent):
     """Protects component interactions across insecure links.
 
-    Any operation is wrapped: the payload is pickled and encrypted under
-    the session key, forwarded over ``DecryptorInterface``, and the
-    (encrypted) response unwrapped.
+    Any operation is wrapped: ``(op, payload)`` is sealed under the
+    session key, forwarded over ``DecryptorInterface``, and the (sealed)
+    response opened.
     """
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.wire = _RelayMemo()
-
     def dispatch(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
-        blob = encrypt(_SESSION_KEY, self.wire.dumps((req.op, req.payload)))
         wrapped = req.child(
             op="relay",
-            payload={"blob": blob},
+            payload={"sealed": Sealed(_SESSION_KEY, req.op, req.payload)},
             size_bytes=req.size_bytes + CIPHER_OVERHEAD_BYTES,
         )
         resp = yield from self.call("DecryptorInterface", wrapped)
-        if not resp.ok or "blob" not in resp.payload:
+        if not resp.ok or "sealed" not in resp.payload:
             return resp
         try:
-            payload = self.wire.loads(decrypt(_SESSION_KEY, resp.payload["blob"]))
+            _op, payload = resp.payload["sealed"].open(_SESSION_KEY)
         except Exception as exc:  # see _unwrap_failed
             return _unwrap_failed(exc)
         return ServiceResponse(
@@ -884,13 +753,9 @@ class EncryptorComponent(RuntimeComponent):
 class DecryptorComponent(RuntimeComponent):
     """The receiving end of an Encryptor across an insecure link."""
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.wire = _RelayMemo()
-
     def op_relay(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
         try:
-            op, payload = self.wire.loads(decrypt(_SESSION_KEY, req.payload["blob"]))
+            op, payload = req.payload["sealed"].open(_SESSION_KEY)
         except Exception as exc:  # see _unwrap_failed
             return _unwrap_failed(exc)
         inner = req.child(
@@ -899,9 +764,8 @@ class DecryptorComponent(RuntimeComponent):
             size_bytes=max(64, req.size_bytes - CIPHER_OVERHEAD_BYTES),
         )
         resp = yield from self.call("ServerInterface", inner)
-        blob = encrypt(_SESSION_KEY, self.wire.dumps(resp.payload))
         return ServiceResponse(
-            payload={"blob": blob},
+            payload={"sealed": Sealed(_SESSION_KEY, op, resp.payload)},
             size_bytes=resp.size_bytes + CIPHER_OVERHEAD_BYTES,
             ok=resp.ok,
             error=resp.error,
@@ -960,9 +824,8 @@ class MailClientComponent(RuntimeComponent):
         user's keyring is never replaced, so when the answer starts with
         the very objects of that last answer, their bodies are the ones
         decrypted then; any other answer is decrypted in full.  An answer
-        relayed through an Encryptor/Decryptor pair holds those very
-        objects too: a message unpickles to the live instance with the
-        same fields (see :mod:`~repro.services.mail.mailstore`).
+        relayed through an Encryptor/Decryptor pair holds the store's own
+        objects too: the relay carries its payload by reference.
         """
         self.fetches += 1
         user = req.user or req.payload.get("user", "")

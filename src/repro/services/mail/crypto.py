@@ -3,10 +3,9 @@
 The paper's implementation used the Cryptix JCE; here a small
 deterministic authenticated scheme built from stdlib ``hashlib``
 primitives (which run in C) plays the same role: every user gets one
-key per sensitivity level at account-setup time, messages are encrypted
-under the key of their sensitivity level, and Encryptor / Decryptor
-components protect component interactions crossing insecure links with
-a session key.
+key per sensitivity level at account-setup time, and messages are
+encrypted under the key of their sensitivity level and kept encrypted
+at rest.
 
 The scheme, for a 16-byte key ``K`` and a plaintext zero-padded to a
 multiple of 8 bytes (``padded``), with ``L`` the plaintext length as 8
@@ -31,22 +30,31 @@ inside the simulator.
 The whole-message transforms are pure functions of (key, input), so a
 bounded LRU over full messages absorbs the experiments' repeated send
 bodies; a hit is byte-identical to recomputation.  There is no cache
-below that: a fresh message (every coherence flush is one) makes one
-keyed hash and one XOF call over its bytes, and one big-int XOR.
+below that: a body the LRU has not seen makes one keyed hash and one
+XOF call over its bytes, and one big-int XOR.
+
+Encryptor / Decryptor components protect traffic crossing insecure
+links with a session key, and nothing in the simulator reads the bytes
+of that traffic: what the protection has to show is who may open it.
+So a relayed payload travels by reference, as on every other hop, in a
+:class:`Sealed` envelope that only the session key opens; the relayed
+size still grows by :data:`CIPHER_OVERHEAD_BYTES`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Any, Dict, Tuple
 
 __all__ = [
     "derive_key",
     "encrypt",
     "decrypt",
     "KeyRing",
+    "Sealed",
     "CryptoError",
     "CIPHER_OVERHEAD_BYTES",
 ]
@@ -110,6 +118,25 @@ def decrypt(key: Tuple[int, int, int, int], ciphertext: bytes) -> bytes:
     """Inverse of :func:`encrypt`; raises :class:`CryptoError` on
     malformed input, a wrong key, or an altered ciphertext."""
     return _decrypt_cached(key, ciphertext)
+
+
+@dataclass(frozen=True, slots=True)
+class Sealed:
+    """``op`` and ``payload`` sealed under ``key``, carried by reference.
+
+    :meth:`open` hands them only to a holder of the same key, and
+    refuses any other as :func:`decrypt` refuses a wrong-key ciphertext.
+    """
+
+    key: Tuple[int, int, int, int]
+    op: str
+    payload: Any
+
+    def open(self, key: Tuple[int, int, int, int]) -> Tuple[str, Any]:
+        """``(op, payload)``; :class:`CryptoError` for any other key."""
+        if key != self.key:
+            raise CryptoError("authentication failed: sealed under another key")
+        return self.op, self.payload
 
 
 class KeyRing:

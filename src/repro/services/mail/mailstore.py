@@ -10,27 +10,20 @@ sensitivity) and ``ViewMailServer`` data views (``max_sensitivity``
 bound): a view's store refuses messages above its bound, which is the
 state-subset semantics the planner's trust conditions protect.
 
-Reads do not rebuild what is already in memory:
-
-- A message unpickles (the Encryptor -> Decryptor relay) to the live
-  instance with the same fields when one exists, so a relayed answer is
-  made of the very objects the store holds and the client's
-  identity-keyed read memo hits on it.  ``_live`` holds, weakly and by
-  id, every message pickled so far (a message that never crosses a
-  relay costs nothing); a restore whose fields differ from the live
-  one's, or whose id no live message carries, constructs a new message,
-  validated as any other.
-- A mailbox keeps, per sensitivity bound, its last full-inbox answer
-  and that answer's byte size until the inbox next changes
-  (:meth:`Mailbox.file` into the inbox, :meth:`MailStore.move_message`).
+A message is a frozen object that every hop hands over by reference,
+the Encryptor -> Decryptor relay included, so an answer is made of the
+very objects the store holds and a client's identity-keyed read memo
+hits on it.  A mailbox keeps, per sensitivity bound, its last
+full-inbox answer and that answer's byte size until the inbox next
+changes (:meth:`Mailbox.file` into the inbox,
+:meth:`MailStore.move_message`).
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "StoredMessage",
@@ -47,37 +40,12 @@ ENVELOPE_BYTES = 96
 _message_ids = itertools.count(1)
 
 
-class _LiveRef(weakref.ref):
-    """A weak reference to a pickled message, carrying its ``_live`` key."""
-
-    __slots__ = ("msg_id",)
-
-
-def _forget(ref: _LiveRef) -> None:
-    """Weak-reference callback: the message died, drop its entry."""
-    if _live.get(ref.msg_id) is ref:
-        del _live[ref.msg_id]
-
-
-#: msg_id -> the first live message pickled with that id, held weakly.
-#: A plain dict of reference subclasses rather than a
-#: ``WeakValueDictionary``: registering and looking up stay in C.
-_live: Dict[int, _LiveRef] = {}
-
-
 class MailStoreError(ValueError):
     """Unknown account, sensitivity violation, or malformed message."""
 
 
-class _WeakReferable:
-    """Gives a slotted subclass a ``__weakref__`` slot (what
-    ``dataclass(weakref_slot=True)`` does from Python 3.11 on)."""
-
-    __slots__ = ("__weakref__",)
-
-
 @dataclass(frozen=True, slots=True)
-class StoredMessage(_WeakReferable):
+class StoredMessage:
     """One e-mail message as held by a store (body already encrypted)."""
 
     sender: str
@@ -90,42 +58,9 @@ class StoredMessage(_WeakReferable):
         if not 1 <= self.sensitivity <= 5:
             raise MailStoreError(f"sensitivity out of range: {self.sensitivity}")
 
-    def __reduce__(self) -> Tuple[Any, ...]:
-        # Restore function + field tuple: pickle stays in C (the slotted-
-        # dataclass default walks ``dataclasses.fields()`` per object in
-        # each direction), and the id passed through means loading never
-        # draws a fresh one.  Only ``_live`` refers to a message weakly,
-        # so no weak reference means not registered yet.
-        if self.__weakref__ is None:
-            ref = _LiveRef(self, _forget)
-            ref.msg_id = self.msg_id
-            _live.setdefault(self.msg_id, ref)
-        return (
-            _restore_message,
-            (self.sender, self.recipient, self.sensitivity, self.body, self.msg_id),
-        )
-
     @property
     def size_bytes(self) -> int:
         return len(self.body) + ENVELOPE_BYTES
-
-
-def _restore_message(
-    sender: str, recipient: str, sensitivity: int, body: bytes, msg_id: int
-) -> StoredMessage:
-    """Unpickle: the live message with exactly these fields, else a new
-    one (whose ``__post_init__`` validates the fields)."""
-    ref = _live.get(msg_id)
-    live = ref() if ref is not None else None
-    if (
-        live is not None
-        and live.body == body
-        and live.sender == sender
-        and live.recipient == recipient
-        and live.sensitivity == sensitivity
-    ):
-        return live
-    return StoredMessage(sender, recipient, sensitivity, body, msg_id)
 
 
 def total_size_bytes(messages: Sequence[StoredMessage]) -> int:

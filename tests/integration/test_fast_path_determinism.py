@@ -22,9 +22,9 @@ original slow paths, none of which this tree still has.  Regenerate
 (3 clients x 60 sends + 60 receives, the workload's default 20% remote
 probes, so view hits, miss-path merges of messages the primary really
 holds, and relayed fetch responses all run).
-It was recorded at commit ``a4770c4``, before the mailbox id index and
-the wire types' ``__reduce__`` replaced the per-message id-set rebuild
-and reflective pickling.
+It was recorded at commit ``a4770c4``, before the mailbox id index
+replaced the per-message id-set rebuild, and while the relay still
+pickled and encrypted its payload.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def test_chaos_run_with_telemetry_matches_golden():
 @pytest.mark.parametrize("arm, fault_specs", [("plain", None), ("chaos", CHAOS)])
 def test_read_path_matches_golden(arm, fault_specs):
     """60 receives per client: view hits, miss-path merges into the
-    view's store, and fetch responses pickled across the relay."""
+    view's store, and fetch responses sealed across the relay."""
     signature = _as_json(_run_mail("DS500", fault_specs=fault_specs, **READS))
     assert all(len(r) == READS["n_receives"] for r in signature["receive_latencies"])
     assert signature == _golden(arm, READS_GOLDEN)

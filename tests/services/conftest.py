@@ -8,7 +8,7 @@ from repro.services.mail import components, crypto
 @pytest.fixture()
 def decrypt_calls(monkeypatch):
     """Every body the mail components decrypt, in call order: the
-    client's reads, a store's transform and the relay's session blobs."""
+    client's reads and a store's transform."""
     calls = []
 
     def counting_decrypt(key, body):

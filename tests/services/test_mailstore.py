@@ -3,10 +3,13 @@
 A full-inbox fetch (``since_id == 0``) answers from the mailbox's last
 scan while the inbox is unchanged; the tests below check that every
 inbox change drops it and that no caller can change it
-(``test_wire_pickle.py``'s differential checks it over random histories).
+(the differential at the end checks it over random histories).
 """
 
+from typing import Dict, List
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments.mail_setup import build_mail_testbed
 from repro.services.mail import MailStore, MailStoreError, StoredMessage
@@ -160,8 +163,8 @@ def test_mutating_an_answer_does_not_change_the_next():
 def test_a_relayed_reread_of_an_unchanged_inbox_decrypts_nothing(decrypt_calls):
     """Bob behind San Diego's trust-3 view asks for level 5: each fetch
     crosses the Encryptor -> Decryptor relay to the primary.  The second
-    answer unpickles to the very messages of the first, so the client's
-    read memo decrypts none of their bodies again."""
+    answer holds the very messages of the first, so the client's read
+    memo decrypts none of their bodies again."""
     testbed = build_mail_testbed(clients_per_site=1, flush_policy="write_through")
     rt = testbed.runtime
     proxy = testbed.connect(testbed.client_nodes("sandiego")[0], "Bob")
@@ -187,3 +190,130 @@ def test_a_relayed_reread_of_an_unchanged_inbox_decrypts_nothing(decrypt_calls):
     assert decrypted == []
     assert again == messages and bodies_again == bodies
     assert bodies == [b"hi"] * 5
+
+
+# -- the merge, against the rebuild it replaced ---------------------------------
+USERS = ("Alice", "Bob", "Carol")
+FOLDERS = ("inbox", "sent", "archive", "missing")
+VIEW_BOUND = 3
+
+
+class NaiveView:
+    """Reference view store: plain folder lists, no index.  ``merge`` is
+    the old miss path — one id set rebuilt per fetched message — widened
+    from the inbox to every folder (moved mail must not reappear)."""
+
+    def __init__(self) -> None:
+        self.boxes: Dict[str, Dict[str, List[StoredMessage]]] = {}
+
+    def box(self, user: str) -> Dict[str, List[StoredMessage]]:
+        return self.boxes.setdefault(user, {"inbox": [], "sent": []})
+
+    def store(self, msg: StoredMessage) -> None:
+        self.box(msg.recipient)["inbox"].append(msg)
+        if msg.sender in self.boxes:
+            self.boxes[msg.sender]["sent"].append(msg)
+
+    def merge(self, user: str, messages: List[StoredMessage]) -> None:
+        for msg in messages:
+            if msg.sensitivity <= VIEW_BOUND and msg.msg_id not in {
+                m.msg_id for folder in self.box(user).values() for m in folder
+            }:
+                self.box(user)["inbox"].append(msg)
+
+    def fetch(self, user: str, since_id: int, max_s: int) -> List[StoredMessage]:
+        bound = min(max_s, VIEW_BOUND)
+        return [
+            m for m in self.box(user)["inbox"]
+            if m.msg_id > since_id and m.sensitivity <= bound
+        ]
+
+    def move(self, user: str, msg_id: int, dest: str) -> bool:
+        folders = self.boxes.get(user)
+        if folders is None or dest not in folders:
+            return False
+        for folder in folders.values():
+            for i, msg in enumerate(folder):
+                if msg.msg_id == msg_id:
+                    if folder is not folders[dest]:
+                        folders[dest].append(folder.pop(i))
+                    return True
+        return False
+
+
+_user = st.sampled_from(USERS)
+_ops = st.one_of(
+    st.tuples(st.just("store_upstream"), _user, _user, st.integers(1, 5)),
+    st.tuples(st.just("store_local"), _user, _user, st.integers(1, VIEW_BOUND)),
+    st.tuples(st.just("miss_fetch"), _user, st.integers(0, 3), st.integers(1, 5)),
+    st.tuples(st.just("local_fetch"), _user, st.integers(0, 3), st.integers(1, 5)),
+    st.tuples(st.just("move"), _user, st.integers(0, 40), st.sampled_from(FOLDERS)),
+    st.tuples(st.just("create_folder"), _user, st.just("archive")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ops, max_size=40))
+def test_absorb_matches_naive_merge(ops):
+    primary = MailStore()
+    view = MailStore(max_sensitivity=VIEW_BOUND)
+    naive = NaiveView()
+    made: List[StoredMessage] = []
+
+    def since(back: int) -> int:
+        """0 = everything; otherwise the id of a recent message."""
+        return made[-back].msg_id if 0 < back <= len(made) else 0
+
+    for op in ops:
+        kind = op[0]
+        if kind in ("store_upstream", "store_local"):
+            _, sender, recipient, sensitivity = op
+            msg = StoredMessage(sender, recipient, sensitivity, b"body")
+            made.append(msg)
+            primary.store(msg)
+            if kind == "store_local":
+                view.store(msg)
+                naive.store(msg)
+        elif kind == "miss_fetch":
+            _, user, back, max_s = op
+            fetched, size = primary.fetch_sized(user, since(back), max_s)
+            scan = [
+                m for m in primary.mailbox(user).inbox
+                if m.msg_id > since(back) and m.sensitivity <= max_s
+            ]
+            assert fetched == scan and size == total_size_bytes(scan)
+            view.absorb(user, fetched)
+            naive.merge(user, fetched)
+            fetched.clear()  # the caller's own list: the next answer is unchanged
+            assert primary.fetch(user, since(back), max_s) == scan
+        elif kind == "local_fetch":
+            _, user, back, max_s = op
+            assert view.fetch(user, since(back), max_s) == naive.fetch(user, since(back), max_s)
+        elif kind == "move":
+            _, user, pick, dest = op
+            msg_id = made[pick % len(made)].msg_id if made else 0
+            try:
+                view.move_message(user, msg_id, dest)
+                moved = True
+            except MailStoreError:
+                moved = False
+            assert moved == naive.move(user, msg_id, dest)
+        else:
+            _, user, folder = op
+            if view.has_account(user) and folder not in view.folder_names(user):
+                view.create_folder(user, folder)
+                naive.box(user)[folder] = []
+
+        assert view.users() == sorted(naive.boxes)
+        for user in view.users():
+            box = view.mailbox(user)
+            assert box.folders == naive.boxes[user]
+            # the index invariant: in some folder <=> id in the index
+            assert box.ids == {m.msg_id for f in box.folders.values() for m in f}
+            # a full-inbox answer, kept from an earlier step unless the
+            # inbox changed since, equals a fresh scan
+            for bound in (1, VIEW_BOUND, 5):
+                answer, size = view.fetch_sized(user, 0, bound)
+                assert answer == naive.fetch(user, 0, bound)
+                assert size == total_size_bytes(answer)
+                answer.clear()

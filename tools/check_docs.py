@@ -35,9 +35,10 @@ Seven phases, each selectable (all run by default):
 - ``--symbols``: every `` `path/file.py:Dotted.name` `` pointer quoted in
   the user-facing docs must name a file in the repo whose path ends
   with ``path/file.py`` and, in it, a module-level definition (or, for
-  each further dotted part, a class-level one).  Resolved with ``ast``,
-  without importing ``repro``.  Catches docs naming a function, class
-  or method that was renamed, moved or deleted.
+  each further dotted part, a class-level one); every code span that is
+  a bare `` `path/file.py` `` must name such a file too.  Resolved with
+  ``ast``, without importing ``repro``.  Catches docs naming a file,
+  function, class or method that was renamed, moved or deleted.
 - ``--reach``: every public function, class and method in ``src/`` must
   be reachable from an entry point: the ``repro`` CLI (``cmd_*``
   subcommands and Smock's ``op_*`` operations are reached by dispatch),
@@ -406,6 +407,8 @@ def check_kwargs() -> List[str]:
 #: `path/file.py:Dotted.name` at the start of a code span; a line number
 #: (`file.py:12`) or a pytest id (`file.py::test_x`) is not a pointer
 SYMBOL_RE = re.compile(r"`([\w./-]+\.py):([A-Za-z_][\w.]*)")
+#: a code span that is nothing but a file path
+PATH_SPAN_RE = re.compile(r"[\w./-]+\.py")
 
 
 def _defined_names(body: List[ast.stmt]) -> dict:
@@ -436,19 +439,20 @@ def _defines(source: Path, dotted: str) -> bool:
 def check_symbols() -> List[str]:
     failures = []
     sources = [
-        path for path in sorted(REPO.rglob("*.py"))
+        path.relative_to(REPO) for path in sorted(REPO.rglob("*.py"))
         if not any(part in SKIP_DIRS for part in path.parts)
     ]
+
+    def files(suffix: str) -> List[Path]:
+        return [REPO / p for p in sources if ("/" + p.as_posix()).endswith("/" + suffix)]
+
     for rel in KWARGS_FILES:
         text = (REPO / rel).read_text(encoding="utf-8")
         for match in SYMBOL_RE.finditer(text):
             suffix, dotted = match.group(1), match.group(2).rstrip(".")
             line = text[: match.start()].count("\n") + 1
             label = f"{rel}:{line}"
-            candidates = [
-                path for path in sources
-                if ("/" + path.relative_to(REPO).as_posix()).endswith("/" + suffix)
-            ]
+            candidates = files(suffix)
             if not candidates:
                 failures.append(f"{label}: no file ends with '{suffix}'")
             elif not any(_defines(path, dotted) for path in candidates):
@@ -456,6 +460,9 @@ def check_symbols() -> List[str]:
                     f"{label}: '{suffix}' defines no '{dotted}' at module or "
                     f"class level"
                 )
+        for line, span in _code_spans(text):
+            if PATH_SPAN_RE.fullmatch(span) and not files(span):
+                failures.append(f"{rel}:{line}: no file ends with '{span}'")
     return failures
 
 
