@@ -288,13 +288,7 @@ class AutonomicManager:
 
     def _flush_round(self, signal: ScaleSignal) -> Generator[Any, Any, None]:
         """Actuate a ``flush`` signal: push dirty replica buffers upstream."""
-        flushed = 0
-        for instance in self.runtime.primary.dirty_replicas():
-            try:
-                yield from instance._sync()
-                flushed += 1
-            except Exception:  # noqa: BLE001 - partitioned replica: retry later
-                continue
+        flushed = yield from self.runtime.primary.flush_dirty()
         metrics = self.runtime.obs.metrics
         if flushed:
             metrics.inc("autonomic.flushed_replicas", flushed)

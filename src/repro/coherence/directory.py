@@ -233,9 +233,15 @@ class CoherenceDirectory:
         return batch, units
 
     def record_flush(self, replica_id: int, now_ms: float, batch: List[Update]) -> None:
-        """Bookkeeping after a successful upstream reconciliation."""
-        entry = self._replicas[replica_id]
-        entry.last_flush_ms = now_ms
+        """Bookkeeping after a successful upstream reconciliation.
+
+        The batch was applied upstream even when a replanning round
+        retired the replica while its flush was in flight: it is counted
+        all the same, its per-policy metrics under ``policy="retired"``.
+        """
+        entry = self._replicas.get(replica_id)
+        if entry is not None:
+            entry.last_flush_ms = now_ms
         messages = size = 0
         for u in batch:
             messages += u.multiplicity
@@ -245,7 +251,7 @@ class CoherenceDirectory:
         self.stats.bytes_propagated += size
         m = self.obs.metrics
         if m.enabled:
-            policy = type(entry.policy).__name__
+            policy = "retired" if entry is None else type(entry.policy).__name__
             m.inc("coherence.flushes", 1, policy=policy)
             m.inc("coherence.messages_propagated", messages, policy=policy)
             m.inc("coherence.bytes_propagated", size, policy=policy)
@@ -432,9 +438,9 @@ class CoherenceDirectory:
 
         Called at the primary when propagated updates are applied.
         Returns the number of replica invalidations delivered.  Delivery
-        is metadata-only (the replica marks affected state stale and
-        re-fetches on demand); the fetch traffic then flows over planned
-        linkages like any other miss.
+        is an invalidation only (the replica marks affected state stale
+        and re-fetches on demand); the fetch traffic then flows over
+        planned linkages like any other miss.
         """
         # One conflict-map scan per distinct config (the predicate
         # depends only on (update, config)); the resulting sub-batch is

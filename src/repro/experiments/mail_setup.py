@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
 from ..coherence import AttributeConflictMap, FlushPolicy, policy_from_name
-from ..network import NetworkError
-from ..sim import FaultError
 from ..smock import SmockRuntime
 from ..services.mail import (
     DEFAULT_USERS,
@@ -111,17 +109,13 @@ class MailTestbed:
         terminates in chain-depth passes; the cap is a hang guard for a
         replica whose flush keeps failing)."""
         runtime = self.runtime
+        bundle = runtime.primary
         directory = runtime.coherence
         for _ in range(8):
             dirty = False
-            for instance in runtime.primary.dirty_replicas():
+            for instance in bundle.dirty_replicas():
                 dirty = True
-                try:
-                    runtime.run(
-                        instance._sync(), name=f"chaos-sweep:{instance.label}"
-                    )
-                except (NetworkError, FaultError):
-                    pass
+                runtime.run(bundle.flush(instance), name=f"chaos-sweep:{instance.label}")
             if not dirty:
                 break
         if directory.has_lost_buffers:

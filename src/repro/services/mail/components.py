@@ -98,6 +98,23 @@ class _StoreBase(RuntimeComponent):
         if key is not None and resp.ok:
             self._applied[key] = resp
 
+    def _store_replicated(self, update: Update) -> bool:
+        """File the message a replicated ``store_message`` update carries:
+        False (a suppressed duplicate) when its idempotency key already
+        applied here.  A view stores only what its trust level holds, and
+        records the key either way."""
+        attrs = update.attributes
+        key = attrs["idempotency_key"]
+        if key is not None and key in self._applied:
+            self.duplicates_suppressed += 1
+            return False
+        msg = attrs["message"]
+        if self.store.accepts(msg.sensitivity):
+            self.store.store(msg)
+        if key is not None:
+            self._applied[key] = ServiceResponse(payload={"msg_id": msg.msg_id}, size_bytes=256)
+        return True
+
     def on_linked(self) -> None:
         """Provision the service's account roster on this store.
 
@@ -190,44 +207,28 @@ class MailServerComponent(_StoreBase):
     def op_sync_batch(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
         """Apply a replica's write-back batch; fan out invalidations.
 
-        Updates carrying an idempotency key already applied here (e.g.
-        a client retried through a fresh failover chain while the old
-        replica's buffer was still in flight) are skipped, as are
-        updates whose ``(origin, seq)`` version the frontier has already
-        admitted (a duplicated or replayed batch).  Batches can mix
-        stored messages with folder updates a partitioned replica
-        buffered in degraded mode; ``messages`` aligns positionally with
-        the ``store_message`` updates only.
+        ``updates`` is the batch the replica buffered: a ``store_message``
+        update carries its message, and batches can mix them with folder
+        updates a partitioned replica buffered in degraded mode.  Updates
+        whose ``(origin, seq)`` version the frontier has already admitted
+        (a duplicated or replayed batch) are skipped, and so are messages
+        whose idempotency key already applied here (e.g. a client retried
+        through a fresh failover chain while the old replica's buffer was
+        still in flight).
         """
-        messages: List[StoredMessage] = req.payload["messages"]
-        updates: List[Update] = req.payload["updates"]
         directory = self.coherence
         applier = ("primary", self.unit.name)
         admitted: List[Update] = []
         applied = 0
-        mi = 0
-        for update in updates:
-            msg: Optional[StoredMessage] = None
-            if update.op == "store_message":
-                msg = messages[mi]
-                mi += 1
+        for update in req.payload["updates"]:
             if not directory.admit(applier, update):
                 continue
             admitted.append(update)
-            if msg is not None:
-                key = update.attr("idempotency_key")
-                if key is not None and key in self._applied:
-                    self.duplicates_suppressed += 1
-                    continue
-                self.store.store(msg)
-                applied += 1
-                if key is not None:
-                    self._applied[key] = ServiceResponse(
-                        payload={"msg_id": msg.msg_id}, size_bytes=256
-                    )
-            else:
-                if self._apply_folder_update(update) in ("applied", "conflict"):
+            if update.op == "store_message":
+                if self._store_replicated(update):
                     applied += 1
+            elif self._apply_folder_update(update) in ("applied", "conflict"):
+                applied += 1
         directory.broadcast_invalidations(
             family=self.unit.name,
             batch=admitted,
@@ -275,23 +276,16 @@ class MailServerComponent(_StoreBase):
         delta of a crashed replica's recovered buffer.  Returns an
         outcome label for the reconcile report.
         """
-        if update.op == "store_message":
-            msg = update.attr("message")
-            if msg is None:
-                return "unapplied"  # metadata-only: payload died with the host
-            key = update.attr("idempotency_key")
-            if key is not None and key in self._applied:
-                self.duplicates_suppressed += 1
-                return "duplicate"
+        if update.op != "store_message":
+            return self._apply_folder_update(update)
+        msg = update.attr("message")
+        if msg is None:
+            return "unapplied"  # metadata-only: payload died with the host
+        key = update.attr("idempotency_key")
+        if key is None or key not in self._applied:  # else: suppressed below
             if self.store.holds(msg.recipient, msg.msg_id):
                 return "duplicate"  # a client retry re-applied it directly
-            self.store.store(msg)
-            if key is not None:
-                self._applied[key] = ServiceResponse(
-                    payload={"msg_id": msg.msg_id}, size_bytes=256
-                )
-            return "applied"
-        return self._apply_folder_update(update)
+        return "applied" if self._store_replicated(update) else "duplicate"
 
     def op_create_account(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
         self.provision_account(req.payload["user"], tuple(req.payload.get("contacts", ())))
@@ -386,7 +380,7 @@ class ViewMailServerComponent(_StoreBase):
             except KeyError:
                 break
             if due:
-                yield from self._sync()
+                yield from self.write_back()
 
     def _notify_daemon(self) -> None:
         wake = getattr(self, "_wake", None)
@@ -445,12 +439,15 @@ class ViewMailServerComponent(_StoreBase):
             retryable=True,
         )
 
-    def _sync(self) -> Generator[Any, Any, None]:
+    def write_back(self) -> Generator[Any, Any, None]:
         """Reconcile with upstream through the planned linkage.
 
         Two-phase, like a directory protocol: a small prepare/lock round
         trip to the upstream directory entry, then the batch transfer
-        with the commit acknowledgement.
+        with the commit acknowledgement.  The batch goes upstream as it
+        was drained, each update with its version stamp (upstream
+        frontiers dedup on it) and a ``store_message`` update with its
+        message.
         """
         # Captured before the first yield: a replanning round may retire
         # this instance mid-flush, which clears ``self.replica_id`` — the
@@ -471,29 +468,12 @@ class ViewMailServerComponent(_StoreBase):
         if not prep_resp.ok:
             directory.requeue(replica_id, batch)
             return
-        # The messages travel once, in ``messages``; each update that
-        # carried one goes upstream as a metadata-only copy for
-        # invalidation bookkeeping (its version stamp rides along so
-        # upstream frontiers dedup), and one without is frozen and goes
-        # as it is.
-        messages: List[StoredMessage] = []
-        updates: List[Update] = []
         size = 512
         for u in batch:
             size += u.size_bytes
-            if "message" in u.attributes:
-                attrs = dict(u.attributes)
-                messages.append(attrs.pop("message"))
-                u = Update(u.op, attrs, u.size_bytes, u.multiplicity, u.origin, u.seq, u.ts_ms)
-            updates.append(u)
         req = ServiceRequest(
             op="sync_batch",
-            payload={
-                "messages": messages,
-                "updates": updates,
-                "units": units,
-                "origin_config": self.config,
-            },
+            payload={"updates": batch, "units": units, "origin_config": self.config},
             size_bytes=size,
         )
         resp = yield from self._call_upstream(req)
@@ -538,7 +518,7 @@ class ViewMailServerComponent(_StoreBase):
         if must_flush:
             # Write-back reconciliation blocks the triggering request —
             # the source of the DS500/DS1000 group separation in Fig. 7.
-            yield from self._sync()
+            yield from self.write_back()
         resp = ServiceResponse(payload={"msg_id": msg.msg_id}, size_bytes=256)
         self._record_applied(req.idempotency_key, resp)
         return resp
@@ -648,64 +628,36 @@ class ViewMailServerComponent(_StoreBase):
         if must_flush:
             # Likely still partitioned — the attempt requeues on failure
             # and anti-entropy / later flushes carry it after the heal.
-            yield from self._sync()
+            yield from self.write_back()
         return resp
 
     def op_sync_batch(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
         """A downstream replica reconciles through us: apply, then chain.
 
-        Updates whose idempotency key was already applied at this store
-        are dropped outright — our own buffered copy (recorded when the
-        key first applied) is already on its way upstream — and so are
-        updates whose version this replica's frontier already admitted
-        (a duplicated or replayed batch).  ``messages`` aligns
-        positionally with the ``store_message`` updates only: degraded-
-        mode folder updates ride the same batch without a payload and
-        chain upstream unchanged.
+        Each update we apply is buffered here as it arrived, message and
+        version stamp included, to chain upstream with our next flush.
+        Updates whose version this replica's frontier already admitted (a
+        duplicated or replayed batch) are dropped, and so are messages
+        whose idempotency key already applied at this store: our own
+        buffered copy (recorded when the key first applied) is already on
+        its way upstream.  Degraded-mode folder updates chain unchanged.
         """
-        messages: List[StoredMessage] = req.payload["messages"]
-        updates: List[Update] = req.payload["updates"]
         assert self.replica_id is not None
         directory = self.coherence
         applier = ("replica", self.replica_id)
         must_flush = False
         applied = 0
-        mi = 0
-        for update in updates:
-            msg: Optional[StoredMessage] = None
-            if update.op == "store_message":
-                msg = messages[mi]
-                mi += 1
+        for update in req.payload["updates"]:
             if not directory.admit(applier, update):
                 continue
-            if msg is not None:
-                key = update.attr("idempotency_key")
-                if key is not None and key in self._applied:
-                    self.duplicates_suppressed += 1
-                    continue
-                if self.store.accepts(msg.sensitivity):
-                    self.store.store(msg)
-                if key is not None:
-                    self._applied[key] = ServiceResponse(
-                        payload={"msg_id": msg.msg_id}, size_bytes=256
-                    )
-                chained = Update(
-                    update.op,
-                    {**update.attributes, "message": msg},
-                    update.size_bytes,
-                    update.multiplicity,
-                    update.origin,
-                    update.seq,
-                    update.ts_ms,
-                )
-            else:
-                chained = update  # folder update: chain upstream as-is
+            if update.op == "store_message" and not self._store_replicated(update):
+                continue
             applied += 1
-            if directory.on_local_update(self.replica_id, chained, self.sim.now):
+            if directory.on_local_update(self.replica_id, update, self.sim.now):
                 must_flush = True
         self._notify_daemon()
         if must_flush:
-            yield from self._sync()
+            yield from self.write_back()
         return ServiceResponse(payload={"applied": applied}, size_bytes=256)
 
 

@@ -13,10 +13,12 @@ transport, node wrappers and lookup namespace are shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Iterator, Optional, Tuple, Type
 
 from ..coherence import CoherenceDirectory
+from ..network import NetworkError
 from ..planner import Planner
+from ..sim import FaultError
 from ..spec import ServiceSpec, ViewDef
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -28,7 +30,8 @@ __all__ = ["ServiceBundle"]
 
 @dataclass
 class ServiceBundle:
-    """Everything belonging to one hosted service."""
+    """Everything belonging to one hosted service, and the one entry
+    point, :meth:`flush`, through which its replicas write back."""
 
     name: str
     spec: ServiceSpec
@@ -65,6 +68,32 @@ class ServiceBundle:
             entry = replicas.get(replica_id)
             if entry is not None and entry.dirty:
                 yield instance
+
+    def flush(self, instance: "RuntimeComponent") -> Generator[Any, Any, bool]:
+        """Write one replica's buffered updates back upstream.
+
+        The entry point for every flush from outside a component (a
+        retiring instance, anti-entropy, the autonomic loop, a testbed's
+        convergence).  The flush is the component's ``write_back``, which
+        requeues what it could not deliver; False when a fault cut it
+        short (a later round retries) or ``instance`` is no replica.
+        """
+        if getattr(instance, "replica_id", None) is None:
+            return False
+        try:
+            yield from instance.write_back()
+        except (NetworkError, FaultError):
+            return False  # still partitioned
+        return True
+
+    def flush_dirty(self) -> Generator[Any, Any, int]:
+        """:meth:`flush` every :meth:`dirty_replicas` host in turn; returns
+        how many flushes ran to their end."""
+        flushed = 0
+        for instance in self.dirty_replicas():
+            if (yield from self.flush(instance)):
+                flushed += 1
+        return flushed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -206,6 +206,14 @@ class RuntimeComponent:
     def on_invalidate(self, updates: List[Any]) -> None:
         """Coherence hook: conflicting remote updates occurred."""
 
+    def write_back(self) -> Generator[Any, Any, None]:
+        """Coherence hook: reconcile this replica's buffered updates with
+        upstream (see :meth:`ServiceBundle.flush`).  A component that
+        buffers nothing, such as a cache view, has nothing to write back.
+        """
+        return
+        yield  # pragma: no cover - generator marker
+
     # -- wiring ---------------------------------------------------------------
     def bind_server(self, interface: str, stub: ServerStub) -> None:
         self.servers.setdefault(interface, []).append(stub)

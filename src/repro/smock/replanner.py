@@ -347,9 +347,7 @@ class ReplanManager:
                 # in-flight requests remain — drain them (bounded) before
                 # flushing state and uninstalling.
                 yield from autonomic.drain_instance(instance)
-            flush = getattr(instance, "_sync", None)
-            if flush is not None and getattr(instance, "replica_id", None) is not None:
-                yield from flush()
+            yield from bundle.flush(instance)
             placement = Placement(unit=key[0], node=key[1], factor_values=key[2])
             runtime.deployer.uninstall(placement, bundle)
             event.retired.append(instance.label)
@@ -381,11 +379,7 @@ class ReplanManager:
             and bool(trigger.new)
         )
         if recovery:
-            for instance in bundle.dirty_replicas():
-                try:
-                    yield from instance._sync()
-                except (NetworkError, FaultError):
-                    continue  # still partitioned; a later round retries
+            yield from bundle.flush_dirty()
         if directory.has_lost_buffers:
             reports = directory.reconcile(self.runtime.sim.now)
             metrics = self.runtime.obs.metrics

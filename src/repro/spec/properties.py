@@ -12,13 +12,13 @@ This module provides the domains, the :class:`PropertyDef` declaration,
 the ``ANY`` wildcard used by modification rules and requirement matching,
 deferred environment references (``Node.TrustLevel`` in the spec text),
 and the small value algebra (:func:`satisfies`) the planner uses to match
-required against implemented/derived values.
+required against implemented values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, FrozenSet, Iterable, Optional
 
 __all__ = [
     "ANY",
@@ -320,25 +320,19 @@ def parse_domain(type_name: str, values: Optional[str] = None, value_range: Opti
 class PropertyDef:
     """Declaration of one service property.
 
-    ``derived`` optionally computes the property from other properties —
-    the paper notes "a property can be defined as a function of other
-    properties".  The function receives a mapping of the other property
-    values and returns this property's value.
+    Only a value domain and a match mode: a property the paper defines
+    "as a function of other properties" is not modeled (DESIGN.md §5).
     """
 
     name: str
     domain: Domain
     description: str = ""
-    derived: Optional[Callable[[Dict[str, Any]], Any]] = None
-    depends_on: Tuple[str, ...] = ()
     #: how requirements match implementations: "exact", "at_least", "at_most"
     match_mode: str = "exact"
 
     def __post_init__(self) -> None:
         if not self.name:
             raise SpecError("property name must be non-empty")
-        if self.derived is not None and not self.depends_on:
-            raise SpecError(f"derived property {self.name!r} must list depends_on")
         if self.match_mode not in ("exact", "at_least", "at_most"):
             raise SpecError(
                 f"property {self.name!r}: unknown match mode {self.match_mode!r}"

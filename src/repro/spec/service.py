@@ -117,12 +117,6 @@ class ServiceSpec:
         for prop in self.rules.properties():
             if prop not in self.properties:
                 raise SpecError(f"modification rule for unknown property {prop!r}")
-        for pdef in self.properties.values():
-            for dep in pdef.depends_on:
-                if dep not in self.properties:
-                    raise SpecError(
-                        f"derived property {pdef.name!r} depends on unknown {dep!r}"
-                    )
         return self
 
     def _validate_unit(self, unit: Unit) -> None:

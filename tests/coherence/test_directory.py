@@ -68,6 +68,27 @@ def test_drain_and_record_flush(directory):
     assert directory.entry(0).last_flush_ms == 50.0
 
 
+def test_a_replica_retired_mid_flush_still_counts_its_flush():
+    """The batch was applied upstream before the flush's bookkeeping ran:
+    retiring the replica in between must neither raise nor drop the
+    flush from the statistics, and its per-policy metrics read
+    ``retired``."""
+    from repro.obs import Observability
+
+    directory = CoherenceDirectory(obs=Observability(tracing=False, metrics=True))
+    directory.register_replica("MailServer", cfg(3), FakeHost(), CountPolicy(2))
+    directory.on_local_update(0, Update("store", {}, size_bytes=100, multiplicity=3), 0.0)
+    batch, _units = directory.drain(0)
+    directory.unregister_replica(0)
+    directory.record_flush(0, 50.0, batch)
+    assert directory.stats.syncs == 1
+    assert directory.stats.messages_propagated == 3
+    assert directory.stats.bytes_propagated == 100
+    metrics = directory.obs.metrics
+    assert metrics.counter("coherence.flushes", policy="retired").value == 1
+    assert metrics.counter("coherence.messages_propagated", policy="retired").value == 3
+
+
 def test_requeue_restores_batch_order(directory):
     directory.register_replica("MailServer", cfg(3), FakeHost(), NeverPolicy())
     u1, u2, u3 = (Update("store", {"i": i}) for i in range(3))

@@ -129,3 +129,38 @@ def test_cache_view_absorbs_repeat_requests():
     rt.run(play(1))
     rt.run(play(1))
     assert cache.hits >= 1
+
+
+def test_retiring_a_cache_view_flushes_nothing():
+    """A ``ViewVideoSource`` is a registered replica that buffers nothing:
+    the replan round that retires it goes through the replica flush and
+    finds nothing to write back."""
+    from repro.experiments.topology_fig5 import build_fig5_network
+
+    topo = build_fig5_network(clients_per_site=2)
+    for node in topo.network.nodes():
+        node.credentials.setdefault("source_site", node.name == topo.server_node)
+        node.credentials.setdefault("popularity", 3)
+    rt = SmockRuntime(topo.network, server_node=topo.server_node)
+    rt.add_service(
+        "video", build_video_spec(), video_translator(), "ViewerInterface",
+        component_classes=VIDEO_COMPONENT_CLASSES, algorithm="exhaustive",
+    )
+    rt.preinstall("VideoSource", topo.server_node)
+    rt.run(rt.client_connect("sandiego-client1", {}))
+    cache = rt.instance_of("ViewVideoSource")
+    assert cache.replica_id is not None
+
+    flushed = []
+    flush = rt.primary.flush
+
+    def spy(instance):
+        done = yield from flush(instance)
+        flushed.append((instance, done))
+        return done
+
+    rt.primary.flush = spy
+    event = rt.run(rt.enable_self_healing().replan_all())  # no binding tracked
+    assert cache.label in event.retired and cache.replica_id is None
+    assert (cache, True) in flushed
+    assert rt.coherence.stats.syncs == 0 and rt.coherence.stats.local_updates == 0

@@ -173,8 +173,3 @@ def test_property_def_parse_value_forms():
 def test_property_def_match_mode_validation():
     with pytest.raises(SpecError):
         PropertyDef("X", BooleanDomain(), match_mode="wrong")
-
-
-def test_derived_requires_depends_on():
-    with pytest.raises(SpecError):
-        PropertyDef("X", NumberDomain(), derived=lambda e: 1)
