@@ -265,7 +265,6 @@ def _directory_takeover_mttr_ms():
     takeover time (detection + replan round + journal rebuild)."""
     tb = build_mail_testbed(clients_per_site=2, flush_policy="count:500",
                             algorithm="dp_chain",
-                            directory_journal=True,
                             directory_host="seattle-gw")
     rt = tb.runtime
     rt.enable_self_healing(heartbeat_interval_ms=250.0, miss_threshold=3)
@@ -326,14 +325,14 @@ def test_lookup_failover_window_and_directory_mttr(benchmark, report_lines):
 
 def test_control_plane_knobs_zero_overhead_when_default(benchmark,
                                                         report_lines):
-    """Explicit default knobs (leases off, journal off) are
-    byte-identical to omitting them, and resolve to the one-host
-    ``LookupService`` with no lease loop — the structural zero-overhead
-    pin."""
+    """An explicit default knob (leases off; with no directory host
+    there is no journal either) is byte-identical to omitting it, and
+    resolves to the one-host ``LookupService`` with no lease loop — the
+    structural zero-overhead pin."""
     def run_pair():
         bare = run_chaos(with_faults=False, n_sends=30, n_receives=3)
         knobbed = run_chaos(with_faults=False, n_sends=30, n_receives=3,
-                            lookup_leases=False, directory_journal=False)
+                            lookup_leases=False)
         return bare, knobbed
 
     (bare, knobbed) = benchmark.pedantic(run_pair, rounds=1, iterations=1)

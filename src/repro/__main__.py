@@ -790,8 +790,8 @@ def main(argv=None) -> int:
                            "--autonomic)")
     tele.add_argument("--slo", metavar="SPEC", default=None,
                       help='evaluate an SLO spec after the run: "default", '
-                           "a JSON or YAML subset spec file, or an inline JSON "
-                           "object (enables metrics + the telemetry sampler)")
+                           "a JSON spec file, or an inline JSON object "
+                           "(enables metrics + the telemetry sampler)")
     tele.add_argument("--slo-report", metavar="PATH", default=None,
                       help="also write the SLO report as JSON to PATH")
     tele.add_argument("--flight", metavar="PATH", default=None,
@@ -832,8 +832,8 @@ def main(argv=None) -> int:
                    help="per-case telemetry sampling interval in simulated "
                         "ms (default: off; implied 500 by --artifacts)")
     p.add_argument("--slo", metavar="SPEC", default=None,
-                   help='SLO spec evaluated per seed ("default" or a '
-                        "JSON or YAML subset spec file)")
+                   help='SLO spec evaluated per seed ("default", a JSON '
+                        "spec file, or an inline JSON object)")
     p.add_argument("--fail-on-slo", action="store_true",
                    help="exit non-zero when any seed violates the --slo "
                         "spec (CI gating), not just on invariant failures")
@@ -906,8 +906,7 @@ def main(argv=None) -> int:
                         "every cell runs with the loop closed")
     p.add_argument("--slo", metavar="SPEC", default=None,
                    help='grade every cell against an SLO spec ("default", '
-                        "a JSON or YAML subset spec file, or an inline JSON "
-                        "object)")
+                        "a JSON spec file, or an inline JSON object)")
     p.add_argument("--fail-on-slo", action="store_true",
                    help="exit non-zero unless the gated run (autonomic cell "
                         "with --autonomic, else protected) passes the --slo "

@@ -174,7 +174,7 @@ class AutonomicManager:
         interval = sampler.interval_ms
         for binding in self.runtime.replanner.bindings:
             proxy = binding.proxy
-            count = float(getattr(proxy, "requests", 0))
+            count = float(proxy.requests)
             prev, history = self._rate_state.get(
                 id(proxy), (count, deque(maxlen=RATE_WINDOW_TICKS))
             )
@@ -351,16 +351,15 @@ class AutonomicManager:
         complete before the retire path flushes and uninstalls.
         """
         sim = self.runtime.sim
-        inflight = getattr(instance, "inflight", 0)
-        if not inflight:
+        if not instance.inflight:
             return
         start = sim.now
         deadline = start + DRAIN_TIMEOUT_MS
-        while getattr(instance, "inflight", 0) > 0 and sim.now < deadline:
+        while instance.inflight > 0 and sim.now < deadline:
             yield sim.timeout(DRAIN_POLL_MS)
         metrics = self.runtime.obs.metrics
         metrics.observe("autonomic.drain_wait_ms", sim.now - start)
-        if getattr(instance, "inflight", 0) > 0:
+        if instance.inflight > 0:
             metrics.inc("autonomic.drain_timeouts")
 
     def on_round_end(self, event: Any) -> None:

@@ -249,7 +249,6 @@ def _control_plane_placement() -> Dict[str, Any]:
     return dict(
         lookup_hosts=LOOKUP_HOSTS,
         lookup_leases=LeaseConfig(duration_ms=15_000.0),
-        directory_journal=True,
         directory_host=DIRECTORY_HOST,
     )
 

@@ -96,8 +96,8 @@ def check_convergence(runtime: Any) -> List[str]:
     primary = runtime.instance_of("MailServer")
     primary_held = _store_messages(primary.store)
     for instance in runtime.instances.values():
-        replica_id = getattr(instance, "replica_id", None)
-        if replica_id is None or getattr(instance, "failed", False):
+        replica_id = instance.replica_id
+        if replica_id is None or instance.failed:
             continue
         store = getattr(instance, "store", None)
         if store is None:

@@ -24,8 +24,9 @@ and is re-reported at takeover, exactly as surviving replicas would
 re-announce themselves to a successor directory.
 
 Appending is a plain list append — no simulated events, no timers — so
-``directory_journal=True`` never perturbs a run's event schedule, and
-``None`` (the default) skips even the appends.
+a journal never perturbs a run's event schedule.  A runtime keeps one
+exactly when it is given a ``directory_host``; without one the
+directory's journal is ``None`` and even the appends are skipped.
 
 :func:`recover_directory` rebuilds a directory from the journal plus
 the surviving replica-side state, and cross-checks the rebuilt

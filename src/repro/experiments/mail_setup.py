@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
-from ..coherence import AttributeConflictMap, FlushPolicy, policy_from_name
+from ..coherence import AttributeConflictMap
 from ..smock import SmockRuntime
 from ..services.mail import (
     DEFAULT_USERS,
@@ -143,9 +143,9 @@ def build_mail_testbed(
 ) -> MailTestbed:
     """The standard case-study testbed.
 
-    ``flush_policy`` is a :func:`policy_from_name` string applied to
-    every deployed data-view replica ("never", "count:500",
-    "count:1000", "time:<ms>", "write_through").
+    ``flush_policy`` is a :func:`~repro.coherence.policy_from_name`
+    string applied to every deployed data-view replica ("never",
+    "count:500", "count:1000", "time:<ms>", "write_through").
 
     ``algorithm`` defaults to the CANS-style DP planner: on the
     5-clients-per-site topology (19 nodes) it finds the same chains as
@@ -155,11 +155,11 @@ def build_mail_testbed(
     The testbed fixes the runtime's ``server_node`` (the New York mail
     server, which also hosts the lookup unless ``lookup_hosts`` moves
     it, and the mail service's code base), and adds the ``"mail"``
-    service with its ``algorithm``, ``conflict_map``, ``view_policy``
+    service with its ``algorithm``, ``conflict_map``, ``flush_policy``
     and component classes.  Every other keyword (``sim``, ``obs``,
     ``plan_cache``, ``telemetry_interval_ms``, ``flight``,
     ``overload_protection``, ``autonomic``, ``lookup_hosts``,
-    ``lookup_leases``, ``directory_journal``, ``directory_host``) is
+    ``lookup_leases``, ``directory_host``) is
     forwarded unchanged to :class:`SmockRuntime`, the one place runtime
     options are declared and documented; a misspelt one raises
     ``TypeError`` there.
@@ -172,9 +172,6 @@ def build_mail_testbed(
         # bottleneck so saturation cells stay event-count tractable).
         topo = build_fig5_network(clients_per_site=clients_per_site, node_cpu=node_cpu)
 
-    def view_policy(view, instance) -> FlushPolicy:
-        return policy_from_name(flush_policy)
-
     runtime = SmockRuntime(topo.network, server_node=topo.server_node, **runtime_kwargs)
     runtime.service_state["mail_users"] = tuple(users)
     runtime.add_service(
@@ -185,7 +182,7 @@ def build_mail_testbed(
         component_classes=MAIL_COMPONENT_CLASSES,
         algorithm=algorithm,
         conflict_map=AttributeConflictMap("sensitivity", "TrustLevel"),
-        view_policy=view_policy,
+        flush_policy=flush_policy,
     )
     runtime.preinstall("MailServer", topo.server_node)
     return MailTestbed(runtime=runtime, topology=topo)

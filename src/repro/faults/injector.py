@@ -99,17 +99,14 @@ class FaultInjector:
         """Fail-stop ``name``: volatile state gone, instances dead.
 
         Live component instances are flagged ``failed`` *before* the
-        node clears its install table, and coherence daemons are told to
-        stop — but bundle registries, directory entries and client
-        proxies are deliberately left stale for the detector/replanner
-        to find.
+        node clears its install table, and each is told to ``stop`` —
+        but bundle registries, directory entries and client proxies are
+        deliberately left stale for the detector/replanner to find.
         """
         node = self.runtime.transport.node(name)
         for instance in list(node.installed.values()):
             instance.failed = True
-            stop = getattr(instance, "stop_daemon", None)
-            if stop is not None:
-                stop()
+            instance.stop()
         node.crash()
         self.crash_times[name] = self.runtime.sim.now
 

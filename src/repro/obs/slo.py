@@ -1,18 +1,16 @@
 """Declarative SLOs evaluated against windowed telemetry.
 
-A spec is a plain mapping (written as a YAML subset, JSON, or an
-inline dict)::
+A spec is a plain mapping, written as JSON (a file or an inline
+string) or passed as a dict::
 
-    name: mail-default
-    error_budget: 0.25        # tolerated fraction of windows violating
-    max_degraded_read_fraction: 0.5
-    read_ops: [fetch_mail]
-    ops:
-      send_mail:
-        p50_ms: 2000
-        p99_ms: 60000
-        p999_ms: 120000
-        availability: 0.95
+    {"name": "mail-default",
+     "error_budget": 0.25,
+     "max_degraded_read_fraction": 0.5,
+     "read_ops": ["fetch_mail"],
+     "ops": {"send_mail": {"p50_ms": 2000, "p99_ms": 60000,
+                           "p999_ms": 120000, "availability": 0.95}}}
+
+``error_budget`` is the tolerated fraction of violating windows.
 
 Evaluation reads the per-op :class:`~repro.obs.timeseries.WindowedHistogram`
 registered under ``smock.request_sim_ms{op=...}``: latency objectives are
@@ -24,10 +22,8 @@ the degraded-read objective comes from :class:`CoherenceStats`.  Plain
 (non-windowed) histograms still evaluate — the whole run is then one
 window and burn is all-or-nothing.
 
-Parsing is dependency-free: :func:`load_slo_spec` accepts JSON outright
-and otherwise reads a tiny YAML subset (nested maps of scalars and flow
-lists).  It never imports PyYAML, so a spec parses the same way whether
-or not PyYAML is installed.
+Parsing is the standard library's: :func:`load_slo_spec` reads
+``"default"``, a JSON file or inline JSON, and nothing else.
 """
 
 from __future__ import annotations
@@ -293,65 +289,9 @@ def evaluate_slo(
 
 
 # -- spec loading ------------------------------------------------------------
-def _coerce_scalar(text: str) -> Any:
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        return [_coerce_scalar(part) for part in inner.split(",")] if inner else []
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-        return text[1:-1]
-    lowered = text.lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
-    if lowered in ("null", "none", "~"):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _parse_simple_yaml(text: str) -> Dict[str, Any]:
-    """Tiny YAML-subset parser: nested maps of scalars and flow lists.
-
-    Enough for SLO spec files, and the only YAML reader, so a spec
-    parses the same on every machine.  No block lists, anchors, or
-    multi-line scalars.
-    """
-    root: Dict[str, Any] = {}
-    stack: List[Tuple[int, Dict[str, Any]]] = [(-1, root)]
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        indent = len(line) - len(line.lstrip())
-        stripped = line.strip()
-        if ":" not in stripped:
-            raise ValueError(f"line {lineno}: expected 'key: value', got {raw!r}")
-        key, _, value = stripped.partition(":")
-        while stack and indent <= stack[-1][0]:
-            stack.pop()
-        if not stack:
-            raise ValueError(f"line {lineno}: bad indentation in {raw!r}")
-        parent = stack[-1][1]
-        if value.strip() == "":
-            child: Dict[str, Any] = {}
-            parent[key.strip()] = child
-            stack.append((indent, child))
-        else:
-            parent[key.strip()] = _coerce_scalar(value)
-    return root
-
-
 def load_slo_spec(source: str) -> SLOSpec:
-    """Load a spec from ``"default"``, a JSON or YAML-subset file path,
-    or an inline JSON string."""
+    """Load a spec from ``"default"``, a JSON file path, or an inline
+    JSON string; anything else raises ``ValueError`` naming ``source``."""
     if source == "default":
         return SLOSpec.from_dict(DEFAULT_MAIL_SLO)
     if os.path.exists(source):
@@ -361,8 +301,11 @@ def load_slo_spec(source: str) -> SLOSpec:
         text = source
     try:
         raw = json.loads(text)
-    except ValueError:
-        raw = _parse_simple_yaml(text)
+    except ValueError as exc:
+        raise ValueError(
+            f"SLO spec {source!r} is not \"default\", a JSON file or inline "
+            f"JSON: {exc}"
+        ) from None
     if not isinstance(raw, Mapping):
         raise ValueError(f"SLO spec did not parse to a mapping: {source!r}")
     return SLOSpec.from_dict(raw)

@@ -329,7 +329,6 @@ class ViewMailServerComponent(_StoreBase):
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.stale_users: set = set()
-        self.replica_id: Optional[int] = None
         self.upstream_forwards = 0
         self._daemon_running = False
 
@@ -387,7 +386,8 @@ class ViewMailServerComponent(_StoreBase):
         if wake is not None and not wake.triggered:
             wake.succeed()
 
-    def stop_daemon(self) -> None:
+    def stop(self) -> None:
+        """End the coherence daemon (the host died)."""
         self._daemon_running = False
         self._notify_daemon()
 

@@ -8,7 +8,7 @@ compression are observable in tests.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator
 
 from ...smock import RuntimeComponent, ServiceRequest, ServiceResponse
 
@@ -64,7 +64,6 @@ class ViewVideoSourceComponent(RuntimeComponent):
         self.cache: Dict[tuple, ServiceResponse] = {}
         self.hits = 0
         self.misses = 0
-        self.replica_id: Optional[int] = None
 
     def op_get_frame(self, req: ServiceRequest) -> Generator[Any, Any, ServiceResponse]:
         key = (req.payload.get("content", "default"), int(req.payload.get("seq", 0)))

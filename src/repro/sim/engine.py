@@ -84,7 +84,8 @@ class Simulator:
         obs: Optional[Observability] = None,
         origin: int = 0,
     ) -> None:
-        self._now = 0.0
+        #: current simulated time in milliseconds (only the kernel moves it)
+        self.now = 0.0
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._fifo: Deque[Event] = deque()
         self._seq = 0
@@ -104,7 +105,7 @@ class Simulator:
         self._taken = 0
         self.obs = resolve_obs(obs)
         if self.obs.tracer.enabled:
-            self.obs.tracer.bind_sim_clock(lambda: self._now)
+            self.obs.tracer.bind_sim_clock(lambda: self.now)
         self._evt_counter = (
             self.obs.metrics.counter("sim.events_dispatched")
             if self.obs.metrics.enabled
@@ -115,11 +116,6 @@ class Simulator:
         )
 
     # -- clock ------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
-
     @property
     def events_scheduled(self) -> int:
         """How many events this simulator has scheduled so far — with
@@ -156,9 +152,9 @@ class Simulator:
 
     def call_at(self, when: float, fn: Callable[[], None]) -> Event:
         """Run plain callable ``fn`` at absolute time ``when``."""
-        if not self._now <= when < _INF:  # also rejects NaN
+        if not self.now <= when < _INF:  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule at {when}: not a finite time at or after now {self._now}"
+                f"cannot schedule at {when}: not a finite time at or after now {self.now}"
             )
         ev = Event(self)
         ev.add_callback(lambda _e: fn())
@@ -168,13 +164,13 @@ class Simulator:
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run plain callable ``fn`` after ``delay`` ms."""
-        return self.call_at(self._now + delay, fn)
+        return self.call_at(self.now + delay, fn)
 
     # -- kernel -------------------------------------------------------------
     def _schedule(self, when: float, event: Event) -> None:
         """Put a triggered event on the event list, due at ``when``."""
         self._seq += 1
-        if when == self._now:
+        if when == self.now:
             self._fifo.append(event)
         else:
             heappush(self._heap, (when, self._origin, self._seq, event))
@@ -192,10 +188,10 @@ class Simulator:
         event goes onto the heap even when it is due now: its key, not
         its arrival, decides where it runs among this instant's events.
         """
-        if not self._now <= when < _INF:  # also rejects NaN
+        if not self.now <= when < _INF:  # also rejects NaN
             raise SimulationError(
                 f"causality violation: external event at {when}, not a finite "
-                f"time at or after now {self._now}"
+                f"time at or after now {self.now}"
             )
         heappush(self._heap, (when, origin, seq, event))
 
@@ -225,7 +221,7 @@ class Simulator:
         fifo = self._fifo
         popleft = fifo.popleft
         origin = self._origin
-        now = self._now
+        now = self.now
         capture = self._capture_events
         dispatched = 0
         try:
@@ -240,7 +236,7 @@ class Simulator:
                         raise SimulationError(
                             "event list corrupted: time went backwards"
                         )
-                    self._now = now = when
+                    self.now = now = when
                 else:
                     break
                 dispatched += 1
@@ -254,7 +250,7 @@ class Simulator:
                     self._in_place = True
                     callbacks[0](event)
                     self._in_place = False
-                    now = self._now
+                    now = self.now
                 else:
                     for fn in callbacks:
                         fn(event)
@@ -286,7 +282,7 @@ class Simulator:
         if not self._in_place or self._fifo:
             return False
         heap = self._heap
-        if heap and heap[0][0] <= self._now and heap[0][1] <= self._origin:
+        if heap and heap[0][0] <= self.now and heap[0][1] <= self._origin:
             return False
         self._seq += 1
         self._taken += 1
@@ -312,7 +308,7 @@ class Simulator:
             raise ValueError(f"timeout delay not finite and >= 0: {delay}")
         if not self._in_place or self._fifo:
             return False
-        now = self._now
+        now = self.now
         when = now + delay
         heap = self._heap
         if heap:
@@ -322,7 +318,7 @@ class Simulator:
         if when != now:
             if not when < self._until:
                 return False
-            self._now = when
+            self.now = when
         self._seq += 1
         self._taken += 1
         return True
@@ -339,9 +335,9 @@ class Simulator:
         if until is not None and math.isnan(until):
             raise SimulationError("run() needs a comparable until, got nan")
         self._drain(_INF if until is None else until, None)
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def run_until_complete(self, proc: Process, limit: float = _INF) -> Any:
         """Run until ``proc`` finishes; return its value (raise if it failed).
@@ -370,7 +366,7 @@ class Simulator:
         if proc.failed:
             exc = proc.value
             failed_in = getattr(exc, "failed_process", proc.name)
-            failed_at = getattr(exc, "failed_at_ms", self._now)
+            failed_at = getattr(exc, "failed_at_ms", self.now)
             note = f"in process {failed_in!r} at t={failed_at:.1f}ms"
             if hasattr(exc, "add_note"):  # Python >= 3.11
                 exc.add_note(note)
@@ -381,8 +377,8 @@ class Simulator:
     def peek(self) -> float:
         """Timestamp of the next event, or +inf if the list is empty."""
         if self._fifo:
-            return self._now
+            return self.now
         return self._heap[0][0] if self._heap else _INF
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self._now} pending={self.events_pending}>"
+        return f"<Simulator t={self.now} pending={self.events_pending}>"

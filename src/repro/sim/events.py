@@ -106,7 +106,7 @@ class Event:
         self._triggered = True
         self._failed = True
         self._value = exc
-        self.sim._schedule(self.sim._now, self)
+        self.sim._schedule(self.sim.now, self)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -145,7 +145,7 @@ class Timeout(Event):
         self._failed = False
         self.delay = delay
         sim._seq = seq = sim._seq + 1
-        now = sim._now
+        now = sim.now
         when = now + delay
         # Compare the sum, not the delay: a tiny delay can round to now.
         if when == now:

@@ -67,7 +67,7 @@ class Resource:
         if in_use < self.capacity:
             # _account() inlined, here and in release(): a slot changes
             # hands twice per CPU job and per link hop.
-            now = sim._now
+            now = sim.now
             self._busy_area += in_use * (now - self._last_change)
             self._last_change = now
             self._in_use = in_use + 1
@@ -83,7 +83,7 @@ class Resource:
         in_use = self._in_use
         if in_use < self.capacity and self.sim.take_now():
             # The grant branch of request(), with no event to succeed.
-            now = self.sim._now
+            now = self.sim.now
             self._busy_area += in_use * (now - self._last_change)
             self._last_change = now
             self._in_use = in_use + 1
@@ -99,7 +99,7 @@ class Resource:
             # Hand the slot straight to the next waiter (in_use unchanged).
             self._waiters.popleft().succeed(self)
         else:
-            now = self.sim._now
+            now = self.sim.now
             self._busy_area += in_use * (now - self._last_change)
             self._last_change = now
             self._in_use = in_use - 1

@@ -14,7 +14,7 @@ declared per-request CPU on its node before dispatching.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, TYPE_CHECKING
+from typing import Any, Callable, Dict, Generator, List, Optional, TYPE_CHECKING
 
 from ..network import NetworkError
 from ..sim import FaultError, NodeDownError, SimNode, Simulator
@@ -177,6 +177,10 @@ class RuntimeComponent:
         #: instance is gone for good — a restarted node comes back empty
         #: and only replanning re-installs components.
         self.failed = False
+        #: the coherence directory's id for this instance while it is a
+        #: registered data-view replica (see
+        #: :meth:`ServiceBundle.register_replica`); ``None`` otherwise
+        self.replica_id: Optional[int] = None
 
     # -- identity -----------------------------------------------------------
     @property
@@ -202,6 +206,10 @@ class RuntimeComponent:
 
     def on_linked(self) -> None:
         """Called after all required interfaces have been bound."""
+
+    def stop(self) -> None:
+        """Called when the instance's host dies: end any background
+        process the instance runs."""
 
     def on_invalidate(self, updates: List[Any]) -> None:
         """Coherence hook: conflicting remote updates occurred."""

@@ -3,10 +3,10 @@
 
 The deployer resolves reused placements against the runtime's instance
 registry, installs new placements through the target nodes' wrappers
-(code download + startup), wires the planned linkages, and registers
-data-view replicas with the coherence directory.  Install order is
-servers-first so a component's required interfaces are bindable the
-moment it starts.
+(code download + startup), wires the planned linkages, and has the
+service's bundle register data-view replicas with its coherence
+directory.  Install order is servers-first so a component's required
+interfaces are bindable the moment it starts.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class Deployer:
                 continue
             unit = bundle.spec.unit(placement.unit)
             if isinstance(unit, ViewDef) and unit.kind == "data":
-                runtime.register_replica(instance, unit, bundle)
+                bundle.register_replica(instance, sim.now)
 
         for instance in new_instances:
             instance.on_linked()
@@ -199,15 +199,3 @@ class Deployer:
         )
         instance.bundle = bundle
         return instance
-
-    def uninstall(self, placement: Placement, bundle: "ServiceBundle") -> None:
-        """Remove a live instance (used by the replanning extension)."""
-        runtime = self.runtime
-        instance = bundle.instances.pop(placement.key, None)
-        if instance is None:
-            return
-        runtime.wrappers[placement.node].uninstall(instance.instance_id)
-        replica_id = getattr(instance, "replica_id", None)
-        if replica_id is not None:
-            bundle.coherence.unregister_replica(replica_id)
-            instance.replica_id = None

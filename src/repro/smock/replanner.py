@@ -38,7 +38,7 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from ..network import NetworkError
 from ..network.monitor import ChangeEvent, NetworkMonitor
-from ..planner import DeploymentPlan, DeploymentState, Placement, PlanningError, PlanRequest
+from ..planner import DeploymentPlan, DeploymentState, PlanningError, PlanRequest
 from ..sim import FaultError
 from .proxy import ServiceProxy
 
@@ -182,9 +182,9 @@ class ReplanManager:
         # died.  Ground truth (is the directory host down *now*) rather
         # than the trigger event: the round's trigger is only the first
         # event of a detection burst, and the directory host's death may
-        # arrive debounced behind a sibling event.  Requires the
-        # ``directory_host`` + ``directory_journal`` knobs; without them
-        # a directory-host death is an ordinary node death.
+        # arrive debounced behind a sibling event.  Only a runtime given
+        # a ``directory_host`` has one (and journals its directory);
+        # without it a node death never takes the directory along.
         crashed_directory_host = runtime.directory_host
         if (
             crashed_directory_host is not None
@@ -252,7 +252,7 @@ class ReplanManager:
         # later bindings can reuse what earlier ones keep.
         state = DeploymentState()
         for placement in planner.state.placements():
-            if placement.key in bundle.instances and _is_primary(bundle, placement):
+            if bundle.is_primary(placement.key):
                 state.add(placement)
 
         # Liveness triggers (a host died or came back) patch around the
@@ -305,7 +305,7 @@ class ReplanManager:
                 # its current placements until a later round succeeds.
                 desired.update(p.key for p in binding.plan.placements)
         for placement in planner.state.placements():
-            if placement.key in bundle.instances and _is_primary(bundle, placement):
+            if bundle.is_primary(placement.key):
                 desired.add(placement.key)
 
         # Deploy changed bindings (install new placements, rebind proxies).
@@ -348,8 +348,7 @@ class ReplanManager:
                 # flushing state and uninstalling.
                 yield from autonomic.drain_instance(instance)
             yield from bundle.flush(instance)
-            placement = Placement(unit=key[0], node=key[1], factor_values=key[2])
-            runtime.deployer.uninstall(placement, bundle)
+            bundle.uninstall(key)
             event.retired.append(instance.label)
 
         # Anti-entropy: replay recovered buffers, re-converge replicas.
@@ -445,24 +444,14 @@ class ReplanManager:
         the failure detector declared its node down.  Dirty coherence
         buffers on such replicas are *lost updates* — acked to clients,
         never propagated — and are reported as such, then stashed for
-        anti-entropy replay, rather than silently discarded.
+        anti-entropy replay (:meth:`ServiceBundle.lose`), rather than
+        silently discarded.
         """
-        runtime = self.runtime
-        network = runtime.network
-        for key in list(bundle.instances.keys()):
-            instance = bundle.instances[key]
-            node_name = key[1]
-            if not (getattr(instance, "failed", False) or not network.node(node_name).up):
-                continue
-            replica_id = getattr(instance, "replica_id", None)
-            if replica_id is not None:
-                bundle.coherence.report_lost(replica_id)
-            stop = getattr(instance, "stop_daemon", None)
-            if stop is not None:
-                stop()
-            placement = Placement(unit=key[0], node=key[1], factor_values=key[2])
-            runtime.deployer.uninstall(placement, bundle)
-            event.reconciled.append(instance.label)
+        network = self.runtime.network
+        for key, instance in list(bundle.instances.items()):
+            if instance.failed or not network.node(key[1]).up:
+                bundle.lose(key)
+                event.reconciled.append(instance.label)
 
     def _observe_round(self, event: ReplanEvent) -> None:
         """Failover metrics for rounds triggered by a death detection."""
@@ -506,12 +495,6 @@ class ReplanManager:
     @staticmethod
     def _same_structure(a: DeploymentPlan, b: DeploymentPlan) -> bool:
         return {p.key for p in a.placements} == {p.key for p in b.placements}
-
-
-def _is_primary(bundle: Any, placement: Placement) -> bool:
-    """Placements registered as coherence primaries are permanent."""
-    unit = bundle.spec.unit(placement.unit)
-    return not unit.is_view and unit.is_terminal
 
 
 #: placeholder trigger meaning "re-run requested while busy, cause unknown"

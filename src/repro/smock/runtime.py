@@ -24,14 +24,9 @@ Experiments interact almost exclusively with this class::
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, Type
+from typing import Any, Dict, Generator, List, Optional, Tuple, Type
 
-from ..coherence import (
-    CoherenceDirectory,
-    ConflictMap,
-    FlushPolicy,
-    NeverPolicy,
-)
+from ..coherence import CoherenceDirectory, ConflictMap, policy_from_name
 from ..network import CredentialTranslator, Network
 from ..obs import Observability, resolve_obs
 from ..planner import DeploymentPlan, Placement, Planner
@@ -70,7 +65,6 @@ class SmockRuntime:
         autonomic: bool = False,
         lookup_hosts: Optional[List[str]] = None,
         lookup_leases: Any = False,
-        directory_journal: bool = False,
         directory_host: Optional[str] = None,
     ) -> None:
         self.network = network
@@ -111,11 +105,9 @@ class SmockRuntime:
 
         #: control-plane availability knobs (see ARCHITECTURE.md
         #: "control-plane availability").  With one lookup host and
-        #: leases off the lookup schedules no event of its own, and
-        #: ``directory_journal`` off builds an unjournaled directory
-        #: (both pinned by tests/integration/
-        #: test_control_plane_identity.py).
-        self.directory_journal = bool(directory_journal)
+        #: leases off the lookup schedules no event of its own, and with
+        #: no ``directory_host`` the directory keeps no journal (both
+        #: pinned by tests/integration/test_control_plane_identity.py).
         self.directory_host = directory_host
         if directory_host is not None:
             self.transport.node(directory_host)  # raises for unknown nodes
@@ -182,8 +174,9 @@ class SmockRuntime:
 
     # -- services ---------------------------------------------------------------
     def _make_journal(self) -> Optional[Any]:
-        """A fresh per-bundle directory journal when the knob is on."""
-        if not self.directory_journal:
+        """A fresh per-bundle directory journal when the directory has a
+        host of its own to lose."""
+        if self.directory_host is None:
             return None
         from ..coherence.journal import DirectoryJournal
 
@@ -238,7 +231,7 @@ class SmockRuntime:
         server_node: Optional[str] = None,
         code_base_node: Optional[str] = None,
         conflict_map: Optional[ConflictMap] = None,
-        view_policy: Optional[Callable[[ViewDef, Any], FlushPolicy]] = None,
+        flush_policy: str = "never",
         attributes: Optional[Dict[str, Any]] = None,
         proxy_code_bytes: int = 60_000,
     ) -> ServiceBundle:
@@ -248,12 +241,15 @@ class SmockRuntime:
         ``server_node``, else the runtime's), planner and coherence
         directory; the simulator, network and wrappers are shared.
         ``component_classes`` maps spec unit names to the runtime
-        classes instantiated for them.  The first service added becomes
-        :attr:`primary`.
+        classes instantiated for them; every data-view replica the
+        service deploys flushes by ``flush_policy`` (a
+        :func:`~repro.coherence.policy_from_name` string).  The first
+        service added becomes :attr:`primary`.
         """
         if name in self._bundles:
             raise DeploymentError(f"service {name!r} already registered")
         spec.interface(default_interface)  # raises if unknown
+        policy_from_name(flush_policy)  # raises if unknown
         classes = dict(component_classes or {})
         for unit_name in classes:
             spec.unit(unit_name)  # raises if unknown
@@ -272,7 +268,7 @@ class SmockRuntime:
             default_interface=default_interface,
             code_base_node=code_base_node or server_node,
             component_classes=classes,
-            view_policy=view_policy or (lambda view, instance: NeverPolicy()),
+            flush_policy=flush_policy,
         )
         bundle.server = GenericServer(self, server_node, bundle)
         self._bundles[name] = bundle
@@ -309,7 +305,6 @@ class SmockRuntime:
             instance_id=self.next_instance_id(placement),
         )
         instance.bundle = bundle
-        self.wrappers[node].installed[instance.instance_id] = instance
         self.transport.node(node).installed[instance.instance_id] = instance
         bundle.instances[placement.key] = instance
         if not isinstance(unit, ViewDef):
@@ -317,21 +312,6 @@ class SmockRuntime:
         instance.on_install()
         instance.on_linked()
         return instance
-
-    def register_replica(
-        self, instance: RuntimeComponent, view: ViewDef, bundle: ServiceBundle
-    ) -> None:
-        """Hook the deployer calls for each new data-view instance."""
-        config = (view.name, tuple(sorted(instance.factor_values.items())))
-        policy = bundle.view_policy(view, instance)
-        entry = bundle.coherence.register_replica(
-            family=view.represents,
-            config=config,
-            host=instance,
-            policy=policy,
-            now_ms=self.sim.now,
-        )
-        instance.replica_id = entry.replica_id  # type: ignore[attr-defined]
 
     # -- client path ------------------------------------------------------------
     def client_connect(

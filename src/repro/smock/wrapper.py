@@ -37,7 +37,6 @@ class NodeWrapper:
     def __init__(self, runtime: "SmockRuntime", node: SimNode) -> None:
         self.runtime = runtime
         self.node = node
-        self.installed: Dict[str, RuntimeComponent] = {}
         self.installs = 0
         self.bytes_downloaded = 0
 
@@ -68,7 +67,6 @@ class NodeWrapper:
             factor_values=factor_values,
             instance_id=instance_id,
         )
-        self.installed[instance_id] = instance
         self.node.installed[instance_id] = instance
         self.installs += 1
         instance.on_install()
@@ -83,8 +81,7 @@ class NodeWrapper:
         return stub
 
     def uninstall(self, instance_id: str) -> None:
-        self.installed.pop(instance_id, None)
         self.node.installed.pop(instance_id, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<NodeWrapper {self.node.name} installed={len(self.installed)}>"
+        return f"<NodeWrapper {self.node.name} installed={len(self.node.installed)}>"

@@ -152,11 +152,6 @@ class ComponentDef:
     def is_view(self) -> bool:
         return False
 
-    @property
-    def is_terminal(self) -> bool:
-        """True if the component requires nothing (linkage recursion stops)."""
-        return not self.requires
-
     def implements_interface(self, interface: str) -> Optional[InterfaceBinding]:
         for b in self.implements:
             if b.interface == interface:

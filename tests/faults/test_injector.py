@@ -12,7 +12,7 @@ class FakeInstance:
         self.failed = False
         self.daemon_stopped = False
 
-    def stop_daemon(self):
+    def stop(self):
         self.daemon_stopped = True
 
 

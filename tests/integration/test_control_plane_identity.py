@@ -1,7 +1,7 @@
 """Default-off control-plane knobs are byte-identical to their absence.
 
-A single lookup host with leases and the directory journal off must
-produce *exactly* the run that predates the control-plane work: same
+A single lookup host with leases off and no directory host (so no
+directory journal) must produce *exactly* the run that predates the control-plane work: same
 event count, same sequence counter, same delivered set, same metrics.
 This is the signature pin the acceptance criteria name — any stray
 timer, heartbeat, or journal event the knobs leak in their off position
@@ -17,11 +17,7 @@ from repro.smock import LookupService
 
 def test_default_knobs_are_byte_identical_to_omitting_them():
     bare = _run_mail("DS500")
-    knobbed = _run_mail(
-        "DS500",
-        lookup_leases=False,
-        directory_journal=False,
-    )
+    knobbed = _run_mail("DS500", lookup_leases=False)
     assert knobbed == bare
 
 
@@ -37,7 +33,7 @@ def test_single_replica_without_leases_is_the_plain_lookup_service(monkeypatch):
         return spawn(sim, generator, name=name)
 
     monkeypatch.setattr(Simulator, "process", recording)
-    testbed = build_mail_testbed(lookup_leases=False, directory_journal=False)
+    testbed = build_mail_testbed(lookup_leases=False)
     rt = testbed.runtime
     testbed.connect("sandiego-client1", "Bob")
     assert type(rt.lookup) is LookupService

@@ -8,7 +8,6 @@ from repro.obs import MetricsRegistry
 from repro.obs.slo import (
     DEFAULT_MAIL_SLO,
     SLOSpec,
-    _parse_simple_yaml,
     evaluate_slo,
     load_slo_spec,
 )
@@ -168,42 +167,13 @@ def test_load_inline_json_and_file(tmp_path):
     assert load_slo_spec(str(path)).name == "j"
 
 
-YAML_SPEC = """\
-# comment line
-name: mail-prod
-error_budget: 0.1
-read_ops: [fetch_mail, list_mail]
-ops:
-  send_mail:
-    p50_ms: 1500
-    p99_ms: 30000   # trailing comment
-    availability: 0.99
-  fetch_mail:
-    p50_ms: 800
-"""
-
-
-def test_load_yaml_subset_file(tmp_path):
+def test_load_rejects_a_source_that_is_not_json(tmp_path):
     path = tmp_path / "slo.yaml"
-    path.write_text(YAML_SPEC)
-    spec = load_slo_spec(str(path))
-    assert spec.name == "mail-prod"
-    assert spec.error_budget == 0.1
-    assert spec.read_ops == ("fetch_mail", "list_mail")
-    assert spec.ops["send_mail"]["p99_ms"] == 30000.0
-    assert spec.ops["send_mail"]["availability"] == 0.99
-    assert spec.ops["fetch_mail"] == {"p50_ms": 800.0}
-
-
-def test_parse_simple_yaml_details():
-    parsed = _parse_simple_yaml(
-        "a: 1\nb:\n  c: true\n  d: null\n  e: 'x'\nf: [1, 2]\n"
-    )
-    assert parsed == {
-        "a": 1, "b": {"c": True, "d": None, "e": "x"}, "f": [1, 2],
-    }
-    with pytest.raises(ValueError, match="expected 'key: value'"):
-        _parse_simple_yaml("- not a map\n")
+    path.write_text("name: mail-prod\nerror_budget: 0.1\n")
+    with pytest.raises(ValueError, match="slo.yaml.* is not \"default\", a JSON file or inline JSON"):
+        load_slo_spec(str(path))
+    with pytest.raises(ValueError, match="'name: x' is not \"default\""):
+        load_slo_spec("name: x")
 
 
 def test_load_rejects_non_mapping():

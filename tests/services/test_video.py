@@ -106,35 +106,9 @@ def test_end_to_end_playback():
     assert source.frames_served == 1
 
 
-def test_cache_view_absorbs_repeat_requests():
-    spec = build_video_spec()
-    net = build_net(4.0)
-    rt = SmockRuntime(net, server_node="studio")
-    rt.add_service(
-        "video", spec, video_translator(), "ViewerInterface",
-        component_classes=VIDEO_COMPONENT_CLASSES, algorithm="exhaustive",
-    )
-    rt.preinstall("VideoSource", "studio")
-    proxy = rt.run(rt.client_connect("home", {}))
-
-    units = {k[0] for k in rt.instances}
-    if "ViewVideoSource" not in units:
-        pytest.skip("planner found no cache placement on this topology")
-    cache = rt.instance_of("ViewVideoSource")
-
-    def play(seq):
-        resp = yield from proxy.request("play", {"content": "movie", "seq": seq})
-        return resp
-
-    rt.run(play(1))
-    rt.run(play(1))
-    assert cache.hits >= 1
-
-
-def test_retiring_a_cache_view_flushes_nothing():
-    """A ``ViewVideoSource`` is a registered replica that buffers nothing:
-    the replan round that retires it goes through the replica flush and
-    finds nothing to write back."""
+def fig5_video_runtime():
+    """The video service on the Figure 5 network, popular enough
+    everywhere (``popularity`` 3) for the planner to place a cache view."""
     from repro.experiments.topology_fig5 import build_fig5_network
 
     topo = build_fig5_network(clients_per_site=2)
@@ -147,6 +121,28 @@ def test_retiring_a_cache_view_flushes_nothing():
         component_classes=VIDEO_COMPONENT_CLASSES, algorithm="exhaustive",
     )
     rt.preinstall("VideoSource", topo.server_node)
+    return rt
+
+
+def test_cache_view_absorbs_repeat_requests():
+    rt = fig5_video_runtime()
+    proxy = rt.run(rt.client_connect("sandiego-client1", {}))
+    cache = rt.instance_of("ViewVideoSource", "sandiego-gw")
+
+    def play(seq):
+        resp = yield from proxy.request("play", {"content": "movie", "seq": seq})
+        return resp
+
+    assert rt.run(play(1)).ok and rt.run(play(1)).ok
+    assert (cache.hits, cache.misses) == (1, 1)
+    assert rt.instance_of("VideoSource").frames_served == 1
+
+
+def test_retiring_a_cache_view_flushes_nothing():
+    """A ``ViewVideoSource`` is a registered replica that buffers nothing:
+    the replan round that retires it goes through the replica flush and
+    finds nothing to write back."""
+    rt = fig5_video_runtime()
     rt.run(rt.client_connect("sandiego-client1", {}))
     cache = rt.instance_of("ViewVideoSource")
     assert cache.replica_id is not None

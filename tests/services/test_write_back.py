@@ -12,7 +12,6 @@ import operator
 import pytest
 
 from repro.experiments.mail_setup import build_mail_testbed
-from repro.planner import Placement
 from repro.services.mail import StoredMessage
 
 
@@ -76,7 +75,7 @@ def test_a_replica_retired_mid_flush_counts_its_flush():
     rt.sim.run(until=rt.sim.now + 1.0)  # the prepare round trip is in flight
     assert not flush.triggered
     (key,) = [k for k, inst in rt.primary.instances.items() if inst is vms]
-    rt.deployer.uninstall(Placement(unit=key[0], node=key[1], factor_values=key[2]), rt.primary)
+    rt.primary.uninstall(key)
     assert vms.replica_id is None
     assert rt.sim.run_until_complete(flush) is True
     stats = rt.coherence.stats

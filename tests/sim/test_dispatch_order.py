@@ -33,7 +33,7 @@ class _OntoTheHeap:
 
     def append(self, event):
         sim = self.sim
-        heappush(sim._heap, (sim._now, sim._origin, sim._seq, event))
+        heappush(sim._heap, (sim.now, sim._origin, sim._seq, event))
 
     def __len__(self):
         return 0
@@ -53,9 +53,9 @@ class HeapOnlySimulator(Simulator):
         try:
             while heap and heap[0][0] < until and not (proc and proc._triggered):
                 when, _origin, _seq, event = heappop(heap)
-                if when < self._now:
+                if when < self.now:
                     raise SimulationError("event list corrupted: time went backwards")
-                self._now = when
+                self.now = when
                 dispatched += 1
                 callbacks, event.callbacks = event.callbacks, None
                 for fn in callbacks or ():

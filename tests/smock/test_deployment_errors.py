@@ -86,3 +86,14 @@ def test_add_service_validates_interface(runtime):
     with pytest.raises(SpecError):
         runtime.add_service("again", build_mail_spec(), mail_translator(), "Bogus")
     assert "again" not in {b.name for b in runtime.bundles()}
+
+
+def test_add_service_validates_flush_policy(runtime):
+    from repro.services.mail import build_mail_spec, mail_translator
+
+    with pytest.raises(ValueError, match="unknown flush policy 'count'"):
+        runtime.add_service(
+            "again", build_mail_spec(), mail_translator(), "ClientInterface",
+            flush_policy="count",
+        )
+    assert "again" not in {b.name for b in runtime.bundles()}

@@ -103,7 +103,7 @@ def test_wrapper_install_downloads_code_and_charges_startup():
     inst = rt.sim.run_until_complete(proc)
     # 100 kB over two 8 Mb/s hops (100 ms each) + latencies + 400 ms startup.
     assert rt.sim.now == pytest.approx(100 + 10 + 100 + 20 + 400)
-    assert wrapper.installed["unit#1"] is inst
+    assert rt.transport.node("c").installed["unit#1"] is inst
     assert wrapper.bytes_downloaded == 100_000
     assert inst.node_name == "c"
 
@@ -146,7 +146,7 @@ def test_wrapper_connect_and_uninstall():
     assert resp.ok and resp.payload["pong"]
 
     wa.uninstall("srv")
-    assert "srv" not in wa.installed
+    assert "srv" not in rt.transport.node("a").installed
 
 
 def test_component_without_binding_fails_cleanly():

@@ -75,15 +75,9 @@ def test_component_queries():
     assert c.implements_interface("I").properties == {"X": 1}
     assert c.implements_interface("K") is None
     assert [b.interface for b in c.requires] == ["J"]
-    assert not c.is_terminal
     assert not c.is_view
     assert c.installable_in({"User": "Alice"})
     assert not c.installable_in({"User": "Eve"})
-
-
-def test_terminal_component():
-    c = ComponentDef("S", implements=(InterfaceBinding("I"),))
-    assert c.is_terminal
 
 
 def test_component_name_required():

@@ -42,7 +42,7 @@ def test_minimal_spec_parses():
     comp = spec.unit("C")
     assert comp.implements[0].interface == "I"
     assert comp.implements[0].properties == {"Confidentiality": True}
-    assert comp.is_terminal
+    assert comp.requires == ()
 
 
 def test_service_wrapper_sets_name():
