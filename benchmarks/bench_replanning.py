@@ -79,12 +79,13 @@ def _failover_world(fastpath: bool):
         clients_per_site=3,
         flush_policy="count:500",
         algorithm="exhaustive",
-        plan_cache=None if fastpath else False,
     )
     rt = tb.runtime
-    # the runtime has no memoize option; the reference switch lives on
-    # the planner's PlanningContext
+    # the runtime has no memoize or plan-cache option; the reference
+    # switches live on the planner and its PlanningContext
     rt.planner.ctx.memoize = fastpath
+    if not fastpath:
+        rt.planner.plan_cache = None
     monitor = NetworkMonitor(rt.sim, rt.network, poll_interval_ms=1000.0)
     manager = ReplanManager(rt, monitor, incremental=fastpath)
     for node, user in (("sandiego-client1", "Bob"), ("seattle-client1", "Carol")):

@@ -297,14 +297,14 @@ def cmd_mail(args: argparse.Namespace) -> int:
     )
     manager = runtime.autonomic
     if manager is not None:
-        installed = sum(len(e.installed) for e in manager.events)
-        retired = sum(len(e.retired) for e in manager.events)
+        summary = manager.summary()
         log.info(
-            f"autonomic: {len(manager.events)} action(s) "
-            f"({manager.suppressed} signals suppressed), "
-            f"{installed} replica(s) installed, {retired} retired, "
-            f"views {manager._baseline_views or manager._view_count()} -> "
-            f"{manager._view_count()} (peak {manager.views_peak})"
+            f"autonomic: {len(summary['events'])} action(s) "
+            f"({summary['suppressed']} signals suppressed), "
+            f"{summary['installed']} replica(s) installed, "
+            f"{summary['retired']} retired, "
+            f"views {summary['views_baseline'] or summary['views_final']} -> "
+            f"{summary['views_final']} (peak {summary['views_peak']})"
         )
         for event in manager.events:
             detail = ""
@@ -969,6 +969,14 @@ def main(argv=None) -> int:
             "--flight and --slo-report apply to the flash-crowd pair only; "
             "drop --rates"
         )
+    # A spec that cannot be read fails here, not after the run it grades.
+    if args.command in ("mail", "chaos-sweep", "load-sweep") and args.slo is not None:
+        from .obs.slo import load_slo_spec
+
+        try:
+            load_slo_spec(args.slo)
+        except ValueError as exc:
+            sub.choices[args.command].error(f"--slo: {exc}")
     configure_logging(level=args.log_level, json_output=args.log_json)
 
     obs = None

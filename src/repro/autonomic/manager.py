@@ -20,10 +20,10 @@ How a scale round differs from a liveness round:
   capacity ceiling so one overloaded binding stays plannable — which
   makes the planner's condition 3 (:mod:`repro.planner.load`) reject
   saturated co-location and spread chains across nodes;
-- as each binding's plan lands, the manager reserves its computed CPU
-  and bandwidth demand on the network (and bumps the topology epoch),
-  so later bindings in the same round bin-pack around earlier ones
-  instead of piling onto the same "best" node;
+- as each binding's plan lands, the replanner reserves its demand at
+  that rate on the network (:meth:`~repro.network.Network.reserve`), so
+  later bindings in the same round bin-pack around earlier ones instead
+  of piling onto the same "best" node;
 - before an instance is retired, the manager drains its in-flight
   requests (bounded wait), then the replanner's normal retire path
   flushes coherence buffers upstream and the anti-entropy sweep
@@ -39,7 +39,7 @@ are byte-identical to a build without this module.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..network.monitor import ChangeEvent
@@ -87,17 +87,7 @@ class AutonomicEvent:
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready form (summary ``events`` list and flight records)."""
-        return {
-            "time_ms": self.time_ms,
-            "action": self.action,
-            "rule": self.rule,
-            "series": self.series,
-            "value": self.value,
-            "planned_rates": dict(self.planned_rates),
-            "installed": list(self.installed),
-            "retired": list(self.retired),
-            "rebound": list(self.rebound),
-        }
+        return asdict(self)
 
 
 class AutonomicManager:
@@ -106,7 +96,7 @@ class AutonomicManager:
     Construction is cheap and side-effect-free; :meth:`attach` (called
     by ``SmockRuntime(autonomic=True)``) registers the sampler hooks.
     Bindings are registered on ``runtime.replanner`` (which
-    :meth:`attach` guarantees exists), the one place they live.
+    :meth:`attach` has the runtime build), the one place they live.
     """
 
     def __init__(self, runtime: Any) -> None:
@@ -124,8 +114,6 @@ class AutonomicManager:
         self.views_peak = 0
         #: per-proxy (prev_counter, rate-history) for offered-rate probes
         self._rate_state: Dict[int, Tuple[float, Deque[float]]] = {}
-        #: planner reservations added by the previous round: (kind, name, amount)
-        self._reserved: List[Tuple[str, str, float]] = []
 
     # -- wiring ---------------------------------------------------------------
     def attach(self) -> "AutonomicManager":
@@ -140,32 +128,8 @@ class AutonomicManager:
         self.engine = PolicyEngine(sampler, DEFAULT_RULES)
         self.engine.attach()
         self.engine.subscribe(self._on_signal)
-        self._ensure_replanner().autonomic = self
+        self.runtime.replan_manager().autonomic = self
         return self
-
-    @property
-    def replanner(self) -> Any:
-        return self._ensure_replanner()
-
-    def _ensure_replanner(self) -> Any:
-        """Reuse the runtime's replanner, or create a dormant one.
-
-        The created :class:`~repro.network.monitor.NetworkMonitor` is
-        *not started* — the autonomic loop triggers rounds itself, and a
-        later ``enable_self_healing()`` call upgrades this replanner in
-        place with a live monitor and failure detector.
-        """
-        existing = self.runtime.replanner
-        if existing is not None:
-            return existing
-        from ..network.monitor import NetworkMonitor
-        from ..smock.replanner import ReplanManager
-
-        monitor = NetworkMonitor(self.runtime.sim, self.runtime.network)
-        replanner = ReplanManager(self.runtime, monitor)
-        self.runtime.monitor = monitor
-        self.runtime.replanner = replanner
-        return replanner
 
     # -- offered-rate sampling ------------------------------------------------
     def _rate_scan(self, now: float) -> None:
@@ -201,8 +165,7 @@ class AutonomicManager:
         measured rate beyond any single chain's ceiling is clamped and
         the overflow left to admission control to shed.
         """
-        planner = self.runtime.primary.planner
-        ctx = planner.ctx
+        ctx = binding.bundle.planner.ctx
         report = compute_loads(ctx, binding.plan, 1.0)
         cap = float("inf")
         for node_name, demand in report.node_cpu.items():
@@ -223,8 +186,8 @@ class AutonomicManager:
         now = sim.now
         metrics = self.runtime.obs.metrics
         metrics.inc("autonomic.signals", rule=signal.rule, action=signal.action)
-        replanner = self.replanner
-        if self._pending is not None or replanner._replanning:
+        replanner = self.runtime.replanner
+        if self._pending is not None or replanner.busy:
             self.suppressed += 1
             return
         if signal.action == "scale_in" and not self._scaled_out:
@@ -303,45 +266,6 @@ class AutonomicManager:
         )
 
     # -- replanner round hooks ------------------------------------------------
-    def on_round_start(self, trigger: Optional[ChangeEvent]) -> None:
-        """Release the previous round's capacity reservations.
-
-        Runs at the head of *every* replanning round while attached (the
-        round will re-reserve per binding as plans land), so liveness
-        rounds and autonomic rounds stay consistent with one ledger.
-        """
-        network = self.runtime.network
-        if not self._reserved:
-            return
-        for kind, name, amount in self._reserved:
-            if kind == "node":
-                network.node(name).reserved_cpu -= amount
-            else:
-                network.link_named(name).reserved_mbps -= amount
-        self._reserved.clear()
-        network.touch_reservations()
-
-    def on_binding_planned(self, binding: Any, plan: Any) -> None:
-        """Reserve the planned chain's demand so later bindings in the
-        same round bin-pack around it (condition 3 sees the load)."""
-        rate = binding.request.request_rate
-        if rate <= 0:
-            return
-        planner = self.runtime.primary.planner
-        network = self.runtime.network
-        report = compute_loads(planner.ctx, plan, rate)
-        for node_name, demand in report.node_cpu.items():
-            if demand <= 0:
-                continue
-            network.node(node_name).reserved_cpu += demand
-            self._reserved.append(("node", node_name, demand))
-        for link_name, mbps in report.link_mbps.items():
-            if mbps <= 0:
-                continue
-            network.link_named(link_name).reserved_mbps += mbps
-            self._reserved.append(("link", link_name, mbps))
-        network.touch_reservations()
-
     def drain_instance(self, instance: Any) -> Generator[Any, Any, None]:
         """Bounded wait for an instance's in-flight requests to finish.
 
@@ -393,6 +317,29 @@ class AutonomicManager:
             flight.record(
                 "autonomic_round", self.runtime.sim.now, data=pending.as_dict()
             )
+
+    # -- reporting ------------------------------------------------------------
+    def summary(self) -> Dict[str, Any]:
+        """What the loop did: its actuated events, the signals it saw and
+        suppressed, the replicas its rounds installed and retired, the
+        data-view count (before the first round, at its peak, now) and
+        when a scale-out first installed a replica."""
+        views_final = self._view_count()  # brings views_peak up to date
+        events = self.events
+        return {
+            "events": [e.as_dict() for e in events],
+            "signals": len(self.engine.signals) if self.engine else 0,
+            "suppressed": self.suppressed,
+            "installed": sum(len(e.installed) for e in events),
+            "retired": sum(len(e.retired) for e in events),
+            "views_final": views_final,
+            "views_peak": self.views_peak,
+            "views_baseline": self._baseline_views,
+            "scale_out_at_ms": next(
+                (e.time_ms for e in events if e.action == "scale_out" and e.installed),
+                None,
+            ),
+        }
 
     # -- helpers --------------------------------------------------------------
     def _view_count(self) -> int:

@@ -19,7 +19,7 @@ clocks or entropy — same seed, same samples, same signals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -49,15 +49,7 @@ class ScaleSignal:
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready form (flight records and summary artifacts)."""
-        return {
-            "time_ms": self.time_ms,
-            "action": self.action,
-            "rule": self.rule,
-            "series": self.series,
-            "value": self.value,
-            "threshold": self.threshold,
-            "sustained": self.sustained,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -455,10 +455,10 @@ def _stats(runtime: Any, proxies: List[Any]) -> Dict[str, Any]:
         "retries": sum(p.retries for p in proxies),
     }
     if runtime.autonomic is not None:
-        events = runtime.autonomic.events
-        stats["autonomic_actions"] = len(events)
-        stats["autonomic_installed"] = sum(len(e.installed) for e in events)
-        stats["autonomic_retired"] = sum(len(e.retired) for e in events)
+        summary = runtime.autonomic.summary()
+        stats["autonomic_actions"] = len(summary["events"])
+        stats["autonomic_installed"] = summary["installed"]
+        stats["autonomic_retired"] = summary["retired"]
     return stats
 
 

@@ -48,7 +48,8 @@ class MailTestbed:
         """Bind ``user`` from ``node`` and return the proxy, with the
         ``retry`` policy installed when given.  The binding is registered
         with ``runtime.replanner`` iff one exists (``enable_self_healing()``
-        or the autonomic manager created it), so rounds can rebind it."""
+        or the autonomic manager had the runtime build it), so rounds can
+        rebind it."""
         runtime = self.runtime
         proxy = runtime.run(
             runtime.client_connect(node, {"User": user}), f"connect:{user}"
@@ -157,9 +158,9 @@ def build_mail_testbed(
     it, and the mail service's code base), and adds the ``"mail"``
     service with its ``algorithm``, ``conflict_map``, ``flush_policy``
     and component classes.  Every other keyword (``sim``, ``obs``,
-    ``plan_cache``, ``telemetry_interval_ms``, ``flight``,
-    ``overload_protection``, ``autonomic``, ``lookup_hosts``,
-    ``lookup_leases``, ``directory_host``) is
+    ``telemetry_interval_ms``, ``flight``, ``overload_protection``,
+    ``autonomic``, ``lookup_hosts``, ``lookup_leases``,
+    ``directory_host``) is
     forwarded unchanged to :class:`SmockRuntime`, the one place runtime
     options are declared and documented; a misspelt one raises
     ``TypeError`` there.

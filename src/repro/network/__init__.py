@@ -2,13 +2,7 @@
 credential translation, and Remos-style monitoring."""
 
 from .brite import BriteConfig, generate_waxman
-from .credentials import (
-    CredentialRule,
-    CredentialTranslator,
-    Environment,
-    FunctionTranslator,
-    RuleTranslator,
-)
+from .credentials import CredentialTranslator, Environment, FunctionTranslator
 from .monitor import ChangeEvent, NetworkMonitor
 from .topology import LinkInfo, Network, NetworkError, NodeInfo, PathInfo
 
@@ -23,8 +17,6 @@ __all__ = [
     "Environment",
     "CredentialTranslator",
     "FunctionTranslator",
-    "RuleTranslator",
-    "CredentialRule",
     "NetworkMonitor",
     "ChangeEvent",
 ]

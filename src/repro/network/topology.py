@@ -454,6 +454,36 @@ class Network:
         return prev
 
     # -- reservations (planner condition 3 bookkeeping) --------------------
+    def reserve(
+        self, node_cpu: Dict[str, float], link_mbps: Dict[str, float]
+    ) -> List[Tuple[str, str, float]]:
+        """Add each positive demand to its node's ``reserved_cpu`` or its
+        link's ``reserved_mbps`` (node entries first, then link entries)
+        and return what was held, for :meth:`release`."""
+        held: List[Tuple[str, str, float]] = []
+        for name, demand in node_cpu.items():
+            if demand > 0:
+                self.node(name).reserved_cpu += demand
+                held.append(("node", name, demand))
+        for name, mbps in link_mbps.items():
+            if mbps > 0:
+                self.link_named(name).reserved_mbps += mbps
+                held.append(("link", name, mbps))
+        self.touch_reservations()
+        return held
+
+    def release(self, held: List[Tuple[str, str, float]]) -> None:
+        """Take back what :meth:`reserve` calls held, in their order; a
+        release of nothing changes nothing."""
+        if not held:
+            return
+        for kind, name, amount in held:
+            if kind == "node":
+                self.node(name).reserved_cpu -= amount
+            else:
+                self.link_named(name).reserved_mbps -= amount
+        self.touch_reservations()
+
     def snapshot(self) -> "Network":
         """Deep copy for what-if planning without mutating live state."""
         other = Network()

@@ -308,4 +308,7 @@ def load_slo_spec(source: str) -> SLOSpec:
         ) from None
     if not isinstance(raw, Mapping):
         raise ValueError(f"SLO spec did not parse to a mapping: {source!r}")
-    return SLOSpec.from_dict(raw)
+    try:
+        return SLOSpec.from_dict(raw)
+    except ValueError as exc:
+        raise ValueError(f"SLO spec {source!r}: {exc}") from None

@@ -14,7 +14,7 @@ planning-relevant node/link attribute, recomputed whenever a mutation
 bumps ``Network.version``: liveness flips from the failure detector,
 link attribute perturbations from the :class:`~repro.network.monitor.
 NetworkMonitor`, credential changes, and the capacity reservations
-``Planner.commit`` makes (via ``Network.touch_reservations``).  Entries are keyed
+``Planner.commit`` and replan rounds make (via ``Network.reserve``).  Entries are keyed
 *under* their epoch rather than flushed when it changes: any mutation
 makes every existing entry unmatchable (correctness), but a network
 that returns to a previously seen state — a crashed node restarting, a

@@ -64,8 +64,8 @@ counters and flushes everything but the chain shapes, so no
 memoized value outlives the network state it was computed against —
 provided a direct attribute write is followed by ``Network.touch()``,
 and a credential translator reads only what that covers.  Capacity
-*reservations* (``Network.touch_reservations()``, what
-``Planner.commit`` records) change none of them and flush nothing:
+*reservations* (``Network.reserve`` / ``Network.release``, what
+``Planner.commit`` and replan rounds record) change none of them and flush nothing:
 condition 3 reads ``free_cpu`` / ``free_mbps`` live in
 :func:`~repro.planner.load.check_loads`.  Hit/miss counts land in
 :class:`ContextCacheStats`, which the :class:`~repro.planner.planner.

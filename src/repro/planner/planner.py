@@ -310,13 +310,7 @@ class Planner:
             # on the plan's nodes and links pass.
             raise ValueError("NaN request_rate")
         report = compute_loads(self.ctx, plan, plan_rate(self.ctx, plan, request_rate))
-
-        for node_name, demand in report.node_cpu.items():
-            self.network.node(node_name).reserved_cpu += demand
-        for link_name, mbps in report.link_mbps.items():
-            self.network.link_named(link_name).reserved_mbps += mbps
-        self.network.touch_reservations()
-
+        self.network.reserve(report.node_cpu, report.link_mbps)
         self.state.absorb(plan, report.inbound)
         self.obs.metrics.inc("planner.commits")
         return report

@@ -147,6 +147,7 @@ class RuntimeComponent:
         instance_id: str,
     ) -> None:
         self.runtime = runtime
+        self.sim: Simulator = runtime.sim
         self.unit = unit
         self.node = node
         self.factor_values = dict(factor_values)
@@ -183,10 +184,6 @@ class RuntimeComponent:
         self.replica_id: Optional[int] = None
 
     # -- identity -----------------------------------------------------------
-    @property
-    def sim(self) -> Simulator:
-        return self.runtime.sim
-
     @property
     def node_name(self) -> str:
         return self.node.name

@@ -123,14 +123,14 @@ class ServiceProxy:
         interface: str,
         root: RuntimeComponent,
         user: Optional[str] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.runtime = runtime
         self.client_node = client_node
         self.interface = interface
         self.root = root
         self.user = user
-        self.retry_policy = retry_policy
+        #: set after the bind to make :meth:`request` time out and retry
+        self.retry_policy: Optional[RetryPolicy] = None
         self._stub = ServerStub(runtime, interface, client_node, root)
         self.latency = Monitor(f"proxy:{client_node}")
         #: logical operations issued (counted once, before any retries);
@@ -379,12 +379,10 @@ class GenericProxy:
         runtime: "SmockRuntime",
         registration: ServiceRegistration,
         client_node: str,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         self.runtime = runtime
         self.registration = registration
         self.client_node = client_node
-        self.retry_policy = retry_policy
         self.service_proxy: Optional[ServiceProxy] = None
         self.bind_record: Optional[BindRecord] = None
 
@@ -453,7 +451,6 @@ class GenericProxy:
             interface,
             access.deployment.root_instance,
             user=context.get("User"),
-            retry_policy=self.retry_policy,
         )
         self.bind_record = record
         runtime.bind_records.append(record)

@@ -39,6 +39,7 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 from ..network import NetworkError
 from ..network.monitor import ChangeEvent, NetworkMonitor
 from ..planner import DeploymentPlan, DeploymentState, PlanningError, PlanRequest
+from ..planner.load import compute_loads
 from ..sim import FaultError
 from .proxy import ServiceProxy
 
@@ -82,6 +83,13 @@ class ReplanManager:
     previous structure is what must be reconsidered.  With
     ``incremental=False`` every round replans from scratch, matching the
     pre-fast-path behavior exactly.
+
+    A round reserves each replanned binding's demand at its
+    ``request.request_rate`` (when above 0) on the network, so later
+    bindings in the same round bin-pack around it; the next round
+    releases those reservations first.  :meth:`track_access` records a
+    binding at rate 0, which reserves nothing until the autonomic
+    manager writes a measured rate into it.
     """
 
     def __init__(
@@ -93,10 +101,13 @@ class ReplanManager:
         self.bindings: List[_Binding] = []
         self.events: List[ReplanEvent] = []
         #: optional :class:`~repro.autonomic.manager.AutonomicManager`
-        #: collaborator; when set, rounds call its hooks (reservation
-        #: ledger, per-binding bin-packing, retire-time drain).  ``None``
-        #: keeps every round byte-identical to the pre-autonomic code.
+        #: collaborator; when set, rounds keep a failed binding's chain,
+        #: drain instances before retiring them and report to it at the
+        #: end.  ``None`` keeps every round byte-identical to the
+        #: pre-autonomic code.
         self.autonomic: Any = None
+        #: what the last round's plans hold (:meth:`Network.reserve`)
+        self._held: List[Tuple[str, str, float]] = []
         self._scheduled = False
         self._replanning = False
         self._rerun_trigger: Optional[ChangeEvent] = None
@@ -118,6 +129,11 @@ class ReplanManager:
             context=dict(access.context),
         )
         self.track(proxy, request, access.plan)
+
+    @property
+    def busy(self) -> bool:
+        """True while a round is in flight (a new one would defer)."""
+        return self._replanning
 
     # -- change handling ----------------------------------------------------
     def _on_change(self, change: ChangeEvent) -> None:
@@ -174,9 +190,8 @@ class ReplanManager:
         a tracked binding, each replanned by its own planner."""
         runtime = self.runtime
         event = ReplanEvent(time_ms=runtime.sim.now, trigger=trigger)
-        autonomic = self.autonomic
-        if autonomic is not None:
-            autonomic.on_round_start(trigger)
+        runtime.network.release(self._held)
+        self._held = []
 
         # Control-plane takeover: the coherence directory's own host
         # died.  Ground truth (is the directory host down *now*) rather
@@ -216,8 +231,8 @@ class ReplanManager:
 
         self.events.append(event)
         self._observe_round(event)
-        if autonomic is not None:
-            autonomic.on_round_end(event)
+        if self.autonomic is not None:
+            self.autonomic.on_round_end(event)
         return event
 
     def _replan_service(
@@ -290,8 +305,12 @@ class ReplanManager:
             new_plans.append(plan)
             for placement in plan.placements:
                 state.add(placement)
-            if autonomic is not None:
-                autonomic.on_binding_planned(binding, plan)
+            rate = binding.request.request_rate
+            if rate > 0:
+                report = compute_loads(planner.ctx, plan, rate)
+                self._held += runtime.network.reserve(
+                    report.node_cpu, report.link_mbps
+                )
 
         # Compute the new desired placement-key set.
         desired: Set[Tuple] = set()

@@ -58,7 +58,6 @@ class SmockRuntime:
         sim: Optional[Simulator] = None,
         server_node: Optional[str] = None,
         obs: Optional[Observability] = None,
-        plan_cache: Any = None,
         telemetry_interval_ms: Optional[float] = None,
         flight: Any = None,
         overload_protection: bool = False,
@@ -69,10 +68,6 @@ class SmockRuntime:
     ) -> None:
         self.network = network
         self.obs = resolve_obs(obs)
-        #: plan-cache setting inherited by every service bundle (see
-        #: :class:`repro.planner.Planner`: ``None`` = private cache,
-        #: ``False`` = caching off)
-        self._plan_cache_setting = plan_cache
         self.sim = sim or Simulator(obs=self.obs)
         for name, value in (
             ("overload_protection", overload_protection), ("autonomic", autonomic)
@@ -120,8 +115,8 @@ class SmockRuntime:
             list(lookup_hosts) if lookup_hosts else [self.lookup_node],
             LeaseConfig.coerce(lookup_leases),
         )
-        #: the recovery loop, wired by :meth:`enable_self_healing` (the
-        #: autonomic manager may create a dormant monitor + replanner)
+        #: the recovery loop: :meth:`replan_manager` builds the monitor
+        #: and replanner, :meth:`enable_self_healing` adds the detector
         self.monitor: Optional[Any] = None
         self.failure_detector: Optional[Any] = None
         self.replanner: Optional[Any] = None
@@ -259,7 +254,7 @@ class SmockRuntime:
             spec=spec,
             planner=Planner(
                 spec, self.network, translator, algorithm=algorithm,
-                obs=self.obs, plan_cache=self._plan_cache_setting,
+                obs=self.obs,
             ),
             server=None,  # type: ignore[arg-type]  (set right below)
             coherence=CoherenceDirectory(
@@ -380,41 +375,47 @@ class SmockRuntime:
         return proc.value
 
     # -- fault tolerance -----------------------------------------------------------
+    def replan_manager(self) -> Any:
+        """The runtime's one :class:`~repro.smock.replanner.ReplanManager`.
+
+        Built on first use, with its
+        :class:`~repro.network.monitor.NetworkMonitor` polling every
+        :data:`MONITOR_POLL_MS` but not started: the autonomic manager
+        triggers rounds itself, and :meth:`enable_self_healing` arms it.
+        Stored as ``replanner`` / ``monitor``.
+        """
+        if self.replanner is None:
+            from ..network.monitor import NetworkMonitor
+            from .replanner import ReplanManager
+
+            self.monitor = NetworkMonitor(self.sim, self.network, MONITOR_POLL_MS)
+            self.replanner = ReplanManager(self, self.monitor)
+        return self.replanner
+
     def enable_self_healing(
         self,
         heartbeat_interval_ms: float = 250.0,
         miss_threshold: int = 3,
         incremental: bool = True,
     ) -> Any:
-        """Wire up the full recovery loop: monitor → detector → replanner.
+        """Arm the full recovery loop: monitor → detector → replanner.
 
-        Returns the :class:`~repro.smock.replanner.ReplanManager`; the
-        monitor, detector and manager are also stored on the runtime as
-        ``monitor`` / ``failure_detector`` / ``replanner``.  Client
-        bindings still need to be registered (``replanner.track`` /
-        ``track_access``) to be failed over.  ``incremental`` controls
+        Starts :meth:`replan_manager`'s monitor and a failure detector
+        (stored as ``failure_detector``) and returns the replanner.
+        Client bindings still need to be registered (``replanner.track``
+        / ``track_access``) to be failed over.  ``incremental`` controls
         whether liveness-triggered replan rounds seed their search from
         each binding's previous plan (see
         :mod:`repro.planner.incremental`).  Idempotent: a second call
-        returns the existing manager.  A dormant replanner created by
-        the autonomic manager (no monitor polling, no heartbeats) is
-        upgraded in place — its bindings and autonomic hooks survive.
+        returns the same replanner.
         """
-        existing = self.replanner
-        if existing is not None and self.failure_detector is not None:
-            return existing
+        if self.failure_detector is not None:
+            return self.replanner
         from ..faults import FailureDetector
-        from ..network.monitor import NetworkMonitor
-        from .replanner import ReplanManager
 
-        if existing is not None:
-            monitor = existing.monitor
-            monitor.poll_interval_ms = MONITOR_POLL_MS
-            replanner = existing
-            replanner.incremental = incremental
-        else:
-            monitor = NetworkMonitor(self.sim, self.network, MONITOR_POLL_MS)
-            replanner = ReplanManager(self, monitor, incremental=incremental)
+        replanner = self.replan_manager()
+        replanner.incremental = incremental
+        monitor = self.monitor
         detector = FailureDetector(
             self,
             monitor,
@@ -423,9 +424,7 @@ class SmockRuntime:
         )
         monitor.start()
         detector.start()
-        self.monitor = monitor
         self.failure_detector = detector
-        self.replanner = replanner
         # Lease lapses become monitor events: a service that stops
         # renewing triggers a replan/rebind round through the same
         # pipeline as heartbeat-detected node death (the monitor dedups,

@@ -44,7 +44,7 @@ class FakeBinding:
 
 class FakeReplanner:
     def __init__(self):
-        self._replanning = False
+        self.busy = False
         self.bindings = [FakeBinding()]
         self.autonomic = None
         self.rounds = []
@@ -162,7 +162,7 @@ class TestOrderingGates:
         assert len(manager.runtime.replanner.rounds) == 1
 
     def test_reentrancy_suppressed_while_replanning(self, manager):
-        manager.runtime.replanner._replanning = True
+        manager.runtime.replanner.busy = True
         manager.runtime.sim.now = 1_000.0
         manager._on_signal(_signal("scale_out", 1_000.0))
         assert manager.runtime.replanner.rounds == []

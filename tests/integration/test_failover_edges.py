@@ -60,7 +60,7 @@ def test_replan_during_replan_defers_and_reruns(world, monkeypatch):
                                     name="round-2"))
     sim.run(until=sim.now + 60_000.0)
 
-    assert not manager._replanning
+    assert not manager.busy
     deferred = [e for e in manager.events if e.deferred]
     assert len(deferred) == 1 and deferred[0].trigger is ev2
     # The late trigger was not lost: a rerun round ran it to completion

@@ -110,7 +110,9 @@ class ScriptedClient:
 
     def __init__(self) -> None:
         unit = build_mail_spec().unit("MailClient")
-        self.client = MailClientComponent(None, unit, SimpleNamespace(name="n"), {}, "c1")
+        self.client = MailClientComponent(
+            SimpleNamespace(sim=None), unit, SimpleNamespace(name="n"), {}, "c1"
+        )
         self.client.call = self._upstream
         self.answer: Optional[ServiceResponse] = None
 

@@ -166,6 +166,29 @@ def test_flags_that_would_be_dropped_are_usage_errors(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, source", [
+    (["mail", "--slo", "name: x"], "'name: x'"),
+    (["mail", "--slo", "nonexistent.json"], "'nonexistent.json'"),
+    (["chaos-sweep", "--seeds", "1", "--slo", "name: x"], "'name: x'"),
+    (["load-sweep", "--slo", '{"name": "x"}'], """'{"name": "x"}'"""),
+])
+def test_an_unreadable_slo_spec_is_a_usage_error(argv, source, capsys, monkeypatch):
+    """Found before anything runs, not when the finished run is graded."""
+    import repro.experiments
+    import repro.experiments.mail_setup
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    for module in (repro.experiments, repro.experiments.mail_setup):
+        monkeypatch.setattr(module, "build_mail_testbed", no_run)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--slo: SLO spec" in err and source in err
+
+
 @pytest.mark.parametrize("argv", [
     ["mail", "--telemetry-interval", "0"],
     ["mail", "--telemetry-interval", "-500"],
